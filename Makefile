@@ -15,7 +15,8 @@
 #
 # `make check-incr` sweeps the incremental-store suite (test_incr:
 # cache_dir differential, serialization round-trips, corrupt/stale
-# store demotion — DESIGN.md §11) the same way.
+# store demotion, every older store schema demoting to cold —
+# DESIGN.md §11) the same way.
 #
 # `make check-screen` runs the solver-screening suite (test_screen:
 # screening-on vs screening-off differential over the 21-cell survey at
@@ -41,24 +42,17 @@
 # daemon-vs-CLI round-trip byte differential incl. the wire-fault sweep,
 # lock demotion and crash/abandon — DESIGN.md §15) at JOBS=1 and JOBS=4.
 #
-# `make check-compose` sweeps the suffix-compositional summarizer
-# (test_compose: extend-vs-monolithic qcheck differential, the full
-# harvest differential compose-on vs --no-compose incl. fault
-# injection, and the suffix-store round-trip/transfer tests —
-# DESIGN.md §16) at JOBS=1 and JOBS=4.
-#
 # `make check-fp` sweeps the semantic fingerprint index (test_fp:
 # lane-vs-Term.eval qcheck soundness, fingerprint-inequality implies
 # prove_equal=false, the fp-on vs --no-fp differential over the survey
-# cells incl. a 10% fault-injection sweep, the fp-section store
-# round-trip and v2-store stale demotion — DESIGN.md §17) at JOBS=1
-# and JOBS=4.
+# cells incl. a 10% fault-injection sweep, and the fp-section store
+# round-trip — DESIGN.md §17) at JOBS=1 and JOBS=4.
 
 CHECK_TIMEOUT ?= 600
 
 .PHONY: all build test check check-par check-plan-par check-incr \
-	check-screen check-resume check-sweep check-serve check-compose \
-	check-fp check-bench clean
+	check-screen check-resume check-sweep check-serve check-fp \
+	check-bench clean
 
 all: build
 
@@ -69,8 +63,7 @@ test:
 	dune runtest
 
 check: build check-par check-plan-par check-incr check-screen \
-	check-resume check-sweep check-serve check-compose check-fp \
-	check-bench
+	check-resume check-sweep check-serve check-fp check-bench
 
 check-par:
 	JOBS=1 timeout $(CHECK_TIMEOUT) dune runtest --force
@@ -104,11 +97,6 @@ check-serve:
 	dune build test/test_main.exe
 	SUITES=serve JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
 	SUITES=serve JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-
-check-compose:
-	dune build test/test_main.exe
-	SUITES=compose JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-	SUITES=compose JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
 
 check-fp:
 	dune build test/test_main.exe

@@ -20,12 +20,6 @@
      dune exec bench/main.exe -- --only screen --jobs 4
                                               # tiered solver screening off vs
                                               # on (writes BENCH_screen.json)
-     dune exec bench/main.exe -- --only compose --jobs 4
-                                              # suffix-compositional extraction
-                                              # off vs on + original-to-
-                                              # obfuscated suffix-store
-                                              # transfer (writes
-                                              # BENCH_compose.json)
      dune exec bench/main.exe -- --only resume --jobs 4
                                               # WAL overhead + crash/resume
                                               # differential under injected
@@ -50,9 +44,6 @@
      dune exec bench/main.exe -- --no-screen  # ablation: screening disabled
      dune exec bench/main.exe -- --no-sweep   # ablation: corpus scheduler off
                                               # (sweeps run the sequential loop)
-     dune exec bench/main.exe -- --no-compose # ablation: suffix-compositional
-                                              # extraction off (monolithic
-                                              # summarizer everywhere)
      dune exec bench/main.exe -- --no-fp      # ablation: semantic fingerprint
                                               # index off (probes go straight
                                               # to the screening tiers)
@@ -80,12 +71,6 @@ let run_experiment ~quick ~jobs ?cache_dir id =
     print_string txt
   | "screen" ->
     let txt, _ = Gp_harness.Experiments.screen ~quick ~jobs () in
-    print_string txt
-  | "compose" ->
-    let txt, _ =
-      Gp_harness.Experiments.compose ~quick ~jobs
-        ?cache_root:(Option.map (fun d -> d ^ "-compose") cache_dir) ()
-    in
     print_string txt
   | "resume" ->
     let txt, _ =
@@ -145,7 +130,7 @@ let run_experiment ~quick ~jobs ?cache_dir id =
 
 let all_ids =
   [ "fig1"; "tab1"; "fig2"; "tab4"; "tab5"; "fig5"; "tab6"; "fig6"; "fig8";
-    "tab7"; "par"; "plan"; "incr"; "screen"; "compose"; "resume"; "sweep";
+    "tab7"; "par"; "plan"; "incr"; "screen"; "resume"; "sweep";
     "serve"; "fp";
     "cfi_study";
     "ablation_unaligned"; "ablation_subsumption"; "ablation_condjump";
@@ -230,7 +215,6 @@ let () =
   if smoke then Gp_harness.Experiments.set_smoke true;
   if List.mem "--no-screen" argv then Gp_smt.Solver.set_screen_enabled false;
   if List.mem "--no-sweep" argv then Gp_harness.Experiments.set_sched false;
-  if List.mem "--no-compose" argv then Gp_symx.Exec.set_compose_enabled false;
   if List.mem "--no-fp" argv then Gp_smt.Fpeval.set_enabled false;
   let mode_name = if smoke then "smoke" else if quick then "quick" else "full" in
   let bechamel = List.mem "--bechamel" argv in

@@ -92,11 +92,6 @@ let ablation_specs =
       screening, concrete refutation, elimination reuse — DESIGN.md \
       section 12).",
      fun () -> Gp_smt.Solver.set_screen_enabled false);
-    ("no-compose",
-     "Disable suffix-compositional symbolic extraction (DESIGN.md \
-      section 16): every start offset is re-executed monolithically \
-      instead of extending the shared tail summary.",
-     fun () -> Gp_symx.Exec.set_compose_enabled false);
     ("no-fp",
      "Disable the semantic fingerprint index (DESIGN.md section 17): \
       subsumption and planner probes go straight to the solver's \

@@ -66,25 +66,18 @@ type stage_stats = {
       (* content-addressed summary store traffic during the harvest
          (DESIGN.md §11).  Like the solver-memo counters, temperature-
          dependent — excluded from differential comparisons *)
-  suffix_hits : int;
-  suffix_misses : int;
-      (* suffix-summary memo/store traffic during the harvest
-         (DESIGN.md §16) — temperature-dependent, same discipline as
-         the summary counters *)
   fp_hits : int;
   fp_misses : int;
       (* fingerprint store traffic (DESIGN.md §17) — temperature-
-         dependent like the summary/suffix splits, excluded from
-         differential comparisons *)
+         dependent like the summary split, excluded from differential
+         comparisons *)
   fp_refuted : int;
       (* solver probes refuted from fingerprints alone (subsumption
-         pair skips + planner instantiation refutations).  Counts per
-         probe answered, so it is jobs- AND temperature-invariant —
-         but zero with --no-fp, so differentials exclude it like the
-         screen tallies *)
-  substitutions : int;
-      (* suffix entries built by Exec.extend (substitution) rather
-         than monolithic re-execution *)
+         pair skips + planner instantiation refutations), summed from
+         the per-call counts of this run's own Subsume/Planner calls.
+         Counts per probe answered, so it is jobs- AND temperature-
+         invariant — but zero with --no-fp, so differentials exclude it
+         like the screen tallies *)
   decode_saved : int;
       (* repeat decodes absorbed by the decode-once extraction memo *)
   store_loaded : int;
@@ -120,14 +113,14 @@ let screen_delta (a0, b0, c0, d0) (a1, b1, c1, d1) =
 let screen_add (a0, b0, c0, d0) (a1, b1, c1, d1) =
   (a0 + a1, b0 + b1, c0 + c1, d0 + d1)
 
-(* Fingerprint counters (DESIGN.md §17) as a (store hits, store
-   misses, probes refuted) snapshot, same delta discipline as the
-   screen tuple. *)
-let fp_counters () =
-  let h, m = Incr.fp_store_stats () in
-  (h, m, Gp_smt.Fpeval.refutations ())
+(* Fingerprint counters (DESIGN.md §17): the store hit/miss split is a
+   process-global snapshot delta like the screen tuple; the refutation
+   count is the stage's own per-call tally, so concurrent runs never
+   charge each other's refutations. *)
+let fp_delta (h0, m0) ~refuted =
+  let h1, m1 = Incr.fp_store_stats () in
+  (h1 - h0, m1 - m0, refuted)
 
-let fp_delta (a0, b0, c0) (a1, b1, c1) = (a1 - a0, b1 - b0, c1 - c0)
 let fp_add (a0, b0, c0) (a1, b1, c1) = (a0 + a1, b0 + b1, c0 + c1)
 
 (* Combined solver-memo counters, snapshotted around stages. *)
@@ -158,6 +151,7 @@ type analysis = {
   analysis_suffix_hits : int;
   analysis_suffix_misses : int;
   analysis_substitutions : int;
+      (* always 0: stubs bench/e2e still reads (see api.mli) *)
   analysis_decode_saved : int;
   analysis_store_loaded : int;
   analysis_store_stale : int;
@@ -184,7 +178,8 @@ let stage (label : string) (budget : Budget.t) (f : unit -> 'a) :
 
 let passthrough_stats gadgets =
   let n = List.length gadgets in
-  { Subsume.input = n; after_dedup = n; after_subsume = n; timed_out = false }
+  { Subsume.input = n; after_dedup = n; after_subsume = n; timed_out = false;
+    fp_refuted = 0 }
 
 (* ----- on-disk incremental store (DESIGN.md §11) ----- *)
 
@@ -263,7 +258,7 @@ type extracted = {
          traffic lands in them — which is why every temperature counter
          is excluded from the differential payload (DESIGN.md §14). *)
   ex_screen0 : int * int * int * int;
-  ex_fp0 : int * int * int;
+  ex_fp0 : int * int;
 }
 
 let stage_extract ?(extract_config = Extract.default_config) ?cache_dir
@@ -271,7 +266,7 @@ let stage_extract ?(extract_config = Extract.default_config) ?cache_dir
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
   let ex_cache0 = cache_counters () in
   let ex_screen0 = screen_counters () in
-  let ex_fp0 = fp_counters () in
+  let ex_fp0 = Incr.fp_store_stats () in
   let store_loaded, store_stale, wal_replayed, wal_truncated, store_quar =
     store_open cache_dir
   in
@@ -291,9 +286,6 @@ let stage_extract ?(extract_config = Extract.default_config) ?cache_dir
             h_budget_hit = true;
             h_summary_hits = 0;
             h_summary_misses = 0;
-            h_suffix_hits = 0;
-            h_suffix_misses = 0;
-            h_substitutions = 0;
             h_decode_saved = 0 } ),
         0. )
   in
@@ -345,12 +337,12 @@ let stage_subsume ?(subsume = true) ?budget ?(jobs = 1) (ex : extracted) :
       analysis_cache_hits = fst (cache_counters ()) - fst ex.ex_cache0;
       analysis_cache_misses = snd (cache_counters ()) - snd ex.ex_cache0;
       analysis_screen = screen_delta ex.ex_screen0 (screen_counters ());
-      analysis_fp = fp_delta ex.ex_fp0 (fp_counters ());
+      analysis_fp = fp_delta ex.ex_fp0 ~refuted:sstats.Subsume.fp_refuted;
       analysis_summary_hits = hstats.Extract.h_summary_hits;
       analysis_summary_misses = hstats.Extract.h_summary_misses;
-      analysis_suffix_hits = hstats.Extract.h_suffix_hits;
-      analysis_suffix_misses = hstats.Extract.h_suffix_misses;
-      analysis_substitutions = hstats.Extract.h_substitutions;
+      analysis_suffix_hits = 0;
+      analysis_suffix_misses = 0;
+      analysis_substitutions = 0;
       analysis_decode_saved = hstats.Extract.h_decode_saved;
       analysis_store_loaded = ex.ex_store_loaded;
       analysis_store_stale = ex.ex_store_stale;
@@ -423,7 +415,7 @@ let stage_plan ?(planner_config = Planner.default_config)
   let u0 = Atomic.get Gp_smt.Solver.unknowns in
   let ch0, cm0 = cache_counters () in
   let sc0 = screen_counters () in
-  let fp0 = fp_counters () in
+  let fp0 = Incr.fp_store_stats () in
   (* Stages 3+4 run as a goal portfolio (Planner.search_par) at EVERY
      job count, so the result is job-count-independent by construction.
      Each portfolio root owns a result slot: accepted chains, fault and
@@ -488,7 +480,7 @@ let stage_plan ?(planner_config = Planner.default_config)
     | Error _ ->
       ( { Planner.plans = []; expanded = 0; peak_queue = 0;
           inst_memo_hits = 0; cand_memo_hits = 0; discarded = 0;
-          exhausted = false; budget_hit = true },
+          fp_refuted = 0; exhausted = false; budget_hit = true },
         0. )
   in
   let sum_i arr = Array.fold_left ( + ) 0 arr in
@@ -505,7 +497,7 @@ let stage_plan ?(planner_config = Planner.default_config)
     pl_cache_hits = fst (cache_counters ()) - ch0;
     pl_cache_misses = snd (cache_counters ()) - cm0;
     pl_screen = screen_delta sc0 (screen_counters ());
-    pl_fp = fp_delta fp0 (fp_counters ()) }
+    pl_fp = fp_delta fp0 ~refuted:result.Planner.fp_refuted }
 
 (* Stage 4 proper: the deterministic post-processing that turns raw
    per-root search output into the final outcome.  Candidate VALIDATION
@@ -569,12 +561,9 @@ let stage_finalize (p : planned) : outcome =
         elim_reused;
         summary_hits = a.analysis_summary_hits;
         summary_misses = a.analysis_summary_misses;
-        suffix_hits = a.analysis_suffix_hits;
-        suffix_misses = a.analysis_suffix_misses;
         fp_hits;
         fp_misses;
         fp_refuted;
-        substitutions = a.analysis_substitutions;
         decode_saved = a.analysis_decode_saved;
         store_loaded = a.analysis_store_loaded;
         store_stale = a.analysis_store_stale;
@@ -586,6 +575,33 @@ let stage_finalize (p : planned) : outcome =
         subsume_time = a.subsume_time;
         plan_time = p.pl_plan_time;
         validate_time = p.pl_vtime } }
+
+(* The jobs- and temperature-invariant tallies of an outcome, by name:
+   what the sweep's resume payloads and the daemon's replies carry, and
+   what differential tests compare.  Cache, summary and fingerprint
+   store hit counters are temperature and stay out, as do the store
+   quarantine labels (a resident, resumed or warm run legitimately
+   differs there). *)
+let invariant_counters (o : outcome) =
+  let st = o.stats in
+  [ ("plans_found", st.plans_found);
+    ("chains_built", st.chains_built);
+    ("chains_validated", st.chains_validated);
+    ("plan_expanded", st.plan_expanded);
+    ("plan_peak_queue", st.plan_peak_queue);
+    ("plan_inst_hits", st.plan_inst_hits);
+    ("plan_cand_hits", st.plan_cand_hits);
+    ("plan_discarded", st.plan_discarded);
+    ("validate_faults", st.validate_faults);
+    ("validate_timeouts", st.validate_timeouts);
+    (* refutations are counted per probe answered, so the tally is
+       warm/cold-invariant like the verdicts it mirrors (DESIGN.md §17) *)
+    ("fp_refuted", st.fp_refuted) ]
+  @ List.filter_map
+      (fun (l, n) ->
+        if l = "store" || l = "store-locked" || l = "wal-torn" then None
+        else Some ("q:" ^ l, n))
+      st.quarantined
 
 let run_with_analysis ?planner_config ?validate ?budget ?jobs (a : analysis)
     (goal : Goal.t) : outcome =

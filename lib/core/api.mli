@@ -72,13 +72,6 @@ type stage_stats = {
           symbolically executed.  Temperature-dependent, like the
           solver-memo counters — reported but excluded from
           differential comparisons. *)
-  suffix_hits : int;
-  suffix_misses : int;
-      (** suffix-summary memo/store traffic during the harvest
-          (DESIGN.md §16): suffix queries answered from the per-chunk
-          memo or the persistent suffix store vs computed fresh.
-          Temperature-dependent — excluded from differential
-          comparisons. *)
   fp_hits : int;
   fp_misses : int;
       (** fingerprint store traffic (DESIGN.md §17): gadgets whose
@@ -88,15 +81,13 @@ type stage_stats = {
   fp_refuted : int;
       (** solver probes refuted from fingerprints alone: subsumption
           pairs skipped by the partition/precondition masks, plus
-          planner instantiations refuted on closed terms.  Counts per
+          planner instantiations refuted on closed terms.  Summed from
+          the per-call counts of this run's own [Subsume.minimize] and
+          [Planner.search_par] calls, so concurrent runs (daemon
+          requests) never count each other's refutations.  Counts per
           probe answered — jobs- and temperature-invariant — but zero
           with --no-fp, so differentials exclude it like the screen
           tallies. *)
-  substitutions : int;
-      (** suffix entries built compositionally by [Exec.extend] (one
-          instruction grafted onto a memoized tail) rather than by
-          monolithic re-execution — the work the composition layer
-          avoided *)
   decode_saved : int;
       (** repeat decodes absorbed by the decode-once extraction memo *)
   store_loaded : int;
@@ -148,9 +139,14 @@ type analysis = {
           probes refuted) — DESIGN.md §17 *)
   analysis_summary_hits : int;         (** summary-store hits (stage 1) *)
   analysis_summary_misses : int;
-  analysis_suffix_hits : int;          (** suffix memo/store hits (stage 1) *)
+  analysis_suffix_hits : int;
+      (** Always 0: the suffix-compositional summarizer is gone
+          (DESIGN.md §16).  Kept only because bench/e2e reads it; drop
+          it with the next change to the benchmark. *)
   analysis_suffix_misses : int;
-  analysis_substitutions : int;        (** suffixes built by [Exec.extend] *)
+      (** Always 0; kept because bench/e2e reads it (see above). *)
+  analysis_substitutions : int;
+      (** Always 0; kept because bench/e2e reads it (see above). *)
   analysis_decode_saved : int;         (** decode-once memo savings *)
   analysis_store_loaded : int;         (** on-disk entries imported *)
   analysis_store_stale : int;          (** 1 if the store was rejected *)
@@ -250,6 +246,12 @@ type outcome = {
   stats : stage_stats;           (** of the final rung attempted *)
   rungs : rung list;             (** ladder rungs attempted, in order *)
 }
+
+val invariant_counters : outcome -> (string * int) list
+(** The jobs- and temperature-invariant tallies of an outcome, by name
+    (planner and validation counters, [fp_refuted], and the quarantine
+    ledger minus the store labels).  The one list the sweep's resume
+    payloads, the daemon's replies and the differential tests share. *)
 
 val stage_plan :
   ?planner_config:Planner.config -> ?validate:bool -> ?budget:Budget.t ->

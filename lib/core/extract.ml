@@ -162,9 +162,6 @@ type harvest_stats = {
   h_budget_hit : bool;                  (* harvest stopped early *)
   h_summary_hits : int;                 (* starts served from the content store *)
   h_summary_misses : int;               (* starts symbolically executed *)
-  h_suffix_hits : int;                  (* suffix queries answered from memo/store *)
-  h_suffix_misses : int;                (* suffix entries computed fresh *)
-  h_substitutions : int;                (* suffixes built by Exec.extend *)
   h_decode_saved : int;                 (* decodes the decode-once memo absorbed *)
 }
 
@@ -181,53 +178,14 @@ let sym_config_of config =
     max_forks = config.max_forks;
     max_merges = config.max_merges }
 
-(* Bridge the compositional summarizer to the persistent suffix store
-   (DESIGN.md §16).  Shared across a harvest's workers — Incr's suffix
-   table is sharded and first-write-wins, and every stored entry is
-   exact, so racing domains at worst duplicate a compute.  A payload
-   that fails to decode (schema skew the store's checksums missed)
-   degrades to a miss. *)
-let suffix_hooks ~decode (image : Gp_util.Image.t) =
-  if not (Incr.enabled () && Gp_symx.Exec.compose_enabled ()) then (None, None)
-  else begin
-    let code_size = Gp_util.Image.code_size image in
-    let base = image.Gp_util.Image.code_base in
-    let store_find ~pos ~cap =
-      let key = Gadget.suffix_key ~cap ~decode ~code_size ~pos in
-      match Incr.find_suffix key with
-      | None -> None
-      | Some payload -> (
-        let addr = Int64.add base (Int64.of_int pos) in
-        match Gp_symx.Exec.read_suffix ~addr payload with
-        | e -> Some e
-        | exception _ -> None)
-    in
-    let store_add ~pos ~cap (e : Gp_symx.Exec.suffix) =
-      (* a trivial entry (no summaries, no refusal) costs more to key
-         and serialize than to recompute — most junk-byte positions
-         produce one, so skipping them keeps the store write traffic
-         proportional to actual content *)
-      if e.Gp_symx.Exec.x_res <> [] || e.Gp_symx.Exec.x_refused <> None then
-        let key = Gadget.suffix_key ~cap ~decode ~code_size ~pos in
-        Incr.add_suffix key (Gp_symx.Exec.write_suffix e)
-    in
-    (* with an empty suffix section every lookup misses by definition;
-       skip the per-position key hashing until something is stored
-       (entries added by this very harvest are shared through the
-       chunk memo, not re-read from the store) *)
-    let find = if Incr.suffix_size () > 0 then Some store_find else None in
-    (find, Some store_add)
-  end
-
 (* Examine one start offset: syntactic prefilter, chaos check, symbolic
-   summarization, conversion.  [mk] builds each gadget record — the
-   sequential path draws fresh global ids in place; parallel workers
-   pass a placeholder id and the merge renumbers.  Returns one entry
-   per CONVERTED summary: [Some g] when usable, [None] when converted
-   but unusable.  The distinction matters because every conversion
-   consumes a gadget id, so renumbering must see both. *)
-let examine_start ~config ~sym_config ~decode ~sctr ~smemo ~sfind ~sadd ~mk
-    ~tally (image : Gp_util.Image.t) pos : Gadget.t option list =
+   summarization, conversion.  Gadget records carry a placeholder id;
+   the merge in [harvest_r] renumbers.  Returns one entry per CONVERTED
+   summary: [Some g] when usable, [None] when converted but unusable.
+   The distinction matters because every conversion consumes a gadget
+   id, so renumbering must see both. *)
+let examine_start ~config ~sym_config ~decode ~sctr ~tally
+    (image : Gp_util.Image.t) pos : Gadget.t option list =
   (* cheap prefilter: must syntactically reach a terminator *)
   match scan_run ~decode ~config image pos with
   | None -> []
@@ -241,12 +199,7 @@ let examine_start ~config ~sym_config ~decode ~sctr ~smemo ~sfind ~sadd ~mk
     end
     else begin
       let summarize () =
-        (* Compositional summarization (DESIGN.md §16): bit-identical to
-           summarize_r, sharing suffixes through the chunk memo and the
-           persistent suffix store.  With composition off (the
-           --no-compose ablation) this IS summarize_r. *)
-        Gp_symx.Exec.summarize_cr ~config:sym_config ~decode ~memo:smemo
-          ?store_find:sfind ?store_add:sadd image addr
+        Gp_symx.Exec.summarize_r ~config:sym_config ~decode image addr
       in
       let summaries, refused =
         (* Content-addressed store consult (DESIGN.md §11): the injected
@@ -275,7 +228,7 @@ let examine_start ~config ~sym_config ~decode ~sctr ~smemo ~sfind ~sadd ~mk
        | None -> ());
       List.filter_map
         (fun s ->
-          match mk s with
+          match Gadget.of_summary ~id:(-1) s with
           | g -> Some (if usable g then Some g else None)
           | exception e ->
             Fail.tally_add tally
@@ -284,14 +237,21 @@ let examine_start ~config ~sym_config ~decode ~sctr ~smemo ~sfind ~sadd ~mk
         summaries
     end
 
-(* Parallel harvest: chunk the start offsets over [jobs] domains.  Each
-   chunk owns a budget slice and a fault tally; the merge walks chunks
-   in index order, so gadget order — and, after renumbering, the gadget
-   id sequence — is identical to the sequential path.  Fuel is
+(* Budgeted, fault-isolating harvest.  One poisoned start — injected
+   decode fault, symbolic-executor refusal, or an exception out of
+   summary conversion — quarantines THAT start and is tallied; the rest
+   of the harvest proceeds.
+
+   The start offsets are chunked over [jobs] domains ([Par.run] runs the
+   chunks inline at one job).  Each chunk owns a budget slice and a
+   fault tally; the merge walks chunks in index order, so gadget order —
+   and, after renumbering, the gadget id sequence — is the same at every
+   job count (DESIGN.md "Parallel execution & determinism").  Fuel is
    checkpointed per chunk: a global allowance of F start offsets covers
-   positions [0, F) exactly as the sequential meter would, so each
-   chunk's share is its overlap with that prefix. *)
-let harvest_par ~jobs ~config ~budget ~ids (image : Gp_util.Image.t) :
+   positions [0, F) exactly as a sequential meter would, so each chunk's
+   share is its overlap with that prefix. *)
+let harvest_r ?(config = default_config) ?(budget = Budget.unlimited ())
+    ?(jobs = 1) ?(ids = Gadget.global_ids) (image : Gp_util.Image.t) :
     Gadget.t list * harvest_stats =
   let sym_config = sym_config_of config in
   (* decode-once memo: built eagerly on the main domain, immutable
@@ -302,16 +262,12 @@ let harvest_par ~jobs ~config ~budget ~ids (image : Gp_util.Image.t) :
   let n = Array.length positions in
   let fuel0 = Budget.remaining_fuel budget in
   let chunk = Gp_util.Par.chunk_size ~min_chunk:64 ~jobs n in
-  let sfind, sadd = suffix_hooks ~decode image in
   let tasks =
     Array.map
       (fun (lo, hi) ->
         fun () ->
           let tally = Fail.tally_create () in
           let sctr = { sc_hits = 0; sc_misses = 0 } in
-          (* one suffix memo per chunk: workers never share it, so the
-             compositional layer needs no locking *)
-          let smemo = Gp_symx.Exec.memo_create () in
           let allot =
             if fuel0 = max_int then hi - lo else max 0 (min hi fuel0 - lo)
           in
@@ -325,15 +281,14 @@ let harvest_par ~jobs ~config ~budget ~ids (image : Gp_util.Image.t) :
                 Budget.spend b;
                 incr examined;
                 out :=
-                  examine_start ~config ~sym_config ~decode ~sctr ~smemo
-                    ~sfind ~sadd ~mk:(Gadget.of_summary ~id:(-1)) ~tally image
+                  examine_start ~config ~sym_config ~decode ~sctr ~tally image
                     positions.(k)
                   :: !out
               done;
               allot < hi - lo
             with Budget.Exhausted _ -> true
           in
-          (List.concat (List.rev !out), tally, !examined, hit, sctr, smemo))
+          (List.concat (List.rev !out), tally, !examined, hit, sctr))
       (Gp_util.Par.ranges ~chunk n)
   in
   let results = Array.to_list (Gp_util.Par.run ~jobs tasks) in
@@ -343,29 +298,19 @@ let harvest_par ~jobs ~config ~budget ~ids (image : Gp_util.Image.t) :
      undercount however domains interleave. *)
   let quarantined =
     List.fold_left
-      (fun acc (_, t, _, _, _, _) -> Fail.merge_counts acc (Fail.tally_list t))
+      (fun acc (_, t, _, _, _) -> Fail.merge_counts acc (Fail.tally_list t))
       [] results
   in
-  let examined =
-    List.fold_left (fun acc (_, _, e, _, _, _) -> acc + e) 0 results
-  in
+  let examined = List.fold_left (fun acc (_, _, e, _, _) -> acc + e) 0 results in
   let s_hits, s_misses =
     List.fold_left
-      (fun (h, m) (_, _, _, _, sctr, _) ->
-        (h + sctr.sc_hits, m + sctr.sc_misses))
+      (fun (h, m) (_, _, _, _, sctr) -> (h + sctr.sc_hits, m + sctr.sc_misses))
       (0, 0) results
   in
-  let x_hits, x_misses, x_subst =
-    List.fold_left
-      (fun (h, m, s) (_, _, _, _, _, smemo) ->
-        let mh, msh, mm, ms = Gp_symx.Exec.memo_counts smemo in
-        (h + mh + msh, m + mm, s + ms))
-      (0, 0, 0) results
-  in
-  let hit = List.exists (fun (_, _, _, h, _, _) -> h) results in
+  let hit = List.exists (fun (_, _, _, h, _) -> h) results in
   Budget.spend budget ~amount:examined;
   let gadgets =
-    List.concat_map (fun (entries, _, _, _, _, _) -> entries) results
+    List.concat_map (fun (entries, _, _, _, _) -> entries) results
     |> List.filter_map (fun entry ->
            let id = ids () in
            match entry with
@@ -378,68 +323,6 @@ let harvest_par ~jobs ~config ~budget ~ids (image : Gp_util.Image.t) :
       h_budget_hit = hit;
       h_summary_hits = s_hits;
       h_summary_misses = s_misses;
-      h_suffix_hits = x_hits;
-      h_suffix_misses = x_misses;
-      h_substitutions = x_subst;
       h_decode_saved = max 0 (Decode.memo_lookups memo - Decode.memo_size memo) } )
-
-(* Budgeted, fault-isolating harvest.  One poisoned start — injected
-   decode fault, symbolic-executor refusal, or an exception out of
-   summary conversion — quarantines THAT start and is tallied; the rest
-   of the harvest proceeds.  Gadget order (and hence the global gadget
-   id sequence) is identical to the unbudgeted [harvest] when nothing
-   fires.  [jobs] > 1 fans the scan out over that many domains with
-   results merged back in deterministic order (identical pool, ids,
-   and tallies; see DESIGN.md "Parallel execution & determinism"). *)
-let harvest_r ?(config = default_config) ?(budget = Budget.unlimited ())
-    ?(jobs = 1) ?(ids = Gadget.global_ids) (image : Gp_util.Image.t) :
-    Gadget.t list * harvest_stats =
-  if jobs > 1 then harvest_par ~jobs ~config ~budget ~ids image
-  else begin
-    let sym_config = sym_config_of config in
-    let memo = Decode.memo image.Gp_util.Image.code in
-    let decode = Decode.decode_memo memo in
-    let tally = Fail.tally_create () in
-    let sctr = { sc_hits = 0; sc_misses = 0 } in
-    let smemo = Gp_symx.Exec.memo_create () in
-    let sfind, sadd = suffix_hooks ~decode image in
-    let acc = ref [] in
-    let examined = ref 0 in
-    let budget_hit =
-      try
-        List.iter
-          (fun pos ->
-            Budget.check budget;
-            Budget.spend budget;
-            incr examined;
-            let entries =
-              examine_start ~config ~sym_config ~decode ~sctr ~smemo ~sfind
-                ~sadd
-                ~mk:(fun summ ->
-                  (* draw only after conversion succeeds, mirroring
-                     of_summary's own end-of-body draw: a raising
-                     conversion must not consume an id *)
-                  let g = Gadget.of_summary ~id:(-1) summ in
-                  { g with Gadget.id = ids () })
-                ~tally image pos
-            in
-            acc := List.filter_map Fun.id entries :: !acc)
-          (start_positions ~decode ~config image);
-        false
-      with Budget.Exhausted _ -> true
-    in
-    let mh, msh, mm, ms = Gp_symx.Exec.memo_counts smemo in
-    ( List.concat (List.rev !acc),
-      { h_starts = !examined;
-        h_quarantined = Fail.tally_list tally;
-        h_budget_hit = budget_hit;
-        h_summary_hits = sctr.sc_hits;
-        h_summary_misses = sctr.sc_misses;
-        h_suffix_hits = mh + msh;
-        h_suffix_misses = mm;
-        h_substitutions = ms;
-        h_decode_saved =
-          max 0 (Decode.memo_lookups memo - Decode.memo_size memo) } )
-  end
 
 let harvest ?config ?jobs image = fst (harvest_r ?config ?jobs image)

@@ -67,14 +67,6 @@ type harvest_stats = {
   h_summary_hits : int;
       (** starts answered from the content-addressed store ({!Incr}) *)
   h_summary_misses : int;               (** starts symbolically executed *)
-  h_suffix_hits : int;
-      (** suffix queries answered from the per-chunk memo or the
-          persistent suffix store ([Exec.summarize_cr], DESIGN.md §16) *)
-  h_suffix_misses : int;                (** suffix entries computed fresh *)
-  h_substitutions : int;
-      (** suffix entries built by [Exec.extend] (one instruction
-          grafted onto a memoized tail) rather than monolithic
-          re-execution *)
   h_decode_saved : int;
       (** repeat decodes absorbed by the decode-once memo (lookups
           beyond one per position); cache-temperature-dependent, like
@@ -92,11 +84,11 @@ val harvest_r :
     With an unlimited budget and no injection the gadget list — and the
     global gadget-id sequence — is identical to {!harvest}'s.
 
-    [jobs] > 1 fans the scan out over that many domains, chunking the
-    start offsets; results merge back in chunk order and gadget ids are
-    renumbered on the main domain, so the pool, id sequence, quarantine
-    tallies, and budget accounting are identical to the sequential run
-    (DESIGN.md "Parallel execution & determinism").
+    The start offsets are chunked and [jobs] > 1 fans the chunks out
+    over that many domains; results merge back in chunk order and
+    gadget ids are renumbered on the main domain, so the pool, id
+    sequence, quarantine tallies, and budget accounting are the same at
+    every job count (DESIGN.md "Parallel execution & determinism").
 
     [ids] is where successful conversions draw gadget ids (default:
     the process-global sequence).  Scheduler cells pass

@@ -216,16 +216,6 @@ let content_key ~(config : Gp_symx.Exec.config)
   walk pos 0 0 0;
   Buffer.contents b
 
-(* Content address of a SUFFIX entry: the same syntactic walk, run at
-   the residual budget the suffix was computed under.  The residual
-   triple is part of the key header, so entries for different residuals
-   never collide; whole-gadget and suffix keys live in different store
-   sections, so their byte ranges may overlap freely. *)
-let suffix_key ~cap:(ri, rf, rm) ~decode ~code_size ~pos : string =
-  content_key
-    ~config:{ Gp_symx.Exec.max_insns = ri; max_forks = rf; max_merges = rm }
-    ~decode ~code_size ~pos
-
 (* ----- semantic fingerprints (DESIGN.md §17) -----
 
    [fp_eq] is the equality-partition key: a deterministic serialization
@@ -289,9 +279,8 @@ let fingerprint (g : t) : fp =
    semantic fields [fingerprint] reads, so the stored value is a pure
    function of the key.  Unlike [content_key] this is computed from the
    finished record (fingerprints are consumed long after decode
-   context is gone) and — unlike [suffix_key] — carries no residual
-   budget: the same gadget content fingerprints identically under any
-   extraction config. *)
+   context is gone) and carries no extraction budget: the same gadget
+   content fingerprints identically under any extraction config. *)
 let fp_key (g : t) : string =
   let w = Term.Ser.writer () in
   let b = Buffer.create 256 in

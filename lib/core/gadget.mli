@@ -100,18 +100,6 @@ val content_key :
     code; [code_size] bounds the walk exactly as [Image.in_code] bounds
     execution. *)
 
-val suffix_key :
-  cap:int * int * int ->
-  decode:(int -> (Gp_x86.Insn.t * int) option) ->
-  code_size:int ->
-  pos:int ->
-  string
-(** {!content_key} evaluated at a RESIDUAL budget (insns, forks,
-    merges): the content address of a suffix summary
-    ([Exec.summarize_cr]'s memo unit).  The residual is part of the key,
-    and suffix entries live in their own store section, keeping them
-    disjoint from whole-gadget entries. *)
-
 type fp = { fp_eq : string; fp_pre : int }
 (** Semantic fingerprint (DESIGN.md §17).  [fp_eq] serializes the
     effect structure plus lanes 0/1 (the deterministic all-zeros and

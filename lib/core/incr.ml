@@ -32,27 +32,23 @@
 
 open Gp_smt
 
-(* v2: State.t gained [hazard_cmps] (undecidable alias comparisons,
-   rechecked by Exec.extend after substitution), which Exec.put_state
-   serializes — v1 summary payloads no longer decode.
+(* v2: State.t gained a list of undecidable alias comparisons, which
+   Exec.put_state serialized — v1 summary payloads no longer decode.
    v3: the store gained the "fingerprints" section (DESIGN.md §17).
    Old readers would skip the unknown section harmlessly, but a NEW
    reader must not trust fingerprints written by a build whose lane
    semantics it cannot verify — a wrong mask silently skips real
    probes — so the addition bumps the schema and v2 stores demote
-   through the usual stale path. *)
-let schema_version = 3
+   through the usual stale path.
+   v4: the suffix-compositional summarizer is gone (DESIGN.md §16):
+   State.t lost the alias-comparison list again, so v3 summary payloads
+   no longer decode, and the "suffixes" section is neither written nor
+   read. *)
+let schema_version = 4
 let file_name = "summaries.gpst"
 let summaries_section = "summaries"
 
-(* Suffix summaries (DESIGN.md §16) ride in their own section: old
-   readers skip unknown sections, so no schema bump is needed, and the
-   suffix key space (Gadget.suffix_key) never collides with whole-gadget
-   keys.  Values stay RAW (Exec.write_suffix bytes): decoding needs the
-   consulting image's absolute address, so Extract's hook decodes. *)
-let suffixes_section = "suffixes"
-
-(* Semantic fingerprints (DESIGN.md §17) ride in a third section, keyed
+(* Semantic fingerprints (DESIGN.md §17) ride in a second section, keyed
    by [Gadget.fp_key] — a pure content address of the semantic fields
    the fingerprint reads, independent of decode position and residual
    budget — so warm and transfer runs skip even the one-time batched
@@ -71,22 +67,6 @@ let shards : shard array =
 
 let shard_of key = shards.(Hashtbl.hash key land (shard_count - 1))
 
-type sshard = { x_tbl : (string, string) Hashtbl.t; x_lock : Mutex.t }
-
-let sshards : sshard array =
-  Array.init shard_count (fun _ ->
-      { x_tbl = Hashtbl.create 512; x_lock = Mutex.create () })
-
-let sshard_of key = sshards.(Hashtbl.hash key land (shard_count - 1))
-
-(* Store-level temperature counters for the suffix table, reported by
-   the bench transfer rows.  Process-global atomics like the solver's:
-   excluded from differential fingerprints. *)
-let sf_hits = Atomic.make 0
-let sf_misses = Atomic.make 0
-
-let suffix_store_stats () = (Atomic.get sf_hits, Atomic.get sf_misses)
-
 type fshard = { f_tbl : (string, Gadget.fp) Hashtbl.t; f_lock : Mutex.t }
 
 let fshards : fshard array =
@@ -95,7 +75,8 @@ let fshards : fshard array =
 
 let fshard_of key = fshards.(Hashtbl.hash key land (shard_count - 1))
 
-(* Fingerprint-table temperature, same discipline as [sf_hits]: a hit
+(* Fingerprint-table temperature.  Process-global atomics like the
+   solver's, excluded from differential fingerprints: a hit
    means the batched evaluation was skipped (warm within a run via this
    table, across runs via the store section).  The REFUTATION tally —
    jobs- and temperature-invariant — lives in [Gp_smt.Fpeval]. *)
@@ -123,10 +104,8 @@ let size () =
     (fun acc s -> acc + Mutex.protect s.s_lock (fun () -> Hashtbl.length s.s_tbl))
     0 shards
 
-let suffix_size () =
-  Array.fold_left
-    (fun acc s -> acc + Mutex.protect s.x_lock (fun () -> Hashtbl.length s.x_tbl))
-    0 sshards
+(* always 0: a stub bench/e2e still reads (see incr.mli) *)
+let suffix_size () = 0
 
 let fp_size () =
   Array.fold_left
@@ -138,13 +117,8 @@ let reset () =
     (fun s -> Mutex.protect s.s_lock (fun () -> Hashtbl.reset s.s_tbl))
     shards;
   Array.iter
-    (fun s -> Mutex.protect s.x_lock (fun () -> Hashtbl.reset s.x_tbl))
-    sshards;
-  Array.iter
     (fun s -> Mutex.protect s.f_lock (fun () -> Hashtbl.reset s.f_tbl))
     fshards;
-  Atomic.set sf_hits 0;
-  Atomic.set sf_misses 0;
   Atomic.set fp_hits 0;
   Atomic.set fp_misses 0
 
@@ -167,28 +141,6 @@ let add key v =
         end)
   in
   if fresh then !fresh_hook key v
-
-let suffix_fresh_hook : (string -> string -> unit) ref = ref (fun _ _ -> ())
-
-let find_suffix key =
-  let s = sshard_of key in
-  let r = Mutex.protect s.x_lock (fun () -> Hashtbl.find_opt s.x_tbl key) in
-  (match r with
-  | Some _ -> Atomic.incr sf_hits
-  | None -> Atomic.incr sf_misses);
-  r
-
-let add_suffix key payload =
-  let s = sshard_of key in
-  let fresh =
-    Mutex.protect s.x_lock (fun () ->
-        if Hashtbl.mem s.x_tbl key then false
-        else begin
-          Hashtbl.add s.x_tbl key payload;
-          true
-        end)
-  in
-  if fresh then !suffix_fresh_hook key payload
 
 let fp_fresh_hook : (string -> string -> unit) ref = ref (fun _ _ -> ())
 
@@ -226,12 +178,6 @@ let fold_all f acc =
     (fun acc s ->
       Mutex.protect s.s_lock (fun () -> Hashtbl.fold f s.s_tbl acc))
     acc shards
-
-let fold_suffixes f acc =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.protect s.x_lock (fun () -> Hashtbl.fold f s.x_tbl acc))
-    acc sshards
 
 let fold_fps f acc =
   Array.fold_left
@@ -273,17 +219,6 @@ let import_sections sections =
             Mutex.protect s.s_lock (fun () ->
                 if not (Hashtbl.mem s.s_tbl k) then Hashtbl.add s.s_tbl k v))
           decoded
-      end
-      else if name = suffixes_section then begin
-        n := !n + List.length entries;
-        (* payloads stay raw; Extract's consulting hook decodes (and
-           rejects) lazily, so a skewed payload degrades to a miss *)
-        List.iter
-          (fun (k, v) ->
-            let s = sshard_of k in
-            Mutex.protect s.x_lock (fun () ->
-                if not (Hashtbl.mem s.x_tbl k) then Hashtbl.add s.x_tbl k v))
-          entries
       end
       else if name = fingerprints_section then begin
         n := !n + List.length entries;
@@ -421,16 +356,12 @@ let save ~dir =
           |> List.map (fun (k, v) -> (k, Gp_symx.Exec.write_summaries v))
           |> List.sort compare
         in
-        let suffix_entries =
-          fold_suffixes (fun k v acc -> (k, v) :: acc) [] |> List.sort compare
-        in
         let fp_entries =
           fold_fps (fun k fp acc -> (k, write_fp fp) :: acc) []
           |> List.sort compare
         in
         let sections =
           { Gp_util.Store.name = summaries_section; entries }
-          :: { Gp_util.Store.name = suffixes_section; entries = suffix_entries }
           :: { Gp_util.Store.name = fingerprints_section; entries = fp_entries }
           :: Solver.export_memos ()
         in
@@ -490,10 +421,6 @@ let journal_mark_existing j =
       fold_all
         (fun k _ () ->
           Hashtbl.replace j.j_seen (seen_key summaries_section k) ())
-        ();
-      fold_suffixes
-        (fun k _ () ->
-          Hashtbl.replace j.j_seen (seen_key suffixes_section k) ())
         ();
       fold_fps
         (fun k _ () ->
@@ -605,29 +532,6 @@ let journal_append_fp key value =
         journal_demote (fn ^ ": " ^ Unix.error_message e)
     end
 
-(* Same discipline for fresh suffix entries (already serialized). *)
-let journal_append_suffix key value =
-  match !journal_st with
-  | None -> ()
-  | Some j ->
-    let fresh =
-      Mutex.protect j.j_mutex (fun () ->
-          let sk = seen_key suffixes_section key in
-          if Hashtbl.mem j.j_seen sk then false
-          else begin
-            Hashtbl.replace j.j_seen sk ();
-            true
-          end)
-    in
-    if fresh then begin
-      try
-        Gp_util.Store.Wal.append j.j_wal ~section:suffixes_section ~key ~value
-      with
-      | Sys_error why | Failure why -> journal_demote why
-      | Unix.Unix_error (e, fn, _) ->
-        journal_demote (fn ^ ": " ^ Unix.error_message e)
-    end
-
 (* Durability point: append the solver-memo delta since the last
    checkpoint, then fsync.  Runs at cell boundaries (the corpus runner
    calls it after each completed cell). *)
@@ -713,5 +617,4 @@ let journal_abandon () =
   journal_error_r := None
 
 let () = fresh_hook := journal_append_summary
-let () = suffix_fresh_hook := journal_append_suffix
 let () = fp_fresh_hook := journal_append_fp

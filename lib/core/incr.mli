@@ -28,32 +28,14 @@ val add : string -> value -> unit
 val size : unit -> int
 val reset : unit -> unit
 
-(** {1 Suffix store (DESIGN.md §16)}
-
-    A parallel table from {!Gadget.suffix_key} strings to serialized
-    [Exec.write_suffix] payloads, persisted in its own store section
-    ("suffixes") — old readers skip it, so the schema version is
-    unchanged.  Payloads stay raw here: decoding needs the consulting
-    image's absolute address, so Extract's harvest hook decodes (a
-    payload that fails to decode degrades to a miss). *)
-
-val find_suffix : string -> string option
-(** Also counts into {!suffix_store_stats}. *)
-
-val add_suffix : string -> string -> unit
-(** First-write-wins; journaled like summaries when a journal is
-    open. *)
-
 val suffix_size : unit -> int
-
-val suffix_store_stats : unit -> int * int
-(** Process-global (hits, misses) of {!find_suffix} since the last
-    {!reset} — the bench transfer rows report these; excluded from
-    differential fingerprints like every temperature counter. *)
+(** Always 0: the suffix store is gone (DESIGN.md §16).  Kept only
+    because bench/e2e reads it; drop it with the next change to the
+    benchmark. *)
 
 (** {1 Fingerprint store (DESIGN.md §17)}
 
-    A third table from {!Gadget.fp_key} strings to semantic
+    A second table from {!Gadget.fp_key} strings to semantic
     fingerprints, persisted in the "fingerprints" section (schema v3).
     The value is a pure function of the key, so sharing within a run,
     across warm restarts, and across obfuscation configs can only skip

@@ -112,11 +112,21 @@ type stats_acc = {
   mutable s_inst_hits : int;
   mutable s_cand_hits : int;
   mutable s_discarded : int;
+  mutable s_fp_refuted : int;
 }
 
 let fresh_stats () =
   { s_expanded = 0; s_peak_queue = 0; s_inst_hits = 0; s_cand_hits = 0;
-    s_discarded = 0 }
+    s_discarded = 0; s_fp_refuted = 0 }
+
+(* One probe answered from fingerprints: the process-global tally plus,
+   when the caller tracks one, this search's own count — the global
+   tally mixes concurrent searches, the per-search one never does. *)
+let note_fp_refuted ?stats () =
+  Gp_smt.Fpeval.note_refuted ();
+  match stats with
+  | Some st -> st.s_fp_refuted <- st.s_fp_refuted + 1
+  | None -> ()
 
 (* Add a step's demands as open conditions. *)
 let open_demands (s : Plan.step) =
@@ -191,7 +201,7 @@ let instantiate_counted ?stats (memo : memo) (g : Gadget.t) cond ~sid :
     | None ->
       let t =
         if Gp_smt.Fpeval.enabled () && fp_refutes_cond g cond then begin
-          Gp_smt.Fpeval.note_refuted ();
+          note_fp_refuted ?stats ();
           None
         end
         else Plan.instantiate_for g cond ~sid:(-1)
@@ -314,6 +324,7 @@ type result = {
   inst_memo_hits : int;
   cand_memo_hits : int;
   discarded : int;
+  fp_refuted : int;   (* probes this search answered from fingerprints *)
   exhausted : bool;   (* true if the whole space was searched *)
   budget_hit : bool;  (* search stopped on deadline or fuel, not space *)
 }
@@ -345,9 +356,9 @@ let fp_refutes_goal (g : Gadget.t) (goal : Goal.concrete) =
       goal.Goal.regs
 
 (* Root plan for one candidate syscall gadget. *)
-let root_plan (goal : Goal.concrete) (g : Gadget.t) : Plan.t option =
+let root_plan ~stats (goal : Goal.concrete) (g : Gadget.t) : Plan.t option =
   if Gp_smt.Fpeval.enabled () && fp_refutes_goal g goal then begin
-    Gp_smt.Fpeval.note_refuted ();
+    note_fp_refuted ~stats ();
     None
   end
   else
@@ -441,11 +452,11 @@ let run_search (config : config) ~accept ~budget ~(stats : stats_acc)
 let search ?(config = default_config) ?(accept = fun (_ : Plan.t) -> true)
     ?budget (pool : Pool.t) (goal : Goal.concrete) : result =
   let budget = search_budget config budget in
+  let stats = fresh_stats () in
   let roots =
     List.filteri (fun i _ -> i < config.goal_cap) pool.Pool.syscall_gadgets
-    |> List.filter_map (root_plan goal)
+    |> List.filter_map (root_plan ~stats goal)
   in
-  let stats = fresh_stats () in
   let memo : memo = Hashtbl.create 1024 in
   let cmemo : cand_memo = Hashtbl.create 64 in
   let plans, exhausted, budget_hit =
@@ -453,7 +464,8 @@ let search ?(config = default_config) ?(accept = fun (_ : Plan.t) -> true)
   in
   { plans; expanded = stats.s_expanded; peak_queue = stats.s_peak_queue;
     inst_memo_hits = stats.s_inst_hits; cand_memo_hits = stats.s_cand_hits;
-    discarded = stats.s_discarded; exhausted; budget_hit }
+    discarded = stats.s_discarded; fp_refuted = stats.s_fp_refuted; exhausted;
+    budget_hit }
 
 (* Goal-portfolio search: one INDEPENDENT best-first search per root
    syscall gadget, fanned over domains.  Each worker owns its queue,
@@ -483,15 +495,17 @@ let search_par ?(config = default_config)
     ?(accept_for = fun (_ : int) (_ : Plan.t) -> true) ?budget ?(jobs = 1)
     (pool : Pool.t) (goal : Goal.concrete) : result =
   let parent = search_budget config budget in
+  let root_stats = fresh_stats () in
   let roots =
     List.filteri (fun i _ -> i < config.goal_cap) pool.Pool.syscall_gadgets
-    |> List.filter_map (root_plan goal)
+    |> List.filter_map (root_plan ~stats:root_stats goal)
     |> Array.of_list
   in
   let n = Array.length roots in
   if n = 0 then
     { plans = []; expanded = 0; peak_queue = 0; inst_memo_hits = 0;
-      cand_memo_hits = 0; discarded = 0; exhausted = true; budget_hit = false }
+      cand_memo_hits = 0; discarded = 0; fp_refuted = root_stats.s_fp_refuted;
+      exhausted = true; budget_hit = false }
   else begin
     let share = config.node_budget / n and rem = config.node_budget mod n in
     let tasks =
@@ -519,6 +533,8 @@ let search_par ?(config = default_config)
       inst_memo_hits = sum (fun (_, _, _, s) -> s.s_inst_hits);
       cand_memo_hits = sum (fun (_, _, _, s) -> s.s_cand_hits);
       discarded = sum (fun (_, _, _, s) -> s.s_discarded);
+      fp_refuted =
+        root_stats.s_fp_refuted + sum (fun (_, _, _, s) -> s.s_fp_refuted);
       exhausted = Array.for_all (fun (_, e, _, _) -> e) results;
       budget_hit = Array.exists (fun (_, _, b, _) -> b) results }
   end

@@ -143,6 +143,7 @@ type stats = {
   after_dedup : int;
   after_subsume : int;
   timed_out : bool;   (* budget ran dry; remaining gadgets passed through *)
+  fp_refuted : int;   (* pair probes skipped on a fingerprint mismatch *)
 }
 
 (* Pairwise subsumption inside one (sorted, truncated) bucket, against
@@ -175,9 +176,9 @@ type stats = {
    Either way the skipped probe's verdict is the one [subsumes] would
    have produced, so survivor sets are bit-identical — only solver
    traffic changes. *)
-let probe_bucket ~budget bucket : Gadget.t list * bool =
+let probe_bucket ~budget bucket : Gadget.t list * bool * int =
   match bucket with
-  | [] -> ([], false)
+  | [] -> ([], false, 0)
   | first :: _ ->
     let n = List.length bucket in
     let arr = Array.make n first in
@@ -185,6 +186,7 @@ let probe_bucket ~budget bucket : Gadget.t list * bool =
     let no_fp = { Gadget.fp_eq = ""; fp_pre = 0 } in
     let fpa = if use_fp then Array.make n no_fp else [||] in
     let count = ref 0 in
+    let refuted = ref 0 in
     let keep fp g =
       arr.(!count) <- g;
       if use_fp then fpa.(!count) <- fp;
@@ -200,6 +202,7 @@ let probe_bucket ~budget bucket : Gadget.t list * bool =
                    || fp.Gadget.fp_pre land lnot fi.Gadget.fp_pre <> 0)
              then begin
                Fpeval.note_refuted ();
+               incr refuted;
                false
              end
              else subsumes arr.(i) g)
@@ -226,7 +229,7 @@ let probe_bucket ~budget bucket : Gadget.t list * bool =
             keep fp g
         end)
       bucket;
-    (Array.to_list (Array.sub arr 0 !count), !timed_out)
+    (Array.to_list (Array.sub arr 0 !count), !timed_out, !refuted)
 
 let minimize ?(max_bucket = 64) ?(budget = Budget.unlimited ()) ?(jobs = 1)
     (gadgets : Gadget.t list) : Gadget.t list * stats =
@@ -281,11 +284,11 @@ let minimize ?(max_bucket = 64) ?(budget = Budget.unlimited ()) ?(jobs = 1)
       let timed_out = ref false in
       List.map
         (fun bucket ->
-          if !timed_out then (bucket, true)
+          if !timed_out then (bucket, true, 0)
           else begin
-            let surv, t = probe_bucket ~budget bucket in
+            let (_, t, _) as r = probe_bucket ~budget bucket in
             if t then timed_out := true;
-            (surv, t)
+            r
           end)
         bucket_list
     end
@@ -300,8 +303,10 @@ let minimize ?(max_bucket = 64) ?(budget = Budget.unlimited ()) ?(jobs = 1)
   in
   (* merge in bucket order, reproducing the seed's accumulation order *)
   let kept =
-    List.fold_left (fun acc (surv, _) -> surv @ acc) [] probed
+    List.fold_left (fun acc (surv, _, _) -> surv @ acc) [] probed
   in
-  let timed_out = List.exists snd probed in
+  let timed_out = List.exists (fun (_, t, _) -> t) probed in
+  let fp_refuted = List.fold_left (fun acc (_, _, r) -> acc + r) 0 probed in
   ( kept,
-    { input; after_dedup; after_subsume = List.length kept; timed_out } )
+    { input; after_dedup; after_subsume = List.length kept; timed_out;
+      fp_refuted } )

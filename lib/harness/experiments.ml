@@ -1267,273 +1267,6 @@ let incr ?(quick = true) ?(jobs = 4) ?(cache_root = ".gp-cache/bench")
   in
   (txt, rows)
 
-(* ---------- suffix composition: off vs on (DESIGN.md §16) ---------- *)
-
-(* Extraction-stage cost with the suffix-compositional summarizer
-   disabled vs enabled, per survey cell, interleaved off/on at equal
-   [jobs] so machine drift hits both sides alike.  The obfuscated cells
-   are the headline: obfuscation multiplies overlapping starts into the
-   same tails (that is the paper's point), which is exactly the
-   redundancy composition removes.  Three temperatures:
-
-   - "off" / "on"      — cold per-cell harvests (fresh world each, the
-     persistent store disabled so neither side pays or pockets store
-     traffic), differing only in the ablation flag; best of three
-     interleaved runs.  [agree] compares the gadget list (ids and
-     addresses, in order) — the flag must be result-invisible.
-   - "warm-on"         — the survey's suffix+summary store (populated by
-     a config-major composed sweep, saved, reloaded cold) answering a
-     re-harvest.
-   - "orig-only-on"    — obfuscated cells harvested with a store holding
-     ONLY the original-config cells: strict original-to-obfuscated
-     transfer.  Whole-gadget content keys mostly miss here (the
-     obfuscators rewrite prefixes); suffix keys survive wherever a tail
-     is left intact, which is the transfer lift the suffix section of
-     the store exists for.  The row reports both hit kinds so the lift
-     is visible. *)
-
-type compose_row = {
-  cp_program : string;
-  cp_config : string;
-  cp_mode : string;     (* off | on | warm-on | orig-only-on *)
-  cp_seconds : float;
-  cp_suffix_hits : int;     (* memo + store suffix hits in the harvest *)
-  cp_suffix_misses : int;
-  cp_substitutions : int;   (* suffixes built by Exec.extend *)
-  cp_store_hits : int;      (* persistent suffix-store hits (Incr delta) *)
-  cp_summary_hits : int;    (* whole-gadget store hits *)
-  cp_summary_misses : int;
-  cp_agree : bool;          (* gadget list identical to the off reference *)
-}
-
-let compose_json path ~jobs ~rows ~off_total_obf ~on_total_obf ~speedup
-    ~transfer:(t_store_hits, t_store_misses, t_summary_hits, t_summary_misses)
-    ~all_agree =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  json_provenance oc ~experiment:"compose";
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"cores\": %d,\n" (Gp_util.Par.available ());
-  p "  \"note\": \"extraction stage (Extract.harvest_r) per survey \
-     cell with the suffix-compositional summarizer off vs on, \
-     interleaved at equal jobs; gadget lists must be bit-identical \
-     (agree).  Cold off/on rows are the pure ablation: persistent \
-     store disabled on both sides, best of three runs.  Read the \
-     ratio honestly: the term layer's global simplify/linearize memo \
-     already shares canonicalization across overlapping starts, so \
-     the monolithic executor steps at ~2us/insn while one extend is \
-     a full-state substitution (~8-14us) against chains averaging \
-     ~10 insns — composition does not win cold on this corpus.  \
-     warm-on re-harvests against the survey's saved suffix+summary \
-     store; orig-only-on harvests obfuscated cells against a store \
-     holding only the original-config cells, isolating \
-     original-to-obfuscated transfer — suffix_store_hits vs \
-     summary_hits shows the lift suffix keys add over whole-gadget \
-     keys there.\",\n";
-  p "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      p "    { \"program\": %S, \"config\": %S, \"mode\": %S, \
-         \"seconds\": %.4f, \"suffix_hits\": %d, \"suffix_misses\": %d, \
-         \"substitutions\": %d, \"suffix_store_hits\": %d, \
-         \"summary_hits\": %d, \"agree\": %b }%s\n"
-        r.cp_program r.cp_config r.cp_mode r.cp_seconds r.cp_suffix_hits
-        r.cp_suffix_misses r.cp_substitutions r.cp_store_hits
-        r.cp_summary_hits r.cp_agree
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ],\n";
-  p "  \"off_total_obf_s\": %.4f,\n" off_total_obf;
-  p "  \"on_total_obf_s\": %.4f,\n" on_total_obf;
-  p "  \"extract_speedup_obf\": %.2f,\n" speedup;
-  p "  \"transfer_suffix_store_hits\": %d,\n" t_store_hits;
-  p "  \"transfer_suffix_store_misses\": %d,\n" t_store_misses;
-  p "  \"transfer_summary_hits\": %d,\n" t_summary_hits;
-  p "  \"transfer_summary_misses\": %d,\n" t_summary_misses;
-  p "  \"all_agree\": %b\n" all_agree;
-  p "}\n";
-  close_out oc
-
-let compose ?(quick = true) ?(jobs = 4) ?(cache_root = ".gp-cache/bench-compose")
-    ?(out = "BENCH_compose.json") () =
-  rm_rf cache_root;
-  let with_compose b f =
-    let prev = Gp_symx.Exec.compose_enabled () in
-    Gp_symx.Exec.set_compose_enabled b;
-    Fun.protect ~finally:(fun () -> Gp_symx.Exec.set_compose_enabled prev) f
-  in
-  let fingerprint gs =
-    List.map
-      (fun (g : Gp_core.Gadget.t) -> (g.Gp_core.Gadget.id, g.Gp_core.Gadget.addr))
-      gs
-  in
-  (* one timed harvest, with the store-hit counters delta'd around it *)
-  let harvest_once image =
-    Gp_core.Gadget.reset_ids ();
-    let sh0, sm0 = Gp_core.Incr.suffix_store_stats () in
-    let (gs, st), t =
-      Gp_core.Api.timed (fun () -> Gp_core.Extract.harvest_r ~jobs image)
-    in
-    let sh1, sm1 = Gp_core.Incr.suffix_store_stats () in
-    (gs, st, t, sh1 - sh0, sm1 - sm0)
-  in
-  let row prog cname mode (st : Gp_core.Extract.harvest_stats) t ~store_hits
-      agree =
-    { cp_program = prog; cp_config = cname; cp_mode = mode; cp_seconds = t;
-      cp_suffix_hits = st.Gp_core.Extract.h_suffix_hits;
-      cp_suffix_misses = st.Gp_core.Extract.h_suffix_misses;
-      cp_substitutions = st.Gp_core.Extract.h_substitutions;
-      cp_store_hits = store_hits;
-      cp_summary_hits = st.Gp_core.Extract.h_summary_hits;
-      cp_summary_misses = st.Gp_core.Extract.h_summary_misses;
-      cp_agree = agree }
-  in
-  let images =
-    survey_cells ~quick (fun entry cname cfg ->
-        ( entry.Gp_corpus.Programs.name,
-          cname,
-          Gp_codegen.Pipeline.compile
-            ~transform:(Gp_obf.Obf.transform cfg)
-            entry.Gp_corpus.Programs.source ))
-  in
-  let cells =
-    List.concat_map
-      (fun (cname, _) -> List.filter (fun (_, c, _) -> c = cname) images)
-      (survey_configs ())
-  in
-  (* --- cold, interleaved off/on per cell (store disabled, best of 3) --- *)
-  let cold =
-    List.map
-      (fun (prog, cname, image) ->
-        Gp_core.Incr.set_enabled false;
-        let cold_one compose =
-          let best = ref None in
-          for _ = 1 to 3 do
-            reset_world ();
-            let gs, st, t, _, _ =
-              with_compose compose (fun () -> harvest_once image)
-            in
-            match !best with
-            | Some (_, _, tb) when tb <= t -> ()
-            | _ -> best := Some (gs, st, t)
-          done;
-          Option.get !best
-        in
-        let gs_off, st_off, t_off = cold_one false in
-        let gs_on, st_on, t_on = cold_one true in
-        Gp_core.Incr.set_enabled true;
-        let fp = fingerprint gs_off in
-        let agree = fingerprint gs_on = fp in
-        ( (prog, cname),
-          fp,
-          [ row prog cname "off" st_off t_off ~store_hits:0 true;
-            row prog cname "on" st_on t_on ~store_hits:0 agree ] ))
-      cells
-  in
-  let fp_of key =
-    let _, fp, _ = List.find (fun (k, _, _) -> k = key) cold in
-    fp
-  in
-  (* --- populate + save the shared survey store (composed sweep) --- *)
-  let survey_dir = Filename.concat cache_root "survey" in
-  with_compose true (fun () ->
-      reset_world ();
-      List.iter (fun (_, _, image) -> ignore (harvest_once image)) cells;
-      (match Gp_core.Incr.save ~dir:survey_dir with Ok () | Error _ -> ()));
-  (* --- warm-on: the saved store answering a fresh process --- *)
-  let warm =
-    with_compose true (fun () ->
-        reset_world ();
-        ignore (Gp_core.Incr.load ~dir:survey_dir);
-        List.map
-          (fun (prog, cname, image) ->
-            let gs, st, t, sh, _ = harvest_once image in
-            row prog cname "warm-on" st t ~store_hits:sh
-              (fingerprint gs = fp_of (prog, cname)))
-          cells)
-  in
-  (* --- orig-only-on: strict original-to-obfuscated transfer --- *)
-  let orig_dir = Filename.concat cache_root "orig-only" in
-  with_compose true (fun () ->
-      reset_world ();
-      List.iter
-        (fun (_, cname, image) ->
-          if cname = "original" then ignore (harvest_once image))
-        cells;
-      (match Gp_core.Incr.save ~dir:orig_dir with Ok () | Error _ -> ()));
-  let transfer =
-    with_compose true (fun () ->
-        List.filter_map
-          (fun (prog, cname, image) ->
-            if cname = "original" then None
-            else begin
-              reset_world ();
-              ignore (Gp_core.Incr.load ~dir:orig_dir);
-              let gs, st, t, sh, _ = harvest_once image in
-              Some
-                (row prog cname "orig-only-on" st t ~store_hits:sh
-                   (fingerprint gs = fp_of (prog, cname)))
-            end)
-          cells)
-  in
-  let rows = List.concat_map (fun (_, _, rs) -> rs) cold @ warm @ transfer in
-  let total mode cfg_filter =
-    List.fold_left
-      (fun acc r ->
-        if r.cp_mode = mode && cfg_filter r.cp_config then acc +. r.cp_seconds
-        else acc)
-      0. rows
-  in
-  let obf c = c <> "original" in
-  let off_total_obf = total "off" obf in
-  let on_total_obf = total "on" obf in
-  let speedup = off_total_obf /. max 1e-9 on_total_obf in
-  let sum f =
-    List.fold_left
-      (fun acc r -> if r.cp_mode = "orig-only-on" then acc + f r else acc)
-      0 rows
-  in
-  let t_store_hits = sum (fun r -> r.cp_store_hits) in
-  let t_store_misses = sum (fun r -> r.cp_suffix_misses) in
-  let t_summary_hits = sum (fun r -> r.cp_summary_hits) in
-  let t_summary_misses = sum (fun r -> r.cp_summary_misses) in
-  let all_agree = List.for_all (fun r -> r.cp_agree) rows in
-  compose_json (out_path out) ~jobs ~rows ~off_total_obf ~on_total_obf ~speedup
-    ~transfer:(t_store_hits, t_store_misses, t_summary_hits, t_summary_misses)
-    ~all_agree;
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Suffix composition: extraction off vs on (jobs=%d, %d core(s))"
-           jobs (Gp_util.Par.available ()))
-      ~header:
-        [ "program"; "config"; "mode"; "time (s)"; "sfx hits"; "sfx miss";
-          "subst"; "store hits"; "agree" ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [ r.cp_program; r.cp_config; r.cp_mode;
-          Printf.sprintf "%.3f" r.cp_seconds;
-          string_of_int r.cp_suffix_hits;
-          string_of_int r.cp_suffix_misses;
-          string_of_int r.cp_substitutions;
-          string_of_int r.cp_store_hits;
-          (if r.cp_agree then "yes" else "NO") ])
-    rows;
-  let txt =
-    Table.render t
-    ^ Printf.sprintf
-        "obfuscated extraction: off %.3fs, on %.3fs — speedup %.2fx; \
-         orig-only transfer: %d suffix-store hits (+%d whole-gadget \
-         hits); all agree: %b; wrote %s\n"
-        off_total_obf on_total_obf speedup t_store_hits t_summary_hits
-        all_agree out
-  in
-  (txt, rows)
-
 (* ---------- screening front-end: off vs on (DESIGN.md §12) ---------- *)
 
 (* Cost of the solver-bound pipeline (analyze + plan over the three
@@ -2194,28 +1927,6 @@ let resume_payload_decode s =
   in
   { rp_program; rp_config; rp_pool; rp_chains; rp_rungs; rp_counters }
 
-(* The deterministic tallies, by the same selection discipline as
-   [plan_fingerprint]; cache/summary-hit counters are temperature-
-   dependent and excluded, as are the store quarantine labels (a
-   resumed run legitimately differs there). *)
-let resume_counters (o : Gp_core.Api.outcome) =
-  let st = o.Gp_core.Api.stats in
-  [ ("plans_found", st.Gp_core.Api.plans_found);
-    ("chains_built", st.Gp_core.Api.chains_built);
-    ("chains_validated", st.Gp_core.Api.chains_validated);
-    ("plan_expanded", st.Gp_core.Api.plan_expanded);
-    ("plan_peak_queue", st.Gp_core.Api.plan_peak_queue);
-    ("plan_inst_hits", st.Gp_core.Api.plan_inst_hits);
-    ("plan_cand_hits", st.Gp_core.Api.plan_cand_hits);
-    ("plan_discarded", st.Gp_core.Api.plan_discarded);
-    ("validate_faults", st.Gp_core.Api.validate_faults);
-    ("validate_timeouts", st.Gp_core.Api.validate_timeouts) ]
-  @ List.filter_map
-      (fun (l, n) ->
-        if l = "store" || l = "store-locked" || l = "wal-torn" then None
-        else Some ("q:" ^ l, n))
-      st.Gp_core.Api.quarantined
-
 let resume_cell_key prog cname = prog ^ "/" ^ cname
 
 (* Build the runner-shaped cell list for a survey sweep: each cell
@@ -2255,7 +1966,7 @@ let resume_cell_fns ?entries ?configs ?(quick = true) ~jobs ~goal () :
               rp_chains =
                 List.map Gp_core.Payload.chain_set_key o.Gp_core.Api.chains;
               rp_rungs = List.map Gp_core.Api.rung_name o.Gp_core.Api.rungs;
-              rp_counters = resume_counters o } ))
+              rp_counters = Gp_core.Api.invariant_counters o } ))
 
 (* One journaled, checkpointed sweep over [cells] in [dir]: open the
    store journal and the cell manifest, run the corpus (replaying
@@ -2544,7 +2255,7 @@ let sweep_cell_steps ?entries ?configs ?(quick = true) ~goal () :
                                          rp_rungs =
                                            List.map Gp_core.Api.rung_name
                                              o.Gp_core.Api.rungs;
-                                         rp_counters = resume_counters o }) )
+                                         rp_counters = Gp_core.Api.invariant_counters o }) )
                         ) ) ) ))
 
 (* Drive one staged cell to completion inline: the sequential

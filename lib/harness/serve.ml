@@ -82,33 +82,6 @@ let planner_config_of rq =
     goal_cap = rq.rq_goal_cap;
     max_steps = rq.rq_max_steps }
 
-(* The jobs/temperature-invariant tallies, same selection discipline as
-   the sweep payloads ([Experiments.resume_counters] — duplicated here
-   because Experiments sits above Serve in the library): cache and
-   summary-hit counters are temperature, store quarantine labels are
-   legitimately different between a resident and a cold run. *)
-let invariant_counters (o : Api.outcome) =
-  let st = o.Api.stats in
-  [ ("plans_found", st.Api.plans_found);
-    ("chains_built", st.Api.chains_built);
-    ("chains_validated", st.Api.chains_validated);
-    ("plan_expanded", st.Api.plan_expanded);
-    ("plan_peak_queue", st.Api.plan_peak_queue);
-    ("plan_inst_hits", st.Api.plan_inst_hits);
-    ("plan_cand_hits", st.Api.plan_cand_hits);
-    ("plan_discarded", st.Api.plan_discarded);
-    ("validate_faults", st.Api.validate_faults);
-    ("validate_timeouts", st.Api.validate_timeouts);
-    (* refutations are counted per probe answered, so the tally is
-       warm/cold-invariant like the verdicts it mirrors; the fp store
-       hit/miss split is temperature and stays out (DESIGN.md §17) *)
-    ("fp_refuted", st.Api.fp_refuted) ]
-  @ List.filter_map
-      (fun (l, n) ->
-        if l = "store" || l = "store-locked" || l = "wal-torn" then None
-        else Some ("q:" ^ l, n))
-      st.Api.quarantined
-
 let report_of_outcome (o : Api.outcome) : report =
   { sr_pool = o.Api.stats.Api.pool_size;
     sr_chains =
@@ -119,7 +92,7 @@ let report_of_outcome (o : Api.outcome) : report =
       List.filter
         (fun (l, _) -> l <> "store" && l <> "store-locked" && l <> "wal-torn")
         o.Api.stats.Api.quarantined;
-    sr_counters = invariant_counters o }
+    sr_counters = Api.invariant_counters o }
 
 (* ----- binary codecs (Frame payload bodies) ----- *)
 
@@ -426,6 +399,37 @@ let request_steps (rq : request) : report Sched.step =
 
 (* ----- socket plumbing ----- *)
 
+(* SIGPIPE is process-wide.  A write to a peer that has gone away must
+   come back as EPIPE — an error the caller quarantines — and never kill
+   the process, so SIGPIPE is ignored while any daemon runs or any
+   client connection is open, and the disposition found before the
+   first user is restored after the last one.  Counting users keeps one
+   party's teardown (a daemon stopping) from exposing another's writes
+   (an in-process client still talking to it). *)
+let sigpipe_users = ref 0
+let sigpipe_saved = ref None
+let sigpipe_lock = Mutex.create ()
+
+(* Every acquire (re)installs Ignore, so a disposition someone else set
+   in between never leaves a new user exposed. *)
+let sigpipe_acquire () =
+  Mutex.protect sigpipe_lock (fun () ->
+      let prev =
+        try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+        with Invalid_argument _ -> None
+      in
+      if !sigpipe_users = 0 then sigpipe_saved := prev;
+      incr sigpipe_users)
+
+let sigpipe_release () =
+  Mutex.protect sigpipe_lock (fun () ->
+      decr sigpipe_users;
+      if !sigpipe_users = 0 then
+        match !sigpipe_saved with
+        | Some b -> (
+          try Sys.set_signal Sys.sigpipe b with Invalid_argument _ -> ())
+        | None -> ())
+
 let write_all fd s =
   let n = String.length s in
   let b = Bytes.unsafe_of_string s in
@@ -449,7 +453,9 @@ module Client = struct
   let connect path =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
-    | () -> Ok { cl_fd = fd; cl_buf = Buffer.create 4096; cl_closed = false }
+    | () ->
+      sigpipe_acquire ();
+      Ok { cl_fd = fd; cl_buf = Buffer.create 4096; cl_closed = false }
     | exception Unix.Unix_error (e, fn, _) ->
       Unix.close fd;
       Error (fn ^ ": " ^ Unix.error_message e)
@@ -457,7 +463,8 @@ module Client = struct
   let close t =
     if not t.cl_closed then begin
       t.cl_closed <- true;
-      try Unix.close t.cl_fd with Unix.Unix_error _ -> ()
+      (try Unix.close t.cl_fd with Unix.Unix_error _ -> ());
+      sigpipe_release ()
     end
 
   (* Send one message as a frame, applying any installed wire-fault
@@ -780,10 +787,7 @@ let serve (cfg : config) : summary =
   Unix.listen lsock 64;
   (* worker domains write replies to sockets whose peer may be gone;
      that must be EPIPE (quarantined), not process death *)
-  let saved_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ -> None
-  in
+  sigpipe_acquire ();
   let d =
     { dm_cfg = cfg;
       dm_sv = Sched.Service.start ~jobs:cfg.d_jobs;
@@ -801,9 +805,7 @@ let serve (cfg : config) : summary =
     (try Unix.close lsock with Unix.Unix_error _ -> ());
     List.iter (fun c -> conn_close d c) d.dm_conns;
     (try Unix.unlink cfg.d_socket with Unix.Unix_error _ -> ());
-    (match saved_sigpipe with
-    | Some b -> (try Sys.set_signal Sys.sigpipe b with Invalid_argument _ -> ())
-    | None -> ());
+    sigpipe_release ();
     if Incr.journaling () then
       if crashed then Incr.journal_abandon ()
       else ignore (Incr.journal_close ())

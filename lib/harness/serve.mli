@@ -136,6 +136,10 @@ module Client : sig
   type t
 
   val connect : string -> (t, string) result
+  (** While any connection is open (or any daemon runs) in the process,
+      SIGPIPE is ignored: a write to a daemon that has gone away is an
+      [Error], never the death of the calling process. *)
+
   val close : t -> unit
 
   val submit : t -> request -> (report, Fail.t) result

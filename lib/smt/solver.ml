@@ -591,7 +591,13 @@ let check_gen ~unsat_screen ?rng ?pool ?pool_key ?max_trials formulas =
     in
     (* Only queries against the solver's defaults are memoizable: a
        caller-supplied rng, trial budget, or pointer pool changes the
-       verdict function, and pools carry closures we cannot key on. *)
+       verdict function, and pools carry closures we cannot key on.
+       Every path solves the CANONICAL conjunction, memoized or not:
+       [check_real] pins pointer atoms to pool addresses in list order,
+       so the model it returns (and, when pins clash, Sat vs Unknown)
+       depends on conjunct order — solving the caller's order here
+       would let [check ~pool fs] and the keyed memo disagree on the
+       same [fs]. *)
     let cacheable =
       Option.is_none rng && Option.is_none max_trials
       && (match pool with None -> true | Some p -> p == default_pool)
@@ -612,7 +618,7 @@ let check_gen ~unsat_screen ?rng ?pool ?pool_key ?max_trials formulas =
         count
           (Cache.find_or_add pool_memo (pk, canonical) (fun () ->
                check_real ?pool ~pool_id:(Pool_keyed pk) canonical))
-      | _ -> count (check_real ?rng ?pool ?max_trials formulas)
+      | _ -> count (check_real ?rng ?pool ?max_trials (Cache.canon formulas))
   end
 
 let check ?rng ?pool ?pool_key ?max_trials formulas =

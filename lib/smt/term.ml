@@ -480,52 +480,6 @@ let rec subst f t =
   | Shr (a, b) -> mk_shr (subst f a) (subst f b)
   | Sar (a, b) -> mk_sar (subst f a) (subst f b)
 
-(* Memoized form of [subst] for compositional summarization (DESIGN.md
-   §16): fix the mapping once, share work across the many terms of one
-   suffix summary through a private per-closure memo.  The substitution
-   is simultaneous — images are substituted in, never re-traversed — so
-   it is capture-avoiding by construction even when an image mentions a
-   variable the mapping also covers.  Rebuilding goes through the same
-   mk_* constructors as [subst], so the two agree term for term.  The
-   returned closure is not thread-safe; callers keep one per worker. *)
-let subst_cached f =
-  (* physical-identity shortcut: an untouched subterm is its own image
-     (the mk_* constructors are deterministic, so rebuilding from
-     identical children reproduces the same structure) — skipping the
-     rebuild keeps sharing and saves allocation on the common
-     mostly-unchanged state.  No memo table: structural hashing and
-     collision compares on deep terms cost more than the occasional
-     re-walk of a shared subterm, and the [==] shortcut already prunes
-     unchanged regions without allocating. *)
-  let rec go t =
-    match t with
-    | Var v -> ( match f v with Some t' -> t' | None -> t)
-    | Const _ -> t
-    | _ ->
-        let bin mk a b =
-          let a' = go a and b' = go b in
-          if a' == a && b' == b then t else mk a' b'
-        in
-        let un mk a =
-          let a' = go a in
-          if a' == a then t else mk a'
-        in
-        (match t with
-        | Var _ | Const _ -> t
-        | Add (a, b) -> bin mk_add a b
-        | Sub (a, b) -> bin mk_sub a b
-        | Mul (a, b) -> bin mk_mul a b
-        | Neg a -> un mk_neg a
-        | Not a -> un mk_not a
-        | And (a, b) -> bin mk_and a b
-        | Or (a, b) -> bin mk_or a b
-        | Xor (a, b) -> bin mk_xor a b
-        | Shl (a, b) -> bin mk_shl a b
-        | Shr (a, b) -> bin mk_shr a b
-        | Sar (a, b) -> bin mk_sar a b)
-  in
-  go
-
 (* Concrete evaluation under a model (variable valuation). *)
 let rec eval model t =
   match t with

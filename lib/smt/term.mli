@@ -120,14 +120,6 @@ val equal : t -> t -> bool
 val subst : (string -> t option) -> t -> t
 (** Replace variables via the function; unmapped variables stay. *)
 
-val subst_cached : (string -> t option) -> t -> t
-(** [subst_cached f] fixes the mapping and returns a closure equal to
-    [subst f] pointwise, with a private memo shared across calls — for
-    compositional summarization, where one post-state is substituted
-    into every term of a suffix summary.  Simultaneous (images are
-    never re-traversed), hence capture-avoiding by construction.  The
-    closure is not thread-safe; keep one per worker. *)
-
 (** {1 Stable binary serialization}
 
     Persistent-store encoding (DESIGN.md §11): a deterministic postorder

@@ -520,8 +520,7 @@ let put_state w b (st : State.t) =
     (fun _ (name, a, reliable) ->
       Bin.str b name; term a; Bin.bool_ b reliable)
     st.State.mem_reads;
-  Bin.bool_ b st.State.alias_hazard;
-  put_listf b (fun _ (x, y) -> term x; term y) st.State.hazard_cmps
+  Bin.bool_ b st.State.alias_hazard
 
 let get_state r s pos ~insns : State.t =
   let term () = Term.Ser.get r s pos in
@@ -561,14 +560,8 @@ let get_state r s pos ~insns : State.t =
         (name, a, reliable))
   in
   let alias_hazard = Bin.gbool s pos in
-  let hazard_cmps =
-    get_listf s pos (fun _ _ ->
-        let x = term () in
-        let y = term () in
-        (x, y))
-  in
   { State.regs; stack; stack_writes; path; flags; fresh; insns; syscalls;
-    consumed; ptr_writes; mem_reads; alias_hazard; hazard_cmps }
+    consumed; ptr_writes; mem_reads; alias_hazard }
 
 let put_summary w b (s : summary) =
   put_listf b put_insn s.s_insns;
@@ -631,602 +624,3 @@ let rebase ~addr (s : summary) : summary =
         (match s.s_jump with
         | Jfall a -> Jfall (Int64.add a delta)
         | (Jret _ | Jind _) as j -> j) }
-
-(* ----- suffix-compositional summarization (DESIGN.md §16) -----
-
-   Sliding-window harvests summarize every byte position, so the run
-   starting at [p] shares all but its first instruction with the run
-   starting at [p + len].  Instead of re-executing the shared tail, we
-   summarize each position's suffix ONCE — at the harvest's full budget,
-   the CANONICAL entry — and PREPEND one instruction's transfer function
-   by term substitution ({!extend}): the head's post-state is
-   substituted for the tail's initial-state variables.
-
-   The budget gates make canonical entries exact at every smaller
-   budget: each gate is a prefix check of a counter that is monotone
-   along the path, so a path is explored under residual budget [b] iff
-   its total demand is <= b per dimension — recorded per summary as a
-   consumption triple.  Extending therefore takes the full-budget tail,
-   shifts each summary's demand by the head's contribution, and drops
-   the summaries whose demand exceeds the cap: exactly the paths the
-   monolithic run would have gated one instruction earlier.  (The merge
-   demand is the max gate demand over direct-jump sites, NOT the final
-   counter: taken conditional arms bump the merge counter ungated.)
-
-   Guarded cases where substitution could diverge from monolithic
-   execution (symbolic rsp, non-linear images, aliasing hazards,
-   flag-dependent tails under a flag-setting head) fall back to an
-   instrumented monolithic run, so the composed result is BIT-IDENTICAL
-   to {!summarize_r} at every position and budget. *)
-
-let compose_on = ref true
-let compose_enabled () = !compose_on
-let set_compose_enabled b = compose_on := b
-
-(* Variable footprint of a suffix: which tail-entry variables its
-   summaries mention anywhere the substitution would look.  When the
-   head's substitution domain cannot touch the footprint, sigma is the
-   identity on every tail term, so {!extend} can skip both the term
-   traversal and the memory-class / hazard rechecks (identity images
-   cannot flip a classification).  Computed lazily with a node budget
-   and propagated across extends; [Tbig] pins the guarded slow path. *)
-type touch =
-  | Tunknown                          (* not scanned yet *)
-  | Tbig                              (* scan exceeded its node budget *)
-  | Tok of Term.Vset.t * bool * bool  (* entry regs, any stk_*, any
-                                         mem*/sysret* *)
-
-type suffix = {
-  x_res : (summary * (int * int * int)) list;
-      (* summaries in summarize_r's emission order, each with its
-         path's budget demand (insns, forks, merges): the summary is
-         emitted under a residual budget iff demand <= budget
-         pointwise *)
-  x_refused : string option;
-  x_entry_cond : bool;           (* hit a live Jcc while flags were still
-                                    the ENTRY flags (Funknown) *)
-  x_cap : int * int * int;       (* the (full) budget this canonical
-                                    entry was explored at *)
-  mutable x_touch : touch;       (* cached variable footprint; never
-                                    serialized *)
-}
-
-exception Touch_big
-
-(* Accumulate [st]'s variable footprint into the three refs, spending
-   [fuel] per visited term node.  Covers exactly the terms [graft] and
-   the extend guards apply sigma to — EXCEPT that a term which is a bare
-   variable does not count: substitution replaces it by direct lookup
-   without entering any term, so bare occurrences never force the slow
-   path (a tail's untouched register array is 16 bare entry variables —
-   they pass the head's writes through, they do not depend on them). *)
-let touch_scan ~fuel ~regs ~slots ~mem (st : State.t) =
-  let classify n =
-    let pre p =
-      let pl = String.length p in
-      String.length n >= pl && String.sub n 0 pl = p
-    in
-    if pre "stk_" then slots := true
-    else if pre "mem" || pre "sysret" then mem := true
-    else
-      let l = String.length n in
-      if l > 2 && n.[l - 1] = '0' && n.[l - 2] = '_' then
-        regs := Term.Vset.add n !regs
-  in
-  let rec scan t =
-    decr fuel;
-    if !fuel < 0 then raise Touch_big;
-    match t with
-    | Term.Var v -> classify v
-    | Term.Const _ -> ()
-    | Term.Neg a | Term.Not a -> scan a
-    | Term.Add (a, b) | Term.Sub (a, b) | Term.Mul (a, b)
-    | Term.And (a, b) | Term.Or (a, b) | Term.Xor (a, b)
-    | Term.Shl (a, b) | Term.Shr (a, b) | Term.Sar (a, b) ->
-      scan a;
-      scan b
-  in
-  let scan_top t = match t with Term.Var _ -> () | _ -> scan t in
-  let scan_f f = ignore (Formula.map_terms (fun t -> scan_top t; t) f) in
-  Array.iter scan_top st.State.regs;
-  State.Imap.iter (fun _ v -> scan_top v) st.State.stack;
-  List.iter (fun (_, v) -> scan_top v) st.State.stack_writes;
-  List.iter scan_f st.State.path;
-  (match st.State.flags with
-  | State.Fsub (a, b) -> scan_top a; scan_top b
-  | State.Flogic a | State.Farith a -> scan_top a
-  | State.Funknown -> ());
-  List.iter (List.iter (fun (_, v) -> scan_top v)) st.State.syscalls;
-  List.iter (fun (a, v) -> scan_top a; scan_top v) st.State.ptr_writes;
-  List.iter (fun (_, a, _) -> scan_top a) st.State.mem_reads;
-  List.iter (fun (x, y) -> scan_top x; scan_top y) st.State.hazard_cmps;
-  scan_top
-
-let touch_of (e : suffix) : touch =
-  match e.x_touch with
-  | (Tbig | Tok _) as t -> t
-  | Tunknown ->
-    let fuel = ref 8192 in
-    let regs = ref Term.Vset.empty
-    and slots = ref false
-    and mem = ref false in
-    let t =
-      try
-        List.iter
-          (fun (sm, _) ->
-            let scan = touch_scan ~fuel ~regs ~slots ~mem sm.s_state in
-            match sm.s_jump with
-            | Jret t | Jind t -> scan t
-            | Jfall _ -> ())
-          e.x_res;
-        Tok (!regs, !slots, !mem)
-      with Touch_big -> Tbig
-    in
-    e.x_touch <- t;
-    t
-
-(* Per-chunk memo: single-threaded by construction (one per worker). *)
-type memo = {
-  m_tbl : (int, suffix) Hashtbl.t;   (* position -> canonical entry *)
-  m_busy : (int, unit) Hashtbl.t;    (* canonical computations on the
-                                        recursion stack (jmp cycles) *)
-  mutable m_hits : int;          (* answered from the in-memory memo *)
-  mutable m_store_hits : int;    (* answered from the persistent store *)
-  mutable m_misses : int;        (* computed fresh (incl. fallbacks) *)
-  mutable m_subst : int;         (* computed by substitution (extend) *)
-}
-
-let memo_create () =
-  { m_tbl = Hashtbl.create 1024;
-    m_busy = Hashtbl.create 16;
-    m_hits = 0; m_store_hits = 0; m_misses = 0; m_subst = 0 }
-
-let memo_counts m = (m.m_hits, m.m_store_hits, m.m_misses, m.m_subst)
-
-(* Monolithic run instrumented with the reuse metadata: identical
-   exploration to [summarize_r], additionally recording each summary's
-   budget demand and whether a live Jcc was reached under entry flags.
-   Demands: insns = the gate value of the path's last executed
-   instruction; forks = the path's fork count (every fork is gated at
-   its site, and the counter only grows); merges = the max over
-   direct-jump sites of (merge counter at the site + 1) — Jcc taken
-   arms bump the counter WITHOUT a gate, so the final counter
-   over-states what the gates actually demanded. *)
-let summarize_im ~(config : config) ~decode (image : Gp_util.Image.t)
-    (addr : int64) : suffix =
-  let results = ref [] in
-  let base = image.Gp_util.Image.code_base in
-  let entry_cond = ref false in
-  let rec go st cur ninsns nforks nmerges mdemand has_cond has_merge =
-    if Gp_util.Image.in_code image cur then begin
-      if ninsns > config.max_insns then ()
-      else begin
-        let pos = Int64.to_int (Int64.sub cur base) in
-        match decode pos with
-        | None -> ()
-        | Some (insn, len) -> (
-          let next = Int64.add cur (Int64.of_int len) in
-          match step st insn with
-          | Abort -> ()
-          | Continue st ->
-            go st next (ninsns + 1) nforks nmerges mdemand has_cond has_merge
-          | End (st, j, is_syscall) ->
-            let j = if is_syscall then Jfall next else j in
-            results :=
-              ( { s_addr = addr;
-                  s_insns = List.rev st.State.insns;
-                  s_state = st;
-                  s_jump = j;
-                  s_has_cond = has_cond;
-                  s_has_merge = has_merge;
-                  s_syscall = is_syscall },
-                (ninsns, nforks, mdemand) )
-              :: !results
-          | SysStep st ->
-            results :=
-              ( { s_addr = addr;
-                  s_insns = List.rev st.State.insns;
-                  s_state = st;
-                  s_jump = Jfall next;
-                  s_has_cond = has_cond;
-                  s_has_merge = has_merge;
-                  s_syscall = true },
-                (ninsns, nforks, mdemand) )
-              :: !results;
-            let ret = Term.var (Printf.sprintf "sysret%d" st.State.fresh) in
-            let st' =
-              State.set_reg
-                { st with State.fresh = st.State.fresh + 1 }
-                Reg.RAX ret
-            in
-            go st' next (ninsns + 1) nforks nmerges mdemand has_cond has_merge
-          | Direct (st, rel) ->
-            if nmerges < config.max_merges then
-              go st
-                (Int64.add next (Int64.of_int rel))
-                (ninsns + 1) nforks (nmerges + 1)
-                (max mdemand (nmerges + 1))
-                has_cond true
-          | Cond (c, rel) ->
-            if nforks < config.max_forks then begin
-              if st.State.flags = State.Funknown then entry_cond := true;
-              (match cond_formulas st.State.flags c with
-               | Some fs ->
-                 let st_t =
-                   List.fold_left State.assume
-                     { st with State.insns = Insn.Jcc (c, rel) :: st.State.insns }
-                     fs
-                 in
-                 if not (List.mem Formula.False st_t.State.path) then
-                   go st_t
-                     (Int64.add next (Int64.of_int rel))
-                     (ninsns + 1) (nforks + 1) (nmerges + 1) mdemand true true
-               | None -> ());
-              match
-                Option.bind (cond_formulas st.State.flags c) negate_conds
-              with
-              | Some fs ->
-                let st_f =
-                  List.fold_left State.assume
-                    { st with State.insns = Insn.Jcc (c, rel) :: st.State.insns }
-                    fs
-                in
-                if not (List.mem Formula.False st_f.State.path) then
-                  go st_f next (ninsns + 1) (nforks + 1) nmerges mdemand true
-                    has_merge
-              | None -> ()
-            end)
-      end
-    end
-  in
-  let refused =
-    try
-      go (State.initial ()) addr 0 0 0 0 false false;
-      None
-    with State.Unsupported why -> Some why
-  in
-  { x_res = !results;
-    x_refused = refused;
-    x_entry_cond = !entry_cond;
-    x_cap = (config.max_insns, config.max_forks, config.max_merges);
-    x_touch = Tunknown }
-
-exception Compose_fallback
-
-(* Prepend one instruction onto a suffix summary by substitution.  [None]
-   means a guard refused — the caller must fall back to the monolithic
-   run.  Guards (each failure mode would break the equivalence with
-   incremental execution):
-   - the tail refused, or expects entry flags the head has overwritten;
-   - the head's rsp is not a concrete offset from rsp0 (payload slots
-     could not be relocated);
-   - a substitution image is non-linear (canonicalization is only
-     guaranteed to commute with substitution on the linear fragment);
-   - the head wrote pointer memory and the tail touches pointer memory
-     (store-forwarding would have to be replayed across the seam);
-   - a tail path had an aliasing hazard, or a tail pointer access lands
-     on a stack slot after substitution (its memory class changed).
-
-   Budget demands compose by shifting: the head adds one instruction to
-   every path, and a direct-jump head adds one merge gate (demand
-   [max 1 (tm + 1)] = [tm + 1]).  Composed summaries whose demand
-   exceeds [cap] are dropped BEFORE grafting — they are exactly the
-   paths the monolithic run from [addr] would have gated. *)
-let extend ~(addr : int64) ~(insn : Insn.t) ~len ~cap:(ci, cf, cm)
-    ~(tail : suffix) : suffix option =
-  let next = Int64.add addr (Int64.of_int len) in
-  let shape =
-    match (try Some (step (State.initial ()) insn) with State.Unsupported _ -> None) with
-    | Some (Continue st) -> Some (st, false, None)
-    | Some (Direct (st, _)) -> Some (st, true, None)
-    | Some (SysStep st) ->
-      (* the syscall itself ends a gadget here; composition continues
-         past it with a fresh, uncontrollable return value *)
-      let sys_sum =
-        { s_addr = addr;
-          s_insns = List.rev st.State.insns;
-          s_state = st;
-          s_jump = Jfall next;
-          s_has_cond = false;
-          s_has_merge = false;
-          s_syscall = true }
-      in
-      let ret = Term.var (Printf.sprintf "sysret%d" st.State.fresh) in
-      let st' =
-        State.set_reg { st with State.fresh = st.State.fresh + 1 } Reg.RAX ret
-      in
-      Some (st', false, Some sys_sum)
-    | Some (End _ | Cond _ | Abort) | None -> None
-  in
-  match shape with
-  | None -> None
-  | Some (st_h, is_merge, sys_sum) -> (
-    try
-      if tail.x_refused <> None then raise Compose_fallback;
-      if tail.x_entry_cond && st_h.State.flags <> State.Funknown then
-        raise Compose_fallback;
-      let c =
-        match State.rsp_offset st_h with
-        | Some c -> c
-        | None -> raise Compose_fallback
-      in
-      let dom, lookup = State.compose_subst ~head:st_h ~rsp_off:c in
-      (* identity fast path: when the head's substitution domain cannot
-         touch the tail's variable footprint, sigma is the identity on
-         every tail term — skip the traversal, and skip the class /
-         hazard rechecks below (an identity image leaves every
-         classification exactly as the tail decided it) *)
-      let fast =
-        match touch_of tail with
-        | Tok (tregs, tslots, tmem) ->
-          Term.Vset.disjoint tregs dom
-          && ((not tslots)
-             || (c = 0 && State.Imap.is_empty st_h.State.stack))
-          && ((not tmem) || st_h.State.fresh = 0)
-        | Tunknown | Tbig -> false
-      in
-      let sigma =
-        if fast then (
-          (* every variable inside a composite term has an identity
-             image, so only bare-variable terms change — by direct
-             lookup, inserting the image verbatim exactly as the
-             monolithic run would have used the head's value *)
-          fun t ->
-            match t with
-            | Term.Var v -> (
-              match lookup v with Some i -> i | None -> t)
-            | _ -> t)
-        else
-          let image name =
-            match lookup name with
-            | Some t when Term.linearize t = None -> raise Compose_fallback
-            | r -> r
-          in
-          Term.subst_cached image
-      in
-      let graft_sum (sm, (ti, tf, tm)) =
-        (* demand first: a path the head pushes over the cap is exactly
-           one the monolithic run would gate — skip it untouched *)
-        let d = (ti + 1, tf, (if is_merge then tm + 1 else tm)) in
-        let di, df, dm = d in
-        if di > ci || df > cf || dm > cm then None
-        else begin
-          (* a term sigma leaves physically unchanged keeps the verdict
-             the tail already computed (Pointer-class access, undecidable
-             alias distance) — only changed terms need re-checking.  The
-             seam check always applies: a RELIABLE read scanned every
-             tail write without a hit, so from the head it continues
-             into the head's own pointer writes and must be decidably
-             disjoint from all of them (an unreliable read stopped at a
-             tail-internal hazard and never reaches them). *)
-          List.iter
-            (fun (_, a, reliable) ->
-              let a' = sigma a in
-              (if a' != a then
-                 match State.classify_addr a' with
-                 | State.Stack _ -> raise Compose_fallback
-                 | State.Pointer _ -> ());
-              if reliable && st_h.State.ptr_writes <> [] then
-                List.iter
-                  (fun (wa, _) ->
-                    match Term.linearize (Term.sub a' wa) with
-                    | Some { Term.lin_const = k; lin_terms = [] }
-                      when Int64.abs k >= 8L -> ()
-                    | _ -> raise Compose_fallback)
-                  st_h.State.ptr_writes)
-            sm.s_state.State.mem_reads;
-          List.iter
-            (fun (a, _) ->
-              let a' = sigma a in
-              if a' != a then
-                match State.classify_addr a' with
-                | State.Pointer _ -> ()
-                | State.Stack _ -> raise Compose_fallback)
-            sm.s_state.State.ptr_writes;
-          (* an alias comparison the tail could not decide must stay
-             undecidable after substitution — decidable means the
-             monolithic run would have forwarded (distance 0) or kept
-             scanning older writes (constant distance >= 8) where this
-             path allocated a fresh unreliable read *)
-          List.iter
-            (fun (x, y) ->
-              let x' = sigma x and y' = sigma y in
-              if x' != x || y' != y then
-                match Term.linearize (Term.sub x' y') with
-                | Some { Term.lin_const = k; lin_terms = [] }
-                  when k = 0L || Int64.abs k >= 8L -> raise Compose_fallback
-                | _ -> ())
-            sm.s_state.State.hazard_cmps;
-          let st = State.graft ~head:st_h ~rsp_off:c ~sigma sm.s_state in
-          if List.mem Formula.False st.State.path then None
-            (* the monolithic run prunes this path at assume time *)
-          else
-            Some
-              ( { s_addr = addr;
-                  s_insns = List.rev st.State.insns;
-                  s_state = st;
-                  s_jump =
-                    (match sm.s_jump with
-                    | Jret t -> Jret (sigma t)
-                    | Jind t -> Jind (sigma t)
-                    | Jfall a -> Jfall a);
-                  s_has_cond = sm.s_has_cond;
-                  s_has_merge = sm.s_has_merge || is_merge;
-                  s_syscall = sm.s_syscall },
-                d )
-        end
-      in
-      let composed = List.filter_map graft_sum tail.x_res in
-      (* composed terms mention at most the tail's footprint (slot and
-         memory renamings stay in their classes) plus whatever the
-         head's own state mentions — propagating the union keeps chains
-         of extends from rescanning the whole tail each step *)
-      let x_touch =
-        match touch_of tail with
-        | Tok (tregs, tslots, tmem) -> (
-          let fuel = ref 8192 in
-          let regs = ref tregs
-          and slots = ref tslots
-          and mem = ref tmem in
-          try
-            ignore (touch_scan ~fuel ~regs ~slots ~mem st_h : Term.t -> unit);
-            Tok (!regs, !slots, !mem)
-          with Touch_big -> Tbig)
-        | t -> t
-      in
-      Some
-        { x_res =
-            (match sys_sum with
-            | None -> composed
-            | Some ss -> composed @ [ (ss, (0, 0, 0)) ]);
-          x_refused = None;
-          x_entry_cond =
-            (if st_h.State.flags = State.Funknown then tail.x_entry_cond
-             else false);
-          x_cap = (ci, cf, cm);
-          x_touch }
-    with Compose_fallback -> None)
-
-(* Compositional drop-in for [summarize_r]: same results, same refusal,
-   at every (position, budget) — verified by test/test_compose.ml's
-   differential property.  Every recursion step computes the CANONICAL
-   entry (full [config] budget), so each position is summarized and
-   extended at most once per harvest; [memo] shares the canonical
-   entries across the starts of one harvest chunk;
-   [store_find]/[store_add] bridge to the persistent suffix store (keys
-   are computed by the caller, who owns the content hashing).  Jmp/Call
-   cycles would recurse forever at the constant full budget, so
-   positions currently on the recursion stack answer with an unmemoized
-   monolithic run — the budget gates bound that unrolling. *)
-let summarize_cr ?(config = default_config) ?decode ?memo
-    ?(store_find = fun ~pos:_ ~cap:_ -> None)
-    ?(store_add = fun ~pos:_ ~cap:_ _ -> ()) (image : Gp_util.Image.t)
-    (addr : int64) : summary list * string option =
-  let decode =
-    match decode with
-    | Some f -> f
-    | None -> fun pos -> Decode.decode image.Gp_util.Image.code pos
-  in
-  if not !compose_on then summarize_r ~config ~decode image addr
-  else begin
-    let m = match memo with Some m -> m | None -> memo_create () in
-    let base = image.Gp_util.Image.code_base in
-    let cap = (config.max_insns, config.max_forks, config.max_merges) in
-    let empty =
-      { x_res = []; x_refused = None; x_entry_cond = false; x_cap = cap;
-        x_touch = Tunknown }
-    in
-    let rec canonical cur : suffix =
-      if not (Gp_util.Image.in_code image cur) then empty
-      else begin
-        let pos = Int64.to_int (Int64.sub cur base) in
-        match Hashtbl.find_opt m.m_tbl pos with
-        | Some e when e.x_cap = cap ->
-          m.m_hits <- m.m_hits + 1;
-          e
-        | _ ->
-          if Hashtbl.mem m.m_busy pos then begin
-            (* jmp cycle: unroll monolithically under the budget gates;
-               not memoized — it is NOT the canonical entry for [pos]
-               (the cycle is still being computed further up the stack) *)
-            m.m_misses <- m.m_misses + 1;
-            summarize_im ~config ~decode image cur
-          end
-          else begin
-            match store_find ~pos ~cap with
-            | Some e ->
-              m.m_store_hits <- m.m_store_hits + 1;
-              Hashtbl.replace m.m_tbl pos e;
-              e
-            | None ->
-              m.m_misses <- m.m_misses + 1;
-              Hashtbl.replace m.m_busy pos ();
-              let e =
-                Fun.protect
-                  ~finally:(fun () -> Hashtbl.remove m.m_busy pos)
-                  (fun () ->
-                    let fallback () = summarize_im ~config ~decode image cur in
-                    match decode pos with
-                    | None -> empty
-                    | Some (insn, len) -> (
-                      let next = Int64.add cur (Int64.of_int len) in
-                      match insn with
-                      | Insn.Jmp rel | Insn.Call rel -> (
-                        let tail = canonical (Int64.add next (Int64.of_int rel)) in
-                        match extend ~addr:cur ~insn ~len ~cap ~tail with
-                        | Some e ->
-                          m.m_subst <- m.m_subst + 1;
-                          e
-                        | None -> fallback ())
-                      | Insn.Ret | Insn.RetImm _ | Insn.JmpReg _ | Insn.JmpMem _
-                      | Insn.CallReg _ | Insn.CallMem _ | Insn.Int3 | Insn.Hlt
-                      | Insn.Jcc _ ->
-                        (* single-instruction heads and forks: the
-                           monolithic run IS the cheap path (no shared
-                           tail to reuse) *)
-                        fallback ()
-                      | _ -> (
-                        let tail = canonical next in
-                        match extend ~addr:cur ~insn ~len ~cap ~tail with
-                        | Some e ->
-                          m.m_subst <- m.m_subst + 1;
-                          e
-                        | None -> fallback ())))
-              in
-              Hashtbl.replace m.m_tbl pos e;
-              store_add ~pos ~cap e;
-              e
-          end
-      end
-    in
-    let e = canonical addr in
-    (List.map fst e.x_res, e.x_refused)
-  end
-
-(* Suffix entries persist BASE-RELATIVE like summaries; [read_suffix]
-   relocates to the querying image's absolute position.  The content key
-   (residual-budget content hash of the byte window) lives with the
-   caller — the payload only carries what the key cannot reconstruct. *)
-let write_suffix (e : suffix) : string =
-  let w = Term.Ser.writer () in
-  let b = Buffer.create 512 in
-  put_listf b
-    (fun b' (s, (di, df, dm)) ->
-      put_summary w b' s;
-      Bin.int_ b' di; Bin.int_ b' df; Bin.int_ b' dm)
-    e.x_res;
-  (match e.x_refused with
-  | None -> Bin.u8 b 0
-  | Some why -> Bin.u8 b 1; Bin.str b why);
-  Bin.bool_ b e.x_entry_cond;
-  let ci, cf, cm = e.x_cap in
-  Bin.int_ b ci; Bin.int_ b cf; Bin.int_ b cm;
-  Buffer.contents b
-
-let read_suffix ~(addr : int64) (s : string) : suffix =
-  let r = Term.Ser.reader () in
-  let pos = ref 0 in
-  let res =
-    get_listf s pos (fun s pos ->
-        let sm = get_summary r s pos in
-        let di = Bin.gint s pos in
-        let df = Bin.gint s pos in
-        let dm = Bin.gint s pos in
-        (sm, (di, df, dm)))
-  in
-  let refused =
-    match Bin.gu8 s pos with
-    | 0 -> None
-    | 1 -> Some (Bin.gstr s pos)
-    | _ -> raise Bin.Truncated
-  in
-  let entry_cond = Bin.gbool s pos in
-  let ci = Bin.gint s pos in
-  let cf = Bin.gint s pos in
-  let cm = Bin.gint s pos in
-  if !pos <> String.length s then raise Bin.Truncated;
-  { x_res = List.map (fun (sm, d) -> (rebase ~addr sm, d)) res;
-    x_refused = refused;
-    x_entry_cond = entry_cond;
-    x_cap = (ci, cf, cm);
-    x_touch = Tunknown }

@@ -89,105 +89,3 @@ val read_summaries : string -> summary list * string option
 val rebase : addr:int64 -> summary -> summary
 (** Relocate to [addr]: rewrites [s_addr] and a [Jfall] target (the only
     position-dependent fields); shares everything else. *)
-
-(** {1 Suffix-compositional summarization (DESIGN.md §16)}
-
-    Sliding-window harvests summarize every byte position, so the run at
-    [p] shares all but its first instruction with the run at [p + len].
-    {!summarize_cr} summarizes each position's suffix ONCE, at the
-    harvest's full budget (the CANONICAL entry), and {!extend} prepends
-    one instruction by substituting its post-state for the tail's entry
-    variables.  Canonical entries answer every smaller budget exactly:
-    the summarizer's budget gates are monotone prefix checks, so a path
-    is explored under a residual budget iff its recorded demand triple
-    is pointwise within it — extending shifts each demand by the head's
-    contribution and drops summaries pushed over the cap.  Guarded
-    cases fall back to an instrumented monolithic run, keeping results
-    bit-identical to {!summarize_r} everywhere. *)
-
-val compose_enabled : unit -> bool
-
-val set_compose_enabled : bool -> unit
-(** [false] (the [--no-compose] ablation) makes {!summarize_cr} delegate
-    to {!summarize_r} unconditionally. *)
-
-type touch =
-  | Tunknown
-  | Tbig
-  | Tok of Term.Vset.t * bool * bool
-      (** lazily-computed variable footprint of a suffix (entry
-          registers mentioned, any [stk_*], any [mem*]/[sysret*]) —
-          {!extend} skips the substitution entirely when the head
-          cannot touch it.  [Tbig]: the footprint scan exceeded its
-          node budget; always take the guarded slow path. *)
-
-type suffix = {
-  x_res : (summary * (int * int * int)) list;
-      (** in {!summarize_r}'s emission order, each summary with its
-          path's budget demand (insns, forks, merges): the summary is
-          emitted under a residual budget iff its demand fits pointwise.
-          The merge demand is the max gate demand over direct-jump
-          sites, not the final merge counter — taken Jcc arms bump the
-          counter without a gate. *)
-  x_refused : string option;
-  x_entry_cond : bool;      (** reached a live Jcc under entry flags —
-                                composition under a flag-setting head
-                                must fall back *)
-  x_cap : int * int * int;  (** the full (insns, forks, merges) budget
-                                this canonical entry was explored at *)
-  mutable x_touch : touch;  (** footprint cache; never serialized *)
-}
-
-type memo
-(** Per-chunk suffix cache with hit/miss/substitution counters.  Not
-    thread-safe: create one per harvest worker. *)
-
-val memo_create : unit -> memo
-
-val memo_counts : memo -> int * int * int * int
-(** (memo hits, store hits, misses, substitutions). *)
-
-val extend :
-  addr:int64 ->
-  insn:Gp_x86.Insn.t ->
-  len:int ->
-  cap:int * int * int ->
-  tail:suffix ->
-  suffix option
-(** Prepend one decoded instruction onto a suffix summary by term
-    substitution — the head's post-state replaces the tail's entry
-    variables, forks and merges handled as in {!summarize_r}.  Demands
-    shift by the head's contribution (one instruction, plus one merge
-    gate for a direct-jump head); summaries pushed past [cap] — the full
-    budget both entries are canonical at — are dropped, exactly the
-    paths the monolithic run would have gated.  [None] when a soundness
-    guard refuses (symbolic rsp, non-linear image, aliasing across the
-    seam, flag-sensitive tail under a flag-setting head, or a head that
-    ends/forks by itself); the caller then falls back to the monolithic
-    run. *)
-
-val summarize_cr :
-  ?config:config ->
-  ?decode:(int -> (Gp_x86.Insn.t * int) option) ->
-  ?memo:memo ->
-  ?store_find:(pos:int -> cap:int * int * int -> suffix option) ->
-  ?store_add:(pos:int -> cap:int * int * int -> suffix -> unit) ->
-  Gp_util.Image.t ->
-  int64 ->
-  summary list * string option
-(** Compositional drop-in for {!summarize_r}: bit-identical summaries
-    and refusal at every position and budget (test/test_compose.ml
-    checks the equivalence differentially).  Every recursion step
-    computes the canonical full-budget entry, so each position is
-    summarized and extended at most once per harvest.  [memo] shares
-    the canonical entries across the starts of one chunk — one config
-    per memo; [store_find]/[store_add] bridge to the persistent suffix
-    store and are only consulted at the canonical cap (the caller owns
-    content-key hashing).  When composition is disabled
-    ({!set_compose_enabled}), delegates to {!summarize_r}. *)
-
-val write_suffix : suffix -> string
-(** Serialize a suffix entry base-relative, like {!write_summaries}. *)
-
-val read_suffix : addr:int64 -> string -> suffix
-(** Inverse of {!write_suffix}, relocating the summaries to [addr]. *)

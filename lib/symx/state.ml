@@ -39,11 +39,6 @@ type t = {
        alias an earlier write of this gadget, so its value cannot be
        treated as attacker-controlled *)
   alias_hazard : bool;                   (* some read was unreliable *)
-  hazard_cmps : (Term.t * Term.t) list;
-    (* (read addr, write addr) pairs whose aliasing was undecidable —
-       Exec.extend rechecks them after substitution: a pair the head
-       makes decidable would have forwarded (or skipped) monolithically
-       where this run allocated a fresh read *)
 }
 
 let reg_var r = Term.var (Reg.name r ^ "_0")
@@ -78,8 +73,7 @@ let initial_state =
     consumed = [];
     ptr_writes = [];
     mem_reads = [];
-    alias_hazard = false;
-    hazard_cmps = [] }
+    alias_hazard = false }
 
 let initial () = initial_state
 
@@ -134,19 +128,18 @@ let read_mem t addr =
         | Some { Term.lin_const = 0L; lin_terms = [] } -> `Hit v'
         | Some { Term.lin_const = c; lin_terms = [] }
           when Int64.abs c >= 8L -> forward older
-        | _ -> `Hazard a')
+        | _ -> `Hazard)
     in
     match forward (List.rev t.ptr_writes) with
     | `Hit v -> (t, v)
-    | `Hazard a' ->
+    | `Hazard ->
       let name = Printf.sprintf "mem%d" t.fresh in
       let v = Term.var name in
       let t =
         { t with
           fresh = t.fresh + 1;
           mem_reads = (name, a, false) :: t.mem_reads;
-          alias_hazard = true;
-          hazard_cmps = (a, a') :: t.hazard_cmps }
+          alias_hazard = true }
       in
       (assume t (Formula.Readable a), v)
     | `Fresh ->
@@ -173,113 +166,3 @@ let write_mem t addr value =
 (* The set of stack offsets whose initial content was READ (i.e. the
    payload cells this gadget consumes). *)
 let consumed_slots t = List.sort_uniq compare t.consumed
-
-(* ---- suffix composition support (Exec.extend, DESIGN.md §16) ---- *)
-
-(* Image of each tail-entry variable under the post-state [head] of the
-   instruction being prepended.  [rsp_off] is head's rsp as a concrete
-   offset from rsp0 (composition requires it).  Returns [None] for
-   variables that are their own image ("retaddr", anything unknown). *)
-let compose_subst ~(head : t) ~rsp_off:(c : int) :
-    Term.Vset.t * (string -> Term.t option) =
-  (* identity images answer [None] so the substitution can keep the
-     enclosing term physically unchanged (Term.subst_cached's sharing
-     shortcut) — a one-instruction head leaves most entry variables at
-     themselves, and rebuilding their terms dominated extend's cost *)
-  let regs = Hashtbl.create 16 in
-  let dom = ref Term.Vset.empty in
-  Array.iteri
-    (fun i v ->
-      let name = Reg.name (Reg.of_number i) ^ "_0" in
-      match v with
-      | Term.Var n when n = name -> ()
-      | _ ->
-        Hashtbl.replace regs name v;
-        dom := Term.Vset.add name !dom)
-    head.regs;
-  let num_after prefix name =
-    let pl = String.length prefix in
-    if String.length name > pl && String.sub name 0 pl = prefix then
-      int_of_string_opt (String.sub name pl (String.length name - pl))
-    else None
-  in
-  ( !dom,
-    fun name ->
-    match Hashtbl.find_opt regs name with
-    | Some v -> Some v
-    | None -> (
-      match slot_of_var name with
-      | Some d -> (
-        (* the tail's payload slot d lives at rsp0 + c + d absolutely;
-           read through head's slot map exactly like read_mem would *)
-        match Imap.find_opt (c + d) head.stack with
-        | Some v -> Some v
-        | None -> if c = 0 then None else Some (slot_var (c + d)))
-      | None ->
-        if head.fresh = 0 then None
-        else (
-          match num_after "mem" name with
-          | Some k -> Some (Term.var (Printf.sprintf "mem%d" (k + head.fresh)))
-          | None -> (
-            match num_after "sysret" name with
-            | Some k ->
-              Some (Term.var (Printf.sprintf "sysret%d" (k + head.fresh)))
-            | None -> None))) )
-
-(* Prepend [head] (the post-state of one instruction run from the initial
-   state) onto [tail] (a final state expressed in tail-entry variables),
-   rewriting tail terms with [sigma] — which must be the memoized
-   substitution built over {!compose_subst} [~head ~rsp_off].  Produces
-   the state the monolithic executor would have reached; the caller
-   (Exec.extend) guards the cases where that equivalence could fail. *)
-let graft ~(head : t) ~rsp_off:(c : int) ~(sigma : Term.t -> Term.t)
-    (tail : t) : t =
-  (* formulas untouched by [sigma] are already simplified (assume
-     simplifies on entry) — skip the re-canonicalization *)
-  let sf f =
-    let f' = Formula.map_terms sigma f in
-    if f' == f then f else Formula.simplify f'
-  in
-  let shift_name name =
-    (* tail-fresh memory reads renumber past head's reads *)
-    if head.fresh = 0 then name
-    else if String.length name > 3 && String.sub name 0 3 = "mem" then
-      match int_of_string_opt (String.sub name 3 (String.length name - 3)) with
-      | Some k -> Printf.sprintf "mem%d" (k + head.fresh)
-      | None -> name
-    else name
-  in
-  { regs = Array.map sigma tail.regs;
-    stack =
-      Imap.fold (fun d v m -> Imap.add (c + d) (sigma v) m) tail.stack
-        head.stack;
-    stack_writes =
-      head.stack_writes @ List.map (fun (d, v) -> (c + d, sigma v)) tail.stack_writes;
-    path = List.map sf tail.path @ head.path;
-    flags =
-      (match tail.flags with
-      | Funknown -> head.flags
-      | Fsub (a, b) -> Fsub (sigma a, sigma b)
-      | Flogic r -> Flogic (sigma r)
-      | Farith r -> Farith (sigma r));
-    fresh = head.fresh + tail.fresh;
-    insns = tail.insns @ head.insns;
-    syscalls =
-      List.map (List.map (fun (r, v) -> (r, sigma v))) tail.syscalls
-      @ head.syscalls;
-    consumed =
-      (* a tail read of slot d consumed the payload only if head had not
-         already bound rsp0 + c + d *)
-      List.filter_map
-        (fun d -> if Imap.mem (c + d) head.stack then None else Some (c + d))
-        tail.consumed
-      @ head.consumed;
-    ptr_writes =
-      head.ptr_writes @ List.map (fun (a, v) -> (sigma a, sigma v)) tail.ptr_writes;
-    mem_reads =
-      List.map (fun (n, a, rel) -> (shift_name n, sigma a, rel)) tail.mem_reads
-      @ head.mem_reads;
-    alias_hazard = head.alias_hazard || tail.alias_hazard;
-    hazard_cmps =
-      List.map (fun (x, y) -> (sigma x, sigma y)) tail.hazard_cmps
-      @ head.hazard_cmps }

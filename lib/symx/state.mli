@@ -36,11 +36,6 @@ type t = {
           alias an earlier write of this gadget, so its value cannot be
           treated as attacker-controlled *)
   alias_hazard : bool;                   (** some read was unreliable *)
-  hazard_cmps : (Term.t * Term.t) list;
-      (** (read addr, write addr) pairs whose aliasing was undecidable;
-          {!Exec.extend} rechecks them after substitution — a pair the
-          head makes decidable means the monolithic run would have
-          forwarded or skipped where this one allocated a fresh read *)
 }
 
 val reg_var : Gp_x86.Reg.t -> Term.t
@@ -85,26 +80,3 @@ val write_mem : t -> Term.t -> Term.t -> t
 
 val consumed_slots : t -> int list
 (** Payload slots whose initial content this gadget reads, sorted. *)
-
-(** {1 Suffix composition}
-
-    Support for {!Exec.extend} (DESIGN.md §16): prepending the post-state
-    of one decoded instruction onto an already-summarized suffix. *)
-
-val compose_subst :
-  head:t -> rsp_off:int -> Term.Vset.t * (string -> Term.t option)
-(** Image of each tail-entry variable under the head post-state:
-    registers map to head's final register terms, payload slots shift by
-    [rsp_off] and read through head's slot map, fresh memory variables
-    renumber past head's reads.  [None] means the variable is its own
-    image.  Also returns the set of register entry variables with a
-    non-identity image — with [rsp_off = 0], an empty slot map and no
-    fresh reads in [head], a tail term mentioning none of them is its
-    own image, so callers can skip the substitution outright. *)
-
-val graft : head:t -> rsp_off:int -> sigma:(Term.t -> Term.t) -> t -> t
-(** [graft ~head ~rsp_off ~sigma tail] rebuilds the state the monolithic
-    executor would reach by running head's instruction and then the
-    tail's path, given [sigma] — a memoized substitution over
-    {!compose_subst}[ ~head ~rsp_off].  The caller is responsible for the
-    guard conditions under which this equals monolithic execution. *)

@@ -20,11 +20,11 @@
      is one bump per candidate fingerprinted and must be invariant.
      A 10% keyed fault sweep stays deterministic across jobs 1/2/4
      with the index on, refutation tally included;
-   - persistence: the fp codec round-trips, a warm run answers every
-     fingerprint from the "fingerprints" store section (hits > 0,
-     misses = 0, verdicts unchanged), and a v2-schema store file —
-     the pre-fingerprint layout — demotes the run to cold through the
-     stale/quarantine path rather than being misread. *)
+   - persistence: the fp codec round-trips, and a warm run answers
+     every fingerprint from the "fingerprints" store section (hits > 0,
+     misses = 0, verdicts unchanged).  Older store schemas, the
+     pre-fingerprint layout included, are covered by test_incr's
+     demotion test. *)
 
 let jobs_under_test =
   match Sys.getenv_opt "JOBS" with
@@ -308,39 +308,6 @@ let test_store_roundtrip () =
   Alcotest.(check int) "refutations temperature-invariant" rr wr;
   Gp_harness.Experiments.rm_rf dir
 
-(* A v2-layout store file predates the fingerprints section: the
-   schema bump must reject it as stale — cold results, store_stale
-   counted, a "store" quarantine entry — never a misread. *)
-let test_v2_store_demoted () =
-  Alcotest.(check int) "this suite was written for schema v3" 3
-    Gp_core.Incr.schema_version;
-  let image = compile "fibonacci" "llvm-obf" in
-  let reference = analysis_fingerprint (analyze image) in
-  let dir = tmp_dir () in
-  ignore (analyze ~cache_dir:dir image);
-  let path = Gp_core.Incr.path ~dir in
-  (match Gp_util.Store.save ~schema:2 path [] with
-  | Ok () -> ()
-  | Error why -> Alcotest.fail ("could not write v2 store: " ^ why));
-  let a = analyze ~cache_dir:dir image in
-  Alcotest.(check bool) "v2: results identical to cold" true
-    (analysis_fingerprint a = reference);
-  Alcotest.(check int) "v2: store counted as stale" 1
-    a.Gp_core.Api.analysis_store_stale;
-  Alcotest.(check int) "v2: nothing imported" 0
-    a.Gp_core.Api.analysis_store_loaded;
-  Alcotest.(check int) "v2: quarantine ledger records it" 1
-    (try List.assoc "store" a.Gp_core.Api.quarantined with Not_found -> 0);
-  (* a rejected store never breaks the warm path afterwards *)
-  ignore (analyze ~cache_dir:dir image);
-  let warm = analyze ~cache_dir:dir image in
-  let _, wm, _ = warm.Gp_core.Api.analysis_fp in
-  Alcotest.(check bool) "store recovers after re-prime" true
-    (warm.Gp_core.Api.analysis_store_loaded > 0
-     && wm = 0
-     && analysis_fingerprint warm = reference);
-  Gp_harness.Experiments.rm_rf dir
-
 let suite =
   [ qcheck_lanes_sound;
     qcheck_formula_mask_sound;
@@ -354,6 +321,4 @@ let suite =
       test_faults_deterministic_with_fp;
     qcheck_fp_codec_roundtrip;
     Alcotest.test_case "fp section round-trips through the store" `Quick
-      test_store_roundtrip;
-    Alcotest.test_case "v2 store demotes to cold" `Quick
-      test_v2_store_demoted ]
+      test_store_roundtrip ]

@@ -250,6 +250,30 @@ let check_corrupt_store () =
      && fingerprint warm = reference);
   Gp_harness.Experiments.rm_rf dir
 
+(* Every schema bump must demote older stores to cold.  For each
+   version below the current one, rewrite a freshly primed store's own
+   sections under that version — content the current reader could
+   decode, so only the version gates it — and require cold-identical
+   results, [store_stale] = 1 and a "store" quarantine entry.  Loops
+   over every older version, so the next bump is covered unedited. *)
+let check_old_schemas_demote () =
+  let image = compile "fibonacci" "llvm-obf" in
+  let reference = fingerprint (analyze ~jobs:jobs_under_test image) in
+  let dir = tmp_dir () in
+  for v = 1 to Gp_core.Incr.schema_version - 1 do
+    let path = prime dir image in
+    let sections =
+      match Gp_util.Store.load ~schema:Gp_core.Incr.schema_version path with
+      | Ok s -> s
+      | Error e -> Alcotest.fail (Gp_util.Store.error_reason e)
+    in
+    (match Gp_util.Store.save ~schema:v path sections with
+    | Ok () -> ()
+    | Error why -> Alcotest.fail ("could not write old store: " ^ why));
+    check_demoted ~what:(Printf.sprintf "schema v%d" v) dir image reference
+  done;
+  Gp_harness.Experiments.rm_rf dir
+
 let check_store_classification () =
   let dir = tmp_dir () in
   Gp_harness.Experiments.rm_rf dir;
@@ -293,5 +317,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_summary_roundtrip;
     Alcotest.test_case "corrupt/truncated/stale store demotes to cold"
       `Slow check_corrupt_store;
+    Alcotest.test_case "every older schema demotes to cold" `Slow
+      check_old_schemas_demote;
     Alcotest.test_case "store load classification" `Quick
       check_store_classification ]

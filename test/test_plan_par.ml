@@ -209,6 +209,19 @@ let prop_pool_key_verdict fs =
   let hit = Gp_smt.Solver.check ~pool ~pool_key:pk fs in
   plain = miss && miss = hit
 
+(* The counterexample QCheck once found (seed 553914340): two pointer
+   atoms out of canonical order.  The unkeyed solve pinned them in the
+   caller's order, the keyed memo in canonical order, so the two Sat
+   models swapped the pool addresses. *)
+let test_pool_key_verdict_pinned () =
+  let v n = Gp_smt.Term.Var n in
+  let fs = Gp_smt.Formula.[ Readable (v "v1"); Readable (v "v0") ] in
+  Alcotest.(check bool) "plain = keyed miss = keyed hit" true
+    (prop_pool_key_verdict fs);
+  let pool = Gp_core.Layout.pool ~salt:3 in
+  Alcotest.(check bool) "conjunct order does not matter" true
+    (Gp_smt.Solver.check ~pool fs = Gp_smt.Solver.check ~pool (List.rev fs))
+
 (* Distinct rotations get distinct keys (within one payload base), and
    equal salts mod the pin count collapse to one key — the key really
    is the pool's identity. *)
@@ -229,6 +242,8 @@ let suite =
       test_faults_invariant_under_jobs;
     Alcotest.test_case "keyed fuse pure per key" `Quick test_keyed_fuse_pure;
     Alcotest.test_case "pool_key structure" `Quick test_pool_key_structure;
+    Alcotest.test_case "pool-keyed verdict: pinned counterexample" `Quick
+      test_pool_key_verdict_pinned;
     Gen.qtest "intern: physical eq iff structural eq" ~count:300
       QCheck2.Gen.(pair Gen.term Gen.term) prop_intern_physeq;
     Gen.qtest "intern preserves structure" ~count:300 Gen.term

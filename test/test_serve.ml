@@ -13,9 +13,11 @@
      exceptions are fatal and re-raised at [stop];
    - the acceptance differential: a resident daemon serving a shuffled
      replay (each survey cell twice) answers bit-identically to the
-     inline CLI path, at pool jobs 1 and JOBS, and batched journal
-     checkpoints fire and survive a [journal_close] compaction;
-   - failure stories: every keyed wire-fault mode (torn length, torn
+     inline CLI path, at pool jobs 1 and JOBS, from one client and from
+     two concurrent ones, and batched journal checkpoints fire and
+     survive a [journal_close] compaction;
+   - failure stories: a client writing to a daemon that has gone away
+     gets an error, not SIGPIPE; every keyed wire-fault mode (torn length, torn
      body, bad checksum, client hangup) is quarantined under the right
      [Fail.Frame_fault] label WITHOUT poisoning resident caches (the
      next clean request is still bit-identical); a CLI run pointed at
@@ -411,7 +413,46 @@ let test_daemon_differential () =
         (Printf.sprintf "bit-identical to the CLI path at pool jobs %d" j)
         refs
         (List.map fst results))
-    (List.sort_uniq compare [ 1; jobs_under_test ])
+    (List.sort_uniq compare [ 1; jobs_under_test ]);
+  (* Two clients at once on a two-worker pool, so requests really share
+     the daemon: every reply must still be the cold in-process answer
+     of its request, per-request counters included — none may count
+     work another request did. *)
+  let replies, _ =
+    with_daemon ~jobs:2 (fun ~sock cl ->
+        let cl2 =
+          match Sv.Client.connect sock with
+          | Ok c -> c
+          | Error why -> Alcotest.failf "second client: %s" why
+        in
+        let indexed = List.mapi (fun i r -> (i, r)) replay in
+        let serve_on c k =
+          Domain.spawn (fun () ->
+              List.filter_map
+                (fun (i, (_, rq)) ->
+                  if i mod 2 <> k then None
+                  else Some (i, Sv.Client.submit c rq))
+                indexed)
+        in
+        let d0 = serve_on cl 0 and d1 = serve_on cl2 1 in
+        let got = Domain.join d0 @ Domain.join d1 in
+        Sv.Client.close cl2;
+        List.sort compare got)
+  in
+  List.iter2
+    (fun (i, reply) reference ->
+      match reply with
+      | Error f ->
+        Alcotest.failf "request %d failed: %s" i (Gp_core.Fail.to_string f)
+      | Ok r ->
+        let cold = Sv.report_decode reference (ref 0) in
+        Alcotest.(check (list (pair string int)))
+          (Printf.sprintf "request %d: counters equal the cold run" i)
+          cold.Sv.sr_counters r.Sv.sr_counters;
+        Alcotest.(check string)
+          (Printf.sprintf "request %d: reply equals the cold run" i)
+          reference (Sv.report_encode r))
+    replies refs
 
 let test_daemon_checkpoints () =
   let dir = tmp_dir () in
@@ -637,6 +678,40 @@ let test_cli_demotes_when_daemon_holds_lock () =
   E.reset_world ();
   E.rm_rf dir
 
+(* ----- a vanished daemon ----- *)
+
+(* The peer accepts and hangs up at once.  The client's write then
+   meets a closed socket; with SIGPIPE at its default disposition (as a
+   stopped in-process daemon used to leave it) that killed the process.
+   It must come back as an error instead. *)
+let test_client_survives_dead_peer () =
+  let rq = one_request () in
+  let sock = fresh_sock () in
+  let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_UNIX sock);
+  Unix.listen lsock 1;
+  let prev = Sys.signal Sys.sigpipe Sys.Signal_default in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigpipe prev;
+      Unix.close lsock;
+      try Unix.unlink sock with Unix.Unix_error _ -> ())
+    (fun () ->
+      match Sv.Client.connect sock with
+      | Error why -> Alcotest.failf "connect: %s" why
+      | Ok cl ->
+        let fd, _ = Unix.accept lsock in
+        Unix.close fd;
+        (match Sv.Client.submit cl rq with
+        | Error (Gp_core.Fail.Frame_fault _) -> ()
+        | Error f ->
+          Alcotest.failf "expected a frame fault, got %s"
+            (Gp_core.Fail.to_string f)
+        | Ok _ -> Alcotest.fail "a closed peer answered");
+        Sv.Client.close cl;
+        Alcotest.(check bool) "SIGPIPE disposition restored after close" true
+          (Sys.signal Sys.sigpipe Sys.Signal_default = Sys.Signal_default))
+
 (* ----- the daemon crash story ----- *)
 
 let test_daemon_crash_abandons_journal () =
@@ -700,5 +775,7 @@ let suite =
       test_wire_faults_via_faultsim;
     Alcotest.test_case "CLI demotes when daemon holds the lock" `Quick
       test_cli_demotes_when_daemon_holds_lock;
+    Alcotest.test_case "client survives a vanished daemon" `Quick
+      test_client_survives_dead_peer;
     Alcotest.test_case "daemon crash abandons the journal" `Quick
       test_daemon_crash_abandons_journal ]
