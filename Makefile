@@ -41,18 +41,11 @@
 # totality properties, sharded-table vs single-lock equivalence, and the
 # daemon-vs-CLI round-trip byte differential incl. the wire-fault sweep,
 # lock demotion and crash/abandon — DESIGN.md §15) at JOBS=1 and JOBS=4.
-#
-# `make check-fp` sweeps the semantic fingerprint index (test_fp:
-# lane-vs-Term.eval qcheck soundness, fingerprint-inequality implies
-# prove_equal=false, the fp-on vs --no-fp differential over the survey
-# cells incl. a 10% fault-injection sweep, and the fp-section store
-# round-trip — DESIGN.md §17) at JOBS=1 and JOBS=4.
 
 CHECK_TIMEOUT ?= 600
 
 .PHONY: all build test check check-par check-plan-par check-incr \
-	check-screen check-resume check-sweep check-serve check-fp \
-	check-bench clean
+	check-screen check-resume check-sweep check-serve check-bench clean
 
 all: build
 
@@ -63,7 +56,7 @@ test:
 	dune runtest
 
 check: build check-par check-plan-par check-incr check-screen \
-	check-resume check-sweep check-serve check-fp check-bench
+	check-resume check-sweep check-serve check-bench
 
 check-par:
 	JOBS=1 timeout $(CHECK_TIMEOUT) dune runtest --force
@@ -97,11 +90,6 @@ check-serve:
 	dune build test/test_main.exe
 	SUITES=serve JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
 	SUITES=serve JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-
-check-fp:
-	dune build test/test_main.exe
-	SUITES=fp JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-	SUITES=fp JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
 
 check-bench:
 	dune build bench/main.exe

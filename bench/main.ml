@@ -34,19 +34,9 @@
                                               # cold process-per-request:
                                               # req/s, p50/p99, WAL overhead
                                               # (writes BENCH_serve.json)
-     dune exec bench/main.exe -- --only fp --jobs 4
-                                              # semantic fingerprint index off
-                                              # vs on, screening ON both ways
-                                              # (writes BENCH_fp.json)
      dune exec bench/main.exe -- --quick      # smoke mode: one program, one
                                               # config (the `make check-bench`
                                               # end-to-end assertion)
-     dune exec bench/main.exe -- --no-screen  # ablation: screening disabled
-     dune exec bench/main.exe -- --no-sweep   # ablation: corpus scheduler off
-                                              # (sweeps run the sequential loop)
-     dune exec bench/main.exe -- --no-fp      # ablation: semantic fingerprint
-                                              # index off (probes go straight
-                                              # to the screening tiers)
 
    Absolute numbers differ from the paper (their substrate was a real
    x86-64 testbed, ours is the simulator stack described in DESIGN.md);
@@ -82,9 +72,6 @@ let run_experiment ~quick ~jobs ?cache_dir id =
     print_string txt
   | "serve" ->
     let txt, _ = Gp_harness.Experiments.serve ~quick ~jobs () in
-    print_string txt
-  | "fp" ->
-    let txt, _ = Gp_harness.Experiments.fp ~quick ~jobs () in
     print_string txt
   | "fig1" ->
     let txt, _ = Gp_harness.Experiments.fig1 ~quick () in
@@ -131,7 +118,7 @@ let run_experiment ~quick ~jobs ?cache_dir id =
 let all_ids =
   [ "fig1"; "tab1"; "fig2"; "tab4"; "tab5"; "fig5"; "tab6"; "fig6"; "fig8";
     "tab7"; "par"; "plan"; "incr"; "screen"; "resume"; "sweep";
-    "serve"; "fp";
+    "serve";
     "cfi_study";
     "ablation_unaligned"; "ablation_subsumption"; "ablation_condjump";
     "ablation_seeds" ]
@@ -213,9 +200,6 @@ let () =
   let quick = not full in
   let smoke = List.mem "--quick" argv in
   if smoke then Gp_harness.Experiments.set_smoke true;
-  if List.mem "--no-screen" argv then Gp_smt.Solver.set_screen_enabled false;
-  if List.mem "--no-sweep" argv then Gp_harness.Experiments.set_sched false;
-  if List.mem "--no-fp" argv then Gp_smt.Fpeval.set_enabled false;
   let mode_name = if smoke then "smoke" else if quick then "quick" else "full" in
   let bechamel = List.mem "--bechamel" argv in
   let only =

@@ -76,54 +76,6 @@ let cache_dir_arg =
                  program.  Results are bit-identical with or without it; \
                  a corrupt or stale store falls back to a cold run.")
 
-(* ----- shared ablation flags -----
-
-   One table row per switchable subsystem.  Every pipeline subcommand
-   composes the same flags from this table, so adding an ablation
-   switch is a one-row change here instead of a per-subcommand edit.
-   All toggles are semantics-preserving: results are bit-identical
-   with the subsystem on or off — the flags exist for ablation
-   timings, and the bench experiments flip the same switches
-   programmatically. *)
-
-let ablation_specs =
-  [ ("no-screen",
-     "Disable the tiered solver screening front-end (abstract \
-      screening, concrete refutation, elimination reuse — DESIGN.md \
-      section 12).",
-     fun () -> Gp_smt.Solver.set_screen_enabled false);
-    ("no-fp",
-     "Disable the semantic fingerprint index (DESIGN.md section 17): \
-      subsumption and planner probes go straight to the solver's \
-      screening tiers instead of being pruned by the shared \
-      multi-point fingerprints first.",
-     fun () -> Gp_smt.Fpeval.set_enabled false);
-    ("no-sweep",
-     "Run the legacy sequential cell loop instead of the pipelined \
-      cell x stage scheduler (DESIGN.md section 14); --jobs then \
-      parallelizes within each cell rather than across cells.  Only \
-      the survey subcommand consults this switch.",
-     fun () -> Gp_harness.Experiments.set_sched false) ]
-
-(* One cmdliner term parsing every table row; evaluating it applies
-   the toggles that were set on the command line.  Run functions take
-   the resulting () as their first argument, so application precedes
-   any pipeline work. *)
-let ablation_term =
-  let one (flag_name, doc, apply) =
-    let arg =
-      Arg.(value & flag
-           & info [ flag_name ]
-               ~doc:(doc
-                     ^ "  Results are bit-identical either way; the \
-                        flag exists for ablation timings."))
-    in
-    Term.(const (fun set -> if set then apply ()) $ arg)
-  in
-  List.fold_left
-    (fun acc spec -> Term.(const (fun () () -> ()) $ acc $ one spec))
-    (Term.const ()) ablation_specs
-
 let json_errors_arg =
   Arg.(value & flag
        & info [ "json-errors" ]
@@ -164,7 +116,7 @@ let compile_cmd =
 (* ----- scan ----- *)
 
 let scan_cmd =
-  let run () prog obf jobs cache_dir =
+  let run prog obf jobs cache_dir =
     let image = compile_image prog obf in
     let counts = Gp_core.Extract.raw_counts image in
     let total = List.fold_left (fun a (_, c) -> a + c) 0 counts in
@@ -182,7 +134,7 @@ let scan_cmd =
         a.Gp_core.Api.analysis_summary_misses
   in
   Cmd.v (Cmd.info "scan" ~doc:"Count gadgets (the Fig. 1 / Table I census).")
-    Term.(const run $ ablation_term $ prog_arg $ obf_arg $ jobs_arg
+    Term.(const run $ prog_arg $ obf_arg $ jobs_arg
           $ cache_dir_arg)
 
 (* ----- plan ----- *)
@@ -201,7 +153,7 @@ let plan_cmd =
              ~doc:"Print per-stage statistics (planner counters, memo \
                    hits, stage seconds).")
   in
-  let run () prog obf goal maxn budget jobs cache_dir stats json_errors =
+  let run prog obf goal maxn budget jobs cache_dir stats json_errors =
     let image = compile_image prog obf in
     let o =
       Gp_core.Api.run ?budget:(budget_of budget) ~jobs ?cache_dir
@@ -242,10 +194,6 @@ let plan_cmd =
         st.Gp_core.Api.screen_refuted st.Gp_core.Api.screen_decided
         st.Gp_core.Api.concrete_refuted st.Gp_core.Api.elim_reused;
       Printf.printf
-        "fingerprints: %d store hits / %d misses; %d probes refuted\n"
-        st.Gp_core.Api.fp_hits st.Gp_core.Api.fp_misses
-        st.Gp_core.Api.fp_refuted;
-      Printf.printf
         "summary store: %d hits / %d misses; %d loaded from disk%s; \
          %d decodes saved\n"
         st.Gp_core.Api.summary_hits st.Gp_core.Api.summary_misses
@@ -280,7 +228,7 @@ let plan_cmd =
     end
   in
   Cmd.v (Cmd.info "plan" ~doc:"Build validated code-reuse payloads.")
-    Term.(const run $ ablation_term $ prog_arg $ obf_arg $ goal_arg $ max_arg
+    Term.(const run $ prog_arg $ obf_arg $ goal_arg $ max_arg
           $ budget_arg $ jobs_arg $ cache_dir_arg $ stats_arg
           $ json_errors_arg)
 
@@ -326,7 +274,7 @@ let survey_cmd =
              ~doc:"Attempts per cell before a transient failure \
                    (timeout, exhausted budget) is recorded as final.")
   in
-  let run () goal manifest resume full budget jobs max_attempts json_errors =
+  let run goal manifest resume full budget jobs max_attempts json_errors =
     let module R = Gp_harness.Runner in
     let module E = Gp_harness.Experiments in
     let module S = Gp_harness.Sched in
@@ -334,48 +282,26 @@ let survey_cmd =
       emit_failure ~json:json_errors "usage" "--resume requires --manifest DIR";
       exit Cmd.Exit.cli_error
     end;
-    (* --no-sweep lands here through the shared ablation table *)
-    let no_sweep = not !E.sched_enabled in
     let policy =
       { R.default_policy with R.max_attempts; attempt_seconds = budget }
     in
+    (* pipelined cell x stage DAG (DESIGN.md §14): [jobs] sizes the
+       shared work-stealing pool ACROSS cells; results are bit-identical
+       to the sequential loop at any job count *)
+    let cells =
+      E.sweep_cell_steps ~quick:(not full) ~goal:(goal_of_name goal) ()
+    in
     let outcomes, report, jo =
-      if no_sweep then begin
-        (* legacy sequential cell loop: [jobs] parallelizes WITHIN each
-           cell's stages *)
-        let cells =
-          E.resume_cell_fns ~quick:(not full) ~jobs ~goal:(goal_of_name goal)
-            ()
+      match manifest with
+      | Some dir ->
+        let o, r, jo = E.sched_sweep ~policy ~dir ~resume ~jobs cells in
+        (o, r, Some jo)
+      | None ->
+        let o, r =
+          S.run_cells ~policy ~encode:E.resume_payload_encode
+            ~decode:E.resume_payload_decode ~jobs cells
         in
-        match manifest with
-        | Some dir ->
-          let o, r, jo = E.resume_sweep ~policy ~dir ~resume cells in
-          (o, r, Some jo)
-        | None ->
-          let o, r =
-            R.run_corpus ~policy ~encode:E.resume_payload_encode
-              ~decode:E.resume_payload_decode cells
-          in
-          (o, r, None)
-      end
-      else begin
-        (* pipelined cell x stage DAG (DESIGN.md §14): [jobs] sizes the
-           shared work-stealing pool ACROSS cells; results are
-           bit-identical to the sequential loop at any job count *)
-        let cells =
-          E.sweep_cell_steps ~quick:(not full) ~goal:(goal_of_name goal) ()
-        in
-        match manifest with
-        | Some dir ->
-          let o, r, jo = E.sched_sweep ~policy ~dir ~resume ~jobs cells in
-          (o, r, Some jo)
-        | None ->
-          let o, r =
-            S.run_cells ~policy ~encode:E.resume_payload_encode
-              ~decode:E.resume_payload_decode ~jobs cells
-          in
-          (o, r, None)
-      end
+        (o, r, None)
     in
     List.iter
       (fun (c : E.resume_payload R.cell_outcome) ->
@@ -430,14 +356,14 @@ let survey_cmd =
   Cmd.v
     (Cmd.info "survey"
        ~doc:"Checkpointed corpus sweep with crash-safe resume.")
-    Term.(const run $ ablation_term $ goal_arg $ manifest_arg $ resume_arg
+    Term.(const run $ goal_arg $ manifest_arg $ resume_arg
           $ full_arg $ budget_arg $ jobs_arg $ attempts_arg
           $ json_errors_arg)
 
 (* ----- netperf ----- *)
 
 let netperf_cmd =
-  let run () obf budget jobs cache_dir json_errors =
+  let run obf budget jobs cache_dir json_errors =
     let budget = budget_of budget in
     let b =
       Gp_harness.Workspace.build ~config_name:obf ~cfg:(obf_of_name obf)
@@ -459,7 +385,7 @@ let netperf_cmd =
       | [] -> ()
   in
   Cmd.v (Cmd.info "netperf" ~doc:"Run the netperf end-to-end case study.")
-    Term.(const run $ ablation_term $ obf_arg $ budget_arg $ jobs_arg
+    Term.(const run $ obf_arg $ budget_arg $ jobs_arg
           $ cache_dir_arg $ json_errors_arg)
 
 (* ----- serve / submit (DESIGN.md §15) ----- *)
@@ -480,7 +406,7 @@ let serve_cmd =
          & info [ "checkpoint-secs" ] ~docv:"S"
              ~doc:"... or after the store has been dirty S seconds.")
   in
-  let run () socket cache_dir jobs ckpt_every ckpt_secs json_errors =
+  let run socket cache_dir jobs ckpt_every ckpt_secs json_errors =
     let module Sv = Gp_harness.Serve in
     let sm =
       Sv.serve
@@ -515,7 +441,7 @@ let serve_cmd =
              journal with batched checkpoints, and concurrent requests \
              pipeline across pipeline stages on one domain pool.  \
              Stops on a client $(b,shutdown) request.")
-    Term.(const run $ ablation_term $ socket_arg $ cache_dir_arg $ jobs_arg
+    Term.(const run $ socket_arg $ cache_dir_arg $ jobs_arg
           $ ckpt_every_arg $ ckpt_secs_arg $ json_errors_arg)
 
 let submit_cmd =

@@ -66,18 +66,6 @@ type stage_stats = {
       (* content-addressed summary store traffic during the harvest
          (DESIGN.md §11).  Like the solver-memo counters, temperature-
          dependent — excluded from differential comparisons *)
-  fp_hits : int;
-  fp_misses : int;
-      (* fingerprint store traffic (DESIGN.md §17) — temperature-
-         dependent like the summary split, excluded from differential
-         comparisons *)
-  fp_refuted : int;
-      (* solver probes refuted from fingerprints alone (subsumption
-         pair skips + planner instantiation refutations), summed from
-         the per-call counts of this run's own Subsume/Planner calls.
-         Counts per probe answered, so it is jobs- AND temperature-
-         invariant — but zero with --no-fp, so differentials exclude it
-         like the screen tallies *)
   decode_saved : int;
       (* repeat decodes absorbed by the decode-once extraction memo *)
   store_loaded : int;
@@ -113,16 +101,6 @@ let screen_delta (a0, b0, c0, d0) (a1, b1, c1, d1) =
 let screen_add (a0, b0, c0, d0) (a1, b1, c1, d1) =
   (a0 + a1, b0 + b1, c0 + c1, d0 + d1)
 
-(* Fingerprint counters (DESIGN.md §17): the store hit/miss split is a
-   process-global snapshot delta like the screen tuple; the refutation
-   count is the stage's own per-call tally, so concurrent runs never
-   charge each other's refutations. *)
-let fp_delta (h0, m0) ~refuted =
-  let h1, m1 = Incr.fp_store_stats () in
-  (h1 - h0, m1 - m0, refuted)
-
-let fp_add (a0, b0, c0) (a1, b1, c1) = (a0 + a1, b0 + b1, c0 + c1)
-
 (* Combined solver-memo counters, snapshotted around stages. *)
 let cache_counters () =
   ( Gp_smt.Cache.hits Gp_smt.Solver.memo
@@ -145,7 +123,6 @@ type analysis = {
   analysis_cache_hits : int;
   analysis_cache_misses : int;
   analysis_screen : int * int * int * int;
-  analysis_fp : int * int * int;
   analysis_summary_hits : int;
   analysis_summary_misses : int;
   analysis_suffix_hits : int;
@@ -178,8 +155,7 @@ let stage (label : string) (budget : Budget.t) (f : unit -> 'a) :
 
 let passthrough_stats gadgets =
   let n = List.length gadgets in
-  { Subsume.input = n; after_dedup = n; after_subsume = n; timed_out = false;
-    fp_refuted = 0 }
+  { Subsume.input = n; after_dedup = n; after_subsume = n; timed_out = false }
 
 (* ----- on-disk incremental store (DESIGN.md §11) ----- *)
 
@@ -258,7 +234,6 @@ type extracted = {
          traffic lands in them — which is why every temperature counter
          is excluded from the differential payload (DESIGN.md §14). *)
   ex_screen0 : int * int * int * int;
-  ex_fp0 : int * int;
 }
 
 let stage_extract ?(extract_config = Extract.default_config) ?cache_dir
@@ -266,7 +241,6 @@ let stage_extract ?(extract_config = Extract.default_config) ?cache_dir
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
   let ex_cache0 = cache_counters () in
   let ex_screen0 = screen_counters () in
-  let ex_fp0 = Incr.fp_store_stats () in
   let store_loaded, store_stale, wal_replayed, wal_truncated, store_quar =
     store_open cache_dir
   in
@@ -299,8 +273,7 @@ let stage_extract ?(extract_config = Extract.default_config) ?cache_dir
     ex_wal_truncated = wal_truncated;
     ex_store_quar = store_quar;
     ex_cache0;
-    ex_screen0;
-    ex_fp0 }
+    ex_screen0 }
 
 let stage_subsume ?(subsume = true) ?budget ?(jobs = 1) (ex : extracted) :
     analysis * Gadget.t list =
@@ -337,7 +310,6 @@ let stage_subsume ?(subsume = true) ?budget ?(jobs = 1) (ex : extracted) :
       analysis_cache_hits = fst (cache_counters ()) - fst ex.ex_cache0;
       analysis_cache_misses = snd (cache_counters ()) - snd ex.ex_cache0;
       analysis_screen = screen_delta ex.ex_screen0 (screen_counters ());
-      analysis_fp = fp_delta ex.ex_fp0 ~refuted:sstats.Subsume.fp_refuted;
       analysis_summary_hits = hstats.Extract.h_summary_hits;
       analysis_summary_misses = hstats.Extract.h_summary_misses;
       analysis_suffix_hits = 0;
@@ -404,7 +376,6 @@ type planned = {
   pl_cache_hits : int;
   pl_cache_misses : int;
   pl_screen : int * int * int * int;
-  pl_fp : int * int * int;
 }
 
 let stage_plan ?(planner_config = Planner.default_config)
@@ -415,7 +386,6 @@ let stage_plan ?(planner_config = Planner.default_config)
   let u0 = Atomic.get Gp_smt.Solver.unknowns in
   let ch0, cm0 = cache_counters () in
   let sc0 = screen_counters () in
-  let fp0 = Incr.fp_store_stats () in
   (* Stages 3+4 run as a goal portfolio (Planner.search_par) at EVERY
      job count, so the result is job-count-independent by construction.
      Each portfolio root owns a result slot: accepted chains, fault and
@@ -480,7 +450,7 @@ let stage_plan ?(planner_config = Planner.default_config)
     | Error _ ->
       ( { Planner.plans = []; expanded = 0; peak_queue = 0;
           inst_memo_hits = 0; cand_memo_hits = 0; discarded = 0;
-          fp_refuted = 0; exhausted = false; budget_hit = true },
+          exhausted = false; budget_hit = true },
         0. )
   in
   let sum_i arr = Array.fold_left ( + ) 0 arr in
@@ -496,8 +466,7 @@ let stage_plan ?(planner_config = Planner.default_config)
     pl_unknowns = Atomic.get Gp_smt.Solver.unknowns - u0;
     pl_cache_hits = fst (cache_counters ()) - ch0;
     pl_cache_misses = snd (cache_counters ()) - cm0;
-    pl_screen = screen_delta sc0 (screen_counters ());
-    pl_fp = fp_delta fp0 ~refuted:result.Planner.fp_refuted }
+    pl_screen = screen_delta sc0 (screen_counters ()) }
 
 (* Stage 4 proper: the deterministic post-processing that turns raw
    per-root search output into the final outcome.  Candidate VALIDATION
@@ -530,7 +499,6 @@ let stage_finalize (p : planned) : outcome =
   let screen_refuted, screen_decided, concrete_refuted, elim_reused =
     screen_add a.analysis_screen p.pl_screen
   in
-  let fp_hits, fp_misses, fp_refuted = fp_add a.analysis_fp p.pl_fp in
   { goal = p.pl_goal;
     chains = validated;
     rungs = [ Full ];
@@ -561,9 +529,6 @@ let stage_finalize (p : planned) : outcome =
         elim_reused;
         summary_hits = a.analysis_summary_hits;
         summary_misses = a.analysis_summary_misses;
-        fp_hits;
-        fp_misses;
-        fp_refuted;
         decode_saved = a.analysis_decode_saved;
         store_loaded = a.analysis_store_loaded;
         store_stale = a.analysis_store_stale;
@@ -578,8 +543,8 @@ let stage_finalize (p : planned) : outcome =
 
 (* The jobs- and temperature-invariant tallies of an outcome, by name:
    what the sweep's resume payloads and the daemon's replies carry, and
-   what differential tests compare.  Cache, summary and fingerprint
-   store hit counters are temperature and stay out, as do the store
+   what differential tests compare.  Cache and summary store hit
+   counters are temperature and stay out, as do the store
    quarantine labels (a resident, resumed or warm run legitimately
    differs there). *)
 let invariant_counters (o : outcome) =
@@ -593,10 +558,7 @@ let invariant_counters (o : outcome) =
     ("plan_cand_hits", st.plan_cand_hits);
     ("plan_discarded", st.plan_discarded);
     ("validate_faults", st.validate_faults);
-    ("validate_timeouts", st.validate_timeouts);
-    (* refutations are counted per probe answered, so the tally is
-       warm/cold-invariant like the verdicts it mirrors (DESIGN.md §17) *)
-    ("fp_refuted", st.fp_refuted) ]
+    ("validate_timeouts", st.validate_timeouts) ]
   @ List.filter_map
       (fun (l, n) ->
         if l = "store" || l = "store-locked" || l = "wal-torn" then None
@@ -635,57 +597,71 @@ let dedup_only (gadgets : Gadget.t list) : Gadget.t list =
     gadgets
 
 (* The Dedup_only rung's analysis: re-pool the raw harvest with exact
-   duplicates removed — a superset of the subsumed pool.  Exposed so
-   the daemon's staged ladder ([Gp_harness.Serve]) degrades exactly
-   like [run]. *)
+   duplicates removed — a superset of the subsumed pool. *)
 let dedup_analysis (a : analysis) (harvested : Gadget.t list) : analysis =
   let m = dedup_only harvested in
   { a with gadgets = m; pool = Pool.build m }
+
+(* The degradation ladder, defined once: [run] climbs it in a loop and
+   the daemon ([Gp_harness.Serve.request_steps]) one rung per scheduler
+   step, so both degrade identically.  Stages 1-2 run ONCE and every
+   rung shares their result: the degraded rungs re-pool from the same
+   gadget records (ids stay stable), and the dedup-only pool is built
+   only if a degraded rung runs. *)
+type ladder = {
+  ld_root : Budget.t;
+  ld_full : analysis;
+  ld_degraded : analysis Lazy.t;
+}
+
+let ladder ~root (a_full : analysis) (harvested : Gadget.t list) : ladder =
+  { ld_root = root;
+    ld_full = a_full;
+    ld_degraded = lazy (dedup_analysis a_full harvested) }
+
+(* One rung.  It gets a slice of whatever time remains, so early rungs
+   cannot starve later ones outright; [tried] are the rungs before it,
+   in order, and the outcome records them all. *)
+let run_rung ?(planner_config = Planner.default_config) ?validate ?jobs
+    (ld : ladder) ~(tried : rung list) (rung : rung) (goal : Goal.t) : outcome =
+  let a = if rung = Full then ld.ld_full else Lazy.force ld.ld_degraded in
+  let rb = Budget.sub ld.ld_root ~label:(rung_name rung) ~fraction:0.6 () in
+  let o =
+    run_with_analysis
+      ~planner_config:(rung_planner_config planner_config rung)
+      ?validate ~budget:rb ?jobs a goal
+  in
+  { o with rungs = tried @ [ rung ] }
+
+(* The rung to try after [o], or [None] when the ladder stops: a chain
+   was found, the root budget is dry, or the last rung has run. *)
+let next_rung (ld : ladder) (o : outcome) : rung option =
+  if o.chains <> [] || Budget.exhausted ld.ld_root then None
+  else
+    match List.rev o.rungs with
+    | Full :: _ -> Some Dedup_only
+    | Dedup_only :: _ -> Some Wider_branch
+    | Wider_branch :: _ -> Some Relaxed_steps
+    | Relaxed_steps :: _ | [] -> None
 
 let run ?(extract_config = Extract.default_config)
     ?(planner_config = Planner.default_config) ?(validate = true) ?budget
     ?(jobs = 1) ?cache_dir ?ids (image : Gp_util.Image.t) (goal : Goal.t) :
     outcome =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
-  (* Stages 1-2 run ONCE: the harvest is the expensive part and every
-     rung shares it (the degraded rungs re-pool from the same gadget
-     records, so gadget ids stay stable too). *)
   let a_full, harvested =
     analyze_raw ~extract_config ~subsume:true ?cache_dir ~root ~jobs ?ids image
   in
-  (* Degraded stage 2: dedup the RAW harvest without subsumption — the
-     Dedup_only rung's pool is a superset of the subsumed one. *)
-  let a_degraded = lazy (dedup_analysis a_full harvested) in
-  let tried = ref [] in
-  let result : outcome option ref = ref None in
-  List.iter
-    (fun rung ->
-      let proceed =
-        match !result with
-        | None -> true
-        | Some o -> o.chains = [] && not (Budget.exhausted root)
-      in
-      if proceed then begin
-        tried := rung :: !tried;
-        let a = if rung = Full then a_full else Lazy.force a_degraded in
-        (* each rung gets a slice of whatever time remains, so early
-           rungs cannot starve later ones outright *)
-        let rb = Budget.sub root ~label:(rung_name rung) ~fraction:0.6 () in
-        let o =
-          run_with_analysis
-            ~planner_config:(rung_planner_config planner_config rung)
-            ~validate ~budget:rb ~jobs a goal
-        in
-        result := Some o
-      end)
-    [ Full; Dedup_only; Wider_branch; Relaxed_steps ];
-  match !result with
-  | Some o ->
-    (* Persist the store last, so planner/validation solver verdicts
-       are captured alongside the harvest summaries. *)
-    { o with
-      rungs = List.rev !tried;
-      stats =
-        { o.stats with
-          quarantined = store_save o.stats.quarantined cache_dir } }
-  | None -> assert false
+  let ld = ladder ~root a_full harvested in
+  let rung ~tried r = run_rung ~planner_config ~validate ~jobs ld ~tried r goal in
+  let rec climb (o : outcome) =
+    match next_rung ld o with
+    | None -> o
+    | Some r -> climb (rung ~tried:o.rungs r)
+  in
+  let o = climb (rung ~tried:[] Full) in
+  (* Persist the store last, so planner/validation solver verdicts are
+     captured alongside the harvest summaries. *)
+  { o with
+    stats =
+      { o.stats with quarantined = store_save o.stats.quarantined cache_dir } }

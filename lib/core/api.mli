@@ -72,22 +72,6 @@ type stage_stats = {
           symbolically executed.  Temperature-dependent, like the
           solver-memo counters — reported but excluded from
           differential comparisons. *)
-  fp_hits : int;
-  fp_misses : int;
-      (** fingerprint store traffic (DESIGN.md §17): gadgets whose
-          semantic fingerprint was answered from the content-addressed
-          table/store vs batch-evaluated.  Temperature-dependent —
-          excluded from differential comparisons. *)
-  fp_refuted : int;
-      (** solver probes refuted from fingerprints alone: subsumption
-          pairs skipped by the partition/precondition masks, plus
-          planner instantiations refuted on closed terms.  Summed from
-          the per-call counts of this run's own [Subsume.minimize] and
-          [Planner.search_par] calls, so concurrent runs (daemon
-          requests) never count each other's refutations.  Counts per
-          probe answered — jobs- and temperature-invariant — but zero
-          with --no-fp, so differentials exclude it like the screen
-          tallies. *)
   decode_saved : int;
       (** repeat decodes absorbed by the decode-once extraction memo *)
   store_loaded : int;
@@ -134,9 +118,6 @@ type analysis = {
   analysis_screen : int * int * int * int;
       (** screening-tier deltas of stages 1-2, in [Solver.screen_stats]
           order *)
-  analysis_fp : int * int * int;
-      (** fingerprint deltas of stages 1-2: (store hits, store misses,
-          probes refuted) — DESIGN.md §17 *)
   analysis_summary_hits : int;         (** summary-store hits (stage 1) *)
   analysis_summary_misses : int;
   analysis_suffix_hits : int;
@@ -231,14 +212,14 @@ val rung_name : rung -> string
 
 val rung_planner_config : Planner.config -> rung -> Planner.config
 (** Loosen the planner config for a ladder rung (cumulative: the last
-    rung is also the widest).  Exposed so the daemon's staged ladder
-    degrades exactly like {!run}. *)
+    rung is also the widest).  {!run_rung} applies it; exposed for
+    callers that time the ladder stage by stage (bench/e2e). *)
 
 val dedup_analysis : analysis -> Gadget.t list -> analysis
 (** The [Dedup_only] rung's analysis: re-pool the raw harvest (the
     second component {!stage_subsume} returns) with exact duplicates
-    removed — a superset of the subsumed pool.  Exposed for the same
-    reason as {!rung_planner_config}. *)
+    removed — a superset of the subsumed pool.  {!ladder} builds it
+    lazily; exposed for the same reason as {!rung_planner_config}. *)
 
 type outcome = {
   goal : Goal.concrete;
@@ -249,8 +230,8 @@ type outcome = {
 
 val invariant_counters : outcome -> (string * int) list
 (** The jobs- and temperature-invariant tallies of an outcome, by name
-    (planner and validation counters, [fp_refuted], and the quarantine
-    ledger minus the store labels).  The one list the sweep's resume
+    (planner and validation counters and the quarantine ledger minus the
+    store labels).  The one list the sweep's resume
     payloads, the daemon's replies and the differential tests share. *)
 
 val stage_plan :
@@ -282,6 +263,32 @@ val run_with_analysis :
     by concrete execution before being counted; validation fuel is
     derived from the remaining budget.  No exception escapes: budget
     death yields an outcome with the hit recorded. *)
+
+type ladder
+(** The ladder's shared state: the root budget, the subsumed analysis
+    of stages 1-2, and the lazily deduped pool of the degraded rungs. *)
+
+val ladder : root:Budget.t -> analysis -> Gadget.t list -> ladder
+(** [ladder ~root a harvested] over {!stage_subsume}'s two results. *)
+
+val run_rung :
+  ?planner_config:Planner.config ->
+  ?validate:bool ->
+  ?jobs:int ->
+  ladder ->
+  tried:rung list ->
+  rung ->
+  Goal.t ->
+  outcome
+(** Stages 3–4 for one rung: its pool, its loosened planner config and a
+    0.6 slice of the root budget's remaining time.  [tried] lists the
+    earlier rungs in order; the outcome's [rungs] is [tried @ [rung]]. *)
+
+val next_rung : ladder -> outcome -> rung option
+(** The rung after the outcome's last, or [None] when the ladder stops:
+    a chain was found, the root budget is dry, or every rung has run.
+    {!run} and the daemon both climb the ladder with these two
+    functions, starting from [run_rung ~tried:[] Full]. *)
 
 val run :
   ?extract_config:Extract.config ->

@@ -216,108 +216,6 @@ let content_key ~(config : Gp_symx.Exec.config)
   walk pos 0 0 0;
   Buffer.contents b
 
-(* ----- semantic fingerprints (DESIGN.md §17) -----
-
-   [fp_eq] is the equality-partition key: a deterministic serialization
-   of the gadget's effect STRUCTURE (jump tag, write counts, syscall
-   shape) together with lanes 0 and 1 — the all-zeros and all-ones
-   valuations — of every term [Subsume.same_effects] would probe with
-   [Solver.prove_equal].  Those two lanes are exactly the real prover's
-   first two (deterministic) trials, so [fp_eq g1 <> fp_eq g2] implies
-   either a structural mismatch ([same_effects] answers false before
-   any probe) or some probed pair differing on a deterministic trial
-   ([prove_equal] answers false with screening on OR off).  Lanes 2-11
-   are deliberately EXCLUDED here: the 32-trial prover is by-contract
-   authoritative, and an adversarial-point refutation it might miss
-   would flip a verdict.  [ptr_writes] contributes only its length,
-   mirroring [same_effects] (which never probes those terms).
-
-   [fp_pre] is the precondition-satisfaction mask: bit k set iff every
-   formula of [g.pre] holds under screen point k with the default
-   pool's pointer predicates — exactly [Solver.entails]' Tier B side
-   condition for hypotheses [g.pre].  If some lane satisfies g2's
-   preconditions but not g1's, that lane is a genuine model of
-   [g2.pre ∧ ¬f] for g1's failing (non-tautological) formula f, so
-   [entails g2.pre f] is false under either screening toggle and g1
-   cannot subsume g2 (the lane-mask argument, DESIGN.md §17). *)
-
-type fp = { fp_eq : string; fp_pre : int }
-
-module Bin = Gp_util.Store.Bin
-
-let fingerprint (g : t) : fp =
-  let b = Buffer.create 256 in
-  let lanes01 t =
-    let l = (Fpeval.eval t).Fpeval.lv in
-    Bin.i64 b l.(0);
-    Bin.i64 b l.(1)
-  in
-  (match g.jmp with
-  | Gp_symx.Exec.Jret t -> Bin.u8 b 0; lanes01 t
-  | Gp_symx.Exec.Jind t -> Bin.u8 b 1; lanes01 t
-  | Gp_symx.Exec.Jfall _ -> Bin.u8 b 2);
-  Bin.int_ b (List.length g.post);
-  List.iter
-    (fun (r, t) -> Bin.int_ b (Reg.number r); lanes01 t)
-    g.post;
-  Bin.int_ b (List.length g.stack_writes);
-  List.iter (fun (o, t) -> Bin.int_ b o; lanes01 t) g.stack_writes;
-  Bin.int_ b (List.length g.ptr_writes);
-  (match g.syscall_state with
-  | None -> Bin.u8 b 0
-  | Some s ->
-    Bin.u8 b 1;
-    Bin.int_ b (List.length s);
-    List.iter (fun (r, t) -> Bin.int_ b (Reg.number r); lanes01 t) s);
-  let fp_pre =
-    Fpeval.conj_mask ~readable:Solver.default_pool.Solver.readable
-      ~writable:Solver.default_pool.Solver.writable g.pre
-  in
-  { fp_eq = Buffer.contents b; fp_pre }
-
-(* Content address of a fingerprint: a serialization of exactly the
-   semantic fields [fingerprint] reads, so the stored value is a pure
-   function of the key.  Unlike [content_key] this is computed from the
-   finished record (fingerprints are consumed long after decode
-   context is gone) and carries no extraction budget: the same gadget
-   content fingerprints identically under any extraction config. *)
-let fp_key (g : t) : string =
-  let w = Term.Ser.writer () in
-  let b = Buffer.create 256 in
-  Bin.u8 b 1;                          (* key schema *)
-  (match g.jmp with
-  | Gp_symx.Exec.Jret t -> Bin.u8 b 0; Term.Ser.put w b t
-  | Gp_symx.Exec.Jind t -> Bin.u8 b 1; Term.Ser.put w b t
-  | Gp_symx.Exec.Jfall _ -> Bin.u8 b 2);
-  Bin.int_ b (List.length g.post);
-  List.iter
-    (fun (r, t) -> Bin.int_ b (Reg.number r); Term.Ser.put w b t)
-    g.post;
-  Bin.int_ b (List.length g.stack_writes);
-  List.iter (fun (o, t) -> Bin.int_ b o; Term.Ser.put w b t) g.stack_writes;
-  Bin.int_ b (List.length g.ptr_writes);
-  (match g.syscall_state with
-  | None -> Bin.u8 b 0
-  | Some s ->
-    Bin.u8 b 1;
-    Bin.int_ b (List.length s);
-    List.iter (fun (r, t) -> Bin.int_ b (Reg.number r); Term.Ser.put w b t) s);
-  Formula.put_list w b g.pre;
-  Buffer.contents b
-
-(* Store codec for fingerprint values.  [get_fp] rejects masks outside
-   the lane range — checksummed bytes that decode to an impossible mask
-   mean writer/reader skew, and a wrong mask would skip real probes. *)
-let put_fp b (f : fp) =
-  Bin.str b f.fp_eq;
-  Bin.int_ b f.fp_pre
-
-let get_fp s pos =
-  let fp_eq = Bin.gstr s pos in
-  let fp_pre = Bin.gint s pos in
-  if fp_pre < 0 || fp_pre > Fpeval.full_mask then raise Bin.Truncated;
-  { fp_eq; fp_pre }
-
 let to_string g =
   Printf.sprintf "0x%Lx [%s] %s" g.addr (kind_name g.kind)
     (String.concat "; " (List.map Insn.to_string g.insns))

@@ -100,31 +100,6 @@ val content_key :
     code; [code_size] bounds the walk exactly as [Image.in_code] bounds
     execution. *)
 
-type fp = { fp_eq : string; fp_pre : int }
-(** Semantic fingerprint (DESIGN.md §17).  [fp_eq] serializes the
-    effect structure plus lanes 0/1 (the deterministic all-zeros and
-    all-ones trials) of every term {!Subsume.same_effects} probes, so
-    unequal keys imply [same_effects = false] under either screening
-    toggle.  [fp_pre] has bit k set iff every precondition holds under
-    screen point k with the default pool's predicates; a lane in
-    candidate-but-not-subsumer position refutes the entailment leg. *)
-
-val fingerprint : t -> fp
-(** Compute both components in one batched evaluation per term
-    ({!Gp_smt.Fpeval}).  Pure function of the semantic fields
-    ({!fp_key}); cached per content by [Incr.fp_of]. *)
-
-val fp_key : t -> string
-(** Content address of the fingerprint: a deterministic serialization
-    of exactly the fields {!fingerprint} reads (jump, post, stack and
-    pointer writes, syscall state, preconditions).  Computed from the
-    finished record — no decode context, no residual budget. *)
-
-val put_fp : Buffer.t -> fp -> unit
-val get_fp : string -> int ref -> fp
-(** Store codec for fingerprint values; [get_fp] raises
-    [Gp_util.Store.Bin.Truncated] on out-of-range masks. *)
-
 val to_string : t -> string
 (** One-line rendering: address, kind, instructions. *)
 

@@ -43,17 +43,14 @@ open Gp_smt
    v4: the suffix-compositional summarizer is gone (DESIGN.md §16):
    State.t lost the alias-comparison list again, so v3 summary payloads
    no longer decode, and the "suffixes" section is neither written nor
-   read. *)
-let schema_version = 4
+   read.
+   v5: the fingerprint index is gone (DESIGN.md §17).  A v4 store
+   carries a "fingerprints" section this build neither reads nor
+   rewrites; the bump demotes it to cold instead of importing a store
+   whose section set no build of this schema wrote. *)
+let schema_version = 5
 let file_name = "summaries.gpst"
 let summaries_section = "summaries"
-
-(* Semantic fingerprints (DESIGN.md §17) ride in a second section, keyed
-   by [Gadget.fp_key] — a pure content address of the semantic fields
-   the fingerprint reads, independent of decode position and residual
-   budget — so warm and transfer runs skip even the one-time batched
-   evaluation. *)
-let fingerprints_section = "fingerprints"
 
 type value = Gp_symx.Exec.summary list * string option
 
@@ -67,33 +64,6 @@ let shards : shard array =
 
 let shard_of key = shards.(Hashtbl.hash key land (shard_count - 1))
 
-type fshard = { f_tbl : (string, Gadget.fp) Hashtbl.t; f_lock : Mutex.t }
-
-let fshards : fshard array =
-  Array.init shard_count (fun _ ->
-      { f_tbl = Hashtbl.create 512; f_lock = Mutex.create () })
-
-let fshard_of key = fshards.(Hashtbl.hash key land (shard_count - 1))
-
-(* Fingerprint-table temperature.  Process-global atomics like the
-   solver's, excluded from differential fingerprints: a hit
-   means the batched evaluation was skipped (warm within a run via this
-   table, across runs via the store section).  The REFUTATION tally —
-   jobs- and temperature-invariant — lives in [Gp_smt.Fpeval]. *)
-let fp_hits = Atomic.make 0
-let fp_misses = Atomic.make 0
-
-let fp_store_stats () = (Atomic.get fp_hits, Atomic.get fp_misses)
-
-let write_fp fp =
-  let b = Buffer.create 64 in
-  Gadget.put_fp b fp;
-  Buffer.contents b
-
-let read_fp v =
-  let pos = ref 0 in
-  Gadget.get_fp v pos
-
 let on = ref true
 
 let enabled () = !on
@@ -104,23 +74,14 @@ let size () =
     (fun acc s -> acc + Mutex.protect s.s_lock (fun () -> Hashtbl.length s.s_tbl))
     0 shards
 
-(* always 0: a stub bench/e2e still reads (see incr.mli) *)
+(* always 0: stubs bench/e2e still reads (see incr.mli) *)
 let suffix_size () = 0
-
-let fp_size () =
-  Array.fold_left
-    (fun acc s -> acc + Mutex.protect s.f_lock (fun () -> Hashtbl.length s.f_tbl))
-    0 fshards
+let fp_size () = 0
 
 let reset () =
   Array.iter
     (fun s -> Mutex.protect s.s_lock (fun () -> Hashtbl.reset s.s_tbl))
-    shards;
-  Array.iter
-    (fun s -> Mutex.protect s.f_lock (fun () -> Hashtbl.reset s.f_tbl))
-    fshards;
-  Atomic.set fp_hits 0;
-  Atomic.set fp_misses 0
+    shards
 
 let find key =
   let s = shard_of key in
@@ -142,34 +103,6 @@ let add key v =
   in
   if fresh then !fresh_hook key v
 
-let fp_fresh_hook : (string -> string -> unit) ref = ref (fun _ _ -> ())
-
-(* Fingerprint of a gadget, through the content-addressed cache: a hit
-   (within a run, or seeded from the store) skips the batched
-   evaluation entirely; a miss computes, publishes first-write-wins,
-   and journals.  The value is a pure function of [Gadget.fp_key], so a
-   racing duplicate compute returns the identical fingerprint. *)
-let fp_of (g : Gadget.t) : Gadget.fp =
-  let key = Gadget.fp_key g in
-  let s = fshard_of key in
-  match Mutex.protect s.f_lock (fun () -> Hashtbl.find_opt s.f_tbl key) with
-  | Some fp ->
-    Atomic.incr fp_hits;
-    fp
-  | None ->
-    Atomic.incr fp_misses;
-    let fp = Gadget.fingerprint g in
-    let fresh =
-      Mutex.protect s.f_lock (fun () ->
-          if Hashtbl.mem s.f_tbl key then false
-          else begin
-            Hashtbl.add s.f_tbl key fp;
-            true
-          end)
-    in
-    if fresh then !fp_fresh_hook key (write_fp fp);
-    fp
-
 (* Snapshot the whole table shard by shard (each under its own lock;
    no cross-shard atomicity needed — callers snapshot outside the
    parallel sections). *)
@@ -178,12 +111,6 @@ let fold_all f acc =
     (fun acc s ->
       Mutex.protect s.s_lock (fun () -> Hashtbl.fold f s.s_tbl acc))
     acc shards
-
-let fold_fps f acc =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.protect s.f_lock (fun () -> Hashtbl.fold f s.f_tbl acc))
-    acc fshards
 
 type load_info = {
   li_entries : int;       (* entries imported from the base store *)
@@ -218,16 +145,6 @@ let import_sections sections =
             let s = shard_of k in
             Mutex.protect s.s_lock (fun () ->
                 if not (Hashtbl.mem s.s_tbl k) then Hashtbl.add s.s_tbl k v))
-          decoded
-      end
-      else if name = fingerprints_section then begin
-        n := !n + List.length entries;
-        let decoded = List.map (fun (k, v) -> (k, read_fp v)) entries in
-        List.iter
-          (fun (k, fp) ->
-            let s = fshard_of k in
-            Mutex.protect s.f_lock (fun () ->
-                if not (Hashtbl.mem s.f_tbl k) then Hashtbl.add s.f_tbl k fp))
           decoded
       end)
     sections;
@@ -356,13 +273,8 @@ let save ~dir =
           |> List.map (fun (k, v) -> (k, Gp_symx.Exec.write_summaries v))
           |> List.sort compare
         in
-        let fp_entries =
-          fold_fps (fun k fp acc -> (k, write_fp fp) :: acc) []
-          |> List.sort compare
-        in
         let sections =
           { Gp_util.Store.name = summaries_section; entries }
-          :: { Gp_util.Store.name = fingerprints_section; entries = fp_entries }
           :: Solver.export_memos ()
         in
         Gp_util.Store.save ~schema:schema_version (path ~dir) sections)
@@ -421,10 +333,6 @@ let journal_mark_existing j =
       fold_all
         (fun k _ () ->
           Hashtbl.replace j.j_seen (seen_key summaries_section k) ())
-        ();
-      fold_fps
-        (fun k _ () ->
-          Hashtbl.replace j.j_seen (seen_key fingerprints_section k) ())
         ();
       List.iter
         (fun { Gp_util.Store.name; entries } ->
@@ -501,31 +409,6 @@ let journal_append_summary key v =
       let value = Gp_symx.Exec.write_summaries v in
       try
         Gp_util.Store.Wal.append j.j_wal ~section:summaries_section ~key ~value
-      with
-      | Sys_error why | Failure why -> journal_demote why
-      | Unix.Unix_error (e, fn, _) ->
-        journal_demote (fn ^ ": " ^ Unix.error_message e)
-    end
-
-(* Same discipline for fresh fingerprint entries (already serialized
-   by [fp_of]). *)
-let journal_append_fp key value =
-  match !journal_st with
-  | None -> ()
-  | Some j ->
-    let fresh =
-      Mutex.protect j.j_mutex (fun () ->
-          let sk = seen_key fingerprints_section key in
-          if Hashtbl.mem j.j_seen sk then false
-          else begin
-            Hashtbl.replace j.j_seen sk ();
-            true
-          end)
-    in
-    if fresh then begin
-      try
-        Gp_util.Store.Wal.append j.j_wal ~section:fingerprints_section ~key
-          ~value
       with
       | Sys_error why | Failure why -> journal_demote why
       | Unix.Unix_error (e, fn, _) ->
@@ -617,4 +500,3 @@ let journal_abandon () =
   journal_error_r := None
 
 let () = fresh_hook := journal_append_summary
-let () = fp_fresh_hook := journal_append_fp

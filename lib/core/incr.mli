@@ -33,26 +33,10 @@ val suffix_size : unit -> int
     because bench/e2e reads it; drop it with the next change to the
     benchmark. *)
 
-(** {1 Fingerprint store (DESIGN.md §17)}
-
-    A second table from {!Gadget.fp_key} strings to semantic
-    fingerprints, persisted in the "fingerprints" section (schema v3).
-    The value is a pure function of the key, so sharing within a run,
-    across warm restarts, and across obfuscation configs can only skip
-    the batched evaluation, never change a fingerprint. *)
-
-val fp_of : Gadget.t -> Gadget.fp
-(** Fingerprint through the cache: hit skips the evaluation, miss
-    computes + publishes (first-write-wins) + journals.  Counts into
-    {!fp_store_stats}. *)
-
 val fp_size : unit -> int
-
-val fp_store_stats : unit -> int * int
-(** Process-global (hits, misses) of {!fp_of} since the last {!reset}:
-    temperature counters, reported by the daemon ledger and the bench,
-    excluded from differential fingerprints.  The refutation tally
-    lives in [Gp_smt.Fpeval] (jobs- and temperature-invariant). *)
+(** Always 0: the fingerprint store is gone (DESIGN.md §17).  Kept only
+    because bench/e2e reads it; drop it with the next change to the
+    benchmark. *)
 
 (** {1 Persistence} *)
 

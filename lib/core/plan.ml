@@ -183,6 +183,18 @@ let concrete_effects (g : Gadget.t) model =
   in
   (effects, mem_effects, write_addrs)
 
+(* A required equality that pins a variable-free term to a constant it
+   does not evaluate to is unsatisfiable: [Solver.check] could only
+   answer Unsat or Unknown, and both mean None, so the callers below
+   return None without building the query. *)
+let closed_mismatch require =
+  List.exists
+    (function
+      | Formula.Eq (t, Term.Const c) ->
+        Term.Vset.is_empty (Term.vars t) && Term.eval (fun _ -> 0L) t <> c
+      | _ -> false)
+    require
+
 (* Instantiate [g] to achieve [cond]. *)
 let instantiate_for (g : Gadget.t) (cond : cond) ~sid : step option =
   match g.Gadget.jmp with
@@ -207,6 +219,7 @@ let instantiate_for (g : Gadget.t) (cond : cond) ~sid : step option =
         [ Formula.Eq (at, Term.const a); Formula.Eq (vt, Term.const v) ])
   in
   if require = [] && (match cond with Cmem _ -> true | _ -> false) then None
+  else if closed_mismatch require then None
   else
     match solve_instantiation ~salt:(Hashtbl.hash cond) g require with
     | None -> None
@@ -242,6 +255,8 @@ let instantiate_goal (g : Gadget.t) (goal : Goal.concrete) ~sid : step option =
           | None -> Formula.False)
         goal.Goal.regs
     in
+    if closed_mismatch require then None
+    else
     match solve_instantiation g require with
     | None -> None
     | Some (bindings, abs_bindings, mem_cells, demands, model) ->

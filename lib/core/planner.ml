@@ -112,21 +112,11 @@ type stats_acc = {
   mutable s_inst_hits : int;
   mutable s_cand_hits : int;
   mutable s_discarded : int;
-  mutable s_fp_refuted : int;
 }
 
 let fresh_stats () =
   { s_expanded = 0; s_peak_queue = 0; s_inst_hits = 0; s_cand_hits = 0;
-    s_discarded = 0; s_fp_refuted = 0 }
-
-(* One probe answered from fingerprints: the process-global tally plus,
-   when the caller tracks one, this search's own count — the global
-   tally mixes concurrent searches, the per-search one never does. *)
-let note_fp_refuted ?stats () =
-  Gp_smt.Fpeval.note_refuted ();
-  match stats with
-  | Some st -> st.s_fp_refuted <- st.s_fp_refuted + 1
-  | None -> ()
+    s_discarded = 0 }
 
 (* Add a step's demands as open conditions. *)
 let open_demands (s : Plan.step) =
@@ -159,35 +149,6 @@ let reuse_successors (p : Plan.t) consumer cond : Plan.t list =
    (gadget, condition) pair is solved at most once per search. *)
 type memo = (int * Plan.cond, Plan.step option) Hashtbl.t
 
-(* Fingerprint refutation of an instantiation (DESIGN.md §17): when the
-   require equality [Plan.instantiate_for] would build pins a CLOSED
-   term — same value under every valuation, which lane 0 reports — to
-   the wrong constant, the query conjunction contains an unsatisfiable
-   equality and [Solver.check] can only answer Unsat (linearizable) or
-   Unknown (closed-false residual), never Sat: the fall-through result
-   is None either way, so storing the None without building the query
-   is verdict-preserving.  The structural gates ([Jfall], unclobbered
-   register, no pointer write) mirror [instantiate_for]'s own early
-   exits — those cases never reach the solver, so refuting them would
-   pad the tally without saving a query. *)
-let fp_refutes_cond (g : Gadget.t) (cond : Plan.cond) =
-  (match g.Gadget.jmp with
-  | Gp_symx.Exec.Jfall _ -> false
-  | Gp_symx.Exec.Jret _ | Gp_symx.Exec.Jind _ -> true)
-  &&
-  match cond with
-  | Plan.Creg (r, v) ->
-    List.mem r g.Gadget.clobbered
-    && (let l = Gp_smt.Fpeval.eval (Gadget.post_of g r) in
-        l.Gp_smt.Fpeval.closed && l.Gp_smt.Fpeval.lv.(0) <> v)
-  | Plan.Cmem (a, v) -> (
-    match g.Gadget.ptr_writes with
-    | [] -> false
-    | (at, vt) :: _ ->
-      let la = Gp_smt.Fpeval.eval at and lv = Gp_smt.Fpeval.eval vt in
-      (la.Gp_smt.Fpeval.closed && la.Gp_smt.Fpeval.lv.(0) <> a)
-      || (lv.Gp_smt.Fpeval.closed && lv.Gp_smt.Fpeval.lv.(0) <> v))
-
 let instantiate_counted ?stats (memo : memo) (g : Gadget.t) cond ~sid :
     Plan.step option =
   let key = (g.Gadget.id, cond) in
@@ -199,13 +160,7 @@ let instantiate_counted ?stats (memo : memo) (g : Gadget.t) cond ~sid :
        | None -> ());
       t
     | None ->
-      let t =
-        if Gp_smt.Fpeval.enabled () && fp_refutes_cond g cond then begin
-          note_fp_refuted ?stats ();
-          None
-        end
-        else Plan.instantiate_for g cond ~sid:(-1)
-      in
+      let t = Plan.instantiate_for g cond ~sid:(-1) in
       Hashtbl.add memo key t;
       t
   in
@@ -324,7 +279,6 @@ type result = {
   inst_memo_hits : int;
   cand_memo_hits : int;
   discarded : int;
-  fp_refuted : int;   (* probes this search answered from fingerprints *)
   exhausted : bool;   (* true if the whole space was searched *)
   budget_hit : bool;  (* search stopped on deadline or fuel, not space *)
 }
@@ -339,32 +293,11 @@ let search_budget (config : config) = function
     Budget.create ~label:"plan" ~seconds:config.time_budget
       ~fuel:config.node_budget ()
 
-(* Goal-step analogue of [fp_refutes_cond]: a goal register whose
-   syscall-state term is closed with the wrong value makes
-   [instantiate_goal]'s require unsatisfiable — None either way. *)
-let fp_refutes_goal (g : Gadget.t) (goal : Goal.concrete) =
-  match g.Gadget.syscall_state with
-  | None -> false
-  | Some sys ->
-    List.exists
-      (fun (r, v) ->
-        match List.assoc_opt r sys with
-        | Some t ->
-          let l = Gp_smt.Fpeval.eval t in
-          l.Gp_smt.Fpeval.closed && l.Gp_smt.Fpeval.lv.(0) <> v
-        | None -> false)
-      goal.Goal.regs
-
 (* Root plan for one candidate syscall gadget. *)
-let root_plan ~stats (goal : Goal.concrete) (g : Gadget.t) : Plan.t option =
-  if Gp_smt.Fpeval.enabled () && fp_refutes_goal g goal then begin
-    note_fp_refuted ~stats ();
-    None
-  end
-  else
-    match Plan.instantiate_goal g goal ~sid:0 with
-    | None -> None
-    | Some step ->
+let root_plan (goal : Goal.concrete) (g : Gadget.t) : Plan.t option =
+  match Plan.instantiate_goal g goal ~sid:0 with
+  | None -> None
+  | Some step ->
     (* payload-region cells are delivered with the payload itself;
        only cells elsewhere need write-what-where steps *)
     let mem_conds =
@@ -455,7 +388,7 @@ let search ?(config = default_config) ?(accept = fun (_ : Plan.t) -> true)
   let stats = fresh_stats () in
   let roots =
     List.filteri (fun i _ -> i < config.goal_cap) pool.Pool.syscall_gadgets
-    |> List.filter_map (root_plan ~stats goal)
+    |> List.filter_map (root_plan goal)
   in
   let memo : memo = Hashtbl.create 1024 in
   let cmemo : cand_memo = Hashtbl.create 64 in
@@ -464,7 +397,7 @@ let search ?(config = default_config) ?(accept = fun (_ : Plan.t) -> true)
   in
   { plans; expanded = stats.s_expanded; peak_queue = stats.s_peak_queue;
     inst_memo_hits = stats.s_inst_hits; cand_memo_hits = stats.s_cand_hits;
-    discarded = stats.s_discarded; fp_refuted = stats.s_fp_refuted; exhausted;
+    discarded = stats.s_discarded; exhausted;
     budget_hit }
 
 (* Goal-portfolio search: one INDEPENDENT best-first search per root
@@ -495,17 +428,15 @@ let search_par ?(config = default_config)
     ?(accept_for = fun (_ : int) (_ : Plan.t) -> true) ?budget ?(jobs = 1)
     (pool : Pool.t) (goal : Goal.concrete) : result =
   let parent = search_budget config budget in
-  let root_stats = fresh_stats () in
   let roots =
     List.filteri (fun i _ -> i < config.goal_cap) pool.Pool.syscall_gadgets
-    |> List.filter_map (root_plan ~stats:root_stats goal)
+    |> List.filter_map (root_plan goal)
     |> Array.of_list
   in
   let n = Array.length roots in
   if n = 0 then
     { plans = []; expanded = 0; peak_queue = 0; inst_memo_hits = 0;
-      cand_memo_hits = 0; discarded = 0; fp_refuted = root_stats.s_fp_refuted;
-      exhausted = true; budget_hit = false }
+      cand_memo_hits = 0; discarded = 0; exhausted = true; budget_hit = false }
   else begin
     let share = config.node_budget / n and rem = config.node_budget mod n in
     let tasks =
@@ -533,8 +464,6 @@ let search_par ?(config = default_config)
       inst_memo_hits = sum (fun (_, _, _, s) -> s.s_inst_hits);
       cand_memo_hits = sum (fun (_, _, _, s) -> s.s_cand_hits);
       discarded = sum (fun (_, _, _, s) -> s.s_discarded);
-      fp_refuted =
-        root_stats.s_fp_refuted + sum (fun (_, _, _, s) -> s.s_fp_refuted);
       exhausted = Array.for_all (fun (_, e, _, _) -> e) results;
       budget_hit = Array.exists (fun (_, _, b, _) -> b) results }
   end

@@ -45,10 +45,6 @@ type result = {
   inst_memo_hits : int;    (** instantiation-memo hits *)
   cand_memo_hits : int;    (** ranked-candidate-memo hits *)
   discarded : int;         (** complete plans rejected by [accept] *)
-  fp_refuted : int;
-      (** probes this search answered from fingerprints alone (root and
-          instantiation refutations, DESIGN.md §17).  Counted per
-          search, so concurrent searches never see each other's *)
   exhausted : bool;        (** the whole space was searched *)
   budget_hit : bool;       (** stopped on deadline/fuel, not space *)
 }

@@ -143,7 +143,6 @@ type stats = {
   after_dedup : int;
   after_subsume : int;
   timed_out : bool;   (* budget ran dry; remaining gadgets passed through *)
-  fp_refuted : int;   (* pair probes skipped on a fingerprint mismatch *)
 }
 
 (* Pairwise subsumption inside one (sorted, truncated) bucket, against
@@ -155,81 +154,38 @@ type stats = {
    seed's [!survivors @ [g]] per element, which was O(n²) per bucket.
    The array keeps the probe order identical — earlier survivors are
    still tried first, so solver traffic and budget consumption match
-   the seed element for element.
-
-   Fingerprint partitioning (DESIGN.md §17): with [Fpeval] on, each
-   pair (survivor, candidate) is first checked against the two
-   per-gadget fingerprints — computed once per gadget via the
-   content-addressed [Incr.fp_of] — and a mismatch skips the
-   [subsumes] probe entirely.  Soundness:
-
-   - [fp_eq] mismatch: the effect structure differs, or some
-     [same_effects]-probed term pair differs under the all-zeros or
-     all-ones valuation — the real prover's two DETERMINISTIC trials —
-     so [same_effects] answers false with screening on or off.
-   - precondition mask: a lane satisfying the candidate's [pre] but
-     not the survivor's is a genuine model of [pre2 ∧ ¬f] for the
-     survivor's failing formula f, so [entails pre2 f] answers false
-     on that lane with screening on, and the fall-through check can at
-     most answer Sat/Unknown (both "not entailed") with it off.
-
-   Either way the skipped probe's verdict is the one [subsumes] would
-   have produced, so survivor sets are bit-identical — only solver
-   traffic changes. *)
-let probe_bucket ~budget bucket : Gadget.t list * bool * int =
+   the seed element for element. *)
+let probe_bucket ~budget bucket : Gadget.t list * bool =
   match bucket with
-  | [] -> ([], false, 0)
+  | [] -> ([], false)
   | first :: _ ->
-    let n = List.length bucket in
-    let arr = Array.make n first in
-    let use_fp = Fpeval.enabled () in
-    let no_fp = { Gadget.fp_eq = ""; fp_pre = 0 } in
-    let fpa = if use_fp then Array.make n no_fp else [||] in
+    let arr = Array.make (List.length bucket) first in
     let count = ref 0 in
-    let refuted = ref 0 in
-    let keep fp g =
+    let keep g =
       arr.(!count) <- g;
-      if use_fp then fpa.(!count) <- fp;
       incr count
     in
-    let probed_subsumes fp g =
-      let rec go i =
-        i < !count
-        && ((if
-               use_fp
-               && (let fi = fpa.(i) in
-                   fi.Gadget.fp_eq <> fp.Gadget.fp_eq
-                   || fp.Gadget.fp_pre land lnot fi.Gadget.fp_pre <> 0)
-             then begin
-               Fpeval.note_refuted ();
-               incr refuted;
-               false
-             end
-             else subsumes arr.(i) g)
-           || go (i + 1))
-      in
-      go 0
+    let rec probed_subsumes g i =
+      i < !count && (subsumes arr.(i) g || probed_subsumes g (i + 1))
     in
     let timed_out = ref false in
     List.iter
       (fun g ->
-        if !timed_out then keep no_fp g
-        else begin
-          let fp = if use_fp then Incr.fp_of g else no_fp in
+        if !timed_out then keep g
+        else
           match
             Budget.guard budget (fun () ->
-                try not (probed_subsumes fp g)
+                try not (probed_subsumes g 0)
                 with
                 | Budget.Exhausted _ as e -> raise e
                 | _ -> true)
           with
-          | Ok k -> if k then keep fp g
+          | Ok k -> if k then keep g
           | Error _ ->
             timed_out := true;
-            keep fp g
-        end)
+            keep g)
       bucket;
-    (Array.to_list (Array.sub arr 0 !count), !timed_out, !refuted)
+    (Array.to_list (Array.sub arr 0 !count), !timed_out)
 
 let minimize ?(max_bucket = 64) ?(budget = Budget.unlimited ()) ?(jobs = 1)
     (gadgets : Gadget.t list) : Gadget.t list * stats =
@@ -284,9 +240,9 @@ let minimize ?(max_bucket = 64) ?(budget = Budget.unlimited ()) ?(jobs = 1)
       let timed_out = ref false in
       List.map
         (fun bucket ->
-          if !timed_out then (bucket, true, 0)
+          if !timed_out then (bucket, true)
           else begin
-            let (_, t, _) as r = probe_bucket ~budget bucket in
+            let (_, t) as r = probe_bucket ~budget bucket in
             if t then timed_out := true;
             r
           end)
@@ -303,10 +259,7 @@ let minimize ?(max_bucket = 64) ?(budget = Budget.unlimited ()) ?(jobs = 1)
   in
   (* merge in bucket order, reproducing the seed's accumulation order *)
   let kept =
-    List.fold_left (fun acc (surv, _, _) -> surv @ acc) [] probed
+    List.fold_left (fun acc (surv, _) -> surv @ acc) [] probed
   in
-  let timed_out = List.exists (fun (_, t, _) -> t) probed in
-  let fp_refuted = List.fold_left (fun acc (_, _, r) -> acc + r) 0 probed in
-  ( kept,
-    { input; after_dedup; after_subsume = List.length kept; timed_out;
-      fp_refuted } )
+  let timed_out = List.exists snd probed in
+  (kept, { input; after_dedup; after_subsume = List.length kept; timed_out })

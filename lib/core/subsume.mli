@@ -26,10 +26,6 @@ type stats = {
   after_dedup : int;      (** after exact-duplicate removal *)
   after_subsume : int;    (** final pool size *)
   timed_out : bool;       (** budget ran dry mid-pass *)
-  fp_refuted : int;
-      (** pair probes this call skipped on a fingerprint mismatch
-          (DESIGN.md §17); counted per call, unlike the process-global
-          [Fpeval.refutations] *)
 }
 
 val minimize :

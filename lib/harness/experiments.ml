@@ -1524,240 +1524,6 @@ let screen ?(quick = true) ?(jobs = 4) ?(out = "BENCH_screen.json") () =
   in
   (txt, rows)
 
-(* ---------- fingerprint index: off vs on (DESIGN.md §17) ---------- *)
-
-(* Same protocol as [screen] — fresh-process sweeps, config-major so
-   obfuscated cells run against memos warmed by the originals,
-   best-of-reps with alternating within-rep order, solver-free seconds
-   subtracted — but the toggle is the semantic fingerprint index and
-   the screening front-end stays ON both ways.  So the off sweep is
-   the shipped PR-9 configuration and the measured delta is what the
-   fingerprints add ON TOP of tiered screening: subsumption pairs
-   partitioned away before [Solver.prove_equal]/[entails] are even
-   called, entailment probes killed by the precondition bitmask, and
-   planner instantiations refuted on closed terms without building the
-   query.  Results must be bit-identical either way, as for every
-   ablation here. *)
-
-type fp_row = {
-  fr_program : string;
-  fr_config : string;
-  fr_off_s : float;     (* fingerprints disabled (PR-9 baseline) *)
-  fr_on_s : float;      (* fingerprints enabled (the shipped default) *)
-  fr_off_solver_s : float;
-  fr_on_solver_s : float;
-  fr_chains : int;
-  fr_agree : bool;
-}
-
-let fp_json path ~jobs ~reps ~rows ~off_total ~on_total ~obf_speedup
-    ~obf_speedup_end_to_end ~counters:(fh, fm, fr) =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  json_provenance oc ~experiment:"fp";
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"reps\": %d,\n" reps;
-  p "  \"cores\": %d,\n" (Gp_util.Par.available ());
-  p "  \"note\": \"analyze + plan (all goals) per survey cell, semantic \
-     fingerprint index (DESIGN.md section 17) off vs on, with the \
-     tiered screening front-end of section 12 ON both ways — the \
-     measured delta is what amortized multi-point evaluation adds on \
-     top of per-query screening.  Same protocol as the screen \
-     experiment: each sweep models a fresh survey process, cells run \
-     config-major so obfuscated cells hit memos warmed by the \
-     originals, per-cell seconds are the best of `reps` interleaved \
-     sweeps each way with alternating within-rep order, and \
-     off_solver_s/on_solver_s subtract stage-1 extraction and stage-4 \
-     validation (no solver queries either side of the toggle), \
-     isolating subsumption + planning.  obf_speedup is the ratio of \
-     those solver-stage seconds over the obfuscated cells.  agree \
-     compares pool, chains and deterministic stats bit-for-bit.  \
-     fp_hits/fp_misses are one on-sweep's store traffic (first-write \
-     races can shift the split by a few at jobs>1); fp_refuted is \
-     per-probe deterministic.\",\n";
-  p "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      p "    { \"program\": %S, \"config\": %S, \"off_s\": %.4f, \
-         \"on_s\": %.4f, \"off_solver_s\": %.4f, \"on_solver_s\": %.4f, \
-         \"chains\": %d, \"agree\": %b }%s\n"
-        r.fr_program r.fr_config r.fr_off_s r.fr_on_s r.fr_off_solver_s
-        r.fr_on_solver_s r.fr_chains r.fr_agree
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ],\n";
-  p "  \"off_total_s\": %.4f,\n" off_total;
-  p "  \"on_total_s\": %.4f,\n" on_total;
-  p "  \"speedup\": %.2f,\n" (off_total /. max 1e-9 on_total);
-  p "  \"obf_speedup\": %.2f,\n" obf_speedup;
-  p "  \"obf_speedup_end_to_end\": %.2f,\n" obf_speedup_end_to_end;
-  p "  \"fp_hits\": %d,\n" fh;
-  p "  \"fp_misses\": %d,\n" fm;
-  p "  \"fp_refuted\": %d,\n" fr;
-  p "  \"all_agree\": %b\n" (List.for_all (fun r -> r.fr_agree) rows);
-  p "}\n";
-  close_out oc
-
-let fp ?(quick = true) ?(jobs = 4) ?(out = "BENCH_fp.json") () =
-  let planner_config =
-    { Gp_core.Planner.default_config with
-      Gp_core.Planner.node_budget = 1200; max_plans = 6 }
-  in
-  let cells =
-    survey_cells ~config_major:true ~quick (fun entry cname cfg ->
-        ( entry.Gp_corpus.Programs.name,
-          cname,
-          Gp_codegen.Pipeline.compile
-            ~transform:(Gp_obf.Obf.transform cfg)
-            entry.Gp_corpus.Programs.source ))
-  in
-  let run_cell image =
-    Gp_core.Gadget.reset_ids ();
-    let a = Gp_core.Api.analyze ~jobs image in
-    let os =
-      List.map
-        (fun g -> Gp_core.Api.run_with_analysis ~planner_config ~jobs a g)
-        Workspace.goals
-    in
-    (a, os)
-  in
-  let cell_fingerprint (a, os) =
-    ( List.map (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.addr)
-        a.Gp_core.Api.gadgets,
-      List.map plan_fingerprint os )
-  in
-  let solver_free_seconds ((a : Gp_core.Api.analysis), os) =
-    List.fold_left
-      (fun acc (o : Gp_core.Api.outcome) ->
-        acc +. o.Gp_core.Api.stats.Gp_core.Api.validate_time)
-      a.Gp_core.Api.extract_time os
-  in
-  let sweep enabled =
-    Gp_smt.Fpeval.set_enabled enabled;
-    Fun.protect
-      ~finally:(fun () -> Gp_smt.Fpeval.set_enabled true)
-      (fun () ->
-        reset_world ();
-        Gc.compact ();
-        List.map
-          (fun (_, _, image) ->
-            let r, t = Gp_core.Api.timed (fun () -> run_cell image) in
-            (r, t, t -. solver_free_seconds r))
-          cells)
-  in
-  let reps = 6 in
-  let rec times n f = if n <= 0 then [] else let x = f n in x :: times (n - 1) f in
-  let best sweeps =
-    List.fold_left
-      (List.map2
-         (fun (r, t, ts) (_, t', ts') -> (r, min t t', min ts ts')))
-      (List.hd sweeps) (List.tl sweeps)
-  in
-  (* snapshot per on-sweep: [reset_world] zeroes the tallies and the
-     last sweep of a rep pair may be an off-sweep *)
-  let counters = ref (0, 0, 0) in
-  let pairs =
-    times reps (fun i ->
-        let sweep_on () =
-          let n = sweep true in
-          let h, m = Gp_core.Incr.fp_store_stats () in
-          counters := (h, m, Gp_smt.Fpeval.refutations ());
-          n
-        in
-        if i mod 2 = 0 then
-          let o = sweep false in
-          let n = sweep_on () in
-          (o, n)
-        else
-          let n = sweep_on () in
-          let o = sweep false in
-          (o, n))
-  in
-  let off = best (List.map fst pairs) in
-  let on = best (List.map snd pairs) in
-  let counters = !counters in
-  let rows =
-    List.map2
-      (fun (prog, cname, _) ((r_off, t_off, ts_off), (r_on, t_on, ts_on)) ->
-        { fr_program = prog;
-          fr_config = cname;
-          fr_off_s = t_off;
-          fr_on_s = t_on;
-          fr_off_solver_s = ts_off;
-          fr_on_solver_s = ts_on;
-          fr_chains =
-            (let _, os = r_on in
-             List.fold_left
-               (fun acc (o : Gp_core.Api.outcome) ->
-                 acc + List.length o.Gp_core.Api.chains)
-               0 os);
-          fr_agree = cell_fingerprint r_off = cell_fingerprint r_on })
-      cells
-      (List.combine off on)
-  in
-  let total sel cfg_filter =
-    List.fold_left
-      (fun acc r -> if cfg_filter r.fr_config then acc +. sel r else acc)
-      0. rows
-  in
-  let any _ = true and obf c = c <> "original" in
-  let off_total = total (fun r -> r.fr_off_s) any in
-  let on_total = total (fun r -> r.fr_on_s) any in
-  let obf_speedup =
-    total (fun r -> r.fr_off_solver_s) obf
-    /. max 1e-9 (total (fun r -> r.fr_on_solver_s) obf)
-  in
-  let obf_speedup_end_to_end =
-    total (fun r -> r.fr_off_s) obf
-    /. max 1e-9 (total (fun r -> r.fr_on_s) obf)
-  in
-  fp_json (out_path out) ~jobs ~reps ~rows ~off_total ~on_total ~obf_speedup
-    ~obf_speedup_end_to_end ~counters;
-  let fh, fm, frf = counters in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Semantic fingerprint index: off vs on (jobs=%d, %d core(s))"
-           jobs (Gp_util.Par.available ()))
-      ~header:
-        [ "program"; "config"; "off (s)"; "on (s)"; "off solver";
-          "on solver"; "speedup"; "chains"; "agree" ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [ r.fr_program; r.fr_config;
-          Printf.sprintf "%.3f" r.fr_off_s;
-          Printf.sprintf "%.3f" r.fr_on_s;
-          Printf.sprintf "%.3f" r.fr_off_solver_s;
-          Printf.sprintf "%.3f" r.fr_on_solver_s;
-          Printf.sprintf "%.2fx"
-            (r.fr_off_solver_s /. max 1e-9 r.fr_on_solver_s);
-          string_of_int r.fr_chains;
-          (if r.fr_agree then "yes" else "NO") ])
-    rows;
-  Table.add_row t
-    [ "TOTAL"; "-";
-      Printf.sprintf "%.3f" off_total;
-      Printf.sprintf "%.3f" on_total;
-      Printf.sprintf "%.3f" (total (fun r -> r.fr_off_solver_s) any);
-      Printf.sprintf "%.3f" (total (fun r -> r.fr_on_solver_s) any);
-      Printf.sprintf "%.2fx"
-        (total (fun r -> r.fr_off_solver_s) any
-        /. max 1e-9 (total (fun r -> r.fr_on_solver_s) any));
-      "-"; "-" ];
-  let txt =
-    Table.render t
-    ^ Printf.sprintf
-        "obfuscated-config solver-stage speedup: %.2fx (end to end \
-         %.2fx); fingerprints: %d store hits / %d misses, %d probes \
-         refuted; wrote %s\n"
-        obf_speedup obf_speedup_end_to_end fh fm frf out
-  in
-  (txt, rows)
-
 (* ---------- ablations (DESIGN.md §5) ---------- *)
 
 let ablation_unaligned () =
@@ -2185,13 +1951,6 @@ let resume ?(quick = true) ?(jobs = 4) ?(cache_root = ".gp-cache/resume")
 
 (* ---------- whole-corpus pipelined sweeps (DESIGN.md §14) ---------- *)
 
-(* Kill switch for the `--no-sweep` ablation: when false, scheduler
-   entry points fall back to driving the same staged cells to
-   completion sequentially, so an ablated run exercises identical cell
-   code through the legacy corpus loop. *)
-let sched_enabled = ref true
-let set_sched b = sched_enabled := b
-
 (* The resume-sweep cell bodies re-cut along the Api stage seams, so
    the scheduler can interleave one cell's plan stage with another's
    extract.  Cell-for-cell equivalent to [resume_cell_fns ~jobs:1]:
@@ -2260,8 +2019,8 @@ let sweep_cell_steps ?entries ?configs ?(quick = true) ~goal () :
 
 (* Drive one staged cell to completion inline: the sequential
    equivalent of what the scheduler does node by node.  Turns a staged
-   cell into a [Runner.run_corpus]-shaped one for the `--no-sweep`
-   ablation path. *)
+   cell into a [Runner.run_corpus]-shaped one — the sequential
+   reference the sweep suite compares the scheduler against. *)
 let rec sweep_step_drive = function
   | Sched.Finished r -> r
   | Sched.Next (_, k) -> sweep_step_drive (k ())
@@ -2274,20 +2033,13 @@ let sweep_cells_sequential cells =
 
 (* [resume_sweep]'s journaled checkpointed bracket around the
    scheduler: same open/close/abandon discipline, the corpus executed
-   as a cell x stage DAG on [jobs] workers (or sequentially when the
-   scheduler is ablated). *)
+   as a cell x stage DAG on [jobs] workers. *)
 let sched_sweep ?(policy = Runner.default_policy) ~dir ~resume ~jobs cells =
   let jo = Gp_core.Incr.journal_open ~dir in
   let m = Runner.Manifest.open_ ~dir in
   match
-    if !sched_enabled then
-      Sched.run_cells ~policy ~manifest:m ~resume
-        ~encode:resume_payload_encode ~decode:resume_payload_decode ~jobs
-        cells
-    else
-      Runner.run_corpus ~policy ~manifest:m ~resume
-        ~encode:resume_payload_encode ~decode:resume_payload_decode
-        (sweep_cells_sequential cells)
+    Sched.run_cells ~policy ~manifest:m ~resume
+      ~encode:resume_payload_encode ~decode:resume_payload_decode ~jobs cells
   with
   | outcomes, report ->
     if Gp_core.Incr.journaling () then ignore (Gp_core.Incr.journal_close ());
@@ -2298,15 +2050,13 @@ let sched_sweep ?(policy = Runner.default_policy) ~dir ~resume ~jobs cells =
     Runner.Manifest.abandon m;
     raise e
 
-let sweep_json path ~jobs ~rows ~obf ~sched_overhead ~all_identical
-    ~ablated =
+let sweep_json path ~jobs ~rows ~obf ~sched_overhead ~all_identical =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
   json_provenance oc ~experiment:"sweep";
   p "  \"jobs\": %d,\n" jobs;
   p "  \"cores\": %d,\n" (Gp_util.Par.available ());
-  p "  \"ablated\": %b,\n" ablated;
   p "  \"note\": \"whole-corpus pipelined scheduler (DESIGN.md section \
      14).  Each row times the same survey sweep two ways: 'seq' is the \
      sequential cell loop (Runner.run_corpus, within-cell parallelism \
@@ -2376,12 +2126,8 @@ let sweep ?(quick = true) ?(jobs = 4) ?(out = "BENCH_sweep.json") () =
     let cells = sweep_cell_steps ?entries ?configs ~quick ~goal () in
     Gp_core.Api.timed (fun () ->
         let outcomes, _ =
-          if !sched_enabled then
-            Sched.run_cells ~encode:resume_payload_encode
-              ~decode:resume_payload_decode ~jobs cells
-          else
-            Runner.run_corpus ~encode:resume_payload_encode
-              ~decode:resume_payload_decode (sweep_cells_sequential cells)
+          Sched.run_cells ~encode:resume_payload_encode
+            ~decode:resume_payload_decode ~jobs cells
         in
         payloads outcomes)
   in
@@ -2435,7 +2181,7 @@ let sweep ?(quick = true) ?(jobs = 4) ?(out = "BENCH_sweep.json") () =
     Table.render t
     ^ Printf.sprintf
         "\nscheduler overhead (jobs=1 dag vs loop): %.1f%%   cores: %d%s\n\
-         all payloads identical: %b%s\n"
+         all payloads identical: %b\n"
         (sched_overhead *. 100.)
         (Gp_util.Par.available ())
         (match obf with
@@ -2444,10 +2190,8 @@ let sweep ?(quick = true) ?(jobs = 4) ?(out = "BENCH_sweep.json") () =
             (ts /. Float.max 1e-9 td)
         | None -> "")
         all_identical
-        (if !sched_enabled then "" else "   (--no-sweep: scheduler ablated)")
   in
-  sweep_json (out_path out) ~jobs ~rows ~obf ~sched_overhead ~all_identical
-    ~ablated:(not !sched_enabled);
+  sweep_json (out_path out) ~jobs ~rows ~obf ~sched_overhead ~all_identical;
   (body, (rows, sched_overhead, all_identical))
 
 (* ---------- analysis-as-a-service (DESIGN.md §15) ---------- *)

@@ -212,9 +212,6 @@ type daemon_stats = {
   ds_checkpoints : int;                 (* WAL checkpoints written *)
   ds_incr_size : int;                   (* resident summary entries *)
   ds_memo_entries : int;                (* resident solver-memo entries *)
-  ds_fp_hits : int;                     (* fingerprint store hits (temperature) *)
-  ds_fp_misses : int;
-  ds_fp_refuted : int;                  (* probes refuted from fingerprints *)
   ds_mode : string;                     (* "journaling" | "read-only: _" | "memory" *)
 }
 
@@ -266,9 +263,6 @@ let reply_encode = function
     B.int_ b ds.ds_checkpoints;
     B.int_ b ds.ds_incr_size;
     B.int_ b ds.ds_memo_entries;
-    B.int_ b ds.ds_fp_hits;
-    B.int_ b ds.ds_fp_misses;
-    B.int_ b ds.ds_fp_refuted;
     B.str b ds.ds_mode;
     Buffer.contents b
   | Shutdown_ack ->
@@ -292,13 +286,10 @@ let reply_decode s =
     let ds_checkpoints = B.gint s pos in
     let ds_incr_size = B.gint s pos in
     let ds_memo_entries = B.gint s pos in
-    let ds_fp_hits = B.gint s pos in
-    let ds_fp_misses = B.gint s pos in
-    let ds_fp_refuted = B.gint s pos in
     let ds_mode = B.gstr s pos in
     Stats_reply
       { ds_served; ds_faults; ds_checkpoints; ds_incr_size; ds_memo_entries;
-        ds_fp_hits; ds_fp_misses; ds_fp_refuted; ds_mode }
+        ds_mode }
   | 3 -> Shutdown_ack
   | 9 ->
     let label = B.gstr s pos in
@@ -328,11 +319,10 @@ let handle ?cache_dir (rq : request) : report =
 
 (* The same computation cut along the [Api] stage seams as a
    [Sched.step] chain, so the Service pool can interleave one request's
-   plan rung with another's extract: stage 1, stage 2, then the
-   [Api.run] degradation ladder one rung per step — same budget
-   slices, same proceed condition, same lazily deduped degraded pool.
-   Bit-identity with {!handle} is asserted by the serve suite at
-   jobs 1 and 4. *)
+   plan rung with another's extract: stage 1, stage 2, then one
+   [Api.run_rung] per step, climbing with [Api.next_rung] exactly as
+   [Api.run] does.  Bit-identity with {!handle} is asserted by the
+   serve suite at jobs 1 and 4. *)
 let request_steps (rq : request) : report Sched.step =
   let goal = goal_of_name rq.rq_goal in
   let planner_config = planner_config_of rq in
@@ -354,48 +344,20 @@ let request_steps (rq : request) : report Sched.step =
               let a_full, harvested =
                 Api.stage_subsume ~budget:root ~jobs:rq.rq_jobs ex
               in
-              let a_degraded = lazy (Api.dedup_analysis a_full harvested) in
-              let rec ladder tried result = function
-                | [] -> finish tried result
-                | rung :: rest ->
-                  let proceed =
-                    match result with
-                    | None -> true
-                    | Some o ->
-                      o.Api.chains = [] && not (Budget.exhausted root)
-                  in
-                  if not proceed then finish tried result
-                  else
-                    Sched.Next
-                      ( "rung:" ^ Api.rung_name rung,
-                        fun () ->
-                          let a =
-                            if rung = Api.Full then a_full
-                            else Lazy.force a_degraded
-                          in
-                          let rb =
-                            Budget.sub root ~label:(Api.rung_name rung)
-                              ~fraction:0.6 ()
-                          in
-                          let o =
-                            Api.run_with_analysis
-                              ~planner_config:
-                                (Api.rung_planner_config planner_config rung)
-                              ~budget:rb ~jobs:rq.rq_jobs a goal
-                          in
-                          ladder (rung :: tried) (Some o) rest )
-              and finish tried result =
-                match result with
-                | Some o ->
-                  Sched.Finished
-                    (Ok
-                       (report_of_outcome
-                          { o with Api.rungs = List.rev tried }))
-                | None -> assert false
+              let ld = Api.ladder ~root a_full harvested in
+              let rec climb tried rung =
+                Sched.Next
+                  ( "rung:" ^ Api.rung_name rung,
+                    fun () ->
+                      let o =
+                        Api.run_rung ~planner_config ~jobs:rq.rq_jobs ld
+                          ~tried rung goal
+                      in
+                      match Api.next_rung ld o with
+                      | Some r -> climb o.Api.rungs r
+                      | None -> Sched.Finished (Ok (report_of_outcome o)) )
               in
-              ladder [] None
-                [ Api.Full; Api.Dedup_only; Api.Wider_branch;
-                  Api.Relaxed_steps ] ) )
+              climb [] Api.Full ) )
 
 (* ----- socket plumbing ----- *)
 
@@ -570,9 +532,6 @@ type summary = {
   sm_served : int;
   sm_faults : (string * int) list;
   sm_checkpoints : int;
-  sm_fp_hits : int;
-  sm_fp_misses : int;
-  sm_fp_refuted : int;
   sm_mode : string;
 }
 
@@ -659,9 +618,6 @@ let dispatch d c payload =
            ds_checkpoints = d.dm_checkpoints;
            ds_incr_size = Incr.size ();
            ds_memo_entries = Gp_smt.Solver.memo_count ();
-           ds_fp_hits = fst (Incr.fp_store_stats ());
-           ds_fp_misses = snd (Incr.fp_store_stats ());
-           ds_fp_refuted = Gp_smt.Fpeval.refutations ();
            ds_mode = d.dm_mode })
   | Shutdown ->
     send_reply d c Shutdown_ack;
@@ -866,14 +822,10 @@ let serve (cfg : config) : summary =
   with
   | () ->
     teardown ~crashed:false;
-    let fp_hits, fp_misses = Incr.fp_store_stats () in
     { sm_served = Atomic.get d.dm_served;
       sm_faults =
         Mutex.protect d.dm_faults_m (fun () -> Fail.tally_list d.dm_faults);
       sm_checkpoints = d.dm_checkpoints;
-      sm_fp_hits = fp_hits;
-      sm_fp_misses = fp_misses;
-      sm_fp_refuted = Gp_smt.Fpeval.refutations ();
       sm_mode = mode }
   | exception e ->
     (* simulated process death or a fatal bug: tear down WITHOUT

@@ -74,8 +74,9 @@ val handle : ?cache_dir:string -> request -> report
 
 val request_steps : request -> report Sched.step
 (** The same computation cut along the {!Api} stage seams — extract,
-    subsume, then the degradation ladder one rung per step — which is
-    how the daemon runs it on the service pool. *)
+    subsume, then one {!Api.run_rung} per step, climbing with
+    {!Api.next_rung} like {!Api.run} — which is how the daemon runs it
+    on the service pool. *)
 
 (** {1 Daemon} *)
 
@@ -94,14 +95,6 @@ type summary = {
   sm_served : int;                 (** analyses completed *)
   sm_faults : (string * int) list; (** frame-fault quarantine ledger *)
   sm_checkpoints : int;
-  sm_fp_hits : int;
-  sm_fp_misses : int;
-      (** fingerprint store traffic over the daemon's lifetime
-          (temperature counters — reported in the ledger only, never
-          in the invariant reply counters) *)
-  sm_fp_refuted : int;
-      (** solver probes refuted from fingerprints alone (DESIGN.md
-          §17); warm/cold-invariant like the verdicts it mirrors *)
   sm_mode : string;                (** "journaling" | "read-only: _" | "memory" *)
 }
 
@@ -126,9 +119,6 @@ type daemon_stats = {
   ds_checkpoints : int;
   ds_incr_size : int;     (** resident summary entries *)
   ds_memo_entries : int;  (** resident solver-memo entries *)
-  ds_fp_hits : int;       (** fingerprint store hits (temperature) *)
-  ds_fp_misses : int;
-  ds_fp_refuted : int;    (** probes refuted from fingerprints (§17) *)
   ds_mode : string;
 }
 

@@ -1,183 +1,5 @@
-(* Batched multi-point concrete evaluation (DESIGN.md §17).
-
-   The solver's Tier B screen (DESIGN.md §12) evaluates terms under a
-   fixed family of concrete valuations — [points] below — to refute
-   queries before the real prover runs.  Each such evaluation used to
-   walk the term once PER POINT, per query: a gadget consulted by k
-   subsumption probes paid 12k traversals of the same post-condition
-   terms.  This module walks each term ONCE, carrying an [int64 array]
-   of all 12 lanes, and memoizes the lane vector per structurally
-   hash-consed node — the semantic fingerprint primitive.  Consumers
-   (Subsume's bucket partitioning, the planner's instantiation
-   refutation, Solver's pre-query checks) compare precomputed lanes in
-   O(lanes) instead of re-walking terms.
-
-   Soundness is inherited, not asserted: lane k of [eval t] equals
-   [Term.eval (point_model points.(k)) t] by construction (the qcheck
-   suite pins this), so every lane-based refutation is exactly a
-   refutation the per-point evaluation would have produced.  The
-   [enabled] toggle (--no-fp) only switches consumers back to the
-   per-point walks — verdicts are bit-identical either way.
-
-   The lane memo is domain-local ([Domain.DLS], same discipline as
-   [Absdom]): lane vectors are pure functions of term structure, so
-   per-domain tables agree wherever they overlap and need no lock.  A
-   missing entry costs a recomputation, never changes an answer. *)
-
-(* Tier B valuations.  [Fill c] assigns [c] to every variable (the
-   all-zeros and all-ones points double as the real prover's first two
-   trials); the pool pins make pointer atoms satisfiable; [Mix s] gives
-   each variable a distinct deterministic pseudo-random value (splitmix
-   of the seed and the variable name), deterministic and memo-friendly
-   by construction.  Moved here from [Solver] so fingerprints and the
-   screen share one point family by construction. *)
-type point = Fill of int64 | Mix of int64
-
-let points : point array =
-  [| Fill 0L; Fill 1L; Fill (-1L);
-     Fill 0xAAAAAAAAAAAAAAAAL; Fill 0x5555555555555555L;
-     Fill 0x700000L; Fill 0x700100L;
-     Fill 8L; Fill 0x100L; Fill 0x1000L;
-     Mix 0x9e3779b97f4a7c15L; Mix 0xbf58476d1ce4e5b9L |]
-
-let nlanes = Array.length points
-let full_mask = (1 lsl nlanes) - 1
-
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-            0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-            0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let point_model = function
-  | Fill c -> fun _ -> c
-  | Mix s -> fun v -> mix64 (Int64.logxor s (Int64.of_int (Hashtbl.hash v)))
-
-let on = ref true
-let enabled () = !on
-let set_enabled b = on := b
-
-(* Refutations answered from fingerprints alone (pair skips in
-   Subsume.probe_bucket, closed-term instantiation refutations in the
-   planner).  Bumped once per refuted probe BEFORE any memo would be
-   consulted, so the tally is a pure function of the probe sequence —
-   jobs- and temperature-invariant, reported in [stage_stats] and the
-   serve ledger.  The store-level hit/miss split lives in [Incr]
-   (temperature, like the solver cache split). *)
-let refuted = Atomic.make 0
-let note_refuted () = Atomic.incr refuted
-let refutations () = Atomic.get refuted
-
-(* A term's value on every lane, plus whether the term is CLOSED (no
-   variables): closed terms take the same value under every valuation,
-   which is what licenses the planner's equality refutations. *)
-type lanes = { lv : int64 array; closed : bool }
-
-let var_lanes v =
-  let h = Int64.of_int (Hashtbl.hash v) in
-  { lv =
-      Array.map
-        (function Fill c -> c | Mix s -> mix64 (Int64.logxor s h))
-        points;
-    closed = false }
-
-let const_lanes c = { lv = Array.make nlanes c; closed = true }
-
-let lift1 f a = { lv = Array.map f a.lv; closed = a.closed }
-
-let lift2 f a b =
-  { lv = Array.init nlanes (fun i -> f a.lv.(i) b.lv.(i));
-    closed = a.closed && b.closed }
-
-let shift op a b =
-  lift2 (fun x y -> op x (Int64.to_int (Int64.logand y 63L))) a b
-
-let memo_key : (Term.t, lanes) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
-
-(* One traversal, all lanes.  The per-operator semantics mirror
-   [Term.eval] exactly — including the shift-amount masking — so lane k
-   is [Term.eval (point_model points.(k)) t] node for node. *)
-let rec eval_node (t : Term.t) : lanes =
-  match t with
-  | Term.Var v -> var_lanes v
-  | Term.Const c -> const_lanes c
-  | Term.Add (a, b) -> lift2 Int64.add (eval a) (eval b)
-  | Term.Sub (a, b) -> lift2 Int64.sub (eval a) (eval b)
-  | Term.Mul (a, b) -> lift2 Int64.mul (eval a) (eval b)
-  | Term.Neg a -> lift1 Int64.neg (eval a)
-  | Term.Not a -> lift1 Int64.lognot (eval a)
-  | Term.And (a, b) -> lift2 Int64.logand (eval a) (eval b)
-  | Term.Or (a, b) -> lift2 Int64.logor (eval a) (eval b)
-  | Term.Xor (a, b) -> lift2 Int64.logxor (eval a) (eval b)
-  | Term.Shl (a, b) -> shift Int64.shift_left (eval a) (eval b)
-  | Term.Shr (a, b) -> shift Int64.shift_right_logical (eval a) (eval b)
-  | Term.Sar (a, b) -> shift Int64.shift_right (eval a) (eval b)
-
-and eval (t : Term.t) : lanes =
-  match t with
-  | Term.Var _ | Term.Const _ -> eval_node t
-  | _ -> (
-    let tbl = Domain.DLS.get memo_key in
-    match Hashtbl.find_opt tbl t with
-    | Some v -> v
-    | None ->
-      let v = eval_node t in
-      Hashtbl.add tbl t v;
-      v)
-
-(* ----- formula lane masks ----- *)
-
-(* Bit k set <=> the formula HOLDS under lane k's valuation.  The
-   per-atom semantics replicate [Formula.eval] (including the sign-flip
-   unsigned compare and the pointer predicates), so bit k agrees with
-   [Formula.eval ~readable ~writable (point_model points.(k)) f]. *)
-let ult a b =
-  Int64.compare (Int64.add a Int64.min_int) (Int64.add b Int64.min_int) < 0
-
-let mask2 p a b =
-  let la = eval a and lb = eval b in
-  let m = ref 0 in
-  for k = 0 to nlanes - 1 do
-    if p la.lv.(k) lb.lv.(k) then m := !m lor (1 lsl k)
-  done;
-  !m
-
-let mask1 p t =
-  let lt = eval t in
-  let m = ref 0 in
-  for k = 0 to nlanes - 1 do
-    if p lt.lv.(k) then m := !m lor (1 lsl k)
-  done;
-  !m
-
-let formula_mask ?(readable = fun _ -> true) ?(writable = fun _ -> true)
-    (f : Formula.t) : int =
-  match f with
-  | Formula.True -> full_mask
-  | Formula.False -> 0
-  | Formula.Eq (a, b) -> mask2 (fun x y -> x = y) a b
-  | Formula.Ne (a, b) -> mask2 (fun x y -> x <> y) a b
-  | Formula.Slt (a, b) -> mask2 (fun x y -> Int64.compare x y < 0) a b
-  | Formula.Sle (a, b) -> mask2 (fun x y -> Int64.compare x y <= 0) a b
-  | Formula.Ult (a, b) -> mask2 ult a b
-  | Formula.Ule (a, b) -> mask2 (fun x y -> not (ult y x)) a b
-  | Formula.Readable t -> mask1 readable t
-  | Formula.Writable t -> mask1 writable t
-
-(* Lanes on which EVERY formula holds — nonzero means some screen point
-   satisfies the whole conjunction (the Tier B refutation condition,
-   and the per-gadget precondition mask). *)
-let conj_mask ?readable ?writable (fs : Formula.t list) : int =
-  List.fold_left
-    (fun m f ->
-      if m = 0 then 0 else m land formula_mask ?readable ?writable f)
-    full_mask fs
-
-(* Clears the CALLING domain's memo and the refutation tally (the
-   bench/test world reset).  Worker-domain memos hold only pure
-   functions of term structure, so keeping them is harmless. *)
-let reset () =
-  Hashtbl.reset (Domain.DLS.get memo_key);
-  Atomic.set refuted 0
+(* The semantic fingerprint index is gone (DESIGN.md §17): the Tier B
+   screen in [Solver] answers the same probes from the same points.
+   [refutations] stays as a constant zero because the end-to-end
+   benchmark still reads it. *)
+let refutations () = 0

@@ -1,51 +1,4 @@
-(* Batched multi-point concrete evaluation: walk each term once
-   carrying all screen-point lanes, memoized per hash-consed node
-   (DESIGN.md §17).  The primitive under semantic fingerprints. *)
-
-(* The Tier B valuation family (moved here from [Solver] so the screen
-   and the fingerprints share one point set by construction). *)
-type point = Fill of int64 | Mix of int64
-
-val points : point array
-val nlanes : int
-
-(* All-lanes-set formula mask, [(1 lsl nlanes) - 1]. *)
-val full_mask : int
-
-val mix64 : int64 -> int64
-
-(* The concrete model lane k induces: [point_model points.(k)]. *)
-val point_model : point -> string -> int64
-
-(* Ablation toggle (--no-fp): consumers fall back to per-point
-   [Term.eval] walks.  Verdict-preserving by contract. *)
-val enabled : unit -> bool
-val set_enabled : bool -> unit
-
-(* Probes refuted from fingerprints alone.  Jobs- and
-   temperature-invariant (bumped per probe answered, before any memo). *)
-val note_refuted : unit -> unit
 val refutations : unit -> int
-
-(* A term's value on every lane; [closed] <=> the term has no
-   variables (same value under EVERY valuation, not just the lanes). *)
-type lanes = { lv : int64 array; closed : bool }
-
-(* Lane k equals [Term.eval (point_model points.(k)) t].  One
-   traversal for all lanes, memoized per node, domain-local. *)
-val eval : Term.t -> lanes
-
-(* Bit k set <=> the formula/conjunction holds under lane k's
-   valuation, deciding pointer atoms with [readable]/[writable]
-   (default "anything goes", mirroring [Formula.eval]). *)
-val formula_mask :
-  ?readable:(int64 -> bool) -> ?writable:(int64 -> bool) -> Formula.t -> int
-
-val conj_mask :
-  ?readable:(int64 -> bool) ->
-  ?writable:(int64 -> bool) ->
-  Formula.t list ->
-  int
-
-(* Clears the calling domain's memo and the refutation tally. *)
-val reset : unit -> unit
+(** Always 0: the fingerprint index is gone (DESIGN.md §17).  Kept only
+    because bench/e2e reads it; drop it with the next change to the
+    benchmark. *)

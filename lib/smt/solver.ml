@@ -156,7 +156,8 @@ let unknowns = Atomic.make 0
    for every tier: it may only short-circuit a query when the verdict it
    returns is the one the fall-through path would produce AT THE CALL
    SITE THAT CONSUMES IT — so results are bit-identical with screening
-   on or off, at any job count, and `--no-screen` is a pure ablation.
+   on or off, at any job count, and [set_screen_enabled] is a pure
+   ablation.
 
    - Tier A (abstract screening, [Absdom]): disjoint abstract values
      refute [prove_equal] — and the real prover's trial 0 (all zeros)
@@ -201,12 +202,31 @@ let screen_stats () =
     Atomic.get concrete_refuted,
     Atomic.get elim_reused )
 
-(* The Tier B valuation family lives in [Fpeval] (DESIGN.md §17):
-   fingerprints and the screen must share one point set by
-   construction, and Fpeval is the module that batch-evaluates terms
-   over all of them in a single traversal. *)
-let screen_points = Fpeval.points
-let point_model = Fpeval.point_model
+(* Tier B valuations.  [Fill c] assigns [c] to every variable (the
+   all-zeros and all-ones points double as the real prover's first two
+   trials); the pool pins make pointer atoms satisfiable; [Mix s] gives
+   each variable a distinct deterministic pseudo-random value (splitmix
+   of the seed and the variable name), so the family is deterministic
+   and memo-friendly by construction. *)
+type point = Fill of int64 | Mix of int64
+
+let screen_points : point array =
+  [| Fill 0L; Fill 1L; Fill (-1L);
+     Fill 0xAAAAAAAAAAAAAAAAL; Fill 0x5555555555555555L;
+     Fill 0x700000L; Fill 0x700100L;
+     Fill 8L; Fill 0x100L; Fill 0x1000L;
+     Mix 0x9e3779b97f4a7c15L; Mix 0xbf58476d1ce4e5b9L |]
+
+let mix64 z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
+            0xbf58476d1ce4e5b9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
+            0x94d049bb133111ebL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+let point_model = function
+  | Fill c -> fun _ -> c
+  | Mix s -> fun v -> mix64 (Int64.logxor s (Int64.of_int (Hashtbl.hash v)))
 
 (* ----- Tier C: elimination-prefix trie -----
 
@@ -303,7 +323,6 @@ let reset_screen () =
   Hashtbl.reset (Domain.DLS.get elim_key).echildren;
   Hashtbl.reset (Domain.DLS.get residual_key);
   Absdom.reset ();
-  Fpeval.reset ();
   Atomic.set screen_refuted 0;
   Atomic.set screen_decided 0;
   Atomic.set concrete_refuted 0;
@@ -652,23 +671,13 @@ let entails ?rng ?pool hyps concl =
       else begin
         let formulas = neg :: hyps in
         let p = match pool with Some p -> p | None -> default_pool in
-        (* Same refutation condition either way: some screen point
-           satisfies hyps ∧ ¬concl under the pool's predicates.  With
-           fingerprints on, the batched lane masks answer it from one
-           memoized traversal per term instead of |points| fresh
-           [Formula.eval] walks. *)
+        let sat m =
+          List.for_all
+            (Formula.eval ~readable:p.readable ~writable:p.writable m)
+            formulas
+        in
         let refutable =
-          if Fpeval.enabled () then
-            Fpeval.conj_mask ~readable:p.readable ~writable:p.writable
-              formulas
-            <> 0
-          else
-            let sat m =
-              List.for_all
-                (Formula.eval ~readable:p.readable ~writable:p.writable m)
-                formulas
-            in
-            Array.exists (fun pt -> sat (point_model pt)) screen_points
+          Array.exists (fun pt -> sat (point_model pt)) screen_points
         in
         if refutable then begin
           Atomic.incr concrete_refuted;
@@ -856,17 +865,8 @@ let prove_equal ?rng ?trials a b =
     end
     else if
       !screen_on
-      &&
-      (* lanes 0 and 1 of the fingerprint ARE the all-zeros/all-ones
-         evaluations (Fpeval.points lanes [Fill 0L; Fill 1L; ...]), so
-         the O(1) lane compare reproduces the two-point check exactly;
-         with fingerprints disabled, fall back to the fresh walks *)
-      (if Fpeval.enabled () then
-         let la = (Fpeval.eval a).Fpeval.lv and lb = (Fpeval.eval b).Fpeval.lv in
-         la.(0) <> lb.(0) || la.(1) <> lb.(1)
-       else
-         Term.eval (fun _ -> 0L) a <> Term.eval (fun _ -> 0L) b
-         || Term.eval (fun _ -> 1L) a <> Term.eval (fun _ -> 1L) b)
+      && (Term.eval (fun _ -> 0L) a <> Term.eval (fun _ -> 0L) b
+          || Term.eval (fun _ -> 1L) a <> Term.eval (fun _ -> 1L) b)
     then begin
       Atomic.incr concrete_refuted;
       false

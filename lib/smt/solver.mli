@@ -68,12 +68,23 @@ val unknowns : int Atomic.t
     sequence (the exception is {!screen_stats}' [elim_reused], which
     like cache hit counts depends on cache temperature). *)
 
+type point = Fill of int64 | Mix of int64
+(** A Tier B valuation: [Fill c] assigns [c] to every variable, [Mix s]
+    a deterministic pseudo-random value per variable name. *)
+
+val screen_points : point array
+(** The fixed Tier B valuations.  Points 0 and 1 are the all-zeros and
+    all-ones assignments, the real prover's first two trials. *)
+
+val point_model : point -> string -> int64
+(** The concrete model a screen point induces. *)
+
 val screen_enabled : unit -> bool
 
 val set_screen_enabled : bool -> unit
-(** Ablation toggle (the [--no-screen] flag), mirroring
-    {!Term.set_memo_enabled}: disabling restores the seed's uncached,
-    unscreened behavior exactly. *)
+(** Ablation toggle for the [screen] experiment and the screening
+    differential suite, mirroring {!Term.set_memo_enabled}: disabling
+    restores the seed's uncached, unscreened behavior exactly. *)
 
 val screen_stats : unit -> int * int * int * int
 (** [(screen_refuted, screen_decided, concrete_refuted, elim_reused)]:

@@ -26,7 +26,9 @@
 exception Truncated = Store.Bin.Truncated
 
 let magic = "GPFR"
-let format_version = 1
+(* v2: the daemon's stats reply lost its three fingerprint counters
+   (DESIGN.md §17), so a v1 stats body no longer decodes as v2. *)
+let format_version = 2
 let header_bytes = 4 + 8 + 8 (* magic, version, length *)
 let trailer_bytes = 8 (* payload checksum *)
 

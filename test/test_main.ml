@@ -32,7 +32,6 @@ let suites =
     ("incr", Test_incr.suite);
     ("screen", Test_screen.suite);
     ("serve", Test_serve.suite);
-    ("fp", Test_fp.suite);
     ("integration", Test_integration.suite) ]
 
 let () =

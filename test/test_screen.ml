@@ -106,11 +106,6 @@ let compile_cell cfg pname =
     ~transform:(Gp_obf.Obf.transform cfg)
     (Gp_corpus.Programs.find pname).Gp_corpus.Programs.source
 
-(* Runs with the §17 fingerprint index DISABLED: with fingerprints on,
-   subsumption and the planner answer every probe this small cell
-   produces before the solver sees a query, so the screen tiers have
-   nothing left to fire on (test_fp pins the counters of that regime —
-   here we pin the §12 contract in isolation). *)
 let test_counters_deterministic () =
   let image = compile_cell Gp_obf.Obf.tigress "fibonacci" in
   let goal = Gp_core.Goal.Execve "/bin/sh" in
@@ -130,14 +125,9 @@ let test_counters_deterministic () =
       st.Gp_core.Api.cache_hits + st.Gp_core.Api.cache_misses,
       st.Gp_core.Api.solver_unknowns )
   in
-  let s1, s2, s4 =
-    Gp_smt.Fpeval.set_enabled false;
-    Fun.protect
-      ~finally:(fun () -> Gp_smt.Fpeval.set_enabled true)
-      (fun () -> (snapshot 1, snapshot 2, snapshot 4))
-  in
-  Alcotest.(check bool) "jobs=2 counters" true (s2 = s1);
-  Alcotest.(check bool) "jobs=4 counters" true (s4 = s1);
+  let s1 = snapshot 1 in
+  Alcotest.(check bool) "jobs=2 counters" true (snapshot 2 = s1);
+  Alcotest.(check bool) "jobs=4 counters" true (snapshot 4 = s1);
   let (sr, sd, cr), _, _ = s1 in
   Alcotest.(check bool) "tiers fire on an obfuscated cell" true
     (sr + sd + cr > 0)

@@ -295,6 +295,40 @@ let test_absdom_units () =
   Alcotest.(check bool) "pointer atoms Maybe" true
     (formula (Formula.Readable (v "p")) = Maybe)
 
+(* ----- Tier B soundness pins (DESIGN.md §12) ----- *)
+
+let with_screen enabled f =
+  Solver.set_screen_enabled enabled;
+  Fun.protect ~finally:(fun () -> Solver.set_screen_enabled true) f
+
+(* Screen points 0 and 1 are the real prover's first two deterministic
+   trials, so disagreement there refutes equality with screening on
+   (Tier B) and off (the prover's own trials). *)
+let prop_points01_refute_equality (a, b) =
+  let differ k =
+    let m = Solver.point_model Solver.screen_points.(k) in
+    Term.eval m a <> Term.eval m b
+  in
+  (not (differ 0 || differ 1))
+  || (not (Solver.prove_equal a b))
+     && not (with_screen false (fun () -> Solver.prove_equal a b))
+
+(* A screen point satisfying hyps ∧ ¬concl (the fragment's negation,
+   pointer atoms judged by the default pool) is a genuine model, so
+   [entails] must answer false with screening on and off. *)
+let prop_point_model_refutes_entailment (hyps, concl) =
+  let p = Solver.default_pool in
+  let formulas = Formula.negate concl :: hyps in
+  let sat_at pt =
+    List.for_all
+      (Formula.eval ~readable:p.Solver.readable ~writable:p.Solver.writable
+         (Solver.point_model pt))
+      formulas
+  in
+  (not (Array.exists sat_at Solver.screen_points))
+  || (not (Solver.entails hyps concl))
+     && not (with_screen false (fun () -> Solver.entails hyps concl))
+
 let suite =
   suite
   @ [ Alcotest.test_case "even-coefficient pin" `Quick test_solver_even_coefficient_pin;
@@ -308,4 +342,9 @@ let suite =
         QCheck2.Gen.(triple Gen.term Gen.term Gen.model)
         prop_absdom_disjoint_refutes;
       Gen.qtest "absdom formula verdicts sound" ~count:1000
-        QCheck2.Gen.(pair Gen.formula Gen.model) prop_absdom_formula_agrees ]
+        QCheck2.Gen.(pair Gen.formula Gen.model) prop_absdom_formula_agrees;
+      Gen.qtest "screen points 0/1 differ => not prove_equal" ~count:300
+        QCheck2.Gen.(pair Gen.term Gen.term) prop_points01_refute_equality;
+      Gen.qtest "screen-point model implies entails = false" ~count:300
+        QCheck2.Gen.(pair Gen.formulas Gen.formula)
+        prop_point_model_refutes_entailment ]
