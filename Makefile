@@ -21,21 +21,26 @@
 # `make check-screen` runs the solver-screening suite (test_screen:
 # screening-on vs screening-off differential over the 21-cell survey at
 # jobs 1 and 4, counter determinism, fault sweeps — DESIGN.md §12), and
-# `make check-bench` smoke-tests the benchmark harness end to end in
-# `--quick` mode (one program, one config, every experiment — including
-# the resume smoke, which exercises crash injection + recovery).
+# `make check-bench` smoke-tests the paper-table harness end to end in
+# `--quick` mode (one program, one config, every table, figure and
+# ablation).  Crash injection and recovery are covered by check-resume
+# and check-sweep, not by the bench.
 #
 # `make check-resume` sweeps the crash-safety surface (DESIGN.md §13):
 # the WAL truncation/bit-flip properties and lock tests in test_util,
 # the supervised-runner + checkpoint-manifest suite in test_runner, and
-# the crash-injection differential in test_resilience (kill the sweep
-# at each durability point, resume, require bit-identical results) at
-# JOBS=1 and JOBS=4.
+# the store crash tests in test_resilience (a save-rename crash keeps
+# the old snapshot, a truncated journal demotes cleanly) and its
+# crash/resume differential (kill the sequential runner's sweep at each
+# durability point, resume on the scheduler, require bit-identical
+# results) at JOBS=1 and JOBS=4.
 #
 # `make check-sweep` sweeps the pipelined corpus scheduler (test_sweep:
-# deque/DAG property tests, 4-domain shared-state stress, and the
-# DAG-vs-sequential-loop byte differential incl. fault injection and
-# crash/resume — DESIGN.md §14) at JOBS=1 and JOBS=4.
+# deque/DAG property tests, 4-domain shared-state stress, the
+# DAG-vs-sequential-loop byte differential incl. fault injection, and
+# the crash/resume differential — kill a checkpointed sweep at each
+# durability point, resume, require bit-identical results — DESIGN.md
+# §13–§14) at JOBS=1 and JOBS=4.
 #
 # `make check-serve` sweeps the analysis daemon (test_serve: frame-codec
 # totality properties, sharded-table vs single-lock equivalence, and the

@@ -7,33 +7,6 @@
      dune exec bench/main.exe -- --only fig1  # a single experiment
      dune exec bench/main.exe -- --bechamel   # Bechamel micro-benchmarks of
                                               # the stages behind each table
-     dune exec bench/main.exe -- --only par --jobs 4
-                                              # sequential-vs-parallel speedup,
-                                              # stages 1-2 (writes BENCH_par.json)
-     dune exec bench/main.exe -- --only plan --jobs 4
-                                              # sequential-vs-parallel speedup,
-                                              # stages 3-4 (writes BENCH_plan.json)
-     dune exec bench/main.exe -- --only incr --jobs 4 [--cache-dir DIR]
-                                              # incremental store: cold vs
-                                              # warm-same vs warm-cross analyze
-                                              # (writes BENCH_incr.json)
-     dune exec bench/main.exe -- --only screen --jobs 4
-                                              # tiered solver screening off vs
-                                              # on (writes BENCH_screen.json)
-     dune exec bench/main.exe -- --only resume --jobs 4
-                                              # WAL overhead + crash/resume
-                                              # differential under injected
-                                              # crash points (writes
-                                              # BENCH_resume.json)
-     dune exec bench/main.exe -- --only sweep --jobs 4
-                                              # sequential cell loop vs the
-                                              # pipelined cell x stage DAG
-                                              # (writes BENCH_sweep.json)
-     dune exec bench/main.exe -- --only serve --jobs 4
-                                              # resident analysis daemon vs
-                                              # cold process-per-request:
-                                              # req/s, p50/p99, WAL overhead
-                                              # (writes BENCH_serve.json)
      dune exec bench/main.exe -- --quick      # smoke mode: one program, one
                                               # config (the `make check-bench`
                                               # end-to-end assertion)
@@ -45,34 +18,8 @@
 let header title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
 
-let run_experiment ~quick ~jobs ?cache_dir id =
+let run_experiment ~quick id =
   match id with
-  | "par" ->
-    let txt, _ = Gp_harness.Experiments.par ~quick ~jobs () in
-    print_string txt
-  | "plan" ->
-    let txt, _ = Gp_harness.Experiments.plan ~quick ~jobs () in
-    print_string txt
-  | "incr" ->
-    let txt, _ =
-      Gp_harness.Experiments.incr ~quick ~jobs
-        ?cache_root:cache_dir ()
-    in
-    print_string txt
-  | "screen" ->
-    let txt, _ = Gp_harness.Experiments.screen ~quick ~jobs () in
-    print_string txt
-  | "resume" ->
-    let txt, _ =
-      Gp_harness.Experiments.resume ~quick ~jobs ?cache_root:cache_dir ()
-    in
-    print_string txt
-  | "sweep" ->
-    let txt, _ = Gp_harness.Experiments.sweep ~quick ~jobs () in
-    print_string txt
-  | "serve" ->
-    let txt, _ = Gp_harness.Experiments.serve ~quick ~jobs () in
-    print_string txt
   | "fig1" ->
     let txt, _ = Gp_harness.Experiments.fig1 ~quick () in
     print_string txt
@@ -117,9 +64,7 @@ let run_experiment ~quick ~jobs ?cache_dir id =
 
 let all_ids =
   [ "fig1"; "tab1"; "fig2"; "tab4"; "tab5"; "fig5"; "tab6"; "fig6"; "fig8";
-    "tab7"; "par"; "plan"; "incr"; "screen"; "resume"; "sweep";
-    "serve";
-    "cfi_study";
+    "tab7"; "cfi_study";
     "ablation_unaligned"; "ablation_subsumption"; "ablation_condjump";
     "ablation_seeds" ]
 
@@ -151,7 +96,7 @@ let bechamel_tests () =
       (Staged.stage (fun () -> ignore (Gp_core.Subsume.minimize harvested)));
     Test.make ~name:"tab4/plan"
       (Staged.stage (fun () ->
-           ignore (Gp_core.Planner.search ~config:tiny_planner pool goal)));
+           ignore (Gp_core.Planner.search_par ~config:tiny_planner pool goal)));
     (* Fig. 5 rests on the obfuscation passes + compile *)
     Test.make ~name:"fig5/obfuscate+compile"
       (Staged.stage (fun () ->
@@ -210,22 +155,6 @@ let () =
     in
     find argv
   in
-  let jobs =
-    let rec find = function
-      | "--jobs" :: n :: _ -> int_of_string n
-      | _ :: rest -> find rest
-      | [] -> 4
-    in
-    find argv
-  in
-  let cache_dir =
-    let rec find = function
-      | "--cache-dir" :: d :: _ -> Some d
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find argv
-  in
   if bechamel then begin
     header "Bechamel micro-benchmarks (pipeline stages behind the tables)";
     run_bechamel ()
@@ -234,7 +163,7 @@ let () =
     match only with
     | Some id ->
       header (Printf.sprintf "Experiment %s (%s mode)" id mode_name);
-      run_experiment ~quick ~jobs ?cache_dir id
+      run_experiment ~quick id
     | None ->
       header
         (Printf.sprintf "Gadget-Planner evaluation — all experiments (%s mode)"
@@ -242,6 +171,6 @@ let () =
       List.iter
         (fun id ->
           Printf.printf "\n[%s]\n%!" id;
-          run_experiment ~quick ~jobs ?cache_dir id)
+          run_experiment ~quick id)
         all_ids
   end

@@ -276,7 +276,7 @@ let survey_cmd =
   in
   let run goal manifest resume full budget jobs max_attempts json_errors =
     let module R = Gp_harness.Runner in
-    let module E = Gp_harness.Experiments in
+    let module Sv = Gp_harness.Survey in
     let module S = Gp_harness.Sched in
     if resume && manifest = None then begin
       emit_failure ~json:json_errors "usage" "--resume requires --manifest DIR";
@@ -289,30 +289,32 @@ let survey_cmd =
        shared work-stealing pool ACROSS cells; results are bit-identical
        to the sequential loop at any job count *)
     let cells =
-      E.sweep_cell_steps ~quick:(not full) ~goal:(goal_of_name goal) ()
+      Sv.sweep_cell_steps ~quick:(not full) ~goal:(goal_of_name goal) ()
     in
-    let outcomes, report, jo =
+    let run ?manifest ~resume () =
+      S.run_cells ~policy ?manifest ~resume ~encode:Sv.resume_payload_encode
+        ~decode:Sv.resume_payload_decode ~jobs cells
+    in
+    let (outcomes, report), jo =
       match manifest with
       | Some dir ->
-        let o, r, jo = E.sched_sweep ~policy ~dir ~resume ~jobs cells in
-        (o, r, Some jo)
-      | None ->
-        let o, r =
-          S.run_cells ~policy ~encode:E.resume_payload_encode
-            ~decode:E.resume_payload_decode ~jobs cells
+        let r, jo =
+          Sv.sweep ~dir ~resume (fun ~manifest ~resume ->
+              run ~manifest ~resume ())
         in
-        (o, r, None)
+        (r, Some jo)
+      | None -> (run ~resume:false (), None)
     in
     List.iter
-      (fun (c : E.resume_payload R.cell_outcome) ->
+      (fun (c : Sv.resume_payload R.cell_outcome) ->
         match c.R.c_result with
         | Ok p ->
           Printf.printf "%-32s %s  pool %4d  chains %d  rungs %s%s\n"
             c.R.c_key
             (if c.R.c_resumed then "resumed " else "computed")
-            p.E.rp_pool
-            (List.length p.E.rp_chains)
-            (String.concat "," p.E.rp_rungs)
+            p.Sv.rp_pool
+            (List.length p.Sv.rp_chains)
+            (String.concat "," p.Sv.rp_rungs)
             (if c.R.c_retries > 0 then
                Printf.sprintf "  (%d retries)" c.R.c_retries
              else "")

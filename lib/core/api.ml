@@ -77,12 +77,6 @@ type stage_stats = {
       (* entries recovered from the store's write-ahead journal *)
   wal_truncated : int;
       (* bytes dropped from a torn journal tail (crash mid-append) *)
-  retries : int;
-      (* supervised retry attempts consumed (filled by the corpus
-         runner; 0 for a bare Api.run) *)
-  cells_resumed : int;
-      (* sweep cells replayed from a checkpoint manifest instead of
-         recomputed (filled by the corpus runner) *)
   extract_time : float;
   subsume_time : float;
   plan_time : float;
@@ -534,8 +528,6 @@ let stage_finalize (p : planned) : outcome =
         store_stale = a.analysis_store_stale;
         wal_replayed = a.analysis_wal_replayed;
         wal_truncated = a.analysis_wal_truncated;
-        retries = 0;
-        cells_resumed = 0;
         extract_time = a.extract_time;
         subsume_time = a.subsume_time;
         plan_time = p.pl_plan_time;

@@ -86,13 +86,6 @@ type stage_stats = {
   wal_truncated : int;
       (** bytes dropped from a torn journal tail; a nonzero value is
           also quarantined under the "wal-torn" label *)
-  retries : int;
-      (** supervised retry attempts consumed; filled by
-          [Runner.run_corpus], 0 for a bare [run] *)
-  cells_resumed : int;
-      (** sweep cells replayed from a checkpoint manifest instead of
-          recomputed; filled by [Runner.run_corpus], 0 for a bare
-          [run] *)
   extract_time : float;
   subsume_time : float;
   plan_time : float;

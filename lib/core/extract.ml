@@ -198,30 +198,26 @@ let examine_start ~config ~sym_config ~decode ~sctr ~tally
       []
     end
     else begin
-      let summarize () =
-        Gp_symx.Exec.summarize_r ~config:sym_config ~decode image addr
-      in
       let summaries, refused =
         (* Content-addressed store consult (DESIGN.md §11): the injected
            chaos check stays BEFORE the lookup, so a quarantined start
            never reads or seeds the store — mirroring the solver memo's
            injection discipline. *)
-        if not (Incr.enabled ()) then summarize ()
-        else begin
-          let key =
-            Gadget.content_key ~config:sym_config ~decode
-              ~code_size:(Gp_util.Image.code_size image) ~pos
+        let key =
+          Gadget.content_key ~config:sym_config ~decode
+            ~code_size:(Gp_util.Image.code_size image) ~pos
+        in
+        match Incr.find key with
+        | Some (ss, refused) ->
+          sctr.sc_hits <- sctr.sc_hits + 1;
+          (List.map (Gp_symx.Exec.rebase ~addr) ss, refused)
+        | None ->
+          sctr.sc_misses <- sctr.sc_misses + 1;
+          let v =
+            Gp_symx.Exec.summarize_r ~config:sym_config ~decode image addr
           in
-          match Incr.find key with
-          | Some (ss, refused) ->
-            sctr.sc_hits <- sctr.sc_hits + 1;
-            (List.map (Gp_symx.Exec.rebase ~addr) ss, refused)
-          | None ->
-            sctr.sc_misses <- sctr.sc_misses + 1;
-            let v = summarize () in
-            Incr.add key v;
-            v
-        end
+          Incr.add key v;
+          v
       in
       (match refused with
        | Some why -> Fail.tally_add tally (Fail.Symx_unsupported (addr, why))

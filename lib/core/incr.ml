@@ -9,8 +9,7 @@
    once.  Because the key determines the summaries exactly (see
    [Gadget.content_key]) and [Exec.rebase] restores the one
    position-dependent field, a hit is bit-identical to a fresh compute:
-   the layer is semantically transparent and on by default, like the
-   term and solver memos ([set_enabled false] for ablation).
+   the layer is semantically transparent and always on.
 
    [load]/[save] round-trip the table — plus the solver verdict memos,
    which is how SUBSUMPTION consults the store: its probe verdicts are
@@ -63,11 +62,6 @@ let shards : shard array =
       { s_tbl = Hashtbl.create 512; s_lock = Mutex.create () })
 
 let shard_of key = shards.(Hashtbl.hash key land (shard_count - 1))
-
-let on = ref true
-
-let enabled () = !on
-let set_enabled b = on := b
 
 let size () =
   Array.fold_left

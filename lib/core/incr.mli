@@ -13,12 +13,6 @@
 
 type value = Gp_symx.Exec.summary list * string option
 
-val enabled : unit -> bool
-
-val set_enabled : bool -> unit
-(** [false] disables in-run summary sharing (benchmark ablation); the
-    other pipeline caches have the same switch. *)
-
 val find : string -> value option
 
 val add : string -> value -> unit

@@ -64,7 +64,11 @@ val search :
     The config's [time_budget]/[node_budget] become an internal
     {!Budget.t}; passing [budget] additionally clamps the deadline to the
     parent's, so a pipeline-level budget bounds the search no matter what
-    the config says. *)
+    the config says.
+
+    The single-queue search serves only the SGC baseline
+    ([Gp_baselines.Sgc]) and the planner tests; the shipped pipeline
+    ({!Api}) plans with {!search_par}. *)
 
 val search_par :
   ?config:config ->

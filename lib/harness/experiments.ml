@@ -3,74 +3,27 @@
    Every function regenerates one table or figure and returns the
    rendered text (plus structured data where tests consume it).  [quick]
    mode runs a representative subset of the corpus so the whole suite
-   finishes in a few minutes; full mode runs everything. *)
+   finishes in a few minutes; full mode runs everything.  The grid the
+   experiments walk is {!Survey}'s. *)
 
-let quick_benchmark_names =
-  [ "bubble_sort"; "crc_check"; "fibonacci"; "stack_machine" ]
+let set_smoke = Survey.set_smoke
+let reset_world = Survey.reset_world
 
-(* Smoke mode (`bench --quick`): collapse the survey to a single
-   program under a single obfuscation config so `make check` can assert
-   the whole harness still runs end-to-end without the survey cost. *)
-let smoke_mode = ref false
-let set_smoke b = smoke_mode := b
-
-(* Smoke runs exercise every experiment end to end — including the JSON
-   writers — but must not overwrite the checked-in full-survey
-   artifacts; their output goes to the temp directory instead. *)
-let out_path name =
-  if !smoke_mode then Filename.concat (Filename.get_temp_dir_name ()) name
-  else name
-
-let benchmark_entries ~quick =
-  if !smoke_mode then [ Gp_corpus.Programs.find "fibonacci" ]
-  else if quick then List.map Gp_corpus.Programs.find quick_benchmark_names
-  else Gp_corpus.Programs.all
-
-(* ---------- the survey grid ---------- *)
-
-(* Every experiment below walks the same grid: benchmark entries crossed
-   with the obfuscation configs.  These helpers name that product once
-   instead of each experiment re-spelling the double loop.
-   [survey_cells] is the flat enumeration, entry-major unless
-   [config_major] (the sweep order of the store experiments, originals
-   first); [survey_by_program] / [survey_by_config] keep the grouping
-   the table experiments print.  [configs] and [entries] override the
-   grid's axes where an experiment needs a subset. *)
-
-let survey_configs () =
-  if !smoke_mode then [ ("llvm-obf", Gp_obf.Obf.ollvm) ]
-  else Workspace.obf_configs
-
-let survey_entries ?entries ~quick () =
-  match entries with Some e -> e | None -> benchmark_entries ~quick
-
-let survey_cells ?(config_major = false) ?configs ?entries ?(quick = true) f =
-  let configs =
-    match configs with Some c -> c | None -> survey_configs ()
-  in
-  let entries = survey_entries ?entries ~quick () in
-  if config_major then
-    List.concat_map
-      (fun (cname, cfg) -> List.map (fun e -> f e cname cfg) entries)
-      configs
-  else
-    List.concat_map
-      (fun e -> List.map (fun (cname, cfg) -> f e cname cfg) configs)
-      entries
+(* The survey grid grouped the way the tables print it. *)
 
 let survey_by_program ?configs ?entries ?(quick = true) f =
   let configs =
-    match configs with Some c -> c | None -> survey_configs ()
+    match configs with Some c -> c | None -> Survey.survey_configs ()
   in
   List.map
     (fun e -> (e, List.map (fun (cname, cfg) -> f e cname cfg) configs))
-    (survey_entries ?entries ~quick ())
+    (Survey.survey_entries ?entries ~quick ())
 
 let survey_by_config ?configs ?entries ?(quick = true) f =
   let configs =
-    match configs with Some c -> c | None -> survey_configs ()
+    match configs with Some c -> c | None -> Survey.survey_configs ()
   in
-  let entries = survey_entries ?entries ~quick () in
+  let entries = Survey.survey_entries ?entries ~quick () in
   List.map
     (fun (cname, cfg) -> (cname, List.map (fun e -> f e cname cfg) entries))
     configs
@@ -96,7 +49,7 @@ let fig1 ?(quick = true) () =
   in
   let t =
     Table.create ~title:"Fig. 1: number of gadgets, original vs obfuscated"
-      ~header:("program" :: List.map fst (survey_configs ()))
+      ~header:("program" :: List.map fst (Survey.survey_configs ()))
   in
   List.iter
     (fun r ->
@@ -127,7 +80,7 @@ let tab1 ?(quick = true) () =
         let counts = Gp_core.Extract.raw_counts image in
         List.map2 (fun (k, _) a -> a + List.assoc k counts) kinds acc)
       (List.map (fun _ -> 0) kinds)
-      (benchmark_entries ~quick)
+      (Survey.benchmark_entries ~quick)
   in
   let original = totals ("original", Gp_obf.Obf.none) in
   let ollvm = totals ("llvm-obf", Gp_obf.Obf.ollvm) in
@@ -226,7 +179,7 @@ type tab4_cell = {
 type tab4_row = { t4_config : string; t4_tools : (string * tab4_cell) list }
 
 let tab4 ?(quick = true) () =
-  let entries = benchmark_entries ~quick in
+  let entries = Survey.benchmark_entries ~quick in
   (* per-program original pool texts, to classify "new" chains *)
   let baseline_texts =
     List.map
@@ -326,8 +279,10 @@ let tab5 ?(quick = true) () =
     (List.iter (fun tr ->
          let r = Hashtbl.find acc tr.tr_tool in
          r := tr.tr_chains @ !r))
-    (survey_cells ~config_major:true
-       ~configs:(List.filter (fun (c, _) -> c <> "original") (survey_configs ()))
+    (Survey.survey_cells ~config_major:true
+       ~configs:
+         (List.filter (fun (c, _) -> c <> "original")
+            (Survey.survey_configs ()))
        ~quick
        (fun entry cname cfg ->
          let b = Workspace.build ~config_name:cname ~cfg entry in
@@ -370,7 +325,7 @@ let fig5 ?(quick = true) () =
         "Fig. 5: obfuscation-introduced Gadget-Planner payloads per method"
       ~header:[ "obfuscation"; "new payloads (all goals)" ]
   in
-  let entries = benchmark_entries ~quick in
+  let entries = Survey.benchmark_entries ~quick in
   let baseline_texts =
     List.map
       (fun entry ->
@@ -417,7 +372,7 @@ let tab6 () =
         [ "benchmark"; "config"; "gadgets"; "RG"; "angrop"; "SGC"; "GP" ]
   in
   let data =
-    survey_cells ~entries:Gp_corpus.Spec.all
+    Survey.survey_cells ~entries:Gp_corpus.Spec.all
       (fun entry cname cfg ->
         let b = Workspace.build ~config_name:cname ~cfg entry in
             let raw = List.length (Gp_core.Extract.raw_scan b.Workspace.image) in
@@ -519,6 +474,9 @@ let fig8 () =
 (* ---------- Table VII: per-stage performance on netperf ---------- *)
 
 let tab7 () =
+  (* cold caches, so the timings do not depend on which experiments ran
+     before *)
+  reset_world ();
   let image =
     Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform Gp_obf.Obf.ollvm)
       Gp_corpus.Netperf.entry.Gp_corpus.Programs.source
@@ -534,26 +492,15 @@ let tab7 () =
       ~title:"Table VII: per-stage cost on obfuscated netperf"
       ~header:[ "tool"; "stage"; "time (s)"; "alloc (MB)" ]
   in
-  (* Gadget-Planner stages *)
-  let harvested, ext_t, ext_m = timed (fun () -> Gp_core.Extract.harvest image) in
-  let (minimal, _), sub_t, sub_m = timed (fun () -> Gp_core.Subsume.minimize harvested) in
-  let pool = Gp_core.Pool.build minimal in
-  let goal = Gp_core.Goal.concretize image (Gp_core.Goal.Execve "/bin/sh") in
+  (* Gadget-Planner stages: the shipped pipeline's Api stages, with
+     stage 4's cross-root finalize counted under planning *)
+  let ex, ext_t, ext_m = timed (fun () -> Gp_core.Api.stage_extract image) in
+  let (a, _), sub_t, sub_m = timed (fun () -> Gp_core.Api.stage_subsume ex) in
   let _, plan_t, plan_m =
     timed (fun () ->
-        let seen = Hashtbl.create 16 in
-        let accept p =
-          match Gp_core.Payload.build_opt p goal with
-          | None -> false
-          | Some c ->
-            let k = Gp_core.Payload.chain_set_key c in
-            if Hashtbl.mem seen k then false
-            else begin
-              Hashtbl.add seen k ();
-              Gp_core.Payload.validate image c
-            end
-        in
-        Gp_core.Planner.search ~config:Workspace.gp_planner_config ~accept pool goal)
+        Gp_core.Api.stage_finalize
+          (Gp_core.Api.stage_plan ~planner_config:Workspace.gp_planner_config
+             a (Gp_core.Goal.Execve "/bin/sh")))
   in
   let add tool stage tm mem =
     Table.add_row t [ tool; stage; Printf.sprintf "%.2f" tm; Printf.sprintf "%.0f" mem ]
@@ -576,55 +523,8 @@ let tab7 () =
   ignore sg_t;
   (Table.render t, (ext_t, sub_t, plan_t))
 
-(* ---------- parallel speedup (DESIGN.md "Parallel execution & ...") ---------- *)
-
-(* Sequential-vs-parallel cost of stages 1-2 over the survey corpus.
-
-   Two sweeps over the same (program, obfuscation) cells:
-   - "seq" — jobs=1 with the solver memo DISABLED: the pre-parallelism
-     pipeline, the honest baseline;
-   - "par" — [jobs] domains with the memo enabled: the shipped
-     configuration, in which the process-global cache persists across a
-     survey exactly as it does under [Api.run] (obfuscated binaries
-     share gadget formula shapes, so a warmed cache hits hard).
-   Each sweep is preceded by one untimed warmup pass over the same
-   cells — standard steady-state methodology; for "seq" the warmup only
-   stabilizes the heap (there is no cache to warm), for "par" it fills
-   the memo the way any long-running survey process does.
-   The speedup column is seq/par.  On a single-core host the domains
-   add nothing (Par clamps oversubscription) and the memo is the whole
-   effect; [cores] is recorded in the JSON so readers can tell which
-   regime produced the numbers.  The gadget pools of the two runs are
-   compared address-for-address — the parallel path must reproduce the
-   sequential pool exactly. *)
-
-type par_row = {
-  p_program : string;
-  p_config : string;
-  p_seq_s : float;      (* jobs=1, memo disabled *)
-  p_par_s : float;      (* jobs=n, memo enabled *)
-  p_pool : int;
-  p_agree : bool;       (* parallel pool == sequential pool *)
-}
-
-let with_solver_memo enabled f =
-  let memo = Gp_smt.Solver.memo and ememo = Gp_smt.Solver.equal_memo in
-  Gp_smt.Cache.reset memo;
-  Gp_smt.Cache.reset ememo;
-  Gp_smt.Cache.set_enabled memo enabled;
-  Gp_smt.Cache.set_enabled ememo enabled;
-  Fun.protect
-    ~finally:(fun () ->
-      Gp_smt.Cache.set_enabled memo true;
-      Gp_smt.Cache.set_enabled ememo true)
-    f
-
-(* Shared provenance header for every BENCH_*.json: the experiment id,
-   generation time, and enough environment identity — git revision,
-   hostname, compiler — to tell two otherwise-identical runs apart
-   when comparing archived benches.  Best-effort: a missing git binary
-   or detached workdir degrades to "unknown" rather than failing the
-   bench. *)
+(* Best-effort git revision for provenance records: a missing git
+   binary or detached workdir degrades to "unknown". *)
 let git_rev () =
   try
     let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
@@ -634,895 +534,6 @@ let git_rev () =
     | _ -> "unknown"
   with _ -> "unknown"
 
-let json_provenance oc ~experiment =
-  let p fmt = Printf.fprintf oc fmt in
-  p "  \"experiment\": %S,\n" experiment;
-  p "  \"generated_unix\": %.0f,\n" (Unix.time ());
-  p "  \"git_rev\": %S,\n" (git_rev ());
-  p "  \"hostname\": %S,\n" (try Unix.gethostname () with _ -> "unknown");
-  p "  \"ocaml_version\": %S,\n" Sys.ocaml_version
-
-let par_json path ~jobs ~rows ~seq_total ~par_total ~hits ~misses =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  json_provenance oc ~experiment:"par";
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"cores\": %d,\n" (Gp_util.Par.available ());
-  p "  \"note\": \"seq = jobs:1 with the solver memo disabled (the \
-     pre-parallelism pipeline); par = jobs:%d with the memo enabled \
-     (the shipped configuration).  Both sweeps timed at steady state \
-     after one untimed warmup pass.  Extract+subsume only.  With \
-     cores=1 the speedup is the memo's; domains beyond the core count \
-     are clamped.\",\n" jobs;
-  p "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      p "    { \"program\": %S, \"config\": %S, \"seq_s\": %.4f, \
-         \"par_s\": %.4f, \"pool\": %d, \"agree\": %b }%s\n"
-        r.p_program r.p_config r.p_seq_s r.p_par_s r.p_pool r.p_agree
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ],\n";
-  p "  \"seq_total_s\": %.4f,\n" seq_total;
-  p "  \"par_total_s\": %.4f,\n" par_total;
-  p "  \"speedup\": %.2f,\n" (seq_total /. max 1e-9 par_total);
-  p "  \"cache_hits\": %d,\n" hits;
-  p "  \"cache_misses\": %d,\n" misses;
-  p "  \"cache_hit_rate\": %.3f\n"
-    (float_of_int hits /. float_of_int (max 1 (hits + misses)));
-  p "}\n";
-  close_out oc
-
-let par ?(quick = true) ?(jobs = 4) ?(out = "BENCH_par.json") () =
-  let cells =
-    survey_cells ~quick (fun entry cname cfg ->
-        ( entry.Gp_corpus.Programs.name,
-          cname,
-          Gp_codegen.Pipeline.compile
-            ~transform:(Gp_obf.Obf.transform cfg)
-            entry.Gp_corpus.Programs.source ))
-  in
-  let timed_sweep ~jobs =
-    List.map (fun (_, _, image) ->
-        Gp_core.Gadget.reset_ids ();
-        Gp_core.Api.timed (fun () -> Gp_core.Api.analyze ~jobs image))
-      cells
-  in
-  let warmup ~jobs =
-    List.iter (fun (_, _, image) ->
-        Gp_core.Gadget.reset_ids ();
-        ignore (Gp_core.Api.analyze ~jobs image))
-      cells;
-    Gc.compact ()
-  in
-  (* sweep 1: the pre-parallelism pipeline (jobs=1, memo off) *)
-  let seq =
-    with_solver_memo false (fun () ->
-        warmup ~jobs:1;
-        timed_sweep ~jobs:1)
-  in
-  (* sweep 2: the shipped configuration (jobs=n, process-global memo) *)
-  let par_runs =
-    with_solver_memo true (fun () ->
-        warmup ~jobs;
-        timed_sweep ~jobs)
-  in
-  let hits = ref 0 and misses = ref 0 in
-  let rows =
-    List.map2
-      (fun (prog, cname, _) ((a_seq, t_seq), (a_par, t_par)) ->
-        hits := !hits + a_par.Gp_core.Api.analysis_cache_hits;
-        misses := !misses + a_par.Gp_core.Api.analysis_cache_misses;
-        { p_program = prog;
-          p_config = cname;
-          p_seq_s = t_seq;
-          p_par_s = t_par;
-          p_pool = List.length a_par.Gp_core.Api.gadgets;
-          p_agree =
-            List.map (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.addr)
-              a_par.Gp_core.Api.gadgets
-            = List.map (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.addr)
-                a_seq.Gp_core.Api.gadgets })
-      cells
-      (List.combine seq par_runs)
-  in
-  let seq_total = List.fold_left (fun a r -> a +. r.p_seq_s) 0. rows in
-  let par_total = List.fold_left (fun a r -> a +. r.p_par_s) 0. rows in
-  par_json (out_path out) ~jobs ~rows ~seq_total ~par_total ~hits:!hits ~misses:!misses;
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Parallel+memo speedup, extract+subsume (jobs=%d, %d core(s))"
-           jobs (Gp_util.Par.available ()))
-      ~header:[ "program"; "config"; "seq (s)"; "par (s)"; "speedup"; "pool"; "agree" ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [ r.p_program; r.p_config;
-          Printf.sprintf "%.3f" r.p_seq_s;
-          Printf.sprintf "%.3f" r.p_par_s;
-          Printf.sprintf "%.2fx" (r.p_seq_s /. max 1e-9 r.p_par_s);
-          string_of_int r.p_pool;
-          (if r.p_agree then "yes" else "NO") ])
-    rows;
-  Table.add_row t
-    [ "TOTAL"; "-";
-      Printf.sprintf "%.3f" seq_total;
-      Printf.sprintf "%.3f" par_total;
-      Printf.sprintf "%.2fx" (seq_total /. max 1e-9 par_total);
-      "-"; "-" ];
-  let txt =
-    Table.render t
-    ^ Printf.sprintf "cache: %d hits / %d misses (%.1f%% hit rate); wrote %s\n"
-        !hits !misses
-        (100. *. float_of_int !hits /. float_of_int (max 1 (!hits + !misses)))
-        out
-  in
-  (txt, rows)
-
-(* ---------- stages 3-4: planning + validation speedup ---------- *)
-
-(* Sequential-vs-parallel cost of stages 3-4 (plan + validate) over the
-   survey corpus, mirroring [par]'s methodology one level up the
-   pipeline.
-
-   Stages 1-2 run ONCE per cell, outside the timers, and the resulting
-   analysis is shared by both sweeps — so the comparison isolates the
-   planner and validator:
-   - "seq" — jobs=1 with the PR's memo layers disabled (pool-keyed
-     solver memo + hash-consed Term canonicalization): the baseline
-     planner.  The PR 2 caches (check/prove_equal) stay ON in both
-     sweeps; they are part of the baseline.
-   - "par" — [jobs] domains with every memo enabled: the shipped
-     configuration, warmed exactly as a long-running survey process
-     warms it.
-   Each sweep gets one untimed warmup pass + Gc.compact first.  On a
-   single-core host Par clamps the domains and the memo layers are the
-   whole effect; [cores] is in the JSON so readers can tell.  The two
-   sweeps' outcomes are compared chain-for-chain and stat-for-stat
-   (cache counters and wall-clock excluded — verdicts never depend on
-   cache temperature). *)
-
-type plan_row = {
-  q_program : string;
-  q_config : string;
-  q_seq_s : float;      (* jobs=1, new memo layers disabled *)
-  q_par_s : float;      (* jobs=n, memos enabled *)
-  q_chains : int;       (* validated chains, summed over goals *)
-  q_agree : bool;       (* identical chains AND stats, seq vs par *)
-}
-
-let with_plan_memo enabled f =
-  let pm = Gp_smt.Solver.pool_memo in
-  Gp_smt.Cache.reset pm;
-  Gp_smt.Cache.set_enabled pm enabled;
-  Gp_smt.Term.reset_memo ();
-  Gp_smt.Term.set_memo_enabled enabled;
-  Fun.protect
-    ~finally:(fun () ->
-      Gp_smt.Cache.set_enabled pm true;
-      Gp_smt.Term.set_memo_enabled true)
-    f
-
-(* Everything about an outcome that must be invariant across job counts
-   and cache temperature: the chains themselves and the deterministic
-   planner/validator tallies. *)
-let plan_fingerprint (o : Gp_core.Api.outcome) =
-  let st = o.Gp_core.Api.stats in
-  ( List.map Gp_core.Payload.chain_set_key o.Gp_core.Api.chains,
-    ( st.Gp_core.Api.plans_found,
-      st.Gp_core.Api.chains_built,
-      st.Gp_core.Api.chains_validated,
-      st.Gp_core.Api.plan_expanded,
-      st.Gp_core.Api.plan_peak_queue,
-      st.Gp_core.Api.plan_inst_hits,
-      st.Gp_core.Api.plan_cand_hits,
-      st.Gp_core.Api.plan_discarded,
-      st.Gp_core.Api.validate_faults,
-      st.Gp_core.Api.validate_timeouts ),
-    List.map Gp_core.Api.rung_name o.Gp_core.Api.rungs )
-
-let plan_json path ~jobs ~rows ~seq_total ~par_total ~obf_speedup ~hits
-    ~misses ~term_hits ~term_misses =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  json_provenance oc ~experiment:"plan";
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"cores\": %d,\n" (Gp_util.Par.available ());
-  p "  \"note\": \"plan+validate (stages 3-4) over a shared analysis.  \
-     seq = jobs:1 with the pool-keyed solver memo and hash-consed Term \
-     canonicalization disabled (the pre-portfolio planner); par = \
-     jobs:%d with every memo enabled (the shipped configuration).  \
-     Both sweeps timed at steady state after one untimed warmup pass.  \
-     With cores=1 the speedup is the memo layers'; domains beyond the \
-     core count are clamped.\",\n" jobs;
-  p "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      p "    { \"program\": %S, \"config\": %S, \"seq_s\": %.4f, \
-         \"par_s\": %.4f, \"chains\": %d, \"agree\": %b }%s\n"
-        r.q_program r.q_config r.q_seq_s r.q_par_s r.q_chains r.q_agree
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ],\n";
-  p "  \"seq_total_s\": %.4f,\n" seq_total;
-  p "  \"par_total_s\": %.4f,\n" par_total;
-  p "  \"speedup\": %.2f,\n" (seq_total /. max 1e-9 par_total);
-  p "  \"obf_speedup\": %.2f,\n" obf_speedup;
-  p "  \"cache_hits\": %d,\n" hits;
-  p "  \"cache_misses\": %d,\n" misses;
-  p "  \"cache_hit_rate\": %.3f,\n"
-    (float_of_int hits /. float_of_int (max 1 (hits + misses)));
-  p "  \"term_memo_hits\": %d,\n" term_hits;
-  p "  \"term_memo_misses\": %d\n" term_misses;
-  p "}\n";
-  close_out oc
-
-let plan ?(quick = true) ?(jobs = 4) ?(out = "BENCH_plan.json") () =
-  (* a mid-weight config: enough fuel that the search works for diverse
-     chains (where the instantiation memos earn their keep), small
-     enough that the sweep stays in bench-suite territory *)
-  let planner_config =
-    { Gp_core.Planner.default_config with
-      Gp_core.Planner.node_budget = 1200; max_plans = 6 }
-  in
-  let cells =
-    survey_cells ~quick (fun entry cname cfg ->
-        let image =
-          Gp_codegen.Pipeline.compile
-            ~transform:(Gp_obf.Obf.transform cfg)
-            entry.Gp_corpus.Programs.source
-        in
-        (* stages 1-2 once, shared by both sweeps *)
-        Gp_core.Gadget.reset_ids ();
-        (entry.Gp_corpus.Programs.name, cname, Gp_core.Api.analyze image))
-  in
-  let run_cell ~jobs a =
-    List.map
-      (fun g -> Gp_core.Api.run_with_analysis ~planner_config ~jobs a g)
-      Workspace.goals
-  in
-  let timed_sweep ~jobs =
-    List.map
-      (fun (_, _, a) -> Gp_core.Api.timed (fun () -> run_cell ~jobs a))
-      cells
-  in
-  let warmup ~jobs =
-    List.iter (fun (_, _, a) -> ignore (run_cell ~jobs a)) cells;
-    Gc.compact ()
-  in
-  (* sweep 1: the pre-portfolio planner (jobs=1, new memo layers off) *)
-  let seq =
-    with_plan_memo false (fun () ->
-        warmup ~jobs:1;
-        timed_sweep ~jobs:1)
-  in
-  (* sweep 2: the shipped configuration (jobs=n, memos warmed) *)
-  let th0, tm0 = Gp_smt.Term.memo_stats () in
-  let par_runs =
-    with_plan_memo true (fun () ->
-        warmup ~jobs;
-        timed_sweep ~jobs)
-  in
-  let th1, tm1 = Gp_smt.Term.memo_stats () in
-  let hits = ref 0 and misses = ref 0 in
-  let rows =
-    List.map2
-      (fun (prog, cname, _) ((os_seq, t_seq), (os_par, t_par)) ->
-        List.iter
-          (fun (o : Gp_core.Api.outcome) ->
-            hits := !hits + o.Gp_core.Api.stats.Gp_core.Api.cache_hits;
-            misses := !misses + o.Gp_core.Api.stats.Gp_core.Api.cache_misses)
-          os_par;
-        { q_program = prog;
-          q_config = cname;
-          q_seq_s = t_seq;
-          q_par_s = t_par;
-          q_chains =
-            List.fold_left
-              (fun acc (o : Gp_core.Api.outcome) ->
-                acc + List.length o.Gp_core.Api.chains)
-              0 os_par;
-          q_agree =
-            List.map plan_fingerprint os_seq
-            = List.map plan_fingerprint os_par })
-      cells
-      (List.combine seq par_runs)
-  in
-  let seq_total = List.fold_left (fun a r -> a +. r.q_seq_s) 0. rows in
-  let par_total = List.fold_left (fun a r -> a +. r.q_par_s) 0. rows in
-  let obf = List.filter (fun r -> r.q_config <> "original") rows in
-  let obf_speedup =
-    List.fold_left (fun a r -> a +. r.q_seq_s) 0. obf
-    /. max 1e-9 (List.fold_left (fun a r -> a +. r.q_par_s) 0. obf)
-  in
-  plan_json (out_path out) ~jobs ~rows ~seq_total ~par_total ~obf_speedup ~hits:!hits
-    ~misses:!misses ~term_hits:(th1 - th0) ~term_misses:(tm1 - tm0);
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Parallel+memo speedup, plan+validate (jobs=%d, %d core(s))"
-           jobs (Gp_util.Par.available ()))
-      ~header:
-        [ "program"; "config"; "seq (s)"; "par (s)"; "speedup"; "chains";
-          "agree" ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [ r.q_program; r.q_config;
-          Printf.sprintf "%.3f" r.q_seq_s;
-          Printf.sprintf "%.3f" r.q_par_s;
-          Printf.sprintf "%.2fx" (r.q_seq_s /. max 1e-9 r.q_par_s);
-          string_of_int r.q_chains;
-          (if r.q_agree then "yes" else "NO") ])
-    rows;
-  Table.add_row t
-    [ "TOTAL"; "-";
-      Printf.sprintf "%.3f" seq_total;
-      Printf.sprintf "%.3f" par_total;
-      Printf.sprintf "%.2fx" (seq_total /. max 1e-9 par_total);
-      "-"; "-" ];
-  let txt =
-    Table.render t
-    ^ Printf.sprintf
-        "obfuscated-config speedup: %.2fx; solver memo: %d hits / %d \
-         misses; term memo: %d hits / %d misses; wrote %s\n"
-        obf_speedup !hits !misses (th1 - th0) (tm1 - tm0) out
-  in
-  (txt, rows)
-
-(* ---------- incremental store: cold vs warm (DESIGN.md §11) ---------- *)
-
-(* Cost of an analysis (stages 1-2) under the content-addressed
-   incremental store, measured the way the store is used: as SURVEY
-   SWEEPS over every (program, config) cell, config-major (all
-   `original` cells first), one store file shared by the whole survey.
-   Four temperatures:
-
-   - "cold"          — the first-ever sweep: no store file, in-memory
-     state only accumulates as the sweep proceeds (so the obfuscated
-     cells already run with the original's summaries populated, exactly
-     as a survey process would); the store is saved once at the end
-     and the save is timed separately ([save_s]).
-   - "warm-cross"    — the next sweep: the cold sweep's store file —
-     populated by the original cells and the rest of the survey — is
-     loaded once ([load_s]), every in-memory cache having been emptied
-     first, then each cell re-analyzed.  The obfuscated rows are the
-     tentpole's target: analyzing `llvm-obf`/`tigress` with the
-     original's store populated.
-   - "warm-same"     — per-cell isolated store holding only that cell's
-     own entries: a cross-process re-run of one binary.
-   - "warm-orig-only" — obfuscated cells with a store holding ONLY the
-     original-config cells: isolates strict original→obfuscated
-     transfer.  This is reported honestly as its own aggregate: the
-     obfuscators here rewrite most instruction bytes (the content-key
-     hit rate is ~17% of starts) and subsumption verdicts over
-     obfuscator-generated gadgets do not exist in the original's data,
-     so this number is structurally near 1x — the compounding wins come
-     from the shared survey store above.
-
-   Per-row [i_seconds] is the [Api.analyze] call alone; store I/O is
-   timed once per sweep and reported as [load_s]/[save_s].  In-memory
-   caches are emptied at every sweep/cell boundary where a fresh
-   process is being modeled ([reset_world]).  [agree] compares the
-   pool (gadget addresses, in order) against the cell's cold
-   reference — the store must be semantically invisible. *)
-
-type incr_row = {
-  i_program : string;
-  i_config : string;
-  i_mode : string;      (* cold | warm-cross | warm-same | warm-orig-only *)
-  i_seconds : float;
-  i_hits : int;         (* summary-store hits during the harvest *)
-  i_misses : int;
-  i_loaded : int;       (* on-disk entries imported before the analyze *)
-  i_agree : bool;       (* pool identical to the cold reference *)
-}
-
-(* Empty every process-global cache the pipeline keeps, so the next run
-   starts as a fresh process would: gadget ids, interned terms, solver
-   verdict memos, and the in-memory summary table. *)
-let reset_world () =
-  Gp_core.Gadget.reset_ids ();
-  Gp_smt.Term.reset_memo ();
-  Gp_smt.Cache.reset Gp_smt.Solver.memo;
-  Gp_smt.Cache.reset Gp_smt.Solver.equal_memo;
-  Gp_smt.Cache.reset Gp_smt.Solver.pool_memo;
-  Gp_smt.Solver.reset_screen ();
-  Gp_core.Incr.reset ()
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-let incr_json path ~jobs ~rows ~cold_total ~warm_cross_total ~warm_same_total
-    ~orig_only_speedup ~cross_speedup ~load_s ~save_s ~store_entries =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  json_provenance oc ~experiment:"incr";
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"cores\": %d,\n" (Gp_util.Par.available ());
-  p "  \"note\": \"analyze (stages 1-2) per survey cell under the \
-     content-addressed incremental store; sweeps run config-major \
-     (original cells first) over one shared store file.  cold = \
-     first-ever sweep, no store on disk (saved once afterwards, \
-     save_s); warm-cross = next sweep with that store — populated by \
-     the original cells and the rest of the survey — loaded once \
-     (load_s): the obfuscated rows analyze llvm-obf/tigress with the \
-     original's store populated; warm-same = per-cell store holding \
-     only that cell (a cross-process re-run of one binary); \
-     warm-orig-only = obfuscated cells with a store holding ONLY the \
-     original-config cells, isolating strict original-to-obfuscated \
-     transfer (structurally near 1x here: the obfuscators rewrite \
-     most bytes, see DESIGN.md section 11).  seconds is the analyze \
-     call alone; store I/O is timed separately.  agree compares the \
-     pool against the cold reference; the store must be semantically \
-     invisible.\",\n";
-  p "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      p "    { \"program\": %S, \"config\": %S, \"mode\": %S, \
-         \"seconds\": %.4f, \"summary_hits\": %d, \"summary_misses\": \
-         %d, \"store_loaded\": %d, \"agree\": %b }%s\n"
-        r.i_program r.i_config r.i_mode r.i_seconds r.i_hits r.i_misses
-        r.i_loaded r.i_agree
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ],\n";
-  p "  \"cold_total_s\": %.4f,\n" cold_total;
-  p "  \"warm_cross_total_s\": %.4f,\n" warm_cross_total;
-  p "  \"warm_same_total_s\": %.4f,\n" warm_same_total;
-  p "  \"warm_same_speedup\": %.2f,\n"
-    (cold_total /. max 1e-9 warm_same_total);
-  p "  \"obf_cross_speedup\": %.2f,\n" cross_speedup;
-  p "  \"obf_orig_only_speedup\": %.2f,\n" orig_only_speedup;
-  p "  \"store_entries\": %d,\n" store_entries;
-  p "  \"load_s\": %.4f,\n" load_s;
-  p "  \"save_s\": %.4f,\n" save_s;
-  p "  \"all_agree\": %b\n" (List.for_all (fun r -> r.i_agree) rows);
-  p "}\n";
-  close_out oc
-
-let incr ?(quick = true) ?(jobs = 4) ?(cache_root = ".gp-cache/bench")
-    ?(out = "BENCH_incr.json") () =
-  rm_rf cache_root;
-  let fingerprint (a : Gp_core.Api.analysis) =
-    List.map (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.addr)
-      a.Gp_core.Api.gadgets
-  in
-  let timed_analyze image =
-    Gp_core.Api.timed (fun () -> Gp_core.Api.analyze ~jobs image)
-  in
-  let row prog cname mode (a : Gp_core.Api.analysis) seconds ~loaded agree =
-    { i_program = prog; i_config = cname; i_mode = mode;
-      i_seconds = seconds;
-      i_hits = a.Gp_core.Api.analysis_summary_hits;
-      i_misses = a.Gp_core.Api.analysis_summary_misses;
-      i_loaded = loaded;
-      i_agree = agree }
-  in
-  (* compile every cell up front; sweep config-major (originals first),
-     the order a survey accumulates in *)
-  let images =
-    survey_cells ~quick (fun entry cname cfg ->
-        ( entry.Gp_corpus.Programs.name,
-          cname,
-          Gp_codegen.Pipeline.compile
-            ~transform:(Gp_obf.Obf.transform cfg)
-            entry.Gp_corpus.Programs.source ))
-  in
-  let cells =
-    List.concat_map
-      (fun (cname, _) -> List.filter (fun (_, c, _) -> c = cname) images)
-      (survey_configs ())
-  in
-  (* --- cold sweep: empty store, one shared process, save at the end --- *)
-  reset_world ();
-  let cold =
-    List.map
-      (fun (prog, cname, image) ->
-        let a, t = timed_analyze image in
-        ((prog, cname), fingerprint a,
-         row prog cname "cold" a t ~loaded:0 true))
-      cells
-  in
-  let fp_of key =
-    let _, fp, _ = List.find (fun (k, _, _) -> k = key) cold in
-    fp
-  in
-  let survey_dir = Filename.concat cache_root "survey" in
-  let save_err = ref None in
-  let (), save_s =
-    Gp_core.Api.timed (fun () ->
-        match Gp_core.Incr.save ~dir:survey_dir with
-        | Ok () -> ()
-        | Error why -> save_err := Some why)
-  in
-  (* --- warm-cross sweep: fresh world, the survey store loaded once --- *)
-  reset_world ();
-  let loaded, load_s =
-    Gp_core.Api.timed (fun () ->
-        match Gp_core.Incr.load ~dir:survey_dir with
-        | Gp_core.Incr.Loaded li ->
-          li.Gp_core.Incr.li_entries + li.Gp_core.Incr.li_wal_replayed
-        | Gp_core.Incr.Absent | Gp_core.Incr.Rejected _ -> 0)
-  in
-  let warm_cross =
-    List.map
-      (fun (prog, cname, image) ->
-        let a, t = timed_analyze image in
-        row prog cname "warm-cross" a t ~loaded
-          (fingerprint a = fp_of (prog, cname)))
-      cells
-  in
-  (* --- warm-same: per-cell store primed by that cell alone --- *)
-  let warm_same =
-    List.map
-      (fun (prog, cname, image) ->
-        let d = Filename.concat cache_root ("same-" ^ prog ^ "-" ^ cname) in
-        reset_world ();
-        ignore (Gp_core.Api.analyze ~jobs ~cache_dir:d image);
-        reset_world ();
-        let n =
-          match Gp_core.Incr.load ~dir:d with
-          | Gp_core.Incr.Loaded li ->
-            li.Gp_core.Incr.li_entries + li.Gp_core.Incr.li_wal_replayed
-          | _ -> 0
-        in
-        let a, t = timed_analyze image in
-        row prog cname "warm-same" a t ~loaded:n
-          (fingerprint a = fp_of (prog, cname)))
-      cells
-  in
-  (* --- warm-orig-only: obfuscated cells, original-config store only --- *)
-  let orig_dir = Filename.concat cache_root "orig-only" in
-  reset_world ();
-  List.iter
-    (fun (_, cname, image) ->
-      if cname = "original" then ignore (Gp_core.Api.analyze ~jobs image))
-    cells;
-  (match Gp_core.Incr.save ~dir:orig_dir with Ok () | Error _ -> ());
-  let orig_only =
-    List.filter_map
-      (fun (prog, cname, image) ->
-        if cname = "original" then None
-        else begin
-          reset_world ();
-          let n =
-            match Gp_core.Incr.load ~dir:orig_dir with
-            | Gp_core.Incr.Loaded li ->
-              li.Gp_core.Incr.li_entries + li.Gp_core.Incr.li_wal_replayed
-            | _ -> 0
-          in
-          let a, t = timed_analyze image in
-          Some
-            (row prog cname "warm-orig-only" a t ~loaded:n
-               (fingerprint a = fp_of (prog, cname)))
-        end)
-      cells
-  in
-  let rows =
-    List.map (fun (_, _, r) -> r) cold @ warm_cross @ warm_same @ orig_only
-  in
-  let total mode cfg_filter =
-    List.fold_left
-      (fun acc r ->
-        if r.i_mode = mode && cfg_filter r.i_config then acc +. r.i_seconds
-        else acc)
-      0. rows
-  in
-  let any _ = true and obf c = c <> "original" in
-  let cold_total = total "cold" any in
-  let warm_cross_total = total "warm-cross" any in
-  let warm_same_total = total "warm-same" any in
-  let cross_speedup = total "cold" obf /. max 1e-9 (total "warm-cross" obf) in
-  let orig_only_speedup =
-    total "cold" obf /. max 1e-9 (total "warm-orig-only" obf)
-  in
-  incr_json (out_path out) ~jobs ~rows ~cold_total ~warm_cross_total ~warm_same_total
-    ~orig_only_speedup ~cross_speedup ~load_s ~save_s ~store_entries:loaded;
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Incremental store: cold vs warm analyze (jobs=%d, %d core(s))"
-           jobs (Gp_util.Par.available ()))
-      ~header:
-        [ "program"; "config"; "mode"; "time (s)"; "hits"; "misses";
-          "loaded"; "agree" ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [ r.i_program; r.i_config; r.i_mode;
-          Printf.sprintf "%.3f" r.i_seconds;
-          string_of_int r.i_hits; string_of_int r.i_misses;
-          string_of_int r.i_loaded;
-          (if r.i_agree then "yes" else "NO") ])
-    rows;
-  let txt =
-    Table.render t
-    ^ Printf.sprintf
-        "cold %.3fs; warm-cross %.3fs (obf speedup %.2fx); warm-same \
-         %.3fs (%.2fx); obf orig-only speedup %.2fx; store %d entries \
-         (load %.3fs, save %.3fs%s); wrote %s\n"
-        cold_total warm_cross_total cross_speedup warm_same_total
-        (cold_total /. max 1e-9 warm_same_total)
-        orig_only_speedup loaded load_s save_s
-        (match !save_err with
-         | None -> ""
-         | Some why -> ", SAVE FAILED: " ^ why)
-        out
-  in
-  (txt, rows)
-
-(* ---------- screening front-end: off vs on (DESIGN.md §12) ---------- *)
-
-(* Cost of the solver-bound pipeline (analyze + plan over the three
-   goals) with the tiered screening front-end disabled vs enabled.
-   Each sweep models a fresh survey process: every process-global cache
-   is emptied first ([reset_world]), then the cells run config-major
-   (originals first) with the memos ON — so by the time the obfuscated
-   cells run, the verdict memos are warm with the original cells'
-   entries, exactly the temperature a long-running survey gives them.
-   What screening accelerates is the queries that stay cold at that
-   temperature: obfuscation-new formula shapes, and above all the
-   subsumption entailment probes whose randomized model search burns
-   its whole trial budget before answering Unknown (Tier B refutes
-   those from a dozen fixed valuations).  Results must be bit-identical
-   either way: [agree] compares pools address-for-address and outcomes
-   chain-for-chain, stat-for-stat — cache counters excluded
-   (temperature), screening tallies excluded (they are what the
-   ablation toggles). *)
-
-type screen_row = {
-  sc_program : string;
-  sc_config : string;
-  sc_off_s : float;     (* screening disabled, end to end *)
-  sc_on_s : float;      (* screening enabled (the shipped default) *)
-  sc_off_solver_s : float;  (* minus stage-4 validation (emulation,
-                               solver-free — see the note) *)
-  sc_on_solver_s : float;
-  sc_chains : int;      (* validated chains, summed over goals *)
-  sc_agree : bool;      (* identical pool, chains and stats, off vs on *)
-}
-
-let screen_json path ~jobs ~reps ~rows ~off_total ~on_total ~obf_speedup
-    ~obf_speedup_end_to_end ~counters:(sr, sd, cr, er) =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  json_provenance oc ~experiment:"screen";
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"reps\": %d,\n" reps;
-  p "  \"cores\": %d,\n" (Gp_util.Par.available ());
-  p "  \"note\": \"analyze + plan (all goals) per survey cell, tiered \
-     solver screening (DESIGN.md section 12) off vs on.  Each sweep \
-     starts as a fresh survey process and runs config-major with the \
-     verdict memos enabled, so the obfuscated cells run against memos \
-     warmed by the original cells; screening earns its keep on the \
-     queries that stay cold at that temperature.  Per-cell seconds are \
-     the best of `reps` sweeps each way, with the within-rep off/on \
-     order alternating so machine drift cannot bias one mode.  \
-     off_solver_s/on_solver_s subtract the cell's stage-1 extraction \
-     and stage-4 validation seconds (decode/summarization and concrete \
-     emulation of candidate payloads — neither issues a solver query, \
-     so both are constant additive terms either way), isolating the \
-     solver-consuming stages (subsumption + planning); obf_speedup is \
-     the ratio of those solver-stage times over the obfuscated cells, \
-     obf_speedup_end_to_end the uncorrected ratio.  agree compares \
-     pool, chains and deterministic stats bit-for-bit.  The per-tier \
-     counters are the on-sweep totals.\",\n";
-  p "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      p "    { \"program\": %S, \"config\": %S, \"off_s\": %.4f, \
-         \"on_s\": %.4f, \"off_solver_s\": %.4f, \"on_solver_s\": %.4f, \
-         \"chains\": %d, \"agree\": %b }%s\n"
-        r.sc_program r.sc_config r.sc_off_s r.sc_on_s r.sc_off_solver_s
-        r.sc_on_solver_s r.sc_chains r.sc_agree
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ],\n";
-  p "  \"off_total_s\": %.4f,\n" off_total;
-  p "  \"on_total_s\": %.4f,\n" on_total;
-  p "  \"speedup\": %.2f,\n" (off_total /. max 1e-9 on_total);
-  p "  \"obf_speedup\": %.2f,\n" obf_speedup;
-  p "  \"obf_speedup_end_to_end\": %.2f,\n" obf_speedup_end_to_end;
-  p "  \"screen_refuted\": %d,\n" sr;
-  p "  \"screen_decided\": %d,\n" sd;
-  p "  \"concrete_refuted\": %d,\n" cr;
-  p "  \"elim_reused\": %d,\n" er;
-  p "  \"all_agree\": %b\n" (List.for_all (fun r -> r.sc_agree) rows);
-  p "}\n";
-  close_out oc
-
-let screen ?(quick = true) ?(jobs = 4) ?(out = "BENCH_screen.json") () =
-  let planner_config =
-    { Gp_core.Planner.default_config with
-      Gp_core.Planner.node_budget = 1200; max_plans = 6 }
-  in
-  let cells =
-    survey_cells ~config_major:true ~quick (fun entry cname cfg ->
-        ( entry.Gp_corpus.Programs.name,
-          cname,
-          Gp_codegen.Pipeline.compile
-            ~transform:(Gp_obf.Obf.transform cfg)
-            entry.Gp_corpus.Programs.source ))
-  in
-  let run_cell image =
-    Gp_core.Gadget.reset_ids ();
-    let a = Gp_core.Api.analyze ~jobs image in
-    let os =
-      List.map
-        (fun g -> Gp_core.Api.run_with_analysis ~planner_config ~jobs a g)
-        Workspace.goals
-    in
-    (a, os)
-  in
-  let cell_fingerprint (a, os) =
-    ( List.map (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.addr)
-        a.Gp_core.Api.gadgets,
-      List.map plan_fingerprint os )
-  in
-  (* Stage-1 extraction (decode + symbolic summarization) and stage-4
-     validation (concrete emulation of candidate payloads) issue no
-     solver query, so their seconds are the same additive constant
-     whichever way the toggle points; subtracting both isolates the
-     solver-consuming stages (subsumption + planning) the front-end
-     actually fronts.  [analyze]/[run_with_analysis] already measure
-     them. *)
-  let solver_free_seconds ((a : Gp_core.Api.analysis), os) =
-    List.fold_left
-      (fun acc (o : Gp_core.Api.outcome) ->
-        acc +. o.Gp_core.Api.stats.Gp_core.Api.validate_time)
-      a.Gp_core.Api.extract_time os
-  in
-  let sweep enabled =
-    Gp_smt.Solver.set_screen_enabled enabled;
-    Fun.protect
-      ~finally:(fun () -> Gp_smt.Solver.set_screen_enabled true)
-      (fun () ->
-        reset_world ();
-        Gc.compact ();
-        List.map
-          (fun (_, _, image) ->
-            let r, t = Gp_core.Api.timed (fun () -> run_cell image) in
-            (r, t, t -. solver_free_seconds r))
-          cells)
-  in
-  (* Best-of-[reps] per cell: single-shot wall clocks on a shared box
-     are dominated by scheduler noise at these durations; the minimum
-     is the standard low-variance estimator.  The off/on sweeps are
-     interleaved per rep, and the within-rep order alternates
-     (off-on, on-off, ...) so slow machine drift — thermal throttling,
-     a neighbour waking up — lands on both sides instead of biasing
-     whichever mode consistently ran last.  Results (and hence the
-     agreement check) come from the first sweep — every sweep computes
-     bit-identical results anyway, that is the point. *)
-  let reps = 6 in
-  let rec times n f = if n <= 0 then [] else let x = f n in x :: times (n - 1) f in
-  let best sweeps =
-    List.fold_left
-      (List.map2
-         (fun (r, t, ts) (_, t', ts') -> (r, min t t', min ts ts')))
-      (List.hd sweeps) (List.tl sweeps)
-  in
-  (* Counters are per-query deterministic (the differential suite
-     asserts it), so any on-sweep's totals will do; snapshot each one
-     because [reset_world] zeroes them and the LAST sweep may be an
-     off-sweep. *)
-  let counters = ref (0, 0, 0, 0) in
-  let pairs =
-    times reps (fun i ->
-        let sweep_on () =
-          let n = sweep true in
-          counters := Gp_smt.Solver.screen_stats ();
-          n
-        in
-        if i mod 2 = 0 then
-          let o = sweep false in
-          let n = sweep_on () in
-          (o, n)
-        else
-          let n = sweep_on () in
-          let o = sweep false in
-          (o, n))
-  in
-  let off = best (List.map fst pairs) in
-  let on = best (List.map snd pairs) in
-  let counters = !counters in
-  let rows =
-    List.map2
-      (fun (prog, cname, _) ((r_off, t_off, ts_off), (r_on, t_on, ts_on)) ->
-        { sc_program = prog;
-          sc_config = cname;
-          sc_off_s = t_off;
-          sc_on_s = t_on;
-          sc_off_solver_s = ts_off;
-          sc_on_solver_s = ts_on;
-          sc_chains =
-            (let _, os = r_on in
-             List.fold_left
-               (fun acc (o : Gp_core.Api.outcome) ->
-                 acc + List.length o.Gp_core.Api.chains)
-               0 os);
-          sc_agree = cell_fingerprint r_off = cell_fingerprint r_on })
-      cells
-      (List.combine off on)
-  in
-  let total sel cfg_filter =
-    List.fold_left
-      (fun acc r -> if cfg_filter r.sc_config then acc +. sel r else acc)
-      0. rows
-  in
-  let any _ = true and obf c = c <> "original" in
-  let off_total = total (fun r -> r.sc_off_s) any in
-  let on_total = total (fun r -> r.sc_on_s) any in
-  let obf_speedup =
-    total (fun r -> r.sc_off_solver_s) obf
-    /. max 1e-9 (total (fun r -> r.sc_on_solver_s) obf)
-  in
-  let obf_speedup_end_to_end =
-    total (fun r -> r.sc_off_s) obf
-    /. max 1e-9 (total (fun r -> r.sc_on_s) obf)
-  in
-  screen_json (out_path out) ~jobs ~reps ~rows ~off_total ~on_total ~obf_speedup
-    ~obf_speedup_end_to_end ~counters;
-  let sr, sd, cr, er = counters in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Tiered solver screening: off vs on (jobs=%d, %d core(s))"
-           jobs (Gp_util.Par.available ()))
-      ~header:
-        [ "program"; "config"; "off (s)"; "on (s)"; "off solver";
-          "on solver"; "speedup"; "chains"; "agree" ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [ r.sc_program; r.sc_config;
-          Printf.sprintf "%.3f" r.sc_off_s;
-          Printf.sprintf "%.3f" r.sc_on_s;
-          Printf.sprintf "%.3f" r.sc_off_solver_s;
-          Printf.sprintf "%.3f" r.sc_on_solver_s;
-          Printf.sprintf "%.2fx"
-            (r.sc_off_solver_s /. max 1e-9 r.sc_on_solver_s);
-          string_of_int r.sc_chains;
-          (if r.sc_agree then "yes" else "NO") ])
-    rows;
-  Table.add_row t
-    [ "TOTAL"; "-";
-      Printf.sprintf "%.3f" off_total;
-      Printf.sprintf "%.3f" on_total;
-      Printf.sprintf "%.3f" (total (fun r -> r.sc_off_solver_s) any);
-      Printf.sprintf "%.3f" (total (fun r -> r.sc_on_solver_s) any);
-      Printf.sprintf "%.2fx"
-        (total (fun r -> r.sc_off_solver_s) any
-        /. max 1e-9 (total (fun r -> r.sc_on_solver_s) any));
-      "-"; "-" ];
-  let txt =
-    Table.render t
-    ^ Printf.sprintf
-        "obfuscated-config solver-stage speedup: %.2fx (end to end \
-         %.2fx); tiers: %d abstract refutations, %d decided, %d concrete \
-         refutations, %d elimination reuses; wrote %s\n"
-        obf_speedup obf_speedup_end_to_end sr sd cr er out
-  in
-  (txt, rows)
 
 (* ---------- ablations (DESIGN.md §5) ---------- *)
 
@@ -1551,7 +562,7 @@ let ablation_unaligned () =
         [ entry.Gp_corpus.Programs.name; string_of_int aligned;
           string_of_int unaligned;
           Printf.sprintf "%.1fx" (float_of_int unaligned /. float_of_int (max 1 aligned)) ])
-    (benchmark_entries ~quick:true);
+    (Survey.benchmark_entries ~quick:true);
   Table.render t
 
 let ablation_subsumption () =
@@ -1575,7 +586,7 @@ let ablation_subsumption () =
           Printf.sprintf "%.2fx"
             (float_of_int stats.Gp_core.Subsume.input
             /. float_of_int (max 1 stats.Gp_core.Subsume.after_subsume)) ])
-    (benchmark_entries ~quick:true);
+    (Survey.benchmark_entries ~quick:true);
   Table.render t
 
 (* gadget-count stability across obfuscation seeds *)
@@ -1603,7 +614,7 @@ let ablation_seeds () =
       Table.add_row t
         [ entry.Gp_corpus.Programs.name; string_of_int mn; string_of_int mean;
           string_of_int mx ])
-    (benchmark_entries ~quick:true);
+    (Survey.benchmark_entries ~quick:true);
   Table.render t
 
 let ablation_condjump () =
@@ -1640,892 +651,5 @@ let ablation_condjump () =
           string_of_int (List.length full.Gp_core.Api.chains);
           string_of_int (List.length restricted_gadgets);
           string_of_int (List.length restr.Gp_core.Api.chains) ])
-    (benchmark_entries ~quick:true);
+    (Survey.benchmark_entries ~quick:true);
   Table.render t
-
-(* ---------- crash-safe resumable sweeps (DESIGN.md §13) ---------- *)
-
-(* One survey cell's result, reduced to exactly the data that must be
-   invariant across job counts, cache temperature, AND
-   interrupt/resume: the chains, the pool, the deterministic
-   planner/validator tallies, and the degradation rungs.  This is the
-   payload the checkpoint manifest records, so "resume ≡ uninterrupted"
-   is checked byte-for-byte on the encoded form. *)
-type resume_payload = {
-  rp_program : string;
-  rp_config : string;
-  rp_pool : int;
-  rp_chains : string list;           (* Payload.chain_set_key per chain *)
-  rp_rungs : string list;            (* degradation rungs attempted *)
-  rp_counters : (string * int) list; (* jobs/temperature-invariant tallies *)
-}
-
-let resume_payload_encode p =
-  let b = Buffer.create 256 in
-  let module B = Gp_util.Store.Bin in
-  B.str b p.rp_program;
-  B.str b p.rp_config;
-  B.int_ b p.rp_pool;
-  B.int_ b (List.length p.rp_chains);
-  List.iter (B.str b) p.rp_chains;
-  B.int_ b (List.length p.rp_rungs);
-  List.iter (B.str b) p.rp_rungs;
-  B.int_ b (List.length p.rp_counters);
-  List.iter
-    (fun (k, v) ->
-      B.str b k;
-      B.int_ b v)
-    p.rp_counters;
-  Buffer.contents b
-
-let resume_payload_decode s =
-  let module B = Gp_util.Store.Bin in
-  let pos = ref 0 in
-  let rp_program = B.gstr s pos in
-  let rp_config = B.gstr s pos in
-  let rp_pool = B.gint s pos in
-  let rp_chains = List.init (B.gint s pos) (fun _ -> B.gstr s pos) in
-  let rp_rungs = List.init (B.gint s pos) (fun _ -> B.gstr s pos) in
-  let rp_counters =
-    List.init (B.gint s pos) (fun _ ->
-        let k = B.gstr s pos in
-        (k, B.gint s pos))
-  in
-  { rp_program; rp_config; rp_pool; rp_chains; rp_rungs; rp_counters }
-
-let resume_cell_key prog cname = prog ^ "/" ^ cname
-
-(* Build the runner-shaped cell list for a survey sweep: each cell
-   compiles, analyzes, and plans one (program, config) pair, firing
-   the "mid-stage" crash point between the two pipeline halves.  The
-   per-cell [cache_dir] is deliberately absent: under a journal the
-   store was merged at [journal_open] and summaries stream to the WAL
-   through [Incr.add]; in atomic mode the caller brackets the sweep
-   with one load/save. *)
-let resume_cell_fns ?entries ?configs ?(quick = true) ~jobs ~goal () :
-    (string * (attempt:int -> Gp_core.Budget.t ->
-               (resume_payload, Gp_core.Fail.t) result))
-    list =
-  let planner_config =
-    { Gp_core.Planner.default_config with
-      Gp_core.Planner.node_budget = 1200; max_plans = 6 }
-  in
-  survey_cells ?entries ?configs ~quick (fun entry cname cfg ->
-      let prog = entry.Gp_corpus.Programs.name in
-      ( resume_cell_key prog cname,
-        fun ~attempt:_ budget ->
-          let image =
-            Gp_codegen.Pipeline.compile
-              ~transform:(Gp_obf.Obf.transform cfg)
-              entry.Gp_corpus.Programs.source
-          in
-          Gp_core.Gadget.reset_ids ();
-          let a = Gp_core.Api.analyze ~budget ~jobs image in
-          Gp_util.Store.crash_point "mid-stage";
-          let o =
-            Gp_core.Api.run_with_analysis ~planner_config ~budget ~jobs a goal
-          in
-          Ok
-            { rp_program = prog;
-              rp_config = cname;
-              rp_pool = Gp_core.Pool.size a.Gp_core.Api.pool;
-              rp_chains =
-                List.map Gp_core.Payload.chain_set_key o.Gp_core.Api.chains;
-              rp_rungs = List.map Gp_core.Api.rung_name o.Gp_core.Api.rungs;
-              rp_counters = Gp_core.Api.invariant_counters o } ))
-
-(* One journaled, checkpointed sweep over [cells] in [dir]: open the
-   store journal and the cell manifest, run the corpus (replaying
-   completed cells when [resume]), then compact and close.  Returns
-   the outcomes, the runner report, and the journal-open info. *)
-let resume_sweep ?(policy = Runner.default_policy) ~dir ~resume cells =
-  let jo = Gp_core.Incr.journal_open ~dir in
-  let m = Runner.Manifest.open_ ~dir in
-  match
-    Runner.run_corpus ~policy ~manifest:m ~resume
-      ~encode:resume_payload_encode ~decode:resume_payload_decode cells
-  with
-  | outcomes, report ->
-    if Gp_core.Incr.journaling () then ignore (Gp_core.Incr.journal_close ());
-    Runner.Manifest.close m;
-    (outcomes, report, jo)
-  | exception e ->
-    (* simulated process death (or any real abort): drop fds WITHOUT
-       flushing — a normal close here would complete the very writes
-       the crash is supposed to have torn *)
-    Gp_core.Incr.journal_abandon ();
-    Runner.Manifest.abandon m;
-    raise e
-
-let resume_json path ~jobs ~t_atomic ~t_wal ~overhead ~rows ~all_identical
-    ~jobs_invariant =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  json_provenance oc ~experiment:"resume";
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"cores\": %d,\n" (Gp_util.Par.available ());
-  p "  \"note\": \"crash-safe resumable sweeps (DESIGN.md section 13).  \
-     overhead compares a warm survey sweep persisting through the \
-     write-ahead journal (per-summary WAL appends + per-cell fsync'd \
-     checkpoints + final compaction) against the same sweep with one \
-     atomic save at the end.  Each crash row kills the sweep at an \
-     injected durability point (hits-th firing), then resumes from \
-     the WAL + cell manifest in a fresh world: completed_before cells \
-     replay from the checkpoint, the rest recompute, and 'identical' \
-     asserts the resumed sweep's encoded payloads equal the \
-     uninterrupted reference byte for byte.\",\n";
-  p "  \"wal_overhead\": %.4f,\n" overhead;
-  p "  \"t_atomic_s\": %.4f,\n" t_atomic;
-  p "  \"t_wal_s\": %.4f,\n" t_wal;
-  p "  \"jobs_invariant\": %b,\n" jobs_invariant;
-  p "  \"all_identical\": %b,\n" all_identical;
-  p "  \"rows\": [\n";
-  List.iteri
-    (fun i (point, j, hits, crashed, completed, total, resumed, recomputed,
-            retries, wal_replayed, wal_torn, recovery_s, identical) ->
-      p "    { \"point\": %S, \"jobs\": %d, \"hits\": %d, \"crashed\": %b, \
-         \"completed_before\": %d, \"total\": %d, \"resumed\": %d, \
-         \"recomputed\": %d, \"retries\": %d, \"wal_replayed\": %d, \
-         \"wal_torn_bytes\": %d, \"recovery_s\": %.4f, \
-         \"recovered_fraction\": %.3f, \"identical\": %b }%s\n"
-        point j hits crashed completed total resumed recomputed retries
-        wal_replayed wal_torn recovery_s
-        (float_of_int resumed /. float_of_int (max 1 total))
-        identical
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc
-
-let resume ?(quick = true) ?(jobs = 4) ?(cache_root = ".gp-cache/resume")
-    ?(out = "BENCH_resume.json") () =
-  let goal = Gp_core.Goal.Execve "/bin/sh" in
-  (* two programs x all configs keeps the many-sweep matrix inside
-     bench-suite time; full mode widens to the quick benchmark set *)
-  let entries =
-    if !smoke_mode then None
-    else if quick then
-      Some (List.map Gp_corpus.Programs.find [ "fibonacci"; "bubble_sort" ])
-    else Some (List.map Gp_corpus.Programs.find quick_benchmark_names)
-  in
-  let cells ~jobs = resume_cell_fns ?entries ~quick ~jobs ~goal () in
-  let jobs_list = if !smoke_mode then [ 1 ] else [ 1; jobs ] in
-  rm_rf cache_root;
-  (* --- uninterrupted references, one per job count --- *)
-  let payloads outcomes =
-    List.map
-      (fun (c : resume_payload Runner.cell_outcome) ->
-        match c.Runner.c_result with
-        | Ok p -> (c.Runner.c_key, resume_payload_encode p)
-        | Error f -> (c.Runner.c_key, "FAIL:" ^ Gp_core.Fail.label f))
-      outcomes
-  in
-  (* count wal-append firings during the reference so crash indices can
-     land mid-sweep deterministically *)
-  let append_fires = ref 0 in
-  let reference =
-    List.map
-      (fun j ->
-        let dir = Filename.concat cache_root (Printf.sprintf "ref-%d" j) in
-        reset_world ();
-        let saved = !Gp_util.Store.crash_hook in
-        Gp_util.Store.crash_hook :=
-          (fun p -> if p = "wal-append" then append_fires := !append_fires + 1);
-        let r =
-          Fun.protect
-            ~finally:(fun () -> Gp_util.Store.crash_hook := saved)
-            (fun () -> resume_sweep ~dir ~resume:false (cells ~jobs:j))
-        in
-        let outcomes, _, _ = r in
-        (j, payloads outcomes))
-      jobs_list
-  in
-  let ref_for j = List.assoc j reference in
-  let jobs_invariant =
-    match reference with
-    | (_, first) :: rest ->
-      List.for_all (fun (_, p) -> List.map snd p = List.map snd first) rest
-    | [] -> true
-  in
-  (* --- WAL overhead vs atomic save, warm sweep --- *)
-  let warm_dir = Filename.concat cache_root "warm" in
-  reset_world ();
-  ignore (resume_sweep ~dir:warm_dir ~resume:false (cells ~jobs));
-  (* manifest from the priming run must not short-circuit the timed
-     sweeps: they measure recompute + persistence, not replay *)
-  (try Sys.remove (Runner.Manifest.wal_path ~dir:warm_dir)
-   with Sys_error _ -> ());
-  reset_world ();
-  let (), t_atomic =
-    Gp_core.Api.timed (fun () ->
-        ignore (Gp_core.Incr.load ~dir:warm_dir);
-        ignore
-          (Runner.run_corpus ~encode:resume_payload_encode
-             ~decode:resume_payload_decode (cells ~jobs));
-        match Gp_core.Incr.save ~dir:warm_dir with Ok () | Error _ -> ())
-  in
-  (try Sys.remove (Runner.Manifest.wal_path ~dir:warm_dir)
-   with Sys_error _ -> ());
-  reset_world ();
-  let (), t_wal =
-    Gp_core.Api.timed (fun () ->
-        ignore (resume_sweep ~dir:warm_dir ~resume:false (cells ~jobs)))
-  in
-  let overhead = (t_wal /. Float.max 1e-9 t_atomic) -. 1. in
-  (* --- crash injection x resume differential --- *)
-  let points =
-    [ ("wal-append", max 1 (!append_fires / (2 * List.length jobs_list)));
-      ("save-rename", 1);
-      ("mid-stage", if !smoke_mode then 1 else 2) ]
-  in
-  let rows =
-    List.concat_map
-      (fun (point, hits) ->
-        List.map
-          (fun j ->
-            let dir =
-              Filename.concat cache_root (Printf.sprintf "%s-%d" point j)
-            in
-            reset_world ();
-            let crashed =
-              match
-                Faultsim.with_crash_at ~hits ~point (fun () ->
-                    resume_sweep ~dir ~resume:false (cells ~jobs:j))
-              with
-              | Error _ -> true (* resume_sweep already abandoned the fds *)
-              | Ok _ -> false
-            in
-            reset_world ();
-            let (outcomes, report, jo), recovery_s =
-              Gp_core.Api.timed (fun () ->
-                  resume_sweep ~dir ~resume:true (cells ~jobs:j))
-            in
-            let wal_replayed, wal_torn =
-              match jo.Gp_core.Incr.jo_status with
-              | Gp_core.Incr.Loaded li ->
-                (li.Gp_core.Incr.li_wal_replayed,
-                 li.Gp_core.Incr.li_wal_truncated)
-              | _ -> (0, 0)
-            in
-            let identical = payloads outcomes = ref_for j in
-            ( point, j, hits, crashed, report.Runner.r_resumed,
-              report.Runner.r_total, report.Runner.r_resumed,
-              report.Runner.r_computed, report.Runner.r_retries,
-              wal_replayed, wal_torn, recovery_s, identical ))
-          jobs_list)
-      points
-  in
-  let all_identical =
-    List.for_all
-      (fun (_, _, _, _, _, _, _, _, _, _, _, _, id) -> id)
-      rows
-  in
-  let t =
-    Table.create ~title:"Crash-safe resumable sweeps (DESIGN.md §13)"
-      ~header:
-        [ "point"; "jobs"; "crashed"; "resumed"; "recomputed"; "total";
-          "recovery(s)"; "identical" ]
-  in
-  List.iter
-    (fun (point, j, _, crashed, _, total, resumed, recomputed, _, _, _,
-          recovery_s, identical) ->
-      Table.add_row t
-        [ point; string_of_int j;
-          (if crashed then "yes" else "no");
-          string_of_int resumed; string_of_int recomputed;
-          string_of_int total; Printf.sprintf "%.2f" recovery_s;
-          (if identical then "yes" else "NO") ])
-    rows;
-  let body =
-    Table.render t
-    ^ Printf.sprintf
-        "\nWAL overhead vs atomic save (warm sweep): %.1f%% (wal %.2fs, \
-         atomic %.2fs)\njobs-invariant: %b   all resumes identical: %b\n"
-        (overhead *. 100.) t_wal t_atomic jobs_invariant all_identical
-  in
-  resume_json (out_path out) ~jobs ~t_atomic ~t_wal ~overhead ~rows
-    ~all_identical ~jobs_invariant;
-  (body, (overhead, rows, all_identical, jobs_invariant))
-
-(* ---------- whole-corpus pipelined sweeps (DESIGN.md §14) ---------- *)
-
-(* The resume-sweep cell bodies re-cut along the Api stage seams, so
-   the scheduler can interleave one cell's plan stage with another's
-   extract.  Cell-for-cell equivalent to [resume_cell_fns ~jobs:1]:
-   same compile, same budget threading (both stages draw from the one
-   per-attempt root), same "mid-stage" crash point between the pipeline
-   halves, same payload.  Gadget ids come from a per-cell local source
-   — exactly the sequence [Gadget.reset_ids ()] + the global source
-   yields — so concurrent cells cannot interleave draws. *)
-let sweep_cell_steps ?entries ?configs ?(quick = true) ~goal () :
-    (string * (attempt:int -> Gp_core.Budget.t -> resume_payload Sched.step))
-    list =
-  let planner_config =
-    { Gp_core.Planner.default_config with
-      Gp_core.Planner.node_budget = 1200; max_plans = 6 }
-  in
-  survey_cells ?entries ?configs ~quick (fun entry cname cfg ->
-      let prog = entry.Gp_corpus.Programs.name in
-      ( resume_cell_key prog cname,
-        fun ~attempt:_ budget ->
-          Sched.Next
-            ( "extract",
-              fun () ->
-                let image =
-                  Gp_codegen.Pipeline.compile
-                    ~transform:(Gp_obf.Obf.transform cfg)
-                    entry.Gp_corpus.Programs.source
-                in
-                let ex =
-                  Gp_core.Api.stage_extract ~budget ~jobs:1
-                    ~ids:(Gp_core.Gadget.local_ids ()) image
-                in
-                Sched.Next
-                  ( "subsume",
-                    fun () ->
-                      let a, _raw =
-                        Gp_core.Api.stage_subsume ~budget ~jobs:1 ex
-                      in
-                      Gp_util.Store.crash_point "mid-stage";
-                      Sched.Next
-                        ( "plan",
-                          fun () ->
-                            let p =
-                              Gp_core.Api.stage_plan ~planner_config ~budget
-                                ~jobs:1 a goal
-                            in
-                            Sched.Next
-                              ( "validate",
-                                fun () ->
-                                  let o = Gp_core.Api.stage_finalize p in
-                                  Sched.Finished
-                                    (Ok
-                                       { rp_program = prog;
-                                         rp_config = cname;
-                                         rp_pool =
-                                           Gp_core.Pool.size
-                                             a.Gp_core.Api.pool;
-                                         rp_chains =
-                                           List.map
-                                             Gp_core.Payload.chain_set_key
-                                             o.Gp_core.Api.chains;
-                                         rp_rungs =
-                                           List.map Gp_core.Api.rung_name
-                                             o.Gp_core.Api.rungs;
-                                         rp_counters = Gp_core.Api.invariant_counters o }) )
-                        ) ) ) ))
-
-(* Drive one staged cell to completion inline: the sequential
-   equivalent of what the scheduler does node by node.  Turns a staged
-   cell into a [Runner.run_corpus]-shaped one — the sequential
-   reference the sweep suite compares the scheduler against. *)
-let rec sweep_step_drive = function
-  | Sched.Finished r -> r
-  | Sched.Next (_, k) -> sweep_step_drive (k ())
-
-let sweep_cells_sequential cells =
-  List.map
-    (fun (key, sc) ->
-      (key, fun ~attempt b -> sweep_step_drive (sc ~attempt b)))
-    cells
-
-(* [resume_sweep]'s journaled checkpointed bracket around the
-   scheduler: same open/close/abandon discipline, the corpus executed
-   as a cell x stage DAG on [jobs] workers. *)
-let sched_sweep ?(policy = Runner.default_policy) ~dir ~resume ~jobs cells =
-  let jo = Gp_core.Incr.journal_open ~dir in
-  let m = Runner.Manifest.open_ ~dir in
-  match
-    Sched.run_cells ~policy ~manifest:m ~resume
-      ~encode:resume_payload_encode ~decode:resume_payload_decode ~jobs cells
-  with
-  | outcomes, report ->
-    if Gp_core.Incr.journaling () then ignore (Gp_core.Incr.journal_close ());
-    Runner.Manifest.close m;
-    (outcomes, report, jo)
-  | exception e ->
-    Gp_core.Incr.journal_abandon ();
-    Runner.Manifest.abandon m;
-    raise e
-
-let sweep_json path ~jobs ~rows ~obf ~sched_overhead ~all_identical =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  json_provenance oc ~experiment:"sweep";
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"cores\": %d,\n" (Gp_util.Par.available ());
-  p "  \"note\": \"whole-corpus pipelined scheduler (DESIGN.md section \
-     14).  Each row times the same survey sweep two ways: 'seq' is the \
-     sequential cell loop (Runner.run_corpus, within-cell parallelism \
-     at the row's job count), 'dag' is the cell x stage DAG on a \
-     work-stealing pool of that many workers (cells internally \
-     single-threaded).  'identical' asserts the DAG sweep's encoded \
-     cell payloads equal the sequential reference byte for byte.  \
-     sched_overhead is the jobs=1 DAG wall-clock over the jobs=1 \
-     sequential loop, minus one: pure scheduler bookkeeping, no \
-     parallelism in play.  The obf block repeats the comparison on the \
-     obfuscated configs only.  Speedups are honest wall-clock ratios \
-     on THIS host; with fewer cores than workers the pool is \
-     timesliced and pipelining cannot beat the loop — see the cores \
-     field before reading the ratios.\",\n";
-  p "  \"sched_overhead\": %.4f,\n" sched_overhead;
-  p "  \"all_identical\": %b,\n" all_identical;
-  (match obf with
-  | None -> ()
-  | Some (t_seq, t_dag, identical) ->
-    p "  \"obf_seq_s\": %.4f,\n" t_seq;
-    p "  \"obf_dag_s\": %.4f,\n" t_dag;
-    p "  \"obf_speedup\": %.3f,\n" (t_seq /. Float.max 1e-9 t_dag);
-    p "  \"obf_identical\": %b,\n" identical);
-  p "  \"rows\": [\n";
-  List.iteri
-    (fun i (j, t_seq, t_dag, identical) ->
-      p "    { \"jobs\": %d, \"seq_s\": %.4f, \"dag_s\": %.4f, \
-         \"speedup\": %.3f, \"identical\": %b }%s\n"
-        j t_seq t_dag
-        (t_seq /. Float.max 1e-9 t_dag)
-        identical
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc
-
-let sweep ?(quick = true) ?(jobs = 4) ?(out = "BENCH_sweep.json") () =
-  let goal = Gp_core.Goal.Execve "/bin/sh" in
-  let entries =
-    if !smoke_mode then None
-    else if quick then
-      Some (List.map Gp_corpus.Programs.find [ "fibonacci"; "bubble_sort" ])
-    else Some (List.map Gp_corpus.Programs.find quick_benchmark_names)
-  in
-  let jobs_list = if !smoke_mode then [ 1 ] else [ 1; jobs ] in
-  let payloads outcomes =
-    List.map
-      (fun (c : resume_payload Runner.cell_outcome) ->
-        match c.Runner.c_result with
-        | Ok p -> (c.Runner.c_key, resume_payload_encode p)
-        | Error f -> (c.Runner.c_key, "FAIL:" ^ Gp_core.Fail.label f))
-      outcomes
-  in
-  let seq_sweep ?configs ~jobs () =
-    reset_world ();
-    let cells = resume_cell_fns ?entries ?configs ~quick ~jobs ~goal () in
-    Gp_core.Api.timed (fun () ->
-        let outcomes, _ =
-          Runner.run_corpus ~encode:resume_payload_encode
-            ~decode:resume_payload_decode cells
-        in
-        payloads outcomes)
-  in
-  let dag_sweep ?configs ~jobs () =
-    reset_world ();
-    let cells = sweep_cell_steps ?entries ?configs ~quick ~goal () in
-    Gp_core.Api.timed (fun () ->
-        let outcomes, _ =
-          Sched.run_cells ~encode:resume_payload_encode
-            ~decode:resume_payload_decode ~jobs cells
-        in
-        payloads outcomes)
-  in
-  (* one untimed warmup pass so neither contender pays first-run costs *)
-  ignore (seq_sweep ~jobs:1 ());
-  let reference, _ = seq_sweep ~jobs:1 () in
-  let rows =
-    List.map
-      (fun j ->
-        let seq_p, t_seq = seq_sweep ~jobs:j () in
-        let dag_p, t_dag = dag_sweep ~jobs:j () in
-        let identical = dag_p = reference && seq_p = reference in
-        (j, t_seq, t_dag, identical))
-      jobs_list
-  in
-  let sched_overhead =
-    match rows with
-    | (1, t_seq1, t_dag1, _) :: _ -> (t_dag1 /. Float.max 1e-9 t_seq1) -. 1.
-    | _ -> 0.
-  in
-  (* the paper-relevant subset: obfuscated configs only, where cells
-     are slow and stage-imbalanced — the case pipelining targets *)
-  let obf =
-    if !smoke_mode then None
-    else begin
-      let configs =
-        List.filter (fun (n, _) -> n <> "original") Workspace.obf_configs
-      in
-      let oref, t_seq = seq_sweep ~configs ~jobs () in
-      let odag, t_dag = dag_sweep ~configs ~jobs () in
-      Some (t_seq, t_dag, odag = oref)
-    end
-  in
-  let all_identical =
-    List.for_all (fun (_, _, _, id) -> id) rows
-    && match obf with Some (_, _, id) -> id | None -> true
-  in
-  let t =
-    Table.create ~title:"Pipelined corpus scheduler (DESIGN.md §14)"
-      ~header:[ "jobs"; "seq(s)"; "dag(s)"; "speedup"; "identical" ]
-  in
-  List.iter
-    (fun (j, t_seq, t_dag, identical) ->
-      Table.add_row t
-        [ string_of_int j; Printf.sprintf "%.2f" t_seq;
-          Printf.sprintf "%.2f" t_dag;
-          Printf.sprintf "%.2fx" (t_seq /. Float.max 1e-9 t_dag);
-          (if identical then "yes" else "NO") ])
-    rows;
-  let body =
-    Table.render t
-    ^ Printf.sprintf
-        "\nscheduler overhead (jobs=1 dag vs loop): %.1f%%   cores: %d%s\n\
-         all payloads identical: %b\n"
-        (sched_overhead *. 100.)
-        (Gp_util.Par.available ())
-        (match obf with
-        | Some (ts, td, _) ->
-          Printf.sprintf "   obf-only at jobs=%d: %.2fx" jobs
-            (ts /. Float.max 1e-9 td)
-        | None -> "")
-        all_identical
-  in
-  sweep_json (out_path out) ~jobs ~rows ~obf ~sched_overhead ~all_identical;
-  (body, (rows, sched_overhead, all_identical))
-
-(* ---------- analysis-as-a-service (DESIGN.md §15) ---------- *)
-
-(* Sustained request throughput and latency, cold process-per-request
-   vs the resident daemon, over a shuffled replay of the survey corpus.
-
-   The cold model runs each request inline after [reset_world] — a
-   fresh process's cache state without its exec/link/store-load cost,
-   so the measured resident speedup is a LOWER bound on the real
-   process-per-request comparison.  The replay visits every survey
-   cell twice in a fixed shuffled order: re-analysis of content the
-   daemon has seen is precisely the workload a resident cache serves.
-
-   Every daemon reply is diffed (encoded report bytes) against the
-   cold reference — the speedup claim is only meaningful if the
-   resident answers are bit-identical. *)
-
-let serve_requests ?configs ?entries ~quick () =
-  survey_cells ?configs ?entries ~quick (fun e cname cfg ->
-      let image =
-        Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg)
-          e.Gp_corpus.Programs.source
-      in
-      ( e.Gp_corpus.Programs.name ^ "/" ^ cname,
-        { (Serve.default_request image) with
-          Serve.rq_max_plans = 6;
-          rq_node_budget = 1200 } ))
-
-(* Fixed-seed Fisher-Yates: the replay order is part of the experiment
-   definition, identical on every run. *)
-let shuffled_replay ?(seed = 0x5e7) ~copies requests =
-  let a = Array.of_list (List.concat (List.init copies (fun _ -> requests))) in
-  let r = Gp_util.Rng.create seed in
-  for i = Array.length a - 1 downto 1 do
-    let j = Gp_util.Rng.int r (i + 1) in
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  done;
-  Array.to_list a
-
-let latency_percentile lats p =
-  let a = Array.of_list lats in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then 0.
-  else a.(max 0 (min (n - 1) (int_of_float (ceil (float n *. p /. 100.)) - 1)))
-
-(* One request through the inline CLI path on fresh caches.  The reset
-   is outside the timing: we bill the cold model for the analysis only,
-   not for the process setup a real cold run would also pay. *)
-let serve_cold_pass replay =
-  List.map
-    (fun (_key, rq) ->
-      reset_world ();
-      let r, dt = Gp_core.Api.timed (fun () -> Serve.handle rq) in
-      (Serve.report_encode r, dt))
-    replay
-
-(* The same replay against a resident daemon (spawned in-process on its
-   own domain), one sequential client connection — req/s is
-   latency-bound, which is the honest single-client number. *)
-let serve_daemon_pass ?cache_dir ~pool_jobs replay =
-  reset_world ();
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "gp-serve-%d-%d.sock" (Unix.getpid ()) pool_jobs)
-  in
-  let cfg =
-    { (Serve.default_config ~socket:sock) with
-      Serve.d_cache_dir = cache_dir;
-      d_jobs = pool_jobs }
-  in
-  let dmn = Domain.spawn (fun () -> Serve.serve cfg) in
-  let rec connect tries =
-    match Serve.Client.connect sock with
-    | Ok cl -> cl
-    | Error why ->
-      if tries > 500 then failwith ("serve bench: daemon never came up: " ^ why)
-      else begin
-        Unix.sleepf 0.01;
-        connect (tries + 1)
-      end
-  in
-  let cl = connect 0 in
-  let results =
-    List.map
-      (fun (_key, rq) ->
-        let t0 = Unix.gettimeofday () in
-        match Serve.Client.submit cl rq with
-        | Ok r -> (Serve.report_encode r, Unix.gettimeofday () -. t0)
-        | Error f ->
-          ("FAIL:" ^ Gp_core.Fail.label f, Unix.gettimeofday () -. t0))
-      replay
-  in
-  ignore (Serve.Client.shutdown cl);
-  Serve.Client.close cl;
-  let sm = Domain.join dmn in
-  (results, sm)
-
-(* One request as the durable CLI deployment the daemon replaces:
-   fresh process state, store loaded before and saved after (Api.run's
-   --cache-dir path), both inside the timing — that is what every
-   process-per-request invocation pays to produce a durable warm
-   result. *)
-let serve_cli_pass ~dir replay =
-  List.map
-    (fun (_key, rq) ->
-      reset_world ();
-      let r, dt = Gp_core.Api.timed (fun () -> Serve.handle ~cache_dir:dir rq) in
-      (Serve.report_encode r, dt))
-    replay
-
-let copy_file src dst =
-  let ic = open_in_bin src in
-  let n = in_channel_length ic in
-  let b = really_input_string ic n in
-  close_in ic;
-  let oc = open_out_bin dst in
-  output_string oc b;
-  close_out oc
-
-let serve_json path ~jobs ~n_requests ~cold ~cli ~rows ~journal
-    ~durable_speedup ~all_identical =
-  let cold_s, cold_p50, cold_p99 = cold in
-  let cli_s, cli_p50, cli_p99 = cli in
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  json_provenance oc ~experiment:"serve";
-  p "  \"jobs\": %d,\n" jobs;
-  p "  \"cores\": %d,\n" (Gp_util.Par.available ());
-  p "  \"note\": \"analysis daemon (DESIGN.md section 15) vs \
-     process-per-request, over a fixed shuffled replay visiting every \
-     survey cell twice against a pre-seeded warm store.  \
-     cold_nostore = each request inline after a full cache reset, no \
-     persistence (context: what raw analysis costs); its timing \
-     excludes process exec, so daemon comparisons against it are \
-     lower bounds.  cli_store = the deployment the daemon replaces: \
-     per request, fresh caches + store LOAD + analysis + store SAVE \
-     (Api.run --cache-dir), all timed — durable warm answers at \
-     process-per-request cost.  daemon rows = the same replay through \
-     one sequential client connection to a resident daemon (req/s is \
-     latency-bound, not a saturation number); memory mode, caches \
-     resident, no persistence.  journal block = the daemon on the \
-     same warm store with the WAL + batched checkpoints on: \
-     durability restored at a checkpoint's granularity; overhead is \
-     its wall over the same-jobs memory daemon's, minus one (the \
-     warm-path store overhead bar).  durable_speedup = cli_store_s / \
-     journal_s: both contenders produce durable warm results — the \
-     headline resident-vs-cold claim.  identical = every reply's \
-     encoded report equals the no-store cold reference byte for byte. \
-     Wall-clock ratios are honest numbers for THIS host — see cores \
-     before reading them.\",\n";
-  p "  \"n_requests\": %d,\n" n_requests;
-  p "  \"cold_nostore_s\": %.4f,\n" cold_s;
-  p "  \"cold_nostore_rps\": %.3f,\n" (float n_requests /. Float.max 1e-9 cold_s);
-  p "  \"cold_nostore_p50_ms\": %.2f,\n" (cold_p50 *. 1000.);
-  p "  \"cold_nostore_p99_ms\": %.2f,\n" (cold_p99 *. 1000.);
-  p "  \"cli_store_s\": %.4f,\n" cli_s;
-  p "  \"cli_store_rps\": %.3f,\n" (float n_requests /. Float.max 1e-9 cli_s);
-  p "  \"cli_store_p50_ms\": %.2f,\n" (cli_p50 *. 1000.);
-  p "  \"cli_store_p99_ms\": %.2f,\n" (cli_p99 *. 1000.);
-  (match journal with
-  | None -> ()
-  | Some (t_journal, p50, p99, t_plain, checkpoints, identical) ->
-    p "  \"journal_s\": %.4f,\n" t_journal;
-    p "  \"journal_rps\": %.3f,\n" (float n_requests /. Float.max 1e-9 t_journal);
-    p "  \"journal_p50_ms\": %.2f,\n" (p50 *. 1000.);
-    p "  \"journal_p99_ms\": %.2f,\n" (p99 *. 1000.);
-    p "  \"journal_overhead\": %.4f,\n"
-      ((t_journal /. Float.max 1e-9 t_plain) -. 1.);
-    p "  \"journal_checkpoints\": %d,\n" checkpoints;
-    p "  \"journal_identical\": %b,\n" identical);
-  p "  \"durable_speedup\": %.3f,\n" durable_speedup;
-  p "  \"all_identical\": %b,\n" all_identical;
-  p "  \"rows\": [\n";
-  List.iteri
-    (fun i (j, t, p50, p99, identical) ->
-      p "    { \"jobs\": %d, \"daemon_s\": %.4f, \"rps\": %.3f, \
-         \"speedup_vs_cli_store\": %.3f, \"p50_ms\": %.2f, \
-         \"p99_ms\": %.2f, \"identical\": %b }%s\n"
-        j t
-        (float n_requests /. Float.max 1e-9 t)
-        (cli_s /. Float.max 1e-9 t)
-        (p50 *. 1000.) (p99 *. 1000.) identical
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc
-
-let serve ?(quick = true) ?(jobs = 4) ?(out = "BENCH_serve.json") () =
-  let entries =
-    if !smoke_mode then None
-    else if quick then
-      Some (List.map Gp_corpus.Programs.find quick_benchmark_names)
-    else Some Gp_corpus.Programs.all
-  in
-  let requests = serve_requests ?entries ~quick () in
-  let replay = shuffled_replay ~copies:2 requests in
-  let n = List.length replay in
-  (* warmup: one untimed cold request so no contender pays first-run
-     costs (term interner, code paths) *)
-  (match replay with
-  | r :: _ -> ignore (serve_cold_pass [ r ])
-  | [] -> ());
-  (* pre-seed the warm store every durable contender starts from: one
-     analysis of each unique cell, saved once *)
-  let dir_cli =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "gp-serve-cli-%d" (Unix.getpid ()))
-  in
-  let dir_wal =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "gp-serve-wal-%d" (Unix.getpid ()))
-  in
-  rm_rf dir_cli;
-  rm_rf dir_wal;
-  reset_world ();
-  List.iter (fun (_, rq) -> ignore (Serve.handle rq)) requests;
-  (match Gp_core.Incr.save ~dir:dir_cli with
-  | Ok () -> ()
-  | Error why -> failwith ("serve bench: seeding the store failed: " ^ why));
-  Unix.mkdir dir_wal 0o755;
-  copy_file
-    (Gp_core.Incr.path ~dir:dir_cli)
-    (Gp_core.Incr.path ~dir:dir_wal);
-  (* context baseline: raw analysis cost, no persistence *)
-  let cold = serve_cold_pass replay in
-  let reference = List.map fst cold in
-  let cold_lat = List.map snd cold in
-  let cold_s = List.fold_left ( +. ) 0. cold_lat in
-  (* the incumbent: durable process-per-request over the warm store *)
-  let cli = serve_cli_pass ~dir:dir_cli replay in
-  let cli_lat = List.map snd cli in
-  let cli_s = List.fold_left ( +. ) 0. cli_lat in
-  let cli_identical = List.map fst cli = reference in
-  (* the challenger, memory mode at 1 and [jobs] pool workers *)
-  let jobs_list = if !smoke_mode then [ 1 ] else [ 1; jobs ] in
-  let rows =
-    List.map
-      (fun j ->
-        let results, _sm = serve_daemon_pass ~pool_jobs:j replay in
-        let lats = List.map snd results in
-        let t = List.fold_left ( +. ) 0. lats in
-        let identical = List.map fst results = reference in
-        ( j, t, latency_percentile lats 50., latency_percentile lats 99.,
-          identical ))
-      jobs_list
-  in
-  (* the challenger with durability on: same warm store, WAL + batched
-     checkpoints.  Overhead is measured against the same-jobs memory
-     daemon — the warm-path store overhead bar. *)
-  let wal_jobs = List.fold_left (fun _ j -> j) 1 jobs_list in
-  let journal =
-    let t_plain =
-      match List.rev rows with (_, t, _, _, _) :: _ -> t | [] -> 0.
-    in
-    let results, sm = serve_daemon_pass ~cache_dir:dir_wal ~pool_jobs:wal_jobs replay in
-    let lats = List.map snd results in
-    let t = List.fold_left ( +. ) 0. lats in
-    Some
-      ( t, latency_percentile lats 50., latency_percentile lats 99., t_plain,
-        sm.Serve.sm_checkpoints, List.map fst results = reference )
-  in
-  rm_rf dir_cli;
-  rm_rf dir_wal;
-  let durable_speedup =
-    match journal with
-    | Some (tj, _, _, _, _, _) -> cli_s /. Float.max 1e-9 tj
-    | None -> 0.
-  in
-  let all_identical =
-    cli_identical
-    && List.for_all (fun (_, _, _, _, id) -> id) rows
-    && (match journal with Some (_, _, _, _, _, id) -> id | None -> true)
-  in
-  let t =
-    Table.create ~title:"Analysis-as-a-service (DESIGN.md §15)"
-      ~header:[ "mode"; "wall(s)"; "req/s"; "p50(ms)"; "p99(ms)"; "identical" ]
-  in
-  Table.add_row t
-    [ "cold, no store"; Printf.sprintf "%.2f" cold_s;
-      Printf.sprintf "%.1f" (float n /. Float.max 1e-9 cold_s);
-      Printf.sprintf "%.1f" (latency_percentile cold_lat 50. *. 1000.);
-      Printf.sprintf "%.1f" (latency_percentile cold_lat 99. *. 1000.);
-      "(reference)" ];
-  Table.add_row t
-    [ "cli + store"; Printf.sprintf "%.2f" cli_s;
-      Printf.sprintf "%.1f" (float n /. Float.max 1e-9 cli_s);
-      Printf.sprintf "%.1f" (latency_percentile cli_lat 50. *. 1000.);
-      Printf.sprintf "%.1f" (latency_percentile cli_lat 99. *. 1000.);
-      (if cli_identical then "yes" else "NO") ];
-  List.iter
-    (fun (j, tw, p50, p99, identical) ->
-      Table.add_row t
-        [ Printf.sprintf "daemon j=%d" j; Printf.sprintf "%.2f" tw;
-          Printf.sprintf "%.1f" (float n /. Float.max 1e-9 tw);
-          Printf.sprintf "%.1f" (p50 *. 1000.);
-          Printf.sprintf "%.1f" (p99 *. 1000.);
-          (if identical then "yes" else "NO") ])
-    rows;
-  (match journal with
-  | Some (tj, p50, p99, _, ck, identical) ->
-    Table.add_row t
-      [ Printf.sprintf "daemon+wal j=%d" wal_jobs; Printf.sprintf "%.2f" tj;
-        Printf.sprintf "%.1f" (float n /. Float.max 1e-9 tj);
-        Printf.sprintf "%.1f" (p50 *. 1000.);
-        Printf.sprintf "%.1f" (p99 *. 1000.);
-        Printf.sprintf "%s (%d ckpt)" (if identical then "yes" else "NO") ck ]
-  | None -> ());
-  let journal_overhead =
-    match journal with
-    | Some (tj, _, _, tp, _, _) -> (tj /. Float.max 1e-9 tp) -. 1.
-    | None -> 0.
-  in
-  let body =
-    Table.render t
-    ^ Printf.sprintf
-        "\n%d requests (every survey cell twice, fixed shuffle, warm \
-         store); cores: %d\ndurable speedup (cli+store vs daemon+wal): \
-         %.2fx; warm-path journal overhead: %.1f%%\nall replies \
-         identical to the cold CLI path: %b\n"
-        n (Gp_util.Par.available ())
-        durable_speedup (journal_overhead *. 100.) all_identical
-  in
-  serve_json (out_path out) ~jobs ~n_requests:n
-    ~cold:
-      ( cold_s, latency_percentile cold_lat 50.,
-        latency_percentile cold_lat 99. )
-    ~cli:
-      ( cli_s, latency_percentile cli_lat 50.,
-        latency_percentile cli_lat 99. )
-    ~rows ~journal ~durable_speedup ~all_identical;
-  (body, (rows, durable_speedup, all_identical))

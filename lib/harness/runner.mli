@@ -86,4 +86,10 @@ val run_corpus :
     [jobs]).  With [resume] and a manifest, completed cells replay
     their recorded payload through [decode]; computed cells are
     recorded through [encode] and followed by an [Incr] journal
-    checkpoint when one is open. *)
+    checkpoint when one is open.
+
+    The shipped sweep runs on {!Sched.run_cells}.  This loop stays as
+    the sequential reference the sweep suite's byte differential
+    compares the scheduler against (over
+    {!Survey.sweep_cells_sequential}), and for the runner suite's
+    supervision tests. *)

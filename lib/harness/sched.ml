@@ -18,7 +18,7 @@
    content-addressed keys whose values are deterministic, so a hit
    returns the same bytes whichever cell populated the entry.  Cell
    payloads are therefore bit-identical at any job count, including
-   jobs = 1 and the legacy sequential loop ([Runner.run_corpus]).
+   jobs = 1 and the sequential reference loop ([Runner.run_corpus]).
 
    [Faultsim.Crashed] is never caught: simulated process death aborts
    the pool (workers stop claiming, every domain is joined) and then

@@ -4,8 +4,8 @@
     units, edges the stage order within a cell — on one shared domain
     pool with per-worker deques and work stealing, so stage 3 of cell A
     overlaps stage 1 of cell B instead of fencing at each stage
-    boundary.  Results are bit-identical to the sequential
-    {!Runner.run_corpus} loop at any job count; the determinism
+    boundary.  Results are bit-identical to the sequential reference
+    loop {!Runner.run_corpus} at any job count; the determinism
     argument (per-cell id sources, pure compiles, first-write-wins
     shared tables) is DESIGN.md §14. *)
 

@@ -299,19 +299,16 @@ let reply_decode s =
 (* ----- request execution ----- *)
 
 (* Inline (CLI-path) execution: exactly what `gadget_planner plan`
-   does, with a request-local gadget id source.  This is both the
-   differential reference and the process-per-request body of the
-   serve bench ([cache_dir] = the CLI's --cache-dir: load the store
-   before, save after — the warm-but-cold-process deployment the
-   daemon replaces). *)
-let handle ?cache_dir (rq : request) : report =
+   does, with a request-local gadget id source — the differential
+   reference for the daemon's staged path. *)
+let handle (rq : request) : report =
   let budget =
     if rq.rq_budget_s > 0. then
       Some (Budget.create ~label:"serve" ~seconds:rq.rq_budget_s ())
     else None
   in
   report_of_outcome
-    (Api.run ?budget ?cache_dir
+    (Api.run ?budget
        ~planner_config:(planner_config_of rq)
        ~jobs:rq.rq_jobs
        ~ids:(Gadget.local_ids ())

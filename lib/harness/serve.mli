@@ -66,11 +66,9 @@ val report_decode : string -> int ref -> report
     The two must stay bit-identical; the serve suite diffs their
     encoded reports at service jobs 1 and 4. *)
 
-val handle : ?cache_dir:string -> request -> report
+val handle : request -> report
 (** Inline CLI-path execution: exactly what [gadget_planner plan] runs
-    ({!Api.run} with a request-local gadget id source).  [cache_dir]
-    is the CLI's --cache-dir — store loaded before, saved after — for
-    modeling the durable process-per-request deployment. *)
+    ({!Api.run} with a request-local gadget id source). *)
 
 val request_steps : request -> report Sched.step
 (** The same computation cut along the {!Api} stage seams — extract,

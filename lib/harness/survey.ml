@@ -1,0 +1,215 @@
+(* The survey grid and the one journaled sweep over it (DESIGN.md §13–§14).
+
+   A survey cell is one (program, obfuscation config) pair.  The paper
+   experiments walk the grid; the `survey` CLI, the sweep and resume
+   suites, and the daemon suite cut it into staged cells whose payload
+   is the jobs-, temperature- and interrupt-invariant part of the cell's
+   outcome. *)
+
+let quick_benchmark_names =
+  [ "bubble_sort"; "crc_check"; "fibonacci"; "stack_machine" ]
+
+(* Smoke mode (`bench --quick`): collapse the survey to a single
+   program under a single obfuscation config so `make check` can assert
+   the whole harness still runs end-to-end without the survey cost. *)
+let smoke_mode = ref false
+let set_smoke b = smoke_mode := b
+
+(* ---------- the grid ---------- *)
+
+let benchmark_entries ~quick =
+  if !smoke_mode then [ Gp_corpus.Programs.find "fibonacci" ]
+  else if quick then List.map Gp_corpus.Programs.find quick_benchmark_names
+  else Gp_corpus.Programs.all
+
+let survey_configs () =
+  if !smoke_mode then [ ("llvm-obf", Gp_obf.Obf.ollvm) ]
+  else Workspace.obf_configs
+
+let survey_entries ?entries ~quick () =
+  match entries with Some e -> e | None -> benchmark_entries ~quick
+
+let survey_cells ?(config_major = false) ?configs ?entries ?(quick = true) f =
+  let configs =
+    match configs with Some c -> c | None -> survey_configs ()
+  in
+  let entries = survey_entries ?entries ~quick () in
+  if config_major then
+    List.concat_map
+      (fun (cname, cfg) -> List.map (fun e -> f e cname cfg) entries)
+      configs
+  else
+    List.concat_map
+      (fun e -> List.map (fun (cname, cfg) -> f e cname cfg) configs)
+      entries
+
+(* ---------- process state ---------- *)
+
+let reset_world () =
+  Gp_core.Gadget.reset_ids ();
+  Gp_smt.Term.reset_memo ();
+  Gp_smt.Cache.reset Gp_smt.Solver.memo;
+  Gp_smt.Cache.reset Gp_smt.Solver.equal_memo;
+  Gp_smt.Cache.reset Gp_smt.Solver.pool_memo;
+  Gp_smt.Solver.reset_screen ();
+  Gp_core.Incr.reset ()
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* ---------- cell payloads ---------- *)
+
+type resume_payload = {
+  rp_program : string;
+  rp_config : string;
+  rp_pool : int;
+  rp_chains : string list;
+  rp_rungs : string list;
+  rp_counters : (string * int) list;
+}
+
+let resume_payload_encode p =
+  let b = Buffer.create 256 in
+  let module B = Gp_util.Store.Bin in
+  B.str b p.rp_program;
+  B.str b p.rp_config;
+  B.int_ b p.rp_pool;
+  B.int_ b (List.length p.rp_chains);
+  List.iter (B.str b) p.rp_chains;
+  B.int_ b (List.length p.rp_rungs);
+  List.iter (B.str b) p.rp_rungs;
+  B.int_ b (List.length p.rp_counters);
+  List.iter
+    (fun (k, v) ->
+      B.str b k;
+      B.int_ b v)
+    p.rp_counters;
+  Buffer.contents b
+
+let resume_payload_decode s =
+  let module B = Gp_util.Store.Bin in
+  let pos = ref 0 in
+  let rp_program = B.gstr s pos in
+  let rp_config = B.gstr s pos in
+  let rp_pool = B.gint s pos in
+  let rp_chains = List.init (B.gint s pos) (fun _ -> B.gstr s pos) in
+  let rp_rungs = List.init (B.gint s pos) (fun _ -> B.gstr s pos) in
+  let rp_counters =
+    List.init (B.gint s pos) (fun _ ->
+        let k = B.gstr s pos in
+        (k, B.gint s pos))
+  in
+  { rp_program; rp_config; rp_pool; rp_chains; rp_rungs; rp_counters }
+
+(* ---------- staged cells ---------- *)
+
+(* Each cell compiles, then runs the four Api stages, firing the
+   "mid-stage" crash point between the pipeline halves.  Both stages
+   draw from the one per-attempt root budget.  Gadget ids come from a
+   per-cell local source — exactly the sequence [Gadget.reset_ids ()] +
+   the global source yields — so concurrent cells cannot interleave
+   draws.  No per-cell [cache_dir]: under a journal the store was merged
+   at [journal_open] and summaries stream to the WAL through
+   [Incr.add]. *)
+let sweep_cell_steps ?entries ?configs ?(quick = true) ~goal () :
+    (string * (attempt:int -> Gp_core.Budget.t -> resume_payload Sched.step))
+    list =
+  let planner_config =
+    { Gp_core.Planner.default_config with
+      Gp_core.Planner.node_budget = 1200; max_plans = 6 }
+  in
+  survey_cells ?entries ?configs ~quick (fun entry cname cfg ->
+      let prog = entry.Gp_corpus.Programs.name in
+      ( prog ^ "/" ^ cname,
+        fun ~attempt:_ budget ->
+          Sched.Next
+            ( "extract",
+              fun () ->
+                let image =
+                  Gp_codegen.Pipeline.compile
+                    ~transform:(Gp_obf.Obf.transform cfg)
+                    entry.Gp_corpus.Programs.source
+                in
+                let ex =
+                  Gp_core.Api.stage_extract ~budget ~jobs:1
+                    ~ids:(Gp_core.Gadget.local_ids ()) image
+                in
+                Sched.Next
+                  ( "subsume",
+                    fun () ->
+                      let a, _raw =
+                        Gp_core.Api.stage_subsume ~budget ~jobs:1 ex
+                      in
+                      Gp_util.Store.crash_point "mid-stage";
+                      Sched.Next
+                        ( "plan",
+                          fun () ->
+                            let p =
+                              Gp_core.Api.stage_plan ~planner_config ~budget
+                                ~jobs:1 a goal
+                            in
+                            Sched.Next
+                              ( "validate",
+                                fun () ->
+                                  let o = Gp_core.Api.stage_finalize p in
+                                  Sched.Finished
+                                    (Ok
+                                       { rp_program = prog;
+                                         rp_config = cname;
+                                         rp_pool =
+                                           Gp_core.Pool.size
+                                             a.Gp_core.Api.pool;
+                                         rp_chains =
+                                           List.map
+                                             Gp_core.Payload.chain_set_key
+                                             o.Gp_core.Api.chains;
+                                         rp_rungs =
+                                           List.map Gp_core.Api.rung_name
+                                             o.Gp_core.Api.rungs;
+                                         rp_counters = Gp_core.Api.invariant_counters o }) )
+                        ) ) ) ))
+
+let rec step_drive = function
+  | Sched.Finished r -> r
+  | Sched.Next (_, k) -> step_drive (k ())
+
+let sweep_cells_sequential cells =
+  List.map
+    (fun (key, sc) -> (key, fun ~attempt b -> step_drive (sc ~attempt b)))
+    cells
+
+(* ---------- the journaled sweep ---------- *)
+
+let sweep ~dir ~resume run =
+  let jo = Gp_core.Incr.journal_open ~dir in
+  let m = Runner.Manifest.open_ ~dir in
+  match run ~manifest:m ~resume with
+  | r ->
+    if Gp_core.Incr.journaling () then ignore (Gp_core.Incr.journal_close ());
+    Runner.Manifest.close m;
+    (r, jo)
+  | exception e ->
+    (* simulated process death (or any real abort): drop fds WITHOUT
+       flushing — a normal close here would complete the very writes
+       the crash is supposed to have torn *)
+    Gp_core.Incr.journal_abandon ();
+    Runner.Manifest.abandon m;
+    raise e
+
+(* ---------- daemon requests ---------- *)
+
+let serve_requests ?configs ?entries ~quick () =
+  survey_cells ?configs ?entries ~quick (fun e cname cfg ->
+      let image =
+        Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg)
+          e.Gp_corpus.Programs.source
+      in
+      ( e.Gp_corpus.Programs.name ^ "/" ^ cname,
+        { (Serve.default_request image) with
+          Serve.rq_max_plans = 6;
+          rq_node_budget = 1200 } ))

@@ -1,0 +1,106 @@
+(** The survey grid and the one journaled sweep over it (DESIGN.md
+    §13–§14): the (program x obfuscation config) cells the paper
+    experiments walk, the staged cell bodies the `survey` CLI and the
+    sweep suites run, and the checkpointed bracket around a sweep. *)
+
+(** {1 The grid} *)
+
+val set_smoke : bool -> unit
+(** Smoke mode ([bench --quick]): the grid collapses to one program
+    under one obfuscation config. *)
+
+val benchmark_entries : quick:bool -> Gp_corpus.Programs.entry list
+(** The smoke program, the quick set, or the whole corpus. *)
+
+val survey_configs : unit -> (string * Gp_obf.Obf.config) list
+(** [Workspace.obf_configs], or the single smoke config. *)
+
+val survey_entries :
+  ?entries:Gp_corpus.Programs.entry list -> quick:bool -> unit ->
+  Gp_corpus.Programs.entry list
+(** [entries] when given, else {!benchmark_entries}. *)
+
+val survey_cells :
+  ?config_major:bool ->
+  ?configs:(string * Gp_obf.Obf.config) list ->
+  ?entries:Gp_corpus.Programs.entry list ->
+  ?quick:bool ->
+  (Gp_corpus.Programs.entry -> string -> Gp_obf.Obf.config -> 'a) ->
+  'a list
+(** [f] over every (entry, config) cell: entry-major, or config-major
+    (originals first) with [config_major].  [configs] and [entries]
+    override the grid's axes. *)
+
+(** {1 Process state} *)
+
+val reset_world : unit -> unit
+(** Empty every process-global cache the pipeline keeps — gadget ids,
+    interned terms, solver verdict memos and screens, the in-memory
+    summary table — so the next run starts as a fresh process would. *)
+
+val rm_rf : string -> unit
+(** Remove a file or directory tree; absent paths are fine. *)
+
+(** {1 Staged survey cells} *)
+
+(** One survey cell's result, reduced to exactly the data that must be
+    invariant across job counts, cache temperature, and
+    interrupt/resume.  This is what the checkpoint manifest records, so
+    "resume ≡ uninterrupted" is checked byte for byte on the encoded
+    form. *)
+type resume_payload = {
+  rp_program : string;
+  rp_config : string;
+  rp_pool : int;
+  rp_chains : string list;            (** [Payload.chain_set_key] per chain *)
+  rp_rungs : string list;             (** degradation rungs attempted *)
+  rp_counters : (string * int) list;  (** [Api.invariant_counters] *)
+}
+
+val resume_payload_encode : resume_payload -> string
+val resume_payload_decode : string -> resume_payload
+
+val sweep_cell_steps :
+  ?entries:Gp_corpus.Programs.entry list ->
+  ?configs:(string * Gp_obf.Obf.config) list ->
+  ?quick:bool ->
+  goal:Gp_core.Goal.t ->
+  unit ->
+  (string * (attempt:int -> Gp_core.Budget.t -> resume_payload Sched.step))
+  list
+(** The grid's cells, keyed ["program/config"], each cut along the Api
+    stage seams (extract, subsume, plan, validate) for {!Sched.run_cells}.
+    Cells are single-threaded inside; the "mid-stage" crash point fires
+    between subsume and plan. *)
+
+val sweep_cells_sequential :
+  (string * (attempt:int -> Gp_core.Budget.t -> 'a Sched.step)) list ->
+  (string * (attempt:int -> Gp_core.Budget.t -> ('a, Gp_core.Fail.t) result))
+  list
+(** Each staged cell driven to completion inline: the
+    {!Runner.run_corpus}-shaped sequential reference the sweep suite
+    compares the scheduler against. *)
+
+(** {1 The journaled sweep} *)
+
+val sweep :
+  dir:string -> resume:bool ->
+  (manifest:Runner.Manifest.t -> resume:bool -> 'r) ->
+  'r * Gp_core.Incr.journal_open_result
+(** [sweep ~dir ~resume run]: open the store journal and the cell
+    manifest in [dir], [run] the cells against them (replaying
+    completed cells when [resume]), then compact and close.  If [run]
+    raises — a [Faultsim.Crashed] included — both are abandoned without
+    flushing, exactly like a killed process, and the exception
+    propagates. *)
+
+(** {1 Daemon requests} *)
+
+val serve_requests :
+  ?configs:(string * Gp_obf.Obf.config) list ->
+  ?entries:Gp_corpus.Programs.entry list ->
+  quick:bool ->
+  unit ->
+  (string * Serve.request) list
+(** One daemon request per grid cell, keyed ["program/config"], with
+    the sweep's planner limits. *)

@@ -23,8 +23,9 @@ val create : ?size:int -> unit -> ('k, 'v) t
 val enabled : ('k, 'v) t -> bool
 
 val set_enabled : ('k, 'v) t -> bool -> unit
-(** A disabled cache degrades {!find_or_add} to plain computation
-    (benchmarks use this for cold-cache timings). *)
+(** A disabled cache degrades {!find_or_add} to plain computation.
+    Test-only reference switch: the differential suites disable a memo
+    to produce the uncached reference a cached run must equal. *)
 
 val hits : ('k, 'v) t -> int
 

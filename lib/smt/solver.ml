@@ -157,7 +157,7 @@ let unknowns = Atomic.make 0
    returns is the one the fall-through path would produce AT THE CALL
    SITE THAT CONSUMES IT — so results are bit-identical with screening
    on or off, at any job count, and [set_screen_enabled] is a pure
-   ablation.
+   test-only reference switch.
 
    - Tier A (abstract screening, [Absdom]): disjoint abstract values
      refute [prove_equal] — and the real prover's trial 0 (all zeros)

@@ -82,9 +82,9 @@ val point_model : point -> string -> int64
 val screen_enabled : unit -> bool
 
 val set_screen_enabled : bool -> unit
-(** Ablation toggle for the [screen] experiment and the screening
-    differential suite, mirroring {!Term.set_memo_enabled}: disabling
-    restores the seed's uncached, unscreened behavior exactly. *)
+(** Test-only reference switch, mirroring {!Term.set_memo_enabled}:
+    disabling restores the seed's unscreened behavior exactly, the
+    reference the screening differential suites compare against. *)
 
 val screen_stats : unit -> int * int * int * int
 (** [(screen_refuted, screen_decided, concrete_refuted, elim_reused)]:
@@ -101,8 +101,8 @@ val reset_screen : unit -> unit
 val memo : (Formula.t list, result) Cache.t
 (** Memo store for {!check} verdicts on default-environment queries
     (no caller rng/pool/trial overrides), keyed on the canonicalized
-    conjunction.  Exposed for cache statistics and for benchmarks that
-    need cold-cache timings ({!Cache.reset}/{!Cache.set_enabled}). *)
+    conjunction.  Exposed for cache statistics and cold-state resets
+    ({!Cache.reset}). *)
 
 val equal_memo : (Term.t * Term.t, bool) Cache.t
 (** Memo store for {!prove_equal} on default-environment queries, keyed

@@ -293,8 +293,8 @@ let intern (t : t) : t =
    hand-rolled because [Cache] lives above [Formula], which depends on
    this module.
 
-   [set_memo_enabled false] restores the seed's uncached behavior;
-   benchmarks use it for honest cold-path timings. *)
+   [set_memo_enabled false] restores the seed's uncached behavior (a
+   test-only reference switch). *)
 
 let memo_lock = Mutex.create ()
 let simplify_tbl : (t, t) Hashtbl.t = Hashtbl.create 4096

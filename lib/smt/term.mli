@@ -84,9 +84,10 @@ val intern : t -> t
 val memo_enabled : unit -> bool
 
 val set_memo_enabled : bool -> unit
-(** [false] restores the seed's uncached [simplify]/[linearize]
-    (benchmarks use this for cold-path timings); {!intern} itself stays
-    available either way. *)
+(** [false] restores the seed's uncached [simplify]/[linearize];
+    {!intern} itself stays available either way.  Test-only reference
+    switch: the differential suites use it to produce the uncached
+    reference a memoized run must equal. *)
 
 val memo_stats : unit -> int * int
 (** (hits, misses) over the simplify/linearize memo since the last

@@ -20,7 +20,7 @@ let jobs_under_test =
   | Some s -> (try max 1 (int_of_string s) with _ -> 4)
   | None -> 4
 
-let reset = Gp_harness.Experiments.reset_world
+let reset = Gp_harness.Survey.reset_world
 
 let compile prog cname =
   let entry = Gp_corpus.Programs.find prog in
@@ -36,7 +36,7 @@ let tmp_dir =
       Filename.concat (Filename.get_temp_dir_name ())
         (Printf.sprintf "gp-incr-test-%d-%d" (Unix.getpid ()) !n)
     in
-    Gp_harness.Experiments.rm_rf d;
+    Gp_harness.Survey.rm_rf d;
     d
 
 (* Everything in an analysis that must not depend on the store: the
@@ -90,7 +90,7 @@ let check_differential jobs () =
       Alcotest.(check bool)
         (cell ^ ": warm run hits the summary store") true
         (warm.Gp_core.Api.analysis_summary_hits > 0);
-      Gp_harness.Experiments.rm_rf dir)
+      Gp_harness.Survey.rm_rf dir)
     diff_cells
 
 let check_differential_run () =
@@ -117,7 +117,7 @@ let check_differential_run () =
     (cold = reference);
   Alcotest.(check bool) "full run: warm read identical" true
     (warm = reference);
-  Gp_harness.Experiments.rm_rf dir
+  Gp_harness.Survey.rm_rf dir
 
 (* ----- counters: deterministic aggregation across job counts ----- *)
 
@@ -147,7 +147,7 @@ let check_counters () =
   Alcotest.(check int) "warm decode savings agree across jobs"
     warm1.Gp_core.Api.analysis_decode_saved
     warm4.Gp_core.Api.analysis_decode_saved;
-  Gp_harness.Experiments.rm_rf dir
+  Gp_harness.Survey.rm_rf dir
 
 (* ----- serialization properties ----- *)
 
@@ -214,7 +214,7 @@ let check_demoted ~what dir image reference =
     (store_quarantine a)
 
 let prime dir image =
-  Gp_harness.Experiments.rm_rf dir;
+  Gp_harness.Survey.rm_rf dir;
   ignore (analyze ~cache_dir:dir ~jobs:jobs_under_test image);
   Gp_core.Incr.path ~dir
 
@@ -248,7 +248,7 @@ let check_corrupt_store () =
   Alcotest.(check bool) "store recovers after re-prime" true
     (warm.Gp_core.Api.analysis_store_loaded > 0
      && fingerprint warm = reference);
-  Gp_harness.Experiments.rm_rf dir
+  Gp_harness.Survey.rm_rf dir
 
 (* Every schema bump must demote older stores to cold.  For each
    version below the current one, rewrite a freshly primed store's own
@@ -272,11 +272,11 @@ let check_old_schemas_demote () =
     | Error why -> Alcotest.fail ("could not write old store: " ^ why));
     check_demoted ~what:(Printf.sprintf "schema v%d" v) dir image reference
   done;
-  Gp_harness.Experiments.rm_rf dir
+  Gp_harness.Survey.rm_rf dir
 
 let check_store_classification () =
   let dir = tmp_dir () in
-  Gp_harness.Experiments.rm_rf dir;
+  Gp_harness.Survey.rm_rf dir;
   let path = Filename.concat dir "t.gpst" in
   (match Gp_util.Store.load ~schema:1 path with
   | Error Gp_util.Store.Missing -> ()
@@ -300,7 +300,7 @@ let check_store_classification () =
   (match Gp_util.Store.load ~schema:1 path with
   | Error (Gp_util.Store.Corrupt _) -> ()
   | _ -> Alcotest.fail "flipped bytes must classify as Corrupt");
-  Gp_harness.Experiments.rm_rf dir
+  Gp_harness.Survey.rm_rf dir
 
 let suite =
   [ Alcotest.test_case "differential: cache_dir jobs=1" `Slow

@@ -348,7 +348,7 @@ let test_summarize_r_consistency () =
     (List.length (Gp_symx.Exec.summarize image 0x400000L))
     (List.length s)
 
-(* ----- crash-safe resumable sweeps (DESIGN.md §13) ----- *)
+(* ----- crash-safe store and resumable sweeps (DESIGN.md §13) ----- *)
 
 let jobs_under_test =
   match Sys.getenv_opt "JOBS" with
@@ -363,7 +363,7 @@ let tmp_dir =
       Filename.concat (Filename.get_temp_dir_name ())
         (Printf.sprintf "gp-resil-test-%d-%d" (Unix.getpid ()) !n)
     in
-    Gp_harness.Experiments.rm_rf d;
+    Gp_harness.Survey.rm_rf d;
     d
 
 (* Atomic-save crash point (the fsync-before-rename fix): a process
@@ -388,7 +388,7 @@ let test_save_rename_crash_keeps_old () =
    | Ok s -> Alcotest.(check bool) "old contents intact" true (s = v1)
    | Error e ->
      Alcotest.fail ("reload: " ^ Gp_util.Store.error_reason e));
-  Gp_harness.Experiments.rm_rf dir
+  Gp_harness.Survey.rm_rf dir
 
 (* Store-independent analysis fingerprint (as in test_incr), minus the
    store-health quarantine labels a recovered run legitimately adds. *)
@@ -409,7 +409,7 @@ let incr_fingerprint (a : Gp_core.Api.analysis) =
 let test_incr_wal_truncation_demotes_cleanly () =
   let dir = tmp_dir () in
   let image = Lazy.force fib_image in
-  Gp_harness.Experiments.reset_world ();
+  Gp_harness.Survey.reset_world ();
   let jo = Gp_core.Incr.journal_open ~dir in
   (match jo.Gp_core.Incr.jo_mode with
    | `Journaling -> ()
@@ -423,71 +423,82 @@ let test_incr_wal_truncation_demotes_cleanly () =
   let wal = Gp_core.Incr.wal_path ~dir in
   let size = (Unix.stat wal).Unix.st_size in
   Alcotest.(check bool) "journal captured summaries" true (size > 100);
-  Gp_harness.Experiments.reset_world ();
+  Gp_harness.Survey.reset_world ();
   let reference = incr_fingerprint (Gp_core.Api.analyze ~jobs:1 image) in
   List.iter
     (fun k ->
       Gp_harness.Faultsim.truncate_file ~k wal;
       (* keep the WAL the only source: analyze re-saves a base store *)
       (try Sys.remove (Gp_core.Incr.path ~dir) with Sys_error _ -> ());
-      Gp_harness.Experiments.reset_world ();
+      Gp_harness.Survey.reset_world ();
       (match Gp_core.Incr.load ~dir with
        | Gp_core.Incr.Loaded _ | Gp_core.Incr.Absent
        | Gp_core.Incr.Rejected _ -> ());
-      Gp_harness.Experiments.reset_world ();
+      Gp_harness.Survey.reset_world ();
       let warm = Gp_core.Api.analyze ~cache_dir:dir ~jobs:1 image in
       Alcotest.(check bool)
         (Printf.sprintf "truncated at %d: identical to cold" k)
         true
         (incr_fingerprint warm = reference))
     [ size - 1; size * 3 / 4; size / 2; 21; 20; 7; 0 ];
-  Gp_harness.Experiments.rm_rf dir
+  Gp_harness.Survey.rm_rf dir
 
-(* The acceptance differential: kill a checkpointed sweep at each
-   injected crash point, resume it in a fresh world, and require the
-   resumed sweep's encoded payloads to equal an uninterrupted
-   reference byte for byte.  JOBS sweeps the job count (make
-   check-resume runs 1 and 4). *)
-let crash_cells ~jobs () =
-  Gp_harness.Experiments.resume_cell_fns
+(* The crash/resume differential on the supervised sequential runner:
+   kill a checkpointed [Runner.run_corpus] sweep at each injected crash
+   point, resume the manifest it left in a fresh world on the scheduler
+   at JOBS workers, and require the resumed sweep's encoded payloads to
+   equal an uninterrupted sequential reference byte for byte.  (The
+   scheduler crashing itself is covered in test_sweep.)  JOBS sweeps
+   the job count (make check-resume runs 1 and 4). *)
+let crash_cells () =
+  Gp_harness.Survey.sweep_cell_steps
     ~entries:[ Gp_corpus.Programs.find "fibonacci" ]
     ~configs:
       (List.filter
          (fun (n, _) -> n = "original" || n = "tigress")
          Gp_harness.Workspace.obf_configs)
-    ~quick:true ~jobs ~goal:(Gp_core.Goal.Execve "/bin/sh") ()
+    ~quick:true ~goal:(Gp_core.Goal.Execve "/bin/sh") ()
 
 let sweep_payloads outcomes =
   List.map
-    (fun (c : Gp_harness.Experiments.resume_payload
+    (fun (c : Gp_harness.Survey.resume_payload
              Gp_harness.Runner.cell_outcome) ->
       match c.Gp_harness.Runner.c_result with
       | Ok p ->
         (c.Gp_harness.Runner.c_key,
-         Gp_harness.Experiments.resume_payload_encode p)
+         Gp_harness.Survey.resume_payload_encode p)
       | Error f ->
         (c.Gp_harness.Runner.c_key, "FAIL:" ^ Gp_core.Fail.label f))
     outcomes
 
+let sequential_run ~manifest ~resume =
+  Gp_harness.Runner.run_corpus ~manifest ~resume
+    ~encode:Gp_harness.Survey.resume_payload_encode
+    ~decode:Gp_harness.Survey.resume_payload_decode
+    (Gp_harness.Survey.sweep_cells_sequential (crash_cells ()))
+
+let scheduled_run ~jobs ~manifest ~resume =
+  Gp_harness.Sched.run_cells ~manifest ~resume
+    ~encode:Gp_harness.Survey.resume_payload_encode
+    ~decode:Gp_harness.Survey.resume_payload_decode ~jobs (crash_cells ())
+
 let check_crash_resume jobs () =
   let refdir = tmp_dir () in
-  Gp_harness.Experiments.reset_world ();
-  let ro, _, _ =
-    Gp_harness.Experiments.resume_sweep ~dir:refdir ~resume:false
-      (crash_cells ~jobs ())
+  Gp_harness.Survey.reset_world ();
+  let (ro, _), _ =
+    Gp_harness.Survey.sweep ~dir:refdir ~resume:false sequential_run
   in
   let reference = sweep_payloads ro in
-  Gp_harness.Experiments.rm_rf refdir;
+  Gp_harness.Survey.rm_rf refdir;
   Alcotest.(check int) "reference covers the grid" 2 (List.length reference);
   List.iter
     (fun (point, hits) ->
       let dir = tmp_dir () in
-      Gp_harness.Experiments.reset_world ();
+      Gp_harness.Survey.reset_world ();
       let crashed =
         match
           Gp_harness.Faultsim.with_crash_at ~hits ~point (fun () ->
-              Gp_harness.Experiments.resume_sweep ~dir ~resume:false
-                (crash_cells ~jobs ()))
+              Gp_harness.Survey.sweep ~dir ~resume:false sequential_run)
         with
         | Ok _ -> false
         | Error p ->
@@ -495,10 +506,9 @@ let check_crash_resume jobs () =
           true
       in
       Alcotest.(check bool) (point ^ ": fuse fired") true crashed;
-      Gp_harness.Experiments.reset_world ();
-      let ro2, report, _ =
-        Gp_harness.Experiments.resume_sweep ~dir ~resume:true
-          (crash_cells ~jobs ())
+      Gp_harness.Survey.reset_world ();
+      let (ro2, report), _ =
+        Gp_harness.Survey.sweep ~dir ~resume:true (scheduled_run ~jobs)
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s (jobs %d): resume == uninterrupted" point jobs)
@@ -509,7 +519,7 @@ let check_crash_resume jobs () =
         2
         (report.Gp_harness.Runner.r_resumed
          + report.Gp_harness.Runner.r_computed);
-      Gp_harness.Experiments.rm_rf dir)
+      Gp_harness.Survey.rm_rf dir)
     [ ("wal-append", 5); ("mid-stage", 2); ("save-rename", 1) ]
 
 let suite =

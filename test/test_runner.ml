@@ -15,7 +15,7 @@ let tmp_dir =
       Filename.concat (Filename.get_temp_dir_name ())
         (Printf.sprintf "gp-runner-test-%d-%d" (Unix.getpid ()) !n)
     in
-    Gp_harness.Experiments.rm_rf d;
+    Gp_harness.Survey.rm_rf d;
     d
 
 (* Record backoff sleeps instead of performing them. *)
@@ -171,7 +171,7 @@ let test_manifest_roundtrip () =
      | None -> false);
   Alcotest.(check int) "clean tail" 0 (Runner.Manifest.torn_bytes m2);
   Runner.Manifest.close m2;
-  Gp_harness.Experiments.rm_rf dir
+  Gp_harness.Survey.rm_rf dir
 
 let test_manifest_rerecord_wins_last () =
   let dir = tmp_dir () in
@@ -185,7 +185,7 @@ let test_manifest_rerecord_wins_last () =
      | Some e -> e.Runner.Manifest.e_payload = "v2"
      | None -> false);
   Runner.Manifest.close m2;
-  Gp_harness.Experiments.rm_rf dir
+  Gp_harness.Survey.rm_rf dir
 
 let test_manifest_second_writer_demotes () =
   let dir = tmp_dir () in
@@ -205,7 +205,7 @@ let test_manifest_second_writer_demotes () =
   Alcotest.(check int) "only the locked writer persisted" 1
     (Runner.Manifest.completed m3);
   Runner.Manifest.close m3;
-  Gp_harness.Experiments.rm_rf dir
+  Gp_harness.Survey.rm_rf dir
 
 let test_manifest_torn_tail_recovers () =
   let dir = tmp_dir () in
@@ -232,7 +232,7 @@ let test_manifest_torn_tail_recovers () =
   let m3 = Runner.Manifest.open_ ~dir in
   Alcotest.(check int) "recovered + appended" 2 (Runner.Manifest.replayed m3);
   Runner.Manifest.close m3;
-  Gp_harness.Experiments.rm_rf dir
+  Gp_harness.Survey.rm_rf dir
 
 (* ----- run_corpus ----- *)
 
@@ -270,7 +270,7 @@ let test_run_corpus_resume_skips_completed () =
     = List.map (fun c -> c.Runner.c_result) outcomes2);
   Alcotest.(check bool) "resumed flag set" true
     (List.for_all (fun c -> c.Runner.c_resumed) outcomes2);
-  Gp_harness.Experiments.rm_rf dir
+  Gp_harness.Survey.rm_rf dir
 
 let test_run_corpus_partial_resume () =
   let dir = tmp_dir () in
@@ -289,7 +289,7 @@ let test_run_corpus_partial_resume () =
   Alcotest.(check int) "rest recomputed" 2 report.Runner.r_computed;
   Alcotest.(check bool) "completed cell skipped" true
     (not (List.mem "p1/ollvm" !log));
-  Gp_harness.Experiments.rm_rf dir
+  Gp_harness.Survey.rm_rf dir
 
 let test_run_corpus_failures_not_checkpointed () =
   let dir = tmp_dir () in
@@ -322,7 +322,7 @@ let test_run_corpus_failures_not_checkpointed () =
   Runner.Manifest.close m2;
   Alcotest.(check bool) "only the failed cell reruns" true (!log = [ "bad" ]);
   Alcotest.(check int) "now clean" 0 (List.length report2.Runner.r_failed);
-  Gp_harness.Experiments.rm_rf dir
+  Gp_harness.Survey.rm_rf dir
 
 let suite =
   [ Alcotest.test_case "backoff deterministic" `Quick test_backoff_deterministic;

@@ -25,7 +25,7 @@
      crash at the wal-append point abandons the journal exactly like a
      crashed sweep, and the dir is reopenable. *)
 
-module E = Gp_harness.Experiments
+module Survey = Gp_harness.Survey
 module S = Gp_harness.Sched
 module Sv = Gp_harness.Serve
 module F = Gp_util.Frame
@@ -44,14 +44,14 @@ let tmp_dir =
       Filename.concat (Filename.get_temp_dir_name ())
         (Printf.sprintf "gp-serve-test-%d-%d" (Unix.getpid ()) !n)
     in
-    E.rm_rf d;
+    Survey.rm_rf d;
     d
 
 let fib = Gp_corpus.Programs.find "fibonacci"
 
 let one_request () =
   match
-    E.serve_requests ~entries:[ fib ]
+    Survey.serve_requests ~entries:[ fib ]
       ~configs:[ ("original", Gp_obf.Obf.none) ] ~quick:true ()
   with
   | [ (_, rq) ] -> rq
@@ -280,7 +280,7 @@ let qcheck_incr_model =
     ~name:"sharded Incr ≡ single-lock model (first-write-wins, size)"
     QCheck2.Gen.(list_size (int_range 0 120) (pair (int_range 0 25) small_nat))
     (fun ops ->
-      E.reset_world ();
+      Survey.reset_world ();
       let m = Hashtbl.create 16 in
       let ok =
         List.for_all
@@ -295,11 +295,11 @@ let qcheck_incr_model =
           ops
       in
       let size_ok = Gp_core.Incr.size () = Hashtbl.length m in
-      E.reset_world ();
+      Survey.reset_world ();
       ok && size_ok && Gp_core.Incr.size () = 0)
 
 let test_incr_stress_domains () =
-  E.reset_world ();
+  Survey.reset_world ();
   let nkeys = 50 and ndom = 4 in
   let doms =
     List.init ndom (fun d ->
@@ -324,7 +324,7 @@ let test_incr_stress_domains () =
            (List.init ndom Fun.id))
     | _ -> Alcotest.fail "missing or malformed entry"
   done;
-  E.reset_world ()
+  Survey.reset_world ()
 
 (* ----- Service pool ----- *)
 
@@ -372,7 +372,7 @@ let fresh_sock =
    [Domain.join], taking precedence over [f]'s result — exactly the
    observation order a supervisor would have. *)
 let with_daemon ?cache_dir ~jobs f =
-  E.reset_world ();
+  Survey.reset_world ();
   let sock = fresh_sock () in
   let cfg =
     { (Sv.default_config ~socket:sock) with
@@ -406,6 +406,16 @@ let with_daemon ?cache_dir ~jobs f =
   let sm = Domain.join dmn in
   match fin with Ok v -> (v, sm) | Error e -> raise e
 
+(* Submit [replay] in order from one client; the encoded replies. *)
+let daemon_replay ?cache_dir ~jobs replay =
+  with_daemon ?cache_dir ~jobs (fun ~sock:_ cl ->
+      List.map
+        (fun (_, rq) ->
+          match Sv.Client.submit cl rq with
+          | Ok r -> Sv.report_encode r
+          | Error f -> "FAIL:" ^ Gp_core.Fail.label f)
+        replay)
+
 let rec stats_until cl pred tries =
   match Sv.Client.stats cl with
   | Ok ds when pred ds || tries > 100 -> ds
@@ -417,18 +427,18 @@ let rec stats_until cl pred tries =
 (* ----- the acceptance differential ----- *)
 
 let test_daemon_differential () =
-  let requests = E.serve_requests ~entries:[ fib ] ~quick:true () in
+  let requests = Survey.serve_requests ~entries:[ fib ] ~quick:true () in
   let replay = requests @ requests in
   let refs =
     List.map
       (fun (_, rq) ->
-        E.reset_world ();
+        Survey.reset_world ();
         Sv.report_encode (Sv.handle rq))
       replay
   in
   List.iter
     (fun j ->
-      let results, sm = E.serve_daemon_pass ~pool_jobs:j replay in
+      let results, sm = daemon_replay ~jobs:j replay in
       Alcotest.(check int)
         (Printf.sprintf "served count at pool jobs %d" j)
         (List.length replay) sm.Sv.sm_served;
@@ -437,8 +447,7 @@ let test_daemon_differential () =
         [] sm.Sv.sm_faults;
       Alcotest.(check (list string))
         (Printf.sprintf "bit-identical to the CLI path at pool jobs %d" j)
-        refs
-        (List.map fst results))
+        refs results)
     (List.sort_uniq compare [ 1; jobs_under_test ]);
   (* Two clients at once on a two-worker pool, so requests really share
      the daemon: every reply must still be the cold in-process answer
@@ -484,7 +493,7 @@ let test_daemon_checkpoints () =
   let dir = tmp_dir () in
   let rq = one_request () in
   let replay = List.init 9 (fun i -> (Printf.sprintf "r%d" i, rq)) in
-  let results, sm = E.serve_daemon_pass ~cache_dir:dir ~pool_jobs:1 replay in
+  let results, sm = daemon_replay ~cache_dir:dir ~jobs:1 replay in
   Alcotest.(check int) "all served" 9 (List.length results);
   Alcotest.(check string) "journaling mode" "journaling" sm.Sv.sm_mode;
   Alcotest.(check bool)
@@ -492,14 +501,14 @@ let test_daemon_checkpoints () =
     true
     (sm.Sv.sm_checkpoints >= 1);
   (* shutdown compacted WAL -> base store; it must load warm *)
-  E.reset_world ();
+  Survey.reset_world ();
   (match Gp_core.Incr.load ~dir with
   | Gp_core.Incr.Loaded li ->
     Alcotest.(check bool) "compacted store is non-empty" true
       (li.Gp_core.Incr.li_entries > 0)
   | _ -> Alcotest.fail "compacted store did not load");
-  E.reset_world ();
-  E.rm_rf dir
+  Survey.reset_world ();
+  Survey.rm_rf dir
 
 (* ----- wire-fault injection (satellite: Faultsim frame faults) ----- *)
 
@@ -510,7 +519,7 @@ let fault_label = function
 
 let test_wire_fault_modes () =
   let rq = one_request () in
-  E.reset_world ();
+  Survey.reset_world ();
   let reference = Sv.report_encode (Sv.handle rq) in
   let saved = !F.chaos_wire in
   let ((), sm) =
@@ -574,7 +583,7 @@ let test_wire_fault_modes () =
 
 let test_wire_faults_via_faultsim () =
   let rq = one_request () in
-  E.reset_world ();
+  Survey.reset_world ();
   let reference = Sv.report_encode (Sv.handle rq) in
   let ((), _sm) =
     with_daemon ~jobs:1 (fun ~sock cl ->
@@ -608,7 +617,7 @@ let test_cli_demotes_when_daemon_holds_lock () =
   let dir = tmp_dir () in
   let rq = one_request () in
   (* seed a store on disk *)
-  E.reset_world ();
+  Survey.reset_world ();
   ignore (Sv.handle rq);
   (match Gp_core.Incr.save ~dir with
   | Ok () -> ()
@@ -625,7 +634,7 @@ let test_cli_demotes_when_daemon_holds_lock () =
      way [journal_open] does (same [.store.lock] name).  From this
      process's own journal [Incr.save] would legitimately skip locking,
      so the foreign-holder case is modeled with a bare [Store.try_lock]. *)
-  E.reset_world ();
+  Survey.reset_world ();
   let lock =
     match Gp_util.Store.try_lock ~name:".store.lock" dir with
     | Ok l -> l
@@ -658,8 +667,8 @@ let test_cli_demotes_when_daemon_holds_lock () =
   (match Gp_core.Incr.save ~dir with
   | Ok () -> ()
   | Error why -> Alcotest.failf "save after release: %s" why);
-  E.reset_world ();
-  E.rm_rf dir
+  Survey.reset_world ();
+  Survey.rm_rf dir
 
 (* ----- a vanished daemon ----- *)
 
@@ -712,7 +721,7 @@ let test_daemon_crash_abandons_journal () =
   | Ok _ -> Alcotest.fail "crash fuse never blew");
   (* abandon released the lock without flushing: the dir reopens in
      journaling mode and replays whatever prefix reached the disk *)
-  E.reset_world ();
+  Survey.reset_world ();
   let jo = Gp_core.Incr.journal_open ~dir in
   (match jo.Gp_core.Incr.jo_mode with
   | `Journaling -> ()
@@ -721,8 +730,8 @@ let test_daemon_crash_abandons_journal () =
   (match Gp_core.Incr.journal_close () with
   | Ok () -> ()
   | Error why -> Alcotest.failf "journal_close after crash: %s" why);
-  E.reset_world ();
-  E.rm_rf dir
+  Survey.reset_world ();
+  Survey.rm_rf dir
 
 let suite =
   [ Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;

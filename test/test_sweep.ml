@@ -13,14 +13,15 @@
      sequential cell loop over the full quick survey corpus, including
      under 10% keyed fault injection (Faultsim's schedules are keyed,
      not streamed, so the injected fault set is interleaving-proof);
-   - crash/resume composed with the scheduler: kill a scheduled sweep
-     at the wal-append and mid-stage crash points, resume, and require
-     byte-equality with both an uninterrupted scheduled sweep and the
-     sequential reference.
+   - crash/resume composed with the scheduler: kill a checkpointed
+     scheduled sweep at the wal-append, mid-stage and save-rename crash
+     points, resume, and require byte-equality with the uninterrupted
+     sequential reference (which an uninterrupted scheduled sweep must
+     already match).
 
    JOBS sweeps the worker count (make check-sweep runs 1 and 4). *)
 
-module E = Gp_harness.Experiments
+module Survey = Gp_harness.Survey
 module S = Gp_harness.Sched
 module R = Gp_harness.Runner
 
@@ -37,7 +38,7 @@ let tmp_dir =
       Filename.concat (Filename.get_temp_dir_name ())
         (Printf.sprintf "gp-sweep-test-%d-%d" (Unix.getpid ()) !n)
     in
-    E.rm_rf d;
+    Survey.rm_rf d;
     d
 
 (* ----- deque semantics ----- *)
@@ -253,8 +254,7 @@ let qcheck_deque_steal_order =
 (* ----- shared-state stress from 4 domains ----- *)
 
 let test_incr_table_stress () =
-  E.reset_world ();
-  Gp_core.Incr.set_enabled true;
+  Survey.reset_world ();
   let nkeys = 50 in
   let key i = Printf.sprintf "stress-key-%02d" i in
   let value i : Gp_core.Incr.value = ([], Some (Printf.sprintf "v%02d" i)) in
@@ -280,7 +280,7 @@ let test_incr_table_stress () =
     | Some v -> Alcotest.(check bool) (key i) true (v = value i)
     | None -> Alcotest.fail (key i ^ " lost")
   done;
-  E.reset_world ()
+  Survey.reset_world ()
 
 let test_cache_stress () =
   (* [Gp_smt.Cache] is the implementation under every solver memo
@@ -320,25 +320,25 @@ let goal = Gp_core.Goal.Execve "/bin/sh"
 
 let sweep_payloads outcomes =
   List.map
-    (fun (c : E.resume_payload R.cell_outcome) ->
+    (fun (c : Survey.resume_payload R.cell_outcome) ->
       match c.R.c_result with
-      | Ok p -> (c.R.c_key, E.resume_payload_encode p)
+      | Ok p -> (c.R.c_key, Survey.resume_payload_encode p)
       | Error f -> (c.R.c_key, "FAIL:" ^ Gp_core.Fail.label f))
     outcomes
 
 let sequential_reference cells =
-  E.reset_world ();
+  Survey.reset_world ();
   let outcomes, _ =
-    R.run_corpus ~encode:E.resume_payload_encode
-      ~decode:E.resume_payload_decode (E.sweep_cells_sequential cells)
+    R.run_corpus ~encode:Survey.resume_payload_encode
+      ~decode:Survey.resume_payload_decode (Survey.sweep_cells_sequential cells)
   in
   sweep_payloads outcomes
 
 let scheduled ~jobs cells =
-  E.reset_world ();
+  Survey.reset_world ();
   let outcomes, report =
-    S.run_cells ~encode:E.resume_payload_encode
-      ~decode:E.resume_payload_decode ~jobs cells
+    S.run_cells ~encode:Survey.resume_payload_encode
+      ~decode:Survey.resume_payload_decode ~jobs cells
   in
   (sweep_payloads outcomes, report)
 
@@ -346,7 +346,7 @@ let scheduled ~jobs cells =
    for byte over the full quick survey corpus (4 programs x 3 configs,
    tigress included). *)
 let test_differential_sweep () =
-  let cells = E.sweep_cell_steps ~quick:true ~goal () in
+  let cells = Survey.sweep_cell_steps ~quick:true ~goal () in
   let reference = sequential_reference cells in
   Alcotest.(check int) "full quick grid" 12 (List.length reference);
   Alcotest.(check bool) "no failed cells in reference" true
@@ -370,7 +370,7 @@ let test_differential_sweep () =
    interleaving-invariant too. *)
 let test_differential_under_injection () =
   let cells =
-    E.sweep_cell_steps
+    Survey.sweep_cell_steps
       ~entries:[ Gp_corpus.Programs.find "fibonacci" ]
       ~quick:true ~goal ()
   in
@@ -387,8 +387,14 @@ let test_differential_under_injection () =
 
 (* ----- crash/resume composed with the scheduler ----- *)
 
+(* The acceptance differential of the crash-safe sweep (DESIGN.md §13):
+   kill a checkpointed scheduled sweep at each injected durability
+   point, resume it in a fresh world, and require the resumed sweep's
+   encoded payloads to equal the uninterrupted sequential reference
+   byte for byte. *)
+
 let crash_cells () =
-  E.sweep_cell_steps
+  Survey.sweep_cell_steps
     ~entries:[ Gp_corpus.Programs.find "fibonacci" ]
     ~configs:
       (List.filter
@@ -396,32 +402,40 @@ let crash_cells () =
          Gp_harness.Workspace.obf_configs)
     ~quick:true ~goal ()
 
+let sequential_run ~manifest ~resume =
+  R.run_corpus ~manifest ~resume ~encode:Survey.resume_payload_encode
+    ~decode:Survey.resume_payload_decode
+    (Survey.sweep_cells_sequential (crash_cells ()))
+
+let scheduled_run ~jobs ~manifest ~resume =
+  S.run_cells ~manifest ~resume ~encode:Survey.resume_payload_encode
+    ~decode:Survey.resume_payload_decode ~jobs (crash_cells ())
+
 let check_sched_crash_resume jobs () =
-  (* uninterrupted references: the sequential manifest path (PR-6
-     machinery) and the scheduled one must already agree *)
+  (* uninterrupted references: the sequential loop and the scheduler
+     must already agree *)
   let seqdir = tmp_dir () in
-  E.reset_world ();
-  let so, _, _ =
-    E.resume_sweep ~dir:seqdir ~resume:false
-      (E.sweep_cells_sequential (crash_cells ()))
-  in
+  Survey.reset_world ();
+  let (so, _), _ = Survey.sweep ~dir:seqdir ~resume:false sequential_run in
   let reference = sweep_payloads so in
-  E.rm_rf seqdir;
+  Survey.rm_rf seqdir;
   Alcotest.(check int) "reference covers the grid" 2 (List.length reference);
   let refdir = tmp_dir () in
-  E.reset_world ();
-  let ro, _, _ = E.sched_sweep ~dir:refdir ~resume:false ~jobs (crash_cells ()) in
-  E.rm_rf refdir;
+  Survey.reset_world ();
+  let (ro, _), _ =
+    Survey.sweep ~dir:refdir ~resume:false (scheduled_run ~jobs)
+  in
+  Survey.rm_rf refdir;
   Alcotest.(check bool) "scheduled == sequential, uninterrupted" true
     (sweep_payloads ro = reference);
   List.iter
     (fun (point, hits) ->
       let dir = tmp_dir () in
-      E.reset_world ();
+      Survey.reset_world ();
       let crashed =
         match
           Gp_harness.Faultsim.with_crash_at ~hits ~point (fun () ->
-              E.sched_sweep ~dir ~resume:false ~jobs (crash_cells ()))
+              Survey.sweep ~dir ~resume:false (scheduled_run ~jobs))
         with
         | Ok _ -> false
         | Error p ->
@@ -429,9 +443,9 @@ let check_sched_crash_resume jobs () =
           true
       in
       Alcotest.(check bool) (point ^ ": fuse fired") true crashed;
-      E.reset_world ();
-      let ro2, report, _ =
-        E.sched_sweep ~dir ~resume:true ~jobs (crash_cells ())
+      Survey.reset_world ();
+      let (ro2, report), _ =
+        Survey.sweep ~dir ~resume:true (scheduled_run ~jobs)
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s (jobs %d): resume == uninterrupted" point jobs)
@@ -441,8 +455,8 @@ let check_sched_crash_resume jobs () =
         (point ^ ": resume covers everything")
         2
         (report.R.r_resumed + report.R.r_computed);
-      E.rm_rf dir)
-    [ ("wal-append", 5); ("mid-stage", 1) ]
+      Survey.rm_rf dir)
+    [ ("wal-append", 5); ("mid-stage", 2); ("save-rename", 1) ]
 
 let suite =
   [ Alcotest.test_case "deque owner-LIFO thief-FIFO" `Quick
