@@ -20,7 +20,9 @@
 #
 # `make check-screen` runs the solver-screening suite (test_screen:
 # screening-on vs screening-off differential over the 21-cell survey at
-# jobs 1 and 4, counter determinism, fault sweeps — DESIGN.md §12), and
+# jobs 1 and 4, with Tier A required to decide queries somewhere in the
+# survey; counter determinism; fault sweeps — DESIGN.md §12; the two
+# live tiers screen plan instantiation's `check` only), and
 # `make check-bench` smoke-tests the paper-table harness end to end in
 # `--quick` mode (one program, one config, every table, figure and
 # ablation).  Crash injection and recovery are covered by check-resume

@@ -34,10 +34,10 @@ type stage_stats = {
       (* stages whose budget ran dry ("extract", "subsume", "plan") *)
   cache_hits : int;
   cache_misses : int;
-      (* solver memo traffic (check + prove_equal + pool-keyed stores)
-         during this run — hit rate is a property of cache temperature,
-         never of verdicts, so it is reported but excluded from
-         differential comparisons *)
+      (* solver memo traffic (the pool-keyed check memo) during this
+         run — hit rate is a property of cache temperature, never of
+         verdicts, so it is reported but excluded from differential
+         comparisons *)
   plan_expanded : int;
       (* planner nodes expanded (summed over portfolio roots) *)
   plan_peak_queue : int;
@@ -49,18 +49,14 @@ type stage_stats = {
   plan_discarded : int;
       (* complete plans rejected by the accept gate (duplicate chain,
          unbuildable payload, failed validation) *)
-  screen_refuted : int;
-      (* Tier A: prove_equal probes refuted by disjoint abstract values *)
   screen_decided : int;
-      (* Tier A: check/entails queries decided abstractly *)
-  concrete_refuted : int;
-      (* Tier B: queries refuted by the fixed adversarial valuations *)
+      (* Tier A: check queries decided abstractly.  Counted per query
+         answered and job-count-invariant (same discipline as
+         solver_unknowns) *)
   elim_reused : int;
       (* Tier C: checks that reused memoized elimination-prefix steps.
-         The three screen tallies above count per query answered and are
-         job-count-invariant (same discipline as solver_unknowns);
-         elim_reused, like the cache counters, depends on cache
-         temperature and is excluded from differential comparisons *)
+         Like the cache counters, depends on cache temperature and is
+         excluded from differential comparisons *)
   summary_hits : int;
   summary_misses : int;
       (* content-addressed summary store traffic during the harvest
@@ -86,23 +82,19 @@ type stage_stats = {
          so stage 4 is observable on its own *)
 }
 
-(* Screening-tier counters as a 4-tuple delta-friendly snapshot. *)
-let screen_counters () = Gp_smt.Solver.screen_stats ()
+(* The live screening tiers, [(screen_decided, elim_reused)], as a
+   delta-friendly snapshot. *)
+let screen_counters () =
+  let _, decided, _, reused = Gp_smt.Solver.screen_stats () in
+  (decided, reused)
 
-let screen_delta (a0, b0, c0, d0) (a1, b1, c1, d1) =
-  (a1 - a0, b1 - b0, c1 - c0, d1 - d0)
+let screen_delta (a0, b0) (a1, b1) = (a1 - a0, b1 - b0)
+let screen_add (a0, b0) (a1, b1) = (a0 + a1, b0 + b1)
 
-let screen_add (a0, b0, c0, d0) (a1, b1, c1, d1) =
-  (a0 + a1, b0 + b1, c0 + c1, d0 + d1)
-
-(* Combined solver-memo counters, snapshotted around stages. *)
+(* Solver-memo counters, snapshotted around stages. *)
 let cache_counters () =
-  ( Gp_smt.Cache.hits Gp_smt.Solver.memo
-    + Gp_smt.Cache.hits Gp_smt.Solver.equal_memo
-    + Gp_smt.Cache.hits Gp_smt.Solver.pool_memo,
-    Gp_smt.Cache.misses Gp_smt.Solver.memo
-    + Gp_smt.Cache.misses Gp_smt.Solver.equal_memo
-    + Gp_smt.Cache.misses Gp_smt.Solver.pool_memo )
+  ( Gp_smt.Cache.hits Gp_smt.Solver.pool_memo,
+    Gp_smt.Cache.misses Gp_smt.Solver.pool_memo )
 
 type analysis = {
   image : Gp_util.Image.t;
@@ -116,7 +108,7 @@ type analysis = {
   analysis_unknowns : int;
   analysis_cache_hits : int;
   analysis_cache_misses : int;
-  analysis_screen : int * int * int * int;
+  analysis_screen : int * int;
   analysis_summary_hits : int;
   analysis_summary_misses : int;
   analysis_suffix_hits : int;
@@ -227,7 +219,7 @@ type extracted = {
          when stages of different cells interleave, another cell's
          traffic lands in them — which is why every temperature counter
          is excluded from the differential payload (DESIGN.md §14). *)
-  ex_screen0 : int * int * int * int;
+  ex_screen0 : int * int;
 }
 
 let stage_extract ?(extract_config = Extract.default_config) ?cache_dir
@@ -369,7 +361,7 @@ type planned = {
   pl_unknowns : int;                (* deltas over stages 3+4 *)
   pl_cache_hits : int;
   pl_cache_misses : int;
-  pl_screen : int * int * int * int;
+  pl_screen : int * int;
 }
 
 let stage_plan ?(planner_config = Planner.default_config)
@@ -490,7 +482,7 @@ let stage_finalize (p : planned) : outcome =
       built
     |> List.filteri (fun i _ -> i < p.pl_config.Planner.max_plans)
   in
-  let screen_refuted, screen_decided, concrete_refuted, elim_reused =
+  let screen_decided, elim_reused =
     screen_add a.analysis_screen p.pl_screen
   in
   { goal = p.pl_goal;
@@ -517,9 +509,7 @@ let stage_finalize (p : planned) : outcome =
         plan_inst_hits = result.Planner.inst_memo_hits;
         plan_cand_hits = result.Planner.cand_memo_hits;
         plan_discarded = result.Planner.discarded;
-        screen_refuted;
         screen_decided;
-        concrete_refuted;
         elim_reused;
         summary_hits = a.analysis_summary_hits;
         summary_misses = a.analysis_summary_misses;

@@ -28,7 +28,11 @@ type stage_stats = {
   quarantined : (string * int) list;
       (** {!Fail.label} -> count of items quarantined in stages 1-2 *)
   solver_unknowns : int;
-      (** solver [Unknown] verdicts attributable to this run *)
+      (** solver [Unknown] verdicts attributable to this run: every
+          [Unknown] [Solver.check] answered, plus [Solver.entails]
+          queries abandoned by fault injection — [entails] never
+          searches, so it has no genuine [Unknown] to count (bench/e2e's
+          [solver.unknowns] per-layer metric is lower accordingly) *)
   validate_faults : int;
       (** candidate chains whose payload crashed the machine *)
   validate_timeouts : int;
@@ -38,9 +42,9 @@ type stage_stats = {
       (** stages whose budget ran dry ("extract", "subsume", "plan") *)
   cache_hits : int;
   cache_misses : int;
-      (** solver memo traffic (check + prove_equal + pool-keyed stores)
-          during this run.  Hit rate is a property of cache temperature,
-          never of verdicts — reported, but excluded from differential
+      (** solver memo traffic (the pool-keyed [check] memo) during this
+          run.  Hit rate is a property of cache temperature, never of
+          verdicts — reported, but excluded from differential
           jobs-equivalence comparisons. *)
   plan_expanded : int;
       (** planner nodes expanded (summed over portfolio roots) *)
@@ -51,16 +55,10 @@ type stage_stats = {
   plan_discarded : int;
       (** complete plans rejected by the accept gate (duplicate chain,
           unbuildable payload, failed validation) *)
-  screen_refuted : int;
-      (** Tier A screening (DESIGN.md §12): [prove_equal] probes refuted
-          by disjoint abstract values *)
   screen_decided : int;
-      (** Tier A: [check]/[entails] queries decided abstractly *)
-  concrete_refuted : int;
-      (** Tier B: queries refuted under the fixed adversarial
-          valuations.  These three tallies count per query answered
-          (before the memos) and are job-count-invariant, same
-          discipline as [solver_unknowns]. *)
+      (** Tier A screening (DESIGN.md §12): [check] queries decided
+          abstractly.  Counted per query answered (before the memos) and
+          job-count-invariant, same discipline as [solver_unknowns]. *)
   elim_reused : int;
       (** Tier C: checks that reused memoized elimination-prefix steps.
           Temperature-dependent, like the cache counters — reported but
@@ -108,9 +106,8 @@ type analysis = {
   analysis_unknowns : int;             (** solver Unknowns in stages 1-2 *)
   analysis_cache_hits : int;           (** solver memo hits in stages 1-2 *)
   analysis_cache_misses : int;
-  analysis_screen : int * int * int * int;
-      (** screening-tier deltas of stages 1-2, in [Solver.screen_stats]
-          order *)
+  analysis_screen : int * int;
+      (** [(screen_decided, elim_reused)] deltas of stages 1-2 *)
   analysis_summary_hits : int;         (** summary-store hits (stage 1) *)
   analysis_summary_misses : int;
   analysis_suffix_hits : int;

@@ -11,13 +11,13 @@
    position-dependent field, a hit is bit-identical to a fresh compute:
    the layer is semantically transparent and always on.
 
-   [load]/[save] round-trip the table — plus the solver verdict memos,
-   which is how SUBSUMPTION consults the store: its probe verdicts are
-   pure functions of canonical formula keys, so pre-seeding them answers
-   warm-start probes without a solve — through [Gp_util.Store]'s
-   checksummed format.  A store that fails any check (missing, corrupt,
-   version-stale) degrades to a cold run; the caller records the reason
-   and carries on.
+   [load]/[save] round-trip the table — plus the solver's pool-keyed
+   verdict memo, which is how PLAN INSTANTIATION consults the store: its
+   verdicts are pure functions of (pool key, canonical formula) keys, so
+   pre-seeding them answers warm-start queries without a solve — through
+   [Gp_util.Store]'s checksummed format.  A store that fails any check
+   (missing, corrupt, version-stale) degrades to a cold run; the caller
+   records the reason and carries on.
 
    Thread safety: same discipline as the other shared caches — nothing
    user-supplied under a lock, first-write-wins so racing domains at
@@ -46,8 +46,14 @@ open Gp_smt
    v5: the fingerprint index is gone (DESIGN.md §17).  A v4 store
    carries a "fingerprints" section this build neither reads nor
    rewrites; the bump demotes it to cold instead of importing a store
-   whose section set no build of this schema wrote. *)
-let schema_version = 5
+   whose section set no build of this schema wrote.
+   v6: subsumption no longer searches (DESIGN.md §12), so the
+   "solver.check" and "solver.equal" memo sections lost their writers;
+   the store holds "summaries" and "solver.pool" only.  A v5 store's
+   extra sections would be skipped harmlessly, but the bump demotes it
+   to cold for the same reason as v5: no build of this schema wrote its
+   section set. *)
+let schema_version = 6
 let file_name = "summaries.gpst"
 let summaries_section = "summaries"
 

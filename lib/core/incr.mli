@@ -6,10 +6,10 @@
     transparent: the key determines the summaries exactly, so cached
     and uncached runs are bit-identical (the differential suite checks
     this at jobs 1 and 4).  {!load}/{!save} persist the table — along
-    with the solver verdict memos, which is how subsumption probes
-    consult the store — via [Gp_util.Store]'s checksummed format,
-    giving warm starts across process invocations and across
-    obfuscation configs of the same program. *)
+    with the solver's pool-keyed verdict memo, which is how plan
+    instantiation consults the store — via [Gp_util.Store]'s
+    checksummed format, giving warm starts across process invocations
+    and across obfuscation configs of the same program. *)
 
 type value = Gp_symx.Exec.summary list * string option
 

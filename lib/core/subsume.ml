@@ -2,7 +2,10 @@
 
    g1 subsumes g2 when (pre2 -> pre1) ∧ (post1 = post2): g1 does the same
    thing under a pre-condition at least as weak, so g2 adds nothing and is
-   dropped.  Checked with the solver per formula (1).  Two speedups:
+   dropped.  Checked with the solver per formula (1); both halves are
+   decided, never sampled ([Solver.entails] runs no model search and
+   [Solver.prove_equal] compares canonical forms), so a "subsumes"
+   answer is sound.  Two speedups:
 
    - an exact-duplicate pass first (unaligned sliding produces thousands
      of byte-identical summaries at different addresses — we canonicalize

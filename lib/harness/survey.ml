@@ -48,8 +48,6 @@ let survey_cells ?(config_major = false) ?configs ?entries ?(quick = true) f =
 let reset_world () =
   Gp_core.Gadget.reset_ids ();
   Gp_smt.Term.reset_memo ();
-  Gp_smt.Cache.reset Gp_smt.Solver.memo;
-  Gp_smt.Cache.reset Gp_smt.Solver.equal_memo;
   Gp_smt.Cache.reset Gp_smt.Solver.pool_memo;
   Gp_smt.Solver.reset_screen ();
   Gp_core.Incr.reset ()

@@ -1,14 +1,12 @@
 (* Solver memoization (DESIGN.md "Parallel execution & determinism").
 
-   Subsumption probing re-asks the solver structurally identical
-   questions thousands of times: unaligned sliding windows produce
-   families of gadgets whose pre/post formulas differ only in address,
-   and every pairwise probe inside a bucket repeats the same entailment
-   shapes.  A verdict store keyed on the CANONICALIZED formula list
-   turns that repetition into hits.
+   Plan instantiation re-asks the solver structurally identical
+   questions thousands of times: the same gadget is tried against the
+   same condition along different branches.  A verdict store keyed on
+   the CANONICALIZED formula list turns that repetition into hits.
 
    Keys are compared and hashed STRUCTURALLY (polymorphic equality on
-   pure-data keys: formula lists, term pairs).  An earlier string-keyed
+   pure-data keys: pool keys and formula lists).  An earlier string-keyed
    version spent more time printing keys than the average solve costs —
    the hit path must stay far cheaper than a solve or the cache cannot
    pay for itself.
@@ -44,7 +42,6 @@ type ('k, 'v) t = {
   shards : ('k, 'v) shard array;
   hits : int Atomic.t;
   misses : int Atomic.t;
-  mutable enabled : bool;
 }
 
 let create ?(size = 4096) () =
@@ -53,15 +50,12 @@ let create ?(size = 4096) () =
           { s_tbl = Hashtbl.create (max 16 (size / shard_count));
             s_lock = Mutex.create () });
     hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    enabled = true }
+    misses = Atomic.make 0 }
 
 (* [Hashtbl.hash] is deterministic on immutable data; the low bits pick
    the shard, so a key's shard is a pure function of its structure. *)
 let shard_of c key = c.shards.(Hashtbl.hash key land (shard_count - 1))
 
-let enabled c = c.enabled
-let set_enabled c b = c.enabled <- b
 let hits c = Atomic.get c.hits
 let misses c = Atomic.get c.misses
 
@@ -81,22 +75,19 @@ let reset c =
   Atomic.set c.misses 0
 
 (* Look up [key]; on a miss compute [f ()] (outside the lock) and
-   publish it.  Disabled caches degrade to plain computation. *)
+   publish it. *)
 let find_or_add (c : ('k, 'v) t) (key : 'k) (f : unit -> 'v) : 'v =
-  if not c.enabled then f ()
-  else begin
-    let s = shard_of c key in
-    match Mutex.protect s.s_lock (fun () -> Hashtbl.find_opt s.s_tbl key) with
-    | Some v ->
-      Atomic.incr c.hits;
-      v
-    | None ->
-      Atomic.incr c.misses;
-      let v = f () in
-      Mutex.protect s.s_lock (fun () ->
-          if not (Hashtbl.mem s.s_tbl key) then Hashtbl.add s.s_tbl key v);
-      v
-  end
+  let s = shard_of c key in
+  match Mutex.protect s.s_lock (fun () -> Hashtbl.find_opt s.s_tbl key) with
+  | Some v ->
+    Atomic.incr c.hits;
+    v
+  | None ->
+    Atomic.incr c.misses;
+    let v = f () in
+    Mutex.protect s.s_lock (fun () ->
+        if not (Hashtbl.mem s.s_tbl key) then Hashtbl.add s.s_tbl key v);
+    v
 
 (* Persistence hooks (DESIGN.md §11).  [export] snapshots the table as
    an association list; [import] merges entries, keeping whatever is

@@ -1,11 +1,11 @@
 (** Solver verdict memoization (DESIGN.md "Parallel execution &
     determinism").
 
-    Subsumption probing re-asks the solver structurally identical
+    Plan instantiation re-asks the solver structurally identical
     questions thousands of times; a verdict store keyed on the
     canonicalized formula list turns that repetition into hits.  Keys
     are compared and hashed structurally, so they must be pure data
-    (formula lists, term pairs — no functions, no cyclic values).
+    (pool keys, formula lists — no functions, no cyclic values).
 
     Correctness contract: the solver answers the canonical form itself,
     so a stored verdict is a pure function of the key — a cache hit can
@@ -19,13 +19,6 @@
 type ('k, 'v) t
 
 val create : ?size:int -> unit -> ('k, 'v) t
-
-val enabled : ('k, 'v) t -> bool
-
-val set_enabled : ('k, 'v) t -> bool -> unit
-(** A disabled cache degrades {!find_or_add} to plain computation.
-    Test-only reference switch: the differential suites disable a memo
-    to produce the uncached reference a cached run must equal. *)
 
 val hits : ('k, 'v) t -> int
 
@@ -55,5 +48,5 @@ val import : ('k, 'v) t -> ('k * 'v) list -> unit
 val canon : Formula.t list -> Formula.t list
 (** Canonical form of a query: simplify every atom, then sort and dedup
     (a conjunction is a set).  Idempotent; permutations of the same
-    query share a canonical form.  The canonical list itself is the
-    memo key for {!Solver.check}. *)
+    query share a canonical form.  The canonical list itself, paired
+    with the pool key, is the memo key of {!Solver.check}. *)

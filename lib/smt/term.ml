@@ -303,7 +303,6 @@ let memo_on = ref true
 let memo_hits = Atomic.make 0
 let memo_misses = Atomic.make 0
 
-let memo_enabled () = !memo_on
 let set_memo_enabled b = memo_on := b
 let memo_stats () = (Atomic.get memo_hits, Atomic.get memo_misses)
 

@@ -81,8 +81,6 @@ val intern : t -> t
     (structural equality).  Idempotent; [intern t = t] always holds
     structurally. *)
 
-val memo_enabled : unit -> bool
-
 val set_memo_enabled : bool -> unit
 (** [false] restores the seed's uncached [simplify]/[linearize];
     {!intern} itself stays available either way.  Test-only reference

@@ -8,8 +8,8 @@
    - fault injection under parallelism: keyed chaos schedules hit the
      same items whatever the domain count, so no quarantined fault is
      dropped or double-counted when the harvest fans out;
-   - properties of the solver memo: a cache hit can never change a
-     verdict, and canonicalization is idempotent and order-insensitive.
+   - properties of the solver's canonical form: canonicalization is
+     idempotent and order-insensitive, and so are verdicts.
 
    The differential suite honors a JOBS environment variable (default
    4) so `make check-par` can sweep job counts without editing code. *)
@@ -137,23 +137,11 @@ let test_faults_invariant_under_jobs () =
       | Some n when n > 0 -> ()
       | _ -> Alcotest.fail "no decode faults quarantined at 10%")
 
-(* ----- solver memo properties ----- *)
+(* ----- solver canonical-form properties ----- *)
 
-(* A cache hit can never change a verdict: a fresh (uncached) solve,
-   the miss that populates the store, and the hit that reads it back
-   all agree, for random queries. *)
-let prop_cache_verdict_stable fs =
-  Gp_smt.Cache.reset Gp_smt.Solver.memo;
-  Gp_smt.Cache.set_enabled Gp_smt.Solver.memo false;
-  let fresh = Gp_smt.Solver.check fs in
-  Gp_smt.Cache.set_enabled Gp_smt.Solver.memo true;
-  let miss = Gp_smt.Solver.check fs in
-  let hit = Gp_smt.Solver.check fs in
-  fresh = miss && miss = hit
-
-(* Permutations of a conjunction share a canonical key, hence a verdict. *)
+(* Every path solves the canonical conjunction, so permutations of a
+   query get the same verdict (and model). *)
 let prop_cache_order_insensitive fs =
-  Gp_smt.Cache.reset Gp_smt.Solver.memo;
   Gp_smt.Solver.check fs = Gp_smt.Solver.check (List.rev fs)
 
 let prop_canon_idempotent fs =
@@ -162,16 +150,6 @@ let prop_canon_idempotent fs =
 
 let prop_canon_permutation_stable fs =
   Gp_smt.Cache.canon fs = Gp_smt.Cache.canon (List.rev fs)
-
-(* prove_equal memoization: cached and uncached answers agree, and the
-   ordered-pair key makes the memoized form symmetric. *)
-let prop_equal_memo_stable (a, b) =
-  Gp_smt.Cache.reset Gp_smt.Solver.equal_memo;
-  Gp_smt.Cache.set_enabled Gp_smt.Solver.equal_memo false;
-  let fresh = Gp_smt.Solver.prove_equal a b in
-  Gp_smt.Cache.set_enabled Gp_smt.Solver.equal_memo true;
-  Gp_smt.Solver.prove_equal a b = fresh
-  && Gp_smt.Solver.prove_equal b a = fresh
 
 (* ----- decode round-trips at unaligned offsets ----- *)
 
@@ -207,15 +185,11 @@ let suite =
     Alcotest.test_case "pool ids identical" `Quick test_pool_ids_identical;
     Alcotest.test_case "faults invariant under jobs" `Quick
       test_faults_invariant_under_jobs;
-    Gen.qtest "cache hit preserves verdict" ~count:100 Gen.formulas
-      prop_cache_verdict_stable;
     Gen.qtest "verdict order-insensitive" ~count:100 Gen.formulas
       prop_cache_order_insensitive;
     Gen.qtest "canon idempotent" ~count:300 Gen.formulas prop_canon_idempotent;
     Gen.qtest "canon permutation-stable" ~count:300 Gen.formulas
       prop_canon_permutation_stable;
-    Gen.qtest "prove_equal memo stable" ~count:100
-      QCheck2.Gen.(pair Gen.term Gen.term) prop_equal_memo_stable;
     Gen.qtest "roundtrip at unaligned offsets" ~count:500
       QCheck2.Gen.(pair (string_size (int_range 0 15)) Gen.insn)
       prop_roundtrip_unaligned;

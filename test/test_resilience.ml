@@ -232,6 +232,23 @@ let test_faultsim_solver_unknowns () =
   | Gp_smt.Solver.Sat _ -> ()
   | _ -> Alcotest.fail "hook not restored"
 
+(* [entails] decides without searching, but still honours the hook: an
+   injected query answers "not entailed" (the conservative verdict) and
+   counts as an Unknown. *)
+let test_faultsim_entails_unknowns () =
+  let open Gp_smt in
+  let x = Term.Var "x" in
+  let hyps = [ Formula.Eq (x, Term.Const 3L) ] in
+  let concl = Formula.Eq (Term.add x (Term.Const 1L), Term.Const 4L) in
+  let cfg = { Gp_harness.Faultsim.disabled with solver_rate = 1.; seed = 3 } in
+  let u0 = Atomic.get Solver.unknowns in
+  Gp_harness.Faultsim.with_faults cfg (fun () ->
+      Alcotest.(check bool) "injected entailment answers false" false
+        (Solver.entails hyps concl));
+  Alcotest.(check bool) "counter bumped" true (Atomic.get Solver.unknowns > u0);
+  (* hooks restored: the entailment holds again *)
+  Alcotest.(check bool) "hook restored" true (Solver.entails hyps concl)
+
 let test_faultsim_machine_fuse () =
   let looping = image_of [ Insn.Jmp (-5) ] in
   let cfg = { Gp_harness.Faultsim.disabled with mem_rate = 1.; seed = 5 } in
@@ -544,6 +561,8 @@ let suite =
     Alcotest.test_case "planner budget hit" `Quick test_planner_budget_hit;
     Alcotest.test_case "faultsim solver unknowns" `Quick
       test_faultsim_solver_unknowns;
+    Alcotest.test_case "faultsim entails unknowns" `Quick
+      test_faultsim_entails_unknowns;
     Alcotest.test_case "faultsim machine fuse" `Quick
       test_faultsim_machine_fuse;
     Alcotest.test_case "faultsim clock skips" `Quick test_faultsim_clock_skips;

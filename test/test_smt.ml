@@ -135,10 +135,20 @@ let test_entails () =
     (Solver.entails [ Formula.Eq (v "x", c 3L) ] (Formula.Eq (v "y", c 0L)))
 
 let test_prove_equal_xor_identity () =
-  (* the substitution pass identity: (~a & b) | (a & ~b) == a ^ b *)
+  (* the substitution pass identity: (~a & b) | (a & ~b) == a ^ b.  It
+     holds under every valuation, but the simplifier does not
+     canonicalize it, so prove_equal conservatively answers false and
+     subsumption keeps both gadgets. *)
   let a = v "a" and b = v "b" in
   let lhs = Term.logor (Term.logand (Term.lognot a) b) (Term.logand a (Term.lognot b)) in
-  Alcotest.(check bool) "xor identity" true (Solver.prove_equal lhs (Term.logxor a b));
+  let rhs = Term.logxor a b in
+  List.iter
+    (fun (x, y) ->
+      let m n = if n = "a" then x else y in
+      Alcotest.(check int64) "identity holds" (Term.eval m rhs) (Term.eval m lhs))
+    [ (0L, 0L); (-1L, 0x5555L); (0x1234_5678L, 0x0f0fL) ];
+  Alcotest.(check bool) "xor identity not canonicalized" false
+    (Solver.prove_equal lhs rhs);
   Alcotest.(check bool) "refutable" false (Solver.prove_equal (Term.add a b) (Term.mul a b))
 
 let prop_sat_models_check formulas_seed =
@@ -295,39 +305,35 @@ let test_absdom_units () =
   Alcotest.(check bool) "pointer atoms Maybe" true
     (formula (Formula.Readable (v "p")) = Maybe)
 
-(* ----- Tier B soundness pins (DESIGN.md §12) ----- *)
+(* ----- subsumption-query contracts (DESIGN.md §2, §12) ----- *)
 
 let with_screen enabled f =
   Solver.set_screen_enabled enabled;
   Fun.protect ~finally:(fun () -> Solver.set_screen_enabled true) f
 
-(* Screen points 0 and 1 are the real prover's first two deterministic
-   trials, so disagreement there refutes equality with screening on
-   (Tier B) and off (the prover's own trials). *)
-let prop_points01_refute_equality (a, b) =
-  let differ k =
-    let m = Solver.point_model Solver.screen_points.(k) in
-    Term.eval m a <> Term.eval m b
-  in
-  (not (differ 0 || differ 1))
-  || (not (Solver.prove_equal a b))
-     && not (with_screen false (fun () -> Solver.prove_equal a b))
+(* [prove_equal] is canonical equality, so it is sound: any valuation
+   under which the terms differ rules "equal" out. *)
+let prop_model_refutes_equality (a, b, m) =
+  Term.eval m a = Term.eval m b || not (Solver.prove_equal a b)
 
-(* A screen point satisfying hyps ∧ ¬concl (the fragment's negation,
-   pointer atoms judged by the default pool) is a genuine model, so
-   [entails] must answer false with screening on and off. *)
-let prop_point_model_refutes_entailment (hyps, concl) =
+(* A model of hyps ∧ ¬concl (the fragment's negation, pointer atoms
+   judged by the default pool) is a genuine counterexample, so
+   [entails] must answer false. *)
+let prop_model_refutes_entailment (hyps, concl, m) =
   let p = Solver.default_pool in
-  let formulas = Formula.negate concl :: hyps in
-  let sat_at pt =
-    List.for_all
-      (Formula.eval ~readable:p.Solver.readable ~writable:p.Solver.writable
-         (Solver.point_model pt))
-      formulas
-  in
-  (not (Array.exists sat_at Solver.screen_points))
-  || (not (Solver.entails hyps concl))
-     && not (with_screen false (fun () -> Solver.entails hyps concl))
+  (not
+     (List.for_all
+        (Formula.eval ~readable:p.Solver.readable ~writable:p.Solver.writable m)
+        (Formula.negate concl :: hyps)))
+  || not (Solver.entails hyps concl)
+
+(* [entails] is the reduction's verdict without the model search, and
+   the search never answers Unsat: with screening off (no Tier A Unsat
+   shortcut in [check]) the two must agree exactly. *)
+let prop_entails_matches_check (hyps, concl) =
+  with_screen false (fun () ->
+      Solver.entails hyps concl
+      = (Solver.check (Formula.negate concl :: hyps) = Solver.Unsat))
 
 let suite =
   suite
@@ -343,8 +349,11 @@ let suite =
         prop_absdom_disjoint_refutes;
       Gen.qtest "absdom formula verdicts sound" ~count:1000
         QCheck2.Gen.(pair Gen.formula Gen.model) prop_absdom_formula_agrees;
-      Gen.qtest "screen points 0/1 differ => not prove_equal" ~count:300
-        QCheck2.Gen.(pair Gen.term Gen.term) prop_points01_refute_equality;
-      Gen.qtest "screen-point model implies entails = false" ~count:300
-        QCheck2.Gen.(pair Gen.formulas Gen.formula)
-        prop_point_model_refutes_entailment ]
+      Gen.qtest "differing model => not prove_equal" ~count:500
+        QCheck2.Gen.(triple Gen.term Gen.term Gen.model)
+        prop_model_refutes_equality;
+      Gen.qtest "counter-model => not entails" ~count:500
+        QCheck2.Gen.(triple Gen.formulas Gen.formula Gen.model)
+        prop_model_refutes_entailment;
+      Gen.qtest "entails agrees with check = Unsat" ~count:500
+        QCheck2.Gen.(pair Gen.formulas Gen.formula) prop_entails_matches_check ]
