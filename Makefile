@@ -38,11 +38,11 @@
 # results) at JOBS=1 and JOBS=4.
 #
 # `make check-sweep` sweeps the pipelined corpus scheduler (test_sweep:
-# deque/DAG property tests, 4-domain shared-state stress, the
-# DAG-vs-sequential-loop byte differential incl. fault injection, and
-# the crash/resume differential — kill a checkpointed sweep at each
-# durability point, resume, require bit-identical results — DESIGN.md
-# §13–§14) at JOBS=1 and JOBS=4.
+# deque and step-chain property tests, 4-domain shared-state stress,
+# the pooled-sweep-vs-sequential-loop byte differential incl. fault
+# injection, and the crash/resume differential — kill a checkpointed
+# sweep at each durability point, resume, require bit-identical
+# results — DESIGN.md §13–§14) at JOBS=1 and JOBS=4.
 #
 # `make check-serve` sweeps the analysis daemon (test_serve: frame-codec
 # totality properties, sharded-table vs single-lock equivalence, and the

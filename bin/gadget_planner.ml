@@ -282,7 +282,7 @@ let survey_cmd =
     let policy =
       { R.default_policy with R.max_attempts; attempt_seconds = budget }
     in
-    (* pipelined cell x stage DAG (DESIGN.md §14): [jobs] sizes the
+    (* pipelined cells on one pool (DESIGN.md §14): [jobs] sizes the
        shared work-stealing pool ACROSS cells; results are bit-identical
        to the sequential loop at any job count *)
     let cells =

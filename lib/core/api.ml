@@ -136,8 +136,7 @@ let stage (label : string) (budget : Budget.t) (f : unit -> 'a) :
     ('a, Fail.t) result =
   match Budget.guard budget f with
   | Ok v -> Ok v
-  | Error Budget.Deadline -> Error (Fail.Budget_exhausted (label, `Time))
-  | Error Budget.Fuel -> Error (Fail.Budget_exhausted (label, `Fuel))
+  | Error reason -> Error (Fail.of_budget label reason)
 
 let passthrough_stats gadgets =
   let n = List.length gadgets in

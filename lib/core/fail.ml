@@ -68,6 +68,12 @@ let to_string = function
   | Frame_fault (`Checksum, d) -> "wire frame checksum: " ^ d
   | Frame_fault (`Disconnect, d) -> "client disconnected: " ^ d
 
+(* The one mapping from a dry [Budget] to the taxonomy: stage guards,
+   the supervised runner and the step driver all go through it. *)
+let of_budget label = function
+  | Budget.Deadline -> Budget_exhausted (label, `Time)
+  | Budget.Fuel -> Budget_exhausted (label, `Fuel)
+
 (* ----- supervision ----- *)
 
 (* Transient failures are worth retrying under the runner's backoff

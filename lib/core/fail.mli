@@ -41,6 +41,10 @@ val label : t -> string
 
 val to_string : t -> string
 
+val of_budget : string -> Budget.reason -> t
+(** [Budget_exhausted] for the named budget: [Deadline] is [`Time],
+    [Fuel] is [`Fuel]. *)
+
 (** {1 Supervision}
 
     The runner's retry ladder and process exit codes are both derived

@@ -73,6 +73,13 @@ let classify f = if Fail.retryable f then `Transient else `Permanent
 
 (* ----- single supervised cell ----- *)
 
+(* A fresh per-attempt watchdog; the pooled sweep ([Sched.run_cells])
+   creates its attempts' budgets here too. *)
+let watchdog policy ~key =
+  match policy.attempt_seconds with
+  | Some s -> Budget.create ~label:("cell:" ^ key) ~seconds:s ()
+  | None -> Budget.unlimited ~label:("cell:" ^ key) ()
+
 (* Run one cell under the policy.  [f] gets the 1-based attempt number
    and a fresh watchdog budget each time; an uncaught
    [Budget.Exhausted] from inside counts as a transient failure (the
@@ -81,19 +88,12 @@ let classify f = if Fail.retryable f then `Transient else `Permanent
 let run_cell ?(policy = default_policy) ~key
     (f : attempt:int -> Budget.t -> ('a, Fail.t) result) :
     ('a, Fail.t) result * int =
-  let watchdog () =
-    match policy.attempt_seconds with
-    | Some s -> Budget.create ~label:("cell:" ^ key) ~seconds:s ()
-    | None -> Budget.unlimited ~label:("cell:" ^ key) ()
-  in
   let rec go attempt =
     let outcome =
-      match f ~attempt (watchdog ()) with
+      match f ~attempt (watchdog policy ~key) with
       | r -> r
       | exception Budget.Exhausted (label, reason) ->
-        Error
-          (Fail.Budget_exhausted
-             (label, match reason with Budget.Deadline -> `Time | Budget.Fuel -> `Fuel))
+        Error (Fail.of_budget label reason)
     in
     match outcome with
     | Ok v -> (Ok v, attempt - 1)

@@ -31,6 +31,10 @@ val backoff_delay : retry_policy -> key:string -> attempt:int -> float
 val classify : Fail.t -> [ `Transient | `Permanent ]
 (** [`Transient] iff {!Fail.retryable}. *)
 
+val watchdog : retry_policy -> key:string -> Budget.t
+(** A fresh per-attempt watchdog budget labelled ["cell:" ^ key]:
+    [attempt_seconds] from now, or unlimited. *)
+
 val run_cell :
   ?policy:retry_policy -> key:string ->
   (attempt:int -> Budget.t -> ('a, Fail.t) result) ->

@@ -1,10 +1,11 @@
 (** Corpus-level pipelined scheduler (DESIGN.md §14).
 
-    Schedules a survey sweep as a task DAG — nodes are (cell x stage)
-    units, edges the stage order within a cell — on one shared domain
-    pool with per-worker deques and work stealing, so stage 3 of cell A
-    overlaps stage 1 of cell B instead of fencing at each stage
-    boundary.  Results are bit-identical to the sequential reference
+    Runs a survey sweep on the pool: one shared domain pool with
+    per-worker deques and work stealing, each (cell x stage) unit its
+    own task, so stage 3 of cell A overlaps stage 1 of cell B instead
+    of fencing at each stage boundary.  The analysis daemon runs its
+    requests on the same pool through the same chain driver
+    ({!drive}).  Results are bit-identical to the sequential reference
     loop {!Runner.run_corpus} at any job count; the determinism
     argument (per-cell id sources, pure compiles, first-write-wins
     shared tables) is DESIGN.md §14. *)
@@ -29,73 +30,59 @@ module Deque : sig
   val length : 'a t -> int
 end
 
-(** Dependency-counted task graph executed by a shared worker pool. *)
-module Dag : sig
-  type t
+(** Persistent work-stealing pool: the analysis daemon's resident pool
+    (DESIGN.md §15), and the pool {!run_cells} starts and stops around
+    one sweep.  Workers park
+    until {!Service.stop}; the caller is not a worker (the daemon's
+    main domain stays in its accept loop).
 
-  val create : unit -> t
-
-  val node : t -> ?after:int list -> ?label:string -> (unit -> unit) -> int
-  (** Add a node depending on the (existing — the graph is acyclic by
-      construction) nodes in [after]; returns its id.  May be called
-      from inside a running node to grow the graph dynamically: a node
-      created ready during a run lands on the creating worker's own
-      deque, where LIFO order runs it next unless stolen. *)
-
-  val node_count : t -> int
-  val label : t -> int -> string
-
-  val run : ?jobs:int -> t -> unit
-  (** Execute until every node is done.  [jobs] workers (the calling
-      domain is one; the count is deliberately not clamped to the core
-      count — oversubscribed workers are timesliced and must produce
-      identical results).  A node never runs before all its
-      predecessors completed.  If a node raises, the pool stops
-      claiming work, every domain is joined, and the exception of the
-      lowest-numbered failed node is re-raised — [Faultsim.Crashed]
-      escapes here just as it does from a sequential sweep. *)
-end
-
-(** Persistent work-stealing pool for the analysis daemon (DESIGN.md
-    §15): the [Dag] deque/steal/backoff machinery without the batch
-    exit — workers park until {!Service.stop}.  The caller is not a
-    worker (the daemon's main domain stays in its accept loop).
-
-    Failure discipline: request handlers own their errors, so any
-    exception reaching a worker is fatal to the process
-    ([Faultsim.Crashed], handler bugs).  The first is kept, the pool
-    stops claiming work, and {!Service.check}/{!Service.stop} re-raise
-    it on the main loop — where journal teardown lives. *)
+    Failure discipline: tasks own their errors, so any exception
+    reaching a worker is fatal to the process ([Faultsim.Crashed],
+    handler bugs).  The first is kept, the pool stops claiming work,
+    and {!Service.check}/{!Service.stop} re-raise it on the caller's
+    domain — where journal teardown lives. *)
 module Service : sig
   type t
 
   val start : jobs:int -> t
+  (** Spawn [jobs] (at least 1) worker domains; the count is
+      deliberately not clamped to the core count — oversubscribed
+      workers are timesliced and must produce identical results.  If
+      some spawns fail the pool runs with fewer workers; if none
+      succeeds the spawn failure is raised. *)
 
   val submit : t -> (unit -> unit) -> unit
   (** Queue a task.  From a worker domain it lands on that worker's own
-      deque (owner-LIFO pipelines a request's stages, thieves take
-      other requests' opening stages); from other domains tasks spread
+      deque (owner-LIFO pipelines a chain's stages, thieves take other
+      chains' opening stages); from other domains tasks spread
       round-robin. *)
 
   val pending : t -> int
   (** Tasks submitted but not yet finished. *)
 
-  val jobs : t -> int
-
   val check : t -> unit
   (** Re-raise the pool's fatal exception, if one happened. *)
 
   val stop : t -> unit
-  (** Stop accepting park-forever semantics: queued work still drains
-      (in-flight analyses are not dropped), every domain is joined,
-      then any fatal exception is re-raised. *)
+  (** Let the workers exit once idle: queued work still drains
+      (in-flight analyses are not dropped) unless a fatal exception
+      already stopped the pool, every domain is joined, then any fatal
+      exception is re-raised. *)
 end
 
-(** A cell's work as a chain of resumable steps.  Each [Next (stage,
-    k)] becomes its own DAG node labeled with [stage]. *)
+(** A cell's (or a daemon request's) work as a chain of resumable
+    steps. *)
 type 'a step =
   | Finished of ('a, Fail.t) result
-  | Next of string * (unit -> 'a step)
+  | Next of (unit -> 'a step)
+
+val drive : Service.t -> 'a step -> finish:(('a, Fail.t) result -> unit) -> unit
+(** Run a chain on the pool: each [Next] continuation is its own task,
+    submitted from the worker that produced its input (owner-LIFO keeps
+    the chain on that worker unless stolen), and [finish] is called
+    exactly once with the chain's result — on the caller if the chain
+    is already [Finished], else on a worker.  A [Budget.Exhausted]
+    escaping a step finishes the chain with [Fail.of_budget]. *)
 
 val run_cells :
   ?policy:Runner.retry_policy ->
@@ -106,7 +93,7 @@ val run_cells :
   jobs:int ->
   (string * (attempt:int -> Budget.t -> 'a step)) list ->
   'a Runner.cell_outcome list * Runner.report
-(** {!Runner.run_corpus} semantics on the DAG: completed cells replay
+(** {!Runner.run_corpus} semantics on the pool: completed cells replay
     from the manifest before anything is scheduled; each computed
     cell's step chain runs under a fresh per-attempt watchdog budget
     (created when the attempt starts executing, not when it was
@@ -114,5 +101,8 @@ val run_cells :
     transient failures retry from the cell's FIRST stage with the same
     deterministic backoff schedule; a finished cell is recorded in the
     manifest and followed by an [Incr] journal checkpoint, serialized
-    under one commit lock.  The outcome list is in input cell order,
-    and payloads are bit-identical to [run_corpus] at any [jobs]. *)
+    under one commit lock.  [jobs] sizes the pool; it is stopped (every
+    domain joined) before this returns, and a fatal task exception —
+    [Faultsim.Crashed] included — re-raises after the join.  The
+    outcome list is in input cell order, and payloads are
+    bit-identical to [run_corpus] at any [jobs]. *)

@@ -8,7 +8,8 @@
    ([Gp_util.Frame]: length-prefixed, FNV-checksummed), each carrying a
    binary image, a goal, and planner knobs; requests are dispatched
    onto a persistent [Sched.Service] work-stealing pool as chains of
-   stage tasks, so one request's plan stage overlaps another's extract.
+   stage tasks ([Sched.drive], the survey's chain driver), so one
+   request's plan stage overlaps another's extract.
    The sharded [Incr] summary table and solver memos are loaded once at
    startup and stay hot; durability is the PR-6 WAL with periodic
    batched checkpoints instead of a per-request save.
@@ -23,9 +24,9 @@
    hangup) is quarantined per connection under the [Fail.Frame_fault]
    labels and the connection dropped — resident caches are never
    touched by a request that did not parse.  [Faultsim.Crashed] is
-   never caught: it aborts the pool, unwinds through [serve]'s
-   [journal_abandon] teardown, and re-raises, exactly like a crashed
-   sweep. *)
+   never caught: it stops the pool, every worker is joined, then it
+   unwinds through [serve]'s [journal_abandon] teardown and re-raises,
+   exactly like a crashed sweep. *)
 
 open Gp_core
 module B = Gp_util.Store.Bin
@@ -329,32 +330,29 @@ let request_steps (rq : request) : report Sched.step =
     else Budget.unlimited ()
   in
   Sched.Next
-    ( "extract",
-      fun () ->
-        let ex =
-          Api.stage_extract ~budget:root ~jobs:rq.rq_jobs
-            ~ids:(Gadget.local_ids ()) rq.rq_image
-        in
-        Sched.Next
-          ( "subsume",
-            fun () ->
-              let a_full, harvested =
-                Api.stage_subsume ~budget:root ~jobs:rq.rq_jobs ex
-              in
-              let ld = Api.ladder ~root a_full harvested in
-              let rec climb tried rung =
-                Sched.Next
-                  ( "rung:" ^ Api.rung_name rung,
-                    fun () ->
-                      let o =
-                        Api.run_rung ~planner_config ~jobs:rq.rq_jobs ld
-                          ~tried rung goal
-                      in
-                      match Api.next_rung ld o with
-                      | Some r -> climb o.Api.rungs r
-                      | None -> Sched.Finished (Ok (report_of_outcome o)) )
-              in
-              climb [] Api.Full ) )
+    (fun () ->
+      let ex =
+        Api.stage_extract ~budget:root ~jobs:rq.rq_jobs
+          ~ids:(Gadget.local_ids ()) rq.rq_image
+      in
+      Sched.Next
+        (fun () ->
+          let a_full, harvested =
+            Api.stage_subsume ~budget:root ~jobs:rq.rq_jobs ex
+          in
+          let ld = Api.ladder ~root a_full harvested in
+          let rec climb tried rung =
+            Sched.Next
+              (fun () ->
+                let o =
+                  Api.run_rung ~planner_config ~jobs:rq.rq_jobs ld ~tried
+                    rung goal
+                in
+                match Api.next_rung ld o with
+                | Some r -> climb o.Api.rungs r
+                | None -> Sched.Finished (Ok (report_of_outcome o)))
+          in
+          climb [] Api.Full))
 
 (* ----- socket plumbing ----- *)
 
@@ -627,33 +625,16 @@ let dispatch d c payload =
       send_reply d c (Err_reply (Fail.label f, Fail.to_string f))
     | _ ->
       Atomic.incr c.cn_inflight;
-      (* each stage resubmits its continuation, so the pool interleaves
+      (* each stage is its own pool task, so the pool interleaves
          stages of concurrent requests (owner-LIFO keeps a request
          flowing; thieves take other requests' opening stages) *)
-      let rec drive step =
-        match step with
-        | Sched.Finished (Ok report) -> finish (Report report)
-        | Sched.Finished (Error f) ->
-          finish (Err_reply (Fail.label f, Fail.to_string f))
-        | Sched.Next (_stage, k) ->
-          Sched.Service.submit d.dm_sv (fun () ->
-              match k () with
-              | next -> drive next
-              | exception Budget.Exhausted (label, reason) ->
-                drive
-                  (Sched.Finished
-                     (Error
-                        (Fail.Budget_exhausted
-                           ( label,
-                             match reason with
-                             | Budget.Deadline -> `Time
-                             | Budget.Fuel -> `Fuel )))))
-      and finish reply =
-        send_reply d c reply;
-        Atomic.decr c.cn_inflight;
-        Atomic.incr d.dm_served
-      in
-      drive (request_steps rq))
+      Sched.drive d.dm_sv (request_steps rq) ~finish:(fun r ->
+          send_reply d c
+            (match r with
+            | Ok report -> Report report
+            | Error f -> Err_reply (Fail.label f, Fail.to_string f));
+          Atomic.decr c.cn_inflight;
+          Atomic.incr d.dm_served))
 
 (* Drain every complete frame in the connection's buffer. *)
 let rec parse_conn d c =
@@ -805,16 +786,9 @@ let serve (cfg : config) : summary =
         d.dm_conns;
       maybe_checkpoint d
     done;
-    (* graceful shutdown: drain in-flight analyses (their replies still
-       go out), then stop the pool and compact the journal *)
-    let rec drain () =
-      Sched.Service.check d.dm_sv;
-      if Sched.Service.pending d.dm_sv > 0 then begin
-        Unix.sleepf 0.002;
-        drain ()
-      end
-    in
-    drain ();
+    (* graceful shutdown: stopping the pool drains in-flight analyses
+       (their replies still go out) and re-raises a fatal one; then
+       the journal is compacted *)
     Sched.Service.stop d.dm_sv
   with
   | () ->
@@ -825,8 +799,11 @@ let serve (cfg : config) : summary =
       sm_checkpoints = d.dm_checkpoints;
       sm_mode = mode }
   | exception e ->
-    (* simulated process death or a fatal bug: tear down WITHOUT
-       flushing (abandon), exactly like a crashed sweep, and let the
-       exception keep unwinding *)
+    (* simulated process death or a fatal bug: join the pool first —
+       no worker may still be running a request step when the journal
+       is abandoned — then tear down WITHOUT flushing, exactly like a
+       crashed sweep, and let [e] keep unwinding (the pool's own
+       re-raise of a worker's fatal exception is dropped here). *)
+    (try Sched.Service.stop d.dm_sv with _ -> ());
     teardown ~crashed:true;
     raise e

@@ -106,8 +106,9 @@ val serve : config -> summary
     Wire damage is quarantined per the {!Fail.Frame_fault} labels and
     the offending connection dropped; resident caches never see a
     request that did not parse.  [Faultsim.Crashed] (or any handler
-    bug) is NOT caught: the journal is abandoned — on-disk state frozen
-    as at the crash — and the exception re-raised. *)
+    bug) is NOT caught: the pool's workers are joined, then the journal
+    is abandoned — on-disk state frozen as at the crash — and the
+    exception re-raised. *)
 
 (** {1 Client} *)
 

@@ -126,55 +126,46 @@ let sweep_cell_steps ?entries ?configs ?(quick = true) ~goal () :
       ( prog ^ "/" ^ cname,
         fun ~attempt:_ budget ->
           Sched.Next
-            ( "extract",
-              fun () ->
-                let image =
-                  Gp_codegen.Pipeline.compile
-                    ~transform:(Gp_obf.Obf.transform cfg)
-                    entry.Gp_corpus.Programs.source
-                in
-                let ex =
-                  Gp_core.Api.stage_extract ~budget ~jobs:1
-                    ~ids:(Gp_core.Gadget.local_ids ()) image
-                in
-                Sched.Next
-                  ( "subsume",
-                    fun () ->
-                      let a, _raw =
-                        Gp_core.Api.stage_subsume ~budget ~jobs:1 ex
+            (fun () ->
+              let image =
+                Gp_codegen.Pipeline.compile
+                  ~transform:(Gp_obf.Obf.transform cfg)
+                  entry.Gp_corpus.Programs.source
+              in
+              let ex =
+                Gp_core.Api.stage_extract ~budget ~jobs:1
+                  ~ids:(Gp_core.Gadget.local_ids ()) image
+              in
+              Sched.Next
+                (fun () ->
+                  let a, _raw = Gp_core.Api.stage_subsume ~budget ~jobs:1 ex in
+                  Gp_util.Store.crash_point "mid-stage";
+                  Sched.Next
+                    (fun () ->
+                      let p =
+                        Gp_core.Api.stage_plan ~planner_config ~budget ~jobs:1
+                          a goal
                       in
-                      Gp_util.Store.crash_point "mid-stage";
                       Sched.Next
-                        ( "plan",
-                          fun () ->
-                            let p =
-                              Gp_core.Api.stage_plan ~planner_config ~budget
-                                ~jobs:1 a goal
-                            in
-                            Sched.Next
-                              ( "validate",
-                                fun () ->
-                                  let o = Gp_core.Api.stage_finalize p in
-                                  Sched.Finished
-                                    (Ok
-                                       { rp_program = prog;
-                                         rp_config = cname;
-                                         rp_pool =
-                                           Gp_core.Pool.size
-                                             a.Gp_core.Api.pool;
-                                         rp_chains =
-                                           List.map
-                                             Gp_core.Payload.chain_set_key
-                                             o.Gp_core.Api.chains;
-                                         rp_rungs =
-                                           List.map Gp_core.Api.rung_name
-                                             o.Gp_core.Api.rungs;
-                                         rp_counters = Gp_core.Api.invariant_counters o }) )
-                        ) ) ) ))
+                        (fun () ->
+                          let o = Gp_core.Api.stage_finalize p in
+                          Sched.Finished
+                            (Ok
+                               { rp_program = prog;
+                                 rp_config = cname;
+                                 rp_pool = Gp_core.Pool.size a.Gp_core.Api.pool;
+                                 rp_chains =
+                                   List.map Gp_core.Payload.chain_set_key
+                                     o.Gp_core.Api.chains;
+                                 rp_rungs =
+                                   List.map Gp_core.Api.rung_name
+                                     o.Gp_core.Api.rungs;
+                                 rp_counters =
+                                   Gp_core.Api.invariant_counters o })))))))
 
 let rec step_drive = function
   | Sched.Finished r -> r
-  | Sched.Next (_, k) -> step_drive (k ())
+  | Sched.Next k -> step_drive (k ())
 
 let sweep_cells_sequential cells =
   List.map

@@ -10,7 +10,8 @@
      4-domain stress;
    - the [Sched.Service] persistent pool: everything submitted runs,
      chained resubmission works (the daemon's stage chains), worker
-     exceptions are fatal and re-raised at [stop];
+     exceptions are fatal and re-raised at [stop] — only after every
+     in-flight task has finished;
    - the acceptance differential: a resident daemon serving a shuffled
      replay (each survey cell twice) answers bit-identically to the
      inline CLI path, at pool jobs 1 and JOBS, from one client and from
@@ -357,6 +358,24 @@ let test_service_fatal () =
   S.Service.submit sv (fun () -> failwith "handler bug");
   Alcotest.check_raises "worker exception is fatal at stop"
     (Failure "handler bug") (fun () -> S.Service.stop sv)
+
+let test_service_fatal_waits () =
+  (* a fatal task must not let [stop] return while a sibling is still
+     mid-task: the daemon abandons its journal right after *)
+  let sv = S.Service.start ~jobs:2 in
+  let started = Atomic.make false and done_ = Atomic.make false in
+  S.Service.submit sv (fun () ->
+      Atomic.set started true;
+      Unix.sleepf 0.05;
+      Atomic.set done_ true);
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  S.Service.submit sv (fun () -> failwith "handler bug");
+  Alcotest.check_raises "fatal re-raised at stop" (Failure "handler bug")
+    (fun () -> S.Service.stop sv);
+  Alcotest.(check bool) "in-flight task finished before the re-raise" true
+    (Atomic.get done_)
 
 (* ----- daemon plumbing shared by the integration tests ----- *)
 
@@ -757,6 +776,8 @@ let suite =
       test_service_chained;
     Alcotest.test_case "service fatal worker exception" `Quick
       test_service_fatal;
+    Alcotest.test_case "service fatal waits for in-flight tasks" `Quick
+      test_service_fatal_waits;
     Alcotest.test_case "daemon differential vs CLI path" `Quick
       test_daemon_differential;
     Alcotest.test_case "daemon batched checkpoints" `Quick

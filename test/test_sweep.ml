@@ -1,18 +1,22 @@
 (* Pipelined corpus scheduler tests (DESIGN.md §14).  Four angles:
 
-   - scheduler core properties: random DAGs (diamonds, disconnected
-     components, dynamic growth) always complete, never run a node
-     before its predecessors, and never deadlock at 1-8 workers; the
-     work-stealing deque obeys owner-LIFO / thief-FIFO semantics and
-     loses nothing under concurrent pop/steal;
+   - scheduler core properties: random step chains driven on the pool
+     run every link exactly once, in chain order, and finish exactly
+     once at 1-8 workers; random forests of chains that fan out from
+     inside a step (disconnected components, dynamic growth) always
+     complete and never run a node before its parent; a budget
+     exhaustion escaping a step finishes
+     the chain as a typed failure; the work-stealing deque obeys
+     owner-LIFO / thief-FIFO semantics and loses nothing under
+     concurrent pop/steal;
    - shared-state stress: the [Incr] summary table and the solver-memo
      [Cache] hammered from 4 domains over overlapping content keys —
      first-write-wins, no lost updates, counters that add up;
-   - the acceptance differential: the cell x stage DAG at jobs 1, 2,
-     and JOBS produces byte-identical encoded payloads to the
-     sequential cell loop over the full quick survey corpus, including
-     under 10% keyed fault injection (Faultsim's schedules are keyed,
-     not streamed, so the injected fault set is interleaving-proof);
+   - the acceptance differential: the pooled sweep at jobs 1, 2, and
+     JOBS produces byte-identical encoded payloads to the sequential
+     cell loop over the full quick survey corpus, including under 10%
+     keyed fault injection (Faultsim's schedules are keyed, not
+     streamed, so the injected fault set is interleaving-proof);
    - crash/resume composed with the scheduler: kill a checkpointed
      scheduled sweep at the wal-append, mid-stage and save-rename crash
      points, resume, and require byte-equality with the uninterrupted
@@ -102,127 +106,138 @@ let test_deque_concurrent_conservation () =
   Alcotest.(check bool) "exactly the pushed set" true
     (all = List.init n (fun i -> i + 1))
 
-(* ----- DAG unit tests ----- *)
+(* ----- step chains on the pool ----- *)
 
-let record_order () =
+(* Random chain shape: how many chains, and each one's length (0 = a
+   chain that is already [Finished]), driven at a random worker count.
+   Every link records itself; the chain's result is its own index. *)
+let chains_gen =
+  QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 0 12) (int_range 0 10)))
+
+let run_chains ~jobs lengths =
+  let lengths = Array.of_list lengths in
+  let n = Array.length lengths in
   let m = Mutex.create () in
-  let order = ref [] in
-  let record i = Mutex.protect m (fun () -> order := i :: !order) in
-  (record, fun () -> List.rev !order)
+  let links = Array.make n [] in
+  let finished = Array.make n [] in
+  let sv = S.Service.start ~jobs in
+  Array.iteri
+    (fun c len ->
+      let rec link i =
+        if i = len then S.Finished (Ok c)
+        else
+          S.Next
+            (fun () ->
+              Mutex.protect m (fun () -> links.(c) <- i :: links.(c));
+              link (i + 1))
+      in
+      S.drive sv (link 0) ~finish:(fun r ->
+          Mutex.protect m (fun () -> finished.(c) <- r :: finished.(c))))
+    lengths;
+  S.Service.stop sv;
+  (lengths, Array.map List.rev links, finished)
 
-let test_dag_diamond () =
-  let dag = S.Dag.create () in
-  let record, seen = record_order () in
-  let a = S.Dag.node dag ~label:"a" (fun () -> record "a") in
-  let b = S.Dag.node dag ~after:[ a ] ~label:"b" (fun () -> record "b") in
-  let c = S.Dag.node dag ~after:[ a ] ~label:"c" (fun () -> record "c") in
-  let _d =
-    S.Dag.node dag ~after:[ b; c ] ~label:"d" (fun () -> record "d")
-  in
-  S.Dag.run ~jobs:jobs_under_test dag;
-  let order = seen () in
-  Alcotest.(check int) "all ran" 4 (List.length order);
-  Alcotest.(check string) "source first" "a" (List.hd order);
-  Alcotest.(check string) "sink last" "d" (List.nth order 3)
+let qcheck_chains_complete =
+  QCheck2.Test.make ~count:120 ~name:"random step chains complete at 1-8 workers"
+    chains_gen (fun (jobs, lengths) ->
+      let lengths, links, finished = run_chains ~jobs lengths in
+      let ok = ref true in
+      Array.iteri
+        (fun c len ->
+          (* every link exactly once, in chain order; one finish *)
+          ok :=
+            !ok
+            && links.(c) = List.init len Fun.id
+            && finished.(c) = [ Ok c ])
+        lengths;
+      !ok)
 
-let test_dag_dynamic_growth () =
-  (* a node's fn grows the graph while running: the staged-cell pattern *)
-  let dag = S.Dag.create () in
-  let record, seen = record_order () in
-  let _a =
-    S.Dag.node dag ~label:"a" (fun () ->
-        record "a";
-        let b =
-          S.Dag.node dag ~label:"b" (fun () ->
-              record "b";
-              ignore (S.Dag.node dag ~label:"d" (fun () -> record "d")))
-        in
-        ignore (S.Dag.node dag ~after:[ b ] ~label:"c" (fun () -> record "c")))
-  in
-  S.Dag.run ~jobs:jobs_under_test dag;
-  let order = seen () in
-  Alcotest.(check int) "all four ran" 4 (List.length order);
-  let pos x =
-    let rec go i = function
-      | [] -> -1
-      | y :: _ when x = y -> i
-      | _ :: tl -> go (i + 1) tl
-    in
-    go 0 order
-  in
-  Alcotest.(check bool) "a before b" true (pos "a" < pos "b");
-  Alcotest.(check bool) "b before c (declared edge)" true (pos "b" < pos "c");
-  Alcotest.(check bool) "b before d (creation order)" true
-    (pos "b" < pos "d")
-
-let test_dag_failure_aborts_and_joins () =
-  let dag = S.Dag.create () in
-  let a = S.Dag.node dag (fun () -> failwith "boom") in
-  let ran_after = ref false in
-  let _b = S.Dag.node dag ~after:[ a ] (fun () -> ran_after := true) in
-  (match S.Dag.run ~jobs:jobs_under_test dag with
-  | () -> Alcotest.fail "failed node must re-raise"
-  | exception Failure msg -> Alcotest.(check string) "the node's exn" "boom" msg);
-  Alcotest.(check bool) "successor never ran" false !ran_after
-
-(* ----- DAG qcheck properties ----- *)
-
-(* Random graph shape: node i depends on a random subset of earlier
-   nodes (possibly none — disconnected components arise naturally),
-   run at a random worker count.  The raw generator output is mapped
-   into valid earlier-index edges, so every generated graph is a DAG
-   by construction, like the real API. *)
-let dag_shape_gen =
+(* Random forests grown on the pool: the graph shape the pool still
+   runs without edges.  Node i has at most one parent, chosen among
+   earlier nodes (no parent = a root, so disconnected components arise
+   naturally).  Running a node continues its chain into its first child
+   and drives every further child as a new chain from inside the step,
+   the way the daemon resubmits continuations.  Each chain ends at a
+   leaf and finishes with that leaf's index. *)
+let forest_gen =
   QCheck2.Gen.(
-    pair (int_range 1 8)
-      (list_size (int_range 0 30) (list_size (int_range 0 3) (int_bound 1000))))
+    pair (int_range 1 8) (list_size (int_range 0 30) (option (int_bound 1000))))
 
-let deps_of_shape shape =
+let parents_of_shape shape =
   List.mapi
     (fun i raw ->
-      if i = 0 then []
-      else List.sort_uniq compare (List.map (fun d -> d mod i) raw))
+      match raw with Some p when i > 0 -> Some (p mod i) | _ -> None)
     shape
 
-let run_shape ~jobs shape =
-  let deps = deps_of_shape shape in
-  let n = List.length deps in
-  let dag = S.Dag.create () in
+let run_forest ~jobs shape =
+  let parents = Array.of_list (parents_of_shape shape) in
+  let n = Array.length parents in
+  let children = Array.make n [] in
+  for i = n - 1 downto 0 do
+    Option.iter (fun p -> children.(p) <- i :: children.(p)) parents.(i)
+  done;
   let m = Mutex.create () in
   let order = ref [] in
-  let ids = Array.make n (-1) in
-  List.iteri
-    (fun i ds ->
-      ids.(i) <-
-        S.Dag.node dag
-          ~after:(List.map (fun d -> ids.(d)) ds)
-          ~label:(string_of_int i)
-          (fun () -> Mutex.protect m (fun () -> order := i :: !order)))
-    deps;
-  S.Dag.run ~jobs dag;
-  (deps, List.rev !order)
+  let finished = ref [] in
+  let sv = S.Service.start ~jobs in
+  let finish r = Mutex.protect m (fun () -> finished := r :: !finished) in
+  let rec node i =
+    S.Next
+      (fun () ->
+        Mutex.protect m (fun () -> order := i :: !order);
+        match children.(i) with
+        | [] -> S.Finished (Ok i)
+        | first :: rest ->
+            List.iter (fun c -> S.drive sv (node c) ~finish) rest;
+            node first)
+  in
+  Array.iteri (fun i p -> if p = None then S.drive sv (node i) ~finish) parents;
+  S.Service.stop sv;
+  (parents, children, List.rev !order, !finished)
 
-let qcheck_dag_completes =
+let qcheck_forest_completes =
   QCheck2.Test.make ~count:120 ~name:"random DAGs complete at 1-8 workers"
-    dag_shape_gen (fun (jobs, shape) ->
-      let deps, order = run_shape ~jobs shape in
-      List.length order = List.length deps
-      && List.sort_uniq compare order
-         = List.init (List.length deps) (fun i -> i))
+    forest_gen (fun (jobs, shape) ->
+      let parents, children, order, finished = run_forest ~jobs shape in
+      let n = Array.length parents in
+      let leaves =
+        List.filter (fun i -> children.(i) = []) (List.init n Fun.id)
+      in
+      (* every node exactly once; one finish per chain, i.e. per leaf *)
+      List.sort compare order = List.init n Fun.id
+      && List.sort compare finished = List.map (fun l -> Ok l) leaves)
 
-let qcheck_dag_respects_edges =
+let qcheck_forest_respects_parents =
   QCheck2.Test.make ~count:120
-    ~name:"no node runs before its predecessors" dag_shape_gen
+    ~name:"no node runs before its predecessors" forest_gen
     (fun (jobs, shape) ->
-      let deps, order = run_shape ~jobs shape in
+      let parents, _, order, _ = run_forest ~jobs shape in
       let pos = Hashtbl.create 16 in
       List.iteri (fun at i -> Hashtbl.replace pos i at) order;
-      List.for_all
-        (fun (i, ds) ->
-          List.for_all
-            (fun d -> Hashtbl.find pos d < Hashtbl.find pos i)
-            ds)
-        (List.mapi (fun i ds -> (i, ds)) deps))
+      let ok = ref true in
+      Array.iteri
+        (fun i p ->
+          Option.iter
+            (fun p -> ok := !ok && Hashtbl.find pos p < Hashtbl.find pos i)
+            p)
+        parents;
+      !ok)
+
+let test_drive_budget_exhausted () =
+  let sv = S.Service.start ~jobs:jobs_under_test in
+  let got = ref [] in
+  S.drive sv
+    (S.Next
+       (fun () ->
+         S.Next
+           (fun () ->
+             raise (Gp_core.Budget.Exhausted ("cell:x", Gp_core.Budget.Fuel)))))
+    ~finish:(fun r -> got := r :: !got);
+  S.Service.stop sv;
+  match !got with
+  | [ Error (Gp_core.Fail.Budget_exhausted ("cell:x", `Fuel)) ] -> ()
+  | [ Error f ] -> Alcotest.failf "wrong failure: %s" (Gp_core.Fail.to_string f)
+  | _ -> Alcotest.fail "the chain must finish exactly once, with an error"
 
 let qcheck_deque_steal_order =
   (* thief-FIFO: stealing k times from a freshly pushed deque yields
@@ -342,7 +357,7 @@ let scheduled ~jobs cells =
   in
   (sweep_payloads outcomes, report)
 
-(* The DAG at jobs 1, 2, and JOBS equals the sequential cell loop byte
+(* The pooled sweep at jobs 1, 2, and JOBS equals the sequential cell loop byte
    for byte over the full quick survey corpus (4 programs x 3 configs,
    tigress included). *)
 let test_differential_sweep () =
@@ -463,12 +478,11 @@ let suite =
       test_deque_owner_lifo_thief_fifo;
     Alcotest.test_case "deque concurrent conservation" `Quick
       test_deque_concurrent_conservation;
-    Alcotest.test_case "dag diamond" `Quick test_dag_diamond;
-    Alcotest.test_case "dag dynamic growth" `Quick test_dag_dynamic_growth;
-    Alcotest.test_case "dag failure aborts and joins" `Quick
-      test_dag_failure_aborts_and_joins;
-    QCheck_alcotest.to_alcotest qcheck_dag_completes;
-    QCheck_alcotest.to_alcotest qcheck_dag_respects_edges;
+    QCheck_alcotest.to_alcotest qcheck_chains_complete;
+    QCheck_alcotest.to_alcotest qcheck_forest_completes;
+    QCheck_alcotest.to_alcotest qcheck_forest_respects_parents;
+    Alcotest.test_case "drive: budget exhaustion is a failure" `Quick
+      test_drive_budget_exhausted;
     QCheck_alcotest.to_alcotest qcheck_deque_steal_order;
     Alcotest.test_case "Incr table stress (4 domains)" `Quick
       test_incr_table_stress;
