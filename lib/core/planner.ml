@@ -226,12 +226,6 @@ let ranked_candidates ?stats (memo : memo) (pool : Pool.t) cond ~cap :
   in
   if List.length picked < cap then take cap ranked else picked
 
-let candidate_steps (memo : memo) (pool : Pool.t) (p : Plan.t) cond ~cap :
-    Plan.step list =
-  List.map
-    (fun (st : Plan.step) -> { st with Plan.sid = p.Plan.next_sid })
-    (ranked_candidates memo pool cond ~cap)
-
 (* Ranked-candidate memo, per search (the cap is fixed by the config for
    a search's whole lifetime, so the condition alone is the key). *)
 type cand_memo = (Plan.cond, Plan.step list) Hashtbl.t

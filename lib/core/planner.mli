@@ -31,13 +31,6 @@ type memo = (int * Plan.cond, Plan.step option) Hashtbl.t
 val instantiate_memo :
   memo -> Gadget.t -> Plan.cond -> sid:Plan.step_id -> Plan.step option
 
-val candidate_steps :
-  memo -> Pool.t -> Plan.t -> Plan.cond -> cap:int -> Plan.step list
-(** Algorithm 1's PickIfSatisfy: instantiate candidates, rank by (new
-    demands, pre-conditions, length), and reserve part of the cut for
-    conditional/merged/indirect/pivot gadgets so the planner's
-    distinguishing gadget classes actually get exercised. *)
-
 type result = {
   plans : Plan.t list;     (** accepted complete plans *)
   expanded : int;          (** nodes expanded (visited-distinct pops) *)

@@ -30,10 +30,10 @@
    that buys nothing: the screen's job is to kill the OBVIOUS
    refutations cheaply, not to replace the solver.
 
-   Evaluation is memoized per hash-consed node ([Term.intern], same
-   discipline as [Term.simplify]'s memo): abstract values are pure
-   functions of term structure (variables are top), so the table is
-   shared process-wide and a hit can never change an answer. *)
+   Evaluation is memoized per term in a domain-local table keyed on
+   structure (simplified terms are interned, so key comparisons mostly
+   short-circuit on [==]): abstract values are pure functions of term
+   structure (variables are top), so a hit can never change an answer. *)
 
 type t = {
   kmask : int64;  (* bit set => that bit is known in every concretization *)
@@ -248,7 +248,7 @@ let sar a b =
          outside [kmask] and are masked off by [make] *)
       make ~kmask ~kval:(Int64.shift_right a.kval k) ~lo:0L ~hi:(-1L))
 
-(* ----- term evaluation, memoized per interned node ----- *)
+(* ----- term evaluation, memoized per term ----- *)
 
 (* Domain-local memo: abstract values are pure functions of term
    structure (variables are top), so per-domain tables agree wherever

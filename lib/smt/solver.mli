@@ -78,9 +78,9 @@ val unknowns : int Atomic.t
 val screen_enabled : unit -> bool
 
 val set_screen_enabled : bool -> unit
-(** Test-only reference switch, mirroring {!Term.set_memo_enabled}:
-    disabling restores the unscreened behavior exactly, the reference
-    the screening differential suites compare against. *)
+(** Test-only reference switch: disabling restores the unscreened
+    behavior exactly, the reference the screening differential suites
+    compare against. *)
 
 val screen_stats : unit -> int * int * int * int
 (** [(0, screen_decided, 0, elim_reused)]: Tier A decided {!check}

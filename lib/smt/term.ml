@@ -13,8 +13,9 @@
      constant coefficients, mod 2^64) exactly.  Gadget semantics are
      overwhelmingly linear (pop/mov/lea/add/sub/inc/dec and xor-zeroing),
      so canonical forms make semantic equality decidable by structural
-     comparison there; the residue is handled by the solver's randomized
-     refutation. *)
+     comparison there.  Beyond that fragment the simplifier applies local
+     identities only, and terms it leaves distinct compare as different
+     (sound, incomplete: subsumption then keeps both gadgets). *)
 
 type t =
   | Var of string
@@ -242,7 +243,7 @@ let shl a b = mk_shl a b
 let shr a b = mk_shr a b
 let sar a b = mk_sar a b
 
-(* ----- hash-consing & memoized canonicalization ----- *)
+(* ----- hash-consing ----- *)
 
 (* Interning table: structural term -> its canonical (physically unique)
    representative.  Children are interned before the parent is looked
@@ -285,69 +286,18 @@ let intern (t : t) : t =
   in
   Mutex.protect intern_lock (fun () -> go t)
 
-(* Memoized [simplify]/[linearize], keyed on the interned node.  The
-   canonicalizers are pure, so a stored result is a function of the key
-   alone: a memo hit can never change a value, only skip recomputing it
-   (the property suite checks this).  Same discipline as the solver
-   cache — compute OUTSIDE the lock, publish first-write-wins — but
-   hand-rolled because [Cache] lives above [Formula], which depends on
-   this module.
+(* Always (0, 0): there is no simplify/linearize memo.  Kept for bench/e2e. *)
+let memo_stats () = (0, 0)
 
-   [set_memo_enabled false] restores the seed's uncached behavior (a
-   test-only reference switch). *)
+let reset_memo () = Mutex.protect intern_lock (fun () -> Hashtbl.reset intern_tbl)
 
-let memo_lock = Mutex.create ()
-let simplify_tbl : (t, t) Hashtbl.t = Hashtbl.create 4096
-let linearize_tbl : (t, linear option) Hashtbl.t = Hashtbl.create 4096
-let memo_on = ref true
-let memo_hits = Atomic.make 0
-let memo_misses = Atomic.make 0
-
-let set_memo_enabled b = memo_on := b
-let memo_stats () = (Atomic.get memo_hits, Atomic.get memo_misses)
-
-let reset_memo () =
-  Mutex.protect memo_lock (fun () ->
-      Hashtbl.reset simplify_tbl;
-      Hashtbl.reset linearize_tbl);
-  Mutex.protect intern_lock (fun () -> Hashtbl.reset intern_tbl);
-  Atomic.set memo_hits 0;
-  Atomic.set memo_misses 0
-
-let memoized (tbl : (t, 'v) Hashtbl.t) (key : t) (f : t -> 'v) : 'v =
-  match Mutex.protect memo_lock (fun () -> Hashtbl.find_opt tbl key) with
-  | Some v ->
-    Atomic.incr memo_hits;
-    v
-  | None ->
-    Atomic.incr memo_misses;
-    let v = f key in
-    Mutex.protect memo_lock (fun () ->
-        if not (Hashtbl.mem tbl key) then Hashtbl.add tbl key v);
-    v
-
-(* The exported canonicalizers: leaves skip the machinery entirely
-   (already canonical / trivially linear); everything else goes through
-   the intern table so structurally equal queries share one memo slot. *)
-
+(* The exported simplifier interns its result, so the canonical forms
+   that callers keep (summaries, cache keys, plan conditions) share
+   their nodes; leaves are returned as they are. *)
 let simplify t =
   match t with
   | Var _ | Const _ -> t
-  | _ ->
-    if not !memo_on then simplify t
-    else
-      let key = intern t in
-      memoized simplify_tbl key (fun k -> intern (simplify k))
-
-let linearize t =
-  match t with
-  | Var v -> Some { lin_const = 0L; lin_terms = [ (v, 1L) ] }
-  | Const c -> Some (lin_const c)
-  | _ ->
-    if not !memo_on then linearize t
-    else
-      let key = intern t in
-      memoized linearize_tbl key (fun k -> linearize k)
+  | _ -> intern (simplify t)
 
 (* ----- stable binary (de)serialization -----
 

@@ -52,8 +52,7 @@ val lin_neg : linear -> linear
 
 val linearize : t -> linear option
 (** View the term as a linear combination, when it is one.  [Not x] is
-    linear ([-x - 1]); [Shl x (Const k)] is [2^k · x].  Memoized on the
-    interned node (see {!intern}); disable with {!set_memo_enabled}. *)
+    linear ([-x - 1]); [Shl x (Const k)] is [2^k · x]. *)
 
 val of_linear : linear -> t
 (** Canonical term for a linear form. *)
@@ -63,36 +62,29 @@ val of_linear : linear -> t
 val simplify : t -> t
 (** Bottom-up canonicalization: exact on the linear fragment, local
     identities elsewhere ([x^x = 0], [x&x = x], constant folding...).
-    Sound: the result evaluates identically under every model.
-    Memoized on the interned node (see {!intern}) — identical queries
-    from any domain share one slot, and a memo hit can never change the
-    result (it is a pure function of the key). *)
+    Sound: the result evaluates identically under every model.  A
+    non-leaf result is {!intern}ed: [simplify t == intern (simplify t)]. *)
 
 (** {1 Hash-consing}
 
-    An interning table gives structurally equal terms one physically
-    unique representative, so repeated canonicalization (solver-cache
-    keys, subsumption probes, planner instantiation) degenerates to a
-    table hit and equality checks short-circuit on [==].  Thread-safe;
-    shared across domains. *)
+    One interning table gives structurally equal terms one physically
+    unique representative.  {!simplify} interns its result, so the
+    canonical forms callers keep (summaries, solver-cache keys, plan
+    conditions) share their nodes, and [compare] on them (hash-table
+    lookups included) short-circuits on [==].  Thread-safe; shared
+    across domains; it only grows until {!reset_memo}. *)
 
 val intern : t -> t
 (** Canonical representative: [intern a == intern b] iff [a = b]
     (structural equality).  Idempotent; [intern t = t] always holds
     structurally. *)
 
-val set_memo_enabled : bool -> unit
-(** [false] restores the seed's uncached [simplify]/[linearize];
-    {!intern} itself stays available either way.  Test-only reference
-    switch: the differential suites use it to produce the uncached
-    reference a memoized run must equal. *)
-
 val memo_stats : unit -> int * int
-(** (hits, misses) over the simplify/linearize memo since the last
-    {!reset_memo}. *)
+(** Always [(0, 0)]: there is no simplify/linearize memo.  A stub kept
+    for bench/e2e's trace; delete it in the benchmark PR. *)
 
 val reset_memo : unit -> unit
-(** Drop the intern and memo tables and zero the counters. *)
+(** Drop the intern table. *)
 
 val var : string -> t
 val const : int64 -> t

@@ -10,9 +10,8 @@
      the same items at jobs 1/2/4, so outcomes are invariant;
    - hash-consing properties: [Term.intern] gives physical equality
      exactly on structural equality, simplify is idempotent under
-     interning, and the simplify/linearize memo is semantically
-     transparent (memo-on ≡ memo-off), as is the pool-keyed solver
-     memo.
+     interning and returns the interned node, and the pool-keyed solver
+     memo is semantically transparent.
 
    Honors the JOBS environment variable (default 4) so
    `make check-plan-par` can sweep job counts without editing code. *)
@@ -183,20 +182,13 @@ let prop_simplify_idempotent_interned t =
   Gp_smt.Term.simplify (Gp_smt.Term.intern s) = s
   && Gp_smt.Term.simplify s = s
 
-(* The memo is semantically transparent: fresh (memo off), the miss
-   that populates the table, and the hit that reads it back all agree,
-   for simplify and linearize both. *)
-let prop_term_memo_transparent t =
-  Gp_smt.Term.reset_memo ();
-  Gp_smt.Term.set_memo_enabled false;
-  let s0 = Gp_smt.Term.simplify t in
-  let l0 = Gp_smt.Term.linearize t in
-  Gp_smt.Term.set_memo_enabled true;
-  let s_miss = Gp_smt.Term.simplify t in
-  let s_hit = Gp_smt.Term.simplify t in
-  let l_miss = Gp_smt.Term.linearize t in
-  let l_hit = Gp_smt.Term.linearize t in
-  s0 = s_miss && s_miss = s_hit && l0 = l_miss && l_miss = l_hit
+(* Simplify hands back the interned node itself, not a structural copy:
+   that sharing is what keeps resident summaries and cache keys small.
+   Leaves are returned as they are. *)
+let prop_simplify_result_interned t =
+  match Gp_smt.Term.simplify t with
+  | Gp_smt.Term.Var _ | Gp_smt.Term.Const _ -> true
+  | _ -> Gp_smt.Term.simplify t == Gp_smt.Term.intern (Gp_smt.Term.simplify t)
 
 (* The pool-keyed solver memo answers exactly what an uncached solve
    against the same pool answers — miss and hit alike. *)
@@ -250,7 +242,7 @@ let suite =
       prop_intern_identity;
     Gen.qtest "simplify idempotent under interning" ~count:300 Gen.term
       prop_simplify_idempotent_interned;
-    Gen.qtest "term memo transparent" ~count:200 Gen.term
-      prop_term_memo_transparent;
+    Gen.qtest "simplify result is interned" ~count:300 Gen.term
+      prop_simplify_result_interned;
     Gen.qtest "pool-keyed verdict stable" ~count:100 Gen.formulas
       prop_pool_key_verdict ]
