@@ -13,6 +13,14 @@
 # JOBS=4 via the SUITES filter in test_main — the cheap spot-check for
 # planner changes; `make check` runs both sweeps.
 #
+# `make check-emu` sweeps the emulator and everything that runs it
+# (test_emu: paged copy-on-write memory against a flat reference model,
+# machine isolation on one shared image, self-modifying fetch across a
+# page boundary; test_symx's summaries-vs-emulator property;
+# test_payload's validation — DESIGN.md §18) at JOBS=1 and JOBS=4, the
+# latter with machines on several domains reading one image's shared
+# pages.
+#
 # `make check-incr` sweeps the incremental-store suite (test_incr:
 # cache_dir differential, serialization round-trips, corrupt/stale
 # store demotion, every older store schema demoting to cold —
@@ -51,7 +59,7 @@
 
 CHECK_TIMEOUT ?= 600
 
-.PHONY: all build test check check-par check-plan-par check-incr \
+.PHONY: all build test check check-par check-plan-par check-emu check-incr \
 	check-screen check-resume check-sweep check-serve check-bench clean
 
 all: build
@@ -62,7 +70,7 @@ build:
 test:
 	dune runtest
 
-check: build check-par check-plan-par check-incr check-screen \
+check: build check-par check-plan-par check-emu check-incr check-screen \
 	check-resume check-sweep check-serve check-bench
 
 check-par:
@@ -73,6 +81,11 @@ check-plan-par:
 	dune build test/test_main.exe
 	SUITES=plan_par JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
 	SUITES=plan_par JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
+
+check-emu:
+	dune build test/test_main.exe
+	SUITES=emu,symx,payload JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
+	SUITES=emu,symx,payload JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
 
 check-incr:
 	dune build test/test_main.exe

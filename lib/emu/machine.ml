@@ -58,10 +58,10 @@ let set_rsp t v = set_reg t Reg.RSP v
 
 let create ?(tracing = false) (image : Gp_util.Image.t) =
   let mem = Memory.create () in
-  Memory.map_bytes mem "code" image.Gp_util.Image.code_base image.Gp_util.Image.code;
-  Memory.map_bytes mem "data" image.Gp_util.Image.data_base image.Gp_util.Image.data;
-  Memory.map mem "stack" stack_base stack_size;
-  Memory.map mem "scratch" scratch_base scratch_size;
+  Memory.map_bytes mem image.Gp_util.Image.code_base image.Gp_util.Image.code;
+  Memory.map_bytes mem image.Gp_util.Image.data_base image.Gp_util.Image.data;
+  Memory.map mem stack_base stack_size;
+  Memory.map mem scratch_base scratch_size;
   let t =
     { mem;
       regs = Array.make 16 0L;

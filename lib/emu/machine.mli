@@ -66,7 +66,11 @@ val output : t -> string
 
 val create : ?tracing:bool -> Gp_util.Image.t -> t
 (** Map the image plus stack and scratch regions; rip at the entry
-    point, rsp near the stack top with generous headroom. *)
+    point, rsp near the stack top with generous headroom.  The image's
+    code and data are shared read-only, not copied ({!Memory.map_bytes}):
+    the machine's writes, self-patches included, land in its own pages,
+    so any number of machines may run on one image, and the image must
+    not be mutated while they do. *)
 
 exception Halt of outcome
 (** Used internally; escapes only from {!step}. *)
