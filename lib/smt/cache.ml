@@ -19,7 +19,9 @@
    therefore never change a verdict; the property suite checks this.
 
    Thread safety: the table is SHARDED by key hash — 16 independent
-   hashtables, each behind its own mutex — so resident-daemon workers
+   hashtables, each behind its own mutex, the shard picked by the top
+   four bits of the 30-bit [Hashtbl.hash] (the low bits pick the bucket
+   inside the shard) — so resident-daemon workers
    hammering the memo from many domains contend only when their keys
    collide on a shard, not on one global lock (DESIGN.md §15).
    Computation runs OUTSIDE the shard lock so a slow solve never
@@ -52,9 +54,20 @@ let create ?(size = 4096) () =
     hits = Atomic.make 0;
     misses = Atomic.make 0 }
 
-(* [Hashtbl.hash] is deterministic on immutable data; the low bits pick
-   the shard, so a key's shard is a pure function of its structure. *)
-let shard_of c key = c.shards.(Hashtbl.hash key land (shard_count - 1))
+(* [Hashtbl.hash] is deterministic on immutable data, so a key's shard
+   is a pure function of its structure.  The shard comes from the TOP
+   four bits of the 30-bit hash: each shard's [Hashtbl] picks its bucket
+   from the low bits of that same hash, so taking the shard from the low
+   bits too would leave every key of shard k with hash = k (mod 16),
+   crowding a shard's keys into 1/16 of its buckets. *)
+let shard_of c key = c.shards.((Hashtbl.hash key lsr 26) land (shard_count - 1))
+
+let max_chain c =
+  Array.fold_left
+    (fun acc s ->
+      max acc
+        (Mutex.protect s.s_lock (fun () -> (Hashtbl.stats s.s_tbl).max_bucket_length)))
+    0 c.shards
 
 let hits c = Atomic.get c.hits
 let misses c = Atomic.get c.misses

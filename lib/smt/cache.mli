@@ -26,6 +26,10 @@ val misses : ('k, 'v) t -> int
 
 val length : ('k, 'v) t -> int
 
+val max_chain : ('k, 'v) t -> int
+(** Longest bucket chain over all shards (diagnostic: keys should spread
+    over each shard's buckets, not pile into a few). *)
+
 val clear : ('k, 'v) t -> unit
 (** Drop all entries, keeping the hit/miss counters. *)
 

@@ -135,7 +135,7 @@ let solve_pin sigma l =
 (* ----- main entry ----- *)
 
 let special_values =
-  [ 0L; 1L; 2L; -1L; 8L; 0x100L; 0x1000L; 0x400000L; 0x601000L; Int64.min_int ]
+  [| 0L; 1L; 2L; -1L; 8L; 0x100L; 0x1000L; 0x400000L; 0x601000L; Int64.min_int |]
 
 (* Fault-injection hook: when it returns true the query is abandoned as
    Unknown before any reasoning, simulating a divergent backend.  The
@@ -484,8 +484,7 @@ let search ~pool ?pool_key { r_formulas = formulas; r_sigma = sigma; r_atoms } =
                   (fun m v ->
                     let value =
                       if Gp_util.Rng.int rng 4 = 0 then
-                        List.nth special_values
-                          (Gp_util.Rng.int rng (List.length special_values))
+                        special_values.(Gp_util.Rng.int rng (Array.length special_values))
                       else Gp_util.Rng.next_int64 rng
                     in
                     Smap.add v value m)

@@ -245,46 +245,56 @@ let sar a b = mk_sar a b
 
 (* ----- hash-consing ----- *)
 
-(* Interning table: structural term -> its canonical (physically unique)
-   representative.  Children are interned before the parent is looked
-   up, so the table's structural hashing and equality tests touch nodes
-   that are already shared — polymorphic [compare] short-circuits on
-   physical equality, making lookups cheap even for deep terms.  The
-   table only ever grows; identical terms from different domains resolve
-   to the same node, which is what gives [==] its meaning here.
+(* Interning table: structural term -> its entry, holding the canonical
+   (physically unique) representative.  Children are interned before the
+   parent is looked up, so the table's structural hashing and equality
+   tests touch nodes that are already shared — polymorphic [compare]
+   short-circuits on physical equality, making lookups cheap even for
+   deep terms.  The table only ever grows; identical terms from
+   different domains resolve to the same node, which is what gives [==]
+   its meaning here.
 
-   Thread safety: one mutex guards the whole recursive walk.  No user
+   [fix] records an OBSERVED fixpoint of the simplifier: it is set only
+   when [simplify] ran the inner simplifier on a term structurally equal
+   to [rep] and got that same term back (DESIGN.md §10).  Entries made
+   by [intern] or by [Ser.get] start unflagged.
+
+   Thread safety: one mutex guards the table and the flags.  No user
    code runs under the lock (pure table operations only), so holding it
    across the recursion cannot deadlock and keeps per-node overhead to
    a single acquisition per [intern] call. *)
 
-let intern_tbl : (t, t) Hashtbl.t = Hashtbl.create 4096
+type entry = { rep : t; mutable fix : bool }
+
+let intern_tbl : (t, entry) Hashtbl.t = Hashtbl.create 4096
 let intern_lock = Mutex.create ()
 
-let intern (t : t) : t =
-  let rec go t =
-    let node =
-      match t with
-      | Var _ | Const _ -> t
-      | Add (a, b) -> Add (go a, go b)
-      | Sub (a, b) -> Sub (go a, go b)
-      | Mul (a, b) -> Mul (go a, go b)
-      | Neg a -> Neg (go a)
-      | Not a -> Not (go a)
-      | And (a, b) -> And (go a, go b)
-      | Or (a, b) -> Or (go a, go b)
-      | Xor (a, b) -> Xor (go a, go b)
-      | Shl (a, b) -> Shl (go a, go b)
-      | Shr (a, b) -> Shr (go a, go b)
-      | Sar (a, b) -> Sar (go a, go b)
-    in
-    match Hashtbl.find_opt intern_tbl node with
-    | Some c -> c
-    | None ->
-      Hashtbl.add intern_tbl node node;
-      node
+(* Caller holds [intern_lock]. *)
+let rec intern_entry t =
+  let rep e = (intern_entry e).rep in
+  let node =
+    match t with
+    | Var _ | Const _ -> t
+    | Add (a, b) -> Add (rep a, rep b)
+    | Sub (a, b) -> Sub (rep a, rep b)
+    | Mul (a, b) -> Mul (rep a, rep b)
+    | Neg a -> Neg (rep a)
+    | Not a -> Not (rep a)
+    | And (a, b) -> And (rep a, rep b)
+    | Or (a, b) -> Or (rep a, rep b)
+    | Xor (a, b) -> Xor (rep a, rep b)
+    | Shl (a, b) -> Shl (rep a, rep b)
+    | Shr (a, b) -> Shr (rep a, rep b)
+    | Sar (a, b) -> Sar (rep a, rep b)
   in
-  Mutex.protect intern_lock (fun () -> go t)
+  match Hashtbl.find_opt intern_tbl node with
+  | Some e -> e
+  | None ->
+    let e = { rep = node; fix = false } in
+    Hashtbl.add intern_tbl node e;
+    e
+
+let intern (t : t) : t = Mutex.protect intern_lock (fun () -> (intern_entry t).rep)
 
 (* Always (0, 0): there is no simplify/linearize memo.  Kept for bench/e2e. *)
 let memo_stats () = (0, 0)
@@ -293,11 +303,35 @@ let reset_memo () = Mutex.protect intern_lock (fun () -> Hashtbl.reset intern_tb
 
 (* The exported simplifier interns its result, so the canonical forms
    that callers keep (summaries, cache keys, plan conditions) share
-   their nodes; leaves are returned as they are. *)
+   their nodes; leaves are returned as they are.
+
+   Most inputs are already canonical (cache keys, effects and conditions
+   re-simplified by their consumers), so a non-leaf input is first
+   looked up as it is — one bounded hash, and [compare] short-circuits
+   on shared children — without interning it.  A flagged entry answers
+   with its representative: the flag was set when the inner simplifier
+   returned a term structurally equal to that entry, and the inner
+   simplifier is a function of structure, so [intern (simplify t)] is
+   that same representative.  Otherwise the full path runs and flags the
+   result's entry when it turned out to be a fixpoint. *)
 let simplify t =
   match t with
   | Var _ | Const _ -> t
-  | _ -> intern (simplify t)
+  | _ -> (
+    let known =
+      Mutex.protect intern_lock (fun () ->
+          match Hashtbl.find_opt intern_tbl t with
+          | Some { rep; fix = true } -> Some rep
+          | _ -> None)
+    in
+    match known with
+    | Some rep -> rep
+    | None ->
+      let s = simplify t in
+      Mutex.protect intern_lock (fun () ->
+          let e = intern_entry s in
+          if compare s t = 0 then e.fix <- true;
+          e.rep))
 
 (* ----- stable binary (de)serialization -----
 
@@ -409,8 +443,12 @@ module Ser = struct
     loop ()
 end
 
-(* Structural equality after canonicalization. *)
-let equal a b = simplify a = simplify b
+(* Structural equality after canonicalization.  Polymorphic [=] does
+   not short-circuit on [==], so test the (usually shared) canonical
+   nodes physically first. *)
+let equal a b =
+  let a = simplify a and b = simplify b in
+  a == b || a = b
 
 (* Replace variables via [f]; unmapped variables stay. *)
 let rec subst f t =

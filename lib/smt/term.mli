@@ -63,7 +63,12 @@ val simplify : t -> t
 (** Bottom-up canonicalization: exact on the linear fragment, local
     identities elsewhere ([x^x = 0], [x&x = x], constant folding...).
     Sound: the result evaluates identically under every model.  A
-    non-leaf result is {!intern}ed: [simplify t == intern (simplify t)]. *)
+    non-leaf result is {!intern}ed: [simplify t == intern (simplify t)].
+
+    An input the simplifier has already been seen to leave unchanged
+    (its intern entry carries a fixpoint flag) is answered by one table
+    lookup, without interning the input; the answer is the same node
+    the full path would return.  Leaves are returned as they are. *)
 
 (** {1 Hash-consing}
 
@@ -71,20 +76,23 @@ val simplify : t -> t
     unique representative.  {!simplify} interns its result, so the
     canonical forms callers keep (summaries, solver-cache keys, plan
     conditions) share their nodes, and [compare] on them (hash-table
-    lookups included) short-circuits on [==].  Thread-safe; shared
-    across domains; it only grows until {!reset_memo}. *)
+    lookups included) short-circuits on [==].  Each entry also records
+    whether {!simplify} has observed it to be a fixpoint.  Thread-safe;
+    shared across domains; it only grows until {!reset_memo}. *)
 
 val intern : t -> t
 (** Canonical representative: [intern a == intern b] iff [a = b]
     (structural equality).  Idempotent; [intern t = t] always holds
-    structurally. *)
+    structurally.  Entries it creates are not marked as simplifier
+    fixpoints: interning a non-canonical term never makes {!simplify}
+    return it unchanged. *)
 
 val memo_stats : unit -> int * int
 (** Always [(0, 0)]: there is no simplify/linearize memo.  A stub kept
     for bench/e2e's trace; delete it in the benchmark PR. *)
 
 val reset_memo : unit -> unit
-(** Drop the intern table. *)
+(** Drop the intern table, fixpoint flags included. *)
 
 val var : string -> t
 val const : int64 -> t

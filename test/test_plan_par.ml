@@ -10,8 +10,10 @@
      the same items at jobs 1/2/4, so outcomes are invariant;
    - hash-consing properties: [Term.intern] gives physical equality
      exactly on structural equality, simplify is idempotent under
-     interning and returns the interned node, and the pool-keyed solver
-     memo is semantically transparent.
+     interning and returns the interned node, its fixpoint flags make a
+     warm table answer exactly as a cold one (from 4 domains too), the
+     per-base layout pools match the per-query construction, and the
+     pool-keyed solver memo is semantically transparent.
 
    Honors the JOBS environment variable (default 4) so
    `make check-plan-par` can sweep job counts without editing code. *)
@@ -190,6 +192,121 @@ let prop_simplify_result_interned t =
   | Gp_smt.Term.Var _ | Gp_smt.Term.Const _ -> true
   | _ -> Gp_smt.Term.simplify t == Gp_smt.Term.intern (Gp_smt.Term.simplify t)
 
+(* ----- simplify's fixpoint flags -----
+
+   [simplify] answers an input whose intern entry carries a fixpoint flag
+   with one table lookup.  The flag must record an observed fixpoint and
+   nothing else, so a warm table answers exactly what a cold one does. *)
+
+module T = Gp_smt.Term
+
+let is_leaf = function T.Var _ | T.Const _ -> true | _ -> false
+
+(* Each term simplified on a freshly emptied table. *)
+let cold ts =
+  List.map
+    (fun t ->
+      T.reset_memo ();
+      T.simplify t)
+    ts
+
+(* A structural copy sharing no node with its source. *)
+let copy (t : T.t) : T.t = Marshal.from_string (Marshal.to_string t [ Marshal.No_sharing ]) 0
+
+(* Cold vs warm: warming the table by simplifying the list and its
+   results, twice, flags every canonical form in it; the answers must
+   still be the cold ones, and non-leaf answers the interned nodes. *)
+let prop_warm_equals_cold ts =
+  let expect = cold ts in
+  T.reset_memo ();
+  for _ = 1 to 2 do
+    List.iter (fun t -> ignore (T.simplify (T.simplify t))) ts
+  done;
+  let warm = List.map T.simplify ts in
+  List.for_all2
+    (fun w e -> w = e && (is_leaf w || (w == T.intern w && T.simplify w == w)))
+    warm expect
+
+(* A fresh copy of a canonical term resolves to the very same node. *)
+let prop_fresh_copy_same_node t =
+  let s = T.simplify t in
+  is_leaf s || (T.simplify s == s && T.simplify (copy s) == s)
+
+(* Entries made by [intern] or by a [Ser] round trip are not observed
+   fixpoints: a non-canonical term reaching the table that way must
+   still be simplified, not handed back as it is. *)
+let prop_unflagged_entries t =
+  match cold [ t ] with
+  | [ expect ] ->
+    T.reset_memo ();
+    let interned = T.intern t in
+    let via_intern = T.simplify interned in
+    T.reset_memo ();
+    let w = T.Ser.writer () and b = Buffer.create 64 in
+    T.Ser.put w b t;
+    let back = T.Ser.get (T.Ser.reader ()) (Buffer.contents b) (ref 0) in
+    via_intern = expect && T.simplify back = expect
+  | _ -> false
+
+(* Four domains simplifying the same terms on one table get physically
+   identical answers, equal to the cold ones. *)
+let prop_four_domains ts =
+  let expect = cold ts in
+  T.reset_memo ();
+  let answers =
+    List.map Domain.join
+      (List.init 4 (fun _ ->
+           Domain.spawn (fun () ->
+               List.map T.simplify ts |> ignore;
+               List.map T.simplify ts)))
+  in
+  let first = List.hd answers in
+  first = expect && List.for_all (List.for_all2 ( == ) first) answers
+
+(* A non-canonical term that the fixpoint path must not short-circuit:
+   interning it makes an unflagged entry for the un-simplified form. *)
+let test_unflagged_pinned () =
+  let t = T.Add (T.Var "v0", T.Var "v0") in
+  let expect = T.Mul (T.Const 2L, T.Var "v0") in
+  Alcotest.(check bool) "cold" true (List.hd (cold [ t ]) = expect);
+  ignore (T.intern t);
+  Alcotest.(check bool) "after intern" true (T.simplify t = expect);
+  Alcotest.(check bool) "after intern, interned input" true
+    (T.simplify (T.intern t) = expect)
+
+(* Layout builds its rotated pools once per payload base: for every salt,
+   before and after re-pointing the base, [pool ~salt] carries exactly
+   the pins of the per-query construction and [pool_key] is the same
+   (base, rotation) pair. *)
+let test_layout_pools_per_base () =
+  let module L = Gp_core.Layout in
+  let reference_pins salt =
+    let pins =
+      List.init 14 (fun k -> Int64.add (L.payload_base ()) (Int64.of_int (0xc00 + (k * 0x800))))
+    in
+    let n = List.length pins in
+    let rot = ((salt mod n) + n) mod n in
+    (List.filteri (fun i _ -> i >= rot) pins @ List.filteri (fun i _ -> i < rot) pins,
+     (L.payload_base (), rot))
+  in
+  let check_all label =
+    for salt = -40 to 40 do
+      let pins, key = reference_pins salt in
+      if (L.pool ~salt).Gp_smt.Solver.pins <> pins then
+        Alcotest.failf "%s: pins differ at salt %d" label salt;
+      if L.pool_key ~salt <> key then
+        Alcotest.failf "%s: pool_key differs at salt %d" label salt
+    done
+  in
+  Fun.protect ~finally:L.reset (fun () ->
+      check_all "default base";
+      L.set_payload_base 0x7ffe_0000_1000L;
+      check_all "moved base";
+      Alcotest.(check bool) "pool follows the base" true
+        (List.hd (L.pool ~salt:0).Gp_smt.Solver.pins = Int64.add 0x7ffe_0000_1000L 0xc00L);
+      L.reset ();
+      check_all "reset base")
+
 (* The pool-keyed solver memo answers exactly what an uncached solve
    against the same pool answers — miss and hit alike. *)
 let prop_pool_key_verdict fs =
@@ -244,5 +361,17 @@ let suite =
       prop_simplify_idempotent_interned;
     Gen.qtest "simplify result is interned" ~count:300 Gen.term
       prop_simplify_result_interned;
+    Gen.qtest "simplify: warm table answers as cold" ~count:100
+      QCheck2.Gen.(list_size (int_range 1 20) Gen.term) prop_warm_equals_cold;
+    Gen.qtest "simplify: fresh copy of canonical is the same node" ~count:300
+      Gen.term prop_fresh_copy_same_node;
+    Gen.qtest "simplify: intern/Ser entries do not short-circuit" ~count:300
+      Gen.term prop_unflagged_entries;
+    Alcotest.test_case "simplify: unflagged entry, pinned" `Quick
+      test_unflagged_pinned;
+    Gen.qtest "simplify: four domains, identical nodes" ~count:20
+      QCheck2.Gen.(list_size (int_range 1 40) Gen.term) prop_four_domains;
+    Alcotest.test_case "layout pools built once per base" `Quick
+      test_layout_pools_per_base;
     Gen.qtest "pool-keyed verdict stable" ~count:100 Gen.formulas
       prop_pool_key_verdict ]

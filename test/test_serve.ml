@@ -248,6 +248,19 @@ let test_cache_first_write_wins () =
   Alcotest.(check int) "export sees both shards' entries" 2
     (List.length (Gp_smt.Cache.export c))
 
+(* The shard and the bucket inside the shard must come from different
+   hash bits: with both taken from the low bits, each shard's keys share
+   their hash mod 16 and pile into 1/16 of its buckets (chains of ~30
+   here instead of ~6).  Keys shaped like [Solver.pool_memo]'s pool keys. *)
+let test_cache_keys_spread_over_buckets () =
+  let c = Gp_smt.Cache.create ~size:4096 () in
+  for k = 0 to 4095 do
+    ignore (Gp_smt.Cache.find_or_add c (Int64.of_int (k * 8), k mod 14) (fun () -> k))
+  done;
+  Alcotest.(check int) "all keys present" 4096 (Gp_smt.Cache.length c);
+  let chain = Gp_smt.Cache.max_chain c in
+  if chain > 8 then Alcotest.failf "longest bucket chain %d > 8" chain
+
 let test_cache_stress_domains () =
   let c = Gp_smt.Cache.create () in
   let nkeys = 100 and per = 400 and ndom = 4 in
@@ -768,6 +781,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_cache_model;
     Alcotest.test_case "cache first-write-wins across shards" `Quick
       test_cache_first_write_wins;
+    Alcotest.test_case "cache keys spread over each shard's buckets" `Quick
+      test_cache_keys_spread_over_buckets;
     Alcotest.test_case "cache 4-domain stress" `Quick test_cache_stress_domains;
     QCheck_alcotest.to_alcotest qcheck_incr_model;
     Alcotest.test_case "incr 4-domain stress" `Quick test_incr_stress_domains;
