@@ -8,10 +8,12 @@
 # sequential pipeline, so the two sweeps together pin down the
 # determinism contract (DESIGN.md "Parallel execution & determinism").
 #
-# `make check-plan-par` sweeps just the stage 3-4 suite (test_plan_par:
-# portfolio planning, parallel validation, hash-consing) at JOBS=1 and
-# JOBS=4 via the SUITES filter in test_main — the cheap spot-check for
-# planner changes; `make check` runs both sweeps.
+# `make check-plan-par` sweeps the stage 3-4 suites (test_plan_par:
+# portfolio planning, the request-scoped candidate table shared by the
+# portfolio's roots, parallel validation, hash-consing; test_planner:
+# the search itself and the compute-once table under several domains)
+# at JOBS=1 and JOBS=4 via the SUITES filter in test_main — the cheap
+# spot-check for planner changes; `make check` runs both sweeps.
 #
 # `make check-emu` sweeps the emulator and everything that runs it
 # (test_emu: paged copy-on-write memory against a flat reference model,
@@ -79,8 +81,8 @@ check-par:
 
 check-plan-par:
 	dune build test/test_main.exe
-	SUITES=plan_par JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-	SUITES=plan_par JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
+	SUITES=plan_par,planner JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
+	SUITES=plan_par,planner JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
 
 check-emu:
 	dune build test/test_main.exe

@@ -125,8 +125,11 @@ let scan_cmd =
       (fun (k, c) -> Printf.printf "  %-6s %6d\n" (Gp_core.Gadget.kind_name k) c)
       counts;
     let a = Gp_core.Api.analyze ~jobs ?cache_dir image in
-    Printf.printf "planner pool after subsumption: %d (from %d summaries)\n"
-      (Gp_core.Pool.size a.Gp_core.Api.pool) a.Gp_core.Api.raw_extracted;
+    Printf.printf
+      "planner pool after subsumption: %d (from %d summaries; %d cut by the \
+       bucket cap)\n"
+      (Gp_core.Pool.size a.Gp_core.Api.pool) a.Gp_core.Api.raw_extracted
+      a.Gp_core.Api.subsume_capped;
     if cache_dir <> None then
       Printf.printf "store: %d loaded, %d summary hits, %d misses\n"
         a.Gp_core.Api.analysis_store_loaded
@@ -179,7 +182,11 @@ let plan_cmd =
               st.Gp_core.Api.quarantined));
     if stats then begin
       Printf.printf
-        "planner: %d nodes expanded, peak queue %d, %d inst-memo hits, \
+        "subsumption: %d summaries -> pool %d; %d cut by the bucket cap\n"
+        st.Gp_core.Api.extracted st.Gp_core.Api.deduped
+        st.Gp_core.Api.subsume_capped;
+      Printf.printf
+        "planner: %d nodes expanded, peak queue %d, %d rankings shared across roots, \
          %d cand-memo hits, %d plans discarded\n"
         st.Gp_core.Api.plan_expanded st.Gp_core.Api.plan_peak_queue
         st.Gp_core.Api.plan_inst_hits st.Gp_core.Api.plan_cand_hits

@@ -18,6 +18,8 @@
 type stage_stats = {
   extracted : int;
   deduped : int;
+  subsume_capped : int;
+      (* gadgets the subsumption bucket cap dropped unexamined *)
   pool_size : int;
   plans_found : int;
   chains_built : int;
@@ -101,6 +103,7 @@ type analysis = {
   gadgets : Gadget.t list;      (* post-subsumption *)
   pool : Pool.t;
   raw_extracted : int;
+  subsume_capped : int;
   extract_time : float;
   subsume_time : float;
   quarantined : (string * int) list;
@@ -140,7 +143,8 @@ let stage (label : string) (budget : Budget.t) (f : unit -> 'a) :
 
 let passthrough_stats gadgets =
   let n = List.length gadgets in
-  { Subsume.input = n; after_dedup = n; after_subsume = n; timed_out = false }
+  { Subsume.input = n; after_dedup = n; after_subsume = n; capped = 0;
+    timed_out = false }
 
 (* ----- on-disk incremental store (DESIGN.md §11) ----- *)
 
@@ -284,6 +288,7 @@ let stage_subsume ?(subsume = true) ?budget ?(jobs = 1) (ex : extracted) :
       gadgets = minimal;
       pool = Pool.build minimal;
       raw_extracted = List.length harvested;
+      subsume_capped = sstats.Subsume.capped;
       extract_time = ex.ex_extract_time;
       subsume_time;
       quarantined =
@@ -434,7 +439,8 @@ let stage_plan ?(planner_config = Planner.default_config)
     | Ok v -> v
     | Error _ ->
       ( { Planner.plans = []; expanded = 0; peak_queue = 0;
-          inst_memo_hits = 0; cand_memo_hits = 0; discarded = 0;
+          inst_memo_hits = 0; cand_memo_hits = 0; rankings = 0;
+          conditions = 0; discarded = 0;
           exhausted = false; budget_hit = true },
         0. )
   in
@@ -490,6 +496,7 @@ let stage_finalize (p : planned) : outcome =
     stats =
       { extracted = a.raw_extracted;
         deduped = List.length a.gadgets;
+        subsume_capped = a.subsume_capped;
         pool_size = Pool.size a.pool;
         plans_found = List.length result.Planner.plans;
         chains_built = List.length built;
@@ -538,6 +545,7 @@ let invariant_counters (o : outcome) =
     ("plan_inst_hits", st.plan_inst_hits);
     ("plan_cand_hits", st.plan_cand_hits);
     ("plan_discarded", st.plan_discarded);
+    ("subsume_capped", st.subsume_capped);
     ("validate_faults", st.validate_faults);
     ("validate_timeouts", st.validate_timeouts) ]
   @ List.filter_map
@@ -581,7 +589,7 @@ let dedup_only (gadgets : Gadget.t list) : Gadget.t list =
    duplicates removed — a superset of the subsumed pool. *)
 let dedup_analysis (a : analysis) (harvested : Gadget.t list) : analysis =
   let m = dedup_only harvested in
-  { a with gadgets = m; pool = Pool.build m }
+  { a with gadgets = m; pool = Pool.build m; subsume_capped = 0 }
 
 (* The degradation ladder, defined once: [run] climbs it in a loop and
    the daemon ([Gp_harness.Serve.request_steps]) one rung per scheduler

@@ -21,6 +21,10 @@
 type stage_stats = {
   extracted : int;          (** summaries before minimization *)
   deduped : int;            (** pool after subsumption *)
+  subsume_capped : int;
+      (** gadgets subsumption dropped unexamined because their signature
+          bucket was over the cap ({!Subsume.stats}[.capped]); 0 on the
+          dedup-only rung, whose pool skips the cap *)
   pool_size : int;
   plans_found : int;        (** accepted complete plans *)
   chains_built : int;
@@ -50,7 +54,10 @@ type stage_stats = {
       (** planner nodes expanded (summed over portfolio roots) *)
   plan_peak_queue : int;
       (** high-water mark of the planner queue (max over roots) *)
-  plan_inst_hits : int;    (** planner instantiation-memo hits *)
+  plan_inst_hits : int;
+      (** candidate rankings a portfolio root took from the request's
+          shared table instead of computing them
+          ({!Planner.result}[.inst_memo_hits]) *)
   plan_cand_hits : int;    (** planner ranked-candidate-memo hits *)
   plan_discarded : int;
       (** complete plans rejected by the accept gate (duplicate chain,
@@ -99,6 +106,7 @@ type analysis = {
   gadgets : Gadget.t list;      (** post-subsumption *)
   pool : Pool.t;
   raw_extracted : int;
+  subsume_capped : int;                (** {!Subsume.stats}[.capped] *)
   extract_time : float;
   subsume_time : float;
   quarantined : (string * int) list;   (** harvest quarantine ledger *)

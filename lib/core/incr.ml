@@ -67,11 +67,23 @@ let shards : shard array =
   Array.init shard_count (fun _ ->
       { s_tbl = Hashtbl.create 512; s_lock = Mutex.create () })
 
-let shard_of key = shards.(Hashtbl.hash key land (shard_count - 1))
+(* The shard comes from the top four bits of the 30-bit hash, as in
+   [Gp_smt.Cache]: each shard's [Hashtbl] picks its bucket from the low
+   bits of the same hash, so low-bit shards would crowd a shard's keys
+   into 1/16 of its buckets. *)
+let shard_of key = shards.((Hashtbl.hash key lsr 26) land (shard_count - 1))
 
 let size () =
   Array.fold_left
     (fun acc s -> acc + Mutex.protect s.s_lock (fun () -> Hashtbl.length s.s_tbl))
+    0 shards
+
+let max_chain () =
+  Array.fold_left
+    (fun acc s ->
+      max acc
+        (Mutex.protect s.s_lock (fun () ->
+             (Hashtbl.stats s.s_tbl).max_bucket_length)))
     0 shards
 
 (* always 0: stubs bench/e2e still reads (see incr.mli) *)

@@ -22,6 +22,10 @@ val add : string -> value -> unit
 val size : unit -> int
 val reset : unit -> unit
 
+val max_chain : unit -> int
+(** Longest bucket chain over all shards (diagnostic: keys should spread
+    over each shard's buckets, not pile into a few). *)
+
 val suffix_size : unit -> int
 (** Always 0: the suffix store is gone (DESIGN.md §16).  Kept only
     because bench/e2e reads it; drop it with the next change to the

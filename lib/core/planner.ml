@@ -109,14 +109,15 @@ let entry_sig e =
 type stats_acc = {
   mutable s_expanded : int;
   mutable s_peak_queue : int;
-  mutable s_inst_hits : int;
-  mutable s_cand_hits : int;
+  mutable s_inst_hits : int;   (* rankings taken from the shared table *)
+  mutable s_cand_hits : int;   (* repeat asks within this search *)
+  mutable s_ranked : int;      (* rankings this search computed *)
   mutable s_discarded : int;
 }
 
 let fresh_stats () =
   { s_expanded = 0; s_peak_queue = 0; s_inst_hits = 0; s_cand_hits = 0;
-    s_discarded = 0 }
+    s_ranked = 0; s_discarded = 0 }
 
 (* Add a step's demands as open conditions. *)
 let open_demands (s : Plan.step) =
@@ -145,50 +146,79 @@ let reuse_successors (p : Plan.t) consumer cond : Plan.t list =
               Plan.protect_link p s.Plan.sid cond consumer))
     p.Plan.steps
 
-(* Instantiation is plan-independent (only the step id differs), so each
-   (gadget, condition) pair is solved at most once per search. *)
-type memo = (int * Plan.cond, Plan.step option) Hashtbl.t
+(* Compute-once table (see planner.mli).  A key's cell is [Pending]
+   while its first caller computes it outside the lock, so distinct keys
+   compute in parallel; later callers wait on [ready].  [Done] and
+   [Failed] cells are final, so a failure is re-raised to every caller
+   and no waiter hangs. *)
+module Once = struct
+  type 'v cell = Pending | Done of 'v | Failed of exn * Printexc.raw_backtrace
 
-let instantiate_counted ?stats (memo : memo) (g : Gadget.t) cond ~sid :
-    Plan.step option =
-  let key = (g.Gadget.id, cond) in
-  let template =
-    match Hashtbl.find_opt memo key with
-    | Some t ->
-      (match stats with
-       | Some st -> st.s_inst_hits <- st.s_inst_hits + 1
-       | None -> ());
-      t
+  type ('k, 'v) t = {
+    lock : Mutex.t;
+    ready : Condition.t;
+    cells : ('k, 'v cell) Hashtbl.t;
+  }
+
+  let create () =
+    { lock = Mutex.create (); ready = Condition.create ();
+      cells = Hashtbl.create 64 }
+
+  let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.cells)
+
+  let value = function
+    | Done v -> v
+    | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
+    | Pending -> assert false
+
+  let get t k f =
+    let found =
+      Mutex.protect t.lock (fun () ->
+          let rec await () =
+            match Hashtbl.find_opt t.cells k with
+            | Some Pending ->
+              Condition.wait t.ready t.lock;
+              await ()
+            | Some c -> Some c
+            | None ->
+              Hashtbl.replace t.cells k Pending;
+              None
+          in
+          await ())
+    in
+    match found with
+    | Some c -> (value c, false)
     | None ->
-      let t = Plan.instantiate_for g cond ~sid:(-1) in
-      Hashtbl.add memo key t;
-      t
-  in
-  Option.map (fun (st : Plan.step) -> { st with Plan.sid = sid }) template
-
-let instantiate_memo (memo : memo) (g : Gadget.t) cond ~sid : Plan.step option =
-  instantiate_counted memo g cond ~sid
+      let c =
+        match f k with
+        | v -> Done v
+        | exception e -> Failed (e, Printexc.get_raw_backtrace ())
+      in
+      Mutex.protect t.lock (fun () ->
+          Hashtbl.replace t.cells k c;
+          Condition.broadcast t.ready);
+      (value c, true)
+end
 
 (* Candidate gadgets for a condition: instantiate first (this is
    Algorithm 1's PickIfSatisfy), then keep the [cap] cheapest successful
    instantiations — fewest new demands, then fewest pre-conditions and
    shortest gadget.  Dead-end gadgets (ending at a syscall) never apply.
 
-   The whole ranked, quota-applied cut is a function of the condition
-   alone (ranking keys and the category quota never look at the plan;
-   the step id is stamped on afterwards), so searches memoize it per
-   [cond] — see [cand_memo] below. *)
-let ranked_candidates ?stats (memo : memo) (pool : Pool.t) cond ~cap :
-    Plan.step list =
+   The whole ranked, quota-applied cut is a function of the pool, the
+   condition, [cap] and the payload base (ranking keys and the category
+   quota never look at the plan; the step id is stamped on afterwards),
+   so one plan request ranks each condition once — see [candidates]
+   below.  Each gadget appears once in a pool list, so no
+   (gadget, condition) pair is instantiated twice per ranking. *)
+let ranked_candidates (pool : Pool.t) cond ~cap : Plan.step list =
   let gs =
     match cond with
     | Plan.Creg (r, _) -> Pool.setting pool r
     | Plan.Cmem _ -> pool.Pool.mem_writers
   in
   let insts =
-    List.filter_map
-      (fun g -> instantiate_counted ?stats memo g cond ~sid:(-1))
-      gs
+    List.filter_map (fun g -> Plan.instantiate_for g cond ~sid:(-1)) gs
   in
   let ranked =
     List.sort
@@ -226,25 +256,35 @@ let ranked_candidates ?stats (memo : memo) (pool : Pool.t) cond ~cap :
   in
   if List.length picked < cap then take cap ranked else picked
 
-(* Ranked-candidate memo, per search (the cap is fixed by the config for
-   a search's whole lifetime, so the condition alone is the key). *)
+(* Ranked candidates, shared by every search of one plan request: the
+   cap and the payload base are fixed for the request, so the condition
+   alone is the key.  Created per [search]/[search_par] call, never
+   process-global — concurrent daemon requests must not share it. *)
+type cand_table = (Plan.cond, Plan.step list) Once.t
+
+(* A search's own view of the table: the conditions it has asked for so
+   far (a repeat is a [s_cand_hits] hit, answered without the table's
+   lock); a first ask goes to the shared table, where it either ranks
+   the condition or takes another search's ranking ([s_inst_hits]). *)
 type cand_memo = (Plan.cond, Plan.step list) Hashtbl.t
 
-let candidates_cached ?stats (memo : memo) (cmemo : cand_memo) (pool : Pool.t)
-    cond ~cap : Plan.step list =
+let candidates ~(stats : stats_acc) (table : cand_table) (cmemo : cand_memo)
+    (pool : Pool.t) cond ~cap : Plan.step list =
   match Hashtbl.find_opt cmemo cond with
   | Some l ->
-    (match stats with
-     | Some st -> st.s_cand_hits <- st.s_cand_hits + 1
-     | None -> ());
+    stats.s_cand_hits <- stats.s_cand_hits + 1;
     l
   | None ->
-    let l = ranked_candidates ?stats memo pool cond ~cap in
+    let l, computed =
+      Once.get table cond (fun cond -> ranked_candidates pool cond ~cap)
+    in
+    if computed then stats.s_ranked <- stats.s_ranked + 1
+    else stats.s_inst_hits <- stats.s_inst_hits + 1;
     Hashtbl.add cmemo cond l;
     l
 
 (* Close (consumer, cond) with a freshly instantiated gadget. *)
-let new_step_successors (cfg : config) ?stats (memo : memo)
+let new_step_successors (cfg : config) ~stats (table : cand_table)
     (cmemo : cand_memo) (pool : Pool.t) (p : Plan.t) consumer cond :
     Plan.t list =
   if List.length p.Plan.steps >= cfg.max_steps then []
@@ -264,7 +304,7 @@ let new_step_successors (cfg : config) ?stats (memo : memo)
         Option.bind (Plan.add_ordering p' step.Plan.sid consumer) (fun p' ->
             Option.bind (Plan.protect_link p' step.Plan.sid cond consumer)
               (fun p' -> Plan.protect_from p' step)))
-      (candidates_cached ?stats memo cmemo pool cond ~cap:cfg.branch_cap)
+      (candidates ~stats table cmemo pool cond ~cap:cfg.branch_cap)
 
 type result = {
   plans : Plan.t list;
@@ -272,6 +312,8 @@ type result = {
   peak_queue : int;
   inst_memo_hits : int;
   cand_memo_hits : int;
+  rankings : int;
+  conditions : int;
   discarded : int;
   exhausted : bool;   (* true if the whole space was searched *)
   budget_hit : bool;  (* search stopped on deadline or fuel, not space *)
@@ -308,12 +350,15 @@ let root_plan (goal : Goal.concrete) (g : Gadget.t) : Plan.t option =
         next_sid = 1 }
 
 (* The best-first loop, shared by the single-queue [search] and each
-   portfolio worker of [search_par].  Every piece of mutable state —
-   queue, memos, usage/visited tables, stats — is owned by the caller
-   and never crosses a domain boundary; the pool is immutable. *)
+   portfolio worker of [search_par].  The candidate table is the one
+   piece of state shared across workers: it holds pure values, each
+   computed once (see [cand_table]).  Everything else a search mutates —
+   queue, candidate memo, usage/visited tables, stats — it owns, and it
+   never crosses a domain boundary; the pool is immutable. *)
 let run_search (config : config) ~accept ~budget ~(stats : stats_acc)
-    (memo : memo) (cmemo : cand_memo) (pool : Pool.t) (roots : Plan.t list) :
+    (table : cand_table) (pool : Pool.t) (roots : Plan.t list) :
     Plan.t list * bool * bool =
+  let cmemo : cand_memo = Hashtbl.create 64 in
   let q = Pq.create () in
   let usage : (int64, int) Hashtbl.t = Hashtbl.create 64 in
   let push p = Pq.push q (cost ~usage p) (entry_of p) in
@@ -359,7 +404,7 @@ let run_search (config : config) ~accept ~budget ~(stats : stats_acc)
            | (consumer, cond) :: _ ->
              let succs =
                reuse_successors p consumer cond
-               @ new_step_successors config ~stats memo cmemo pool p consumer
+               @ new_step_successors config ~stats table cmemo pool p consumer
                    cond
              in
              List.iter push succs
@@ -384,23 +429,31 @@ let search ?(config = default_config) ?(accept = fun (_ : Plan.t) -> true)
     List.filteri (fun i _ -> i < config.goal_cap) pool.Pool.syscall_gadgets
     |> List.filter_map (root_plan goal)
   in
-  let memo : memo = Hashtbl.create 1024 in
-  let cmemo : cand_memo = Hashtbl.create 64 in
+  let table : cand_table = Once.create () in
   let plans, exhausted, budget_hit =
-    run_search config ~accept ~budget ~stats memo cmemo pool roots
+    run_search config ~accept ~budget ~stats table pool roots
   in
   { plans; expanded = stats.s_expanded; peak_queue = stats.s_peak_queue;
     inst_memo_hits = stats.s_inst_hits; cand_memo_hits = stats.s_cand_hits;
+    rankings = stats.s_ranked; conditions = Once.length table;
     discarded = stats.s_discarded; exhausted;
     budget_hit }
 
 (* Goal-portfolio search: one INDEPENDENT best-first search per root
    syscall gadget, fanned over domains.  Each worker owns its queue,
-   memos, usage and visited tables, and a [Budget.slice] of the parent —
-   a deterministic fuel prefix (node_budget / #roots, remainder to the
-   earliest roots) plus the shared wall-clock deadline.  Results merge
-   in root order, so the outcome is a pure function of the pool, the
-   goal, and the config — never of the job count or the interleaving.
+   candidate memo, usage and visited tables, and a [Budget.slice] of the
+   parent — a deterministic fuel prefix (node_budget / #roots, remainder
+   to the earliest roots) plus the shared wall-clock deadline.  Results
+   merge in root order, so the outcome is a pure function of the pool,
+   the goal, and the config — never of the job count or the
+   interleaving.
+
+   The workers share one candidate table, created here for this call
+   only.  A ranking is a pure function of (pool, condition, branch_cap,
+   payload base), all fixed for the call, so which worker computes it
+   changes no plan; and since the table computes each condition exactly
+   once, the solver queries it issues — and every tally they feed
+   (unknowns, screening, pool-memo lookups) — are the same at any job count.
 
    The portfolio explores a DIFFERENT frontier than the single shared
    queue (each root is guaranteed its fuel share instead of competing in
@@ -430,19 +483,19 @@ let search_par ?(config = default_config)
   let n = Array.length roots in
   if n = 0 then
     { plans = []; expanded = 0; peak_queue = 0; inst_memo_hits = 0;
-      cand_memo_hits = 0; discarded = 0; exhausted = true; budget_hit = false }
+      cand_memo_hits = 0; rankings = 0; conditions = 0; discarded = 0;
+      exhausted = true; budget_hit = false }
   else begin
     let share = config.node_budget / n and rem = config.node_budget mod n in
+    let table : cand_table = Once.create () in
     let tasks =
       Array.init n (fun i () ->
           let fuel = share + (if i < rem then 1 else 0) in
           let b = Budget.slice parent ~label:"plan-root" ~fuel () in
           let stats = fresh_stats () in
-          let memo : memo = Hashtbl.create 1024 in
-          let cmemo : cand_memo = Hashtbl.create 64 in
           let plans, exhausted, budget_hit =
-            run_search config ~accept:(accept_for i) ~budget:b ~stats memo
-              cmemo pool [ roots.(i) ]
+            run_search config ~accept:(accept_for i) ~budget:b ~stats table
+              pool [ roots.(i) ]
           in
           (plans, exhausted, budget_hit, stats))
     in
@@ -457,6 +510,8 @@ let search_par ?(config = default_config)
           0 results;
       inst_memo_hits = sum (fun (_, _, _, s) -> s.s_inst_hits);
       cand_memo_hits = sum (fun (_, _, _, s) -> s.s_cand_hits);
+      rankings = sum (fun (_, _, _, s) -> s.s_ranked);
+      conditions = Once.length table;
       discarded = sum (fun (_, _, _, s) -> s.s_discarded);
       exhausted = Array.for_all (fun (_, e, _, _) -> e) results;
       budget_hit = Array.exists (fun (_, _, b, _) -> b) results }

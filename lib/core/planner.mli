@@ -24,19 +24,41 @@ type config = {
 
 val default_config : config
 
-type memo = (int * Plan.cond, Plan.step option) Hashtbl.t
-(** Instantiation is plan-independent (only the step id differs), so each
-    (gadget, condition) pair is solved at most once per search. *)
+(** Compute-once table, the planner's candidate table: each key's value
+    is computed by exactly one caller, whatever the number of domains
+    asking.  Callers that find a key being computed wait for its value
+    instead of computing it again; an exception raised by the
+    computation is stored and re-raised to every caller of that key.
+    Distinct keys compute in parallel.  The computation must not ask the
+    same table for another key. *)
+module Once : sig
+  type ('k, 'v) t
 
-val instantiate_memo :
-  memo -> Gadget.t -> Plan.cond -> sid:Plan.step_id -> Plan.step option
+  val create : unit -> ('k, 'v) t
+
+  val get : ('k, 'v) t -> 'k -> ('k -> 'v) -> 'v * bool
+  (** [get t k f] is the value of [f k], computed at most once per
+      table, and whether this call computed it. *)
+
+  val length : ('k, 'v) t -> int
+  (** Keys asked for so far. *)
+end
 
 type result = {
   plans : Plan.t list;     (** accepted complete plans *)
   expanded : int;          (** nodes expanded (visited-distinct pops) *)
   peak_queue : int;        (** high-water mark of the priority queue *)
-  inst_memo_hits : int;    (** instantiation-memo hits *)
-  cand_memo_hits : int;    (** ranked-candidate-memo hits *)
+  inst_memo_hits : int;
+      (** rankings a search took from the request's shared candidate
+          table instead of computing them: (sum over searches of the
+          distinct conditions each asked for) − [conditions].  The name
+          is kept from the per-search instantiation memo it replaced. *)
+  cand_memo_hits : int;
+      (** repeat asks for a condition within one search *)
+  rankings : int;          (** candidate rankings computed *)
+  conditions : int;
+      (** distinct conditions in the candidate table; equal to
+          [rankings], since each is ranked once per call *)
   discarded : int;         (** complete plans rejected by [accept] *)
   exhausted : bool;        (** the whole space was searched *)
   budget_hit : bool;       (** stopped on deadline/fuel, not space *)
@@ -73,10 +95,16 @@ val search_par :
   result
 (** Goal-portfolio search: one independent best-first search per root
     syscall gadget, fanned over [jobs] domains.  Each worker owns its
-    queue, memos, usage and visited tables, and a {!Budget.slice} fuel
-    prefix ([node_budget / #roots], remainder to the earliest roots)
-    sharing the parent deadline; results merge in root order — a pure
-    function of (pool, goal, config), independent of the job count.
+    queue, candidate memo, usage and visited tables, and a
+    {!Budget.slice} fuel prefix ([node_budget / #roots], remainder to the
+    earliest roots) sharing the parent deadline; results merge in root
+    order — a pure function of (pool, goal, config), independent of the
+    job count.
+
+    The workers share one {!Once} candidate table created for this call
+    only: each condition's ranked candidates (a pure function of the
+    pool, the condition, [branch_cap] and the payload base) are computed
+    once per call, by whichever worker asks first.
 
     [accept_for i] builds the accept gate for root [i], letting the
     caller validate payloads inside each worker with domain-private

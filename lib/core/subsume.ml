@@ -145,6 +145,7 @@ type stats = {
   input : int;
   after_dedup : int;
   after_subsume : int;
+  capped : int;       (* dropped by the [max_bucket] cut, never probed *)
   timed_out : bool;   (* budget ran dry; remaining gadgets passed through *)
 }
 
@@ -220,7 +221,10 @@ let minimize ?(max_bucket = 64) ?(budget = Budget.unlimited ()) ?(jobs = 1)
   (* Materialize buckets in table-traversal order ([Hashtbl.fold] and
      [Hashtbl.iter] walk the same way), sorted and truncated up front —
      preferring shorter gadgets as survivors — so the sequential and
-     parallel paths see byte-identical work lists. *)
+     parallel paths see byte-identical work lists.  The truncation drops
+     the longest gadgets of an oversized bucket unexamined; [capped]
+     counts them. *)
+  let capped = ref 0 in
   let bucket_list =
     List.rev
       (Hashtbl.fold
@@ -228,9 +232,12 @@ let minimize ?(max_bucket = 64) ?(budget = Budget.unlimited ()) ?(jobs = 1)
            let bucket =
              List.sort (fun a b -> compare a.Gadget.len b.Gadget.len) bucket
            in
+           let n = List.length bucket in
            let bucket =
-             if List.length bucket > max_bucket then
+             if n > max_bucket then begin
+               capped := !capped + (n - max_bucket);
                List.filteri (fun i _ -> i < max_bucket) bucket
+             end
              else bucket
            in
            bucket :: acc)
@@ -265,4 +272,6 @@ let minimize ?(max_bucket = 64) ?(budget = Budget.unlimited ()) ?(jobs = 1)
     List.fold_left (fun acc (surv, _) -> surv @ acc) [] probed
   in
   let timed_out = List.exists snd probed in
-  (kept, { input; after_dedup; after_subsume = List.length kept; timed_out })
+  (kept,
+   { input; after_dedup; after_subsume = List.length kept; capped = !capped;
+     timed_out })

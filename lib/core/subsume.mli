@@ -25,6 +25,10 @@ type stats = {
   input : int;
   after_dedup : int;      (** after exact-duplicate removal *)
   after_subsume : int;    (** final pool size *)
+  capped : int;
+      (** gadgets dropped unexamined because their signature bucket held
+          more than [max_bucket]: each bucket keeps its [max_bucket]
+          shortest.  Part of the [after_dedup - after_subsume] shrink. *)
   timed_out : bool;       (** budget ran dry mid-pass *)
 }
 
@@ -34,7 +38,9 @@ val minimize :
 (** Pool minimization: an exact-duplicate pass (unaligned sliding
     produces thousands of byte-identical summaries), then pairwise
     subsumption inside cheap signature buckets.  Shorter gadgets are
-    preferred as survivors.
+    preferred as survivors: a bucket larger than [max_bucket] (default
+    64) keeps only its [max_bucket] shortest gadgets, and the rest are
+    dropped without a probe and tallied in [capped].
 
     Subsumption only shrinks the pool, so failure is never fatal: a
     solver blow-up on one pair keeps the gadget, and when [budget] runs

@@ -568,7 +568,8 @@ let ablation_unaligned () =
 let ablation_subsumption () =
   let t =
     Table.create ~title:"Ablation: subsumption testing (pool reduction)"
-      ~header:[ "program"; "harvested"; "deduped"; "subsumed"; "reduction" ]
+      ~header:
+        [ "program"; "harvested"; "deduped"; "capped"; "subsumed"; "reduction" ]
   in
   List.iter
     (fun entry ->
@@ -582,6 +583,7 @@ let ablation_subsumption () =
         [ entry.Gp_corpus.Programs.name;
           string_of_int stats.Gp_core.Subsume.input;
           string_of_int stats.Gp_core.Subsume.after_dedup;
+          string_of_int stats.Gp_core.Subsume.capped;
           string_of_int stats.Gp_core.Subsume.after_subsume;
           Printf.sprintf "%.2fx"
             (float_of_int stats.Gp_core.Subsume.input

@@ -39,6 +39,7 @@ let planner_config =
 type fingerprint = {
   f_extracted : int;
   f_deduped : int;
+  f_capped : int;
   f_pool_size : int;
   f_plans_found : int;
   f_chains : string list;            (* sorted chain keys *)
@@ -52,6 +53,7 @@ let fingerprint (o : Gp_core.Api.outcome) =
   let s = o.Gp_core.Api.stats in
   { f_extracted = s.Gp_core.Api.extracted;
     f_deduped = s.Gp_core.Api.deduped;
+    f_capped = s.Gp_core.Api.subsume_capped;
     f_pool_size = s.Gp_core.Api.pool_size;
     f_plans_found = s.Gp_core.Api.plans_found;
     f_chains =
@@ -103,6 +105,28 @@ let test_pool_ids_identical () =
   let seq = snapshot 1 in
   Alcotest.(check bool) "jobs=2 ids" true (snapshot 2 = seq);
   Alcotest.(check bool) "jobs=4 ids" true (snapshot 4 = seq)
+
+(* The subsumption bucket cap drops gadgets before any probe; its tally
+   must be live on a cell that hits it and, like the pool it shapes,
+   the same at every job count. *)
+let test_bucket_cap_tallied () =
+  let image =
+    Gp_codegen.Pipeline.compile
+      ~transform:(Gp_obf.Obf.transform Gp_obf.Obf.ollvm)
+      (Gp_corpus.Programs.find "bubble_sort").Gp_corpus.Programs.source
+  in
+  let snapshot jobs =
+    Gp_core.Gadget.reset_ids ();
+    let a = Gp_core.Api.analyze ~jobs image in
+    ( a.Gp_core.Api.subsume_capped,
+      List.map (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.id)
+        a.Gp_core.Api.gadgets )
+  in
+  let capped1, pool1 = snapshot 1 in
+  let capped4, pool4 = snapshot 4 in
+  Alcotest.(check bool) "cap hit" true (capped1 > 0);
+  Alcotest.(check int) "jobs=4 capped" capped1 capped4;
+  Alcotest.(check (list int)) "jobs=4 pool" pool1 pool4
 
 (* ----- fault injection under parallelism ----- *)
 
@@ -183,6 +207,8 @@ let prop_decode_total_at_offsets s =
 let suite =
   [ Alcotest.test_case "differential jobs=N vs jobs=1" `Slow test_differential;
     Alcotest.test_case "pool ids identical" `Quick test_pool_ids_identical;
+    Alcotest.test_case "subsumption bucket cap tallied" `Quick
+      test_bucket_cap_tallied;
     Alcotest.test_case "faults invariant under jobs" `Quick
       test_faults_invariant_under_jobs;
     Gen.qtest "verdict order-insensitive" ~count:100 Gen.formulas

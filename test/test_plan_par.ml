@@ -4,7 +4,8 @@
    - differential: the full pipeline — now including the goal-portfolio
      planner and in-worker validation — at [jobs > 1] is bit-identical
      to the sequential run across survey cells: chains, planner
-     counters, validation tallies, rungs;
+     counters, validation tallies, rungs; the request-scoped candidate
+     table ranks each condition once, at any job count;
    - fault injection under parallel validation: the chain-keyed
      emulator fuse (plus the keyed decode/solver schedules) must hit
      the same items at jobs 1/2/4, so outcomes are invariant;
@@ -122,6 +123,56 @@ let test_portfolio_finds_chains () =
   Alcotest.(check bool)
     "peak queue observed" true
     (o.Gp_core.Api.stats.Gp_core.Api.plan_peak_queue > 0)
+
+(* The portfolio's roots share one candidate table per request.  On a
+   cell with several roots, each condition is ranked exactly once (no
+   domain ranks a condition another is computing), the roots do take
+   each other's rankings, and every count is the same at jobs 1, 2 and
+   4 — so the differential above compares live [plan_inst_hits], not
+   zeros. *)
+let test_shared_candidate_table () =
+  let image =
+    Gp_codegen.Pipeline.compile
+      ~transform:(Gp_obf.Obf.transform Gp_obf.Obf.ollvm)
+      (Gp_corpus.Programs.find "fibonacci").Gp_corpus.Programs.source
+  in
+  Gp_core.Gadget.reset_ids ();
+  let a = Gp_core.Api.analyze image in
+  let goal = Gp_core.Goal.concretize image (Gp_core.Goal.Execve "/bin/sh") in
+  Alcotest.(check bool) "several roots" true
+    (List.length a.Gp_core.Api.pool.Gp_core.Pool.syscall_gadgets > 1);
+  let search jobs =
+    let r =
+      Gp_core.Planner.search_par ~config:planner_config ~jobs
+        a.Gp_core.Api.pool goal
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "jobs=%d: one ranking per condition" jobs)
+      r.Gp_core.Planner.conditions r.Gp_core.Planner.rankings;
+    ( [ r.Gp_core.Planner.rankings; r.Gp_core.Planner.inst_memo_hits;
+        r.Gp_core.Planner.cand_memo_hits; r.Gp_core.Planner.expanded ],
+      List.map Gp_core.Plan.signature r.Gp_core.Planner.plans )
+  in
+  let s1 = search 1 in
+  Alcotest.(check bool) "roots share rankings" true (List.nth (fst s1) 1 > 0);
+  List.iter
+    (fun jobs ->
+      let sn = search jobs in
+      Alcotest.(check (list int))
+        (Printf.sprintf "jobs=%d counters" jobs) (fst s1) (fst sn);
+      Alcotest.(check bool) (Printf.sprintf "jobs=%d plans" jobs) true
+        (snd s1 = snd sn))
+    [ 2; 4 ];
+  let inst_hits jobs =
+    (run_once ~jobs image).Gp_core.Api.stats.Gp_core.Api.plan_inst_hits
+  in
+  let h1 = inst_hits 1 in
+  Alcotest.(check bool) "plan_inst_hits live" true (h1 > 0);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check int)
+        (Printf.sprintf "jobs=%d plan_inst_hits" jobs) h1 (inst_hits jobs))
+    [ 2; 4 ]
 
 (* ----- fault injection under parallel validation ----- *)
 
@@ -347,6 +398,8 @@ let suite =
       test_differential;
     Alcotest.test_case "portfolio finds chains" `Quick
       test_portfolio_finds_chains;
+    Alcotest.test_case "shared candidate table: one ranking per condition"
+      `Quick test_shared_candidate_table;
     Alcotest.test_case "faults invariant under jobs (keyed fuse)" `Slow
       test_faults_invariant_under_jobs;
     Alcotest.test_case "keyed fuse pure per key" `Quick test_keyed_fuse_pure;

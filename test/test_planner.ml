@@ -1,5 +1,8 @@
 (* Tests for the partial-order planner: instantiation, ordering/threat
-   machinery, and end-to-end search over small synthetic pools. *)
+   machinery, end-to-end search over small synthetic pools, and the
+   compute-once candidate table the portfolio's roots share.  The
+   portfolio test honors the JOBS environment variable (default 4), so
+   `make check-plan-par` runs it at JOBS=1 and JOBS=4. *)
 
 open Gp_x86
 
@@ -145,18 +148,121 @@ let test_same_value_clobber_is_no_threat () =
   Alcotest.(check bool) "different value threat" true
     (Gp_core.Plan.clobbers s (Gp_core.Plan.Creg (Reg.RDI, 9L)))
 
-let test_memoized_instantiation_consistent () =
-  let image = synthetic_image () in
-  let g = gadget_at image 0x400002L in
-  let memo = Hashtbl.create 8 in
-  let a = Gp_core.Planner.instantiate_memo memo g (Gp_core.Plan.Creg (Reg.RDI, 7L)) ~sid:1 in
-  let b = Gp_core.Planner.instantiate_memo memo g (Gp_core.Plan.Creg (Reg.RDI, 7L)) ~sid:9 in
-  match a, b with
-  | Some sa, Some sb ->
-    Alcotest.(check int) "fresh sid" 9 sb.Gp_core.Plan.sid;
-    Alcotest.(check bool) "same bindings" true
-      (sa.Gp_core.Plan.bindings = sb.Gp_core.Plan.bindings)
-  | _ -> Alcotest.fail "memoized instantiation failed"
+(* Two syscall roots over one pool: the single-queue search and the
+   portfolio both ask each root's register conditions. *)
+let two_root_image () =
+  image_of
+    [ Insn.Pop Reg.RAX; Insn.Ret;      (* 0 *)
+      Insn.Pop Reg.RDI; Insn.Ret;      (* 2 *)
+      Insn.Pop Reg.RSI; Insn.Ret;      (* 4 *)
+      Insn.Pop Reg.RDX; Insn.Ret;      (* 6 *)
+      Insn.Syscall; Insn.Hlt;          (* 8 *)
+      Insn.Pop Reg.RDX; Insn.Syscall;  (* 11: pop rdx; syscall *)
+      Insn.Hlt ]
+
+let jobs_under_test =
+  match Sys.getenv_opt "JOBS" with
+  | Some s -> (try max 1 (int_of_string s) with _ -> 4)
+  | None -> 4
+
+(* The portfolio's roots share one candidate table per call: each
+   condition is ranked once, the second root takes the first root's
+   rankings, and the templates it takes still get fresh step ids.  The
+   whole result is the same at jobs 1 and JOBS. *)
+let test_shared_candidate_table () =
+  let image = two_root_image () in
+  let base = image.Gp_util.Image.code_base in
+  let pool =
+    Gp_core.Pool.build
+      (List.map
+         (fun k -> gadget_at image (Int64.add base (Int64.of_int k)))
+         [ 0; 2; 4; 6; 8; 11 ])
+  in
+  Alcotest.(check int) "two roots" 2
+    (List.length pool.Gp_core.Pool.syscall_gadgets);
+  let goal =
+    Gp_core.Goal.concretize image
+      (Gp_core.Goal.Mprotect (Gp_emu.Machine.stack_base, 0x1000L, 7L))
+  in
+  let config =
+    { Gp_core.Planner.max_plans = 3; node_budget = 2000; time_budget = 30.;
+      branch_cap = 8; goal_cap = 4; max_steps = 10 }
+  in
+  let run jobs = Gp_core.Planner.search_par ~config ~jobs pool goal in
+  let r1 = run 1 and rn = run jobs_under_test in
+  List.iter
+    (fun (r : Gp_core.Planner.result) ->
+      Alcotest.(check int) "one ranking per condition" r.conditions r.rankings;
+      Alcotest.(check bool) "roots share rankings" true (r.inst_memo_hits > 0);
+      Alcotest.(check bool) "plans found" true (r.plans <> []);
+      List.iter
+        (fun (p : Gp_core.Plan.t) ->
+          let sids = List.map (fun (s : Gp_core.Plan.step) -> s.sid) p.steps in
+          Alcotest.(check int) "fresh step ids"
+            (List.length sids) (List.length (List.sort_uniq compare sids)))
+        r.plans)
+    [ r1; rn ];
+  let counters (r : Gp_core.Planner.result) =
+    [ r.rankings; r.inst_memo_hits; r.cand_memo_hits; r.expanded ]
+  in
+  Alcotest.(check (list int)) "counters jobs-invariant" (counters r1)
+    (counters rn);
+  Alcotest.(check (list string)) "plans jobs-invariant"
+    (List.map Gp_core.Plan.signature r1.plans)
+    (List.map Gp_core.Plan.signature rn.plans)
+
+(* [Once.get] from four domains at once: the first caller computes, the
+   others find the cell pending and wait — [f] must not run again.  [f]
+   holds the cell until every domain has asked. *)
+let once_race f =
+  let t = Gp_core.Planner.Once.create () in
+  let runs = Atomic.make 0 and arrived = Atomic.make 0 in
+  let compute k =
+    Atomic.incr runs;
+    while Atomic.get arrived < 4 do Domain.cpu_relax () done;
+    Unix.sleepf 0.02;
+    f k
+  in
+  let doms =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr arrived;
+            match Gp_core.Planner.Once.get t 7 compute with
+            | v -> Ok v
+            | exception e -> Error e))
+  in
+  let results = List.map Domain.join doms in
+  (t, Atomic.get runs, results)
+
+let test_once_computes_once () =
+  let t, runs, results = once_race (fun k -> ref k) in
+  Alcotest.(check int) "f ran once" 1 runs;
+  match results with
+  | Ok (v0, _) :: _ ->
+    List.iter
+      (function
+        | Ok (v, _) -> Alcotest.(check bool) "same value" true (v == v0)
+        | Error e -> Alcotest.failf "raised %s" (Printexc.to_string e))
+      results;
+    Alcotest.(check int) "one caller computed" 1
+      (List.length (List.filter (function Ok (_, c) -> c | _ -> false) results));
+    Alcotest.(check int) "one key" 1 (Gp_core.Planner.Once.length t);
+    let v, computed = Gp_core.Planner.Once.get t 7 (fun _ -> ref 0) in
+    Alcotest.(check bool) "later get is a hit" true (v == v0 && not computed)
+  | _ -> Alcotest.fail "first caller raised"
+
+let test_once_failure_reaches_every_caller () =
+  let t, runs, results = once_race (fun _ -> failwith "boom") in
+  Alcotest.(check int) "f ran once" 1 runs;
+  List.iter
+    (function
+      | Error (Failure m) -> Alcotest.(check string) "stored exception" "boom" m
+      | Error e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
+      | Ok _ -> Alcotest.fail "a caller got a value")
+    results;
+  match Gp_core.Planner.Once.get t 7 (fun _ -> ref 0) with
+  | exception Failure m -> Alcotest.(check string) "re-raised later" "boom" m
+  | _ -> Alcotest.fail "a failed key must stay failed"
 
 let suite =
   [ Alcotest.test_case "instantiate pop" `Quick test_instantiate_pop;
@@ -169,4 +275,9 @@ let suite =
     Alcotest.test_case "threat resolution" `Quick
       test_threat_resolution_orders_conflicting_setters;
     Alcotest.test_case "same-value clobber" `Quick test_same_value_clobber_is_no_threat;
-    Alcotest.test_case "memoized instantiation" `Quick test_memoized_instantiation_consistent ]
+    Alcotest.test_case "shared candidate table" `Quick
+      test_shared_candidate_table;
+    Alcotest.test_case "compute-once: four domains, one computation" `Quick
+      test_once_computes_once;
+    Alcotest.test_case "compute-once: failure reaches every caller" `Quick
+      test_once_failure_reaches_every_caller ]

@@ -261,6 +261,17 @@ let test_cache_keys_spread_over_buckets () =
   let chain = Gp_smt.Cache.max_chain c in
   if chain > 8 then Alcotest.failf "longest bucket chain %d > 8" chain
 
+(* The same property on the summary store's shards. *)
+let test_incr_keys_spread_over_buckets () =
+  Gp_core.Incr.reset ();
+  Fun.protect ~finally:Gp_core.Incr.reset (fun () ->
+      for k = 0 to 4095 do
+        Gp_core.Incr.add (Digest.to_hex (Digest.string (string_of_int k))) ([], None)
+      done;
+      Alcotest.(check int) "all keys present" 4096 (Gp_core.Incr.size ());
+      let chain = Gp_core.Incr.max_chain () in
+      if chain > 8 then Alcotest.failf "longest bucket chain %d > 8" chain)
+
 let test_cache_stress_domains () =
   let c = Gp_smt.Cache.create () in
   let nkeys = 100 and per = 400 and ndom = 4 in
@@ -783,6 +794,8 @@ let suite =
       test_cache_first_write_wins;
     Alcotest.test_case "cache keys spread over each shard's buckets" `Quick
       test_cache_keys_spread_over_buckets;
+    Alcotest.test_case "incr keys spread over each shard's buckets" `Quick
+      test_incr_keys_spread_over_buckets;
     Alcotest.test_case "cache 4-domain stress" `Quick test_cache_stress_domains;
     QCheck_alcotest.to_alcotest qcheck_incr_model;
     Alcotest.test_case "incr 4-domain stress" `Quick test_incr_stress_domains;
