@@ -126,10 +126,10 @@ let scan_cmd =
       counts;
     let a = Gp_core.Api.analyze ~jobs ?cache_dir image in
     Printf.printf
-      "planner pool after subsumption: %d (from %d summaries; %d cut by the \
+      "planner pool: %d summaries -> %d deduped -> pool %d (%d cut by the \
        bucket cap)\n"
-      (Gp_core.Pool.size a.Gp_core.Api.pool) a.Gp_core.Api.raw_extracted
-      a.Gp_core.Api.subsume_capped;
+      a.Gp_core.Api.raw_extracted a.Gp_core.Api.deduped
+      (Gp_core.Pool.size a.Gp_core.Api.pool) a.Gp_core.Api.subsume_capped;
     if cache_dir <> None then
       Printf.printf "store: %d loaded, %d summary hits, %d misses\n"
         a.Gp_core.Api.analysis_store_loaded
@@ -182,9 +182,10 @@ let plan_cmd =
               st.Gp_core.Api.quarantined));
     if stats then begin
       Printf.printf
-        "subsumption: %d summaries -> pool %d; %d cut by the bucket cap\n"
+        "stage 2: %d summaries -> %d deduped -> pool %d (%d cut by the \
+         bucket cap)\n"
         st.Gp_core.Api.extracted st.Gp_core.Api.deduped
-        st.Gp_core.Api.subsume_capped;
+        st.Gp_core.Api.pool_size st.Gp_core.Api.subsume_capped;
       Printf.printf
         "planner: %d nodes expanded, peak queue %d, %d rankings shared across roots, \
          %d cand-memo hits, %d plans discarded\n"

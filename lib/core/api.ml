@@ -19,7 +19,7 @@ type stage_stats = {
   extracted : int;
   deduped : int;
   subsume_capped : int;
-      (* gadgets the subsumption bucket cap dropped unexamined *)
+      (* gadgets the stage-2 bucket cap dropped *)
   pool_size : int;
   plans_found : int;
   chains_built : int;
@@ -100,15 +100,15 @@ let cache_counters () =
 
 type analysis = {
   image : Gp_util.Image.t;
-  gadgets : Gadget.t list;      (* post-subsumption *)
+  gadgets : Gadget.t list;      (* the stage-2 pool *)
   pool : Pool.t;
   raw_extracted : int;
+  deduped : int;
   subsume_capped : int;
   extract_time : float;
   subsume_time : float;
   quarantined : (string * int) list;
   analysis_budget_hits : string list;
-  analysis_unknowns : int;
   analysis_cache_hits : int;
   analysis_cache_misses : int;
   analysis_screen : int * int;
@@ -131,20 +131,15 @@ let timed f =
   (r, Unix.gettimeofday () -. t0)
 
 (* Result-typed stage boundary: refuse to even start [f] when [budget]
-   is already dry, converting exhaustion into the taxonomy.  Stages
-   degrade internally past this point (harvest_r / minimize absorb
-   their own sub-budget), so an [Error] here means the PIPELINE budget
-   died between stages. *)
+   is already dry, converting exhaustion into the taxonomy.  The harvest
+   degrades internally past this point (harvest_r absorbs its own
+   sub-budget), so an [Error] here means the PIPELINE budget died
+   between stages. *)
 let stage (label : string) (budget : Budget.t) (f : unit -> 'a) :
     ('a, Fail.t) result =
   match Budget.guard budget f with
   | Ok v -> Ok v
   | Error reason -> Error (Fail.of_budget label reason)
-
-let passthrough_stats gadgets =
-  let n = List.length gadgets in
-  { Subsume.input = n; after_dedup = n; after_subsume = n; capped = 0;
-    timed_out = false }
 
 (* ----- on-disk incremental store (DESIGN.md §11) ----- *)
 
@@ -264,30 +259,29 @@ let stage_extract ?(extract_config = Extract.default_config) ?cache_dir
     ex_cache0;
     ex_screen0 }
 
-let stage_subsume ?(subsume = true) ?budget ?(jobs = 1) (ex : extracted) :
-    analysis * Gadget.t list =
+let stage_subsume ?budget (ex : extracted) : analysis * Gadget.t list =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
   let harvested = ex.ex_harvested in
   let hstats = ex.ex_hstats in
-  let u0 = Atomic.get Gp_smt.Solver.unknowns in
-  let (minimal, sstats), subsume_time =
+  (* A dry pipeline budget skips the stage: the harvest passes through
+     as the pool, and "subsume" is reported as a budget hit. *)
+  let (minimal, sstats), subsume_time, subsume_hit =
     match
       stage "subsume" root (fun () ->
-          timed (fun () ->
-              if subsume then
-                Subsume.minimize
-                  ~budget:(Budget.sub root ~label:"subsume" ())
-                  ~jobs harvested
-              else (harvested, passthrough_stats harvested)))
+          timed (fun () -> Subsume.minimize harvested))
     with
-    | Ok v -> v
+    | Ok (r, t) -> (r, t, false)
     | Error _ ->
-      ((harvested, { (passthrough_stats harvested) with timed_out = true }), 0.)
+      let n = List.length harvested in
+      ( (harvested, { Subsume.input = n; after_dedup = n; capped = 0 }),
+        0.,
+        true )
   in
   ( { image = ex.ex_image;
       gadgets = minimal;
       pool = Pool.build minimal;
       raw_extracted = List.length harvested;
+      deduped = sstats.Subsume.after_dedup;
       subsume_capped = sstats.Subsume.capped;
       extract_time = ex.ex_extract_time;
       subsume_time;
@@ -295,8 +289,7 @@ let stage_subsume ?(subsume = true) ?budget ?(jobs = 1) (ex : extracted) :
         Fail.merge_counts ex.ex_store_quar hstats.Extract.h_quarantined;
       analysis_budget_hits =
         (if hstats.Extract.h_budget_hit then [ "extract" ] else [])
-        @ (if sstats.Subsume.timed_out then [ "subsume" ] else []);
-      analysis_unknowns = Atomic.get Gp_smt.Solver.unknowns - u0;
+        @ (if subsume_hit then [ "subsume" ] else []);
       analysis_cache_hits = fst (cache_counters ()) - fst ex.ex_cache0;
       analysis_cache_misses = snd (cache_counters ()) - snd ex.ex_cache0;
       analysis_screen = screen_delta ex.ex_screen0 (screen_counters ());
@@ -313,23 +306,20 @@ let stage_subsume ?(subsume = true) ?budget ?(jobs = 1) (ex : extracted) :
     harvested )
 
 (* Stages 1-2, shared by [analyze] and [run]: harvest (quarantining
-   poisoned starts internally), then subsumption (which only ever
-   shrinks the pool, so budget death or an error degrades to passing
-   the harvest through untouched).  Also returns the RAW harvest, which
-   the degradation ladder re-pools without subsumption. *)
-let analyze_raw ~extract_config ~subsume ?cache_dir ~root ~jobs ?ids
+   poisoned starts internally), then dedup and the bucket cap.  Also
+   returns the RAW harvest, which the degradation ladder re-pools with
+   dedup alone. *)
+let analyze_raw ~extract_config ?cache_dir ~root ~jobs ?ids
     (image : Gp_util.Image.t) : analysis * Gadget.t list =
   let ex =
     stage_extract ~extract_config ?cache_dir ~budget:root ~jobs ?ids image
   in
-  stage_subsume ~subsume ~budget:root ~jobs ex
+  stage_subsume ~budget:root ex
 
-let analyze ?(extract_config = Extract.default_config) ?(subsume = true)
-    ?budget ?(jobs = 1) ?cache_dir ?ids (image : Gp_util.Image.t) : analysis =
+let analyze ?(extract_config = Extract.default_config) ?budget ?(jobs = 1)
+    ?cache_dir ?ids (image : Gp_util.Image.t) : analysis =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
-  let a, _ =
-    analyze_raw ~extract_config ~subsume ?cache_dir ~root ~jobs ?ids image
-  in
+  let a, _ = analyze_raw ~extract_config ?cache_dir ~root ~jobs ?ids image in
   { a with quarantined = store_save a.quarantined cache_dir }
 
 (* ----- degradation ladder ----- *)
@@ -495,14 +485,14 @@ let stage_finalize (p : planned) : outcome =
     rungs = [ Full ];
     stats =
       { extracted = a.raw_extracted;
-        deduped = List.length a.gadgets;
+        deduped = a.deduped;
         subsume_capped = a.subsume_capped;
         pool_size = Pool.size a.pool;
         plans_found = List.length result.Planner.plans;
         chains_built = List.length built;
         chains_validated = List.length validated;
         quarantined = a.quarantined;
-        solver_unknowns = a.analysis_unknowns + p.pl_unknowns;
+        solver_unknowns = p.pl_unknowns;
         validate_faults = p.pl_vfaults;
         validate_timeouts = p.pl_vtimeouts;
         budget_hits =
@@ -568,28 +558,17 @@ let rung_planner_config (c : Planner.config) = function
       Planner.branch_cap = c.Planner.branch_cap * 2;
       max_steps = c.Planner.max_steps + (c.Planner.max_steps / 2) }
 
-(* Dedup without subsumption: the degraded stage-2.  Subsumption can
-   (conservatively but legitimately) drop providers the planner turns
-   out to need; the dedup-only pool restores them at the price of a
-   bigger search space. *)
-let dedup_only (gadgets : Gadget.t list) : Gadget.t list =
-  let seen : (int64, Gadget.t list) Hashtbl.t = Hashtbl.create 1024 in
-  List.filter
-    (fun g ->
-      let h = Subsume.semantic_hash g in
-      let bucket = Option.value (Hashtbl.find_opt seen h) ~default:[] in
-      if List.exists (fun g' -> Subsume.semantic_equal g' g) bucket then false
-      else begin
-        Hashtbl.replace seen h (g :: bucket);
-        true
-      end)
-    gadgets
-
-(* The Dedup_only rung's analysis: re-pool the raw harvest with exact
-   duplicates removed — a superset of the subsumed pool. *)
+(* The Dedup_only rung's analysis: the degraded stage 2 re-pools the
+   raw harvest with exact duplicates removed and no bucket cap, so it
+   restores the long gadgets the cap dropped — a superset of the Full
+   pool, at the price of a bigger search space. *)
 let dedup_analysis (a : analysis) (harvested : Gadget.t list) : analysis =
-  let m = dedup_only harvested in
-  { a with gadgets = m; pool = Pool.build m; subsume_capped = 0 }
+  let m = Subsume.dedup harvested in
+  { a with
+    gadgets = m;
+    pool = Pool.build m;
+    deduped = List.length m;
+    subsume_capped = 0 }
 
 (* The degradation ladder, defined once: [run] climbs it in a loop and
    the daemon ([Gp_harness.Serve.request_steps]) one rung per scheduler
@@ -639,7 +618,7 @@ let run ?(extract_config = Extract.default_config)
     outcome =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
   let a_full, harvested =
-    analyze_raw ~extract_config ~subsume:true ?cache_dir ~root ~jobs ?ids image
+    analyze_raw ~extract_config ?cache_dir ~root ~jobs ?ids image
   in
   let ld = ladder ~root a_full harvested in
   let rung ~tried r = run_rung ~planner_config ~validate ~jobs ld ~tried r goal in

@@ -20,11 +20,15 @@
 
 type stage_stats = {
   extracted : int;          (** summaries before minimization *)
-  deduped : int;            (** pool after subsumption *)
+  deduped : int;
+      (** summaries left after exact-duplicate removal
+          ({!Subsume.stats}[.after_dedup]); the dedup-only rung's pool
+          size on that rung *)
   subsume_capped : int;
-      (** gadgets subsumption dropped unexamined because their signature
-          bucket was over the cap ({!Subsume.stats}[.capped]); 0 on the
-          dedup-only rung, whose pool skips the cap *)
+      (** gadgets stage 2 dropped because their signature bucket was over
+          the cap ({!Subsume.stats}[.capped]); 0 on the dedup-only rung,
+          whose pool skips the cap.  [deduped - subsume_capped =
+          pool_size] on every rung. *)
   pool_size : int;
   plans_found : int;        (** accepted complete plans *)
   chains_built : int;
@@ -33,10 +37,8 @@ type stage_stats = {
       (** {!Fail.label} -> count of items quarantined in stages 1-2 *)
   solver_unknowns : int;
       (** solver [Unknown] verdicts attributable to this run: every
-          [Unknown] [Solver.check] answered, plus [Solver.entails]
-          queries abandoned by fault injection — [entails] never
-          searches, so it has no genuine [Unknown] to count (bench/e2e's
-          [solver.unknowns] per-layer metric is lower accordingly) *)
+          [Unknown] [Solver.check] answered during stages 3-4 (stages 1-2
+          make no solver query) *)
   validate_faults : int;
       (** candidate chains whose payload crashed the machine *)
   validate_timeouts : int;
@@ -103,15 +105,15 @@ type stage_stats = {
 (** Stages 1–2, reusable across goals and planner configurations. *)
 type analysis = {
   image : Gp_util.Image.t;
-  gadgets : Gadget.t list;      (** post-subsumption *)
+  gadgets : Gadget.t list;      (** the stage-2 pool *)
   pool : Pool.t;
   raw_extracted : int;
+  deduped : int;                       (** {!Subsume.stats}[.after_dedup] *)
   subsume_capped : int;                (** {!Subsume.stats}[.capped] *)
   extract_time : float;
   subsume_time : float;
   quarantined : (string * int) list;   (** harvest quarantine ledger *)
   analysis_budget_hits : string list;  (** of stages 1-2 *)
-  analysis_unknowns : int;             (** solver Unknowns in stages 1-2 *)
   analysis_cache_hits : int;           (** solver memo hits in stages 1-2 *)
   analysis_cache_misses : int;
   analysis_screen : int * int;
@@ -169,23 +171,22 @@ val stage_extract :
     where gadget ids are drawn (default: the process-global sequence);
     concurrently scheduled cells each pass [Gadget.local_ids ()]. *)
 
-val stage_subsume :
-  ?subsume:bool -> ?budget:Budget.t -> ?jobs:int -> extracted ->
-  analysis * Gadget.t list
-(** Stage 2 alone: minimize the harvested pool (or pass it through when
-    [subsume:false]) and assemble the {!analysis}.  Also returns the
-    raw harvest for the degradation ladder's dedup-only re-pool. *)
+val stage_subsume : ?budget:Budget.t -> extracted -> analysis * Gadget.t list
+(** Stage 2 alone: minimize the harvested pool ({!Subsume.minimize}) and
+    assemble the {!analysis}.  When the root [budget] is already dry at
+    stage entry, the harvest passes through as the pool and ["subsume"]
+    is recorded in [analysis_budget_hits].  Also returns the raw harvest
+    for the degradation ladder's dedup-only re-pool. *)
 
 val analyze :
-  ?extract_config:Extract.config -> ?subsume:bool -> ?budget:Budget.t ->
-  ?jobs:int -> ?cache_dir:string -> ?ids:Gadget.id_source ->
-  Gp_util.Image.t -> analysis
-(** Stages 1–2.  [budget] bounds both stages (extract gets the larger
-    slice); exhaustion degrades — a partial harvest, or a pool passed
-    through un-subsumed — and is recorded, never raised.  [jobs] > 1
-    runs both stages on that many domains; results are deterministic
-    and identical to [jobs = 1] (DESIGN.md "Parallel execution &
-    determinism").
+  ?extract_config:Extract.config -> ?budget:Budget.t -> ?jobs:int ->
+  ?cache_dir:string -> ?ids:Gadget.id_source -> Gp_util.Image.t -> analysis
+(** Stages 1–2.  [budget] bounds both stages (extract gets a 0.6
+    slice); exhaustion degrades — a partial harvest, or the harvest
+    passed through as the pool — and is recorded, never raised.
+    [jobs] > 1 runs the harvest on that many domains; results are
+    deterministic and identical to [jobs = 1] (DESIGN.md "Parallel
+    execution & determinism").
 
     [cache_dir] names a directory holding the content-addressed
     incremental store (DESIGN.md §11): loaded before stage 1, saved
@@ -215,8 +216,8 @@ val rung_planner_config : Planner.config -> rung -> Planner.config
 
 val dedup_analysis : analysis -> Gadget.t list -> analysis
 (** The [Dedup_only] rung's analysis: re-pool the raw harvest (the
-    second component {!stage_subsume} returns) with exact duplicates
-    removed — a superset of the subsumed pool.  {!ladder} builds it
+    second component {!stage_subsume} returns) with {!Subsume.dedup}
+    alone — the Full pool plus the gadgets the bucket cap dropped.  {!ladder} builds it
     lazily; exposed for the same reason as {!rung_planner_config}. *)
 
 type outcome = {
@@ -263,7 +264,7 @@ val run_with_analysis :
     death yields an outcome with the hit recorded. *)
 
 type ladder
-(** The ladder's shared state: the root budget, the subsumed analysis
+(** The ladder's shared state: the root budget, the Full analysis
     of stages 1-2, and the lazily deduped pool of the degraded rungs. *)
 
 val ladder : root:Budget.t -> analysis -> Gadget.t list -> ladder

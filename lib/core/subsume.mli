@@ -1,8 +1,9 @@
-(** Subsumption testing (paper §IV-C).
+(** Stage 2: pool minimization (paper §IV-C).
 
-    [g1] subsumes [g2] when [(pre2 -> pre1) ∧ (post1 = post2)] —
-    formula (1): same observable effects under a pre-condition at least
-    as weak, so [g2] adds nothing. *)
+    The paper's formula (1) drops [g2] when [(pre2 -> pre1) ∧ (post1 =
+    post2)] for some kept [g1].  Here stage 2 is exact semantic dedup
+    followed by a per-bucket size cap; no pairwise formula-(1) pass is
+    run (DESIGN.md §5). *)
 
 val semantic_hash : Gadget.t -> int64
 (** Structural FNV-64 over the full semantics (post state, jump, writes,
@@ -14,40 +15,23 @@ val semantic_equal : Gadget.t -> Gadget.t -> bool
     covers ([Jfall] targets ignored, as always — every syscall summary
     is one class regardless of fall-through address). *)
 
-val same_effects : Gadget.t -> Gadget.t -> bool
-(** Equal post-conditions, jump behaviour, and memory effects
-    (pre-conditions may differ). *)
-
-val subsumes : Gadget.t -> Gadget.t -> bool
-(** Formula (1): [subsumes g1 g2] — keep [g1], drop [g2]. *)
+val dedup : Gadget.t list -> Gadget.t list
+(** Exact-duplicate removal: the first gadget of each {!semantic_equal}
+    class, in input order.  Alone, it is the pool of the degradation
+    ladder's dedup-only rung. *)
 
 type stats = {
   input : int;
   after_dedup : int;      (** after exact-duplicate removal *)
-  after_subsume : int;    (** final pool size *)
   capped : int;
-      (** gadgets dropped unexamined because their signature bucket held
-          more than [max_bucket]: each bucket keeps its [max_bucket]
-          shortest.  Part of the [after_dedup - after_subsume] shrink. *)
-  timed_out : bool;       (** budget ran dry mid-pass *)
+      (** gadgets dropped because their signature bucket held more than
+          64: each bucket keeps its 64 shortest.  The pool size is
+          [after_dedup - capped]. *)
 }
 
-val minimize :
-  ?max_bucket:int -> ?budget:Budget.t -> ?jobs:int -> Gadget.t list ->
-  Gadget.t list * stats
-(** Pool minimization: an exact-duplicate pass (unaligned sliding
-    produces thousands of byte-identical summaries), then pairwise
-    subsumption inside cheap signature buckets.  Shorter gadgets are
-    preferred as survivors: a bucket larger than [max_bucket] (default
-    64) keeps only its [max_bucket] shortest gadgets, and the rest are
-    dropped without a probe and tallied in [capped].
-
-    Subsumption only shrinks the pool, so failure is never fatal: a
-    solver blow-up on one pair keeps the gadget, and when [budget] runs
-    dry the remaining gadgets pass through unexamined ([timed_out] set).
-    The default unlimited budget reproduces seed behavior exactly.
-
-    [jobs] > 1 probes buckets in parallel (each against a budget slice
-    sharing the deadline); the work list and per-bucket survivor order
-    are identical either way, so the minimized pool matches the
-    sequential result element for element. *)
+val minimize : Gadget.t list -> Gadget.t list * stats
+(** {!dedup}, then the bucket cap: gadgets are grouped by a cheap
+    signature (jump kind, stack delta, clobber set, precondition count,
+    syscall or not), and a bucket larger than 64 keeps only its 64
+    shortest gadgets.  Deterministic: the same input
+    list gives the same pool, element for element. *)

@@ -338,7 +338,7 @@ let request_steps (rq : request) : report Sched.step =
       Sched.Next
         (fun () ->
           let a_full, harvested =
-            Api.stage_subsume ~budget:root ~jobs:rq.rq_jobs ex
+            Api.stage_subsume ~budget:root ex
           in
           let ld = Api.ladder ~root a_full harvested in
           let rec climb tried rung =

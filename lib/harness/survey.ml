@@ -138,7 +138,7 @@ let sweep_cell_steps ?entries ?configs ?(quick = true) ~goal () :
               in
               Sched.Next
                 (fun () ->
-                  let a, _raw = Gp_core.Api.stage_subsume ~budget ~jobs:1 ex in
+                  let a, _raw = Gp_core.Api.stage_subsume ~budget ex in
                   Gp_util.Store.crash_point "mid-stage";
                   Sched.Next
                     (fun () ->

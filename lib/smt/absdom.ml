@@ -143,7 +143,7 @@ let mul a b =
        product has at least min(za+tb, zb+ta) trailing zeros, so the
        low min(za+tb, zb+ta) bits of a*b equal those of ka*kb — in
        particular multiplying anything by 8 pins three zero bits, the
-       alignment fact the prove_equal screen feeds on. *)
+       alignment fact that lets [disjoint] refute [8*x = 3]. *)
     let ta = trailing_known a and tb = trailing_known b in
     let za = min ta (ctz64 a.kval) and zb = min tb (ctz64 b.kval) in
     let t = min 64 (min (za + tb) (zb + ta)) in
@@ -297,7 +297,7 @@ let reset () = Hashtbl.reset (Domain.DLS.get memo_key)
 
 (* No common concretization: disjoint intervals, or a bit known in both
    with opposite values.  Disjointness means the two terms DIFFER under
-   every valuation — the basis for refuting [prove_equal]. *)
+   every valuation, so an [Eq] atom over them is definitely false. *)
 let disjoint a b =
   ult a.hi b.lo || ult b.hi a.lo
   || Int64.logand (Int64.logand a.kmask b.kmask) (Int64.logxor a.kval b.kval)

@@ -14,12 +14,7 @@
    [Unsat] is only reported when the linear core is provably inconsistent,
    so Unsat is sound.  [Sat] always carries a model that has been
    re-checked against every atom, so Sat is sound too.  The incomplete
-   answer is [Unknown].
-
-   Only [check] samples.  The two subsumption queries are decided without
-   any search: [entails] reads the reduction's own verdict (the search
-   never answers Unsat, so it could not change "entailed"), and
-   [prove_equal] is equality of canonical forms. *)
+   answer is [Unknown]. *)
 
 module Smap = Map.Make (String)
 
@@ -145,15 +140,13 @@ let special_values =
    The predicate receives the query so an installed schedule can be a
    pure function of it — order-independent, hence identical under any
    domain count (injection is checked BEFORE the memo cache, and an
-   injected Unknown is never cached).  [entails] consults it too, with
-   the query [¬concl :: hyps]. *)
+   injected Unknown is never cached). *)
 let chaos_unknown : (Formula.t list -> bool) ref = ref (fun _ -> false)
 
 (* Running count of Unknown verdicts [check] answered (injected, genuine,
    or served from the memo cache — every Unknown ANSWERED counts, so the
-   tally depends only on the query sequence, not on cache temperature),
-   plus [entails] queries the fault-injection hook abandoned.  Api
-   snapshots it around each stage to attribute solver indecision.
+   tally depends only on the query sequence, not on cache temperature).
+   Api snapshots it around each stage to attribute solver indecision.
    Atomic: bumped from worker domains. *)
 let unknowns = Atomic.make 0
 
@@ -169,8 +162,7 @@ let unknowns = Atomic.make 0
    - Tier A (abstract screening, [Absdom]): an atom that is abstractly
      definitely-false decides a [check] conjunction as Unsat, where the
      full solver may only manage Unknown.  Every [check] consumer (plan
-     instantiation) treats Unsat and Unknown identically; [entails],
-     which reads Unsat as "entailed", does not go through [check].
+     instantiation) treats Unsat and Unknown identically.
 
    - Tier C (shared-prefix elimination reuse): plan instantiation
      issues families of queries whose canonicalized equality lists
@@ -293,7 +285,7 @@ let reset_screen () =
   Atomic.set screen_decided 0;
   Atomic.set elim_reused 0
 
-(* ----- the reduction, shared by [check] and [entails] -----
+(* ----- the reduction -----
 
    Over a CANONICAL conjunction ([Cache.canon]: every atom is already a
    fixpoint of [Formula.simplify] — test_par's canon-idempotence
@@ -552,10 +544,9 @@ let check_real ~pool ?pool_key formulas =
 let pool_memo : (((int64 * int) * Formula.t list), result) Cache.t =
   Cache.create ()
 
-(* Never written: the default-pool [check] memo and the [prove_equal]
-   memo lost their last writers when subsumption stopped searching.
-   Kept for bench/e2e, which reads their counters; delete in the
-   benchmark PR. *)
+(* Never written: [check] memoizes only keyed queries (in [pool_memo]),
+   and term equality is [Term.equal], never a solver query.  Kept for
+   bench/e2e, which reads their counters; delete in the benchmark PR. *)
 let memo : (Formula.t list, result) Cache.t = Cache.create ~size:16 ()
 let equal_memo : (Term.t * Term.t, bool) Cache.t = Cache.create ~size:16 ()
 
@@ -591,33 +582,6 @@ let check ?(pool = default_pool) ?pool_key formulas =
     (match r with Unknown -> Atomic.incr unknowns | Sat _ | Unsat -> ());
     r
   end
-
-(* Entailment: hyps |= concl, true exactly when the reduction refutes
-   hyps ∧ ¬concl.  The model search is skipped: it never answers Unsat,
-   so it could only confirm "not entailed".  Sat and Unknown both mean
-   "not entailed" — conservative for subsumption, which then merely
-   keeps more gadgets.  No memo, screen or rng is involved; the old
-   Tier A discharge (¬concl simplifying to False) is the reduction's
-   first step.  The fault-injection hook still applies: an injected
-   query answers false and counts as an Unknown. *)
-let entails hyps concl =
-  let query = Formula.negate concl :: hyps in
-  if !chaos_unknown query then begin
-    Atomic.incr unknowns;
-    false
-  end
-  else
-    match reduce ~pool:default_pool (Cache.canon query) with
-    | Decided Unsat -> true
-    | Decided (Sat _ | Unknown) | Residual _ -> false
-
-(* Semantic equality for subsumption: equal canonical forms.  Sound,
-   since the simplifier only rewrites by identities, but incomplete:
-   terms equal by an identity it does not know (an MBA rewrite, say)
-   answer false, and subsumption keeps both gadgets.  No sampling — a
-   sampled "equal" is exactly what opaque constructs built to agree on
-   almost every input defeat. *)
-let prove_equal a b = Term.equal a b
 
 (* ----- memo persistence (DESIGN.md §11) -----
 

@@ -10,11 +10,7 @@
     Soundness contract: [Unsat] is only reported when the linear core is
     provably inconsistent with no pinning choices involved; [Sat] always
     carries a model re-checked against every atom.  The incomplete answer
-    is [Unknown].
-
-    Only {!check} samples.  The subsumption queries are decided:
-    {!entails} reads the reduction's verdict without searching, and
-    {!prove_equal} compares canonical forms. *)
+    is [Unknown]. *)
 
 module Smap : Map.S with type key = string
 
@@ -43,10 +39,9 @@ val inv64 : int64 -> int64
 
 val chaos_unknown : (Formula.t list -> bool) ref
 (** Fault-injection hook: when the predicate answers true for a query,
-    {!check} abandons it as [Unknown] and {!entails} answers false, both
-    before any reasoning — and before the memo cache, so injected
-    verdicts are never cached.  The predicate receives the raw formula
-    list ([¬concl :: hyps] for {!entails}), letting the harness key the
+    {!check} abandons it as [Unknown] before any reasoning — and before
+    the memo cache, so injected verdicts are never cached.  The
+    predicate receives the raw formula list, letting the harness key the
     decision on the query itself (order-independent under parallelism).
     [Unknown] is always sound, so injection can only degrade results,
     never corrupt them.  Installed/removed by the harness
@@ -54,9 +49,7 @@ val chaos_unknown : (Formula.t list -> bool) ref
 
 val unknowns : int Atomic.t
 (** Running count of [Unknown] verdicts {!check} answered, injected or
-    genuine, plus {!entails} queries the fault-injection hook abandoned
-    ({!entails} never searches, so it has no genuine Unknown to count).
-    Counted per query ANSWERED (memo hits included), so the tally
+    genuine.  Counted per query ANSWERED (memo hits included), so the tally
     depends only on the query sequence, not on cache temperature.
     Atomic because worker domains answer queries concurrently.  The
     pipeline snapshots it around each stage to attribute solver
@@ -101,13 +94,13 @@ val pool_memo : ((int64 * int) * Formula.t list, result) Cache.t
     [(pool_key, canonicalized conjunction)]. *)
 
 val memo : (Formula.t list, result) Cache.t
-(** Never written: the default-pool {!check} memo lost its last writer
-    when {!entails} stopped searching.  Kept for bench/e2e, which reads
-    its counters; delete in the benchmark PR. *)
+(** Never written: {!check} memoizes only keyed queries, in
+    {!pool_memo}.  Kept for bench/e2e, which reads its counters; delete
+    in the benchmark PR. *)
 
 val equal_memo : (Term.t * Term.t, bool) Cache.t
-(** Never written: {!prove_equal} no longer samples.  Kept for bench/e2e;
-    delete in the benchmark PR. *)
+(** Never written: term equality is {!Term.equal}, never a solver
+    query.  Kept for bench/e2e; delete in the benchmark PR. *)
 
 val check :
   ?pool:pointer_pool -> ?pool_key:int64 * int -> Formula.t list -> result
@@ -122,20 +115,6 @@ val check :
     given, the verdict is memoized in {!pool_memo} under
     [(pool_key, canonical formulas)].  Pools carry closures the solver
     cannot key on itself, which is why the key comes from outside. *)
-
-val entails : Formula.t list -> Formula.t -> bool
-(** [entails hyps concl]: true exactly when {!check}'s reduction refutes
-    [hyps ∧ ¬concl] under the default pool — the same verdict
-    [check (¬concl :: hyps) = Unsat] reaches with screening off, since
-    the model search never answers [Unsat].  The search is skipped and
-    no memo is consulted.  Not entailed is the conservative answer for
-    subsumption, which then merely keeps more gadgets. *)
-
-val prove_equal : Term.t -> Term.t -> bool
-(** Semantic equality for subsumption: equal canonical forms
-    ({!Term.equal}).  Sound but incomplete — terms equal only by an
-    identity the simplifier does not canonicalize answer false, so
-    subsumption keeps both gadgets.  Nothing is sampled. *)
 
 (** {1 Memo persistence}
 

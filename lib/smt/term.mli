@@ -112,9 +112,10 @@ val shr : t -> t -> t
 val sar : t -> t -> t
 
 val equal : t -> t -> bool
-(** Structural equality after canonicalization (complete on the linear
-    fragment; sound but incomplete elsewhere — see
-    {!Solver.prove_equal}). *)
+(** Structural equality after canonicalization: complete on the linear
+    fragment; sound but incomplete elsewhere — terms equal only by an
+    identity the simplifier does not canonicalize (an MBA rewrite, say)
+    compare unequal.  Nothing is sampled. *)
 
 val subst : (string -> t option) -> t -> t
 (** Replace variables via the function; unmapped variables stay. *)

@@ -106,18 +106,29 @@ let test_pool_ids_identical () =
   Alcotest.(check bool) "jobs=2 ids" true (snapshot 2 = seq);
   Alcotest.(check bool) "jobs=4 ids" true (snapshot 4 = seq)
 
-(* The subsumption bucket cap drops gadgets before any probe; its tally
-   must be live on a cell that hits it and, like the pool it shapes,
-   the same at every job count. *)
+(* The stage-2 bucket cap is the only thing dropping deduped gadgets:
+   its tally must be live on a cell that hits it, account exactly for
+   the gap between the deduped count and the pool in the run's stats,
+   and, like the pool it shapes, be the same at every job count. *)
 let test_bucket_cap_tallied () =
   let image =
     Gp_codegen.Pipeline.compile
       ~transform:(Gp_obf.Obf.transform Gp_obf.Obf.ollvm)
       (Gp_corpus.Programs.find "bubble_sort").Gp_corpus.Programs.source
   in
+  let tiny = { planner_config with Gp_core.Planner.node_budget = 20 } in
   let snapshot jobs =
     Gp_core.Gadget.reset_ids ();
     let a = Gp_core.Api.analyze ~jobs image in
+    let st =
+      (Gp_core.Api.run_with_analysis ~planner_config:tiny ~validate:false
+         ~jobs a (Gp_core.Goal.Execve "/bin/sh"))
+        .Gp_core.Api.stats
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "jobs=%d deduped - capped = pool" jobs)
+      st.Gp_core.Api.pool_size
+      (st.Gp_core.Api.deduped - st.Gp_core.Api.subsume_capped);
     ( a.Gp_core.Api.subsume_capped,
       List.map (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.id)
         a.Gp_core.Api.gadgets )

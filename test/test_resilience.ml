@@ -186,19 +186,26 @@ let test_harvest_budget_cuts_short () =
   Alcotest.(check bool) "partial harvest" true
     (List.length cut < List.length full)
 
-let test_subsume_budget_passes_through () =
+(* A root budget already dry at stage 2's entry skips the stage: the
+   harvest passes through as the pool, untouched, and "subsume" is
+   recorded as a budget hit. *)
+let test_stage_subsume_dry_budget () =
   let image = synthetic_image () in
-  let gadgets = Gp_core.Extract.harvest image in
-  let _, full_stats = Gp_core.Subsume.minimize gadgets in
-  Alcotest.(check bool) "full pass not timed out" false
-    full_stats.Gp_core.Subsume.timed_out;
-  let kept, st =
-    Gp_core.Subsume.minimize ~budget:(Gp_core.Budget.create ~fuel:0 ()) gadgets
-  in
-  Alcotest.(check bool) "timed out" true st.Gp_core.Subsume.timed_out;
-  (* dedup still ran; everything after it passed through unexamined *)
-  Alcotest.(check int) "pass-through"
-    st.Gp_core.Subsume.after_dedup (List.length kept)
+  let ex = Gp_core.Api.stage_extract image in
+  let ids = List.map (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.id) in
+  let live, _ = Gp_core.Api.stage_subsume ex in
+  Alcotest.(check bool) "live budget: no hit" false
+    (List.mem "subsume" live.Gp_core.Api.analysis_budget_hits);
+  let dry = Gp_core.Budget.create ~label:"dry" ~seconds:(-1.) () in
+  let a, harvested = Gp_core.Api.stage_subsume ~budget:dry ex in
+  Alcotest.(check bool) "harvest non-empty" true (harvested <> []);
+  Alcotest.(check (list int)) "harvest passes through" (ids harvested)
+    (ids a.Gp_core.Api.gadgets);
+  Alcotest.(check bool) "subsume hit" true
+    (List.mem "subsume" a.Gp_core.Api.analysis_budget_hits);
+  Alcotest.(check int) "deduped - capped = pool"
+    (Gp_core.Pool.size a.Gp_core.Api.pool)
+    (a.Gp_core.Api.deduped - a.Gp_core.Api.subsume_capped)
 
 let test_planner_budget_hit () =
   let image = synthetic_image () in
@@ -231,23 +238,6 @@ let test_faultsim_solver_unknowns () =
   match Gp_smt.Solver.check [ sat_formula ] with
   | Gp_smt.Solver.Sat _ -> ()
   | _ -> Alcotest.fail "hook not restored"
-
-(* [entails] decides without searching, but still honours the hook: an
-   injected query answers "not entailed" (the conservative verdict) and
-   counts as an Unknown. *)
-let test_faultsim_entails_unknowns () =
-  let open Gp_smt in
-  let x = Term.Var "x" in
-  let hyps = [ Formula.Eq (x, Term.Const 3L) ] in
-  let concl = Formula.Eq (Term.add x (Term.Const 1L), Term.Const 4L) in
-  let cfg = { Gp_harness.Faultsim.disabled with solver_rate = 1.; seed = 3 } in
-  let u0 = Atomic.get Solver.unknowns in
-  Gp_harness.Faultsim.with_faults cfg (fun () ->
-      Alcotest.(check bool) "injected entailment answers false" false
-        (Solver.entails hyps concl));
-  Alcotest.(check bool) "counter bumped" true (Atomic.get Solver.unknowns > u0);
-  (* hooks restored: the entailment holds again *)
-  Alcotest.(check bool) "hook restored" true (Solver.entails hyps concl)
 
 let test_faultsim_machine_fuse () =
   let looping = image_of [ Insn.Jmp (-5) ] in
@@ -556,13 +546,11 @@ let suite =
       test_chaos_decode_quarantines;
     Alcotest.test_case "harvest budget cuts short" `Quick
       test_harvest_budget_cuts_short;
-    Alcotest.test_case "subsume budget passes through" `Quick
-      test_subsume_budget_passes_through;
+    Alcotest.test_case "stage_subsume dry budget passes through" `Quick
+      test_stage_subsume_dry_budget;
     Alcotest.test_case "planner budget hit" `Quick test_planner_budget_hit;
     Alcotest.test_case "faultsim solver unknowns" `Quick
       test_faultsim_solver_unknowns;
-    Alcotest.test_case "faultsim entails unknowns" `Quick
-      test_faultsim_entails_unknowns;
     Alcotest.test_case "faultsim machine fuse" `Quick
       test_faultsim_machine_fuse;
     Alcotest.test_case "faultsim clock skips" `Quick test_faultsim_clock_skips;

@@ -18,8 +18,7 @@
      hit+miss SUM, one increment per memoizable query, must be
      invariant too even though the hit/miss split is temperature;
    - fault injection: a 10% keyed chaos sweep over stages 1-2 with
-     screening on (the elimination trie under [entails]) stays
-     deterministic across jobs 1/2/4. *)
+     screening on stays deterministic across jobs 1/2/4. *)
 
 (* The same 21-cell survey test_par sweeps. *)
 let diff_programs =
@@ -145,7 +144,7 @@ let test_faults_deterministic_with_screening () =
         Gp_core.Gadget.reset_ids ();
         Gp_smt.Solver.reset_screen ();
         let gs, st = Gp_core.Extract.harvest_r ~jobs image in
-        let minimal, _ = Gp_core.Subsume.minimize ~jobs gs in
+        let minimal, _ = Gp_core.Subsume.minimize gs in
         ( List.map (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.addr) minimal,
           st.Gp_core.Extract.h_quarantined )
       in

@@ -125,20 +125,10 @@ let test_solver_pointer_pin () =
     Alcotest.(check bool) "distinct pins" true (p <> q)
   | _ -> Alcotest.fail "expected sat"
 
-let test_entails () =
-  (* x = 3 entails x + 1 = 4 *)
-  Alcotest.(check bool) "entailed" true
-    (Solver.entails
-       [ Formula.Eq (v "x", c 3L) ]
-       (Formula.Eq (Term.add (v "x") (c 1L), c 4L)));
-  Alcotest.(check bool) "not entailed" false
-    (Solver.entails [ Formula.Eq (v "x", c 3L) ] (Formula.Eq (v "y", c 0L)))
-
 let test_prove_equal_xor_identity () =
   (* the substitution pass identity: (~a & b) | (a & ~b) == a ^ b.  It
      holds under every valuation, but the simplifier does not
-     canonicalize it, so prove_equal conservatively answers false and
-     subsumption keeps both gadgets. *)
+     canonicalize it, so [Term.equal] conservatively answers false. *)
   let a = v "a" and b = v "b" in
   let lhs = Term.logor (Term.logand (Term.lognot a) b) (Term.logand a (Term.lognot b)) in
   let rhs = Term.logxor a b in
@@ -148,8 +138,8 @@ let test_prove_equal_xor_identity () =
       Alcotest.(check int64) "identity holds" (Term.eval m rhs) (Term.eval m lhs))
     [ (0L, 0L); (-1L, 0x5555L); (0x1234_5678L, 0x0f0fL) ];
   Alcotest.(check bool) "xor identity not canonicalized" false
-    (Solver.prove_equal lhs rhs);
-  Alcotest.(check bool) "refutable" false (Solver.prove_equal (Term.add a b) (Term.mul a b))
+    (Term.equal lhs rhs);
+  Alcotest.(check bool) "refutable" false (Term.equal (Term.add a b) (Term.mul a b))
 
 let prop_sat_models_check formulas_seed =
   (* random linear systems: any Sat answer's model satisfies all atoms *)
@@ -188,7 +178,6 @@ let suite =
     Alcotest.test_case "solver disequality" `Quick test_solver_disequality;
     Alcotest.test_case "solver ordering" `Quick test_solver_ordering;
     Alcotest.test_case "solver pointer pin" `Quick test_solver_pointer_pin;
-    Alcotest.test_case "entails" `Quick test_entails;
     Alcotest.test_case "prove_equal xor identity" `Quick test_prove_equal_xor_identity;
     Alcotest.test_case "formula negate" `Quick test_formula_negate;
     Gen.qtest "simplify is sound" ~count:500
@@ -268,7 +257,7 @@ let test_inv64 () =
 let prop_absdom_sound (t, m) = Absdom.mem (Term.eval m t) (Absdom.of_term t)
 
 (* Disjoint abstract values really separate the terms: no model makes
-   them equal — which is what licenses the prove_equal screen. *)
+   them equal — which is what licenses Tier A's [Eq] refutation. *)
 let prop_absdom_disjoint_refutes (a, b, m) =
   (not (Absdom.disjoint (Absdom.of_term a) (Absdom.of_term b)))
   || Term.eval m a <> Term.eval m b
@@ -305,35 +294,12 @@ let test_absdom_units () =
   Alcotest.(check bool) "pointer atoms Maybe" true
     (formula (Formula.Readable (v "p")) = Maybe)
 
-(* ----- subsumption-query contracts (DESIGN.md §2, §12) ----- *)
+(* ----- term equality (DESIGN.md §2) ----- *)
 
-let with_screen enabled f =
-  Solver.set_screen_enabled enabled;
-  Fun.protect ~finally:(fun () -> Solver.set_screen_enabled true) f
-
-(* [prove_equal] is canonical equality, so it is sound: any valuation
+(* [Term.equal] is canonical equality, so it is sound: any valuation
    under which the terms differ rules "equal" out. *)
 let prop_model_refutes_equality (a, b, m) =
-  Term.eval m a = Term.eval m b || not (Solver.prove_equal a b)
-
-(* A model of hyps ∧ ¬concl (the fragment's negation, pointer atoms
-   judged by the default pool) is a genuine counterexample, so
-   [entails] must answer false. *)
-let prop_model_refutes_entailment (hyps, concl, m) =
-  let p = Solver.default_pool in
-  (not
-     (List.for_all
-        (Formula.eval ~readable:p.Solver.readable ~writable:p.Solver.writable m)
-        (Formula.negate concl :: hyps)))
-  || not (Solver.entails hyps concl)
-
-(* [entails] is the reduction's verdict without the model search, and
-   the search never answers Unsat: with screening off (no Tier A Unsat
-   shortcut in [check]) the two must agree exactly. *)
-let prop_entails_matches_check (hyps, concl) =
-  with_screen false (fun () ->
-      Solver.entails hyps concl
-      = (Solver.check (Formula.negate concl :: hyps) = Solver.Unsat))
+  Term.eval m a = Term.eval m b || not (Term.equal a b)
 
 let suite =
   suite
@@ -351,9 +317,4 @@ let suite =
         QCheck2.Gen.(pair Gen.formula Gen.model) prop_absdom_formula_agrees;
       Gen.qtest "differing model => not prove_equal" ~count:500
         QCheck2.Gen.(triple Gen.term Gen.term Gen.model)
-        prop_model_refutes_equality;
-      Gen.qtest "counter-model => not entails" ~count:500
-        QCheck2.Gen.(triple Gen.formulas Gen.formula Gen.model)
-        prop_model_refutes_entailment;
-      Gen.qtest "entails agrees with check = Unsat" ~count:500
-        QCheck2.Gen.(pair Gen.formulas Gen.formula) prop_entails_matches_check ]
+        prop_model_refutes_equality ]
