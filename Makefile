@@ -28,11 +28,14 @@
 # store demotion, every older store schema demoting to cold —
 # DESIGN.md §11) the same way.
 #
-# `make check-screen` runs the solver-screening suite (test_screen:
-# screening-on vs screening-off differential over the 21-cell survey at
-# jobs 1 and 4, with Tier A required to decide queries somewhere in the
-# survey; counter determinism; fault sweeps — DESIGN.md §12; the two
-# live tiers screen plan instantiation's `check` only), and
+# `make check-screen` runs the suites that together show solver
+# screening changes no answer (DESIGN.md §12; both tiers screen plan
+# instantiation's `check` only): test_screen (the 21-cell survey cold,
+# after `Survey.reset_world`, vs warm at jobs 1 and 4, with Tier A
+# required to decide queries and the warm runs required to hit the
+# memos; counter determinism and attribution; fault sweeps), test_smt
+# (Tier A's abstract verdicts agree with concrete evaluation) and
+# test_plan_par (a memo hit answers what an uncached `check` does), and
 # `make check-bench` smoke-tests the paper-table harness end to end in
 # `--quick` mode (one program, one config, every table, figure and
 # ablation).  Crash injection and recovery are covered by check-resume
@@ -96,7 +99,7 @@ check-incr:
 
 check-screen:
 	dune build test/test_main.exe
-	SUITES=screen timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
+	SUITES=screen,smt,plan_par timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
 
 check-resume:
 	dune build test/test_main.exe

@@ -196,7 +196,7 @@ let plan_cmd =
         "solver memo: %d hits / %d misses; %d unknowns\n"
         st.Gp_core.Api.cache_hits st.Gp_core.Api.cache_misses
         st.Gp_core.Api.solver_unknowns;
-      Printf.printf "screening: %d decided, %d elimination reuses\n"
+      Printf.printf "screening: %d decided, %d residual-memo hits\n"
         st.Gp_core.Api.screen_decided st.Gp_core.Api.elim_reused;
       Printf.printf
         "summary store: %d hits / %d misses; %d loaded from disk%s; \

@@ -36,16 +36,17 @@ type stage_stats = {
       (* stages whose budget ran dry ("extract", "subsume", "plan") *)
   cache_hits : int;
   cache_misses : int;
-      (* solver memo traffic (the pool-keyed check memo) during this
-         run — hit rate is a property of cache temperature, never of
-         verdicts, so it is reported but excluded from differential
-         comparisons *)
+      (* solver memo traffic (the pool-keyed check memo) during stages
+         3-4 (stages 1-2 make no solver query) — hit rate is a property
+         of cache temperature, never of verdicts, so it is reported but
+         excluded from differential comparisons *)
   plan_expanded : int;
       (* planner nodes expanded (summed over portfolio roots) *)
   plan_peak_queue : int;
       (* high-water mark of the planner priority queue (max over roots) *)
   plan_inst_hits : int;
-      (* instantiation-memo hits inside the planner *)
+      (* candidate rankings a portfolio root took from the request's
+         shared table instead of computing them *)
   plan_cand_hits : int;
       (* ranked-candidate-memo hits inside the planner *)
   plan_discarded : int;
@@ -56,9 +57,9 @@ type stage_stats = {
          answered and job-count-invariant (same discipline as
          solver_unknowns) *)
   elim_reused : int;
-      (* Tier C: checks that reused memoized elimination-prefix steps.
-         Like the cache counters, depends on cache temperature and is
-         excluded from differential comparisons *)
+      (* Tier C: residual-search memo hits.  Like the cache counters,
+         depends on cache temperature and is excluded from differential
+         comparisons *)
   summary_hits : int;
   summary_misses : int;
       (* content-addressed summary store traffic during the harvest
@@ -91,9 +92,8 @@ let screen_counters () =
   (decided, reused)
 
 let screen_delta (a0, b0) (a1, b1) = (a1 - a0, b1 - b0)
-let screen_add (a0, b0) (a1, b1) = (a0 + a1, b0 + b1)
 
-(* Solver-memo counters, snapshotted around stages. *)
+(* Solver-memo counters, snapshotted around stages 3-4. *)
 let cache_counters () =
   ( Gp_smt.Cache.hits Gp_smt.Solver.pool_memo,
     Gp_smt.Cache.misses Gp_smt.Solver.pool_memo )
@@ -109,9 +109,6 @@ type analysis = {
   subsume_time : float;
   quarantined : (string * int) list;
   analysis_budget_hits : string list;
-  analysis_cache_hits : int;
-  analysis_cache_misses : int;
-  analysis_screen : int * int;
   analysis_summary_hits : int;
   analysis_summary_misses : int;
   analysis_suffix_hits : int;
@@ -212,19 +209,11 @@ type extracted = {
   ex_wal_replayed : int;
   ex_wal_truncated : int;
   ex_store_quar : (string * int) list;
-  ex_cache0 : int * int;
-      (* solver-memo counter snapshot at stage-1 entry.  Global deltas:
-         when stages of different cells interleave, another cell's
-         traffic lands in them — which is why every temperature counter
-         is excluded from the differential payload (DESIGN.md §14). *)
-  ex_screen0 : int * int;
 }
 
 let stage_extract ?(extract_config = Extract.default_config) ?cache_dir
     ?budget ?(jobs = 1) ?ids (image : Gp_util.Image.t) : extracted =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
-  let ex_cache0 = cache_counters () in
-  let ex_screen0 = screen_counters () in
   let store_loaded, store_stale, wal_replayed, wal_truncated, store_quar =
     store_open cache_dir
   in
@@ -255,9 +244,7 @@ let stage_extract ?(extract_config = Extract.default_config) ?cache_dir
     ex_store_stale = store_stale;
     ex_wal_replayed = wal_replayed;
     ex_wal_truncated = wal_truncated;
-    ex_store_quar = store_quar;
-    ex_cache0;
-    ex_screen0 }
+    ex_store_quar = store_quar }
 
 let stage_subsume ?budget (ex : extracted) : analysis * Gadget.t list =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
@@ -290,9 +277,6 @@ let stage_subsume ?budget (ex : extracted) : analysis * Gadget.t list =
       analysis_budget_hits =
         (if hstats.Extract.h_budget_hit then [ "extract" ] else [])
         @ (if subsume_hit then [ "subsume" ] else []);
-      analysis_cache_hits = fst (cache_counters ()) - fst ex.ex_cache0;
-      analysis_cache_misses = snd (cache_counters ()) - snd ex.ex_cache0;
-      analysis_screen = screen_delta ex.ex_screen0 (screen_counters ());
       analysis_summary_hits = hstats.Extract.h_summary_hits;
       analysis_summary_misses = hstats.Extract.h_summary_misses;
       analysis_suffix_hits = 0;
@@ -477,9 +461,7 @@ let stage_finalize (p : planned) : outcome =
       built
     |> List.filteri (fun i _ -> i < p.pl_config.Planner.max_plans)
   in
-  let screen_decided, elim_reused =
-    screen_add a.analysis_screen p.pl_screen
-  in
+  let screen_decided, elim_reused = p.pl_screen in
   { goal = p.pl_goal;
     chains = validated;
     rungs = [ Full ];
@@ -498,8 +480,8 @@ let stage_finalize (p : planned) : outcome =
         budget_hits =
           a.analysis_budget_hits
           @ (if result.Planner.budget_hit then [ "plan" ] else []);
-        cache_hits = a.analysis_cache_hits + p.pl_cache_hits;
-        cache_misses = a.analysis_cache_misses + p.pl_cache_misses;
+        cache_hits = p.pl_cache_hits;
+        cache_misses = p.pl_cache_misses;
         plan_expanded = result.Planner.expanded;
         plan_peak_queue = result.Planner.peak_queue;
         plan_inst_hits = result.Planner.inst_memo_hits;

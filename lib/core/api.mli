@@ -48,9 +48,9 @@ type stage_stats = {
       (** stages whose budget ran dry ("extract", "subsume", "plan") *)
   cache_hits : int;
   cache_misses : int;
-      (** solver memo traffic (the pool-keyed [check] memo) during this
-          run.  Hit rate is a property of cache temperature, never of
-          verdicts — reported, but excluded from differential
+      (** solver memo traffic (the pool-keyed [check] memo) during
+          stages 3-4.  Hit rate is a property of cache temperature,
+          never of verdicts — reported, but excluded from differential
           jobs-equivalence comparisons. *)
   plan_expanded : int;
       (** planner nodes expanded (summed over portfolio roots) *)
@@ -69,7 +69,7 @@ type stage_stats = {
           abstractly.  Counted per query answered (before the memos) and
           job-count-invariant, same discipline as [solver_unknowns]. *)
   elim_reused : int;
-      (** Tier C: checks that reused memoized elimination-prefix steps.
+      (** Tier C: residual-search memo hits.
           Temperature-dependent, like the cache counters — reported but
           excluded from differential comparisons. *)
   summary_hits : int;
@@ -114,10 +114,6 @@ type analysis = {
   subsume_time : float;
   quarantined : (string * int) list;   (** harvest quarantine ledger *)
   analysis_budget_hits : string list;  (** of stages 1-2 *)
-  analysis_cache_hits : int;           (** solver memo hits in stages 1-2 *)
-  analysis_cache_misses : int;
-  analysis_screen : int * int;
-      (** [(screen_decided, elim_reused)] deltas of stages 1-2 *)
   analysis_summary_hits : int;         (** summary-store hits (stage 1) *)
   analysis_summary_misses : int;
   analysis_suffix_hits : int;
@@ -146,10 +142,11 @@ val timed : (unit -> 'a) -> 'a * float
     compositions of these — the sequential and staged paths share code
     and therefore results.
 
-    The only caveat under interleaving: the global-delta counters
-    ([analysis_unknowns], cache/screen traffic) are snapshots of
-    process-wide counters, so a concurrent cell's traffic can land in
-    another cell's deltas.  Every such counter is temperature-class and
+    The only caveat under interleaving: {!stage_plan}'s solver counters
+    ([solver_unknowns], cache/screen traffic) are deltas of
+    process-wide counters, so a concurrent cell's stage 3 can land in
+    another cell's stage-3 deltas.  Stages 1-2 make no solver query and
+    take no such snapshot.  Every such counter is temperature-class and
     excluded from the differential payload; all result-bearing state
     (pool, chains, quarantine tallies, per-cell counters) is
     interleaving-invariant. *)

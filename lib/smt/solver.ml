@@ -100,6 +100,18 @@ let solve_eq sigma l =
       let rhs = lin_scale (Int64.neg (inv64 c)) rest in
       Ok (extend_subst sigma v rhs))
 
+(* One step of the Gaussian-elimination fold; [None] = inconsistent.
+   The [hard] list accumulates in the fold's own (reversed) order — the
+   residual construction depends on it. *)
+let elim_step acc l =
+  match acc with
+  | None -> None
+  | Some (sigma, hard) -> (
+    match solve_eq sigma l with
+    | Ok sigma' -> Some (sigma', hard)
+    | Error `Inconsistent -> None
+    | Error `Hard -> Some (sigma, l :: hard))
+
 (* Pointer-pinning variant of [solve_eq] that also handles a single
    even-coefficient pivot 2^s * m (m odd) when the constant side is
    divisible by 2^s — the jump-table pattern `table + 8*index`, where the
@@ -155,106 +167,37 @@ let unknowns = Atomic.make 0
    Two cheap tiers sit in front of the solver proper.  The contract for
    both: a tier may only short-circuit a query when the verdict it
    returns is the one the fall-through path would produce AT THE CALL
-   SITE THAT CONSUMES IT — so results are bit-identical with screening
-   on or off, at any job count, and [set_screen_enabled] is a pure
-   test-only reference switch.
+   SITE THAT CONSUMES IT — so results do not depend on which tables are
+   warm, at any job count.
 
    - Tier A (abstract screening, [Absdom]): an atom that is abstractly
      definitely-false decides a [check] conjunction as Unsat, where the
      full solver may only manage Unknown.  Every [check] consumer (plan
      instantiation) treats Unsat and Unknown identically.
 
-   - Tier C (shared-prefix elimination reuse): plan instantiation
-     issues families of queries whose canonicalized equality lists
-     share long prefixes (the chain-so-far); the Gaussian elimination
-     fold is memoized in a trie keyed on the exact equation prefix, so
-     an extension only eliminates the new equalities.  The reused state
-     is the fold's own accumulator — identical by construction.
+   - Tier C (residual-search memo, see [residual_key]): pool-keyed
+     queries that leave the same open residual share the model
+     search's outcome.
 
    [screen_decided] is bumped per query answered, before any memo
    lookup (the same discipline as [unknowns]), so the tally depends
    only on the query sequence and is identical under any job count. *)
-
-let screen_on = ref true
-let screen_enabled () = !screen_on
-let set_screen_enabled b = screen_on := b
 
 let screen_decided = Atomic.make 0
 let elim_reused = Atomic.make 0
 
 (* The first and third slots (the deleted prove_equal and concrete
    refutation tiers) always read 0.  The 4-tuple is kept for bench/e2e;
-   delete in the benchmark PR. *)
+   delete in the benchmark PR.  [elim_reused] keeps its name for the
+   same reason: it counts residual-memo hits. *)
 let screen_stats () =
   (0, Atomic.get screen_decided, 0, Atomic.get elim_reused)
 
-(* ----- Tier C: elimination-prefix trie -----
-
-   One step of the Gaussian-elimination fold; [None] = inconsistent.
-   The [hard] list accumulates in the fold's own (reversed) order — the
-   residual construction depends on it, so the memoized state must
-   reproduce it exactly. *)
-let elim_step acc l =
-  match acc with
-  | None -> None
-  | Some (sigma, hard) -> (
-    match solve_eq sigma l with
-    | Ok sigma' -> Some (sigma', hard)
-    | Error `Inconsistent -> None
-    | Error `Hard -> Some (sigma, l :: hard))
-
-(* Trie over equation prefixes: a node's state is the fold accumulator
-   after processing the equations on the path to it — a pure function
-   of that prefix, so a reused state is bit-identical to a recomputed
-   one.  Elimination runs before pointer pinning, so the trie is valid
-   across pools.  The trie is DOMAIN-LOCAL ([Domain.DLS]): this is the
-   expensive half of every reduction, and a process-shared trie
-   would take a mutex per equation node — worker domains trade a
-   little cross-domain reuse for a lock-free walk.  [elim_reused] is
-   therefore (like the cache hit/miss split) a temperature statistic:
-   reported, excluded from differential comparisons. *)
-type elim_node = {
-  estate : (subst * linear list) option;
-  echildren : (linear, elim_node) Hashtbl.t;
-}
-
-let elim_key : elim_node Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { estate = Some (Smap.empty, []); echildren = Hashtbl.create 256 })
-
-let eliminate eqs =
-  if not !screen_on then
-    List.fold_left elim_step (Some (Smap.empty, [])) eqs
-  else begin
-    let reused = ref false in
-    let rec go node = function
-      | [] -> node.estate
-      | l :: rest ->
-        let child =
-          match Hashtbl.find_opt node.echildren l with
-          | Some c ->
-            reused := true;
-            c
-          | None ->
-            let c =
-              { estate = elim_step node.estate l;
-                echildren = Hashtbl.create 4 }
-            in
-            Hashtbl.add node.echildren l c;
-            c
-        in
-        go child rest
-    in
-    let r = go (Domain.DLS.get elim_key) eqs in
-    if !reused then Atomic.incr elim_reused;
-    r
-  end
-
-(* Tier C, second half: residual-search reuse.  After the reduction,
-   [search] hunts for a model of the OPEN residual (the atoms left once
-   sigma substituted every bound variable away) by a deterministic
-   trial sequence: the all-zeros assignment, then draws from a
-   call-local rng with a fixed seed.  That outcome — which assignment
+(* Tier C: residual-search reuse.  After the reduction, [search] hunts
+   for a model of the OPEN residual (the atoms left once sigma
+   substituted every bound variable away) by a deterministic trial
+   sequence: the all-zeros assignment, then draws from a call-local
+   rng with a fixed seed.  That outcome — which assignment
    (if any) is the first to pass — is therefore a pure function of
    (open residual, free-variable list, pool), NOT of the full
    conjunction: instantiation queries that differ only in equalities
@@ -267,8 +210,11 @@ let eliminate eqs =
    query's sigma and re-runs the defensive double-check against THIS
    query's formulas — if that ever failed (only possible under an
    eliminator bug) the code falls back to the full fresh search, so
-   behaviour is bit-identical by construction.  Domain-local like the
-   trie, and counted in [elim_reused]. *)
+   behaviour is bit-identical by construction.  The table is
+   DOMAIN-LOCAL ([Domain.DLS]): lock-free, at the price of a little
+   cross-domain reuse, so [elim_reused], its hit count, is (like the
+   cache hit/miss split) a temperature statistic: reported, excluded
+   from differential comparisons. *)
 type search_outcome = No_assignment | Found of int64 Smap.t
 
 let residual_key :
@@ -277,9 +223,8 @@ let residual_key :
   Domain.DLS.new_key (fun () -> Hashtbl.create 1024)
 
 let reset_screen () =
-  (* clears the calling domain's trie; worker-domain tries hold only
-     pure-function-of-prefix states, so keeping them is harmless *)
-  Hashtbl.reset (Domain.DLS.get elim_key).echildren;
+  (* clears the calling domain's memo; worker-domain memos hold only
+     pure-function-of-key outcomes, so keeping them is harmless *)
   Hashtbl.reset (Domain.DLS.get residual_key);
   Absdom.reset ();
   Atomic.set screen_decided 0;
@@ -291,9 +236,9 @@ let reset_screen () =
    fixpoint of [Formula.simplify] — test_par's canon-idempotence
    property — which is why it is not simplified again here): partition
    into linear equalities / pointer atoms / the rest, eliminate the
-   equalities through the Tier C trie, pin pointer atoms into the
-   pool, and substitute the solution into what is left, simplifying
-   each substituted atom once.
+   equalities by Gaussian elimination in list order, pin pointer atoms
+   into the pool, and substitute the solution into what is left,
+   simplifying each substituted atom once.
    [Decided Unsat] is a refutation — sound, since it only arises from
    an inconsistent linear core with no pinning choice involved;
    [Decided Unknown] is a contradiction that pin choices may have
@@ -324,7 +269,7 @@ let reduce ~pool (formulas : Formula.t list) : reduced =
         ([], [], []) formulas
     in
     let eqs = List.rev eqs and pointers = List.rev pointers and rest = List.rev rest in
-    match eliminate eqs with
+    match List.fold_left elim_step (Some (Smap.empty, [])) eqs with
     | None -> Decided Unsat
     | Some (sigma, hard_eqs) ->
       (* Bind pointer atoms: each free-variable pointer term gets pinned to
@@ -496,7 +441,7 @@ let search ~pool ?pool_key { r_formulas = formulas; r_sigma = sigma; r_atoms } =
        assignment through THIS query's sigma rebuilds exactly the model
        the fresh search would have built. *)
     match pool_key with
-    | Some pk when !screen_on -> (
+    | Some pk -> (
       let tbl = Domain.DLS.get residual_key in
       let key = (open_residual, free, pk) in
       match Hashtbl.find_opt tbl key with
@@ -525,7 +470,7 @@ let search ~pool ?pool_key { r_formulas = formulas; r_sigma = sigma; r_atoms } =
         | Unknown -> Hashtbl.replace tbl key No_assignment
         | Unsat -> ());
         r)
-    | _ -> run_search ()
+    | None -> run_search ()
   end
 
 let check_real ~pool ?pool_key formulas =
@@ -561,9 +506,7 @@ let check ?(pool = default_pool) ?pool_key formulas =
     Atomic.incr unknowns;
     Unknown
   end
-  else if
-    !screen_on && List.exists (fun f -> Absdom.formula f = Absdom.No) formulas
-  then begin
+  else if List.exists (fun f -> Absdom.formula f = Absdom.No) formulas then begin
     Atomic.incr screen_decided;
     Unsat
   end

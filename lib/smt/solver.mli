@@ -58,35 +58,26 @@ val unknowns : int Atomic.t
 (** {1 Screening front-end (DESIGN.md §12)}
 
     Two cheap tiers in front of {!check}'s solver proper: abstract
-    screening over {!Absdom} (Tier A), and shared-prefix reuse of the
-    Gaussian-elimination fold plus residual-search outcomes (Tier C).
-    Each tier only short-circuits a query when the verdict it returns is
-    the one the fall-through path would produce at the consuming call
-    site, so results are bit-identical with screening on or off at any
-    job count.  [screen_decided] is bumped per query answered, before
-    any memo lookup — the same discipline as {!unknowns} — so it depends
+    screening over {!Absdom} (Tier A), and a memo of residual-search
+    outcomes for pool-keyed queries (Tier C).  Each tier only
+    short-circuits a query when the verdict it returns is the one the
+    fall-through path would produce at the consuming call site, so
+    results are bit-identical whichever tables are warm, at any job
+    count.  [screen_decided] is bumped per query answered, before any
+    memo lookup — the same discipline as {!unknowns} — so it depends
     only on the query sequence; [elim_reused], like cache hit counts,
     depends on cache temperature. *)
 
-val screen_enabled : unit -> bool
-
-val set_screen_enabled : bool -> unit
-(** Test-only reference switch: disabling restores the unscreened
-    behavior exactly, the reference the screening differential suites
-    compare against. *)
-
 val screen_stats : unit -> int * int * int * int
 (** [(0, screen_decided, 0, elim_reused)]: Tier A decided {!check}
-    queries, and Tier C queries that reused at least one memoized
-    elimination step or a memoized residual-search outcome.  The first
-    and third slots (the deleted [prove_equal] and concrete-refutation
-    tiers) always read 0; the shape is kept for bench/e2e — delete in
-    the benchmark PR. *)
+    queries, and Tier C residual-memo hits.  The first and third slots
+    (the deleted [prove_equal] and concrete-refutation tiers) always
+    read 0; the shape, and the name [elim_reused], are kept for
+    bench/e2e — delete in the benchmark PR. *)
 
 val reset_screen : unit -> unit
-(** Clear the elimination trie, the residual-search memo, the
-    abstract-value memo, and the screening counters (benchmarks'
-    cold-path resets). *)
+(** Clear the calling domain's residual-search memo, the abstract-value
+    memo, and the screening counters (benchmarks' cold-path resets). *)
 
 val pool_memo : ((int64 * int) * Formula.t list, result) Cache.t
 (** Memo store for {!check} queries against caller-keyed pointer pools
