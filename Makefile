@@ -24,8 +24,10 @@
 # pages.
 #
 # `make check-incr` sweeps the incremental-store suite (test_incr:
-# cache_dir differential, serialization round-trips, corrupt/stale
-# store demotion, every older store schema demoting to cold —
+# cache_dir differential, image-memo replay under injected faults,
+# global ids and short fuel, serialization round-trips, corrupt/stale
+# store demotion, every bit flip of a one-image store and every cut of
+# a one-image journal, every older store schema demoting to cold —
 # DESIGN.md §11) the same way.
 #
 # `make check-screen` runs the suites that together show solver
@@ -58,9 +60,10 @@
 # results — DESIGN.md §13–§14) at JOBS=1 and JOBS=4.
 #
 # `make check-serve` sweeps the analysis daemon (test_serve: frame-codec
-# totality properties, sharded-table vs single-lock equivalence, and the
-# daemon-vs-CLI round-trip byte differential incl. the wire-fault sweep,
-# lock demotion and crash/abandon — DESIGN.md §15) at JOBS=1 and JOBS=4.
+# totality properties and an exhaustive bit-flip/truncation sweep,
+# shared-table model equivalence, and the daemon-vs-CLI round-trip byte
+# differential incl. the wire-fault sweep, lock demotion and
+# crash/abandon — DESIGN.md §15) at JOBS=1 and JOBS=4.
 
 CHECK_TIMEOUT ?= 600
 

@@ -69,12 +69,13 @@ let jobs_arg =
 let cache_dir_arg =
   Arg.(value & opt (some string) None
        & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:"Directory for the content-addressed incremental store: \
-                 summaries and solver verdicts persist across runs, so a \
-                 warm run skips re-executing content it has seen — \
-                 including across obfuscation configs of the same \
-                 program.  Results are bit-identical with or without it; \
-                 a corrupt or stale store falls back to a cold run.")
+           ~doc:"Directory for the incremental store: each image's \
+                 harvest (keyed on its code bytes and the extraction \
+                 config) and the solver verdicts persist across runs, so \
+                 a warm run on an image it has seen skips decoding and \
+                 symbolic execution.  Results are bit-identical with or \
+                 without it; a corrupt or stale store falls back to a \
+                 cold run.")
 
 let json_errors_arg =
   Arg.(value & flag
@@ -131,7 +132,7 @@ let scan_cmd =
       a.Gp_core.Api.raw_extracted a.Gp_core.Api.deduped
       (Gp_core.Pool.size a.Gp_core.Api.pool) a.Gp_core.Api.subsume_capped;
     if cache_dir <> None then
-      Printf.printf "store: %d loaded, %d summary hits, %d misses\n"
+      Printf.printf "store: %d loaded; image memo: %d starts replayed, %d executed\n"
         a.Gp_core.Api.analysis_store_loaded
         a.Gp_core.Api.analysis_summary_hits
         a.Gp_core.Api.analysis_summary_misses
@@ -199,8 +200,8 @@ let plan_cmd =
       Printf.printf "screening: %d decided, %d residual-memo hits\n"
         st.Gp_core.Api.screen_decided st.Gp_core.Api.elim_reused;
       Printf.printf
-        "summary store: %d hits / %d misses; %d loaded from disk%s; \
-         %d decodes saved\n"
+        "image memo: %d starts replayed / %d executed; %d loaded from \
+         disk%s; %d decodes saved\n"
         st.Gp_core.Api.summary_hits st.Gp_core.Api.summary_misses
         st.Gp_core.Api.store_loaded
         (if st.Gp_core.Api.store_stale > 0 then " (stale store rejected)"
@@ -444,7 +445,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the resident analysis daemon: caches stay memory-hot \
-             across requests, summaries persist through the write-ahead \
+             across requests, harvests persist through the write-ahead \
              journal with batched checkpoints, and concurrent requests \
              pipeline across pipeline stages on one domain pool.  \
              Stops on a client $(b,shutdown) request.")

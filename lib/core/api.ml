@@ -62,9 +62,10 @@ type stage_stats = {
          comparisons *)
   summary_hits : int;
   summary_misses : int;
-      (* content-addressed summary store traffic during the harvest
-         (DESIGN.md §11).  Like the solver-memo counters, temperature-
-         dependent — excluded from differential comparisons *)
+      (* image memo traffic during the harvest (DESIGN.md §11): starts
+         replayed from the memo vs starts symbolically executed.  Like
+         the solver-memo counters, temperature-dependent — excluded
+         from differential comparisons *)
   decode_saved : int;
       (* repeat decodes absorbed by the decode-once extraction memo *)
   store_loaded : int;
@@ -503,7 +504,7 @@ let stage_finalize (p : planned) : outcome =
 
 (* The jobs- and temperature-invariant tallies of an outcome, by name:
    what the sweep's resume payloads and the daemon's replies carry, and
-   what differential tests compare.  Cache and summary store hit
+   what differential tests compare.  Cache and image memo hit
    counters are temperature and stay out, as do the store
    quarantine labels (a resident, resumed or warm run legitimately
    differs there). *)
@@ -611,7 +612,7 @@ let run ?(extract_config = Extract.default_config)
   in
   let o = climb (rung ~tried:[] Full) in
   (* Persist the store last, so planner/validation solver verdicts are
-     captured alongside the harvest summaries. *)
+     captured alongside the image's harvest. *)
   { o with
     stats =
       { o.stats with quarantined = store_save o.stats.quarantined cache_dir } }

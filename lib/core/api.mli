@@ -74,15 +74,19 @@ type stage_stats = {
           excluded from differential comparisons. *)
   summary_hits : int;
   summary_misses : int;
-      (** content-addressed summary store traffic during the harvest
-          (DESIGN.md §11): starts answered from the store vs
-          symbolically executed.  Temperature-dependent, like the
+      (** image memo traffic during the harvest (DESIGN.md §11):
+          [summary_hits] counts starts replayed from a stored harvest of
+          the same image (every start that passed the prefilter, on a
+          hit), [summary_misses] starts symbolically executed (0 on a
+          hit).  The names predate the image memo, when they counted
+          per-start summary-table lookups.  Temperature-dependent, like the
           solver-memo counters — reported but excluded from
           differential comparisons. *)
   decode_saved : int;
       (** repeat decodes absorbed by the decode-once extraction memo *)
   store_loaded : int;
-      (** entries imported from the on-disk store (0 on a cold run) *)
+      (** entries imported from the on-disk store — images plus solver
+          verdicts (0 on a cold run) *)
   store_stale : int;
       (** 1 when a store file was found but rejected (corrupt or
           version-stale) and the run was demoted to cold; the rejection
@@ -114,8 +118,10 @@ type analysis = {
   subsume_time : float;
   quarantined : (string * int) list;   (** harvest quarantine ledger *)
   analysis_budget_hits : string list;  (** of stages 1-2 *)
-  analysis_summary_hits : int;         (** summary-store hits (stage 1) *)
-  analysis_summary_misses : int;
+  analysis_summary_hits : int;
+      (** starts replayed from the image memo (stage 1; see
+          [summary_hits]) *)
+  analysis_summary_misses : int;       (** starts symbolically executed *)
   analysis_suffix_hits : int;
       (** Always 0: the suffix-compositional summarizer is gone
           (DESIGN.md §16).  Kept only because bench/e2e reads it; drop

@@ -160,83 +160,107 @@ type harvest_stats = {
   h_starts : int;                       (* start offsets examined *)
   h_quarantined : (string * int) list;  (* Fail.label -> count *)
   h_budget_hit : bool;                  (* harvest stopped early *)
-  h_summary_hits : int;                 (* starts served from the content store *)
+  h_summary_hits : int;                 (* starts replayed from the image memo *)
   h_summary_misses : int;               (* starts symbolically executed *)
   h_decode_saved : int;                 (* decodes the decode-once memo absorbed *)
 }
-
-(* Per-chunk summary-store counters.  Each worker owns one and the merge
-   sums them in chunk index order — deterministic aggregation whatever
-   the domain schedule (the VALUES can still differ with cache
-   temperature, e.g. two domains racing to a double miss, which is why
-   hit/miss counts are excluded from differential fingerprints, same as
-   the solver-cache counters). *)
-type sctr = { mutable sc_hits : int; mutable sc_misses : int }
 
 let sym_config_of config =
   { Gp_symx.Exec.max_insns = config.max_insns;
     max_forks = config.max_forks;
     max_merges = config.max_merges }
 
-(* Examine one start offset: syntactic prefilter, chaos check, symbolic
-   summarization, conversion.  Gadget records carry a placeholder id;
-   the merge in [harvest_r] renumbers.  Returns one entry per CONVERTED
-   summary: [Some g] when usable, [None] when converted but unusable.
-   The distinction matters because every conversion consumes a gadget
-   id, so renumbering must see both. *)
-let examine_start ~config ~sym_config ~decode ~sctr ~tally
-    (image : Gp_util.Image.t) pos : Gadget.t option list =
-  (* cheap prefilter: must syntactically reach a terminator *)
-  match scan_run ~decode ~config image pos with
-  | None -> []
-  | Some _ ->
-    let addr =
-      Int64.add image.Gp_util.Image.code_base (Int64.of_int pos)
-    in
-    if !chaos_decode addr then begin
-      Fail.tally_add tally (Fail.Decode_fault (addr, "injected"));
-      []
-    end
-    else begin
-      let summaries, refused =
-        (* Content-addressed store consult (DESIGN.md §11): the injected
-           chaos check stays BEFORE the lookup, so a quarantined start
-           never reads or seeds the store — mirroring the solver memo's
-           injection discipline. *)
-        let key =
-          Gadget.content_key ~config:sym_config ~decode
-            ~code_size:(Gp_util.Image.code_size image) ~pos
-        in
-        match Incr.find key with
-        | Some (ss, refused) ->
-          sctr.sc_hits <- sctr.sc_hits + 1;
-          (List.map (Gp_symx.Exec.rebase ~addr) ss, refused)
-        | None ->
-          sctr.sc_misses <- sctr.sc_misses + 1;
-          let v =
-            Gp_symx.Exec.summarize_r ~config:sym_config ~decode image addr
-          in
-          Incr.add key v;
-          v
-      in
-      (match refused with
-       | Some why -> Fail.tally_add tally (Fail.Symx_unsupported (addr, why))
-       | None -> ());
-      List.filter_map
-        (fun s ->
-          match Gadget.of_summary ~id:(-1) s with
-          | g -> Some (if usable g then Some g else None)
-          | exception e ->
-            Fail.tally_add tally
-              (Fail.Decode_fault (addr, Printexc.to_string e));
-            None)
-        summaries
-    end
+(* The image memo's key (DESIGN.md §11): every input the harvest reads.
+   The prefilter and the executor read only the code section, so the
+   config, the code base and the code bytes determine the result. *)
+let image_key config (image : Gp_util.Image.t) =
+  let module Bin = Gp_util.Store.Bin in
+  let b = Buffer.create 64 in
+  Bin.bool_ b config.unaligned;
+  Bin.int_ b config.max_insns;
+  Bin.int_ b config.max_forks;
+  Bin.int_ b config.max_merges;
+  Bin.int_ b config.max_gadget_bytes;
+  Bin.i64 b image.Gp_util.Image.code_base;
+  Buffer.add_string b (Digest.bytes image.Gp_util.Image.code);
+  Digest.string (Buffer.contents b)
+
+(* Symbolically summarize one start that passed the prefilter and
+   convert its summaries.  Gadget records carry a placeholder id; the
+   merge renumbers.  One entry per CONVERTED summary: [Some g] when
+   usable, [None] when converted but unusable.  The distinction matters
+   because every conversion consumes a gadget id, so renumbering must
+   see both. *)
+let examine_start ~sym_config ~decode image pos addr : Incr.record =
+  let summaries, refused =
+    Gp_symx.Exec.summarize_r ~config:sym_config ~decode image addr
+  in
+  let fails =
+    match refused with
+    | Some why -> [ Fail.Symx_unsupported (addr, why) ]
+    | None -> []
+  in
+  let fails, entries =
+    List.fold_left
+      (fun (fails, entries) s ->
+        match Gadget.of_summary ~id:(-1) s with
+        | g -> (fails, (if usable g then Some g else None) :: entries)
+        | exception e ->
+          (Fail.Decode_fault (addr, Printexc.to_string e) :: fails, entries))
+      (List.rev fails, []) summaries
+  in
+  { Incr.r_pos = pos; r_fails = List.rev fails; r_entries = List.rev entries }
+
+(* Number the records' entries in order, one id per entry, [None]
+   included: the sequence a sequential harvest draws. *)
+let number ids records =
+  List.concat_map (fun r -> r.Incr.r_entries) records
+  |> List.filter_map (fun entry ->
+         let id = ids () in
+         Option.map (fun g -> { g with Gadget.id }) entry)
+
+let addr_of (image : Gp_util.Image.t) pos =
+  Int64.add image.Gp_util.Image.code_base (Int64.of_int pos)
+
+(* A memo hit: replay the stored records as the fresh path would have
+   produced them — the chaos hook still decides per start, each
+   surviving start tallies its stored faults and draws its ids — and
+   charge the fuel the fresh path would have spent. *)
+let replay ~budget ~ids image (v : Incr.value) =
+  let tally = Fail.tally_create () in
+  let live =
+    List.filter
+      (fun r ->
+        let addr = addr_of image r.Incr.r_pos in
+        if !chaos_decode addr then begin
+          Fail.tally_add tally (Fail.Decode_fault (addr, "injected"));
+          false
+        end
+        else begin
+          List.iter (Fail.tally_add tally) r.Incr.r_fails;
+          true
+        end)
+      v.Incr.v_records
+  in
+  Budget.spend budget ~amount:v.Incr.v_starts;
+  ( number ids live,
+    { h_starts = v.Incr.v_starts;
+      h_quarantined = Fail.tally_list tally;
+      h_budget_hit = false;
+      h_summary_hits = List.length v.Incr.v_records;
+      h_summary_misses = 0;
+      h_decode_saved = 0 } )
 
 (* Budgeted, fault-isolating harvest.  One poisoned start — injected
    decode fault, symbolic-executor refusal, or an exception out of
    summary conversion — quarantines THAT start and is tallied; the rest
    of the harvest proceeds.
+
+   The image memo is consulted first.  A hit is taken only when the
+   budget could have examined every start (fuel for all of them, not
+   exhausted); otherwise the harvest runs fresh, and a fresh harvest is
+   stored only when it examined every start and no start was
+   chaos-quarantined, so a stored record is always the whole image.
 
    The start offsets are chunked over [jobs] domains ([Par.run] runs the
    chunks inline at one job).  Each chunk owns a budget slice and a
@@ -249,76 +273,83 @@ let examine_start ~config ~sym_config ~decode ~sctr ~tally
 let harvest_r ?(config = default_config) ?(budget = Budget.unlimited ())
     ?(jobs = 1) ?(ids = Gadget.global_ids) (image : Gp_util.Image.t) :
     Gadget.t list * harvest_stats =
-  let sym_config = sym_config_of config in
-  (* decode-once memo: built eagerly on the main domain, immutable
-     thereafter, so every worker reads it lock-free *)
-  let memo = Decode.memo image.Gp_util.Image.code in
-  let decode = Decode.decode_memo memo in
-  let positions = Array.of_list (start_positions ~decode ~config image) in
-  let n = Array.length positions in
-  let fuel0 = Budget.remaining_fuel budget in
-  let chunk = Gp_util.Par.chunk_size ~min_chunk:64 ~jobs n in
-  let tasks =
-    Array.map
-      (fun (lo, hi) ->
-        fun () ->
-          let tally = Fail.tally_create () in
-          let sctr = { sc_hits = 0; sc_misses = 0 } in
-          let allot =
-            if fuel0 = max_int then hi - lo else max 0 (min hi fuel0 - lo)
-          in
-          let b = Budget.slice budget ~fuel:allot () in
-          let out = ref [] in
-          let examined = ref 0 in
-          let hit =
-            try
-              for k = lo to hi - 1 do
-                Budget.check b;
-                Budget.spend b;
-                incr examined;
-                out :=
-                  examine_start ~config ~sym_config ~decode ~sctr ~tally image
-                    positions.(k)
-                  :: !out
-              done;
-              allot < hi - lo
-            with Budget.Exhausted _ -> true
-          in
-          (List.concat (List.rev !out), tally, !examined, hit, sctr))
-      (Gp_util.Par.ranges ~chunk n)
-  in
-  let results = Array.to_list (Gp_util.Par.run ~jobs tasks) in
-  (* Associative merges, in chunk index order — including the summary
-     hit/miss counters: workers count into chunk-local records and only
-     this fold, on the main domain, sums them, so aggregation can never
-     undercount however domains interleave. *)
-  let quarantined =
-    List.fold_left
-      (fun acc (_, t, _, _, _) -> Fail.merge_counts acc (Fail.tally_list t))
-      [] results
-  in
-  let examined = List.fold_left (fun acc (_, _, e, _, _) -> acc + e) 0 results in
-  let s_hits, s_misses =
-    List.fold_left
-      (fun (h, m) (_, _, _, _, sctr) -> (h + sctr.sc_hits, m + sctr.sc_misses))
-      (0, 0) results
-  in
-  let hit = List.exists (fun (_, _, _, h, _) -> h) results in
-  Budget.spend budget ~amount:examined;
-  let gadgets =
-    List.concat_map (fun (entries, _, _, _, _) -> entries) results
-    |> List.filter_map (fun entry ->
-           let id = ids () in
-           match entry with
-           | Some g -> Some { g with Gadget.id }
-           | None -> None)
-  in
-  ( gadgets,
-    { h_starts = examined;
-      h_quarantined = quarantined;
-      h_budget_hit = hit;
-      h_summary_hits = s_hits;
-      h_summary_misses = s_misses;
-      h_decode_saved = max 0 (Decode.memo_lookups memo - Decode.memo_size memo) } )
+  let key = image_key config image in
+  match Incr.find key with
+  | Some v
+    when Budget.remaining_fuel budget >= v.Incr.v_starts
+         && not (Budget.exhausted budget) ->
+    replay ~budget ~ids image v
+  | _ ->
+    let sym_config = sym_config_of config in
+    (* decode-once memo: built eagerly on the main domain, immutable
+       thereafter, so every worker reads it lock-free *)
+    let memo = Decode.memo image.Gp_util.Image.code in
+    let decode = Decode.decode_memo memo in
+    let positions = Array.of_list (start_positions ~decode ~config image) in
+    let n = Array.length positions in
+    let fuel0 = Budget.remaining_fuel budget in
+    let chunk = Gp_util.Par.chunk_size ~min_chunk:64 ~jobs n in
+    let tasks =
+      Array.map
+        (fun (lo, hi) ->
+          fun () ->
+            let tally = Fail.tally_create () in
+            let allot =
+              if fuel0 = max_int then hi - lo else max 0 (min hi fuel0 - lo)
+            in
+            let b = Budget.slice budget ~fuel:allot () in
+            let out = ref [] in
+            let examined = ref 0 in
+            let injected = ref false in
+            let hit =
+              try
+                for k = lo to hi - 1 do
+                  Budget.check b;
+                  Budget.spend b;
+                  incr examined;
+                  let pos = positions.(k) in
+                  (* cheap prefilter: must syntactically reach a terminator *)
+                  if Option.is_some (scan_run ~decode ~config image pos) then begin
+                    let addr = addr_of image pos in
+                    if !chaos_decode addr then begin
+                      Fail.tally_add tally (Fail.Decode_fault (addr, "injected"));
+                      injected := true
+                    end
+                    else begin
+                      let r = examine_start ~sym_config ~decode image pos addr in
+                      List.iter (Fail.tally_add tally) r.Incr.r_fails;
+                      out := r :: !out
+                    end
+                  end
+                done;
+                allot < hi - lo
+              with Budget.Exhausted _ -> true
+            in
+            (List.rev !out, tally, !examined, hit, !injected))
+        (Gp_util.Par.ranges ~chunk n)
+    in
+    let results = Array.to_list (Gp_util.Par.run ~jobs tasks) in
+    (* Associative merges, in chunk index order, on the calling domain:
+       the gadget order, the id sequence and every counter are the same
+       however domains interleave. *)
+    let quarantined =
+      List.fold_left
+        (fun acc (_, t, _, _, _) -> Fail.merge_counts acc (Fail.tally_list t))
+        [] results
+    in
+    let examined = List.fold_left (fun acc (_, _, e, _, _) -> acc + e) 0 results in
+    let hit = List.exists (fun (_, _, _, h, _) -> h) results in
+    let injected = List.exists (fun (_, _, _, _, i) -> i) results in
+    let records = List.concat_map (fun (rs, _, _, _, _) -> rs) results in
+    Budget.spend budget ~amount:examined;
+    if not (hit || injected) then
+      Incr.add key { Incr.v_starts = examined; v_records = records };
+    ( number ids records,
+      { h_starts = examined;
+        h_quarantined = quarantined;
+        h_budget_hit = hit;
+        h_summary_hits = 0;
+        h_summary_misses = List.length records;
+        h_decode_saved = max 0 (Decode.memo_lookups memo - Decode.memo_size memo) } )
 
 let harvest ?config ?jobs image = fst (harvest_r ?config ?jobs image)

@@ -65,8 +65,10 @@ type harvest_stats = {
   h_quarantined : (string * int) list;  (** {!Fail.label} -> count *)
   h_budget_hit : bool;                  (** harvest stopped early *)
   h_summary_hits : int;
-      (** starts answered from the content-addressed store ({!Incr}) *)
-  h_summary_misses : int;               (** starts symbolically executed *)
+      (** starts replayed from the image memo ({!Incr}): on a hit, every
+          start that passed the prefilter; 0 on a fresh harvest *)
+  h_summary_misses : int;
+      (** starts symbolically executed: 0 on a hit *)
   h_decode_saved : int;
       (** repeat decodes absorbed by the decode-once memo (lookups
           beyond one per position); cache-temperature-dependent, like
@@ -89,6 +91,16 @@ val harvest_r :
     gadget ids are renumbered on the main domain, so the pool, id
     sequence, quarantine tallies, and budget accounting are the same at
     every job count (DESIGN.md "Parallel execution & determinism").
+
+    The image memo ({!Incr}, DESIGN.md §11) is consulted once, on a
+    digest of the config, the code base and the code bytes.  A hit is
+    taken only when the budget has fuel for every start and is not
+    exhausted; it replays the stored records without decoding or
+    symbolic execution — the chaos hook still decides per start, ids
+    are drawn one per stored entry, and the budget is charged one unit
+    per start — so it returns exactly what a fresh harvest would.  A
+    fresh harvest is stored only when it examined every start and no
+    start was chaos-quarantined.
 
     [ids] is where successful conversions draw gadget ids (default:
     the process-global sequence).  Scheduler cells pass

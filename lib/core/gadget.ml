@@ -152,69 +152,124 @@ let of_summary ?id (s : Gp_symx.Exec.summary) : t =
 
 let post_of g r = List.assoc r g.post
 
-(* ----- content addressing (DESIGN.md §11) -----
+(* ----- serialization (DESIGN.md §11) -----
 
-   A start offset's summaries are a pure function of the instruction
-   bytes the symbolic executor CAN read from it, so two starts whose
-   reachable byte content agrees — across images, configs, obfuscation
-   variants — share one summary.  The key is built by a purely syntactic
-   walk that mirrors [Exec.summarize_r]'s driver exactly (same bounds
-   checks, same fork/merge counters) except at a conditional jump, where
-   it explores BOTH arms unconditionally.  The executor prunes a fork
-   semantically (inexpressible condition, contradictory path), but that
-   pruning is itself a deterministic function of the instructions
-   executed so far — so the syntactic walk covers a superset of every
-   semantic path, and key equality implies the executor reads identical
-   instruction sequences and therefore produces identical summaries
-   (modulo the start address, restored by [Exec.rebase]).
+   The persisted extraction memo stores converted records, so the codec
+   covers every field, the id included.  Terms go through [Term.Ser]
+   (one writer per stored image, so shared subterms are written once)
+   and are re-interned on read; instructions through [Exec.put_insn]. *)
 
-   Each decoded instruction contributes its stable serialization plus
-   its encoded length (two encodings of one instruction at the same
-   length are indistinguishable to the executor, and length feeds the
-   successor position — so keying on the decoded form shares MORE than
-   raw bytes would, never less).  Path-terminating causes that depend on
-   the image rather than the trace — running off the code section,
-   hitting undecodable bytes — get explicit markers, as do the two arms
-   of a fork; ends forced by the insn/fork/merge limits are implied by
-   the trace and the config header. *)
+module Bin = Gp_util.Store.Bin
 
-let content_key ~(config : Gp_symx.Exec.config)
-    ~(decode : int -> (Insn.t * int) option) ~code_size ~pos : string =
-  let module Bin = Gp_util.Store.Bin in
-  let b = Buffer.create 192 in
-  Bin.u8 b 1;                          (* key schema *)
-  Bin.int_ b config.Gp_symx.Exec.max_insns;
-  Bin.int_ b config.Gp_symx.Exec.max_forks;
-  Bin.int_ b config.Gp_symx.Exec.max_merges;
-  let rec walk pos ninsns nforks nmerges =
-    if ninsns > config.Gp_symx.Exec.max_insns then ()
-    else if pos < 0 || pos >= code_size then Bin.u8 b 0x42 (* out of code *)
-    else
-      match decode pos with
-      | None -> Bin.u8 b 0x43                              (* undecodable *)
-      | Some (insn, len) -> (
-        Bin.u8 b 0x41;
-        Bin.u8 b len;
-        Gp_symx.Exec.put_insn b insn;
-        let next = pos + len in
-        match insn with
-        | Insn.Ret | Insn.RetImm _ | Insn.JmpReg _ | Insn.JmpMem _
-        | Insn.CallReg _ | Insn.CallMem _ | Insn.Int3 | Insn.Hlt ->
-          ()                                               (* End / Abort *)
-        | Insn.Jmp rel | Insn.Call rel ->
-          if nmerges < config.Gp_symx.Exec.max_merges then
-            walk (next + rel) (ninsns + 1) nforks (nmerges + 1)
-        | Insn.Jcc (_, rel) ->
-          if nforks < config.Gp_symx.Exec.max_forks then begin
-            Bin.u8 b 0x44;                                 (* taken arm *)
-            walk (next + rel) (ninsns + 1) (nforks + 1) (nmerges + 1);
-            Bin.u8 b 0x45;                                 (* fall-through *)
-            walk next (ninsns + 1) (nforks + 1) nmerges
-          end
-        | _ -> walk next (ninsns + 1) nforks nmerges)
+let kind_tag = function
+  | Return -> 0 | UDJ -> 1 | UIJ -> 2 | CDJ -> 3 | CIJ -> 4 | Sys -> 5
+
+let kind_of_tag = function
+  | 0 -> Return | 1 -> UDJ | 2 -> UIJ | 3 -> CDJ | 4 -> CIJ | 5 -> Sys
+  | _ -> raise Bin.Truncated
+
+let put_reg b r = Bin.u8 b (Reg.number r)
+
+let get_reg s pos =
+  match Reg.of_number (Bin.gu8 s pos) with
+  | r -> r
+  | exception Invalid_argument _ -> raise Bin.Truncated
+
+let put w b g =
+  let term t = Term.Ser.put w b t in
+  let reg_term (r, t) = put_reg b r; term t in
+  Bin.int_ b g.id;
+  Bin.i64 b g.addr;
+  Bin.int_ b g.len;
+  Bin.list b (Gp_symx.Exec.put_insn b) g.insns;
+  Bin.u8 b (kind_tag g.kind);
+  (match g.jmp with
+  | Gp_symx.Exec.Jret t -> Bin.u8 b 0; term t
+  | Gp_symx.Exec.Jind t -> Bin.u8 b 1; term t
+  | Gp_symx.Exec.Jfall a -> Bin.u8 b 2; Bin.i64 b a);
+  Bin.list b (put_reg b) g.clobbered;
+  Bin.list b (fun (r, o) -> put_reg b r; Bin.int_ b o) g.controlled;
+  Formula.put_list w b g.pre;
+  Bin.list b reg_term g.post;
+  (match g.stack_delta with
+  | Sdelta d -> Bin.u8 b 0; Bin.int_ b d
+  | Spivot d -> Bin.u8 b 1; Bin.int_ b d
+  | Sunknown -> Bin.u8 b 2);
+  Bin.list b (fun (o, t) -> Bin.int_ b o; term t) g.stack_writes;
+  Bin.list b (Bin.int_ b) g.consumed;
+  Bin.list b (fun (a, v) -> term a; term v) g.ptr_writes;
+  Bin.list b
+    (fun (name, a, reliable) -> Bin.str b name; term a; Bin.bool_ b reliable)
+    g.mem_reads;
+  (match g.syscall_state with
+  | None -> Bin.u8 b 0
+  | Some regs -> Bin.u8 b 1; Bin.list b reg_term regs);
+  Bin.bool_ b g.has_cond;
+  Bin.bool_ b g.has_merge;
+  Bin.bool_ b g.alias_hazard
+
+let get r s pos =
+  let term () = Term.Ser.get r s pos in
+  let reg_term () =
+    let rg = get_reg s pos in
+    (rg, term ())
   in
-  walk pos 0 0 0;
-  Buffer.contents b
+  let id = Bin.gint s pos in
+  let addr = Bin.gi64 s pos in
+  let len = Bin.gint s pos in
+  let insns = Bin.glist s pos (fun () -> Gp_symx.Exec.get_insn s pos) in
+  let kind = kind_of_tag (Bin.gu8 s pos) in
+  let jmp =
+    match Bin.gu8 s pos with
+    | 0 -> Gp_symx.Exec.Jret (term ())
+    | 1 -> Gp_symx.Exec.Jind (term ())
+    | 2 -> Gp_symx.Exec.Jfall (Bin.gi64 s pos)
+    | _ -> raise Bin.Truncated
+  in
+  let clobbered = Bin.glist s pos (fun () -> get_reg s pos) in
+  let controlled =
+    Bin.glist s pos (fun () ->
+        let rg = get_reg s pos in
+        (rg, Bin.gint s pos))
+  in
+  let pre = Formula.get_list r s pos in
+  let post = Bin.glist s pos reg_term in
+  let stack_delta =
+    match Bin.gu8 s pos with
+    | 0 -> Sdelta (Bin.gint s pos)
+    | 1 -> Spivot (Bin.gint s pos)
+    | 2 -> Sunknown
+    | _ -> raise Bin.Truncated
+  in
+  let stack_writes =
+    Bin.glist s pos (fun () ->
+        let o = Bin.gint s pos in
+        (o, term ()))
+  in
+  let consumed = Bin.glist s pos (fun () -> Bin.gint s pos) in
+  let ptr_writes =
+    Bin.glist s pos (fun () ->
+        let a = term () in
+        (a, term ()))
+  in
+  let mem_reads =
+    Bin.glist s pos (fun () ->
+        let name = Bin.gstr s pos in
+        let a = term () in
+        (name, a, Bin.gbool s pos))
+  in
+  let syscall_state =
+    match Bin.gu8 s pos with
+    | 0 -> None
+    | 1 -> Some (Bin.glist s pos reg_term)
+    | _ -> raise Bin.Truncated
+  in
+  let has_cond = Bin.gbool s pos in
+  let has_merge = Bin.gbool s pos in
+  let alias_hazard = Bin.gbool s pos in
+  { id; addr; len; insns; kind; jmp; clobbered; controlled; pre; post;
+    stack_delta; stack_writes; consumed; ptr_writes; mem_reads;
+    syscall_state; has_cond; has_merge; alias_hazard }
 
 let to_string g =
   Printf.sprintf "0x%Lx [%s] %s" g.addr (kind_name g.kind)

@@ -83,22 +83,16 @@ val of_summary : ?id:int -> Gp_symx.Exec.summary -> t
 val post_of : t -> Gp_x86.Reg.t -> Term.t
 (** Final value term of a register. *)
 
-val content_key :
-  config:Gp_symx.Exec.config ->
-  decode:(int -> (Gp_x86.Insn.t * int) option) ->
-  code_size:int ->
-  pos:int ->
-  string
-(** Content address of a start offset (DESIGN.md §11): a purely
-    syntactic walk mirroring [Exec.summarize_r]'s driver — same bounds
-    and fork/merge counters, but exploring both arms of every
-    conditional — serialized with the executor's config.  Summaries are
-    a pure function of this key: equal keys (across positions, images,
-    obfuscation configs) imply the executor would produce identical
-    summaries up to the start address, which [Exec.rebase] restores.
-    [decode] must answer like [Gp_x86.Decode.decode] on the image's
-    code; [code_size] bounds the walk exactly as [Image.in_code] bounds
-    execution. *)
+(** {1 Serialization}
+
+    The persisted extraction memo's record encoding (DESIGN.md §11):
+    every field, the id included.  Terms go through {!Term.Ser}, so one
+    writer/reader pair spans all the gadgets of one stored image, and
+    are re-interned on read.  {!get} raises
+    [Gp_util.Store.Bin.Truncated] on malformed bytes. *)
+
+val put : Term.Ser.writer -> Buffer.t -> t -> unit
+val get : Term.Ser.reader -> string -> int ref -> t
 
 val to_string : t -> string
 (** One-line rendering: address, kind, instructions. *)

@@ -1,15 +1,15 @@
-(* Content-addressed incremental analysis (DESIGN.md §11).
+(* Image-grain extraction memo (DESIGN.md §11).
 
-   One process-wide table maps {!Gadget.content_key} strings to the full
-   result of symbolically executing that content — [(summaries,
-   refusal)] exactly as [Exec.summarize_r] returns them.  The table is
-   consulted by [Extract.examine_start] before executing, so identical
-   byte content — unaligned siblings inside one image, or the same run
-   harvested from [original]/[llvm-obf]/[tigress] builds — is summarized
-   once.  Because the key determines the summaries exactly (see
-   [Gadget.content_key]) and [Exec.rebase] restores the one
-   position-dependent field, a hit is bit-identical to a fresh compute:
-   the layer is semantically transparent and always on.
+   One process-wide table maps an image digest (the five extraction
+   config fields, the code base and the code bytes — everything
+   [Exec.summarize_r] and the prefilter read) to that image's harvest,
+   recorded as converted gadget records: the start count, then for each
+   start that passed the prefilter its offset, the faults it tallied and
+   its gadget entries with placeholder ids.  [Extract.harvest_r] looks
+   the image up once per request; a hit replays the records without
+   decoding or symbolically executing anything, drawing ids and
+   consulting the chaos hook exactly as a fresh harvest would, so a hit
+   is bit-identical to a fresh compute.
 
    [load]/[save] round-trip the table — plus the solver's pool-keyed
    verdict memo, which is how PLAN INSTANTIATION consults the store: its
@@ -19,17 +19,13 @@
    (missing, corrupt, version-stale) degrades to a cold run; the caller
    records the reason and carries on.
 
-   Thread safety: same discipline as the other shared caches — nothing
-   user-supplied under a lock, first-write-wins so racing domains at
-   worst duplicate a compute.  The table is SHARDED by key hash (16
-   hashtables, one mutex each, mirroring [Gp_smt.Cache]) so resident
-   daemon workers contend per shard instead of on one global lock
-   (DESIGN.md §15); sharding is invisible in the API and the serve
-   suite checks observational equivalence against a single-lock
-   reference.  [load]/[save] are main-domain operations (called outside
+   Thread safety: one lookup per request, so one [Hashtbl] behind one
+   mutex; first-write-wins, so racing domains at worst duplicate a
+   harvest.  [load]/[save] are main-domain operations (called outside
    the parallel sections by Api). *)
 
 open Gp_smt
+module Bin = Gp_util.Store.Bin
 
 (* v2: State.t gained a list of undecidable alias comparisons, which
    Exec.put_state serialized — v1 summary payloads no longer decode.
@@ -52,77 +48,104 @@ open Gp_smt
    the store holds "summaries" and "solver.pool" only.  A v5 store's
    extra sections would be skipped harmlessly, but the bump demotes it
    to cold for the same reason as v5: no build of this schema wrote its
-   section set. *)
-let schema_version = 6
+   section set.
+   v7: the per-start "summaries" section is gone; the store holds
+   "images" (one converted harvest per image digest) and
+   "solver.pool". *)
+let schema_version = 7
 let file_name = "summaries.gpst"
-let summaries_section = "summaries"
+let images_section = "images"
 
-type value = Gp_symx.Exec.summary list * string option
+type record = {
+  r_pos : int;
+  r_fails : Fail.t list;
+  r_entries : Gadget.t option list;
+}
 
-let shard_count = 16
+type value = { v_starts : int; v_records : record list }
 
-type shard = { s_tbl : (string, value) Hashtbl.t; s_lock : Mutex.t }
+let tbl : (string, value) Hashtbl.t = Hashtbl.create 64
+let tbl_lock = Mutex.create ()
 
-let shards : shard array =
-  Array.init shard_count (fun _ ->
-      { s_tbl = Hashtbl.create 512; s_lock = Mutex.create () })
-
-(* The shard comes from the top four bits of the 30-bit hash, as in
-   [Gp_smt.Cache]: each shard's [Hashtbl] picks its bucket from the low
-   bits of the same hash, so low-bit shards would crowd a shard's keys
-   into 1/16 of its buckets. *)
-let shard_of key = shards.((Hashtbl.hash key lsr 26) land (shard_count - 1))
-
-let size () =
-  Array.fold_left
-    (fun acc s -> acc + Mutex.protect s.s_lock (fun () -> Hashtbl.length s.s_tbl))
-    0 shards
-
-let max_chain () =
-  Array.fold_left
-    (fun acc s ->
-      max acc
-        (Mutex.protect s.s_lock (fun () ->
-             (Hashtbl.stats s.s_tbl).max_bucket_length)))
-    0 shards
+let size () = Mutex.protect tbl_lock (fun () -> Hashtbl.length tbl)
 
 (* always 0: stubs bench/e2e still reads (see incr.mli) *)
 let suffix_size () = 0
 let fp_size () = 0
 
-let reset () =
-  Array.iter
-    (fun s -> Mutex.protect s.s_lock (fun () -> Hashtbl.reset s.s_tbl))
-    shards
+let reset () = Mutex.protect tbl_lock (fun () -> Hashtbl.reset tbl)
 
-let find key =
-  let s = shard_of key in
-  Mutex.protect s.s_lock (fun () -> Hashtbl.find_opt s.s_tbl key)
+let find key = Mutex.protect tbl_lock (fun () -> Hashtbl.find_opt tbl key)
+
+(* Insert unless present; [true] iff this call inserted. *)
+let add_new key v =
+  Mutex.protect tbl_lock (fun () ->
+      if Hashtbl.mem tbl key then false
+      else begin
+        Hashtbl.add tbl key v;
+        true
+      end)
 
 (* Forward hook into the journal (defined below): fired once per fresh
-   insert so journaled runs append summaries as they are produced. *)
+   insert so journaled runs append each image's record as it lands. *)
 let fresh_hook : (string -> value -> unit) ref = ref (fun _ _ -> ())
 
-let add key v =
-  let s = shard_of key in
-  let fresh =
-    Mutex.protect s.s_lock (fun () ->
-        if Hashtbl.mem s.s_tbl key then false
-        else begin
-          Hashtbl.add s.s_tbl key v;
-          true
-        end)
-  in
-  if fresh then !fresh_hook key v
+let add key v = if add_new key v then !fresh_hook key v
 
-(* Snapshot the whole table shard by shard (each under its own lock;
-   no cross-shard atomicity needed — callers snapshot outside the
-   parallel sections). *)
-let fold_all f acc =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.protect s.s_lock (fun () -> Hashtbl.fold f s.s_tbl acc))
-    acc shards
+let fold_all f acc = Mutex.protect tbl_lock (fun () -> Hashtbl.fold f tbl acc)
+
+(* ----- record codec ----- *)
+
+(* A record holds only the faults [Extract] tallies per start. *)
+let put_fail b = function
+  | Fail.Decode_fault (a, why) -> Bin.u8 b 0; Bin.i64 b a; Bin.str b why
+  | Fail.Symx_unsupported (a, why) -> Bin.u8 b 1; Bin.i64 b a; Bin.str b why
+  | f -> invalid_arg ("Incr.encode: " ^ Fail.to_string f)
+
+let get_fail s pos =
+  let tag = Bin.gu8 s pos in
+  let a = Bin.gi64 s pos in
+  let why = Bin.gstr s pos in
+  match tag with
+  | 0 -> Fail.Decode_fault (a, why)
+  | 1 -> Fail.Symx_unsupported (a, why)
+  | _ -> raise Bin.Truncated
+
+let encode v =
+  let w = Term.Ser.writer () in
+  let b = Buffer.create 4096 in
+  Bin.int_ b v.v_starts;
+  Bin.list b
+    (fun r ->
+      Bin.int_ b r.r_pos;
+      Bin.list b (put_fail b) r.r_fails;
+      Bin.list b
+        (function
+          | None -> Bin.u8 b 0
+          | Some g -> Bin.u8 b 1; Gadget.put w b g)
+        r.r_entries)
+    v.v_records;
+  Buffer.contents b
+
+let decode s =
+  let r = Term.Ser.reader () in
+  let pos = ref 0 in
+  let v_starts = Bin.gint s pos in
+  let v_records =
+    Bin.glist s pos (fun () ->
+        let r_pos = Bin.gint s pos in
+        let r_fails = Bin.glist s pos (fun () -> get_fail s pos) in
+        let r_entries =
+          Bin.glist s pos (fun () ->
+              match Bin.gu8 s pos with
+              | 0 -> None
+              | 1 -> Some (Gadget.get r s pos)
+              | _ -> raise Bin.Truncated)
+        in
+        { r_pos; r_fails; r_entries })
+  in
+  if !pos <> String.length s then raise Bin.Truncated;
+  { v_starts; v_records }
 
 type load_info = {
   li_entries : int;       (* entries imported from the base store *)
@@ -147,17 +170,10 @@ let import_sections sections =
   let n = ref 0 in
   List.iter
     (fun { Gp_util.Store.name; entries } ->
-      if name = summaries_section then begin
+      if name = images_section then begin
         n := !n + List.length entries;
-        let decoded =
-          List.map (fun (k, v) -> (k, Gp_symx.Exec.read_summaries v)) entries
-        in
-        List.iter
-          (fun (k, v) ->
-            let s = shard_of k in
-            Mutex.protect s.s_lock (fun () ->
-                if not (Hashtbl.mem s.s_tbl k) then Hashtbl.add s.s_tbl k v))
-          decoded
+        let decoded = List.map (fun (k, v) -> (k, decode v)) entries in
+        List.iter (fun (k, v) -> ignore (add_new k v)) decoded
       end)
     sections;
   n := !n + Solver.import_memos sections;
@@ -282,11 +298,11 @@ let save ~dir =
         let snapshot = fold_all (fun k v acc -> (k, v) :: acc) [] in
         let entries =
           snapshot
-          |> List.map (fun (k, v) -> (k, Gp_symx.Exec.write_summaries v))
+          |> List.map (fun (k, v) -> (k, encode v))
           |> List.sort compare
         in
         let sections =
-          { Gp_util.Store.name = summaries_section; entries }
+          { Gp_util.Store.name = images_section; entries }
           :: Solver.export_memos ()
         in
         Gp_util.Store.save ~schema:schema_version (path ~dir) sections)
@@ -297,8 +313,8 @@ let save_locked why =
 
 (* ----- write-ahead journal mode ----- *)
 
-(* When a journal is open, every fresh summary is appended to the WAL
-   as it is produced and solver-memo deltas are appended at each
+(* When a journal is open, every fresh image record is appended to the
+   WAL as it is produced and solver-memo deltas are appended at each
    checkpoint, so a run killed at any instant loses at most the work
    since the last [journal_checkpoint] fsync.  [journal_compact] folds
    the journal into the base store atomically (fsync'd save, then WAL
@@ -344,7 +360,7 @@ let journal_mark_existing j =
   Mutex.protect j.j_mutex (fun () ->
       fold_all
         (fun k _ () ->
-          Hashtbl.replace j.j_seen (seen_key summaries_section k) ())
+          Hashtbl.replace j.j_seen (seen_key images_section k) ())
         ();
       List.iter
         (fun { Gp_util.Store.name; entries } ->
@@ -400,17 +416,17 @@ let journal_open ~dir =
         journal_st := Some j;
         { jo_status = status; jo_mode = `Journaling }))
 
-(* Append one summary record.  Called from worker domains via [add];
-   serialization happens outside every lock, the WAL has its own
-   mutex.  [Faultsim.Crashed] must escape (simulated process death);
-   real I/O failures demote. *)
-let journal_append_summary key v =
+(* Append one image record.  Called via [add] from the domain that ran
+   the harvest, after its merge; serialization happens outside every
+   lock, the WAL has its own mutex.  [Faultsim.Crashed] must escape
+   (simulated process death); real I/O failures demote. *)
+let journal_append_image key v =
   match !journal_st with
   | None -> ()
   | Some j ->
     let fresh =
       Mutex.protect j.j_mutex (fun () ->
-          let sk = seen_key summaries_section key in
+          let sk = seen_key images_section key in
           if Hashtbl.mem j.j_seen sk then false
           else begin
             Hashtbl.replace j.j_seen sk ();
@@ -418,9 +434,9 @@ let journal_append_summary key v =
           end)
     in
     if fresh then begin
-      let value = Gp_symx.Exec.write_summaries v in
+      let value = encode v in
       try
-        Gp_util.Store.Wal.append j.j_wal ~section:summaries_section ~key ~value
+        Gp_util.Store.Wal.append j.j_wal ~section:images_section ~key ~value
       with
       | Sys_error why | Failure why -> journal_demote why
       | Unix.Unix_error (e, fn, _) ->
@@ -437,7 +453,7 @@ let journal_checkpoint () =
     try
       if Solver.memo_count () = j.j_memo_mark then begin
         (* no new memos since the last checkpoint: just make any
-           pending summary appends durable (a no-op when clean) *)
+           pending image appends durable (a no-op when clean) *)
         Gp_util.Store.Wal.sync j.j_wal;
         Ok 0
       end
@@ -511,4 +527,4 @@ let journal_abandon () =
     Gp_util.Store.unlock j.j_lock);
   journal_error_r := None
 
-let () = fresh_hook := journal_append_summary
+let () = fresh_hook := journal_append_image

@@ -1,30 +1,45 @@
-(** Content-addressed incremental analysis (DESIGN.md §11).
+(** Image-grain extraction memo (DESIGN.md §11).
 
-    A process-wide store from {!Gadget.content_key} strings to the full
-    [Exec.summarize_r] result for that content, consulted by the
-    harvest before symbolically executing a start.  Semantically
-    transparent: the key determines the summaries exactly, so cached
-    and uncached runs are bit-identical (the differential suite checks
-    this at jobs 1 and 4).  {!load}/{!save} persist the table — along
-    with the solver's pool-keyed verdict memo, which is how plan
-    instantiation consults the store — via [Gp_util.Store]'s
-    checksummed format, giving warm starts across process invocations
-    and across obfuscation configs of the same program. *)
+    A process-wide table from an image digest — the five
+    [Extract.config] fields, the code base and the code bytes — to that
+    image's harvest, kept as converted gadget records.
+    [Extract.harvest_r] looks the image up once per request and replays
+    a hit without decoding or symbolically executing anything; the
+    replay draws gadget ids and consults the chaos hook exactly as a
+    fresh harvest does, so cached and uncached runs are bit-identical
+    (the differential suite checks this at jobs 1 and 4).
+    {!load}/{!save} persist the table — along with the solver's
+    pool-keyed verdict memo, which is how plan instantiation consults
+    the store — via [Gp_util.Store]'s checksummed format, giving warm
+    starts across process invocations for the same image. *)
 
-type value = Gp_symx.Exec.summary list * string option
+type record = {
+  r_pos : int;                       (** code offset of the start *)
+  r_fails : Fail.t list;
+      (** faults the start tallied, in order: [Symx_unsupported] and
+          conversion [Decode_fault]s (the only two a record holds) *)
+  r_entries : Gadget.t option list;
+      (** one per converted summary, placeholder ids: [Some g] when
+          usable, [None] when not (it still draws an id) *)
+}
+(** One start that passed the harvest prefilter. *)
+
+type value = {
+  v_starts : int;          (** start offsets the harvest examined *)
+  v_records : record list; (** prefilter survivors, in position order *)
+}
+(** One image's harvest. *)
 
 val find : string -> value option
 
 val add : string -> value -> unit
 (** First-write-wins, like every shared cache here: racing domains at
-    worst duplicate a compute, and both arrive at the same value. *)
+    worst duplicate a harvest, and both arrive at the same value. *)
 
 val size : unit -> int
-val reset : unit -> unit
+(** Images in the table. *)
 
-val max_chain : unit -> int
-(** Longest bucket chain over all shards (diagnostic: keys should spread
-    over each shard's buckets, not pile into a few). *)
+val reset : unit -> unit
 
 val suffix_size : unit -> int
 (** Always 0: the suffix store is gone (DESIGN.md §16).  Kept only
@@ -39,7 +54,7 @@ val fp_size : unit -> int
 (** {1 Persistence} *)
 
 val schema_version : int
-(** Bump whenever summary/term/verdict encodings change; older store
+(** Bump whenever record/term/verdict encodings change; older store
     files are then rejected as stale and runs fall back to cold. *)
 
 val file_name : string
@@ -49,7 +64,7 @@ val path : dir:string -> string
 
 type load_info = {
   li_entries : int;
-      (** entries imported from the base store (summaries + verdicts) *)
+      (** entries imported from the base store (images + verdicts) *)
   li_wal_replayed : int;
       (** entries recovered from the journal's valid prefix *)
   li_wal_truncated : int;
@@ -85,7 +100,7 @@ val save_locked : string -> bool
 
     For long sweeps (DESIGN.md §13): {!journal_open} takes the cache
     dir's advisory lock and opens [summaries.gpst.wal]; from then on
-    every fresh summary is appended as produced and solver-memo deltas
+    every fresh image record is appended as produced and solver-memo deltas
     are appended + fsync'd at each {!journal_checkpoint}, so a crash
     at any instant loses at most the work since the last checkpoint.
     {!journal_close} compacts WAL → base store atomically.  A second

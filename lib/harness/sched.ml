@@ -15,7 +15,7 @@
    it computes.  Each cell draws gadget ids from its own local source,
    compiles are pure functions of (source, config) (Obf.apply resets
    the pass counters), and every cross-cell shared table — the [Incr]
-   summary table, the solver memos — is first-write-wins over
+   image memo, the solver memos — is first-write-wins over
    content-addressed keys whose values are deterministic, so a hit
    returns the same bytes whichever cell populated the entry.  Cell
    payloads are therefore bit-identical at any job count, including

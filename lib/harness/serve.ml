@@ -2,7 +2,7 @@
 
    Every CLI invocation is a cold process: it loads the incremental
    store, analyzes one (binary, config, goal) cell, saves, and dies —
-   the PR-4 summaries and the solver memos are disk-hot but never
+   the stored harvests and the solver memos are disk-hot but never
    memory-hot across requests.  This module keeps one process resident:
    a Unix-domain socket accepts a stream of framed requests
    ([Gp_util.Frame]: length-prefixed, FNV-checksummed), each carrying a
@@ -10,8 +10,8 @@
    onto a persistent [Sched.Service] work-stealing pool as chains of
    stage tasks ([Sched.drive], the survey's chain driver), so one
    request's plan stage overlaps another's extract.
-   The sharded [Incr] summary table and solver memos are loaded once at
-   startup and stay hot; durability is the PR-6 WAL with periodic
+   The [Incr] image memo and solver memos are loaded once at startup
+   and stay hot, so a repeated image costs one digest; durability is the PR-6 WAL with periodic
    batched checkpoints instead of a per-request save.
 
    Determinism: a served request draws gadget ids from a local source
@@ -211,7 +211,7 @@ type daemon_stats = {
   ds_served : int;                      (* analyses completed *)
   ds_faults : (string * int) list;      (* frame-fault ledger *)
   ds_checkpoints : int;                 (* WAL checkpoints written *)
-  ds_incr_size : int;                   (* resident summary entries *)
+  ds_incr_size : int;                   (* images in the resident memo *)
   ds_memo_entries : int;                (* resident solver-memo entries *)
   ds_mode : string;                     (* "journaling" | "read-only: _" | "memory" *)
 }

@@ -1,7 +1,7 @@
 (** Analysis-as-a-service: resident daemon + client (DESIGN.md §15).
 
-    One process keeps the sharded summary table and solver memos
-    memory-hot across requests: a Unix-domain socket accepts framed
+    One process keeps the image memo and solver memos memory-hot
+    across requests: a Unix-domain socket accepts framed
     ([Gp_util.Frame]) analysis requests and dispatches each as a chain
     of stage tasks on a persistent {!Sched.Service} pool, so concurrent
     requests pipeline across stages.  Durability is the WAL with
@@ -116,7 +116,7 @@ type daemon_stats = {
   ds_served : int;
   ds_faults : (string * int) list;
   ds_checkpoints : int;
-  ds_incr_size : int;     (** resident summary entries *)
+  ds_incr_size : int;     (** images in the resident memo *)
   ds_memo_entries : int;  (** resident solver-memo entries *)
   ds_mode : string;
 }

@@ -112,8 +112,8 @@ let resume_payload_decode s =
    per-cell local source — exactly the sequence [Gadget.reset_ids ()] +
    the global source yields — so concurrent cells cannot interleave
    draws.  No per-cell [cache_dir]: under a journal the store was merged
-   at [journal_open] and summaries stream to the WAL through
-   [Incr.add]. *)
+   at [journal_open] and each fresh image's harvest streams to the WAL
+   through [Incr.add]. *)
 let sweep_cell_steps ?entries ?configs ?(quick = true) ~goal () :
     (string * (attempt:int -> Gp_core.Budget.t -> resume_payload Sched.step))
     list =

@@ -36,7 +36,7 @@ val survey_cells :
 val reset_world : unit -> unit
 (** Empty every process-global cache the pipeline keeps — gadget ids,
     interned terms, solver verdict memos and screens, the in-memory
-    summary table — so the next run starts as a fresh process would. *)
+    image memo — so the next run starts as a fresh process would. *)
 
 val rm_rf : string -> unit
 (** Remove a file or directory tree; absent paths are fine. *)

@@ -342,18 +342,13 @@ let summarize_r ?(config = default_config) ?decode (image : Gp_util.Image.t)
 
 let summarize ?config image addr = fst (summarize_r ?config image addr)
 
-(* ----- summary (de)serialization (DESIGN.md §11) -----
+(* ----- instruction serialization (DESIGN.md §11) -----
 
-   Hand-rolled on Store.Bin/Term.Ser rather than Marshal (whose bytes
-   depend on sharing, which hash-consing makes history-dependent) or an
-   Encode/Decode byte round-trip (which need not be the identity on the
-   AST — e.g. [RetImm 0] vs [Ret]).  Summaries are stored BASE-RELATIVE:
-   [s_addr] is rewritten to 0 and the only other absolute field, a
-   [Jfall] target, to its distance from [s_addr]; every term is already
-   position-independent (the executor's variable naming is a function of
-   the byte string alone), so {!rebase} can relocate a stored summary to
-   any address.  [st.insns] is always [List.rev s_insns] at a terminal
-   state, so it is not written twice. *)
+   Stable instruction bytes for the persisted extraction memo (the
+   gadget codec writes each record's instructions with them).
+   Hand-rolled on Store.Bin rather than Marshal or an Encode/Decode
+   byte round-trip, which need not be the identity on the AST — e.g.
+   [RetImm 0] vs [Ret]. *)
 
 module Bin = Gp_util.Store.Bin
 
@@ -474,153 +469,3 @@ let get_insn s pos =
   | 34 -> Insn.Int3
   | 35 -> Insn.Hlt
   | _ -> raise Bin.Truncated
-
-let put_listf b put xs =
-  Bin.int_ b (List.length xs);
-  List.iter (put b) xs
-
-let get_listf s pos get =
-  let n = Bin.gint s pos in
-  if n < 0 then raise Bin.Truncated;
-  List.init n (fun _ -> get s pos)
-
-let put_flags w b = function
-  | State.Fsub (x, y) -> Bin.u8 b 0; Term.Ser.put w b x; Term.Ser.put w b y
-  | State.Flogic x -> Bin.u8 b 1; Term.Ser.put w b x
-  | State.Farith x -> Bin.u8 b 2; Term.Ser.put w b x
-  | State.Funknown -> Bin.u8 b 3
-
-let get_flags r s pos =
-  match Bin.gu8 s pos with
-  | 0 ->
-    let x = Term.Ser.get r s pos in
-    let y = Term.Ser.get r s pos in
-    State.Fsub (x, y)
-  | 1 -> State.Flogic (Term.Ser.get r s pos)
-  | 2 -> State.Farith (Term.Ser.get r s pos)
-  | 3 -> State.Funknown
-  | _ -> raise Bin.Truncated
-
-let put_state w b (st : State.t) =
-  let term t = Term.Ser.put w b t in
-  let off_term (o, t) = Bin.int_ b o; term t in
-  Array.iter term st.State.regs;
-  put_listf b (fun _ -> off_term) (State.Imap.bindings st.State.stack);
-  put_listf b (fun _ -> off_term) st.State.stack_writes;
-  Formula.put_list w b st.State.path;
-  put_flags w b st.State.flags;
-  Bin.int_ b st.State.fresh;
-  put_listf b
-    (fun _ regs ->
-      put_listf b (fun _ (rg, t) -> put_reg b rg; term t) regs)
-    st.State.syscalls;
-  put_listf b (fun _ o -> Bin.int_ b o) st.State.consumed;
-  put_listf b (fun _ (a, v) -> term a; term v) st.State.ptr_writes;
-  put_listf b
-    (fun _ (name, a, reliable) ->
-      Bin.str b name; term a; Bin.bool_ b reliable)
-    st.State.mem_reads;
-  Bin.bool_ b st.State.alias_hazard
-
-let get_state r s pos ~insns : State.t =
-  let term () = Term.Ser.get r s pos in
-  let off_term () =
-    let o = Bin.gint s pos in
-    (o, term ())
-  in
-  let regs = Array.init 16 (fun _ -> term ()) in
-  let stack =
-    List.fold_left
-      (fun m (o, t) -> State.Imap.add o t m)
-      State.Imap.empty
-      (get_listf s pos (fun _ _ -> off_term ()))
-  in
-  let stack_writes = get_listf s pos (fun _ _ -> off_term ()) in
-  let path = Formula.get_list r s pos in
-  let flags = get_flags r s pos in
-  let fresh = Bin.gint s pos in
-  let syscalls =
-    get_listf s pos (fun _ _ ->
-        get_listf s pos (fun _ _ ->
-            let rg = get_reg s pos in
-            (rg, term ())))
-  in
-  let consumed = get_listf s pos (fun s pos -> Bin.gint s pos) in
-  let ptr_writes =
-    get_listf s pos (fun _ _ ->
-        let a = term () in
-        let v = term () in
-        (a, v))
-  in
-  let mem_reads =
-    get_listf s pos (fun _ _ ->
-        let name = Bin.gstr s pos in
-        let a = term () in
-        let reliable = Bin.gbool s pos in
-        (name, a, reliable))
-  in
-  let alias_hazard = Bin.gbool s pos in
-  { State.regs; stack; stack_writes; path; flags; fresh; insns; syscalls;
-    consumed; ptr_writes; mem_reads; alias_hazard }
-
-let put_summary w b (s : summary) =
-  put_listf b put_insn s.s_insns;
-  put_state w b s.s_state;
-  (match s.s_jump with
-  | Jret t -> Bin.u8 b 0; Term.Ser.put w b t
-  | Jind t -> Bin.u8 b 1; Term.Ser.put w b t
-  | Jfall a -> Bin.u8 b 2; Bin.i64 b (Int64.sub a s.s_addr));
-  Bin.bool_ b s.s_has_cond;
-  Bin.bool_ b s.s_has_merge;
-  Bin.bool_ b s.s_syscall
-
-let get_summary r s pos : summary =
-  let s_insns = get_listf s pos get_insn in
-  let s_state = get_state r s pos ~insns:(List.rev s_insns) in
-  let s_jump =
-    match Bin.gu8 s pos with
-    | 0 -> Jret (Term.Ser.get r s pos)
-    | 1 -> Jind (Term.Ser.get r s pos)
-    | 2 -> Jfall (Bin.gi64 s pos)
-    | _ -> raise Bin.Truncated
-  in
-  let s_has_cond = Bin.gbool s pos in
-  let s_has_merge = Bin.gbool s pos in
-  let s_syscall = Bin.gbool s pos in
-  { s_addr = 0L; s_insns; s_state; s_jump; s_has_cond; s_has_merge; s_syscall }
-
-let write_summaries ((ss : summary list), (refused : string option)) : string =
-  let w = Term.Ser.writer () in
-  let b = Buffer.create 512 in
-  put_listf b (fun b' s -> put_summary w b' s) ss;
-  (match refused with
-  | None -> Bin.u8 b 0
-  | Some why -> Bin.u8 b 1; Bin.str b why);
-  Buffer.contents b
-
-let read_summaries (s : string) : summary list * string option =
-  let r = Term.Ser.reader () in
-  let pos = ref 0 in
-  let ss = get_listf s pos (fun s pos -> ignore pos; get_summary r s pos) in
-  let refused =
-    match Bin.gu8 s pos with
-    | 0 -> None
-    | 1 -> Some (Bin.gstr s pos)
-    | _ -> raise Bin.Truncated
-  in
-  if !pos <> String.length s then raise Bin.Truncated;
-  (ss, refused)
-
-(* Relocate a summary: addresses are the ONLY position-dependent fields
-   (deterministic variable naming makes every term a function of the
-   byte string alone), so moving a summary is two field updates. *)
-let rebase ~addr (s : summary) : summary =
-  let delta = Int64.sub addr s.s_addr in
-  if delta = 0L then s
-  else
-    { s with
-      s_addr = addr;
-      s_jump =
-        (match s.s_jump with
-        | Jfall a -> Jfall (Int64.add a delta)
-        | (Jret _ | Jind _) as j -> j) }

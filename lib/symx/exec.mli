@@ -59,33 +59,13 @@ val summarize_r :
     [Gp_x86.Decode.memo] so overlapping starts share suffix decodings.
     The override must answer exactly as the default would. *)
 
-(** {1 Summary serialization & relocation}
+(** {1 Instruction serialization}
 
-    Persistent-store encoding (DESIGN.md §11): hand-rolled over
-    [Gp_util.Store.Bin] and {!Term.Ser}, so the bytes are a
-    deterministic function of structure.  Summaries serialize
-    BASE-RELATIVE — [s_addr] becomes 0, a [Jfall] target becomes a
-    displacement — because deterministic variable naming already makes
-    every term position-independent; {!rebase} relocates a summary to
-    any address.  Readers raise [Gp_util.Store.Bin.Truncated] on
-    malformed bytes (unreachable after the store's checksums). *)
+    Stable instruction bytes for the persisted extraction memo
+    (DESIGN.md §11): hand-rolled over [Gp_util.Store.Bin], so the bytes
+    are a deterministic function of structure.  {!get_insn} raises
+    [Gp_util.Store.Bin.Truncated] on malformed bytes. *)
 
 val put_insn : Buffer.t -> Gp_x86.Insn.t -> unit
-(** Stable instruction bytes — also the content key's alphabet
-    ({!Gp_core.Gadget.content_key} records decoded instructions, so two
-    encodings of the same instruction share a key). *)
 
 val get_insn : string -> int ref -> Gp_x86.Insn.t
-
-val write_summaries : summary list * string option -> string
-(** Serialize one start's full result (summaries + refusal), as cached
-    by the incremental layer.  All summaries must share one [s_addr]
-    (they do: {!summarize_r} stamps every path with the start). *)
-
-val read_summaries : string -> summary list * string option
-(** Inverse of {!write_summaries}; summaries come back at [s_addr = 0]
-    with terms re-interned — {!rebase} them to the consulting start. *)
-
-val rebase : addr:int64 -> summary -> summary
-(** Relocate to [addr]: rewrites [s_addr] and a [Jfall] target (the only
-    position-dependent fields); shares everything else. *)

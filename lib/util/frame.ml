@@ -78,8 +78,15 @@ let parse ?(off = 0) ?len buf =
   else if String.sub buf off 4 <> magic then Malformed Bad_magic
   else begin
     let cur = ref (off + 4) in
-    let version = Int64.to_int (Store.Bin.gi64 buf cur) in
-    let plen = Int64.to_int (Store.Bin.gi64 buf cur) in
+    (* a field that does not fit an OCaml int is out of range — never
+       its low 63 bits, which a flipped top bit would leave intact *)
+    let field () =
+      let v = Store.Bin.gi64 buf cur in
+      let i = Int64.to_int v in
+      if Int64.of_int i = v then i else if v < 0L then min_int else max_int
+    in
+    let version = field () in
+    let plen = field () in
     if version <> format_version then Malformed (Bad_version version)
     else if plen < 0 || plen > max_payload then Malformed (Bad_length plen)
     else if avail < header_bytes + plen + trailer_bytes then Incomplete

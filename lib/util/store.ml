@@ -54,6 +54,15 @@ module Bin = struct
     pos := !pos + n; v
 
   let gbool s pos = gu8 s pos <> 0
+
+  let list b put xs =
+    int_ b (List.length xs);
+    List.iter put xs
+
+  let glist s pos get =
+    let n = gint s pos in
+    if n < 0 then raise Truncated;
+    List.init n (fun _ -> get ())
 end
 
 (* FNV-1a, 64-bit. *)

@@ -26,6 +26,14 @@ module Bin : sig
   val gint : string -> int ref -> int
   val gstr : string -> int ref -> string
   val gbool : string -> int ref -> bool
+
+  val list : Buffer.t -> ('a -> unit) -> 'a list -> unit
+  (** A count, then each element. *)
+
+  val glist : string -> int ref -> (unit -> 'a) -> 'a list
+  (** Inverse of {!list}: reads the count with {!gint} (a negative one
+      raises {!Truncated}), then calls the reader once per element, in
+      order. *)
 end
 
 val fnv64 : ?h:int64 -> string -> int64

@@ -271,8 +271,8 @@ let qcheck_deque_steal_order =
 let test_incr_table_stress () =
   Survey.reset_world ();
   let nkeys = 50 in
-  let key i = Printf.sprintf "stress-key-%02d" i in
-  let value i : Gp_core.Incr.value = ([], Some (Printf.sprintf "v%02d" i)) in
+  let key i = Printf.sprintf "stress-image-%02d" i in
+  let value i = { Gp_core.Incr.v_starts = i; v_records = [] } in
   let domains =
     List.init 4 (fun w ->
         Domain.spawn (fun () ->
