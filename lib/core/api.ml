@@ -196,9 +196,8 @@ let store_save quarantined = function
    The four stages are also exposed one at a time, each returning the
    explicit intermediate state the next one consumes, so a corpus
    scheduler (Sched) can interleave stages of DIFFERENT cells on one
-   domain pool.  The monolithic entry points below ([analyze_raw],
-   [run_with_analysis]) are compositions of these, so the sequential
-   path and the staged path are the same code. *)
+   domain pool.  [analyze], [run_with_analysis] and [steps] are
+   compositions of these, so every path runs the same code. *)
 
 type extracted = {
   ex_image : Gp_util.Image.t;
@@ -290,21 +289,10 @@ let stage_subsume ?budget (ex : extracted) : analysis * Gadget.t list =
       analysis_wal_truncated = ex.ex_wal_truncated },
     harvested )
 
-(* Stages 1-2, shared by [analyze] and [run]: harvest (quarantining
-   poisoned starts internally), then dedup and the bucket cap.  Also
-   returns the RAW harvest, which the degradation ladder re-pools with
-   dedup alone. *)
-let analyze_raw ~extract_config ?cache_dir ~root ~jobs ?ids
-    (image : Gp_util.Image.t) : analysis * Gadget.t list =
-  let ex =
-    stage_extract ~extract_config ?cache_dir ~budget:root ~jobs ?ids image
-  in
-  stage_subsume ~budget:root ex
-
 let analyze ?(extract_config = Extract.default_config) ?budget ?(jobs = 1)
     ?cache_dir ?ids (image : Gp_util.Image.t) : analysis =
-  let root = match budget with Some b -> b | None -> Budget.unlimited () in
-  let a, _ = analyze_raw ~extract_config ?cache_dir ~root ~jobs ?ids image in
+  let ex = stage_extract ~extract_config ?cache_dir ?budget ~jobs ?ids image in
+  let a, _ = stage_subsume ?budget ex in
   { a with quarantined = store_save a.quarantined cache_dir }
 
 (* ----- degradation ladder ----- *)
@@ -553,66 +541,74 @@ let dedup_analysis (a : analysis) (harvested : Gadget.t list) : analysis =
     deduped = List.length m;
     subsume_capped = 0 }
 
-(* The degradation ladder, defined once: [run] climbs it in a loop and
-   the daemon ([Gp_harness.Serve.request_steps]) one rung per scheduler
-   step, so both degrade identically.  Stages 1-2 run ONCE and every
-   rung shares their result: the degraded rungs re-pool from the same
-   gadget records (ids stay stable), and the dedup-only pool is built
-   only if a degraded rung runs. *)
-type ladder = {
-  ld_root : Budget.t;
-  ld_full : analysis;
-  ld_degraded : analysis Lazy.t;
-}
+(* ----- one request as a step chain (DESIGN.md §14) ----- *)
 
-let ladder ~root (a_full : analysis) (harvested : Gadget.t list) : ladder =
-  { ld_root = root;
-    ld_full = a_full;
-    ld_degraded = lazy (dedup_analysis a_full harvested) }
+type 'a step = Finished of 'a | Next of (unit -> 'a step)
 
-(* One rung.  It gets a slice of whatever time remains, so early rungs
-   cannot starve later ones outright; [tried] are the rungs before it,
-   in order, and the outcome records them all. *)
-let run_rung ?(planner_config = Planner.default_config) ?validate ?jobs
-    (ld : ladder) ~(tried : rung list) (rung : rung) (goal : Goal.t) : outcome =
-  let a = if rung = Full then ld.ld_full else Lazy.force ld.ld_degraded in
-  let rb = Budget.sub ld.ld_root ~label:(rung_name rung) ~fraction:0.6 () in
-  let o =
-    run_with_analysis
-      ~planner_config:(rung_planner_config planner_config rung)
-      ?validate ~budget:rb ?jobs a goal
-  in
-  { o with rungs = tried @ [ rung ] }
+let rec map_step f = function
+  | Finished v -> Finished (f v)
+  | Next k -> Next (fun () -> map_step f (k ()))
 
-(* The rung to try after [o], or [None] when the ladder stops: a chain
-   was found, the root budget is dry, or the last rung has run. *)
-let next_rung (ld : ladder) (o : outcome) : rung option =
-  if o.chains <> [] || Budget.exhausted ld.ld_root then None
-  else
-    match List.rev o.rungs with
-    | Full :: _ -> Some Dedup_only
-    | Dedup_only :: _ -> Some Wider_branch
-    | Wider_branch :: _ -> Some Relaxed_steps
-    | Relaxed_steps :: _ | [] -> None
+let rec finish = function Finished v -> v | Next k -> finish (k ())
 
-let run ?(extract_config = Extract.default_config)
+(* The one assembly of a plan request: stage 1, then stage 2 (and the
+   "mid-stage" crash point), then one degradation-ladder rung per step.
+   [run] drives it inline; the daemon and the survey's cells drive it on
+   the scheduler's pool, so all three degrade identically.  Stages 1-2
+   run ONCE and every rung shares their result: the degraded rungs
+   re-pool from the same gadget records (ids stay stable), and the
+   dedup-only pool is built only if a degraded rung runs.  Each rung
+   gets a 0.6 slice of whatever root time remains, so early rungs cannot
+   starve later ones outright.  The ladder stops at the first rung with
+   a chain, when the root budget is dry, or after the last rung. *)
+let steps ?(extract_config = Extract.default_config)
     ?(planner_config = Planner.default_config) ?(validate = true) ?budget
     ?(jobs = 1) ?cache_dir ?ids (image : Gp_util.Image.t) (goal : Goal.t) :
-    outcome =
+    outcome step =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
-  let a_full, harvested =
-    analyze_raw ~extract_config ?cache_dir ~root ~jobs ?ids image
-  in
-  let ld = ladder ~root a_full harvested in
-  let rung ~tried r = run_rung ~planner_config ~validate ~jobs ld ~tried r goal in
-  let rec climb (o : outcome) =
-    match next_rung ld o with
-    | None -> o
-    | Some r -> climb (rung ~tried:o.rungs r)
-  in
-  let o = climb (rung ~tried:[] Full) in
-  (* Persist the store last, so planner/validation solver verdicts are
-     captured alongside the image's harvest. *)
-  { o with
-    stats =
-      { o.stats with quarantined = store_save o.stats.quarantined cache_dir } }
+  Next
+    (fun () ->
+      let ex =
+        stage_extract ~extract_config ?cache_dir ~budget:root ~jobs ?ids image
+      in
+      Next
+        (fun () ->
+          let a_full, harvested = stage_subsume ~budget:root ex in
+          Gp_util.Store.crash_point "mid-stage";
+          let degraded = lazy (dedup_analysis a_full harvested) in
+          let rec climb tried rung rest =
+            Next
+              (fun () ->
+                let a = if rung = Full then a_full else Lazy.force degraded in
+                let o =
+                  run_with_analysis
+                    ~planner_config:(rung_planner_config planner_config rung)
+                    ~validate
+                    ~budget:(Budget.sub root ~label:(rung_name rung)
+                               ~fraction:0.6 ())
+                    ~jobs a goal
+                in
+                let tried = tried @ [ rung ] in
+                match rest with
+                | next :: rest
+                  when o.chains = [] && not (Budget.exhausted root) ->
+                  climb tried next rest
+                | _ ->
+                  (* Persist the store last, so planner/validation solver
+                     verdicts are captured alongside the image's
+                     harvest. *)
+                  Finished
+                    { o with
+                      rungs = tried;
+                      stats =
+                        { o.stats with
+                          quarantined =
+                            store_save o.stats.quarantined cache_dir } })
+          in
+          climb [] Full [ Dedup_only; Wider_branch; Relaxed_steps ]))
+
+let run ?extract_config ?planner_config ?validate ?budget ?jobs ?cache_dir ?ids
+    (image : Gp_util.Image.t) (goal : Goal.t) : outcome =
+  finish
+    (steps ?extract_config ?planner_config ?validate ?budget ?jobs ?cache_dir
+       ?ids image goal)

@@ -144,9 +144,9 @@ val timed : (unit -> 'a) -> 'a * float
     The pipeline split into resumable steps, each returning the
     explicit intermediate state the next consumes, so a corpus
     scheduler ({!Gp_harness.Sched}) can interleave stages of different
-    cells on one domain pool.  {!analyze} and {!run_with_analysis} are
-    compositions of these — the sequential and staged paths share code
-    and therefore results.
+    cells on one domain pool.  {!analyze}, {!run_with_analysis} and
+    {!steps} are compositions of these — the sequential and staged
+    paths share code and therefore results.
 
     The only caveat under interleaving: {!stage_plan}'s solver counters
     ([solver_unknowns], cache/screen traffic) are deltas of
@@ -214,14 +214,15 @@ val rung_name : rung -> string
 
 val rung_planner_config : Planner.config -> rung -> Planner.config
 (** Loosen the planner config for a ladder rung (cumulative: the last
-    rung is also the widest).  {!run_rung} applies it; exposed for
+    rung is also the widest).  {!steps} applies it; exposed for
     callers that time the ladder stage by stage (bench/e2e). *)
 
 val dedup_analysis : analysis -> Gadget.t list -> analysis
 (** The [Dedup_only] rung's analysis: re-pool the raw harvest (the
     second component {!stage_subsume} returns) with {!Subsume.dedup}
-    alone — the Full pool plus the gadgets the bucket cap dropped.  {!ladder} builds it
-    lazily; exposed for the same reason as {!rung_planner_config}. *)
+    alone — the Full pool plus the gadgets the bucket cap dropped.
+    {!steps} builds it lazily; exposed for the same reason as
+    {!rung_planner_config}. *)
 
 type outcome = {
   goal : Goal.concrete;
@@ -266,31 +267,39 @@ val run_with_analysis :
     derived from the remaining budget.  No exception escapes: budget
     death yields an outcome with the hit recorded. *)
 
-type ladder
-(** The ladder's shared state: the root budget, the Full analysis
-    of stages 1-2, and the lazily deduped pool of the degraded rungs. *)
+(** {1 One request as a step chain} *)
 
-val ladder : root:Budget.t -> analysis -> Gadget.t list -> ladder
-(** [ladder ~root a harvested] over {!stage_subsume}'s two results. *)
+type 'a step = Finished of 'a | Next of (unit -> 'a step)
+(** Work cut into resumable steps: [Next k] runs one step with [k ()].
+    The corpus scheduler ({!Gp_harness.Sched.drive}) runs each step as
+    its own pool task; {!finish} runs them inline. *)
 
-val run_rung :
+val map_step : ('a -> 'b) -> 'a step -> 'b step
+(** Apply [f] to the chain's final value; the steps are unchanged. *)
+
+val finish : 'a step -> 'a
+(** Run a chain to its end on the calling domain. *)
+
+val steps :
+  ?extract_config:Extract.config ->
   ?planner_config:Planner.config ->
   ?validate:bool ->
+  ?budget:Budget.t ->
   ?jobs:int ->
-  ladder ->
-  tried:rung list ->
-  rung ->
+  ?cache_dir:string ->
+  ?ids:Gadget.id_source ->
+  Gp_util.Image.t ->
   Goal.t ->
-  outcome
-(** Stages 3–4 for one rung: its pool, its loosened planner config and a
-    0.6 slice of the root budget's remaining time.  [tried] lists the
-    earlier rungs in order; the outcome's [rungs] is [tried @ [rung]]. *)
-
-val next_rung : ladder -> outcome -> rung option
-(** The rung after the outcome's last, or [None] when the ladder stops:
-    a chain was found, the root budget is dry, or every rung has run.
-    {!run} and the daemon both climb the ladder with these two
-    functions, starting from [run_rung ~tried:[] Full]. *)
+  outcome step
+(** The one assembly of a plan request, which {!run}, the analysis
+    daemon and the survey's cells all drive: stage 1; then stage 2, after
+    which the ["mid-stage"] crash point fires ({!Gp_util.Store.crash_point});
+    then one degradation-ladder rung per step.  Each rung plans over its
+    pool ([Full]: the stage-2 pool; later rungs: {!dedup_analysis}, built
+    once) with {!rung_planner_config} and a 0.6 slice of the root
+    budget's remaining time.  The ladder stops at the first rung with a
+    chain, when the root budget is dry, or after [Relaxed_steps]; the
+    last step saves the store ([cache_dir]).  Arguments as for {!run}. *)
 
 val run :
   ?extract_config:Extract.config ->
@@ -306,12 +315,13 @@ val run :
 (** The whole pipeline in one call, with the degradation ladder: the
     harvest runs once, then Full → Dedup_only → Wider_branch →
     Relaxed_steps until a chain is found, the root budget dies, or the
-    ladder ends.  [jobs] > 1 parallelizes all four stages over that
-    many domains; the outcome (pool, plans, chains, tallies) is
-    identical to the default [jobs = 1].
+    ladder ends: [finish (steps ...)].  [jobs] > 1 parallelizes all four
+    stages over that many domains; the outcome (pool, plans, chains,
+    tallies) is identical to the default [jobs = 1].
 
     [cache_dir] enables the on-disk incremental store (DESIGN.md §11):
-    summaries and solver verdicts load before stage 1 and persist after
-    the ladder finishes, so planner-phase verdicts are captured too.
+    image harvests and pool-memo solver verdicts load before stage 1 and
+    persist after the ladder finishes, so planner-phase verdicts are
+    captured too.
     The outcome is bit-identical with or without it; unusable stores
     demote to cold and are quarantined under "store". *)

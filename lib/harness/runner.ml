@@ -19,10 +19,11 @@
        payloads carry only cache-temperature-independent data, so a
        replayed cell equals a recomputed one byte for byte.
 
-   The retry ladder COMPOSES with [Api.run]'s degradation ladder: a
-   retried attempt re-enters the full ladder with a fresh watchdog,
-   so "retry" means "try the whole degradation cascade again", not
-   "jump to the loosest rung".
+   The retry ladder COMPOSES with the degradation ladder of
+   [Api.steps], the chain every survey cell runs: a retried attempt
+   restarts that chain from stage 1 with a fresh watchdog, so "retry"
+   means "try the whole degradation cascade again", not "jump to the
+   loosest rung".
 
    [Faultsim.Crashed] is deliberately NOT caught anywhere here: it
    simulates process death and must unwind the whole sweep. *)
@@ -150,8 +151,9 @@ module Manifest = struct
     { e_digest = digest; e_payload = payload }
 
   (* Open (or create) the manifest in [dir].  Records whose payload
-     fails its digest, or that fail to decode, are dropped — the cell
-     is recomputed, which is always safe.  A second writer demotes to
+     fails its digest, or whose entry fails to decode, are dropped — the
+     cell is recomputed, which is always safe; a payload that does not
+     decode is recomputed too, at [replay].  A second writer demotes to
      read-only: completed cells still replay, new ones aren't
      recorded. *)
   let open_ ~dir : t =
@@ -248,6 +250,22 @@ end
 
 (* ----- corpus sweep ----- *)
 
+(* The recorded payload a resumed sweep replays for [key], decoded.
+   [None] — recompute the cell, which is always safe — when not
+   resuming, without a manifest or a record, and when a record whose
+   digest checks does not decode ([decode] raises [Store.Bin.Truncated],
+   as every payload codec in the tree does on bytes it cannot read). *)
+let replay ?manifest ~resume ~decode key =
+  match manifest with
+  | Some m when resume -> (
+    match Manifest.find m key with
+    | None -> None
+    | Some e -> (
+      match decode e.Manifest.e_payload with
+      | v -> Some v
+      | exception Gp_util.Store.Bin.Truncated -> None))
+  | _ -> None
+
 type 'a cell_outcome = {
   c_key : string;
   c_result : ('a, Fail.t) result;
@@ -266,7 +284,8 @@ type report = {
 (* Run every cell in order (parallelism lives INSIDE a cell, via
    Api's [jobs]; cells are sequential so the manifest is an ordered
    checkpoint log).  With [resume] and a manifest, completed cells are
-   replayed through [decode] instead of recomputed; computed cells are
+   replayed through [decode] instead of recomputed (a record that does
+   not decode is recomputed, see [replay]); computed cells are
    recorded through [encode] and, when an [Incr] journal is open,
    followed by a solver-memo checkpoint so the store WAL and the
    manifest advance together. *)
@@ -279,21 +298,10 @@ let run_corpus ?(policy = default_policy) ?manifest ?(resume = false)
   let outcomes =
     List.map
       (fun (key, f) ->
-        let replay =
-          if resume then
-            match manifest with
-            | Some m -> (
-              match Manifest.find m key with
-              | Some e -> Some e.Manifest.e_payload
-              | None -> None)
-            | None -> None
-          else None
-        in
-        match replay with
-        | Some payload ->
+        match replay ?manifest ~resume ~decode key with
+        | Some v ->
           incr resumed;
-          { c_key = key; c_result = Ok (decode payload); c_retries = 0;
-            c_resumed = true }
+          { c_key = key; c_result = Ok v; c_retries = 0; c_resumed = true }
         | None -> (
           let result, r = run_cell ~policy ~key f in
           retries := !retries + r;

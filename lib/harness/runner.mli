@@ -81,6 +81,15 @@ type report = {
   r_failed : (string * Fail.t) list;
 }
 
+val replay :
+  ?manifest:Manifest.t -> resume:bool -> decode:(string -> 'a) -> string ->
+  'a option
+(** The decoded payload a resumed sweep replays for a cell key, shared
+    by {!run_corpus} and {!Sched.run_cells}.  [None] — the cell is
+    recomputed — unless [resume] and the manifest holds a record for the
+    key whose body decodes; [decode] raises [Gp_util.Store.Bin.Truncated]
+    on a body it cannot read. *)
+
 val run_corpus :
   ?policy:retry_policy -> ?manifest:Manifest.t -> ?resume:bool ->
   encode:('a -> string) -> decode:(string -> 'a) ->
@@ -88,7 +97,8 @@ val run_corpus :
   'a cell_outcome list * report
 (** Run cells in order (parallelism lives inside a cell via Api's
     [jobs]).  With [resume] and a manifest, completed cells replay
-    their recorded payload through [decode]; computed cells are
+    their recorded payload through [decode] ({!replay}: a record that
+    does not decode is recomputed); computed cells are
     recorded through [encode] and followed by an [Incr] journal
     checkpoint when one is open.
 

@@ -206,9 +206,7 @@ end
 (* ----- step chains ----- *)
 
 (* A cell's (or a request's) work as a chain of resumable steps. *)
-type 'a step =
-  | Finished of ('a, Fail.t) result
-  | Next of (unit -> 'a step)
+type 'a step = 'a Api.step = Finished of 'a | Next of (unit -> 'a step)
 
 (* Each [Next] continuation is its own task, submitted from the worker
    that produced its input, where owner-LIFO order keeps the chain
@@ -217,16 +215,13 @@ type 'a step =
    stage boundary) finishes the chain as a typed, transient failure. *)
 let rec drive sv step ~finish =
   match step with
-  | Finished r -> finish r
+  | Finished v -> finish (Ok v)
   | Next k ->
     Service.submit sv (fun () ->
-        let next =
-          match k () with
-          | s -> s
-          | exception Budget.Exhausted (label, reason) ->
-            Finished (Error (Fail.of_budget label reason))
-        in
-        drive sv next ~finish)
+        match k () with
+        | next -> drive sv next ~finish
+        | exception Budget.Exhausted (label, reason) ->
+          finish (Error (Fail.of_budget label reason)))
 
 (* [Runner.run_corpus] semantics on the pool: same resume replay, same
    per-attempt watchdog budgets, same transient/permanent retry ladder
@@ -261,15 +256,9 @@ let run_cells ?(policy = Runner.default_policy) ?manifest ?(resume = false)
     List.concat
       (List.mapi
          (fun idx (key, sc) ->
-           let replay =
-             if resume then
-               Option.bind manifest (fun m -> Runner.Manifest.find m key)
-             else None
-           in
-           match replay with
-           | Some e ->
-             settle idx key ~attempt:1 ~resumed:true
-               (Ok (decode e.Runner.Manifest.e_payload));
+           match Runner.replay ?manifest ~resume ~decode key with
+           | Some v ->
+             settle idx key ~attempt:1 ~resumed:true (Ok v);
              []
            | None -> [ (idx, key, sc) ])
          cells)

@@ -71,18 +71,16 @@ module Service : sig
 end
 
 (** A cell's (or a daemon request's) work as a chain of resumable
-    steps. *)
-type 'a step =
-  | Finished of ('a, Fail.t) result
-  | Next of (unit -> 'a step)
+    steps ({!Api.step}, re-exported). *)
+type 'a step = 'a Api.step = Finished of 'a | Next of (unit -> 'a step)
 
 val drive : Service.t -> 'a step -> finish:(('a, Fail.t) result -> unit) -> unit
 (** Run a chain on the pool: each [Next] continuation is its own task,
     submitted from the worker that produced its input (owner-LIFO keeps
     the chain on that worker unless stolen), and [finish] is called
-    exactly once with the chain's result — on the caller if the chain
-    is already [Finished], else on a worker.  A [Budget.Exhausted]
-    escaping a step finishes the chain with [Fail.of_budget]. *)
+    exactly once — on the caller if the chain is already [Finished],
+    else on a worker — with [Ok] of the chain's value, or with
+    [Error (Fail.of_budget _)] if a [Budget.Exhausted] escapes a step. *)
 
 val run_cells :
   ?policy:Runner.retry_policy ->

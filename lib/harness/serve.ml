@@ -6,19 +6,20 @@
    memory-hot across requests.  This module keeps one process resident:
    a Unix-domain socket accepts a stream of framed requests
    ([Gp_util.Frame]: length-prefixed, FNV-checksummed), each carrying a
-   binary image, a goal, and planner knobs; requests are dispatched
-   onto a persistent [Sched.Service] work-stealing pool as chains of
-   stage tasks ([Sched.drive], the survey's chain driver), so one
-   request's plan stage overlaps another's extract.
+   binary image, a goal, and planner knobs; each request is dispatched
+   onto a persistent [Sched.Service] work-stealing pool as [Api.steps]'
+   chain of stage tasks ([Sched.drive], the survey's chain driver), so
+   one request's plan stage overlaps another's extract.
    The [Incr] image memo and solver memos are loaded once at startup
-   and stay hot, so a repeated image costs one digest; durability is the PR-6 WAL with periodic
-   batched checkpoints instead of a per-request save.
+   and stay hot, so a repeated image costs one digest; durability is the
+   store's write-ahead journal (DESIGN.md §13) with periodic batched
+   checkpoints instead of a per-request save.
 
    Determinism: a served request draws gadget ids from a local source
-   ([Gadget.local_ids]) and runs the exact [Api.run] degradation ladder
-   — staged along the same seams as the corpus scheduler — so the
-   response is bit-identical to a cold CLI run of the same request (the
-   serve suite diffs the encoded reports at jobs 1 and 4).
+   ([Gadget.local_ids]) and runs the chain [Api.run] finishes inline,
+   degradation ladder included, so the response is bit-identical to a
+   cold CLI run of the same request (the serve suite diffs the encoded
+   reports at jobs 1 and 4).
 
    Failure model: wire damage (torn frame, checksum mismatch, client
    hangup) is quarantined per connection under the [Fail.Frame_fault]
@@ -106,8 +107,7 @@ let image_encode b (img : Gp_util.Image.t) =
   B.i64 b img.Gp_util.Image.data_base;
   B.str b (Bytes.to_string img.Gp_util.Image.data);
   B.i64 b img.Gp_util.Image.entry;
-  B.int_ b (List.length img.Gp_util.Image.symbols);
-  List.iter
+  B.list b
     (fun (s : Gp_util.Image.symbol) ->
       B.str b s.Gp_util.Image.sym_name;
       B.i64 b s.Gp_util.Image.sym_addr;
@@ -121,7 +121,7 @@ let image_decode s pos : Gp_util.Image.t =
   let data = Bytes.of_string (B.gstr s pos) in
   let entry = B.gi64 s pos in
   let symbols =
-    List.init (B.gint s pos) (fun _ ->
+    B.glist s pos (fun () ->
         let sym_name = B.gstr s pos in
         let sym_addr = B.gi64 s pos in
         let sym_size = B.gint s pos in
@@ -158,31 +158,27 @@ let request_decode s pos =
     rq_time_budget; rq_branch_cap; rq_goal_cap; rq_max_steps; rq_jobs }
 
 let pairs_encode b l =
-  B.int_ b (List.length l);
-  List.iter
+  B.list b
     (fun (k, v) ->
       B.str b k;
       B.int_ b v)
     l
 
 let pairs_decode s pos =
-  List.init (B.gint s pos) (fun _ ->
+  B.glist s pos (fun () ->
       let k = B.gstr s pos in
       (k, B.gint s pos))
 
 let report_encode r =
   let b = Buffer.create 512 in
   B.int_ b r.sr_pool;
-  B.int_ b (List.length r.sr_chains);
-  List.iter
+  B.list b
     (fun (k, d) ->
       B.str b k;
       B.str b d)
     r.sr_chains;
-  B.int_ b (List.length r.sr_rungs);
-  List.iter (B.str b) r.sr_rungs;
-  B.int_ b (List.length r.sr_budget_hits);
-  List.iter (B.str b) r.sr_budget_hits;
+  B.list b (B.str b) r.sr_rungs;
+  B.list b (B.str b) r.sr_budget_hits;
   pairs_encode b r.sr_quarantined;
   pairs_encode b r.sr_counters;
   Buffer.contents b
@@ -190,12 +186,12 @@ let report_encode r =
 let report_decode s pos =
   let sr_pool = B.gint s pos in
   let sr_chains =
-    List.init (B.gint s pos) (fun _ ->
+    B.glist s pos (fun () ->
         let k = B.gstr s pos in
         (k, B.gstr s pos))
   in
-  let sr_rungs = List.init (B.gint s pos) (fun _ -> B.gstr s pos) in
-  let sr_budget_hits = List.init (B.gint s pos) (fun _ -> B.gstr s pos) in
+  let sr_rungs = B.glist s pos (fun () -> B.gstr s pos) in
+  let sr_budget_hits = B.glist s pos (fun () -> B.gstr s pos) in
   let sr_quarantined = pairs_decode s pos in
   let sr_counters = pairs_decode s pos in
   { sr_pool; sr_chains; sr_rungs; sr_budget_hits; sr_quarantined; sr_counters }
@@ -299,60 +295,33 @@ let reply_decode s =
 
 (* ----- request execution ----- *)
 
+let budget_of rq =
+  if rq.rq_budget_s > 0. then
+    Some (Budget.create ~label:"serve" ~seconds:rq.rq_budget_s ())
+  else None
+
 (* Inline (CLI-path) execution: exactly what `gadget_planner plan`
    does, with a request-local gadget id source — the differential
-   reference for the daemon's staged path. *)
+   reference for the daemon's scheduled path. *)
 let handle (rq : request) : report =
-  let budget =
-    if rq.rq_budget_s > 0. then
-      Some (Budget.create ~label:"serve" ~seconds:rq.rq_budget_s ())
-    else None
-  in
   report_of_outcome
-    (Api.run ?budget
+    (Api.run ?budget:(budget_of rq)
        ~planner_config:(planner_config_of rq)
        ~jobs:rq.rq_jobs
        ~ids:(Gadget.local_ids ())
        rq.rq_image (goal_of_name rq.rq_goal))
 
-(* The same computation cut along the [Api] stage seams as a
-   [Sched.step] chain, so the Service pool can interleave one request's
-   plan rung with another's extract: stage 1, stage 2, then one
-   [Api.run_rung] per step, climbing with [Api.next_rung] exactly as
-   [Api.run] does.  Bit-identity with {!handle} is asserted by the
-   serve suite at jobs 1 and 4. *)
+(* The same request as [Api.steps]'s chain, so the Service pool can
+   interleave one request's plan rung with another's extract.
+   Bit-identity with {!handle} is asserted by the serve suite at jobs 1
+   and 4. *)
 let request_steps (rq : request) : report Sched.step =
-  let goal = goal_of_name rq.rq_goal in
-  let planner_config = planner_config_of rq in
-  let root =
-    if rq.rq_budget_s > 0. then
-      Budget.create ~label:"serve" ~seconds:rq.rq_budget_s ()
-    else Budget.unlimited ()
-  in
-  Sched.Next
-    (fun () ->
-      let ex =
-        Api.stage_extract ~budget:root ~jobs:rq.rq_jobs
-          ~ids:(Gadget.local_ids ()) rq.rq_image
-      in
-      Sched.Next
-        (fun () ->
-          let a_full, harvested =
-            Api.stage_subsume ~budget:root ex
-          in
-          let ld = Api.ladder ~root a_full harvested in
-          let rec climb tried rung =
-            Sched.Next
-              (fun () ->
-                let o =
-                  Api.run_rung ~planner_config ~jobs:rq.rq_jobs ld ~tried
-                    rung goal
-                in
-                match Api.next_rung ld o with
-                | Some r -> climb o.Api.rungs r
-                | None -> Sched.Finished (Ok (report_of_outcome o)))
-          in
-          climb [] Api.Full))
+  Api.map_step report_of_outcome
+    (Api.steps ?budget:(budget_of rq)
+       ~planner_config:(planner_config_of rq)
+       ~jobs:rq.rq_jobs
+       ~ids:(Gadget.local_ids ())
+       rq.rq_image (goal_of_name rq.rq_goal))
 
 (* ----- socket plumbing ----- *)
 

@@ -71,10 +71,9 @@ val handle : request -> report
     ({!Api.run} with a request-local gadget id source). *)
 
 val request_steps : request -> report Sched.step
-(** The same computation cut along the {!Api} stage seams — extract,
-    subsume, then one {!Api.run_rung} per step, climbing with
-    {!Api.next_rung} like {!Api.run} — which is how the daemon runs it
-    on the service pool. *)
+(** The same computation as {!Api.steps}' chain — extract, subsume,
+    then one ladder rung per step, the chain {!Api.run} finishes inline
+    — which is how the daemon runs it on the service pool. *)
 
 (** {1 Daemon} *)
 

@@ -2,7 +2,8 @@
 
    A survey cell is one (program, obfuscation config) pair.  The paper
    experiments walk the grid; the `survey` CLI, the sweep and resume
-   suites, and the daemon suite cut it into staged cells whose payload
+   suites, and the daemon suite run it as staged cells — a compile step,
+   then [Api.steps]' chain, degradation ladder included — whose payload
    is the jobs-, temperature- and interrupt-invariant part of the cell's
    outcome. *)
 
@@ -77,12 +78,9 @@ let resume_payload_encode p =
   B.str b p.rp_program;
   B.str b p.rp_config;
   B.int_ b p.rp_pool;
-  B.int_ b (List.length p.rp_chains);
-  List.iter (B.str b) p.rp_chains;
-  B.int_ b (List.length p.rp_rungs);
-  List.iter (B.str b) p.rp_rungs;
-  B.int_ b (List.length p.rp_counters);
-  List.iter
+  B.list b (B.str b) p.rp_chains;
+  B.list b (B.str b) p.rp_rungs;
+  B.list b
     (fun (k, v) ->
       B.str b k;
       B.int_ b v)
@@ -95,10 +93,10 @@ let resume_payload_decode s =
   let rp_program = B.gstr s pos in
   let rp_config = B.gstr s pos in
   let rp_pool = B.gint s pos in
-  let rp_chains = List.init (B.gint s pos) (fun _ -> B.gstr s pos) in
-  let rp_rungs = List.init (B.gint s pos) (fun _ -> B.gstr s pos) in
+  let rp_chains = B.glist s pos (fun () -> B.gstr s pos) in
+  let rp_rungs = B.glist s pos (fun () -> B.gstr s pos) in
   let rp_counters =
-    List.init (B.gint s pos) (fun _ ->
+    B.glist s pos (fun () ->
         let k = B.gstr s pos in
         (k, B.gint s pos))
   in
@@ -106,9 +104,10 @@ let resume_payload_decode s =
 
 (* ---------- staged cells ---------- *)
 
-(* Each cell compiles, then runs the four Api stages, firing the
-   "mid-stage" crash point between the pipeline halves.  Both stages
-   draw from the one per-attempt root budget.  Gadget ids come from a
+(* Each cell compiles, then runs [Api.steps] — the same chain the CLI
+   and the daemon drive, degradation ladder included, with the
+   "mid-stage" crash point between stage 2 and the first rung — under
+   the per-attempt watchdog as its root budget.  Gadget ids come from a
    per-cell local source — exactly the sequence [Gadget.reset_ids ()] +
    the global source yields — so concurrent cells cannot interleave
    draws.  No per-cell [cache_dir]: under a journal the store was merged
@@ -123,6 +122,14 @@ let sweep_cell_steps ?entries ?configs ?(quick = true) ~goal () :
   in
   survey_cells ?entries ?configs ~quick (fun entry cname cfg ->
       let prog = entry.Gp_corpus.Programs.name in
+      let payload (o : Gp_core.Api.outcome) =
+        { rp_program = prog;
+          rp_config = cname;
+          rp_pool = o.Gp_core.Api.stats.Gp_core.Api.pool_size;
+          rp_chains = List.map Gp_core.Payload.chain_set_key o.Gp_core.Api.chains;
+          rp_rungs = List.map Gp_core.Api.rung_name o.Gp_core.Api.rungs;
+          rp_counters = Gp_core.Api.invariant_counters o }
+      in
       ( prog ^ "/" ^ cname,
         fun ~attempt:_ budget ->
           Sched.Next
@@ -132,44 +139,14 @@ let sweep_cell_steps ?entries ?configs ?(quick = true) ~goal () :
                   ~transform:(Gp_obf.Obf.transform cfg)
                   entry.Gp_corpus.Programs.source
               in
-              let ex =
-                Gp_core.Api.stage_extract ~budget ~jobs:1
-                  ~ids:(Gp_core.Gadget.local_ids ()) image
-              in
-              Sched.Next
-                (fun () ->
-                  let a, _raw = Gp_core.Api.stage_subsume ~budget ex in
-                  Gp_util.Store.crash_point "mid-stage";
-                  Sched.Next
-                    (fun () ->
-                      let p =
-                        Gp_core.Api.stage_plan ~planner_config ~budget ~jobs:1
-                          a goal
-                      in
-                      Sched.Next
-                        (fun () ->
-                          let o = Gp_core.Api.stage_finalize p in
-                          Sched.Finished
-                            (Ok
-                               { rp_program = prog;
-                                 rp_config = cname;
-                                 rp_pool = Gp_core.Pool.size a.Gp_core.Api.pool;
-                                 rp_chains =
-                                   List.map Gp_core.Payload.chain_set_key
-                                     o.Gp_core.Api.chains;
-                                 rp_rungs =
-                                   List.map Gp_core.Api.rung_name
-                                     o.Gp_core.Api.rungs;
-                                 rp_counters =
-                                   Gp_core.Api.invariant_counters o })))))))
-
-let rec step_drive = function
-  | Sched.Finished r -> r
-  | Sched.Next k -> step_drive (k ())
+              Gp_core.Api.map_step payload
+                (Gp_core.Api.steps ~planner_config ~budget ~jobs:1
+                   ~ids:(Gp_core.Gadget.local_ids ()) image goal)) ))
 
 let sweep_cells_sequential cells =
   List.map
-    (fun (key, sc) -> (key, fun ~attempt b -> step_drive (sc ~attempt b)))
+    (fun (key, sc) ->
+      (key, fun ~attempt b -> Ok (Gp_core.Api.finish (sc ~attempt b))))
     cells
 
 (* ---------- the journaled sweep ---------- *)

@@ -36,7 +36,12 @@ val survey_cells :
 val reset_world : unit -> unit
 (** Empty every process-global cache the pipeline keeps — gadget ids,
     interned terms, solver verdict memos and screens, the in-memory
-    image memo — so the next run starts as a fresh process would. *)
+    image memo — so the next run starts as a fresh process would.  The
+    per-domain ([Domain.DLS]) residual-search and abstract-value memos
+    are cleared on the calling domain only; that is enough, because
+    [Par.run] and {!Sched.run_cells} spawn fresh domains, whose tables
+    start empty.  The only long-lived worker tables are those of the
+    daemon's {!Sched.Service} workers, which this never targets. *)
 
 val rm_rf : string -> unit
 (** Remove a file or directory tree; absent paths are fine. *)
@@ -68,17 +73,19 @@ val sweep_cell_steps :
   unit ->
   (string * (attempt:int -> Gp_core.Budget.t -> resume_payload Sched.step))
   list
-(** The grid's cells, keyed ["program/config"], each cut along the Api
-    stage seams (extract, subsume, plan, validate) for {!Sched.run_cells}.
-    Cells are single-threaded inside; the "mid-stage" crash point fires
-    between subsume and plan. *)
+(** The grid's cells, keyed ["program/config"], for {!Sched.run_cells}:
+    a compile step, then {!Gp_core.Api.steps}' chain (extract, subsume,
+    one degradation-ladder rung per step) under the attempt's watchdog
+    budget, mapped to the cell's payload.  Cells are single-threaded
+    inside; the "mid-stage" crash point fires in [Api.steps], between
+    subsume and the first rung. *)
 
 val sweep_cells_sequential :
   (string * (attempt:int -> Gp_core.Budget.t -> 'a Sched.step)) list ->
   (string * (attempt:int -> Gp_core.Budget.t -> ('a, Gp_core.Fail.t) result))
   list
-(** Each staged cell driven to completion inline: the
-    {!Runner.run_corpus}-shaped sequential reference the sweep suite
+(** Each staged cell driven to completion inline ({!Gp_core.Api.finish}):
+    the {!Runner.run_corpus}-shaped sequential reference the sweep suite
     compares the scheduler against. *)
 
 (** {1 The journaled sweep} *)

@@ -28,7 +28,10 @@ module Bin = struct
 
   let bool_ b v = u8 b (if v then 1 else 0)
 
-  let need s pos n = if !pos < 0 || !pos + n > String.length s then raise Truncated
+  (* [n > length - pos], not [pos + n > length]: a length field near
+     [max_int] must not wrap the sum negative and reach [String.sub] *)
+  let need s pos n =
+    if !pos < 0 || n > String.length s - !pos then raise Truncated
 
   let gu8 s pos =
     need s pos 1;

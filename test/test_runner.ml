@@ -1,7 +1,7 @@
 (* Supervised corpus runner tests (DESIGN.md §13): deterministic
    backoff, transient/permanent classification, per-cell retry
    supervision, and the WAL-backed checkpoint manifest that makes
-   sweeps resumable.  The crash-injection differential (resume ≡
+   sweeps resumable (a record that does not decode is recomputed).  The crash-injection differential (resume ≡
    uninterrupted under simulated process death) lives in
    test_resilience; this suite covers the runner's own mechanics. *)
 
@@ -324,6 +324,62 @@ let test_run_corpus_failures_not_checkpointed () =
   Alcotest.(check int) "now clean" 0 (List.length report2.Runner.r_failed);
   Gp_harness.Survey.rm_rf dir
 
+(* A record whose digest checks but whose body does not decode — a
+   payload of another schema, say — is treated as absent: that cell is
+   recomputed (and re-recorded) while the others replay, on the
+   sequential runner and on the scheduler alike. *)
+let test_undecodable_record_recomputed () =
+  let module B = Gp_util.Store.Bin in
+  let encode v =
+    let b = Buffer.create 16 in
+    B.str b v;
+    Buffer.contents b
+  in
+  let decode s = B.gstr s (ref 0) in
+  let jobs =
+    match Sys.getenv_opt "JOBS" with
+    | Some s -> (try max 1 (int_of_string s) with _ -> 4)
+    | None -> 4
+  in
+  let check name run =
+    let dir = tmp_dir () in
+    let m = Runner.Manifest.open_ ~dir in
+    List.iter
+      (fun key -> Runner.Manifest.record m ~key ~payload:(encode ("result:" ^ key)))
+      [ "p1/none"; "p2/none" ];
+    Runner.Manifest.record m ~key:"p1/ollvm" ~payload:"x";
+    Runner.Manifest.close m;
+    let m2 = Runner.Manifest.open_ ~dir in
+    let log = ref [] in
+    let outcomes, report = run m2 log in
+    Runner.Manifest.close m2;
+    Alcotest.(check (list string)) (name ^ ": only the bad record recomputed")
+      [ "p1/ollvm" ] !log;
+    Alcotest.(check int) (name ^ ": others replayed") 2 report.Runner.r_resumed;
+    Alcotest.(check int) (name ^ ": one computed") 1 report.Runner.r_computed;
+    Alcotest.(check bool) (name ^ ": every result intact") true
+      (List.for_all
+         (fun c -> c.Runner.c_result = Ok ("result:" ^ c.Runner.c_key))
+         outcomes);
+    let m3 = Runner.Manifest.open_ ~dir in
+    Alcotest.(check bool) (name ^ ": recomputed cell re-recorded") true
+      (match Runner.Manifest.find m3 "p1/ollvm" with
+       | Some e -> e.Runner.Manifest.e_payload = encode "result:p1/ollvm"
+       | None -> false);
+    Runner.Manifest.close m3;
+    Gp_harness.Survey.rm_rf dir
+  in
+  check "run_corpus" (fun m log ->
+      Runner.run_corpus ~manifest:m ~resume:true ~encode ~decode
+        (corpus_cells log));
+  check (Printf.sprintf "run_cells (jobs %d)" jobs) (fun m log ->
+      Sched.run_cells ~manifest:m ~resume:true ~encode ~decode ~jobs
+        (List.map
+           (fun (key, f) ->
+             (key, fun ~attempt b ->
+                 Sched.Next (fun () -> Sched.Finished (Result.get_ok (f ~attempt b)))))
+           (corpus_cells log)))
+
 let suite =
   [ Alcotest.test_case "backoff deterministic" `Quick test_backoff_deterministic;
     Alcotest.test_case "backoff keyed by cell" `Quick test_backoff_keyed_by_cell;
@@ -349,4 +405,6 @@ let suite =
     Alcotest.test_case "run_corpus partial resume" `Quick
       test_run_corpus_partial_resume;
     Alcotest.test_case "run_corpus failures retry on resume" `Quick
-      test_run_corpus_failures_not_checkpointed ]
+      test_run_corpus_failures_not_checkpointed;
+    Alcotest.test_case "undecodable manifest record is recomputed" `Quick
+      test_undecodable_record_recomputed ]

@@ -4,7 +4,9 @@
      arbitrary split points, and totality — truncations and bit flips
      map to Incomplete/Malformed, never an exception (qcheck, plus an
      exhaustive sweep of every single-bit flip and every truncation of
-     a few fixed frames);
+     a few fixed frames) — and the same sweep over fixed request,
+     report and resume payloads, which must decode or raise
+     [Truncated], as must negative list counts;
    - shared state: the sharded solver [Cache] is observationally
      identical to a single-lock model — first-write-wins, size/reset,
      hit/miss counters exact under a sequential op stream (qcheck) —
@@ -231,6 +233,133 @@ let test_report_codec_roundtrip () =
   in
   let r' = Sv.report_decode (Sv.report_encode r) (ref 0) in
   Alcotest.(check bool) "report round-trips" true (r = r')
+
+(* Codec totality: every truncation and every single-bit flip of a
+   fixed request, report and resume payload either decodes or raises
+   [Truncated] — nothing else may escape a decoder, since the client
+   and the resume path catch only that. *)
+let check_total name decode s =
+  let n = String.length s in
+  let check what bytes =
+    match decode bytes with
+    | _ -> ()
+    | exception F.Truncated -> ()
+    | exception e ->
+      Alcotest.failf "%s, %s: raised %s" name what (Printexc.to_string e)
+  in
+  for k = 0 to n - 1 do
+    check (Printf.sprintf "truncation to %d bytes" k) (String.sub s 0 k)
+  done;
+  for i = 0 to n - 1 do
+    for bit = 0 to 7 do
+      let b = Bytes.of_string s in
+      Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor (1 lsl bit));
+      check (Printf.sprintf "flip of bit %d in byte %d" bit i)
+        (Bytes.to_string b)
+    done
+  done
+
+let small_request () =
+  let image =
+    Gp_util.Image.create
+      ~symbols:
+        [ { Gp_util.Image.sym_name = "main"; sym_addr = 0x400000L; sym_size = 8 };
+          { Gp_util.Image.sym_name = "f"; sym_addr = 0x400008L; sym_size = 4 } ]
+      ~entry:0x400000L
+      ~code:(Bytes.of_string "\x58\xc3\x5f\xc3\x0f\x05\xf4\x90")
+      ~data:(Bytes.of_string "/bin/sh\000") ()
+  in
+  { (Sv.default_request image) with Sv.rq_goal = "mmap"; rq_budget_s = 1.5 }
+
+let small_report =
+  { Sv.sr_pool = 7;
+    sr_chains = [ ("k1", "pop rdi; ret"); ("k2", "syscall") ];
+    sr_rungs = [ "full"; "dedup-only" ];
+    sr_budget_hits = [ "plan" ];
+    sr_quarantined = [ ("decode", 3) ];
+    sr_counters = [ ("plans_found", 2); ("q:emu", 1) ] }
+
+let small_resume_payload =
+  { Survey.rp_program = "fibonacci";
+    rp_config = "original";
+    rp_pool = 42;
+    rp_chains = [ "k1"; "k2" ];
+    rp_rungs = [ "full" ];
+    rp_counters = [ ("plans_found", 2); ("plan_expanded", 9) ] }
+
+let test_codecs_total () =
+  check_total "request"
+    (fun s -> Sv.request_decode s (ref 0))
+    (Sv.request_encode (small_request ()));
+  check_total "report"
+    (fun s -> Sv.report_decode s (ref 0))
+    (Sv.report_encode small_report);
+  check_total "resume payload" Survey.resume_payload_decode
+    (Survey.resume_payload_encode small_resume_payload)
+
+(* A negative list count is malformed input like any other: every list
+   the request, report and resume decoders read must reject it with
+   [Truncated] (List.init would raise Invalid_argument), and so must a
+   string length that would wrap the cursor arithmetic. *)
+let test_codecs_reject_bad_counts () =
+  let module B = Gp_util.Store.Bin in
+  let bytes_of f =
+    let b = Buffer.create 64 in
+    f b;
+    Buffer.contents b
+  in
+  let truncated name decode s =
+    match decode s with
+    | _ -> Alcotest.failf "%s: decoded" name
+    | exception F.Truncated -> ()
+    | exception e ->
+      Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+  in
+  let image_prefix b =
+    B.i64 b 0x400000L;
+    B.str b "\xc3";
+    B.i64 b 0x600000L;
+    B.str b "";
+    B.i64 b 0x400000L
+  in
+  truncated "request symbols"
+    (fun s -> Sv.request_decode s (ref 0))
+    (bytes_of (fun b -> image_prefix b; B.int_ b (-1)));
+  let report n_empty =
+    bytes_of (fun b ->
+        B.int_ b 7;
+        for _ = 1 to n_empty do
+          B.int_ b 0
+        done;
+        B.int_ b (-1))
+  in
+  List.iteri
+    (fun n_empty what ->
+      truncated ("report " ^ what)
+        (fun s -> Sv.report_decode s (ref 0))
+        (report n_empty))
+    [ "chains"; "rungs"; "budget hits"; "quarantined"; "counters" ];
+  let resume n_empty =
+    bytes_of (fun b ->
+        B.str b "p";
+        B.str b "c";
+        B.int_ b 1;
+        for _ = 1 to n_empty do
+          B.int_ b 0
+        done;
+        B.int_ b (-1))
+  in
+  List.iteri
+    (fun n_empty what ->
+      truncated ("resume " ^ what) Survey.resume_payload_decode (resume n_empty))
+    [ "chains"; "rungs"; "counters" ];
+  truncated "string length near max_int"
+    (fun s -> Sv.report_decode s (ref 0))
+    (bytes_of (fun b ->
+         B.int_ b 7;
+         B.int_ b 1;
+         B.int_ b max_int;
+         Buffer.add_string b "k"))
 
 (* ----- shared tables vs their single-lock models (qcheck) ----- *)
 
@@ -810,6 +939,10 @@ let suite =
       test_request_codec_roundtrip;
     Alcotest.test_case "report codec round-trip" `Quick
       test_report_codec_roundtrip;
+    Alcotest.test_case "every bit flip and cut of fixed codec payloads"
+      `Quick test_codecs_total;
+    Alcotest.test_case "negative list counts are Truncated" `Quick
+      test_codecs_reject_bad_counts;
     QCheck_alcotest.to_alcotest qcheck_cache_model;
     Alcotest.test_case "cache first-write-wins across shards" `Quick
       test_cache_first_write_wins;

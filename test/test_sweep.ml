@@ -16,7 +16,9 @@
      JOBS produces byte-identical encoded payloads to the sequential
      cell loop over the full quick survey corpus, including under 10%
      keyed fault injection (Faultsim's schedules are keyed, not
-     streamed, so the injected fault set is interleaving-proof);
+     streamed, so the injected fault set is interleaving-proof); a
+     cell whose Full rung finds no chain climbs the degradation ladder
+     and pays out exactly what [Api.run] returns;
    - crash/resume composed with the scheduler: kill a checkpointed
      scheduled sweep at the wal-append, mid-stage and save-rename crash
      points, resume, and require byte-equality with the uninterrupted
@@ -124,7 +126,7 @@ let run_chains ~jobs lengths =
   Array.iteri
     (fun c len ->
       let rec link i =
-        if i = len then S.Finished (Ok c)
+        if i = len then S.Finished c
         else
           S.Next
             (fun () ->
@@ -186,7 +188,7 @@ let run_forest ~jobs shape =
       (fun () ->
         Mutex.protect m (fun () -> order := i :: !order);
         match children.(i) with
-        | [] -> S.Finished (Ok i)
+        | [] -> S.Finished i
         | first :: rest ->
             List.iter (fun c -> S.drive sv (node c) ~finish) rest;
             node first)
@@ -400,6 +402,53 @@ let test_differential_under_injection () =
       Alcotest.(check int) "every cell terminated" 3
         (report.R.r_computed + List.length report.R.r_failed))
 
+(* A survey cell whose Full rung finds no chain climbs the degradation
+   ladder exactly as the CLI does.  The emulator refuses an mprotect of
+   an unaligned address, so no rung can validate a chain: the payload
+   must record all four rungs and equal the payload built from
+   [Api.run] on the same image, planner limits and goal — driven inline
+   and on the pool at JOBS workers. *)
+let test_cells_climb_the_ladder () =
+  let entry = Gp_corpus.Programs.find "fibonacci" in
+  let goal = Gp_core.Goal.Mprotect (0x1001L, 0x1000L, 7L) in
+  let cells =
+    Survey.sweep_cell_steps ~entries:[ entry ]
+      ~configs:[ ("original", Gp_obf.Obf.none) ]
+      ~goal ()
+  in
+  Survey.reset_world ();
+  let o =
+    Gp_core.Api.run
+      ~planner_config:
+        { Gp_core.Planner.default_config with
+          Gp_core.Planner.node_budget = 1200; max_plans = 6 }
+      ~ids:(Gp_core.Gadget.local_ids ())
+      (Gp_codegen.Pipeline.compile
+         ~transform:(Gp_obf.Obf.transform Gp_obf.Obf.none)
+         entry.Gp_corpus.Programs.source)
+      goal
+  in
+  let expected =
+    { Survey.rp_program = "fibonacci";
+      rp_config = "original";
+      rp_pool = o.Gp_core.Api.stats.Gp_core.Api.pool_size;
+      rp_chains = List.map Gp_core.Payload.chain_set_key o.Gp_core.Api.chains;
+      rp_rungs = List.map Gp_core.Api.rung_name o.Gp_core.Api.rungs;
+      rp_counters = Gp_core.Api.invariant_counters o }
+  in
+  Alcotest.(check (list string)) "Api.run climbs every rung"
+    [ "full"; "dedup-only"; "wider-branch"; "relaxed-steps" ]
+    expected.Survey.rp_rungs;
+  let reference =
+    [ ("fibonacci/original", Survey.resume_payload_encode expected) ]
+  in
+  Alcotest.(check bool) "inline cell == Api.run" true
+    (sequential_reference cells = reference);
+  Alcotest.(check bool)
+    (Printf.sprintf "pooled cell (jobs %d) == Api.run" jobs_under_test)
+    true
+    (fst (scheduled ~jobs:jobs_under_test cells) = reference)
+
 (* ----- crash/resume composed with the scheduler ----- *)
 
 (* The acceptance differential of the crash-safe sweep (DESIGN.md §13):
@@ -493,6 +542,8 @@ let suite =
       `Slow test_differential_sweep;
     Alcotest.test_case "differential under 10% injection" `Slow
       test_differential_under_injection;
+    Alcotest.test_case "survey cells climb the ladder" `Slow
+      test_cells_climb_the_ladder;
     Alcotest.test_case
       (Printf.sprintf "crash/resume with scheduler (jobs %d)" jobs_under_test)
       `Slow
