@@ -30,14 +30,18 @@
 # a one-image journal, every older store schema demoting to cold —
 # DESIGN.md §11) the same way.
 #
-# `make check-screen` runs the suites that together show solver
-# screening changes no answer (DESIGN.md §12; both tiers screen plan
-# instantiation's `check` only): test_screen (the 21-cell survey cold,
-# after `Survey.reset_world`, vs warm at jobs 1 and 4, with Tier A
-# required to decide queries and the warm runs required to hit the
-# memos; counter determinism and attribution; fault sweeps), test_smt
-# (Tier A's abstract verdicts agree with concrete evaluation) and
-# test_plan_par (a memo hit answers what an uncached `check` does), and
+# `make check-screen` sweeps the suites that together show solver
+# screening and the compiled model search change no answer (DESIGN.md
+# §2, §12; both tiers screen plan instantiation's `check` only):
+# test_screen (the 21-cell survey cold, after `Survey.reset_world`, vs
+# warm at jobs 1 and 4, with Tier A required to decide queries and the
+# warm runs required to hit the memos; counter determinism and
+# attribution; fault sweeps), test_smt (Tier A's abstract verdicts
+# agree with concrete evaluation; the trial table is the old search's
+# draws, the compiled search answers as the old trial loop, and four
+# domains sharing the table answer as one) and test_plan_par (a memo
+# hit answers what an uncached `check` does) at JOBS=1 and JOBS=4 —
+# the trial table is shared by every domain — and
 # `make check-bench` smoke-tests the paper-table harness end to end in
 # `--quick` mode (one program, one config, every table, figure and
 # ablation).  Crash injection and recovery are covered by check-resume
@@ -102,7 +106,8 @@ check-incr:
 
 check-screen:
 	dune build test/test_main.exe
-	SUITES=screen,smt,plan_par timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
+	SUITES=screen,smt,plan_par JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
+	SUITES=screen,smt,plan_par JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
 
 check-resume:
 	dune build test/test_main.exe

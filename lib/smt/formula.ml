@@ -77,9 +77,10 @@ let vars = function
     Term.Vset.union (Term.vars a) (Term.vars b)
   | Readable t | Writable t -> Term.vars t
 
-let ult a b =
-  (* unsigned compare via flipping the sign bit *)
-  Int64.compare (Int64.add a Int64.min_int) (Int64.add b Int64.min_int) < 0
+(* Unsigned comparisons.  [eval], [simplify] and the solver's compiled
+   residual atoms all decide [Ult]/[Ule] through these two. *)
+let ult a b = Int64.unsigned_compare a b < 0
+let ule a b = Int64.unsigned_compare a b <= 0
 
 (* Evaluate under a concrete valuation.  [readable]/[writable] decide
    pointer atoms; default to "anything goes" for pure-arithmetic use. *)
@@ -93,7 +94,7 @@ let eval ?(readable = fun _ -> true) ?(writable = fun _ -> true) model f =
   | Slt (a, b) -> Int64.compare (v a) (v b) < 0
   | Sle (a, b) -> Int64.compare (v a) (v b) <= 0
   | Ult (a, b) -> ult (v a) (v b)
-  | Ule (a, b) -> not (ult (v b) (v a))
+  | Ule (a, b) -> ule (v a) (v b)
   | Readable t -> readable (v t)
   | Writable t -> writable (v t)
 
@@ -154,5 +155,5 @@ let simplify f =
   | Slt (Term.Const x, Term.Const y) -> if Int64.compare x y < 0 then True else False
   | Sle (Term.Const x, Term.Const y) -> if Int64.compare x y <= 0 then True else False
   | Ult (Term.Const x, Term.Const y) -> if ult x y then True else False
-  | Ule (Term.Const x, Term.Const y) -> if not (ult y x) then True else False
+  | Ule (Term.Const x, Term.Const y) -> if ule x y then True else False
   | _ -> f

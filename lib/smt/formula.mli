@@ -28,7 +28,9 @@ val map_terms : (Term.t -> Term.t) -> t -> t
 val vars : t -> Term.Vset.t
 
 val ult : int64 -> int64 -> bool
-(** Unsigned 64-bit comparison helper. *)
+val ule : int64 -> int64 -> bool
+(** Unsigned 64-bit [<] and [<=]: the one definition of [Ult]/[Ule] that
+    {!eval}, {!simplify} and the solver's compiled atoms share. *)
 
 val eval :
   ?readable:(int64 -> bool) ->

@@ -234,6 +234,69 @@ let test_manifest_torn_tail_recovers () =
   Runner.Manifest.close m3;
   Gp_harness.Survey.rm_rf dir
 
+(* A manifest journal holding one record, damaged: whatever the bytes,
+   [open_] must not raise, and the record either replays intact (the
+   cell is resumed with the recorded payload) or is dropped (the cell is
+   recomputed).  [damage] maps the intact file's bytes to the variants
+   to try. *)
+let check_one_record_manifest ~damage =
+  let dir = tmp_dir () in
+  let key = "prog/ollvm" and payload = "payload of prog/ollvm" in
+  let m = Runner.Manifest.open_ ~dir in
+  Runner.Manifest.record m ~key ~payload;
+  Runner.Manifest.close m;
+  let path = Runner.Manifest.wal_path ~dir in
+  let intact = In_channel.with_open_bin path In_channel.input_all in
+  List.iter
+    (fun (what, bytes) ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+      let m =
+        try Runner.Manifest.open_ ~dir
+        with e -> Alcotest.failf "%s: open_ raised %s" what (Printexc.to_string e)
+      in
+      let replayed = Runner.Manifest.find m key in
+      (match replayed with
+      | None -> ()
+      | Some e ->
+        Alcotest.(check string) (what ^ ": replayed intact") payload
+          e.Runner.Manifest.e_payload);
+      Alcotest.(check int) (what ^ ": replay count")
+        (if replayed = None then 0 else 1)
+        (Runner.Manifest.replayed m);
+      let computed = ref false in
+      let outcomes, _ =
+        Runner.run_corpus ~manifest:m ~resume:true ~encode:Fun.id ~decode:Fun.id
+          [ (key, fun ~attempt:_ _ -> computed := true; Ok payload) ]
+      in
+      Runner.Manifest.close m;
+      match outcomes with
+      | [ c ] ->
+        Alcotest.(check bool) (what ^ ": resumed iff replayed") (replayed <> None)
+          c.Runner.c_resumed;
+        Alcotest.(check bool) (what ^ ": recomputed iff dropped") (replayed = None)
+          !computed;
+        Alcotest.(check bool) (what ^ ": result intact") true
+          (c.Runner.c_result = Ok payload)
+      | _ -> Alcotest.failf "%s: one cell, %d outcomes" what (List.length outcomes))
+    (damage intact);
+  Gp_harness.Survey.rm_rf dir
+
+let test_manifest_bit_flips () =
+  check_one_record_manifest ~damage:(fun intact ->
+      List.concat_map
+        (fun i ->
+          List.init 8 (fun bit ->
+              let b = Bytes.of_string intact in
+              Bytes.set b i (Char.chr (Char.code intact.[i] lxor (1 lsl bit)));
+              (Printf.sprintf "bit %d of byte %d" bit i, Bytes.to_string b)))
+        (List.init (String.length intact) Fun.id))
+
+let test_manifest_cuts () =
+  check_one_record_manifest ~damage:(fun intact ->
+      let n = String.length intact in
+      List.init (n + 1) (fun k ->
+          (Printf.sprintf "cut at %d of %d" k n, String.sub intact 0 k)))
+
 (* ----- run_corpus ----- *)
 
 let corpus_cells compute_log =
@@ -400,6 +463,8 @@ let suite =
       test_manifest_second_writer_demotes;
     Alcotest.test_case "manifest torn tail recovers" `Quick
       test_manifest_torn_tail_recovers;
+    Alcotest.test_case "manifest every bit flip" `Quick test_manifest_bit_flips;
+    Alcotest.test_case "manifest every cut" `Quick test_manifest_cuts;
     Alcotest.test_case "run_corpus resume skips completed" `Quick
       test_run_corpus_resume_skips_completed;
     Alcotest.test_case "run_corpus partial resume" `Quick
