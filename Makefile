@@ -35,13 +35,15 @@
 # §2, §12; both tiers screen plan instantiation's `check` only):
 # test_screen (the 21-cell survey cold, after `Survey.reset_world`, vs
 # warm at jobs 1 and 4, with Tier A required to decide queries and the
-# warm runs required to hit the memos; counter determinism and
-# attribution; fault sweeps), test_smt (Tier A's abstract verdicts
-# agree with concrete evaluation; the trial table is the old search's
-# draws, the compiled search answers as the old trial loop, and four
-# domains sharing the table answer as one) and test_plan_par (a memo
-# hit answers what an uncached `check` does) at JOBS=1 and JOBS=4 —
-# the trial table is shared by every domain — and
+# warm runs required to hit the one solver memo, `Solver.pool_memo`;
+# counter determinism and attribution; fault sweeps), test_smt (Tier
+# A's abstract verdicts agree with concrete evaluation; the trial table
+# is the old search's draws, the compiled search answers as the old
+# trial loop, and four domains sharing the table answer as one) and
+# test_plan_par (a memo hit answers what an uncached `check` does, also
+# when replayed through another query's substitution, on another
+# domain, or after a store round trip) at JOBS=1 and JOBS=4 — the
+# trial table and the memo are shared by every domain — and
 # `make check-bench` smoke-tests the paper-table harness end to end in
 # `--quick` mode (one program, one config, every table, figure and
 # ablation).  Crash injection and recovery are covered by check-resume

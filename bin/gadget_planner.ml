@@ -18,19 +18,32 @@
 
 open Cmdliner
 
-let load_source prog =
-  if Sys.file_exists prog then begin
-    let ic = open_in_bin prog in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  end
-  else
-    (List.find
-       (fun (e : Gp_corpus.Programs.entry) -> e.Gp_corpus.Programs.name = prog)
-       (Gp_corpus.Programs.all @ Gp_corpus.Spec.all @ [ Gp_corpus.Netperf.entry ]))
-      .Gp_corpus.Programs.source
+let corpus = Gp_corpus.Programs.all @ Gp_corpus.Spec.all @ [ Gp_corpus.Netperf.entry ]
+
+(* Input values are parsed by converters, so a bad one is a usage error
+   (exit 124) that names the valid values, never an uncaught exception. *)
+
+(* PROGRAM, parsed to its mini-C source text *)
+let source_conv =
+  let parse prog =
+    if Sys.file_exists prog then
+      try Ok (In_channel.with_open_bin prog In_channel.input_all)
+      with Sys_error why -> Error (`Msg why)
+    else
+      match
+        List.find_opt (fun (e : Gp_corpus.Programs.entry) -> e.name = prog) corpus
+      with
+      | Some e -> Ok e.Gp_corpus.Programs.source
+      | None ->
+        Error
+          (`Msg
+            (Printf.sprintf
+               "unknown program %S: expected a mini-C source file or one of %s"
+               prog
+               (String.concat ", "
+                  (List.map (fun (e : Gp_corpus.Programs.entry) -> e.name) corpus))))
+  in
+  Arg.conv ~docv:"PROGRAM" (parse, fun ppf _ -> Format.pp_print_string ppf "<source>")
 
 let obf_of_name = function
   | "none" | "original" -> Gp_obf.Obf.none
@@ -38,19 +51,35 @@ let obf_of_name = function
   | "tigress" -> Gp_obf.Obf.tigress
   | s -> Gp_obf.Obf.single (Gp_obf.Obf.pass_of_name s)
 
-let goal_of_name = function
-  | "execve" -> Gp_core.Goal.Execve "/bin/sh"
-  | "mprotect" -> Gp_core.Goal.Mprotect (Gp_emu.Machine.stack_base, 0x1000L, 7L)
-  | "mmap" -> Gp_core.Goal.Mmap (0L, 0x1000L, 7L)
-  | s -> invalid_arg ("unknown goal: " ^ s)
+(* --obf, parsed to the preset's name and configuration *)
+let obf_conv =
+  let parse name =
+    match obf_of_name name with
+    | cfg -> Ok (name, cfg)
+    | exception Invalid_argument _ ->
+      Error
+        (`Msg
+          (Printf.sprintf
+             "unknown obfuscation %S: expected none, ollvm, tigress or a \
+              single pass (%s)"
+             name
+             (String.concat ", " (List.map Gp_obf.Obf.pass_name Gp_obf.Obf.all_passes))))
+  in
+  Arg.conv ~docv:"PRESET" (parse, fun ppf (name, _) -> Format.pp_print_string ppf name)
 
 let prog_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM")
+  Arg.(required & pos 0 (some source_conv) None & info [] ~docv:"PROGRAM")
 
 let obf_arg =
-  Arg.(value & opt string "none"
+  Arg.(value & opt obf_conv ("none", Gp_obf.Obf.none)
        & info [ "obf" ] ~docv:"PRESET"
            ~doc:"Obfuscation: none, ollvm, tigress, or a single pass name.")
+
+(* --goal, parsed to a name [Serve.goal_of_name] accepts *)
+let goal_arg =
+  Arg.(value
+       & opt (enum (List.map (fun g -> (g, g)) [ "execve"; "mprotect"; "mmap" ])) "execve"
+       & info [ "goal" ] ~docv:"GOAL" ~doc:"execve, mprotect, or mmap.")
 
 let budget_arg =
   Arg.(value & opt (some float) None
@@ -91,9 +120,8 @@ let emit_failure ~json label detail =
   if json then prerr_endline (Gp_core.Fail.json_record ~label ~detail)
   else Printf.eprintf "error: %s: %s\n%!" label detail
 
-let compile_image prog obf =
-  Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform (obf_of_name obf))
-    (load_source prog)
+let compile_image source (_, cfg) =
+  Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg) source
 
 (* ----- compile ----- *)
 
@@ -144,10 +172,6 @@ let scan_cmd =
 (* ----- plan ----- *)
 
 let plan_cmd =
-  let goal_arg =
-    Arg.(value & opt string "execve"
-         & info [ "goal" ] ~docv:"GOAL" ~doc:"execve, mprotect, or mmap.")
-  in
   let max_arg =
     Arg.(value & opt int 8 & info [ "max" ] ~docv:"N" ~doc:"Payloads to emit.")
   in
@@ -161,10 +185,8 @@ let plan_cmd =
     let image = compile_image prog obf in
     let o =
       Gp_core.Api.run ?budget:(budget_of budget) ~jobs ?cache_dir
-        ~planner_config:
-          { Gp_core.Planner.max_plans = maxn; node_budget = 4000;
-            time_budget = 30.; branch_cap = 10; goal_cap = 6; max_steps = 14 }
-        image (goal_of_name goal)
+        ~planner_config:{ Gp_core.Planner.default_config with max_plans = maxn }
+        image (Gp_harness.Serve.goal_of_name goal)
     in
     Printf.printf "pool %d gadgets; %d validated payload(s); rungs: %s\n"
       o.Gp_core.Api.stats.Gp_core.Api.pool_size
@@ -197,8 +219,7 @@ let plan_cmd =
         "solver memo: %d hits / %d misses; %d unknowns\n"
         st.Gp_core.Api.cache_hits st.Gp_core.Api.cache_misses
         st.Gp_core.Api.solver_unknowns;
-      Printf.printf "screening: %d decided, %d residual-memo hits\n"
-        st.Gp_core.Api.screen_decided st.Gp_core.Api.elim_reused;
+      Printf.printf "screening: %d decided\n" st.Gp_core.Api.screen_decided;
       Printf.printf
         "image memo: %d starts replayed / %d executed; %d loaded from \
          disk%s; %d decodes saved\n"
@@ -248,10 +269,6 @@ let plan_cmd =
    bit-identical to an uninterrupted run. *)
 
 let survey_cmd =
-  let goal_arg =
-    Arg.(value & opt string "execve"
-         & info [ "goal" ] ~docv:"GOAL" ~doc:"execve, mprotect, or mmap.")
-  in
   let manifest_arg =
     Arg.(value & opt (some string) None
          & info [ "manifest" ] ~docv:"DIR"
@@ -295,7 +312,7 @@ let survey_cmd =
        shared work-stealing pool ACROSS cells; results are bit-identical
        to the sequential loop at any job count *)
     let cells =
-      Sv.sweep_cell_steps ~quick:(not full) ~goal:(goal_of_name goal) ()
+      Sv.sweep_cell_steps ~quick:(not full) ~goal:(Gp_harness.Serve.goal_of_name goal) ()
     in
     let run ?manifest ~resume () =
       S.run_cells ~policy ?manifest ~resume ~encode:Sv.resume_payload_encode
@@ -371,10 +388,10 @@ let survey_cmd =
 (* ----- netperf ----- *)
 
 let netperf_cmd =
-  let run obf budget jobs cache_dir json_errors =
+  let run (config_name, cfg) budget jobs cache_dir json_errors =
     let budget = budget_of budget in
     let b =
-      Gp_harness.Workspace.build ~config_name:obf ~cfg:(obf_of_name obf)
+      Gp_harness.Workspace.build ~config_name ~cfg
         ?budget ~jobs ?cache_dir Gp_corpus.Netperf.entry
     in
     match Gp_harness.Netperf_attack.run ?budget b with
@@ -453,10 +470,6 @@ let serve_cmd =
           $ ckpt_every_arg $ ckpt_secs_arg $ json_errors_arg)
 
 let submit_cmd =
-  let goal_arg =
-    Arg.(value & opt string "execve"
-         & info [ "goal" ] ~docv:"GOAL" ~doc:"execve, mprotect, or mmap.")
-  in
   let max_arg =
     Arg.(value & opt int 8 & info [ "max" ] ~docv:"N" ~doc:"Payloads to emit.")
   in
@@ -477,11 +490,6 @@ let submit_cmd =
         Sv.rq_goal = goal;
         rq_budget_s = Option.value budget ~default:0.;
         rq_max_plans = maxn;
-        rq_node_budget = 4000;
-        rq_time_budget = 30.;
-        rq_branch_cap = 10;
-        rq_goal_cap = 6;
-        rq_max_steps = 14;
         rq_jobs = jobs }
     in
     match Sv.Client.connect socket with

@@ -36,7 +36,7 @@ type stage_stats = {
       (* stages whose budget ran dry ("extract", "subsume", "plan") *)
   cache_hits : int;
   cache_misses : int;
-      (* solver memo traffic (the pool-keyed check memo) during stages
+      (* solver memo traffic (the pool-keyed search memo) during stages
          3-4 (stages 1-2 make no solver query) — hit rate is a property
          of cache temperature, never of verdicts, so it is reported but
          excluded from differential comparisons *)
@@ -56,10 +56,6 @@ type stage_stats = {
       (* Tier A: check queries decided abstractly.  Counted per query
          answered and job-count-invariant (same discipline as
          solver_unknowns) *)
-  elim_reused : int;
-      (* Tier C: residual-search memo hits.  Like the cache counters,
-         depends on cache temperature and is excluded from differential
-         comparisons *)
   summary_hits : int;
   summary_misses : int;
       (* image memo traffic during the harvest (DESIGN.md §11): starts
@@ -86,13 +82,10 @@ type stage_stats = {
          so stage 4 is observable on its own *)
 }
 
-(* The live screening tiers, [(screen_decided, elim_reused)], as a
-   delta-friendly snapshot. *)
-let screen_counters () =
-  let _, decided, _, reused = Gp_smt.Solver.screen_stats () in
-  (decided, reused)
-
-let screen_delta (a0, b0) (a1, b1) = (a1 - a0, b1 - b0)
+(* Tier A's live counter, [screen_decided]. *)
+let screen_counter () =
+  let _, decided, _, _ = Gp_smt.Solver.screen_stats () in
+  decided
 
 (* Solver-memo counters, snapshotted around stages 3-4. *)
 let cache_counters () =
@@ -328,7 +321,7 @@ type planned = {
   pl_unknowns : int;                (* deltas over stages 3+4 *)
   pl_cache_hits : int;
   pl_cache_misses : int;
-  pl_screen : int * int;
+  pl_screen : int;
 }
 
 let stage_plan ?(planner_config = Planner.default_config)
@@ -338,7 +331,7 @@ let stage_plan ?(planner_config = Planner.default_config)
   let concrete = Goal.concretize a.image goal in
   let u0 = Atomic.get Gp_smt.Solver.unknowns in
   let ch0, cm0 = cache_counters () in
-  let sc0 = screen_counters () in
+  let sc0 = screen_counter () in
   (* Stages 3+4 run as a goal portfolio (Planner.search_par) at EVERY
      job count, so the result is job-count-independent by construction.
      Each portfolio root owns a result slot: accepted chains, fault and
@@ -420,7 +413,7 @@ let stage_plan ?(planner_config = Planner.default_config)
     pl_unknowns = Atomic.get Gp_smt.Solver.unknowns - u0;
     pl_cache_hits = fst (cache_counters ()) - ch0;
     pl_cache_misses = snd (cache_counters ()) - cm0;
-    pl_screen = screen_delta sc0 (screen_counters ()) }
+    pl_screen = screen_counter () - sc0 }
 
 (* Stage 4 proper: the deterministic post-processing that turns raw
    per-root search output into the final outcome.  Candidate VALIDATION
@@ -450,7 +443,6 @@ let stage_finalize (p : planned) : outcome =
       built
     |> List.filteri (fun i _ -> i < p.pl_config.Planner.max_plans)
   in
-  let screen_decided, elim_reused = p.pl_screen in
   { goal = p.pl_goal;
     chains = validated;
     rungs = [ Full ];
@@ -476,8 +468,7 @@ let stage_finalize (p : planned) : outcome =
         plan_inst_hits = result.Planner.inst_memo_hits;
         plan_cand_hits = result.Planner.cand_memo_hits;
         plan_discarded = result.Planner.discarded;
-        screen_decided;
-        elim_reused;
+        screen_decided = p.pl_screen;
         summary_hits = a.analysis_summary_hits;
         summary_misses = a.analysis_summary_misses;
         decode_saved = a.analysis_decode_saved;

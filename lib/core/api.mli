@@ -48,7 +48,7 @@ type stage_stats = {
       (** stages whose budget ran dry ("extract", "subsume", "plan") *)
   cache_hits : int;
   cache_misses : int;
-      (** solver memo traffic (the pool-keyed [check] memo) during
+      (** solver memo traffic ({!Gp_smt.Solver.pool_memo}) during
           stages 3-4.  Hit rate is a property of cache temperature,
           never of verdicts — reported, but excluded from differential
           jobs-equivalence comparisons. *)
@@ -66,12 +66,8 @@ type stage_stats = {
           unbuildable payload, failed validation) *)
   screen_decided : int;
       (** Tier A screening (DESIGN.md §12): [check] queries decided
-          abstractly.  Counted per query answered (before the memos) and
+          abstractly.  Counted per query answered (before the memo) and
           job-count-invariant, same discipline as [solver_unknowns]. *)
-  elim_reused : int;
-      (** Tier C: residual-search memo hits.
-          Temperature-dependent, like the cache counters — reported but
-          excluded from differential comparisons. *)
   summary_hits : int;
   summary_misses : int;
       (** image memo traffic during the harvest (DESIGN.md §11):

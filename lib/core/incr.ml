@@ -11,10 +11,11 @@
    consulting the chaos hook exactly as a fresh harvest would, so a hit
    is bit-identical to a fresh compute.
 
-   [load]/[save] round-trip the table — plus the solver's pool-keyed
-   verdict memo, which is how PLAN INSTANTIATION consults the store: its
-   verdicts are pure functions of (pool key, canonical formula) keys, so
-   pre-seeding them answers warm-start queries without a solve — through
+   [load]/[save] round-trip the table — plus the solver memo
+   ([Solver.pool_memo]), which is how PLAN INSTANTIATION consults the
+   store: its model-search outcomes are pure functions of (pool key,
+   open residual, free variables) keys, so pre-seeding them answers
+   warm-start queries without a search — through
    [Gp_util.Store]'s checksummed format.  A store that fails any check
    (missing, corrupt, version-stale) degrades to a cold run; the caller
    records the reason and carries on.
@@ -51,8 +52,13 @@ module Bin = Gp_util.Store.Bin
    section set.
    v7: the per-start "summaries" section is gone; the store holds
    "images" (one converted harvest per image digest) and
-   "solver.pool". *)
-let schema_version = 7
+   "solver.pool".
+   v8: "solver.pool" holds the one solver memo — per entry the pool
+   key, the open residual, the free names and the search outcome — in
+   place of (pool key, canonical conjunction) -> verdict entries.  A v7
+   section would not decode as the new entries, so v7 stores demote to
+   cold. *)
+let schema_version = 8
 let file_name = "summaries.gpst"
 let images_section = "images"
 

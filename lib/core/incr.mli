@@ -8,9 +8,10 @@
     replay draws gadget ids and consults the chaos hook exactly as a
     fresh harvest does, so cached and uncached runs are bit-identical
     (the differential suite checks this at jobs 1 and 4).
-    {!load}/{!save} persist the table — along with the solver's
-    pool-keyed verdict memo, which is how plan instantiation consults
-    the store — via [Gp_util.Store]'s checksummed format, giving warm
+    {!load}/{!save} persist the table — along with the solver memo
+    ({!Gp_smt.Solver.pool_memo}: model-search outcomes keyed on pool
+    key, open residual and free variables), which is how plan
+    instantiation consults the store — via [Gp_util.Store]'s checksummed format, giving warm
     starts across process invocations for the same image. *)
 
 type record = {

@@ -35,10 +35,10 @@ val survey_cells :
 
 val reset_world : unit -> unit
 (** Empty every process-global cache the pipeline keeps — gadget ids,
-    interned terms, solver verdict memos and screens, the in-memory
-    image memo — so the next run starts as a fresh process would.  The
-    per-domain ([Domain.DLS]) residual-search and abstract-value memos
-    are cleared on the calling domain only; that is enough, because
+    interned terms, the solver memo and screens, the in-memory image
+    memo — so the next run starts as a fresh process would.  The
+    per-domain ([Domain.DLS]) abstract-value memo is cleared on the
+    calling domain only; that is enough, because
     [Par.run] and {!Sched.run_cells} spawn fresh domains, whose tables
     start empty.  The only long-lived worker tables are those of the
     daemon's {!Sched.Service} workers, which this never targets. *)

@@ -2,21 +2,23 @@
 
    Plan instantiation re-asks the solver structurally identical
    questions thousands of times: the same gadget is tried against the
-   same condition along different branches.  A verdict store keyed on
-   the CANONICALIZED formula list turns that repetition into hits.
+   same condition along different branches, and queries that differ
+   only in the equalities the eliminator absorbs leave the same open
+   residual.  The solver's one memo ([Solver.pool_memo]) keys the model
+   search's outcome on that residual and turns the repetition into
+   hits.
 
    Keys are compared and hashed STRUCTURALLY (polymorphic equality on
-   pure-data keys: pool keys and formula lists).  An earlier string-keyed
+   pure-data keys: pool keys, formula lists, variable names).  An earlier string-keyed
    version spent more time printing keys than the average solve costs —
    the hit path must stay far cheaper than a solve or the cache cannot
    pay for itself.
 
-   Correctness contract: the solver answers the canonical form itself
-   (not the caller's ordering), so a stored verdict is a pure function
-   of the key.  Whichever domain computes an entry first, every later
-   lookup — from any domain, under any job count — receives exactly the
-   verdict a fresh solve would have produced.  A cache hit can
-   therefore never change a verdict; the property suite checks this.
+   Correctness contract: a stored value is a pure function of the key.
+   Whichever domain computes an entry first, every later lookup — from
+   any domain, under any job count — receives exactly the value a fresh
+   compute would have produced.  A cache hit can therefore never change
+   a verdict; the property suite checks this.
 
    Thread safety: the table is SHARDED by key hash — 16 independent
    hashtables, each behind its own mutex, the shard picked by the top
@@ -77,13 +79,10 @@ let length c =
     (fun acc s -> acc + Mutex.protect s.s_lock (fun () -> Hashtbl.length s.s_tbl))
     0 c.shards
 
-let clear c =
+let reset c =
   Array.iter
     (fun s -> Mutex.protect s.s_lock (fun () -> Hashtbl.reset s.s_tbl))
-    c.shards
-
-let reset c =
-  clear c;
+    c.shards;
   Atomic.set c.hits 0;
   Atomic.set c.misses 0
 
@@ -106,7 +105,7 @@ let find_or_add (c : ('k, 'v) t) (key : 'k) (f : unit -> 'v) : 'v =
    an association list; [import] merges entries, keeping whatever is
    already present (first-write-wins, same as [find_or_add]).  Importing
    can never change a verdict: stored values are pure functions of their
-   canonical keys, so a pre-seeded entry answers exactly what a fresh
+   keys, so a pre-seeded entry answers exactly what a fresh
    compute would.  Neither touches the hit/miss counters.  Export order
    was never specified (callers sort serialized entries), so walking
    shard by shard changes nothing observable. *)
@@ -126,12 +125,13 @@ let import c entries =
           if not (Hashtbl.mem s.s_tbl k) then Hashtbl.add s.s_tbl k v))
     entries
 
-(* ----- canonical formula keys ----- *)
+(* ----- canonical queries ----- *)
 
 (* Canonical form of a query: simplify every atom, then sort (and
    dedup — a conjunction is a set).  Simplification is idempotent and
    sorting is order-insensitive, so canonicalization is idempotent and
-   permutations of the same query share a key; the property suite
-   checks both. *)
+   permutations of the same query reduce alike; the property suite
+   checks both.  [Solver.check] reduces the canonical form, so a query's
+   verdict and model never depend on its conjunct order. *)
 let canon (fs : Formula.t list) : Formula.t list =
   List.sort_uniq compare (List.map Formula.simplify fs)

@@ -2,14 +2,15 @@
     determinism").
 
     Plan instantiation re-asks the solver structurally identical
-    questions thousands of times; a verdict store keyed on the
-    canonicalized formula list turns that repetition into hits.  Keys
-    are compared and hashed structurally, so they must be pure data
-    (pool keys, formula lists — no functions, no cyclic values).
+    questions thousands of times; the solver's memo of model-search
+    outcomes ({!Solver.pool_memo}) turns that repetition into hits.
+    Keys are compared and hashed structurally, so they must be pure
+    data (pool keys, formula lists, names — no functions, no cyclic
+    values).
 
-    Correctness contract: the solver answers the canonical form itself,
-    so a stored verdict is a pure function of the key — a cache hit can
-    never change a verdict (the property suite checks this).  Safe to
+    Correctness contract: a stored value is a pure function of the key
+    — a cache hit can never change a verdict (the property suite checks
+    this).  Safe to
     share across domains: the table is sharded by key hash behind
     per-shard mutexes (DESIGN.md §15), computation runs outside the
     lock, and a race on a fresh key at worst computes the same value
@@ -30,9 +31,6 @@ val max_chain : ('k, 'v) t -> int
 (** Longest bucket chain over all shards (diagnostic: keys should spread
     over each shard's buckets, not pile into a few). *)
 
-val clear : ('k, 'v) t -> unit
-(** Drop all entries, keeping the hit/miss counters. *)
-
 val reset : ('k, 'v) t -> unit
 (** Drop all entries and zero the counters. *)
 
@@ -52,5 +50,6 @@ val import : ('k, 'v) t -> ('k * 'v) list -> unit
 val canon : Formula.t list -> Formula.t list
 (** Canonical form of a query: simplify every atom, then sort and dedup
     (a conjunction is a set).  Idempotent; permutations of the same
-    query share a canonical form.  The canonical list itself, paired
-    with the pool key, is the memo key of {!Solver.check}. *)
+    query share a canonical form.  {!Solver.check} reduces the canonical
+    form, so a verdict never depends on conjunct order; the memo key is
+    built after that reduction, not from this list. *)

@@ -175,60 +175,55 @@ let unknowns = Atomic.make 0
      full solver may only manage Unknown.  Every [check] consumer (plan
      instantiation) treats Unsat and Unknown identically.
 
-   - Tier C (residual-search memo, see [residual_key]): pool-keyed
-     queries that leave the same open residual share the model
-     search's outcome.
+   - Tier C (the solver memo, see [pool_memo]): pool-keyed queries that
+     leave the same open residual share the model search's outcome.
 
-   [screen_decided] is bumped per query answered, before any memo
+   [screen_decided] is bumped per query answered, before the memo
    lookup (the same discipline as [unknowns]), so the tally depends
    only on the query sequence and is identical under any job count. *)
 
 let screen_decided = Atomic.make 0
-let elim_reused = Atomic.make 0
 
-(* The first and third slots (the deleted prove_equal and concrete
-   refutation tiers) always read 0.  The 4-tuple is kept for bench/e2e;
-   delete in the benchmark PR.  [elim_reused] keeps its name for the
-   same reason: it counts residual-memo hits. *)
-let screen_stats () =
-  (0, Atomic.get screen_decided, 0, Atomic.get elim_reused)
-
-(* Tier C: residual-search reuse.  After the reduction, [search] hunts
+(* Tier C, the one solver memo.  After the reduction, [search] hunts
    for a model of the OPEN residual (the atoms left once sigma
    substituted every bound variable away) by a deterministic trial
    sequence: the all-zeros assignment, then the rows of the fixed
-   trial table.  That outcome — which assignment
-   (if any) is the first to pass — is therefore a pure function of
-   (open residual, free-variable list, pool), NOT of the full
-   conjunction: instantiation queries that differ only in equalities
-   the eliminator absorbs leave the very same residual system
-   (typically the gadget's own pointer atoms), and the common
-   exhausted-search case burns its whole trial budget on each of them.
-   The memo is keyed on exactly that triple; the pool leg is the
-   caller's [pool_key] vouching, so unkeyed pools are never memoized.
-   A [Found] hit replays the cached free-var assignment through THIS
-   query's sigma and re-runs the defensive double-check against THIS
-   query's formulas — if that ever failed (only possible under an
-   eliminator bug) the code falls back to the full fresh search, so
-   behaviour is bit-identical by construction.  The table is
-   DOMAIN-LOCAL ([Domain.DLS]): lock-free, at the price of a little
-   cross-domain reuse, so [elim_reused], its hit count, is (like the
-   cache hit/miss split) a temperature statistic: reported, excluded
-   from differential comparisons. *)
+   trial table.  That outcome — which assignment (if any) is the first
+   to pass — is therefore a pure function of (pool, open residual,
+   free-variable list), NOT of the full conjunction: instantiation
+   queries that differ only in equalities the eliminator absorbs leave
+   the very same residual system (typically the gadget's own pointer
+   atoms), and the common exhausted-search case burns its whole trial
+   budget on each of them.  The memo is keyed on exactly that triple;
+   the pool leg is the caller's [pool_key] vouching, so unkeyed pools
+   are never memoized.  A [Found] hit replays the cached free-variable
+   assignment through THIS query's sigma and re-runs the defensive
+   double-check against THIS query's formulas — if that ever failed
+   (only possible under an eliminator bug) the code falls back to the
+   full fresh search, so behaviour is bit-identical by construction.
+   The table is the process-wide sharded [Cache], so every domain —
+   and, through the store, every later run — reuses an outcome. *)
 type search_outcome = No_assignment | Found of int64 Smap.t
 
-let residual_key :
-    ((Formula.t list * string list * (int64 * int)), search_outcome) Hashtbl.t
-    Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 1024)
+let pool_memo : ((int64 * int) * Formula.t list * string list, search_outcome) Cache.t =
+  Cache.create ()
+
+(* Never written: [check] memoizes only keyed searches (in [pool_memo]),
+   and term equality is [Term.equal], never a solver query.  Kept for
+   bench/e2e, which reads their counters; delete in the benchmark PR. *)
+let memo : (Formula.t list, result) Cache.t = Cache.create ~size:16 ()
+let equal_memo : (Term.t * Term.t, bool) Cache.t = Cache.create ~size:16 ()
+
+(* The first and third slots (the deleted prove_equal and concrete
+   refutation tiers) always read 0, and the fourth is [pool_memo]'s
+   hits.  The 4-tuple is kept for bench/e2e; delete in the benchmark
+   PR. *)
+let screen_stats () =
+  (0, Atomic.get screen_decided, 0, Cache.hits pool_memo)
 
 let reset_screen () =
-  (* clears the calling domain's memo; worker-domain memos hold only
-     pure-function-of-key outcomes, so keeping them is harmless *)
-  Hashtbl.reset (Domain.DLS.get residual_key);
   Absdom.reset ();
-  Atomic.set screen_decided 0;
-  Atomic.set elim_reused 0
+  Atomic.set screen_decided 0
 
 (* ----- the reduction -----
 
@@ -538,63 +533,53 @@ let search ~pool ?pool_key { r_formulas = formulas; r_sigma = sigma; r_atoms } =
           let assignment = ref Smap.empty in
           Array.iteri (fun i v -> assignment := Smap.add v row.(off + i) !assignment) vars;
           let m = build_model !assignment in
-          if double_check m then Some m else None
+          if double_check m then Some (Found !assignment, Sat m) else None
         end
         else None
       in
+      let exhausted = (No_assignment, Unknown) in
       match try_row (Array.make n 0L) 0 with
-      | Some m -> Sat m
+      | Some found -> found
       | None ->
         (* With no free variables there is exactly one candidate
            assignment and it just failed. *)
-        if n = 0 then Unknown
+        if n = 0 then exhausted
         else
           let table = table_for n in
           let rec go k =
-            if k >= max_trials then Unknown
+            if k >= max_trials then exhausted
             else
               match try_row table (k * n) with
-              | Some m -> Sat m
+              | Some found -> found
               | None -> go (k + 1)
           in
           go 0
     in
-    (* Tier C residual-search reuse (see [residual_key]): the trials
-       are a fixed table, so the first open-residual-passing
-       assignment (or its absence) is a pure function of the key.  Free
-       vars are disjoint from sigma's domain, so replaying the cached
-       assignment through THIS query's sigma rebuilds exactly the model
-       the fresh search would have built. *)
+    (* The trials are a fixed table, so the first open-residual-passing
+       assignment (or its absence) is a pure function of the memo key.
+       Free vars are disjoint from sigma's domain, so replaying the
+       cached assignment through THIS query's sigma rebuilds exactly the
+       model the fresh search would have built. *)
     match pool_key with
+    | None -> snd (run_search ())
     | Some pk -> (
-      let tbl = Domain.DLS.get residual_key in
-      let key = (open_residual, free, pk) in
-      match Hashtbl.find_opt tbl key with
-      | Some No_assignment ->
-        Atomic.incr elim_reused;
-        Unknown
-      | Some (Found assignment) ->
+      let fresh = ref None in
+      let outcome =
+        Cache.find_or_add pool_memo (pk, open_residual, free) (fun () ->
+            let outcome, r = run_search () in
+            fresh := Some r;
+            outcome)
+      in
+      match (!fresh, outcome) with
+      | Some r, _ -> r
+      | None, No_assignment -> Unknown
+      | None, Found assignment ->
         let m = build_model assignment in
-        if double_check m then begin
-          Atomic.incr elim_reused;
-          Sat m
-        end
+        if double_check m then Sat m
         else
           (* unreachable unless the eliminator mis-solved: fall back to
              the fresh search so behaviour cannot diverge *)
-          run_search ()
-      | None ->
-        let r = run_search () in
-        (match r with
-        | Sat m ->
-          let assignment =
-            List.fold_left (fun a v -> Smap.add v (model_fn m v) a) Smap.empty free
-          in
-          Hashtbl.replace tbl key (Found assignment)
-        | Unknown -> Hashtbl.replace tbl key No_assignment
-        | Unsat -> ());
-        r)
-    | None -> run_search ()
+          snd (run_search ()))
   end
 
 let check_real ~pool ?pool_key formulas =
@@ -602,29 +587,15 @@ let check_real ~pool ?pool_key formulas =
   | Decided r -> r
   | Residual r -> search ~pool ?pool_key r
 
-(* Memo for pools that the CALLER can key structurally: [Layout.pool
-   ~salt] is a pure function of (payload_base, rotation), so the planner
-   passes that pair as [pool_key] and identical instantiation queries —
-   which recur constantly as the same gadget is tried against the same
-   condition along different branches — are answered once.  The key is
-   structured, not hashed, so distinct pools can never collide.  The
-   memo answers the canonical form, so a hit is indistinguishable from
-   a fresh solve (see Cache). *)
-let pool_memo : (((int64 * int) * Formula.t list), result) Cache.t =
-  Cache.create ()
-
-(* Never written: [check] memoizes only keyed queries (in [pool_memo]),
-   and term equality is [Term.equal], never a solver query.  Kept for
-   bench/e2e, which reads their counters; delete in the benchmark PR. *)
-let memo : (Formula.t list, result) Cache.t = Cache.create ~size:16 ()
-let equal_memo : (Term.t * Term.t, bool) Cache.t = Cache.create ~size:16 ()
-
-(* chaos hook → Tier A unsat screen → [pool_memo] when keyed → otherwise
-   [check_real].  Every path solves the CANONICAL conjunction: the
-   reduction pins pointer atoms to pool addresses in list order, so the
-   model it returns (and, when pins clash, Sat vs Unknown) depends on
-   conjunct order — solving the caller's order here would let
-   [check ~pool fs] and the keyed memo disagree on the same [fs]. *)
+(* chaos hook → Tier A unsat screen → [check_real], which consults
+   [pool_memo] after the reduction when keyed.  Every path solves the
+   CANONICAL conjunction: the reduction pins pointer atoms to pool
+   addresses in list order, so the model it returns (and, when pins
+   clash, Sat vs Unknown) depends on conjunct order — solving the
+   caller's order here would let [check ~pool fs] and a keyed memo hit
+   disagree on the same [fs].  [pool_key] is the caller's promise that
+   [pool] is a pure function of it: [Layout.pool ~salt] is one of
+   (payload_base, rotation), so the planner passes that pair. *)
 let check ?(pool = default_pool) ?pool_key formulas =
   if !chaos_unknown formulas then begin
     Atomic.incr unknowns;
@@ -635,17 +606,7 @@ let check ?(pool = default_pool) ?pool_key formulas =
     Unsat
   end
   else begin
-    let canonical = Cache.canon formulas in
-    let r =
-      match pool_key with
-      | Some pk ->
-        (* Caller vouches that [pk] fully determines [pool]; the search
-           tries a fixed trial table, so the verdict is a pure
-           function of (pk, canonical conjunction). *)
-        Cache.find_or_add pool_memo (pk, canonical) (fun () ->
-            check_real ~pool ~pool_key:pk canonical)
-      | None -> check_real ~pool canonical
-    in
+    let r = check_real ~pool ?pool_key (Cache.canon formulas) in
     (match r with Unknown -> Atomic.incr unknowns | Sat _ | Unsat -> ());
     r
   end
@@ -654,45 +615,43 @@ let check ?(pool = default_pool) ?pool_key formulas =
 
    [pool_memo]'s keys are pure structural data, so it can be dumped
    into the on-disk store and pre-seeded on the next run: every stored
-   verdict is a pure function of its canonical key, so importing can
-   only skip solves, never change one.  Each entry is self-contained
-   (its own Term.Ser pool); the section is sorted by serialized key so
-   the file bytes are deterministic. *)
+   outcome is a pure function of its key, and a hit still replays it
+   through the query's own sigma and double-check, so importing can
+   only skip searches, never change a verdict.  Each key is
+   self-contained (its own Term.Ser pool); the section is sorted by
+   serialized key so the file bytes are deterministic. *)
 
 module Bin = Gp_util.Store.Bin
 
-let put_result _w b = function
-  | Sat m ->
-    Bin.u8 b 0;
-    let bindings = Smap.bindings m in
-    Bin.int_ b (List.length bindings);
-    List.iter (fun (v, x) -> Bin.str b v; Bin.i64 b x) bindings
-  | Unsat -> Bin.u8 b 1
-  | Unknown -> Bin.u8 b 2
+let put_key b ((base, salt), residual, free) =
+  Bin.i64 b base;
+  Bin.int_ b salt;
+  Formula.put_list (Term.Ser.writer ()) b residual;
+  Bin.list b (Bin.str b) free
 
-let get_result _r s pos =
-  match Bin.gu8 s pos with
-  | 0 ->
-    let n = Bin.gint s pos in
-    if n < 0 then raise Bin.Truncated;
-    let m = ref Smap.empty in
-    for _ = 1 to n do
-      let v = Bin.gstr s pos in
-      let x = Bin.gi64 s pos in
-      m := Smap.add v x !m
-    done;
-    Sat !m
-  | 1 -> Unsat
-  | 2 -> Unknown
-  | _ -> raise Bin.Truncated
-
-let put_pool_key w b ((base, salt), fs) =
-  Bin.i64 b base; Bin.int_ b salt; Formula.put_list w b fs
-let get_pool_key r s pos =
+let get_key s pos =
   let base = Bin.gi64 s pos in
   let salt = Bin.gint s pos in
-  let fs = Formula.get_list r s pos in
-  ((base, salt), fs)
+  let residual = Formula.get_list (Term.Ser.reader ()) s pos in
+  let free = Bin.glist s pos (fun () -> Bin.gstr s pos) in
+  ((base, salt), residual, free)
+
+let put_outcome b = function
+  | No_assignment -> Bin.u8 b 0
+  | Found assignment ->
+    Bin.u8 b 1;
+    Bin.list b (fun (v, x) -> Bin.str b v; Bin.i64 b x) (Smap.bindings assignment)
+
+let get_outcome s pos =
+  match Bin.gu8 s pos with
+  | 0 -> No_assignment
+  | 1 ->
+    Found
+      (Smap.of_list
+         (Bin.glist s pos (fun () ->
+              let v = Bin.gstr s pos in
+              (v, Bin.gi64 s pos))))
+  | _ -> raise Bin.Truncated
 
 let pool_section = "solver.pool"
 
@@ -700,26 +659,16 @@ let memo_count () = Cache.length pool_memo
 
 let export_memos () =
   let ser (k, v) =
-    let w = Term.Ser.writer () in
-    let kb = Buffer.create 64 in
-    put_pool_key w kb k;
-    (* The value continues the key's node pool, so [w] spans the entry
-       and the reader must consume key then value in order. *)
-    let vb = Buffer.create 32 in
-    put_result w vb v;
+    let kb = Buffer.create 64 and vb = Buffer.create 16 in
+    put_key kb k;
+    put_outcome vb v;
     (Buffer.contents kb, Buffer.contents vb)
   in
   [ { Gp_util.Store.name = pool_section;
       entries = Cache.export pool_memo |> List.map ser |> List.sort compare } ]
 
 let import_memos (sections : Gp_util.Store.section list) =
-  let deser (ks, vs) =
-    let r = Term.Ser.reader () in
-    let k = get_pool_key r ks (ref 0) in
-    (* value pool refs resolve against nodes defined in the key *)
-    let v = get_result r vs (ref 0) in
-    (k, v)
-  in
+  let deser (ks, vs) = (get_key ks (ref 0), get_outcome vs (ref 0)) in
   List.fold_left
     (fun n { Gp_util.Store.name; entries } ->
       if name <> pool_section then n

@@ -79,34 +79,47 @@ val trial_table : int -> int64 array
 (** {1 Screening front-end (DESIGN.md §12)}
 
     Two cheap tiers in front of {!check}'s solver proper: abstract
-    screening over {!Absdom} (Tier A), and a memo of residual-search
-    outcomes for pool-keyed queries (Tier C).  Each tier only
-    short-circuits a query when the verdict it returns is the one the
-    fall-through path would produce at the consuming call site, so
-    results are bit-identical whichever tables are warm, at any job
-    count.  [screen_decided] is bumped per query answered, before any
-    memo lookup — the same discipline as {!unknowns} — so it depends
-    only on the query sequence; [elim_reused], like cache hit counts,
-    depends on cache temperature. *)
+    screening over {!Absdom} (Tier A), and the solver memo of
+    residual-search outcomes for pool-keyed queries ({!pool_memo}, Tier
+    C).  Each tier only short-circuits a query when the verdict it
+    returns is the one the fall-through path would produce at the
+    consuming call site, so results are bit-identical whichever tables
+    are warm, at any job count.  [screen_decided] is bumped per query
+    answered, before the memo lookup — the same discipline as
+    {!unknowns} — so it depends only on the query sequence; the memo's
+    hit count depends on cache temperature. *)
+
+type search_outcome =
+  | No_assignment  (** no trial passed: the query answers [Unknown] *)
+  | Found of int64 Smap.t
+      (** the first passing assignment of the free variables *)
+(** Outcome of the model search over an open residual. *)
+
+val pool_memo :
+  ((int64 * int) * Formula.t list * string list, search_outcome) Cache.t
+(** The one solver memo, shared by every domain: model-search outcomes
+    of pool-keyed {!check} queries, keyed on [(pool_key, open residual,
+    free variables)] — the atoms left after the reduction substituted
+    every bound variable away, and the variables they range over in
+    name order.  The search tries a fixed table, so its outcome is a
+    pure function of that key.  A [Found] hit is replayed through the
+    query's own substitution and re-checked against the query's own
+    formulas, falling back to a fresh search if that check fails, so a
+    hit answers exactly what a fresh search does. *)
 
 val screen_stats : unit -> int * int * int * int
-(** [(0, screen_decided, 0, elim_reused)]: Tier A decided {!check}
-    queries, and Tier C residual-memo hits.  The first and third slots
-    (the deleted [prove_equal] and concrete-refutation tiers) always
-    read 0; the shape, and the name [elim_reused], are kept for
-    bench/e2e — delete in the benchmark PR. *)
+(** [(0, screen_decided, 0, memo hits)]: Tier A decided {!check}
+    queries, and {!pool_memo}'s hits.  The first and third slots (the
+    deleted [prove_equal] and concrete-refutation tiers) always read 0;
+    the shape is kept for bench/e2e — delete in the benchmark PR. *)
 
 val reset_screen : unit -> unit
-(** Clear the calling domain's residual-search memo, the abstract-value
-    memo, and the screening counters (benchmarks' cold-path resets). *)
-
-val pool_memo : ((int64 * int) * Formula.t list, result) Cache.t
-(** Memo store for {!check} queries against caller-keyed pointer pools
-    (see the [pool_key] argument of {!check}); keyed on
-    [(pool_key, canonicalized conjunction)]. *)
+(** Clear the calling domain's abstract-value memo and the screening
+    counter (benchmarks' cold-path resets; {!pool_memo} is reset with
+    [Cache.reset]). *)
 
 val memo : (Formula.t list, result) Cache.t
-(** Never written: {!check} memoizes only keyed queries, in
+(** Never written: {!check} memoizes only keyed searches, in
     {!pool_memo}.  Kept for bench/e2e, which reads its counters; delete
     in the benchmark PR. *)
 
@@ -127,17 +140,17 @@ val check :
 
     [pool_key] is the caller's promise that the supplied [pool] is a
     pure function of that key (e.g. {!Gp_core.Layout.pool_key}): when
-    given, the verdict is memoized in {!pool_memo} under
-    [(pool_key, canonical formulas)].  Pools carry closures the solver
-    cannot key on itself, which is why the key comes from outside. *)
+    given, the model search's outcome is memoized in {!pool_memo}.
+    Pools carry closures the solver cannot key on itself, which is why
+    the key comes from outside. *)
 
 (** {1 Memo persistence}
 
     {!pool_memo}'s keys are pure structural data, so it can round-trip
     through the on-disk store ({!Gp_util.Store}, DESIGN.md §11) as the
-    ["solver.pool"] section.  A stored verdict is a pure function of its
-    canonical key, so importing can only skip solves, never change
-    one. *)
+    ["solver.pool"] section.  A stored outcome is a pure function of its
+    key and a hit is re-checked against the query, so importing can
+    only skip searches, never change a verdict. *)
 
 val memo_count : unit -> int
 (** Entries in {!pool_memo}.  O(1); the memo is add-only within a run,
@@ -145,8 +158,10 @@ val memo_count : unit -> int
     this to skip the serializing scan. *)
 
 val export_memos : unit -> Gp_util.Store.section list
-(** Serialize {!pool_memo} as the one ["solver.pool"] section, entries
-    sorted by serialized key (deterministic file bytes). *)
+(** Serialize {!pool_memo} as the one ["solver.pool"] section: per
+    entry the pool key, the open residual ([Formula.put_list]) and the
+    free names, then the outcome; entries sorted by serialized key
+    (deterministic file bytes). *)
 
 val import_memos : Gp_util.Store.section list -> int
 (** Pre-seed {!pool_memo} from a ["solver.pool"] section (other section

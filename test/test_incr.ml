@@ -112,18 +112,22 @@ let check_differential_run () =
   in
   let run ?cache_dir () =
     reset ();
-    outcome_fp
-      (Gp_core.Api.run ~jobs ?cache_dir image
-         (Gp_core.Goal.Execve "/bin/sh"))
+    Gp_core.Api.run ~jobs ?cache_dir image (Gp_core.Goal.Execve "/bin/sh")
   in
-  let reference = run () in
+  let reference = outcome_fp (run ()) in
   let dir = tmp_dir () in
   let cold = run ~cache_dir:dir () in
   let warm = run ~cache_dir:dir () in
   Alcotest.(check bool) "full run: cold write identical" true
-    (cold = reference);
+    (outcome_fp cold = reference);
   Alcotest.(check bool) "full run: warm read identical" true
-    (warm = reference);
+    (outcome_fp warm = reference);
+  (* [reset] emptied the solver memo, so every hit is a loaded entry *)
+  let warm_stats = warm.Gp_core.Api.stats in
+  Alcotest.(check bool) "full run: warm run hits the loaded solver memo" true
+    (warm_stats.Gp_core.Api.cache_hits > 0);
+  Alcotest.(check int) "full run: warm run searches nothing afresh" 0
+    warm_stats.Gp_core.Api.cache_misses;
   Gp_harness.Survey.rm_rf dir
 
 (* ----- counters: deterministic aggregation across job counts ----- *)

@@ -14,7 +14,9 @@
      interning and returns the interned node, its fixpoint flags make a
      warm table answer exactly as a cold one (from 4 domains too), the
      per-base layout pools match the per-query construction, and the
-     pool-keyed solver memo is semantically transparent.
+     pool-keyed solver memo is semantically transparent — a hit replays
+     through the query's own substitution, from any domain and after a
+     store round trip.
 
    Honors the JOBS environment variable (default 4) so
    `make check-plan-par` can sweep job counts without editing code. *)
@@ -382,6 +384,98 @@ let test_pool_key_verdict_pinned () =
   Alcotest.(check bool) "conjunct order does not matter" true
     (Gp_smt.Solver.check ~pool fs = Gp_smt.Solver.check ~pool (List.rev fs))
 
+(* ----- the solver memo: one outcome per open residual ----- *)
+
+let memo_pool () = (Gp_core.Layout.pool ~salt:3, Gp_core.Layout.pool_key ~salt:3)
+
+(* [Ne (y, 0)] leaves itself as the open residual over [y]; adding
+   [Eq (x, y + 5)] or [Eq (x, 0)] only gives the eliminator a binding
+   for [x], so all three queries share one memo key and the later two
+   are answered by replaying the first's assignment through their own
+   substitution.  With [x := 0], a model that leaves [x] out still
+   passes the double-check ([model_fn] reads 0), so only the binding
+   itself shows that the replay went through sigma. *)
+let memo_first, memo_hits =
+  let open Gp_smt.Formula in
+  let x = Gp_smt.Term.Var "x" and y = Gp_smt.Term.Var "y" in
+  let zero = Gp_smt.Term.Const 0L in
+  let first = [ Ne (y, zero) ] in
+  ( first,
+    [ first @ [ Eq (x, Gp_smt.Term.Add (y, Gp_smt.Term.Const 5L)) ];
+      first @ [ Eq (x, zero) ] ] )
+
+(* No trial can pass: a square is never 3 mod 8. *)
+let memo_exhausted =
+  let x = Gp_smt.Term.Var "x" in
+  Gp_smt.Formula.[ Eq (Gp_smt.Term.Mul (x, x), Gp_smt.Term.Const 3L) ]
+
+let same_result a b =
+  let module S = Gp_smt.Solver in
+  match (a, b) with
+  | S.Sat m, S.Sat m' -> S.Smap.bindings m = S.Smap.bindings m'
+  | S.Unsat, S.Unsat | S.Unknown, S.Unknown -> true
+  | _ -> false
+
+(* The [memo_hits] queries, keyed, after [memo_first] has filled the
+   memo: each hits, answers as an unkeyed [check], and binds [x]
+   through its own substitution. *)
+let check_memo_hits label =
+  let module S = Gp_smt.Solver in
+  let pool, pool_key = memo_pool () in
+  List.iteri
+    (fun i fs ->
+      let label = Printf.sprintf "%s, query %d" label i in
+      let h0 = Gp_smt.Cache.hits S.pool_memo in
+      let keyed = S.check ~pool ~pool_key fs in
+      Alcotest.(check int) (label ^ ": hits the memo") (h0 + 1)
+        (Gp_smt.Cache.hits S.pool_memo);
+      Alcotest.(check bool) (label ^ ": answers as an unkeyed check") true
+        (same_result keyed (S.check ~pool fs));
+      match keyed with
+      | S.Sat m ->
+        Alcotest.(check bool) (label ^ ": model binds x, y <> 0") true
+          (S.Smap.mem "x" m && S.model_fn m "y" <> 0L)
+      | _ -> Alcotest.fail (label ^ ": expected Sat"))
+    memo_hits
+
+let test_memo_hit_through_sigma () =
+  let module S = Gp_smt.Solver in
+  Gp_smt.Cache.reset S.pool_memo;
+  let pool, pool_key = memo_pool () in
+  ignore (S.check ~pool ~pool_key memo_first);
+  check_memo_hits "same domain"
+
+let test_memo_across_domains () =
+  let module S = Gp_smt.Solver in
+  Gp_smt.Cache.reset S.pool_memo;
+  let pool, pool_key = memo_pool () in
+  Domain.join (Domain.spawn (fun () -> ignore (S.check ~pool ~pool_key memo_first)));
+  Domain.join (Domain.spawn (fun () -> check_memo_hits "another domain"))
+
+(* Export, drop, import (through the store's encoding): the queries
+   answer as before, Found and No_assignment alike, with no search. *)
+let test_memo_store_round_trip () =
+  let module S = Gp_smt.Solver in
+  Gp_smt.Cache.reset S.pool_memo;
+  let pool, pool_key = memo_pool () in
+  let queries = (memo_first :: memo_hits) @ [ memo_exhausted ] in
+  let before = List.map (S.check ~pool ~pool_key) queries in
+  Alcotest.(check bool) "an exhausted search is memoized too" true
+    (List.nth before 3 = S.Unknown);
+  let schema = Gp_core.Incr.schema_version in
+  let sections =
+    match Gp_util.Store.decode ~schema (Gp_util.Store.encode ~schema (S.export_memos ())) with
+    | Ok sections -> sections
+    | Error e -> Alcotest.fail (Gp_util.Store.error_reason e)
+  in
+  Gp_smt.Cache.reset S.pool_memo;
+  Alcotest.(check int) "entries imported" 2 (S.import_memos sections);
+  let after = List.map (S.check ~pool ~pool_key) queries in
+  Alcotest.(check bool) "same answers" true (List.for_all2 same_result before after);
+  Alcotest.(check int) "no misses" 0 (Gp_smt.Cache.misses S.pool_memo);
+  Alcotest.(check int) "every query hits" 4 (Gp_smt.Cache.hits S.pool_memo);
+  check_memo_hits "imported"
+
 (* Distinct rotations get distinct keys (within one payload base), and
    equal salts mod the pin count collapse to one key — the key really
    is the pool's identity. *)
@@ -427,4 +521,10 @@ let suite =
     Alcotest.test_case "layout pools built once per base" `Quick
       test_layout_pools_per_base;
     Gen.qtest "pool-keyed verdict stable" ~count:100 Gen.formulas
-      prop_pool_key_verdict ]
+      prop_pool_key_verdict;
+    Alcotest.test_case "solver memo: hit replays through sigma" `Quick
+      test_memo_hit_through_sigma;
+    Alcotest.test_case "solver memo: filled and hit on other domains" `Quick
+      test_memo_across_domains;
+    Alcotest.test_case "solver memo: store round trip" `Quick
+      test_memo_store_round_trip ]
