@@ -24,10 +24,12 @@
 # pages.
 #
 # `make check-incr` sweeps the incremental-store suite (test_incr:
-# cache_dir differential, image-memo replay under injected faults,
-# global ids and short fuel, serialization round-trips, corrupt/stale
-# store demotion, every bit flip of a one-image store and every cut of
-# a one-image journal, every older store schema demoting to cold —
+# the store-session differential, image-memo replay under injected
+# faults, global ids and short fuel, serialization round-trips,
+# corrupt/stale store demotion, every bit flip of a one-image store and
+# every cut of a one-image journal, every older store schema demoting
+# to cold, a failed compaction reported by the session, and a CLI-path
+# run killed mid-stage replaying its image from the journal —
 # DESIGN.md §11) the same way.
 #
 # `make check-screen` sweeps the suites that together show solver
@@ -73,6 +75,13 @@
 
 CHECK_TIMEOUT ?= 600
 
+# $(call at_jobs_1_and_4,COMMAND): COMMAND under the wall-clock cap at
+# JOBS=1, then at JOBS=4.
+define at_jobs_1_and_4
+JOBS=1 timeout $(CHECK_TIMEOUT) $(1)
+JOBS=4 timeout $(CHECK_TIMEOUT) $(1)
+endef
+
 .PHONY: all build test check check-par check-plan-par check-emu check-incr \
 	check-screen check-resume check-sweep check-serve check-bench clean
 
@@ -88,43 +97,22 @@ check: build check-par check-plan-par check-emu check-incr check-screen \
 	check-resume check-sweep check-serve check-bench
 
 check-par:
-	JOBS=1 timeout $(CHECK_TIMEOUT) dune runtest --force
-	JOBS=4 timeout $(CHECK_TIMEOUT) dune runtest --force
+	$(call at_jobs_1_and_4,dune runtest --force)
 
-check-plan-par:
-	dune build test/test_main.exe
-	SUITES=plan_par,planner JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-	SUITES=plan_par,planner JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
+# The suite sweeps: each target's test_main suites (SUITES, as test_main
+# reads it) at both job counts.
+check-plan-par: SUITES = plan_par,planner
+check-emu: SUITES = emu,symx,payload
+check-incr: SUITES = incr
+check-screen: SUITES = screen,smt,plan_par
+check-resume: SUITES = util,runner,resilience
+check-sweep: SUITES = sweep
+check-serve: SUITES = serve
 
-check-emu:
-	dune build test/test_main.exe
-	SUITES=emu,symx,payload JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-	SUITES=emu,symx,payload JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-
-check-incr:
-	dune build test/test_main.exe
-	SUITES=incr JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-	SUITES=incr JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-
-check-screen:
-	dune build test/test_main.exe
-	SUITES=screen,smt,plan_par JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-	SUITES=screen,smt,plan_par JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-
-check-resume:
-	dune build test/test_main.exe
-	SUITES=util,runner,resilience JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-	SUITES=util,runner,resilience JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-
-check-sweep:
-	dune build test/test_main.exe
-	SUITES=sweep JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-	SUITES=sweep JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-
+check-plan-par check-emu check-incr check-screen check-resume check-sweep \
 check-serve:
 	dune build test/test_main.exe
-	SUITES=serve JOBS=1 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
-	SUITES=serve JOBS=4 timeout $(CHECK_TIMEOUT) ./_build/default/test/test_main.exe
+	$(call at_jobs_1_and_4,env SUITES=$(SUITES) ./_build/default/test/test_main.exe)
 
 check-bench:
 	dune build bench/main.exe

@@ -23,12 +23,19 @@ let corpus = Gp_corpus.Programs.all @ Gp_corpus.Spec.all @ [ Gp_corpus.Netperf.e
 (* Input values are parsed by converters, so a bad one is a usage error
    (exit 124) that names the valid values, never an uncaught exception. *)
 
-(* PROGRAM, parsed to its mini-C source text *)
+(* PROGRAM, parsed to its mini-C source text; a source file must also
+   get through the front end (parse, check, lower) *)
 let source_conv =
   let parse prog =
     if Sys.file_exists prog then
-      try Ok (In_channel.with_open_bin prog In_channel.input_all)
-      with Sys_error why -> Error (`Msg why)
+      match In_channel.with_open_bin prog In_channel.input_all with
+      | exception Sys_error why -> Error (`Msg why)
+      | source -> (
+        match Gp_codegen.Pipeline.to_ir source with
+        | _ -> Ok source
+        | exception (Failure why | Gp_minic.Check.Check_error why
+                    | Gp_ir.Lower.Lower_error why) ->
+          Error (`Msg (prog ^ ": " ^ why)))
     else
       match
         List.find_opt (fun (e : Gp_corpus.Programs.entry) -> e.name = prog) corpus
@@ -100,11 +107,12 @@ let cache_dir_arg =
        & info [ "cache-dir" ] ~docv:"DIR"
            ~doc:"Directory for the incremental store: each image's \
                  harvest (keyed on its code bytes and the extraction \
-                 config) and the solver verdicts persist across runs, so \
-                 a warm run on an image it has seen skips decoding and \
-                 symbolic execution.  Results are bit-identical with or \
-                 without it; a corrupt or stale store falls back to a \
-                 cold run.")
+                 config) and the solver verdicts persist across runs \
+                 through a write-ahead journal, so a warm run on an \
+                 image it has seen skips decoding and symbolic \
+                 execution.  Results are bit-identical with or without \
+                 it; a corrupt or stale store falls back to a cold run, \
+                 and a directory another writer holds is read-only.")
 
 let json_errors_arg =
   Arg.(value & flag
@@ -119,6 +127,13 @@ let json_errors_arg =
 let emit_failure ~json label detail =
   if json then prerr_endline (Gp_core.Fail.json_record ~label ~detail)
   else Printf.eprintf "error: %s: %s\n%!" label detail
+
+(* Store failures are warnings: results stand, only persistence was
+   affected, so they leave the exit code alone. *)
+let warn_store ~json fails =
+  List.iter
+    (fun f -> emit_failure ~json (Gp_core.Fail.label f) (Gp_core.Fail.to_string f))
+    fails
 
 let compile_image source (_, cfg) =
   Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg) source
@@ -153,7 +168,9 @@ let scan_cmd =
     List.iter
       (fun (k, c) -> Printf.printf "  %-6s %6d\n" (Gp_core.Gadget.kind_name k) c)
       counts;
-    let a = Gp_core.Api.analyze ~jobs ?cache_dir image in
+    let a, store =
+      Gp_core.Incr.with_store ~dir:cache_dir (fun _ -> Gp_core.Api.analyze ~jobs image)
+    in
     Printf.printf
       "planner pool: %d summaries -> %d deduped -> pool %d (%d cut by the \
        bucket cap)\n"
@@ -161,9 +178,10 @@ let scan_cmd =
       (Gp_core.Pool.size a.Gp_core.Api.pool) a.Gp_core.Api.subsume_capped;
     if cache_dir <> None then
       Printf.printf "store: %d loaded; image memo: %d starts replayed, %d executed\n"
-        a.Gp_core.Api.analysis_store_loaded
+        (Gp_core.Incr.loaded store)
         a.Gp_core.Api.analysis_summary_hits
-        a.Gp_core.Api.analysis_summary_misses
+        a.Gp_core.Api.analysis_summary_misses;
+    warn_store ~json:false store.Gp_core.Incr.st_fails
   in
   Cmd.v (Cmd.info "scan" ~doc:"Count gadgets (the Fig. 1 / Table I census).")
     Term.(const run $ prog_arg $ obf_arg $ jobs_arg
@@ -183,10 +201,11 @@ let plan_cmd =
   in
   let run prog obf goal maxn budget jobs cache_dir stats json_errors =
     let image = compile_image prog obf in
-    let o =
-      Gp_core.Api.run ?budget:(budget_of budget) ~jobs ?cache_dir
-        ~planner_config:{ Gp_core.Planner.default_config with max_plans = maxn }
-        image (Gp_harness.Serve.goal_of_name goal)
+    let o, store =
+      Gp_core.Incr.with_store ~dir:cache_dir (fun _ ->
+          Gp_core.Api.run ?budget:(budget_of budget) ~jobs
+            ~planner_config:{ Gp_core.Planner.default_config with max_plans = maxn }
+            image (Gp_harness.Serve.goal_of_name goal))
     in
     Printf.printf "pool %d gadgets; %d validated payload(s); rungs: %s\n"
       o.Gp_core.Api.stats.Gp_core.Api.pool_size
@@ -194,15 +213,18 @@ let plan_cmd =
       (String.concat ","
          (List.map Gp_core.Api.rung_name o.Gp_core.Api.rungs));
     let st = o.Gp_core.Api.stats in
+    (* the store session's failures join the run's quarantine ledger *)
+    let quarantined =
+      Gp_core.Fail.merge_counts st.Gp_core.Api.quarantined
+        (List.map (fun f -> (Gp_core.Fail.label f, 1)) store.Gp_core.Incr.st_fails)
+    in
     if st.Gp_core.Api.budget_hits <> [] then
       Printf.printf "budget exhausted in: %s\n"
         (String.concat ", " st.Gp_core.Api.budget_hits);
-    if st.Gp_core.Api.quarantined <> [] then
+    if quarantined <> [] then
       Printf.printf "quarantined: %s\n"
         (String.concat ", "
-           (List.map
-              (fun (k, n) -> Printf.sprintf "%s=%d" k n)
-              st.Gp_core.Api.quarantined));
+           (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) quarantined));
     if stats then begin
       Printf.printf
         "stage 2: %d summaries -> %d deduped -> pool %d (%d cut by the \
@@ -224,9 +246,10 @@ let plan_cmd =
         "image memo: %d starts replayed / %d executed; %d loaded from \
          disk%s; %d decodes saved\n"
         st.Gp_core.Api.summary_hits st.Gp_core.Api.summary_misses
-        st.Gp_core.Api.store_loaded
-        (if st.Gp_core.Api.store_stale > 0 then " (stale store rejected)"
-         else "")
+        (Gp_core.Incr.loaded store)
+        (match store.Gp_core.Incr.st_status with
+         | Gp_core.Incr.Rejected _ -> " (stale store rejected)"
+         | Gp_core.Incr.Loaded _ | Gp_core.Incr.Absent -> "")
         st.Gp_core.Api.decode_saved;
       Printf.printf
         "times: extract %.3fs, subsume %.3fs, plan %.3fs (validate %.3fs)\n"
@@ -244,7 +267,7 @@ let plan_cmd =
         (fun (label, n) ->
           emit_failure ~json:true label
             (Printf.sprintf "%d item(s) quarantined" n))
-        st.Gp_core.Api.quarantined;
+        quarantined;
     (* an empty result caused by budget starvation is a timeout, not
        "no chains exist" — surface it in the exit code *)
     if o.Gp_core.Api.chains = [] && st.Gp_core.Api.budget_hits <> [] then begin
@@ -318,14 +341,14 @@ let survey_cmd =
       S.run_cells ~policy ?manifest ~resume ~encode:Sv.resume_payload_encode
         ~decode:Sv.resume_payload_decode ~jobs cells
     in
-    let (outcomes, report), jo =
+    let (outcomes, report), store =
       match manifest with
       | Some dir ->
-        let r, jo =
+        let r, store =
           Sv.sweep ~dir ~resume (fun ~manifest ~resume ->
               run ~manifest ~resume ())
         in
-        (r, Some jo)
+        (r, Some store)
       | None -> (run ~resume:false (), None)
     in
     List.iter
@@ -349,10 +372,10 @@ let survey_cmd =
       report.R.r_total report.R.r_computed report.R.r_resumed
       report.R.r_retries
       (List.length report.R.r_failed);
-    (match jo with
+    (match store with
      | None -> ()
-     | Some jo ->
-       (match jo.Gp_core.Incr.jo_status with
+     | Some store ->
+       (match store.Gp_core.Incr.st_status with
         | Gp_core.Incr.Loaded li
           when li.Gp_core.Incr.li_wal_replayed > 0
                || li.Gp_core.Incr.li_wal_truncated > 0 ->
@@ -363,11 +386,7 @@ let survey_cmd =
                  li.Gp_core.Incr.li_wal_truncated
              else "")
         | _ -> ());
-       (* read-only demotion is a warning, not a failure: the sweep's
-          results are correct, only persistence was skipped *)
-       match jo.Gp_core.Incr.jo_mode with
-       | `Read_only why -> emit_failure ~json:json_errors "store-locked" why
-       | `Journaling -> ());
+       warn_store ~json:json_errors store.Gp_core.Incr.st_fails);
     match report.R.r_failed with
     | [] -> ()
     | ((_, first) :: _) as fails ->
@@ -390,11 +409,14 @@ let survey_cmd =
 let netperf_cmd =
   let run (config_name, cfg) budget jobs cache_dir json_errors =
     let budget = budget_of budget in
-    let b =
-      Gp_harness.Workspace.build ~config_name ~cfg
-        ?budget ~jobs ?cache_dir Gp_corpus.Netperf.entry
+    let attack, store =
+      Gp_core.Incr.with_store ~dir:cache_dir (fun _ ->
+          Gp_harness.Netperf_attack.run ?budget
+            (Gp_harness.Workspace.build ~config_name ~cfg ?budget ~jobs
+               Gp_corpus.Netperf.entry))
     in
-    match Gp_harness.Netperf_attack.run ?budget b with
+    warn_store ~json:json_errors store.Gp_core.Incr.st_fails;
+    match attack with
     | None ->
       emit_failure ~json:json_errors "emu"
         "probe failed: overflow did not reach the return-address cell";
@@ -453,11 +475,7 @@ let serve_cmd =
               (Printf.sprintf "%d frame(s) quarantined" n))
           sm.Sv.sm_faults
     end;
-    (* read-only demotion is a warning, as for survey: analyses are
-       correct, only persistence was skipped *)
-    match String.index_opt sm.Sv.sm_mode ':' with
-    | Some _ -> emit_failure ~json:json_errors "store-locked" sm.Sv.sm_mode
-    | None -> ()
+    warn_store ~json:json_errors sm.Sv.sm_store
   in
   Cmd.v
     (Cmd.info "serve"

@@ -64,15 +64,6 @@ type stage_stats = {
          from differential comparisons *)
   decode_saved : int;
       (* repeat decodes absorbed by the decode-once extraction memo *)
-  store_loaded : int;
-      (* entries imported from the on-disk store (0 when cold) *)
-  store_stale : int;
-      (* 1 when a store file was found but rejected (corrupt/stale) and
-         the run was demoted to cold *)
-  wal_replayed : int;
-      (* entries recovered from the store's write-ahead journal *)
-  wal_truncated : int;
-      (* bytes dropped from a torn journal tail (crash mid-append) *)
   extract_time : float;
   subsume_time : float;
   plan_time : float;
@@ -110,10 +101,6 @@ type analysis = {
   analysis_substitutions : int;
       (* always 0: stubs bench/e2e still reads (see api.mli) *)
   analysis_decode_saved : int;
-  analysis_store_loaded : int;
-  analysis_store_stale : int;
-  analysis_wal_replayed : int;
-  analysis_wal_truncated : int;
 }
 
 let timed f =
@@ -132,58 +119,6 @@ let stage (label : string) (budget : Budget.t) (f : unit -> 'a) :
   | Ok v -> Ok v
   | Error reason -> Error (Fail.of_budget label reason)
 
-(* ----- on-disk incremental store (DESIGN.md §11) ----- *)
-
-(* Open the store before stage 1.  Every failure mode demotes to a cold
-   run: [Rejected] (corrupt bytes, stale versions) is quarantined under
-   the "store" label and counted in [store_stale], never raised. *)
-let store_open = function
-  | None -> (0, 0, 0, 0, [])
-  | Some _ when Incr.journaling () ->
-    (* a corpus-runner journal is open: [Incr.journal_open] already
-       merged base + WAL, and re-reading the files mid-run would race
-       our own writer.  The runner carries the open's WAL counters. *)
-    (0, 0, 0, 0, [])
-  | Some dir -> (
-    match Incr.load ~dir with
-    | Incr.Loaded li ->
-      (* WAL-recovered entries count toward the warm start; a torn tail
-         is quarantined (the work it held is simply recomputed) *)
-      let quar =
-        if li.Incr.li_wal_truncated > 0 then
-          [ (Fail.label (Fail.Wal_torn ""), 1) ]
-        else []
-      in
-      ( li.Incr.li_entries + li.Incr.li_wal_replayed,
-        0,
-        li.Incr.li_wal_replayed,
-        li.Incr.li_wal_truncated,
-        quar )
-    | Incr.Absent -> (0, 0, 0, 0, [])
-    | Incr.Rejected why ->
-      (0, 1, 0, 0, [ (Fail.label (Fail.Store_rejected why), 1) ]))
-
-(* Persist the store after the run.  A write failure costs only the
-   warm start of the NEXT run, so it too is a quarantine entry. *)
-let store_save quarantined = function
-  | None -> quarantined
-  | Some _ when Incr.journaling () ->
-    (* journal checkpoints own durability; a per-cell whole-store save
-       would just duplicate the WAL's contents *)
-    quarantined
-  | Some dir -> (
-    match Incr.save ~dir with
-    | Ok () -> quarantined
-    | Error why when Incr.save_locked why ->
-      (* another writer (a resident daemon) holds the dir: demote to
-         read-only — this run's results stand, only the warm start of
-         the next cold run is lost *)
-      Fail.merge_counts quarantined
-        [ (Fail.label (Fail.Store_locked why), 1) ]
-    | Error why ->
-      Fail.merge_counts quarantined
-        [ (Fail.label (Fail.Store_rejected why), 1) ])
-
 (* ----- per-stage continuations (DESIGN.md §14) -----
 
    The four stages are also exposed one at a time, each returning the
@@ -197,19 +132,11 @@ type extracted = {
   ex_harvested : Gadget.t list;
   ex_hstats : Extract.harvest_stats;
   ex_extract_time : float;
-  ex_store_loaded : int;
-  ex_store_stale : int;
-  ex_wal_replayed : int;
-  ex_wal_truncated : int;
-  ex_store_quar : (string * int) list;
 }
 
-let stage_extract ?(extract_config = Extract.default_config) ?cache_dir
-    ?budget ?(jobs = 1) ?ids (image : Gp_util.Image.t) : extracted =
+let stage_extract ?(extract_config = Extract.default_config) ?budget
+    ?(jobs = 1) ?ids (image : Gp_util.Image.t) : extracted =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
-  let store_loaded, store_stale, wal_replayed, wal_truncated, store_quar =
-    store_open cache_dir
-  in
   let (harvested, hstats), extract_time =
     match
       stage "extract" root (fun () ->
@@ -232,12 +159,7 @@ let stage_extract ?(extract_config = Extract.default_config) ?cache_dir
   { ex_image = image;
     ex_harvested = harvested;
     ex_hstats = hstats;
-    ex_extract_time = extract_time;
-    ex_store_loaded = store_loaded;
-    ex_store_stale = store_stale;
-    ex_wal_replayed = wal_replayed;
-    ex_wal_truncated = wal_truncated;
-    ex_store_quar = store_quar }
+    ex_extract_time = extract_time }
 
 let stage_subsume ?budget (ex : extracted) : analysis * Gadget.t list =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
@@ -265,8 +187,7 @@ let stage_subsume ?budget (ex : extracted) : analysis * Gadget.t list =
       subsume_capped = sstats.Subsume.capped;
       extract_time = ex.ex_extract_time;
       subsume_time;
-      quarantined =
-        Fail.merge_counts ex.ex_store_quar hstats.Extract.h_quarantined;
+      quarantined = hstats.Extract.h_quarantined;
       analysis_budget_hits =
         (if hstats.Extract.h_budget_hit then [ "extract" ] else [])
         @ (if subsume_hit then [ "subsume" ] else []);
@@ -275,18 +196,12 @@ let stage_subsume ?budget (ex : extracted) : analysis * Gadget.t list =
       analysis_suffix_hits = 0;
       analysis_suffix_misses = 0;
       analysis_substitutions = 0;
-      analysis_decode_saved = hstats.Extract.h_decode_saved;
-      analysis_store_loaded = ex.ex_store_loaded;
-      analysis_store_stale = ex.ex_store_stale;
-      analysis_wal_replayed = ex.ex_wal_replayed;
-      analysis_wal_truncated = ex.ex_wal_truncated },
+      analysis_decode_saved = hstats.Extract.h_decode_saved },
     harvested )
 
-let analyze ?(extract_config = Extract.default_config) ?budget ?(jobs = 1)
-    ?cache_dir ?ids (image : Gp_util.Image.t) : analysis =
-  let ex = stage_extract ~extract_config ?cache_dir ?budget ~jobs ?ids image in
-  let a, _ = stage_subsume ?budget ex in
-  { a with quarantined = store_save a.quarantined cache_dir }
+let analyze ?(extract_config = Extract.default_config) ?budget ?(jobs = 1) ?ids
+    (image : Gp_util.Image.t) : analysis =
+  fst (stage_subsume ?budget (stage_extract ~extract_config ?budget ~jobs ?ids image))
 
 (* ----- degradation ladder ----- *)
 
@@ -472,10 +387,6 @@ let stage_finalize (p : planned) : outcome =
         summary_hits = a.analysis_summary_hits;
         summary_misses = a.analysis_summary_misses;
         decode_saved = a.analysis_decode_saved;
-        store_loaded = a.analysis_store_loaded;
-        store_stale = a.analysis_store_stale;
-        wal_replayed = a.analysis_wal_replayed;
-        wal_truncated = a.analysis_wal_truncated;
         extract_time = a.extract_time;
         subsume_time = a.subsume_time;
         plan_time = p.pl_plan_time;
@@ -484,9 +395,7 @@ let stage_finalize (p : planned) : outcome =
 (* The jobs- and temperature-invariant tallies of an outcome, by name:
    what the sweep's resume payloads and the daemon's replies carry, and
    what differential tests compare.  Cache and image memo hit
-   counters are temperature and stay out, as do the store
-   quarantine labels (a resident, resumed or warm run legitimately
-   differs there). *)
+   counters are temperature and stay out. *)
 let invariant_counters (o : outcome) =
   let st = o.stats in
   [ ("plans_found", st.plans_found);
@@ -500,11 +409,7 @@ let invariant_counters (o : outcome) =
     ("subsume_capped", st.subsume_capped);
     ("validate_faults", st.validate_faults);
     ("validate_timeouts", st.validate_timeouts) ]
-  @ List.filter_map
-      (fun (l, n) ->
-        if l = "store" || l = "store-locked" || l = "wal-torn" then None
-        else Some ("q:" ^ l, n))
-      st.quarantined
+  @ List.map (fun (l, n) -> ("q:" ^ l, n)) st.quarantined
 
 let run_with_analysis ?planner_config ?validate ?budget ?jobs (a : analysis)
     (goal : Goal.t) : outcome =
@@ -554,14 +459,11 @@ let rec finish = function Finished v -> v | Next k -> finish (k ())
    a chain, when the root budget is dry, or after the last rung. *)
 let steps ?(extract_config = Extract.default_config)
     ?(planner_config = Planner.default_config) ?(validate = true) ?budget
-    ?(jobs = 1) ?cache_dir ?ids (image : Gp_util.Image.t) (goal : Goal.t) :
-    outcome step =
+    ?(jobs = 1) ?ids (image : Gp_util.Image.t) (goal : Goal.t) : outcome step =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
   Next
     (fun () ->
-      let ex =
-        stage_extract ~extract_config ?cache_dir ~budget:root ~jobs ?ids image
-      in
+      let ex = stage_extract ~extract_config ~budget:root ~jobs ?ids image in
       Next
         (fun () ->
           let a_full, harvested = stage_subsume ~budget:root ex in
@@ -584,22 +486,10 @@ let steps ?(extract_config = Extract.default_config)
                 | next :: rest
                   when o.chains = [] && not (Budget.exhausted root) ->
                   climb tried next rest
-                | _ ->
-                  (* Persist the store last, so planner/validation solver
-                     verdicts are captured alongside the image's
-                     harvest. *)
-                  Finished
-                    { o with
-                      rungs = tried;
-                      stats =
-                        { o.stats with
-                          quarantined =
-                            store_save o.stats.quarantined cache_dir } })
+                | _ -> Finished { o with rungs = tried })
           in
           climb [] Full [ Dedup_only; Wider_branch; Relaxed_steps ]))
 
-let run ?extract_config ?planner_config ?validate ?budget ?jobs ?cache_dir ?ids
+let run ?extract_config ?planner_config ?validate ?budget ?jobs ?ids
     (image : Gp_util.Image.t) (goal : Goal.t) : outcome =
-  finish
-    (steps ?extract_config ?planner_config ?validate ?budget ?jobs ?cache_dir
-       ?ids image goal)
+  finish (steps ?extract_config ?planner_config ?validate ?budget ?jobs ?ids image goal)

@@ -80,19 +80,6 @@ type stage_stats = {
           differential comparisons. *)
   decode_saved : int;
       (** repeat decodes absorbed by the decode-once extraction memo *)
-  store_loaded : int;
-      (** entries imported from the on-disk store — images plus solver
-          verdicts (0 on a cold run) *)
-  store_stale : int;
-      (** 1 when a store file was found but rejected (corrupt or
-          version-stale) and the run was demoted to cold; the rejection
-          is also quarantined under the "store" label *)
-  wal_replayed : int;
-      (** entries recovered from the store's write-ahead journal
-          (DESIGN.md §13); counted inside [store_loaded] too *)
-  wal_truncated : int;
-      (** bytes dropped from a torn journal tail; a nonzero value is
-          also quarantined under the "wal-torn" label *)
   extract_time : float;
   subsume_time : float;
   plan_time : float;
@@ -127,10 +114,6 @@ type analysis = {
   analysis_substitutions : int;
       (** Always 0; kept because bench/e2e reads it (see above). *)
   analysis_decode_saved : int;         (** decode-once memo savings *)
-  analysis_store_loaded : int;         (** on-disk entries imported *)
-  analysis_store_stale : int;          (** 1 if the store was rejected *)
-  analysis_wal_replayed : int;         (** journal entries recovered *)
-  analysis_wal_truncated : int;        (** torn-tail bytes dropped *)
 }
 
 val timed : (unit -> 'a) -> 'a * float
@@ -154,16 +137,16 @@ val timed : (unit -> 'a) -> 'a * float
     interleaving-invariant. *)
 
 type extracted
-(** Stage-1 output: the raw harvest plus store/meter state, consumed
-    by {!stage_subsume}. *)
+(** Stage-1 output: the raw harvest and its meters, consumed by
+    {!stage_subsume}. *)
 
 type planned
 (** Stage-3 output: per-root search results awaiting the deterministic
     merge in {!stage_finalize}. *)
 
 val stage_extract :
-  ?extract_config:Extract.config -> ?cache_dir:string -> ?budget:Budget.t ->
-  ?jobs:int -> ?ids:Gadget.id_source -> Gp_util.Image.t -> extracted
+  ?extract_config:Extract.config -> ?budget:Budget.t -> ?jobs:int ->
+  ?ids:Gadget.id_source -> Gp_util.Image.t -> extracted
 (** Stage 1 alone.  [budget] is the ROOT pipeline budget: the harvest
     draws its usual 0.6-fraction slice from it, so passing the same
     root to {!stage_subsume} reproduces {!analyze} exactly.  [ids] is
@@ -179,20 +162,15 @@ val stage_subsume : ?budget:Budget.t -> extracted -> analysis * Gadget.t list
 
 val analyze :
   ?extract_config:Extract.config -> ?budget:Budget.t -> ?jobs:int ->
-  ?cache_dir:string -> ?ids:Gadget.id_source -> Gp_util.Image.t -> analysis
+  ?ids:Gadget.id_source -> Gp_util.Image.t -> analysis
 (** Stages 1–2.  [budget] bounds both stages (extract gets a 0.6
     slice); exhaustion degrades — a partial harvest, or the harvest
     passed through as the pool — and is recorded, never raised.
     [jobs] > 1 runs the harvest on that many domains; results are
     deterministic and identical to [jobs = 1] (DESIGN.md "Parallel
-    execution & determinism").
-
-    [cache_dir] names a directory holding the content-addressed
-    incremental store (DESIGN.md §11): loaded before stage 1, saved
-    after stage 2.  Strictly a warm start — the analysis is
-    bit-identical with or without it, at any job count.  A corrupt or
-    version-stale store demotes to a cold run ([analysis_store_stale],
-    "store" quarantine entry); nothing is ever raised. *)
+    execution & determinism").  When the image memo (DESIGN.md §11)
+    already holds this image, stage 1 replays the stored harvest; the
+    analysis is bit-identical either way. *)
 
 (** {1 Degradation ladder}
 
@@ -229,9 +207,9 @@ type outcome = {
 
 val invariant_counters : outcome -> (string * int) list
 (** The jobs- and temperature-invariant tallies of an outcome, by name
-    (planner and validation counters and the quarantine ledger minus the
-    store labels).  The one list the sweep's resume
-    payloads, the daemon's replies and the differential tests share. *)
+    (planner and validation counters and the quarantine ledger).  The
+    one list the sweep's resume payloads, the daemon's replies and the
+    differential tests share. *)
 
 val stage_plan :
   ?planner_config:Planner.config -> ?validate:bool -> ?budget:Budget.t ->
@@ -282,7 +260,6 @@ val steps :
   ?validate:bool ->
   ?budget:Budget.t ->
   ?jobs:int ->
-  ?cache_dir:string ->
   ?ids:Gadget.id_source ->
   Gp_util.Image.t ->
   Goal.t ->
@@ -294,8 +271,8 @@ val steps :
     pool ([Full]: the stage-2 pool; later rungs: {!dedup_analysis}, built
     once) with {!rung_planner_config} and a 0.6 slice of the root
     budget's remaining time.  The ladder stops at the first rung with a
-    chain, when the root budget is dry, or after [Relaxed_steps]; the
-    last step saves the store ([cache_dir]).  Arguments as for {!run}. *)
+    chain, when the root budget is dry, or after [Relaxed_steps].
+    Arguments as for {!run}. *)
 
 val run :
   ?extract_config:Extract.config ->
@@ -303,7 +280,6 @@ val run :
   ?validate:bool ->
   ?budget:Budget.t ->
   ?jobs:int ->
-  ?cache_dir:string ->
   ?ids:Gadget.id_source ->
   Gp_util.Image.t ->
   Goal.t ->
@@ -313,11 +289,6 @@ val run :
     Relaxed_steps until a chain is found, the root budget dies, or the
     ladder ends: [finish (steps ...)].  [jobs] > 1 parallelizes all four
     stages over that many domains; the outcome (pool, plans, chains,
-    tallies) is identical to the default [jobs = 1].
-
-    [cache_dir] enables the on-disk incremental store (DESIGN.md §11):
-    image harvests and pool-memo solver verdicts load before stage 1 and
-    persist after the ladder finishes, so planner-phase verdicts are
-    captured too.
-    The outcome is bit-identical with or without it; unusable stores
-    demote to cold and are quarantined under "store". *)
+    tallies) is identical to the default [jobs = 1], and the same
+    whether the image memo and solver memo are warm or cold
+    (DESIGN.md §11). *)

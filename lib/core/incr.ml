@@ -11,19 +11,19 @@
    consulting the chaos hook exactly as a fresh harvest would, so a hit
    is bit-identical to a fresh compute.
 
-   [load]/[save] round-trip the table — plus the solver memo
+   [with_store] persists the table — plus the solver memo
    ([Solver.pool_memo]), which is how PLAN INSTANTIATION consults the
    store: its model-search outcomes are pure functions of (pool key,
    open residual, free variables) keys, so pre-seeding them answers
    warm-start queries without a search — through
-   [Gp_util.Store]'s checksummed format.  A store that fails any check
-   (missing, corrupt, version-stale) degrades to a cold run; the caller
-   records the reason and carries on.
+   [Gp_util.Store]'s checksummed format and its write-ahead journal.  A
+   store that fails any check (missing, corrupt, version-stale)
+   degrades to a cold run; the session's report records the reason.
 
    Thread safety: one lookup per request, so one [Hashtbl] behind one
    mutex; first-write-wins, so racing domains at worst duplicate a
-   harvest.  [load]/[save] are main-domain operations (called outside
-   the parallel sections by Api). *)
+   harvest.  Opening and closing a session are main-domain operations;
+   image appends run on whichever domain ran the harvest. *)
 
 open Gp_smt
 module Bin = Gp_util.Store.Bin
@@ -253,9 +253,24 @@ let load ~dir =
              exactly like any other unusable store *)
           Rejected "corrupt: entry decode")))
 
-(* Journal state, declared before [save] because the snapshot path
-   must recognize its own open journal (compaction saves while the
-   journal legitimately holds the dir's lock). *)
+(* ----- the store session -----
+
+   Every [--cache-dir] user — one CLI request, a survey sweep, the
+   daemon — opens the store through [with_store], which brackets a
+   computation with one write-ahead journal: the open merges base file
+   + journal into the in-memory table and solver memo and takes the
+   dir's advisory lock; every fresh image record is appended (and handed
+   to the OS) as it is produced, and solver-memo deltas are appended +
+   fsync'd at each [journal_checkpoint]; when the computation returns,
+   compaction folds the journal into the base store atomically (fsync'd
+   save, then WAL reset).  A crash between the two leaves
+   already-compacted records in the WAL, whose replay is idempotent.
+
+   Single writer: a second writer (same process or another) demotes to
+   read-only and reports [Store_locked].  Journal I/O errors mid-run
+   demote to in-memory-only rather than killing the run.  Every store
+   failure met on the way lands in the session's report, never
+   silently dropped. *)
 
 type journal = {
   j_dir : string;
@@ -270,95 +285,50 @@ type journal = {
 }
 
 let journal_st : journal option ref = ref None
-let journal_error_r : string option ref = ref None
 let lock_name = ".store.lock"
 
-let locked_prefix = "locked: "
+(* The open session's store failures, newest first; appends on worker
+   domains may add to it, hence the mutex. *)
+let session_open = ref false
+let session_fails : Fail.t list ref = ref []
+let fails_mutex = Mutex.create ()
 
+let note_fail f =
+  Mutex.protect fails_mutex (fun () -> session_fails := f :: !session_fails)
+
+(* Write the current table + solver memos atomically (temp file + fsync
+   + rename).  Only compaction calls it, under the journal's lock. *)
 let save ~dir =
-  (* Single-writer discipline on the snapshot path too: take the dir's
-     advisory lock for the duration of the write, unless this process's
-     own journal already holds it for [dir] (the compaction path saves
-     under the journal's lock).  When a resident daemon holds the lock,
-     a CLI save demotes cleanly — the caller quarantines the
-     [locked_prefix]-tagged reason as [Fail.Store_locked] and keeps its
-     in-memory results, the PR-6 second-writer demotion extended from
-     journal open to plain saves (DESIGN.md §15). *)
-  let own_journal =
-    match !journal_st with Some j -> j.j_dir = dir | None -> false
+  let snapshot = fold_all (fun k v acc -> (k, v) :: acc) [] in
+  let entries =
+    snapshot |> List.map (fun (k, v) -> (k, encode v)) |> List.sort compare
   in
-  let guard =
-    if own_journal then Ok None
-    else
-      match Gp_util.Store.try_lock ~name:lock_name dir with
-      | Ok l -> Ok (Some l)
-      | Error who -> Error (locked_prefix ^ who)
+  let sections =
+    { Gp_util.Store.name = images_section; entries } :: Solver.export_memos ()
   in
-  match guard with
-  | Error why -> Error why
-  | Ok l ->
-    Fun.protect
-      ~finally:(fun () ->
-        match l with Some l -> Gp_util.Store.unlock l | None -> ())
-      (fun () ->
-        let snapshot = fold_all (fun k v acc -> (k, v) :: acc) [] in
-        let entries =
-          snapshot
-          |> List.map (fun (k, v) -> (k, encode v))
-          |> List.sort compare
-        in
-        let sections =
-          { Gp_util.Store.name = images_section; entries }
-          :: Solver.export_memos ()
-        in
-        Gp_util.Store.save ~schema:schema_version (path ~dir) sections)
+  Gp_util.Store.save ~schema:schema_version (path ~dir) sections
 
-let save_locked why =
-  String.length why >= String.length locked_prefix
-  && String.sub why 0 (String.length locked_prefix) = locked_prefix
+(* The reason of a real I/O failure; anything else (a simulated crash
+   above all) is not ours to absorb. *)
+let io_reason = function
+  | Sys_error why | Failure why -> Some why
+  | Unix.Unix_error (e, fn, _) -> Some (fn ^ ": " ^ Unix.error_message e)
+  | _ -> None
 
-(* ----- write-ahead journal mode ----- *)
+let release j =
+  journal_st := None;
+  (try Gp_util.Store.Wal.close j.j_wal with _ -> ());
+  Gp_util.Store.unlock j.j_lock
 
-(* When a journal is open, every fresh image record is appended to the
-   WAL as it is produced and solver-memo deltas are appended at each
-   checkpoint, so a run killed at any instant loses at most the work
-   since the last [journal_checkpoint] fsync.  [journal_compact] folds
-   the journal into the base store atomically (fsync'd save, then WAL
-   reset); a crash between the two leaves already-compacted records in
-   the WAL, whose replay is idempotent.
-
-   Single writer: the cache dir's advisory lock is taken on open; a
-   second writer (same process or another) demotes to read-only and
-   reports [Store_locked].  Journal I/O errors mid-run demote to
-   in-memory-only (sticky [journal_error]) rather than killing the
-   sweep. *)
-
-let journaling () = !journal_st <> None
-let journal_error () = !journal_error_r
+(* Journal I/O failed mid-run: carry on in memory only, and say so. *)
+let demote what why =
+  match !journal_st with
+  | None -> ()
+  | Some j ->
+    release j;
+    note_fail (Fail.Store_rejected (what ^ ": " ^ why))
 
 let seen_key section key = section ^ "\x00" ^ key
-
-let journal_demote why =
-  match !journal_st with
-  | None -> ()
-  | Some j ->
-    journal_st := None;
-    journal_error_r := Some why;
-    (try Gp_util.Store.Wal.close j.j_wal with _ -> ());
-    Gp_util.Store.unlock j.j_lock
-
-type journal_open_result = {
-  jo_status : status;   (* what the open loaded (base + WAL replay) *)
-  jo_mode : [ `Journaling | `Read_only of string ];
-}
-
-let journal_close_writer () =
-  match !journal_st with
-  | None -> ()
-  | Some j ->
-    journal_st := None;
-    Gp_util.Store.Wal.close j.j_wal;
-    Gp_util.Store.unlock j.j_lock
 
 (* Mark everything currently durable (base store + replayed WAL +
    already-exported memos) so checkpoints only append deltas. *)
@@ -376,42 +346,37 @@ let journal_mark_existing j =
         (Solver.export_memos ());
       j.j_memo_mark <- Solver.memo_count ())
 
-let journal_open ~dir =
-  journal_close_writer ();
-  journal_error_r := None;
+type mode = [ `Off | `Journaling | `Read_only of string ]
+
+(* Load, lock, open the WAL.  An unusable on-disk state (corrupt or
+   stale) is discarded once the lock is ours — journaling over it would
+   mix a fresh run into rejected bytes — and the reject reason is
+   already in the status. *)
+let journal_open ~dir : status * mode =
   let status = load ~dir in
-  match status with
-  | Rejected _ ->
-    (* the on-disk state is unusable; journaling over it would mix a
-       fresh run into rejected bytes.  Discard both files and start a
-       clean journaled run — the reject reason is already in [status]
-       for the caller's quarantine ledger. *)
-    (match Gp_util.Store.try_lock ~name:lock_name dir with
-    | Error who -> { jo_status = status; jo_mode = `Read_only who }
-    | Ok l -> (
-      (try Sys.remove (path ~dir) with Sys_error _ -> ());
-      (try Sys.remove (wal_path ~dir) with Sys_error _ -> ());
-      match Gp_util.Store.Wal.open_append ~schema:schema_version (wal_path ~dir) with
-      | Error why ->
-        Gp_util.Store.unlock l;
-        { jo_status = status; jo_mode = `Read_only why }
-      | Ok (w, _) ->
-        let j =
-          { j_dir = dir; j_wal = w; j_lock = l;
-            j_seen = Hashtbl.create 4096; j_mutex = Mutex.create ();
-            j_memo_mark = -1 }
-        in
-        journal_mark_existing j;
-        journal_st := Some j;
-        { jo_status = status; jo_mode = `Journaling }))
-  | Absent | Loaded _ -> (
+  (match status with
+  | Rejected why -> note_fail (Fail.Store_rejected why)
+  | Loaded { li_wal_truncated = torn; _ } when torn > 0 ->
+    note_fail (Fail.Wal_torn (Printf.sprintf "%d byte(s) dropped" torn))
+  | Loaded _ | Absent -> ());
+  let mode =
     match Gp_util.Store.try_lock ~name:lock_name dir with
-    | Error who -> { jo_status = status; jo_mode = `Read_only who }
+    | Error who ->
+      note_fail (Fail.Store_locked who);
+      `Read_only who
     | Ok l -> (
-      match Gp_util.Store.Wal.open_append ~schema:schema_version (wal_path ~dir) with
+      (match status with
+      | Rejected _ ->
+        (try Sys.remove (path ~dir) with Sys_error _ -> ());
+        (try Sys.remove (wal_path ~dir) with Sys_error _ -> ())
+      | Absent | Loaded _ -> ());
+      match
+        Gp_util.Store.Wal.open_append ~schema:schema_version (wal_path ~dir)
+      with
       | Error why ->
         Gp_util.Store.unlock l;
-        { jo_status = status; jo_mode = `Read_only why }
+        note_fail (Fail.Store_rejected ("wal open: " ^ why));
+        `Read_only why
       | Ok (w, _) ->
         let j =
           { j_dir = dir; j_wal = w; j_lock = l;
@@ -420,12 +385,16 @@ let journal_open ~dir =
         in
         journal_mark_existing j;
         journal_st := Some j;
-        { jo_status = status; jo_mode = `Journaling }))
+        `Journaling)
+  in
+  (status, mode)
 
 (* Append one image record.  Called via [add] from the domain that ran
    the harvest, after its merge; serialization happens outside every
-   lock, the WAL has its own mutex.  [Faultsim.Crashed] must escape
-   (simulated process death); real I/O failures demote. *)
+   lock, the WAL has its own mutex.  The record is handed to the OS at
+   once, so a run that dies before its next checkpoint still leaves it
+   on disk.  [Faultsim.Crashed] must escape (simulated process death);
+   real I/O failures demote. *)
 let journal_append_image key v =
   match !journal_st with
   | None -> ()
@@ -442,95 +411,117 @@ let journal_append_image key v =
     if fresh then begin
       let value = encode v in
       try
-        Gp_util.Store.Wal.append j.j_wal ~section:images_section ~key ~value
-      with
-      | Sys_error why | Failure why -> journal_demote why
-      | Unix.Unix_error (e, fn, _) ->
-        journal_demote (fn ^ ": " ^ Unix.error_message e)
+        Gp_util.Store.Wal.append j.j_wal ~section:images_section ~key ~value;
+        Gp_util.Store.Wal.flush j.j_wal
+      with e -> (
+        match io_reason e with
+        | Some why -> demote "journal append" why
+        | None -> raise e)
     end
 
 (* Durability point: append the solver-memo delta since the last
-   checkpoint, then fsync.  Runs at cell boundaries (the corpus runner
-   calls it after each completed cell). *)
+   checkpoint, then fsync. *)
 let journal_checkpoint () =
   match !journal_st with
-  | None -> Ok 0
+  | None -> ()
   | Some j -> (
     try
-      if Solver.memo_count () = j.j_memo_mark then begin
-        (* no new memos since the last checkpoint: just make any
-           pending image appends durable (a no-op when clean) *)
-        Gp_util.Store.Wal.sync j.j_wal;
-        Ok 0
-      end
-      else begin
-      let fresh = ref [] in
-      Mutex.protect j.j_mutex (fun () ->
-          List.iter
-            (fun { Gp_util.Store.name; entries } ->
-              List.iter
-                (fun (k, v) ->
-                  let sk = seen_key name k in
-                  if not (Hashtbl.mem j.j_seen sk) then begin
-                    Hashtbl.replace j.j_seen sk ();
-                    fresh := (name, k, v) :: !fresh
-                  end)
-                entries)
-            (Solver.export_memos ()));
-      List.iter
-        (fun (section, key, value) ->
-          Gp_util.Store.Wal.append j.j_wal ~section ~key ~value)
-        (List.rev !fresh);
-      Gp_util.Store.Wal.sync j.j_wal;
-      j.j_memo_mark <- Solver.memo_count ();
-      Ok (List.length !fresh)
-      end
-    with
-    | Sys_error why | Failure why ->
-      journal_demote why;
-      Error why
-    | Unix.Unix_error (e, fn, _) ->
-      let why = fn ^ ": " ^ Unix.error_message e in
-      journal_demote why;
-      Error why)
+      if Solver.memo_count () <> j.j_memo_mark then begin
+        let fresh = ref [] in
+        Mutex.protect j.j_mutex (fun () ->
+            List.iter
+              (fun { Gp_util.Store.name; entries } ->
+                List.iter
+                  (fun (k, v) ->
+                    let sk = seen_key name k in
+                    if not (Hashtbl.mem j.j_seen sk) then begin
+                      Hashtbl.replace j.j_seen sk ();
+                      fresh := (name, k, v) :: !fresh
+                    end)
+                  entries)
+              (Solver.export_memos ()));
+        List.iter
+          (fun (section, key, value) ->
+            Gp_util.Store.Wal.append j.j_wal ~section ~key ~value)
+          (List.rev !fresh);
+        j.j_memo_mark <- Solver.memo_count ()
+      end;
+      (* with no new memos this only makes pending image appends
+         durable (a no-op when clean) *)
+      Gp_util.Store.Wal.sync j.j_wal
+    with e -> (
+      match io_reason e with
+      | Some why -> demote "checkpoint" why
+      | None -> raise e))
 
-(* Fold the journal into the base store: one fsync'd atomic [save],
-   then chop the WAL back to a bare header. *)
-let journal_compact () =
-  match !journal_st with
-  | None -> Error "no journal open"
-  | Some j -> (
-    match save ~dir:j.j_dir with
-    | Error why ->
-      journal_demote why;
-      Error why
-    | Ok () ->
-      Gp_util.Store.Wal.reset j.j_wal;
-      Ok ())
-
+(* Compaction: fold the journal into the base store with one fsync'd
+   atomic [save], chop the WAL back to a bare header, and release the
+   writer and the lock. *)
 let journal_close () =
   match !journal_st with
-  | None -> Ok ()
-  | Some _ -> (
-    match journal_compact () with
-    | Error why ->
-      journal_close_writer ();
-      Error why
-    | Ok () ->
-      journal_close_writer ();
-      Ok ())
+  | None -> ()
+  | Some j -> (
+    match
+      match save ~dir:j.j_dir with
+      | Ok () -> Gp_util.Store.Wal.reset j.j_wal
+      | Error why -> failwith why
+    with
+    | () -> release j
+    | exception e -> (
+      match io_reason e with
+      | Some why -> demote "compaction" why
+      | None -> raise e))
 
 (* Simulated-crash teardown: release fds and the lock without flushing
    or compacting, leaving the on-disk state exactly as at the crash.
    The in-memory table is NOT touched — tests reset the world
    themselves to model the restart. *)
 let journal_abandon () =
-  (match !journal_st with
+  match !journal_st with
   | None -> ()
   | Some j ->
     journal_st := None;
     Gp_util.Store.Wal.abandon j.j_wal;
-    Gp_util.Store.unlock j.j_lock);
-  journal_error_r := None
+    Gp_util.Store.unlock j.j_lock
+
+type report = { st_status : status; st_mode : mode; st_fails : Fail.t list }
+
+let report status mode =
+  { st_status = status;
+    st_mode = mode;
+    st_fails = Mutex.protect fails_mutex (fun () -> List.rev !session_fails) }
+
+let loaded r =
+  match r.st_status with
+  | Loaded li -> li.li_entries + li.li_wal_replayed
+  | Absent | Rejected _ -> 0
+
+let with_store ~dir f =
+  match dir with
+  | None ->
+    let r = { st_status = Absent; st_mode = `Off; st_fails = [] } in
+    (f r, r)
+  | Some dir ->
+    if !session_open then invalid_arg "Incr.with_store: a session is already open";
+    session_open := true;
+    Fun.protect
+      ~finally:(fun () ->
+        session_open := false;
+        Mutex.protect fails_mutex (fun () -> session_fails := []))
+      (fun () ->
+        let status, mode = journal_open ~dir in
+        match
+          let v = f (report status mode) in
+          journal_close ();
+          v
+        with
+        | v -> (v, report status mode)
+        | exception e ->
+          (* simulated process death (or any real abort), in [f] or in
+             compaction: drop the fds WITHOUT flushing — a normal close
+             here would complete the very writes the crash is supposed
+             to have torn *)
+          journal_abandon ();
+          raise e)
 
 let () = fresh_hook := journal_append_image

@@ -8,11 +8,12 @@
     replay draws gadget ids and consults the chaos hook exactly as a
     fresh harvest does, so cached and uncached runs are bit-identical
     (the differential suite checks this at jobs 1 and 4).
-    {!load}/{!save} persist the table — along with the solver memo
+    {!with_store} persists the table — along with the solver memo
     ({!Gp_smt.Solver.pool_memo}: model-search outcomes keyed on pool
     key, open residual and free variables), which is how plan
-    instantiation consults the store — via [Gp_util.Store]'s checksummed format, giving warm
-    starts across process invocations for the same image. *)
+    instantiation consults the store — via [Gp_util.Store]'s
+    checksummed format and write-ahead journal, giving warm starts
+    across process invocations for the same image. *)
 
 type record = {
   r_pos : int;                       (** code offset of the start *)
@@ -81,59 +82,57 @@ val load : dir:string -> status
 (** Merge the on-disk store — base file plus the valid prefix of any
     write-ahead journal sibling — into the in-memory table and solver
     memos (existing entries win).  Never raises: every failure mode is
-    a {!status}. *)
+    a {!status}.  Read-only; {!with_store} opens a store for writing. *)
 
-val save : dir:string -> (unit, string) result
-(** Write the current table + solver memos atomically (temp file +
-    fsync + rename), holding the dir's advisory lock for the duration
-    — unless this process's own journal already holds it (compaction).
-    A dir locked by another writer (e.g. a resident daemon) returns an
-    [Error] that {!save_locked} recognizes, so callers demote to
-    read-only instead of clobbering.  Errors are returned, never
-    raised. *)
+(** {1 The store session}
 
-val save_locked : string -> bool
-(** [true] iff a {!save} error means the dir was locked by another
-    writer (the clean second-writer demotion) rather than an I/O
-    failure. *)
-
-(** {1 Write-ahead journal mode}
-
-    For long sweeps (DESIGN.md §13): {!journal_open} takes the cache
-    dir's advisory lock and opens [summaries.gpst.wal]; from then on
-    every fresh image record is appended as produced and solver-memo deltas
-    are appended + fsync'd at each {!journal_checkpoint}, so a crash
-    at any instant loses at most the work since the last checkpoint.
-    {!journal_close} compacts WAL → base store atomically.  A second
-    writer demotes to [`Read_only] instead of corrupting. *)
+    The one way to open a store for writing (DESIGN.md §11, §13): the
+    CLI's [scan], [plan] and [netperf], a survey sweep and the daemon
+    each run inside one {!with_store}.  The open {!load}s the store and
+    takes the dir's advisory lock, demoting to [`Read_only] if another
+    writer holds it; from then on every fresh image record is appended
+    to [summaries.gpst.wal] as it is produced (and handed to the OS, so
+    it survives the process dying), and solver-memo deltas are appended
+    and fsync'd at each {!journal_checkpoint}, so a crash loses at most
+    the memo work since the last checkpoint.  When the computation
+    returns, compaction folds the journal into the base store
+    atomically.  Journal I/O failures demote the run to in-memory only;
+    like every other store failure they are reported, never raised. *)
 
 val wal_path : dir:string -> string
 
-type journal_open_result = {
-  jo_status : status;  (** what the open loaded (base + WAL replay) *)
-  jo_mode : [ `Journaling | `Read_only of string ];
+type mode = [ `Off | `Journaling | `Read_only of string ]
+(** [`Off]: no store dir.  [`Read_only why]: the store was loaded but
+    nothing will be written (another writer holds the lock, or the
+    journal could not be opened). *)
+
+type report = {
+  st_status : status;  (** what the open loaded (base + WAL replay) *)
+  st_mode : mode;      (** the mode the open settled on *)
+  st_fails : Fail.t list;
+      (** every store failure met, in order: at the open a rejected
+          store ([Store_rejected]), a torn journal tail ([Wal_torn]) or
+          a held lock ([Store_locked]); later a mid-run demotion — a
+          failed append or checkpoint — or a failed compaction
+          ([Store_rejected]) *)
 }
 
-val journal_open : dir:string -> journal_open_result
-val journaling : unit -> bool
+val loaded : report -> int
+(** Entries the open imported, base and journal together (0 unless
+    [Loaded]). *)
 
-val journal_error : unit -> string option
-(** Sticky reason if journal I/O failed mid-run and the run demoted to
-    in-memory-only. *)
+val with_store : dir:string option -> (report -> 'a) -> 'a * report
+(** [with_store ~dir f] runs [f] inside a store session on [dir] and
+    returns its result with the session's final report; [f] receives
+    the report as of the open.  [dir = None] runs [f] with no store.
+    If [f] or the compaction raises — a [Faultsim.Crashed] included —
+    the journal is abandoned without flushing, leaving the on-disk
+    state exactly as at the crash, and the exception propagates.  One
+    session at a time per process.
+    @raise Invalid_argument when a session is already open. *)
 
-val journal_checkpoint : unit -> (int, string) result
-(** Append the solver-memo delta since the last checkpoint, then
-    fsync.  Returns the delta size.  No-op [Ok 0] when not
-    journaling. *)
-
-val journal_compact : unit -> (unit, string) result
-(** Fold the journal into the base store (fsync'd atomic save), then
-    reset the WAL to a bare header. *)
-
-val journal_close : unit -> (unit, string) result
-(** Compact, then release the writer and the lock. *)
-
-val journal_abandon : unit -> unit
-(** Simulated-crash teardown: drop fds and the lock {e without}
-    flushing or compacting, leaving the on-disk state exactly as at
-    the crash.  Test harness only. *)
+val journal_checkpoint : unit -> unit
+(** Durability point: append the solver-memo delta since the last
+    checkpoint, then fsync.  A failure demotes the session to
+    in-memory only and lands in its report.  No-op outside a
+    journaling session. *)

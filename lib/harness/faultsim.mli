@@ -63,9 +63,10 @@ val with_crash_at :
 (** Arm a crash at the [hits]-th firing (1-based, default 1) of the
     named point ("wal-append", "save-rename", "mid-stage").  [Error
     point] if the crash fired; [Ok v] if the run outlived the fuse.
-    After a crash, tear state down with the [abandon] entry points
-    ([Incr.journal_abandon], [Runner.Manifest.abandon]) so fds drop
-    WITHOUT flushing, exactly like a real kill.  The previous hook is
+    After a crash, state is torn down without flushing, exactly like a
+    real kill: an [Incr.with_store] session abandons its journal as the
+    exception leaves it, and [Runner.Manifest.abandon] drops a
+    manifest.  The previous hook is
     chained and restored. *)
 
 val truncate_file : k:int -> string -> unit

@@ -286,9 +286,9 @@ type report = {
    checkpoint log).  With [resume] and a manifest, completed cells are
    replayed through [decode] instead of recomputed (a record that does
    not decode is recomputed, see [replay]); computed cells are
-   recorded through [encode] and, when an [Incr] journal is open,
-   followed by a solver-memo checkpoint so the store WAL and the
-   manifest advance together. *)
+   recorded through [encode] and followed by a solver-memo checkpoint
+   (a no-op outside a store session), so the store WAL and the manifest
+   advance together. *)
 let run_corpus ?(policy = default_policy) ?manifest ?(resume = false)
     ~(encode : 'a -> string) ~(decode : string -> 'a)
     (cells : (string * (attempt:int -> Budget.t -> ('a, Fail.t) result)) list) :
@@ -311,7 +311,7 @@ let run_corpus ?(policy = default_policy) ?manifest ?(resume = false)
             (match manifest with
             | Some m -> Manifest.record m ~key ~payload:(encode v)
             | None -> ());
-            if Incr.journaling () then ignore (Incr.journal_checkpoint ());
+            Incr.journal_checkpoint ();
             { c_key = key; c_result = Ok v; c_retries = r; c_resumed = false }
           | Error fail ->
             failed := (key, fail) :: !failed;

@@ -99,8 +99,9 @@ val run_corpus :
     [jobs]).  With [resume] and a manifest, completed cells replay
     their recorded payload through [decode] ({!replay}: a record that
     does not decode is recomputed); computed cells are
-    recorded through [encode] and followed by an [Incr] journal
-    checkpoint when one is open.
+    recorded through [encode] and followed by an
+    [Incr.journal_checkpoint] (a no-op outside a store session; a
+    failed one lands in the session's report).
 
     The shipped sweep runs on {!Sched.run_cells}.  This loop stays as
     the sequential reference the sweep suite's byte differential

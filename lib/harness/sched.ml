@@ -243,7 +243,7 @@ let run_cells ?(policy = Runner.default_policy) ?manifest ?(resume = false)
         (match manifest with
         | Some m -> Runner.Manifest.record m ~key ~payload:(encode v)
         | None -> ());
-        if Incr.journaling () then ignore (Incr.journal_checkpoint ()))
+        Incr.journal_checkpoint ())
   in
   let settle idx key ~attempt ~resumed result =
     outcomes.(idx) <-

@@ -98,7 +98,7 @@ val run_cells :
     scheduled); [Budget.Exhausted] anywhere in the chain is transient;
     transient failures retry from the cell's FIRST stage with the same
     deterministic backoff schedule; a finished cell is recorded in the
-    manifest and followed by an [Incr] journal checkpoint, serialized
+    manifest and followed by an [Incr.journal_checkpoint], serialized
     under one commit lock.  [jobs] sizes the pool; it is stopped (every
     domain joined) before this returns, and a fatal task exception —
     [Faultsim.Crashed] included — re-raises after the join.  The

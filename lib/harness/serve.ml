@@ -1,7 +1,7 @@
 (* Analysis-as-a-service: the resident daemon (DESIGN.md §15).
 
-   Every CLI invocation is a cold process: it loads the incremental
-   store, analyzes one (binary, config, goal) cell, saves, and dies —
+   Every CLI invocation is a cold process: it opens the incremental
+   store, analyzes one (binary, config, goal) cell, compacts, and dies —
    the stored harvests and the solver memos are disk-hot but never
    memory-hot across requests.  This module keeps one process resident:
    a Unix-domain socket accepts a stream of framed requests
@@ -26,8 +26,8 @@
    labels and the connection dropped — resident caches are never
    touched by a request that did not parse.  [Faultsim.Crashed] is
    never caught: it stops the pool, every worker is joined, then it
-   unwinds through [serve]'s [journal_abandon] teardown and re-raises,
-   exactly like a crashed sweep. *)
+   unwinds through the store session, which abandons the journal, and
+   re-raises, exactly like a crashed sweep. *)
 
 open Gp_core
 module B = Gp_util.Store.Bin
@@ -90,10 +90,7 @@ let report_of_outcome (o : Api.outcome) : report =
       List.map (fun c -> (Payload.chain_set_key c, Payload.describe c)) o.Api.chains;
     sr_rungs = List.map Api.rung_name o.Api.rungs;
     sr_budget_hits = o.Api.stats.Api.budget_hits;
-    sr_quarantined =
-      List.filter
-        (fun (l, _) -> l <> "store" && l <> "store-locked" && l <> "wal-torn")
-        o.Api.stats.Api.quarantined;
+    sr_quarantined = o.Api.stats.Api.quarantined;
     sr_counters = Api.invariant_counters o }
 
 (* ----- binary codecs (Frame payload bodies) ----- *)
@@ -497,6 +494,7 @@ type summary = {
   sm_faults : (string * int) list;
   sm_checkpoints : int;
   sm_mode : string;
+  sm_store : Fail.t list;
 }
 
 (* Per-connection state.  The main domain owns reads and parsing;
@@ -518,6 +516,7 @@ type daemon = {
   dm_cfg : config;
   dm_sv : Sched.Service.t;
   dm_mode : string;
+  dm_journaling : bool;         (* the store session opened a journal *)
   mutable dm_conns : conn list;
   mutable dm_running : bool;
   dm_served : int Atomic.t;
@@ -654,7 +653,7 @@ let read_conn d c =
     if Atomic.get c.cn_inflight = 0 then conn_close d c else c.cn_eof <- true
 
 let maybe_checkpoint d =
-  if Incr.journaling () then begin
+  if d.dm_journaling then begin
     let served = Atomic.get d.dm_served in
     let dirty = served > d.dm_ckpt_mark in
     let due_count = served - d.dm_ckpt_mark >= d.dm_cfg.d_checkpoint_every in
@@ -663,27 +662,16 @@ let maybe_checkpoint d =
     in
     if due_count || due_time then begin
       (* [Faultsim.Crashed] from the armed wal-append point escapes
-         here, through [serve]'s abandon teardown — the daemon's crash
+         here, through the store session's abandon — the daemon's crash
          story is the sweep's crash story *)
-      ignore (Incr.journal_checkpoint ());
+      Incr.journal_checkpoint ();
       d.dm_checkpoints <- d.dm_checkpoints + 1;
       d.dm_ckpt_mark <- served;
       d.dm_ckpt_time <- Unix.gettimeofday ()
     end
   end
 
-let serve (cfg : config) : summary =
-  (* load once, stay resident: journal mode keeps the dir's advisory
-     lock for the daemon's whole life, so concurrent CLI runs demote to
-     read-only cleanly (Incr.save refuses the held lock) *)
-  let mode =
-    match cfg.d_cache_dir with
-    | None -> "memory"
-    | Some dir -> (
-      match (Incr.journal_open ~dir).Incr.jo_mode with
-      | `Journaling -> "journaling"
-      | `Read_only why -> "read-only: " ^ why)
-  in
+let run_daemon (cfg : config) ~mode ~journaling : summary =
   let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.unlink cfg.d_socket with Unix.Unix_error _ -> ());
   Unix.bind lsock (Unix.ADDR_UNIX cfg.d_socket);
@@ -695,6 +683,7 @@ let serve (cfg : config) : summary =
     { dm_cfg = cfg;
       dm_sv = Sched.Service.start ~jobs:cfg.d_jobs;
       dm_mode = mode;
+      dm_journaling = journaling;
       dm_conns = [];
       dm_running = true;
       dm_served = Atomic.make 0;
@@ -704,14 +693,11 @@ let serve (cfg : config) : summary =
       dm_ckpt_mark = 0;
       dm_ckpt_time = Unix.gettimeofday () }
   in
-  let teardown ~crashed =
+  let teardown () =
     (try Unix.close lsock with Unix.Unix_error _ -> ());
     List.iter (fun c -> conn_close d c) d.dm_conns;
     (try Unix.unlink cfg.d_socket with Unix.Unix_error _ -> ());
-    sigpipe_release ();
-    if Incr.journaling () then
-      if crashed then Incr.journal_abandon ()
-      else ignore (Incr.journal_close ())
+    sigpipe_release ()
   in
   match
     while d.dm_running do
@@ -756,23 +742,41 @@ let serve (cfg : config) : summary =
       maybe_checkpoint d
     done;
     (* graceful shutdown: stopping the pool drains in-flight analyses
-       (their replies still go out) and re-raises a fatal one; then
-       the journal is compacted *)
+       (their replies still go out) and re-raises a fatal one; the
+       store session compacts the journal after this returns *)
     Sched.Service.stop d.dm_sv
   with
   | () ->
-    teardown ~crashed:false;
+    teardown ();
     { sm_served = Atomic.get d.dm_served;
       sm_faults =
         Mutex.protect d.dm_faults_m (fun () -> Fail.tally_list d.dm_faults);
       sm_checkpoints = d.dm_checkpoints;
-      sm_mode = mode }
+      sm_mode = mode;
+      sm_store = [] }
   | exception e ->
     (* simulated process death or a fatal bug: join the pool first —
-       no worker may still be running a request step when the journal
-       is abandoned — then tear down WITHOUT flushing, exactly like a
-       crashed sweep, and let [e] keep unwinding (the pool's own
+       no worker may still be running a request step when the store
+       session abandons the journal, WITHOUT flushing, exactly like a
+       crashed sweep — and let [e] keep unwinding (the pool's own
        re-raise of a worker's fatal exception is dropped here). *)
     (try Sched.Service.stop d.dm_sv with _ -> ());
-    teardown ~crashed:true;
+    teardown ();
     raise e
+
+let serve (cfg : config) : summary =
+  (* load once, stay resident: the store session holds the dir's
+     advisory lock for the daemon's whole life, so concurrent CLI runs
+     demote to read-only cleanly; it compacts after a graceful shutdown
+     and abandons the journal, unflushed, when the loop below raises *)
+  let sm, store =
+    Incr.with_store ~dir:cfg.d_cache_dir (fun opened ->
+        let mode =
+          match opened.Incr.st_mode with
+          | `Off -> "memory"
+          | `Journaling -> "journaling"
+          | `Read_only why -> "read-only: " ^ why
+        in
+        run_daemon cfg ~mode ~journaling:(opened.Incr.st_mode = `Journaling))
+  in
+  { sm with sm_store = store.Incr.st_fails }

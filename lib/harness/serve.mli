@@ -30,9 +30,9 @@ val default_request : Gp_util.Image.t -> request
     one within-stage domain. *)
 
 (** The jobs- and temperature-invariant projection of an {!Api.outcome}:
-    everything the CLI report prints, minus cache/summary/store
-    counters (temperature) and store quarantine labels (resident vs
-    cold runs legitimately differ there).  [report_encode] of this is
+    everything the CLI report prints, minus the cache and summary
+    counters (temperature) and the store lines (the CLI's store
+    session, not the outcome, carries those).  [report_encode] of this is
     the differential unit — daemon vs CLI comparisons are on the
     encoded bytes. *)
 type report = {
@@ -93,21 +93,27 @@ type summary = {
   sm_faults : (string * int) list; (** frame-fault quarantine ledger *)
   sm_checkpoints : int;
   sm_mode : string;                (** "journaling" | "read-only: _" | "memory" *)
+  sm_store : Fail.t list;
+      (** every store failure of the daemon's store session
+          ({!Incr.report}[.st_fails]): a rejected store, torn journal
+          or held lock at startup, a failed checkpoint, a failed
+          compaction at shutdown *)
 }
 
 val serve : config -> summary
-(** Run the daemon until a [Shutdown] request: load the store once
-    (journal mode — the dir's advisory lock is held for the daemon's
-    life, so concurrent CLI writers demote to read-only), accept
-    framed requests, checkpoint on the dirty-count/timer policy, and
-    on shutdown drain in-flight analyses and compact the journal.
+(** Run the daemon until a [Shutdown] request inside one store
+    session on [d_cache_dir] ({!Incr.with_store}: the dir's advisory
+    lock is held for the daemon's life, so concurrent CLI writers
+    demote to read-only), accept framed requests, checkpoint on the
+    dirty-count/timer policy, and on shutdown drain in-flight analyses
+    and compact the journal.
 
     Wire damage is quarantined per the {!Fail.Frame_fault} labels and
     the offending connection dropped; resident caches never see a
     request that did not parse.  [Faultsim.Crashed] (or any handler
-    bug) is NOT caught: the pool's workers are joined, then the journal
-    is abandoned — on-disk state frozen as at the crash — and the
-    exception re-raised. *)
+    bug) is NOT caught: the pool's workers are joined, then the store
+    session abandons the journal — on-disk state frozen as at the
+    crash — and the exception is re-raised. *)
 
 (** {1 Client} *)
 

@@ -110,8 +110,8 @@ let resume_payload_decode s =
    the per-attempt watchdog as its root budget.  Gadget ids come from a
    per-cell local source — exactly the sequence [Gadget.reset_ids ()] +
    the global source yields — so concurrent cells cannot interleave
-   draws.  No per-cell [cache_dir]: under a journal the store was merged
-   at [journal_open] and each fresh image's harvest streams to the WAL
+   draws.  Cells never open the store: the sweep's store session merged
+   it at the open, and each fresh image's harvest streams to the WAL
    through [Incr.add]. *)
 let sweep_cell_steps ?entries ?configs ?(quick = true) ~goal () :
     (string * (attempt:int -> Gp_core.Budget.t -> resume_payload Sched.step))
@@ -152,20 +152,17 @@ let sweep_cells_sequential cells =
 (* ---------- the journaled sweep ---------- *)
 
 let sweep ~dir ~resume run =
-  let jo = Gp_core.Incr.journal_open ~dir in
-  let m = Runner.Manifest.open_ ~dir in
-  match run ~manifest:m ~resume with
-  | r ->
-    if Gp_core.Incr.journaling () then ignore (Gp_core.Incr.journal_close ());
-    Runner.Manifest.close m;
-    (r, jo)
-  | exception e ->
-    (* simulated process death (or any real abort): drop fds WITHOUT
-       flushing — a normal close here would complete the very writes
-       the crash is supposed to have torn *)
-    Gp_core.Incr.journal_abandon ();
-    Runner.Manifest.abandon m;
-    raise e
+  Gp_core.Incr.with_store ~dir:(Some dir) (fun _ ->
+      let m = Runner.Manifest.open_ ~dir in
+      match run ~manifest:m ~resume with
+      | r ->
+        Runner.Manifest.close m;
+        r
+      | exception e ->
+        (* simulated process death (or any real abort): drop fds WITHOUT
+           flushing, as the store session does for its journal *)
+        Runner.Manifest.abandon m;
+        raise e)
 
 (* ---------- daemon requests ---------- *)
 

@@ -93,13 +93,15 @@ val sweep_cells_sequential :
 val sweep :
   dir:string -> resume:bool ->
   (manifest:Runner.Manifest.t -> resume:bool -> 'r) ->
-  'r * Gp_core.Incr.journal_open_result
-(** [sweep ~dir ~resume run]: open the store journal and the cell
-    manifest in [dir], [run] the cells against them (replaying
-    completed cells when [resume]), then compact and close.  If [run]
-    raises — a [Faultsim.Crashed] included — both are abandoned without
-    flushing, exactly like a killed process, and the exception
-    propagates. *)
+  'r * Gp_core.Incr.report
+(** [sweep ~dir ~resume run]: inside a store session on [dir]
+    ({!Gp_core.Incr.with_store}), open the cell manifest there too,
+    [run] the cells against it (replaying completed cells when
+    [resume]), then close the manifest and compact the store; the
+    session's report comes back with [run]'s result.  If [run] raises —
+    a [Faultsim.Crashed] included — store journal and manifest are both
+    abandoned without flushing, exactly like a killed process, and the
+    exception propagates. *)
 
 (** {1 Daemon requests} *)
 

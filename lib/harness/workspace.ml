@@ -17,12 +17,12 @@ let obf_configs =
     ("tigress", Gp_obf.Obf.tigress) ]
 
 let build ?(config_name = "original") ?(cfg = Gp_obf.Obf.none) ?budget ?jobs
-    ?cache_dir (entry : Gp_corpus.Programs.entry) : built =
+    (entry : Gp_corpus.Programs.entry) : built =
   let image =
     Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg)
       entry.Gp_corpus.Programs.source
   in
-  let analysis = Gp_core.Api.analyze ?budget ?jobs ?cache_dir image in
+  let analysis = Gp_core.Api.analyze ?budget ?jobs image in
   { entry; config_name; image; analysis }
 
 (* The per-goal planner settings used across the comparison experiments:

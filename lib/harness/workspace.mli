@@ -15,11 +15,9 @@ val obf_configs : (string * Gp_obf.Obf.config) list
 
 val build :
   ?config_name:string -> ?cfg:Gp_obf.Obf.config -> ?budget:Gp_core.Budget.t ->
-  ?jobs:int -> ?cache_dir:string -> Gp_corpus.Programs.entry -> built
+  ?jobs:int -> Gp_corpus.Programs.entry -> built
 (** [budget] bounds the analyze stages (extract/subsume); [jobs] fans
-    them out over that many domains (deterministic, see Api);
-    [cache_dir] enables the on-disk incremental store (see
-    [Api.analyze]). *)
+    them out over that many domains (deterministic, see Api). *)
 
 val gp_planner_config : Gp_core.Planner.config
 (** The per-goal budget used across the comparison experiments. *)

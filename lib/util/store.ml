@@ -238,7 +238,12 @@ let save ~schema path sections =
         flush oc;
         Unix.fsync (Unix.descr_of_out_channel oc));
     crash_point "save-rename";
-    Sys.rename tmp path;
+    (* a failed rename takes its temp file with it (a crash above does
+       not: it models the process dying) *)
+    (try Sys.rename tmp path
+     with e ->
+       (try Sys.remove tmp with Sys_error _ -> ());
+       raise e);
     fsync_dir dir;
     Ok ()
   with
@@ -508,4 +513,10 @@ module Wal = struct
           t.w_closed <- true;
           try Unix.close t.w_fd with _ -> ()
         end)
+
+  (* Hand everything appended so far to the OS, without an fsync: it
+     then survives the process dying, though not the machine.  (Last in
+     the module, so the functions above keep [Stdlib.flush].) *)
+  let flush t =
+    Mutex.protect t.w_mutex (fun () -> if not t.w_closed then flush t.w_oc)
 end

@@ -130,6 +130,12 @@ module Wal : sig
       [Failure] on I/O errors or append-after-close. *)
 
   val appended : t -> int
+
+  val flush : t -> unit
+  (** Hand every buffered record to the OS without an fsync: it then
+      survives the process dying ({!abandon}), though not power
+      loss. *)
+
   val sync : t -> unit
   (** Flush + fsync: everything appended so far survives power loss. *)
 

@@ -1,9 +1,9 @@
-(* Incremental-store tests (DESIGN.md §11).  Four angles:
+(* Incremental-store tests (DESIGN.md §11).  Five angles:
 
-   - differential: `cache_dir:Some` — cold write, then warm read — is
-     bit-identical to `cache_dir:None` across survey cells, at jobs 1
-     and 4 (the store must be semantically invisible at any temperature
-     and any domain count);
+   - differential: a run inside an [Incr.with_store] session — cold
+     write, then warm read — is bit-identical to a run with no store
+     across survey cells, at jobs 1 and 4 (the store must be
+     semantically invisible at any temperature and any domain count);
    - replay: a memo hit reproduces a fresh harvest exactly — under an
      injected decode-fault schedule, in the global id sequence after
      other harvests, and never from a truncated harvest or under a
@@ -12,10 +12,13 @@
      byte-stably, and interned vs non-interned copies of a term
      serialize identically;
    - resilience: a corrupted, truncated, or stale-versioned store file
-     demotes the run to cold — correct results, [store_stale] counted,
-     a "store" entry in the quarantine ledger, never an exception; every
-     bit flip of a one-image store is rejected and every truncation of
-     a one-image journal replays a valid prefix.
+     demotes the run to cold — correct results, the session's report
+     holding the rejection, never an exception; every bit flip of a
+     one-image store is rejected and every truncation of a one-image
+     journal replays a valid prefix;
+   - the session: a failed compaction lands in its report (through
+     [Survey.sweep] too), and a CLI-path run killed mid-stage leaves
+     its image in the journal for the next run to replay.
 
    The differential and replay cases honor the JOBS environment
    variable like test_par, so `make check-incr` sweeps job counts
@@ -53,16 +56,23 @@ let fingerprint (a : Gp_core.Api.analysis) =
   ( List.map (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.addr)
       a.Gp_core.Api.gadgets,
     a.Gp_core.Api.raw_extracted,
-    List.filter
-      (fun (label, _) -> label <> "store")
-      a.Gp_core.Api.quarantined,
+    a.Gp_core.Api.quarantined,
     a.Gp_core.Api.analysis_budget_hits )
 
-let analyze ?cache_dir ~jobs image =
+let analyze ~jobs image =
   reset ();
-  Gp_core.Api.analyze ~jobs ?cache_dir image
+  Gp_core.Api.analyze ~jobs image
 
-(* ----- differential: cache_dir:Some == cache_dir:None ----- *)
+(* The same inside a store session on [dir], as `scan --cache-dir`
+   runs it: the analysis and the session's report. *)
+let analyze_stored dir ~jobs image =
+  reset ();
+  Gp_core.Incr.with_store ~dir:(Some dir) (fun _ -> Gp_core.Api.analyze ~jobs image)
+
+let store_fails (r : Gp_core.Incr.report) =
+  List.map Gp_core.Fail.to_string r.Gp_core.Incr.st_fails
+
+(* ----- differential: a store session == no store ----- *)
 
 let diff_cells =
   [ ("fibonacci", "original"); ("fibonacci", "llvm-obf");
@@ -76,20 +86,23 @@ let check_differential jobs () =
       let cell = prog ^ "/" ^ cname in
       let reference = fingerprint (analyze ~jobs image) in
       let dir = tmp_dir () in
-      let cold = analyze ~cache_dir:dir ~jobs image in
+      let cold, cold_store = analyze_stored dir ~jobs image in
       Alcotest.(check bool)
         (cell ^ ": cold write identical") true
         (fingerprint cold = reference);
       Alcotest.(check int)
         (cell ^ ": cold run loads nothing") 0
-        cold.Gp_core.Api.analysis_store_loaded;
-      let warm = analyze ~cache_dir:dir ~jobs image in
+        (Gp_core.Incr.loaded cold_store);
+      let warm, warm_store = analyze_stored dir ~jobs image in
       Alcotest.(check bool)
         (cell ^ ": warm read identical") true
         (fingerprint warm = reference);
       Alcotest.(check bool)
         (cell ^ ": warm run imported the store") true
-        (warm.Gp_core.Api.analysis_store_loaded > 0);
+        (Gp_core.Incr.loaded warm_store > 0);
+      Alcotest.(check (list string))
+        (cell ^ ": no store failure, cold or warm") []
+        (store_fails cold_store @ store_fails warm_store);
       Alcotest.(check int)
         (cell ^ ": warm run has no summary misses") 0
         warm.Gp_core.Api.analysis_summary_misses;
@@ -100,24 +113,27 @@ let check_differential jobs () =
       Gp_harness.Survey.rm_rf dir)
     diff_cells
 
+let outcome_fp (o : Gp_core.Api.outcome) =
+  let s = o.Gp_core.Api.stats in
+  ( List.sort compare (List.map Gp_core.Payload.chain_key o.Gp_core.Api.chains),
+    s.Gp_core.Api.pool_size, s.Gp_core.Api.plans_found,
+    s.Gp_core.Api.chains_validated, List.length o.Gp_core.Api.rungs )
+
+(* A plan request in a fresh world, inside a store session on [dir] when
+   given — what `plan --cache-dir` runs. *)
+let run_stored ?dir ~jobs image =
+  reset ();
+  fst
+    (Gp_core.Incr.with_store ~dir (fun _ ->
+         Gp_core.Api.run ~jobs image (Gp_core.Goal.Execve "/bin/sh")))
+
 let check_differential_run () =
   let image = compile "bubble_sort" "llvm-obf" in
   let jobs = jobs_under_test in
-  let outcome_fp (o : Gp_core.Api.outcome) =
-    let s = o.Gp_core.Api.stats in
-    ( List.sort compare
-        (List.map Gp_core.Payload.chain_key o.Gp_core.Api.chains),
-      s.Gp_core.Api.pool_size, s.Gp_core.Api.plans_found,
-      s.Gp_core.Api.chains_validated, List.length o.Gp_core.Api.rungs )
-  in
-  let run ?cache_dir () =
-    reset ();
-    Gp_core.Api.run ~jobs ?cache_dir image (Gp_core.Goal.Execve "/bin/sh")
-  in
-  let reference = outcome_fp (run ()) in
+  let reference = outcome_fp (run_stored ~jobs image) in
   let dir = tmp_dir () in
-  let cold = run ~cache_dir:dir () in
-  let warm = run ~cache_dir:dir () in
+  let cold = run_stored ~dir ~jobs image in
+  let warm = run_stored ~dir ~jobs image in
   Alcotest.(check bool) "full run: cold write identical" true
     (outcome_fp cold = reference);
   Alcotest.(check bool) "full run: warm read identical" true
@@ -135,7 +151,7 @@ let check_differential_run () =
 let check_counters () =
   let image = compile "bubble_sort" "tigress" in
   let dir = tmp_dir () in
-  ignore (analyze ~cache_dir:dir ~jobs:1 image);
+  ignore (analyze_stored dir ~jobs:1 image);
   let cold1 = analyze ~jobs:1 image and cold4 = analyze ~jobs:4 image in
   (* the examined-start set is scheduling-independent, so hits+misses
      must agree across job counts even though the cold split is a race *)
@@ -147,8 +163,8 @@ let check_counters () =
   Alcotest.(check bool) "decode memo saves work" true
     (cold1.Gp_core.Api.analysis_decode_saved > 0);
   (* with every entry preloaded, every counter is deterministic *)
-  let warm1 = analyze ~cache_dir:dir ~jobs:1 image in
-  let warm4 = analyze ~cache_dir:dir ~jobs:4 image in
+  let warm1 = fst (analyze_stored dir ~jobs:1 image) in
+  let warm4 = fst (analyze_stored dir ~jobs:4 image) in
   Alcotest.(check int) "warm hits agree across jobs"
     warm1.Gp_core.Api.analysis_summary_hits
     warm4.Gp_core.Api.analysis_summary_hits;
@@ -303,23 +319,22 @@ let check_replay_fuel jobs () =
 
 (* ----- resilience: damaged stores demote to cold ----- *)
 
-let store_quarantine (a : Gp_core.Api.analysis) =
-  try List.assoc "store" a.Gp_core.Api.quarantined with Not_found -> 0
-
 let check_demoted ~what dir image reference =
-  let a = analyze ~cache_dir:dir ~jobs:jobs_under_test image in
+  let a, store = analyze_stored dir ~jobs:jobs_under_test image in
   Alcotest.(check bool) (what ^ ": results identical to cold") true
     (fingerprint a = reference);
-  Alcotest.(check int) (what ^ ": store counted as stale") 1
-    a.Gp_core.Api.analysis_store_stale;
+  Alcotest.(check bool) (what ^ ": store rejected") true
+    (match store.Gp_core.Incr.st_status with
+     | Gp_core.Incr.Rejected _ -> true
+     | Gp_core.Incr.Loaded _ | Gp_core.Incr.Absent -> false);
   Alcotest.(check int) (what ^ ": nothing imported") 0
-    a.Gp_core.Api.analysis_store_loaded;
-  Alcotest.(check int) (what ^ ": quarantine ledger records it") 1
-    (store_quarantine a)
+    (Gp_core.Incr.loaded store);
+  Alcotest.(check (list string)) (what ^ ": the report records it") [ "store" ]
+    (List.map Gp_core.Fail.label store.Gp_core.Incr.st_fails)
 
 let prime dir image =
   Gp_harness.Survey.rm_rf dir;
-  ignore (analyze ~cache_dir:dir ~jobs:jobs_under_test image);
+  ignore (analyze_stored dir ~jobs:jobs_under_test image);
   Gp_core.Incr.path ~dir
 
 let check_corrupt_store () =
@@ -348,17 +363,16 @@ let check_corrupt_store () =
   check_demoted ~what:"stale" dir image reference;
   (* and a rejected store never breaks the warm path afterwards *)
   let _ = prime dir image in
-  let warm = analyze ~cache_dir:dir ~jobs:jobs_under_test image in
+  let warm, store = analyze_stored dir ~jobs:jobs_under_test image in
   Alcotest.(check bool) "store recovers after re-prime" true
-    (warm.Gp_core.Api.analysis_store_loaded > 0
-     && fingerprint warm = reference);
+    (Gp_core.Incr.loaded store > 0 && fingerprint warm = reference);
   Gp_harness.Survey.rm_rf dir
 
 (* Every schema bump must demote older stores to cold.  For each
    version below the current one, rewrite a freshly primed store's own
    sections under that version — content the current reader could
    decode, so only the version gates it — and require cold-identical
-   results, [store_stale] = 1 and a "store" quarantine entry.  Loops
+   results and a rejection in the session's report.  Loops
    over every older version, so the next bump is covered unedited. *)
 let check_old_schemas_demote () =
   let image = compile "fibonacci" "llvm-obf" in
@@ -401,17 +415,20 @@ let check_one_image_corruption () =
     Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes)
   in
   reset ();
-  (match (Gp_core.Incr.journal_open ~dir).Gp_core.Incr.jo_mode with
-  | `Journaling -> ()
-  | `Read_only why -> Alcotest.fail ("journal open: " ^ why));
-  let header = String.length (read wal) in
-  let original = harvest ~jobs:1 image in
+  let (original, header, wal_bytes), session =
+    Gp_core.Incr.with_store ~dir:(Some dir) (fun opened ->
+        (match opened.Gp_core.Incr.st_mode with
+        | `Journaling -> ()
+        | `Read_only why -> Alcotest.fail ("journal open: " ^ why)
+        | `Off -> Alcotest.fail "no journal");
+        let header = String.length (read wal) in
+        let original = harvest ~jobs:1 image in
+        Gp_core.Incr.journal_checkpoint ();
+        (original, header, read wal))
+  in
   Alcotest.(check bool) "the image has gadgets" true (fst original <> []);
-  ignore (Gp_core.Incr.journal_checkpoint ());
-  let wal_bytes = read wal in
-  (match Gp_core.Incr.journal_close () with
-  | Ok () -> ()
-  | Error why -> Alcotest.fail ("journal close: " ^ why));
+  Alcotest.(check (list string)) "session met no store failure" []
+    (store_fails session);
   let store_bytes = read store in
   Sys.remove wal;
   (* whatever was imported replays the original harvest, or nothing was *)
@@ -467,6 +484,92 @@ let check_one_image_corruption () =
     | Gp_core.Incr.Absent -> Alcotest.failf "%s: torn journal reported absent" what
     | Gp_core.Incr.Rejected why -> Alcotest.failf "%s: rejected (%s)" what why
   done;
+  reset ();
+  Gp_harness.Survey.rm_rf dir
+
+(* ----- the session reports what it met ----- *)
+
+(* A non-empty directory where the base store goes makes compaction's
+   rename fail.  The session must report it — directly, and through
+   [Survey.sweep], the survey's session — while the analysis stands and
+   the journal still holds the image for the next open. *)
+let check_failed_compaction_reported () =
+  let image = compile "fibonacci" "original" in
+  let reference = fingerprint (analyze ~jobs:1 image) in
+  let block dir =
+    let p = Gp_core.Incr.path ~dir in
+    Sys.mkdir p 0o755;
+    Out_channel.with_open_bin (Filename.concat p "x") (fun oc ->
+        Out_channel.output_string oc "x")
+  in
+  let failed what (r : Gp_core.Incr.report) =
+    Alcotest.(check bool) (what ^ ": journaling at the open") true
+      (r.Gp_core.Incr.st_mode = `Journaling);
+    Alcotest.(check (list string)) (what ^ ": the failed compaction is reported")
+      [ "store" ]
+      (List.map Gp_core.Fail.label r.Gp_core.Incr.st_fails)
+  in
+  let dir = tmp_dir () in
+  reset ();
+  let a, store =
+    Gp_core.Incr.with_store ~dir:(Some dir) (fun _ ->
+        let a = Gp_core.Api.analyze ~jobs:1 image in
+        block dir;
+        a)
+  in
+  failed "with_store" store;
+  Alcotest.(check bool) "the analysis stands" true (fingerprint a = reference);
+  Gp_harness.Survey.rm_rf (Gp_core.Incr.path ~dir);
+  reset ();
+  (match Gp_core.Incr.load ~dir with
+  | Gp_core.Incr.Loaded li ->
+    Alcotest.(check int) "the journal kept the image" 1
+      li.Gp_core.Incr.li_wal_replayed
+  | _ -> Alcotest.fail "the journal did not load");
+  Gp_harness.Survey.rm_rf dir;
+  reset ();
+  let (), store =
+    Gp_harness.Survey.sweep ~dir ~resume:false (fun ~manifest:_ ~resume:_ ->
+        ignore (Gp_core.Api.analyze ~jobs:1 image);
+        block dir)
+  in
+  failed "Survey.sweep" store;
+  reset ();
+  Gp_harness.Survey.rm_rf dir
+
+(* A CLI-path run killed between stages 2 and 3 ("mid-stage") has
+   already handed its image record to the OS: the next open replays it
+   from the journal, and the warm run executes nothing yet plans
+   exactly what an uncached run does. *)
+let check_cli_crash_replays () =
+  let image = compile "fibonacci" "llvm-obf" in
+  let jobs = jobs_under_test in
+  let reference = outcome_fp (run_stored ~jobs image) in
+  let dir = tmp_dir () in
+  (match
+     Gp_harness.Faultsim.with_crash_at ~point:"mid-stage" (fun () ->
+         run_stored ~dir ~jobs image)
+   with
+  | Error "mid-stage" -> ()
+  | Error p -> Alcotest.failf "crashed at unexpected point %s" p
+  | Ok _ -> Alcotest.fail "crash fuse never blew");
+  reset ();
+  (match Gp_core.Incr.load ~dir with
+  | Gp_core.Incr.Loaded li ->
+    Alcotest.(check bool) "the image replays from the journal" true
+      (li.Gp_core.Incr.li_wal_replayed >= 1)
+  | _ -> Alcotest.fail "the crashed run left nothing to load");
+  reset ();
+  let warm, store =
+    Gp_core.Incr.with_store ~dir:(Some dir) (fun _ ->
+        Gp_core.Api.run ~jobs image (Gp_core.Goal.Execve "/bin/sh"))
+  in
+  Alcotest.(check (list string)) "the reopen met no store failure" []
+    (store_fails store);
+  Alcotest.(check int) "warm run: no summary misses" 0
+    warm.Gp_core.Api.stats.Gp_core.Api.summary_misses;
+  Alcotest.(check bool) "warm run plans as an uncached one" true
+    (outcome_fp warm = reference);
   reset ();
   Gp_harness.Survey.rm_rf dir
 
@@ -538,4 +641,8 @@ let suite =
     Alcotest.test_case "every older schema demotes to cold" `Slow
       check_old_schemas_demote;
     Alcotest.test_case "store load classification" `Quick
-      check_store_classification ]
+      check_store_classification;
+    Alcotest.test_case "session reports a failed compaction" `Quick
+      check_failed_compaction_reported;
+    Alcotest.test_case "CLI-path crash replays the image from the journal"
+      `Slow check_cli_crash_replays ]

@@ -397,16 +397,12 @@ let test_save_rename_crash_keeps_old () =
      Alcotest.fail ("reload: " ^ Gp_util.Store.error_reason e));
   Gp_harness.Survey.rm_rf dir
 
-(* Store-independent analysis fingerprint (as in test_incr), minus the
-   store-health quarantine labels a recovered run legitimately adds. *)
+(* Store-independent analysis fingerprint, as in test_incr. *)
 let incr_fingerprint (a : Gp_core.Api.analysis) =
   ( List.map (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.addr)
       a.Gp_core.Api.gadgets,
     a.Gp_core.Api.raw_extracted,
-    List.filter
-      (fun (label, _) ->
-        label <> "store" && label <> "store-locked" && label <> "wal-torn")
-      a.Gp_core.Api.quarantined,
+    a.Gp_core.Api.quarantined,
     a.Gp_core.Api.analysis_budget_hits )
 
 (* Truncating the store journal at assorted byte boundaries (including
@@ -417,32 +413,42 @@ let test_incr_wal_truncation_demotes_cleanly () =
   let dir = tmp_dir () in
   let image = Lazy.force fib_image in
   Gp_harness.Survey.reset_world ();
-  let jo = Gp_core.Incr.journal_open ~dir in
-  (match jo.Gp_core.Incr.jo_mode with
-   | `Journaling -> ()
-   | `Read_only why -> Alcotest.fail ("unexpected demotion: " ^ why));
-  ignore (Gp_core.Api.analyze ~jobs:1 image);
-  (match Gp_core.Incr.journal_checkpoint () with
-   | Ok _ -> ()
-   | Error e -> Alcotest.fail ("checkpoint: " ^ e));
-  (* die without compacting: the WAL is the only copy on disk *)
-  Gp_core.Incr.journal_abandon ();
+  (* die without compacting: the session abandons the journal, so the
+     WAL is the only copy on disk *)
+  (match
+     Gp_core.Incr.with_store ~dir:(Some dir) (fun opened ->
+         (match opened.Gp_core.Incr.st_mode with
+          | `Journaling -> ()
+          | `Read_only why -> Alcotest.fail ("unexpected demotion: " ^ why)
+          | `Off -> Alcotest.fail "no journal");
+         ignore (Gp_core.Api.analyze ~jobs:1 image);
+         Gp_core.Incr.journal_checkpoint ();
+         raise Exit)
+   with
+   | _ -> Alcotest.fail "the session outlived its abort"
+   | exception Exit -> ());
   let wal = Gp_core.Incr.wal_path ~dir in
-  let size = (Unix.stat wal).Unix.st_size in
+  let journal = In_channel.with_open_bin wal In_channel.input_all in
+  let size = String.length journal in
   Alcotest.(check bool) "journal captured summaries" true (size > 100);
   Gp_harness.Survey.reset_world ();
   let reference = incr_fingerprint (Gp_core.Api.analyze ~jobs:1 image) in
   List.iter
     (fun k ->
-      Gp_harness.Faultsim.truncate_file ~k wal;
-      (* keep the WAL the only source: analyze re-saves a base store *)
+      (* each cut starts from the original journal (a warm session
+         compacts it away), and the WAL stays the only source *)
+      Out_channel.with_open_bin wal (fun oc ->
+          Out_channel.output_string oc (String.sub journal 0 k));
       (try Sys.remove (Gp_core.Incr.path ~dir) with Sys_error _ -> ());
       Gp_harness.Survey.reset_world ();
       (match Gp_core.Incr.load ~dir with
        | Gp_core.Incr.Loaded _ | Gp_core.Incr.Absent
        | Gp_core.Incr.Rejected _ -> ());
       Gp_harness.Survey.reset_world ();
-      let warm = Gp_core.Api.analyze ~cache_dir:dir ~jobs:1 image in
+      let warm, _ =
+        Gp_core.Incr.with_store ~dir:(Some dir) (fun _ ->
+            Gp_core.Api.analyze ~jobs:1 image)
+      in
       Alcotest.(check bool)
         (Printf.sprintf "truncated at %d: identical to cold" k)
         true

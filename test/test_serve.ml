@@ -20,7 +20,7 @@
      replay (each survey cell twice) answers bit-identically to the
      inline CLI path, at pool jobs 1 and JOBS, from one client and from
      two concurrent ones, and batched journal checkpoints fire and
-     survive a [journal_close] compaction;
+     survive the store session's compaction at shutdown;
    - failure stories: a client writing to a daemon that has gone away
      gets an error, not SIGPIPE; every keyed wire-fault mode (torn length, torn
      body, bad checksum, client hangup) is quarantined under the right
@@ -685,6 +685,8 @@ let test_daemon_checkpoints () =
   let results, sm = daemon_replay ~cache_dir:dir ~jobs:1 replay in
   Alcotest.(check int) "all served" 9 (List.length results);
   Alcotest.(check string) "journaling mode" "journaling" sm.Sv.sm_mode;
+  Alcotest.(check (list string)) "no store failure" []
+    (List.map Gp_core.Fail.to_string sm.Sv.sm_store);
   Alcotest.(check bool)
     (Printf.sprintf "batched checkpoints fired (%d)" sm.Sv.sm_checkpoints)
     true
@@ -805,57 +807,57 @@ let test_wire_faults_via_faultsim () =
 let test_cli_demotes_when_daemon_holds_lock () =
   let dir = tmp_dir () in
   let rq = one_request () in
-  (* seed a store on disk *)
-  Survey.reset_world ();
-  ignore (Sv.handle rq);
-  (match Gp_core.Incr.save ~dir with
-  | Ok () -> ()
-  | Error why -> Alcotest.failf "seed save: %s" why);
-  let read_file p =
-    let ic = open_in_bin p in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
+  (* what `plan --cache-dir` runs: the request inside a store session *)
+  let plan_in_session () =
+    Survey.reset_world ();
+    Gp_core.Incr.with_store ~dir:(Some dir) (fun _ ->
+        Gp_core.Api.run
+          ~planner_config:(Sv.planner_config_of rq)
+          ~ids:(Gp_core.Gadget.local_ids ())
+          rq.Sv.rq_image
+          (Sv.goal_of_name rq.Sv.rq_goal))
   in
+  let labels (r : Gp_core.Incr.report) =
+    List.map Gp_core.Fail.label r.Gp_core.Incr.st_fails
+  in
+  (* seed a store on disk *)
+  let reference, seeded = plan_in_session () in
+  Alcotest.(check (list string)) "seeding met no store failure" []
+    (labels seeded);
+  let read_file p = In_channel.with_open_bin p In_channel.input_all in
   let store_path = Gp_core.Incr.path ~dir in
   let before = read_file store_path in
   (* stand in for the daemon process: hold the dir's advisory lock the
-     way [journal_open] does (same [.store.lock] name).  From this
-     process's own journal [Incr.save] would legitimately skip locking,
-     so the foreign-holder case is modeled with a bare [Store.try_lock]. *)
-  Survey.reset_world ();
+     way the daemon's store session does (same [.store.lock] name) *)
   let lock =
     match Gp_util.Store.try_lock ~name:".store.lock" dir with
     | Ok l -> l
     | Error who -> Alcotest.failf "seed lock refused: %s" who
   in
-  (* a second writer must refuse cleanly... *)
-  (match Gp_core.Incr.save ~dir with
-  | Ok () -> Alcotest.fail "save must refuse a locked dir"
-  | Error why ->
-    Alcotest.(check bool) "save_locked recognizes the demotion" true
-      (Gp_core.Incr.save_locked why));
-  (* ...and the full CLI pipeline demotes to read-only: completes, the
-     skipped save quarantined under store-locked, store bytes
-     untouched *)
-  let o =
-    Gp_core.Api.run ~cache_dir:dir
-      ~planner_config:(Sv.planner_config_of rq)
-      ~ids:(Gp_core.Gadget.local_ids ())
-      rq.Sv.rq_image
-      (Sv.goal_of_name rq.Sv.rq_goal)
-  in
-  Alcotest.(check bool) "read-only run quarantines store-locked" true
-    (List.mem_assoc "store-locked" o.Gp_core.Api.stats.Gp_core.Api.quarantined);
+  (* the CLI's session demotes to read-only: the store still loads, the
+     run completes with the same report, the held lock is reported as
+     store-locked, and the store bytes stay untouched *)
+  let o, demoted = plan_in_session () in
+  Alcotest.(check bool) "read-only session" true
+    (match demoted.Gp_core.Incr.st_mode with `Read_only _ -> true | _ -> false);
+  Alcotest.(check bool) "read-only session still loads the store" true
+    (Gp_core.Incr.loaded demoted > 0);
+  Alcotest.(check (list string)) "read-only session reports store-locked"
+    [ "store-locked" ] (labels demoted);
+  Alcotest.(check string) "read-only run reports as the writer did"
+    (Sv.report_encode (Sv.report_of_outcome reference))
+    (Sv.report_encode (Sv.report_of_outcome o));
   Alcotest.(check int) "exit code class is a store problem" 78
     (Gp_core.Fail.exit_code_of_label "store-locked");
   Alcotest.(check string) "store bytes untouched by the demoted run" before
     (read_file store_path);
   Gp_util.Store.unlock lock;
-  (* lock released: a saver succeeds again *)
-  (match Gp_core.Incr.save ~dir with
-  | Ok () -> ()
-  | Error why -> Alcotest.failf "save after release: %s" why);
+  (* lock released: a session writes again *)
+  let _, again = plan_in_session () in
+  Alcotest.(check bool) "journaling after release" true
+    (again.Gp_core.Incr.st_mode = `Journaling);
+  Alcotest.(check (list string)) "no store failure after release" []
+    (labels again);
   Survey.reset_world ();
   Survey.rm_rf dir
 
@@ -913,14 +915,16 @@ let test_daemon_crash_abandons_journal () =
   (* abandon released the lock without flushing: the dir reopens in
      journaling mode and replays whatever prefix reached the disk *)
   Survey.reset_world ();
-  let jo = Gp_core.Incr.journal_open ~dir in
-  (match jo.Gp_core.Incr.jo_mode with
-  | `Journaling -> ()
-  | `Read_only why ->
-    Alcotest.failf "crashed daemon still holds the lock: %s" why);
-  (match Gp_core.Incr.journal_close () with
-  | Ok () -> ()
-  | Error why -> Alcotest.failf "journal_close after crash: %s" why);
+  let (), store =
+    Gp_core.Incr.with_store ~dir:(Some dir) (fun opened ->
+        match opened.Gp_core.Incr.st_mode with
+        | `Journaling -> ()
+        | `Read_only why ->
+          Alcotest.failf "crashed daemon still holds the lock: %s" why
+        | `Off -> Alcotest.fail "no journal")
+  in
+  Alcotest.(check (list string)) "reopen and compaction after the crash" []
+    (List.map Gp_core.Fail.to_string store.Gp_core.Incr.st_fails);
   Survey.reset_world ();
   Survey.rm_rf dir
 
