@@ -23,14 +23,10 @@
 # latter with machines on several domains reading one image's shared
 # pages.
 #
-# `make check-incr` sweeps the incremental-store suite (test_incr:
-# the store-session differential, image-memo replay under injected
-# faults, global ids and short fuel, serialization round-trips,
-# corrupt/stale store demotion, every bit flip of a one-image store and
-# every cut of a one-image journal, every older store schema demoting
-# to cold, a failed compaction reported by the session, and a CLI-path
-# run killed mid-stage replaying its image from the journal —
-# DESIGN.md §11) the same way.
+# `make check-incr` sweeps the image-memo suite (test_incr: cold vs
+# warm over the in-process image memo, counter determinism, and memo
+# replay under injected faults, global ids and short fuel — DESIGN.md
+# §11) the same way.
 #
 # `make check-screen` sweeps the suites that together show solver
 # screening and the compiled model search change no answer (DESIGN.md
@@ -44,7 +40,7 @@
 # trial loop, and four domains sharing the table answer as one) and
 # test_plan_par (a memo hit answers what an uncached `check` does, also
 # when replayed through another query's substitution, on another
-# domain, or after a store round trip) at JOBS=1 and JOBS=4 — the
+# domain) at JOBS=1 and JOBS=4 — the
 # trial table and the memo are shared by every domain — and
 # `make check-bench` smoke-tests the paper-table harness end to end in
 # `--quick` mode (one program, one config, every table, figure and
@@ -52,13 +48,11 @@
 # and check-sweep, not by the bench.
 #
 # `make check-resume` sweeps the crash-safety surface (DESIGN.md §13):
-# the WAL truncation/bit-flip properties and lock tests in test_util,
-# the supervised-runner + checkpoint-manifest suite in test_runner, and
-# the store crash tests in test_resilience (a save-rename crash keeps
-# the old snapshot, a truncated journal demotes cleanly) and its
-# crash/resume differential (kill the sequential runner's sweep at each
-# durability point, resume on the scheduler, require bit-identical
-# results) at JOBS=1 and JOBS=4.
+# the WAL truncation/bit-flip/unreadable-path properties and lock tests
+# in test_util, the supervised-runner + checkpoint-manifest suite in
+# test_runner, and test_resilience's crash/resume differential (kill
+# the sequential runner's sweep at each durability point, resume on the
+# scheduler, require bit-identical results) at JOBS=1 and JOBS=4.
 #
 # `make check-sweep` sweeps the pipelined corpus scheduler (test_sweep:
 # deque and step-chain property tests, 4-domain shared-state stress,
@@ -70,8 +64,8 @@
 # `make check-serve` sweeps the analysis daemon (test_serve: frame-codec
 # totality properties and an exhaustive bit-flip/truncation sweep,
 # shared-table model equivalence, and the daemon-vs-CLI round-trip byte
-# differential incl. the wire-fault sweep, lock demotion and
-# crash/abandon — DESIGN.md §15) at JOBS=1 and JOBS=4.
+# differential incl. the wire-fault sweep, and the teardown on a fatal
+# exception — DESIGN.md §15) at JOBS=1 and JOBS=4.
 
 CHECK_TIMEOUT ?= 600
 

@@ -5,7 +5,7 @@
      gadget_planner plan     <prog> [--obf PRESET] [--goal G] [--max N]
      gadget_planner survey   [--manifest DIR] [--resume]   checkpointed sweep
      gadget_planner netperf  [--obf PRESET]           end-to-end case study
-     gadget_planner serve    --socket PATH [--cache-dir DIR]   resident daemon
+     gadget_planner serve    --socket PATH                resident daemon
      gadget_planner submit   <prog> --socket PATH [--goal G]   ask the daemon
      gadget_planner list                              list corpus programs
 
@@ -13,8 +13,8 @@
    source file.
 
    Failure exit codes follow the Fail taxonomy (DESIGN.md §13):
-   75 transient timeout/budget, 70 hard analysis fault, 78 store
-   problem; cmdliner owns usage errors (124). *)
+   75 transient timeout/budget, 70 hard analysis fault, 76 daemon
+   wire fault; cmdliner owns usage errors (124). *)
 
 open Cmdliner
 
@@ -102,18 +102,6 @@ let jobs_arg =
                  subsumption, planning, validation (results are \
                  deterministic and identical to -j 1).")
 
-let cache_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "cache-dir" ] ~docv:"DIR"
-           ~doc:"Directory for the incremental store: each image's \
-                 harvest (keyed on its code bytes and the extraction \
-                 config) and the solver verdicts persist across runs \
-                 through a write-ahead journal, so a warm run on an \
-                 image it has seen skips decoding and symbolic \
-                 execution.  Results are bit-identical with or without \
-                 it; a corrupt or stale store falls back to a cold run, \
-                 and a directory another writer holds is read-only.")
-
 let json_errors_arg =
   Arg.(value & flag
        & info [ "json-errors" ]
@@ -127,13 +115,6 @@ let json_errors_arg =
 let emit_failure ~json label detail =
   if json then prerr_endline (Gp_core.Fail.json_record ~label ~detail)
   else Printf.eprintf "error: %s: %s\n%!" label detail
-
-(* Store failures are warnings: results stand, only persistence was
-   affected, so they leave the exit code alone. *)
-let warn_store ~json fails =
-  List.iter
-    (fun f -> emit_failure ~json (Gp_core.Fail.label f) (Gp_core.Fail.to_string f))
-    fails
 
 let compile_image source (_, cfg) =
   Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg) source
@@ -160,7 +141,7 @@ let compile_cmd =
 (* ----- scan ----- *)
 
 let scan_cmd =
-  let run prog obf jobs cache_dir =
+  let run prog obf jobs =
     let image = compile_image prog obf in
     let counts = Gp_core.Extract.raw_counts image in
     let total = List.fold_left (fun a (_, c) -> a + c) 0 counts in
@@ -168,24 +149,15 @@ let scan_cmd =
     List.iter
       (fun (k, c) -> Printf.printf "  %-6s %6d\n" (Gp_core.Gadget.kind_name k) c)
       counts;
-    let a, store =
-      Gp_core.Incr.with_store ~dir:cache_dir (fun _ -> Gp_core.Api.analyze ~jobs image)
-    in
+    let a = Gp_core.Api.analyze ~jobs image in
     Printf.printf
       "planner pool: %d summaries -> %d deduped -> pool %d (%d cut by the \
        bucket cap)\n"
       a.Gp_core.Api.raw_extracted a.Gp_core.Api.deduped
-      (Gp_core.Pool.size a.Gp_core.Api.pool) a.Gp_core.Api.subsume_capped;
-    if cache_dir <> None then
-      Printf.printf "store: %d loaded; image memo: %d starts replayed, %d executed\n"
-        (Gp_core.Incr.loaded store)
-        a.Gp_core.Api.analysis_summary_hits
-        a.Gp_core.Api.analysis_summary_misses;
-    warn_store ~json:false store.Gp_core.Incr.st_fails
+      (Gp_core.Pool.size a.Gp_core.Api.pool) a.Gp_core.Api.subsume_capped
   in
   Cmd.v (Cmd.info "scan" ~doc:"Count gadgets (the Fig. 1 / Table I census).")
-    Term.(const run $ prog_arg $ obf_arg $ jobs_arg
-          $ cache_dir_arg)
+    Term.(const run $ prog_arg $ obf_arg $ jobs_arg)
 
 (* ----- plan ----- *)
 
@@ -199,13 +171,12 @@ let plan_cmd =
              ~doc:"Print per-stage statistics (planner counters, memo \
                    hits, stage seconds).")
   in
-  let run prog obf goal maxn budget jobs cache_dir stats json_errors =
+  let run prog obf goal maxn budget jobs stats json_errors =
     let image = compile_image prog obf in
-    let o, store =
-      Gp_core.Incr.with_store ~dir:cache_dir (fun _ ->
-          Gp_core.Api.run ?budget:(budget_of budget) ~jobs
-            ~planner_config:{ Gp_core.Planner.default_config with max_plans = maxn }
-            image (Gp_harness.Serve.goal_of_name goal))
+    let o =
+      Gp_core.Api.run ?budget:(budget_of budget) ~jobs
+        ~planner_config:{ Gp_core.Planner.default_config with max_plans = maxn }
+        image (Gp_harness.Serve.goal_of_name goal)
     in
     Printf.printf "pool %d gadgets; %d validated payload(s); rungs: %s\n"
       o.Gp_core.Api.stats.Gp_core.Api.pool_size
@@ -213,11 +184,7 @@ let plan_cmd =
       (String.concat ","
          (List.map Gp_core.Api.rung_name o.Gp_core.Api.rungs));
     let st = o.Gp_core.Api.stats in
-    (* the store session's failures join the run's quarantine ledger *)
-    let quarantined =
-      Gp_core.Fail.merge_counts st.Gp_core.Api.quarantined
-        (List.map (fun f -> (Gp_core.Fail.label f, 1)) store.Gp_core.Incr.st_fails)
-    in
+    let quarantined = st.Gp_core.Api.quarantined in
     if st.Gp_core.Api.budget_hits <> [] then
       Printf.printf "budget exhausted in: %s\n"
         (String.concat ", " st.Gp_core.Api.budget_hits);
@@ -243,13 +210,8 @@ let plan_cmd =
         st.Gp_core.Api.solver_unknowns;
       Printf.printf "screening: %d decided\n" st.Gp_core.Api.screen_decided;
       Printf.printf
-        "image memo: %d starts replayed / %d executed; %d loaded from \
-         disk%s; %d decodes saved\n"
+        "image memo: %d starts replayed / %d executed; %d decodes saved\n"
         st.Gp_core.Api.summary_hits st.Gp_core.Api.summary_misses
-        (Gp_core.Incr.loaded store)
-        (match store.Gp_core.Incr.st_status with
-         | Gp_core.Incr.Rejected _ -> " (stale store rejected)"
-         | Gp_core.Incr.Loaded _ | Gp_core.Incr.Absent -> "")
         st.Gp_core.Api.decode_saved;
       Printf.printf
         "times: extract %.3fs, subsume %.3fs, plan %.3fs (validate %.3fs)\n"
@@ -279,26 +241,24 @@ let plan_cmd =
   in
   Cmd.v (Cmd.info "plan" ~doc:"Build validated code-reuse payloads.")
     Term.(const run $ prog_arg $ obf_arg $ goal_arg $ max_arg
-          $ budget_arg $ jobs_arg $ cache_dir_arg $ stats_arg
-          $ json_errors_arg)
+          $ budget_arg $ jobs_arg $ stats_arg $ json_errors_arg)
 
 (* ----- survey ----- *)
 
 (* Checkpointed grid sweep (program x obfuscation config) through the
    supervised corpus runner (DESIGN.md §13).  With --manifest the
-   incremental-store journal and the per-cell completion manifest live
-   in DIR, fsync'd as the sweep progresses; a killed sweep re-run with
-   --resume replays completed cells and recomputes the rest,
-   bit-identical to an uninterrupted run. *)
+   per-cell completion manifest lives in DIR, fsync'd as the sweep
+   progresses; a killed sweep re-run with --resume replays completed
+   cells and recomputes the rest, bit-identical to an uninterrupted
+   run. *)
 
 let survey_cmd =
   let manifest_arg =
     Arg.(value & opt (some string) None
          & info [ "manifest" ] ~docv:"DIR"
-             ~doc:"Checkpoint directory: the write-ahead store journal \
-                   and the per-cell completion manifest are fsync'd \
-                   here as the sweep progresses, so a killed sweep can \
-                   be picked up with $(b,--resume).")
+             ~doc:"Checkpoint directory: the per-cell completion \
+                   manifest is fsync'd here as the sweep progresses, so \
+                   a killed sweep can be picked up with $(b,--resume).")
   in
   let resume_arg =
     Arg.(value & flag
@@ -341,15 +301,11 @@ let survey_cmd =
       S.run_cells ~policy ?manifest ~resume ~encode:Sv.resume_payload_encode
         ~decode:Sv.resume_payload_decode ~jobs cells
     in
-    let (outcomes, report), store =
+    let outcomes, report =
       match manifest with
       | Some dir ->
-        let r, store =
-          Sv.sweep ~dir ~resume (fun ~manifest ~resume ->
-              run ~manifest ~resume ())
-        in
-        (r, Some store)
-      | None -> (run ~resume:false (), None)
+        Sv.sweep ~dir ~resume (fun ~manifest ~resume -> run ~manifest ~resume ())
+      | None -> run ~resume:false ()
     in
     List.iter
       (fun (c : Sv.resume_payload R.cell_outcome) ->
@@ -372,21 +328,6 @@ let survey_cmd =
       report.R.r_total report.R.r_computed report.R.r_resumed
       report.R.r_retries
       (List.length report.R.r_failed);
-    (match store with
-     | None -> ()
-     | Some store ->
-       (match store.Gp_core.Incr.st_status with
-        | Gp_core.Incr.Loaded li
-          when li.Gp_core.Incr.li_wal_replayed > 0
-               || li.Gp_core.Incr.li_wal_truncated > 0 ->
-          Printf.printf "store journal: %d entr(ies) replayed%s\n"
-            li.Gp_core.Incr.li_wal_replayed
-            (if li.Gp_core.Incr.li_wal_truncated > 0 then
-               Printf.sprintf " (torn tail of %d byte(s) dropped)"
-                 li.Gp_core.Incr.li_wal_truncated
-             else "")
-        | _ -> ());
-       warn_store ~json:json_errors store.Gp_core.Incr.st_fails);
     match report.R.r_failed with
     | [] -> ()
     | ((_, first) :: _) as fails ->
@@ -407,16 +348,13 @@ let survey_cmd =
 (* ----- netperf ----- *)
 
 let netperf_cmd =
-  let run (config_name, cfg) budget jobs cache_dir json_errors =
+  let run (config_name, cfg) budget jobs json_errors =
     let budget = budget_of budget in
-    let attack, store =
-      Gp_core.Incr.with_store ~dir:cache_dir (fun _ ->
-          Gp_harness.Netperf_attack.run ?budget
-            (Gp_harness.Workspace.build ~config_name ~cfg ?budget ~jobs
-               Gp_corpus.Netperf.entry))
-    in
-    warn_store ~json:json_errors store.Gp_core.Incr.st_fails;
-    match attack with
+    match
+      Gp_harness.Netperf_attack.run ?budget
+        (Gp_harness.Workspace.build ~config_name ~cfg ?budget ~jobs
+           Gp_corpus.Netperf.entry)
+    with
     | None ->
       emit_failure ~json:json_errors "emu"
         "probe failed: overflow did not reach the return-address cell";
@@ -432,8 +370,7 @@ let netperf_cmd =
       | [] -> ()
   in
   Cmd.v (Cmd.info "netperf" ~doc:"Run the netperf end-to-end case study.")
-    Term.(const run $ obf_arg $ budget_arg $ jobs_arg
-          $ cache_dir_arg $ json_errors_arg)
+    Term.(const run $ obf_arg $ budget_arg $ jobs_arg $ json_errors_arg)
 
 (* ----- serve / submit (DESIGN.md §15) ----- *)
 
@@ -443,25 +380,10 @@ let socket_arg =
            ~doc:"Unix-domain socket the daemon listens on.")
 
 let serve_cmd =
-  let ckpt_every_arg =
-    Arg.(value & opt int 8
-         & info [ "checkpoint-every" ] ~docv:"N"
-             ~doc:"Write a WAL checkpoint after every N analyses.")
-  in
-  let ckpt_secs_arg =
-    Arg.(value & opt float 5.
-         & info [ "checkpoint-secs" ] ~docv:"S"
-             ~doc:"... or after the store has been dirty S seconds.")
-  in
-  let run socket cache_dir jobs ckpt_every ckpt_secs json_errors =
+  let run socket jobs json_errors =
     let module Sv = Gp_harness.Serve in
-    let sm =
-      Sv.serve
-        { Sv.d_socket = socket; d_cache_dir = cache_dir; d_jobs = jobs;
-          d_checkpoint_every = ckpt_every; d_checkpoint_s = ckpt_secs }
-    in
-    Printf.printf "served %d analyses; %d checkpoint(s); store %s\n"
-      sm.Sv.sm_served sm.Sv.sm_checkpoints sm.Sv.sm_mode;
+    let sm = Sv.serve { Sv.d_socket = socket; d_jobs = jobs } in
+    Printf.printf "served %d analyses\n" sm.Sv.sm_served;
     if sm.Sv.sm_faults <> [] then begin
       Printf.printf "wire faults quarantined: %s\n"
         (String.concat ", "
@@ -474,18 +396,16 @@ let serve_cmd =
             emit_failure ~json:true label
               (Printf.sprintf "%d frame(s) quarantined" n))
           sm.Sv.sm_faults
-    end;
-    warn_store ~json:json_errors sm.Sv.sm_store
+    end
   in
   Cmd.v
     (Cmd.info "serve"
-       ~doc:"Run the resident analysis daemon: caches stay memory-hot \
-             across requests, harvests persist through the write-ahead \
-             journal with batched checkpoints, and concurrent requests \
-             pipeline across pipeline stages on one domain pool.  \
-             Stops on a client $(b,shutdown) request.")
-    Term.(const run $ socket_arg $ cache_dir_arg $ jobs_arg
-          $ ckpt_every_arg $ ckpt_secs_arg $ json_errors_arg)
+       ~doc:"Run the resident analysis daemon: the image memo and the \
+             solver memo stay memory-hot across requests (nothing is \
+             persisted), and concurrent requests pipeline across \
+             pipeline stages on one domain pool.  Stops on a client \
+             $(b,shutdown) request.")
+    Term.(const run $ socket_arg $ jobs_arg $ json_errors_arg)
 
 let submit_cmd =
   let max_arg =

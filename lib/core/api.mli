@@ -266,8 +266,9 @@ val steps :
   outcome step
 (** The one assembly of a plan request, which {!run}, the analysis
     daemon and the survey's cells all drive: stage 1; then stage 2, after
-    which the ["mid-stage"] crash point fires ({!Gp_util.Store.crash_point});
-    then one degradation-ladder rung per step.  Each rung plans over its
+    which the ["mid-stage"] crash point fires ({!Gp_util.Store.crash_point};
+    the only other point is ["wal-append"], at each record the runner's
+    manifest appends); then one degradation-ladder rung per step.  Each rung plans over its
     pool ([Full]: the stage-2 pool; later rungs: {!dedup_analysis}, built
     once) with {!rung_planner_config} and a 0.6 slice of the root
     budget's remaining time.  The ladder stops at the first rung with a

@@ -22,15 +22,6 @@ type t =
       (* concrete execution crashed (unmapped access, bad fetch, ...) *)
   | Budget_exhausted of string * [ `Time | `Fuel ]
       (* the named budget ran dry *)
-  | Store_rejected of string
-      (* an on-disk incremental store was unusable (corrupt/stale);
-         the run proceeded cold *)
-  | Store_locked of string
-      (* another writer holds the cache dir's advisory lock; this run
-         demoted to read-only instead of corrupting *)
-  | Wal_torn of string
-      (* the write-ahead journal ended in a torn tail (crash
-         mid-append); the valid prefix was replayed, the tail dropped *)
   | Frame_fault of [ `Torn | `Checksum | `Disconnect ] * string
       (* a daemon wire frame was unusable: connection closed mid-frame,
          payload checksum/format mismatch, or the client vanished while
@@ -45,9 +36,6 @@ let label = function
   | Solver_timeout _ -> "solver-timeout"
   | Emu_fault _ -> "emu"
   | Budget_exhausted _ -> "budget"
-  | Store_rejected _ -> "store"
-  | Store_locked _ -> "store-locked"
-  | Wal_torn _ -> "wal-torn"
   | Frame_fault (`Torn, _) -> "frame-torn"
   | Frame_fault (`Checksum, _) -> "frame-checksum"
   | Frame_fault (`Disconnect, _) -> "frame-disconnect"
@@ -61,9 +49,6 @@ let to_string = function
   | Emu_fault d -> "emulator fault: " ^ d
   | Budget_exhausted (l, `Time) -> Printf.sprintf "budget %s: deadline exhausted" l
   | Budget_exhausted (l, `Fuel) -> Printf.sprintf "budget %s: fuel exhausted" l
-  | Store_rejected d -> "incremental store rejected: " ^ d
-  | Store_locked d -> "store locked: " ^ d
-  | Wal_torn d -> "wal torn tail: " ^ d
   | Frame_fault (`Torn, d) -> "torn wire frame: " ^ d
   | Frame_fault (`Checksum, d) -> "wire frame checksum: " ^ d
   | Frame_fault (`Disconnect, d) -> "client disconnected: " ^ d
@@ -79,21 +64,20 @@ let of_budget label = function
 (* Transient failures are worth retrying under the runner's backoff
    ladder: a timeout says "starved", not "impossible", and a larger or
    luckier attempt may land.  Everything else is a property of the
-   input (undecodable bytes, refused run, unusable store) and retrying
+   input (undecodable bytes, refused run, damaged frame) and retrying
    just burns budget. *)
 let retryable = function
   | Solver_timeout _ | Budget_exhausted _ -> true
   | Decode_fault _ | Symx_unsupported _ | Solver_unknown _ | Emu_fault _
-  | Store_rejected _ | Store_locked _ | Wal_torn _ | Frame_fault _ -> false
+  | Frame_fault _ -> false
 
 (* Process exit codes, BSD-sysexits-adjacent so supervisors can
    classify without parsing prose: 75 (tempfail) = transient timeout,
-   70 (software) = hard analysis fault, 78 (config) = store problem,
-   76 (protocol) = daemon wire-frame fault.  Cmdliner owns usage
+   70 (software) = hard analysis fault, 76 (protocol) = daemon
+   wire-frame fault.  Cmdliner owns usage
    errors (124). *)
 let exit_timeout = 75
 let exit_fault = 70
-let exit_store = 78
 let exit_proto = 76
 
 let exit_code f =
@@ -101,14 +85,12 @@ let exit_code f =
   | Solver_timeout _ | Budget_exhausted _ -> exit_timeout
   | Decode_fault _ | Symx_unsupported _ | Solver_unknown _ | Emu_fault _ ->
     exit_fault
-  | Store_rejected _ | Store_locked _ | Wal_torn _ -> exit_store
   | Frame_fault _ -> exit_proto
 
 (* Same classification keyed by ledger label, for call sites that only
    kept the tally bucket (quarantine ledgers in stage stats). *)
 let exit_code_of_label = function
   | "solver-timeout" | "budget" -> exit_timeout
-  | "store" | "store-locked" | "wal-torn" -> exit_store
   | "frame-torn" | "frame-checksum" | "frame-disconnect" -> exit_proto
   | _ -> exit_fault
 

@@ -20,15 +20,6 @@ type t =
       (** concrete execution crashed (unmapped access, bad fetch, ...) *)
   | Budget_exhausted of string * [ `Time | `Fuel ]
       (** the named budget ran dry *)
-  | Store_rejected of string
-      (** an on-disk incremental store was unusable (corrupt/stale);
-          the run was demoted to cold *)
-  | Store_locked of string
-      (** another writer holds the cache dir's advisory lock; demoted
-          to read-only *)
-  | Wal_torn of string
-      (** the write-ahead journal ended in a torn tail; valid prefix
-          replayed, tail dropped *)
   | Frame_fault of [ `Torn | `Checksum | `Disconnect ] * string
       (** a daemon wire frame was unusable (torn stream, checksum or
           format mismatch, client hangup mid-response); the request is
@@ -58,8 +49,7 @@ val retryable : t -> bool
 
 val exit_code : t -> int
 (** Distinct process exit codes per failure class: 75 transient
-    timeout, 70 hard analysis fault, 78 store problem, 76 wire
-    protocol fault. *)
+    timeout, 70 hard analysis fault, 76 wire protocol fault. *)
 
 val exit_code_of_label : string -> int
 (** Same mapping keyed by {!label} bucket (for quarantine ledgers). *)

@@ -152,125 +152,6 @@ let of_summary ?id (s : Gp_symx.Exec.summary) : t =
 
 let post_of g r = List.assoc r g.post
 
-(* ----- serialization (DESIGN.md §11) -----
-
-   The persisted extraction memo stores converted records, so the codec
-   covers every field, the id included.  Terms go through [Term.Ser]
-   (one writer per stored image, so shared subterms are written once)
-   and are re-interned on read; instructions through [Exec.put_insn]. *)
-
-module Bin = Gp_util.Store.Bin
-
-let kind_tag = function
-  | Return -> 0 | UDJ -> 1 | UIJ -> 2 | CDJ -> 3 | CIJ -> 4 | Sys -> 5
-
-let kind_of_tag = function
-  | 0 -> Return | 1 -> UDJ | 2 -> UIJ | 3 -> CDJ | 4 -> CIJ | 5 -> Sys
-  | _ -> raise Bin.Truncated
-
-let put_reg b r = Bin.u8 b (Reg.number r)
-
-let get_reg s pos =
-  match Reg.of_number (Bin.gu8 s pos) with
-  | r -> r
-  | exception Invalid_argument _ -> raise Bin.Truncated
-
-let put w b g =
-  let term t = Term.Ser.put w b t in
-  let reg_term (r, t) = put_reg b r; term t in
-  Bin.int_ b g.id;
-  Bin.i64 b g.addr;
-  Bin.int_ b g.len;
-  Bin.list b (Gp_symx.Exec.put_insn b) g.insns;
-  Bin.u8 b (kind_tag g.kind);
-  (match g.jmp with
-  | Gp_symx.Exec.Jret t -> Bin.u8 b 0; term t
-  | Gp_symx.Exec.Jind t -> Bin.u8 b 1; term t
-  | Gp_symx.Exec.Jfall a -> Bin.u8 b 2; Bin.i64 b a);
-  Bin.list b (put_reg b) g.clobbered;
-  Bin.list b (fun (r, o) -> put_reg b r; Bin.int_ b o) g.controlled;
-  Formula.put_list w b g.pre;
-  Bin.list b reg_term g.post;
-  (match g.stack_delta with
-  | Sdelta d -> Bin.u8 b 0; Bin.int_ b d
-  | Spivot d -> Bin.u8 b 1; Bin.int_ b d
-  | Sunknown -> Bin.u8 b 2);
-  Bin.list b (fun (o, t) -> Bin.int_ b o; term t) g.stack_writes;
-  Bin.list b (Bin.int_ b) g.consumed;
-  Bin.list b (fun (a, v) -> term a; term v) g.ptr_writes;
-  Bin.list b
-    (fun (name, a, reliable) -> Bin.str b name; term a; Bin.bool_ b reliable)
-    g.mem_reads;
-  (match g.syscall_state with
-  | None -> Bin.u8 b 0
-  | Some regs -> Bin.u8 b 1; Bin.list b reg_term regs);
-  Bin.bool_ b g.has_cond;
-  Bin.bool_ b g.has_merge;
-  Bin.bool_ b g.alias_hazard
-
-let get r s pos =
-  let term () = Term.Ser.get r s pos in
-  let reg_term () =
-    let rg = get_reg s pos in
-    (rg, term ())
-  in
-  let id = Bin.gint s pos in
-  let addr = Bin.gi64 s pos in
-  let len = Bin.gint s pos in
-  let insns = Bin.glist s pos (fun () -> Gp_symx.Exec.get_insn s pos) in
-  let kind = kind_of_tag (Bin.gu8 s pos) in
-  let jmp =
-    match Bin.gu8 s pos with
-    | 0 -> Gp_symx.Exec.Jret (term ())
-    | 1 -> Gp_symx.Exec.Jind (term ())
-    | 2 -> Gp_symx.Exec.Jfall (Bin.gi64 s pos)
-    | _ -> raise Bin.Truncated
-  in
-  let clobbered = Bin.glist s pos (fun () -> get_reg s pos) in
-  let controlled =
-    Bin.glist s pos (fun () ->
-        let rg = get_reg s pos in
-        (rg, Bin.gint s pos))
-  in
-  let pre = Formula.get_list r s pos in
-  let post = Bin.glist s pos reg_term in
-  let stack_delta =
-    match Bin.gu8 s pos with
-    | 0 -> Sdelta (Bin.gint s pos)
-    | 1 -> Spivot (Bin.gint s pos)
-    | 2 -> Sunknown
-    | _ -> raise Bin.Truncated
-  in
-  let stack_writes =
-    Bin.glist s pos (fun () ->
-        let o = Bin.gint s pos in
-        (o, term ()))
-  in
-  let consumed = Bin.glist s pos (fun () -> Bin.gint s pos) in
-  let ptr_writes =
-    Bin.glist s pos (fun () ->
-        let a = term () in
-        (a, term ()))
-  in
-  let mem_reads =
-    Bin.glist s pos (fun () ->
-        let name = Bin.gstr s pos in
-        let a = term () in
-        (name, a, Bin.gbool s pos))
-  in
-  let syscall_state =
-    match Bin.gu8 s pos with
-    | 0 -> None
-    | 1 -> Some (Bin.glist s pos reg_term)
-    | _ -> raise Bin.Truncated
-  in
-  let has_cond = Bin.gbool s pos in
-  let has_merge = Bin.gbool s pos in
-  let alias_hazard = Bin.gbool s pos in
-  { id; addr; len; insns; kind; jmp; clobbered; controlled; pre; post;
-    stack_delta; stack_writes; consumed; ptr_writes; mem_reads;
-    syscall_state; has_cond; has_merge; alias_hazard }
-
 let to_string g =
   Printf.sprintf "0x%Lx [%s] %s" g.addr (kind_name g.kind)
     (String.concat "; " (List.map Insn.to_string g.insns))

@@ -83,17 +83,6 @@ val of_summary : ?id:int -> Gp_symx.Exec.summary -> t
 val post_of : t -> Gp_x86.Reg.t -> Term.t
 (** Final value term of a register. *)
 
-(** {1 Serialization}
-
-    The persisted extraction memo's record encoding (DESIGN.md §11):
-    every field, the id included.  Terms go through {!Term.Ser}, so one
-    writer/reader pair spans all the gadgets of one stored image, and
-    are re-interned on read.  {!get} raises
-    [Gp_util.Store.Bin.Truncated] on malformed bytes. *)
-
-val put : Term.Ser.writer -> Buffer.t -> t -> unit
-val get : Term.Ser.reader -> string -> int ref -> t
-
 val to_string : t -> string
 (** One-line rendering: address, kind, instructions. *)
 

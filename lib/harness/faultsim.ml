@@ -57,34 +57,6 @@ let uniform ?(seed = 0xfa17) rate =
 let keyed_flip seed key rate =
   Gp_util.Rng.flip (Gp_util.Rng.create (seed lxor Hashtbl.hash key)) rate
 
-(* Deterministic on-disk corruption: flip bits in an existing file, one
-   keyed Bernoulli decision per byte — the damage pattern is a pure
-   function of (seed, byte index), independent of read order, matching
-   the keyed in-process hooks above.  Exercises the incremental store's
-   checksum rejection path (DESIGN.md §11): a run pointed at the damaged
-   file must demote to cold, never crash or silently use bad bytes.
-   Returns how many bytes were flipped (possibly 0 at tiny rates; tests
-   should retry with a denser rate rather than assume). *)
-let corrupt_file ?(seed = 0xc0de) ~rate path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let b = Bytes.create n in
-  really_input ic b 0 n;
-  close_in ic;
-  let flipped = ref 0 in
-  for i = 0 to n - 1 do
-    if keyed_flip seed i rate then begin
-      let r = Gp_util.Rng.create ((seed lxor 0x55) lxor i) in
-      let mask = 1 + Gp_util.Rng.int r 255 in
-      Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor mask);
-      incr flipped
-    end
-  done;
-  let oc = open_out_bin path in
-  output_bytes oc b;
-  close_out oc;
-  !flipped
-
 (* Run [f] with the fault schedule installed, restoring every hook on
    the way out (exception or not) — injection must never leak into the
    next experiment. *)
@@ -160,7 +132,7 @@ let with_faults (cfg : config) (f : unit -> 'a) : 'a =
 (* ----- crash-point injection (DESIGN.md §13) ----- *)
 
 (* Simulated process death.  [Store.crash_point] names the durability
-   points ("wal-append", "save-rename", "mid-stage"); installing a
+   points ("wal-append", "mid-stage"); installing a
    raising hook at one of them models the process dying with the
    channel buffers unflushed — callers must then tear state down with
    the [abandon] entry points (which drop fds WITHOUT flushing, unlike
@@ -192,8 +164,7 @@ let with_crash_at ?(hits = 1) ~point f =
       match f () with v -> Ok v | exception Crashed p -> Error p)
 
 (* Torn-write simulator: keep only the first [k] bytes of [path], as
-   if the process died with the tail not yet on disk.  The complement
-   of [corrupt_file]: truncation instead of bit flips, for the WAL's
+   if the process died with the tail not yet on disk — the WAL's
    valid-prefix recovery path. *)
 let truncate_file ~k path =
   let ic = open_in_bin path in

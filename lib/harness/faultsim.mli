@@ -31,13 +31,6 @@ val disabled : config
 val uniform : ?seed:int -> float -> config
 (** Same rate across decode/solver/memory; no clock skips. *)
 
-val corrupt_file : ?seed:int -> rate:float -> string -> int
-(** Flip bits in an existing file, one keyed Bernoulli decision per byte
-    (deterministic from [seed]; the nonzero XOR mask is keyed too).
-    Returns the number of bytes flipped — possibly 0 at tiny rates.
-    Used to prove the incremental store's checksums demote a damaged
-    file to a cold run (DESIGN.md §11). *)
-
 val with_faults : config -> (unit -> 'a) -> 'a
 (** Run the thunk with the fault schedule installed; every hook (and the
     clock) is restored on the way out, exception or not.  Each fault
@@ -61,15 +54,12 @@ exception Crashed of string
 val with_crash_at :
   ?hits:int -> point:string -> (unit -> 'a) -> ('a, string) result
 (** Arm a crash at the [hits]-th firing (1-based, default 1) of the
-    named point ("wal-append", "save-rename", "mid-stage").  [Error
-    point] if the crash fired; [Ok v] if the run outlived the fuse.
-    After a crash, state is torn down without flushing, exactly like a
-    real kill: an [Incr.with_store] session abandons its journal as the
-    exception leaves it, and [Runner.Manifest.abandon] drops a
-    manifest.  The previous hook is
-    chained and restored. *)
+    named point ("wal-append", "mid-stage").  [Error point] if the
+    crash fired; [Ok v] if the run outlived the fuse.  After a crash,
+    state is torn down without flushing, exactly like a real kill:
+    [Survey.sweep] drops its manifest with [Runner.Manifest.abandon].
+    The previous hook is chained and restored. *)
 
 val truncate_file : k:int -> string -> unit
 (** Torn-write simulator: keep only the first [k] bytes of the file
-    (clamped to its length) — the complement of {!corrupt_file} for
-    the WAL's valid-prefix recovery path. *)
+    (clamped to its length) — the WAL's valid-prefix recovery path. *)

@@ -122,7 +122,6 @@ module Manifest = struct
   type entry = { e_digest : int64; e_payload : string }
 
   type t = {
-    m_dir : string;
     m_tbl : (string, entry) Hashtbl.t;
     m_mutex : Mutex.t;
         (* guards m_tbl AND the append+fsync pair: scheduler workers
@@ -150,9 +149,21 @@ module Manifest = struct
     let payload = Gp_util.Store.Bin.gstr v pos in
     { e_digest = digest; e_payload = payload }
 
-  (* Open (or create) the manifest in [dir].  Records whose payload
-     fails its digest, or whose entry fails to decode, are dropped — the
-     cell is recomputed, which is always safe; a payload that does not
+  (* Load a replay's trusted records into [tbl]: a record whose entry
+     fails to decode, or whose payload fails its digest, is dropped —
+     the cell is recomputed, which is always safe. *)
+  let load_replay tbl (r : Gp_util.Store.Wal.replay) =
+    List.iter
+      (fun (sec, k, v) ->
+        if sec = section then
+          match decode_entry v with
+          | e when Gp_util.Store.fnv64 e.e_payload = e.e_digest ->
+            Hashtbl.replace tbl k e
+          | _ -> ()
+          | exception Gp_util.Store.Bin.Truncated -> ())
+      r.Gp_util.Store.Wal.entries
+
+  (* Open (or create) the manifest in [dir].  A payload that does not
      decode is recomputed too, at [replay].  A second writer demotes to
      read-only: completed cells still replay, new ones aren't
      recorded. *)
@@ -160,62 +171,32 @@ module Manifest = struct
     Gp_util.Store.mkdir_p dir;
     let tbl = Hashtbl.create 64 in
     let path = wal_path ~dir in
-    let lock, read_only =
-      match Gp_util.Store.try_lock ~name:lock_name dir with
-      | Ok l -> (Some l, None)
-      | Error who -> (None, Some who)
-    in
-    match lock with
-    | None ->
-      let replayed =
-        match Gp_util.Store.Wal.read ~schema:schema_version path with
-        | Ok r ->
-          List.iter
-            (fun (sec, k, v) ->
-              if sec = section then
-                match decode_entry v with
-                | e when Gp_util.Store.fnv64 e.e_payload = e.e_digest ->
-                  Hashtbl.replace tbl k e
-                | _ -> ()
-                | exception Gp_util.Store.Bin.Truncated -> ())
-            r.Gp_util.Store.Wal.entries;
-          Hashtbl.length tbl
-        | Error _ -> 0
-      in
-      { m_dir = dir; m_tbl = tbl; m_mutex = Mutex.create (); m_wal = None;
-        m_lock = None; m_replayed = replayed; m_torn_bytes = 0;
+    (* built after the replay, so [m_replayed] counts what it loaded *)
+    let make ?wal ?lock ?(torn = 0) read_only =
+      { m_tbl = tbl; m_mutex = Mutex.create (); m_wal = wal; m_lock = lock;
+        m_replayed = Hashtbl.length tbl; m_torn_bytes = torn;
         m_read_only = read_only }
-    | Some l -> (
+    in
+    match Gp_util.Store.try_lock ~name:lock_name dir with
+    | Error who ->
+      (match Gp_util.Store.Wal.read ~schema:schema_version path with
+      | Ok r -> load_replay tbl r
+      | Error _ -> ());
+      make (Some who)
+    | Ok l -> (
       match Gp_util.Store.Wal.open_append ~schema:schema_version path with
-      | Error why ->
+      | Ok (w, r) ->
+        load_replay tbl r;
+        make ~wal:w ~lock:l ~torn:r.Gp_util.Store.Wal.torn_bytes None
+      | Error why -> (
         (* foreign/stale manifest: discard and start over — losing a
            checkpoint only costs recomputation *)
         (try Sys.remove path with Sys_error _ -> ());
-        (match Gp_util.Store.Wal.open_append ~schema:schema_version path with
+        match Gp_util.Store.Wal.open_append ~schema:schema_version path with
+        | Ok (w, _) -> make ~wal:w ~lock:l None
         | Error why2 ->
           Gp_util.Store.unlock l;
-          { m_dir = dir; m_tbl = tbl; m_mutex = Mutex.create ();
-            m_wal = None; m_lock = None; m_replayed = 0; m_torn_bytes = 0;
-            m_read_only = Some (why ^ "; " ^ why2) }
-        | Ok (w, _) ->
-          { m_dir = dir; m_tbl = tbl; m_mutex = Mutex.create ();
-            m_wal = Some w; m_lock = Some l; m_replayed = 0; m_torn_bytes = 0;
-            m_read_only = None })
-      | Ok (w, replay) ->
-        List.iter
-          (fun (sec, k, v) ->
-            if sec = section then
-              match decode_entry v with
-              | e when Gp_util.Store.fnv64 e.e_payload = e.e_digest ->
-                Hashtbl.replace tbl k e
-              | _ -> ()
-              | exception Gp_util.Store.Bin.Truncated -> ())
-          replay.Gp_util.Store.Wal.entries;
-        { m_dir = dir; m_tbl = tbl; m_mutex = Mutex.create ();
-          m_wal = Some w; m_lock = Some l;
-          m_replayed = Hashtbl.length tbl;
-          m_torn_bytes = replay.Gp_util.Store.Wal.torn_bytes;
-          m_read_only = None })
+          make (Some (why ^ "; " ^ why2))))
 
   let read_only t = t.m_read_only
   let replayed t = t.m_replayed
@@ -286,9 +267,7 @@ type report = {
    checkpoint log).  With [resume] and a manifest, completed cells are
    replayed through [decode] instead of recomputed (a record that does
    not decode is recomputed, see [replay]); computed cells are
-   recorded through [encode] and followed by a solver-memo checkpoint
-   (a no-op outside a store session), so the store WAL and the manifest
-   advance together. *)
+   recorded through [encode]. *)
 let run_corpus ?(policy = default_policy) ?manifest ?(resume = false)
     ~(encode : 'a -> string) ~(decode : string -> 'a)
     (cells : (string * (attempt:int -> Budget.t -> ('a, Fail.t) result)) list) :
@@ -311,7 +290,6 @@ let run_corpus ?(policy = default_policy) ?manifest ?(resume = false)
             (match manifest with
             | Some m -> Manifest.record m ~key ~payload:(encode v)
             | None -> ());
-            Incr.journal_checkpoint ();
             { c_key = key; c_result = Ok v; c_retries = r; c_resumed = false }
           | Error fail ->
             failed := (key, fail) :: !failed;

@@ -81,7 +81,8 @@ end
    exception that still reaches a worker is by definition fatal to the
    process ([Faultsim.Crashed], or a bug).  The first one is kept, the
    pool stops claiming work, and [check]/[stop] re-raise it on the
-   caller's domain — where the journal teardown lives. *)
+   caller's domain — where the teardown (the daemon's socket, the
+   sweep's manifest) lives. *)
 module Service = struct
   type t = {
     sv_deques : (unit -> unit) Deque.t array;
@@ -225,9 +226,8 @@ let rec drive sv step ~finish =
 
 (* [Runner.run_corpus] semantics on the pool: same resume replay, same
    per-attempt watchdog budgets, same transient/permanent retry ladder
-   with the same deterministic backoff schedule, same
-   manifest-record-then-journal-checkpoint commit (serialized under one
-   mutex so concurrent cells' WAL appends never interleave a commit).
+   with the same deterministic backoff schedule, same manifest-record
+   commit.
    A retried cell restarts from its FIRST stage with a fresh watchdog,
    exactly like the sequential runner. *)
 let run_cells ?(policy = Runner.default_policy) ?manifest ?(resume = false)
@@ -237,13 +237,10 @@ let run_cells ?(policy = Runner.default_policy) ?manifest ?(resume = false)
   let outcomes : 'a Runner.cell_outcome option array =
     Array.make (List.length cells) None
   in
-  let commit_m = Mutex.create () in
   let commit key v =
-    Mutex.protect commit_m (fun () ->
-        (match manifest with
-        | Some m -> Runner.Manifest.record m ~key ~payload:(encode v)
-        | None -> ());
-        Incr.journal_checkpoint ())
+    match manifest with
+    | Some m -> Runner.Manifest.record m ~key ~payload:(encode v)
+    | None -> ()
   in
   let settle idx key ~attempt ~resumed result =
     outcomes.(idx) <-

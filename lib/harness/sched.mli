@@ -40,7 +40,8 @@ end
     reaching a worker is fatal to the process ([Faultsim.Crashed],
     handler bugs).  The first is kept, the pool stops claiming work,
     and {!Service.check}/{!Service.stop} re-raise it on the caller's
-    domain — where journal teardown lives. *)
+    domain — where teardown (the daemon's socket, the sweep's
+    manifest) lives. *)
 module Service : sig
   type t
 
@@ -98,8 +99,7 @@ val run_cells :
     scheduled); [Budget.Exhausted] anywhere in the chain is transient;
     transient failures retry from the cell's FIRST stage with the same
     deterministic backoff schedule; a finished cell is recorded in the
-    manifest and followed by an [Incr.journal_checkpoint], serialized
-    under one commit lock.  [jobs] sizes the pool; it is stopped (every
+    manifest ([Runner.Manifest.record] is atomic across domains).  [jobs] sizes the pool; it is stopped (every
     domain joined) before this returns, and a fatal task exception —
     [Faultsim.Crashed] included — re-raises after the join.  The
     outcome list is in input cell order, and payloads are

@@ -1,19 +1,17 @@
 (* Analysis-as-a-service: the resident daemon (DESIGN.md §15).
 
-   Every CLI invocation is a cold process: it opens the incremental
-   store, analyzes one (binary, config, goal) cell, compacts, and dies —
-   the stored harvests and the solver memos are disk-hot but never
-   memory-hot across requests.  This module keeps one process resident:
+   Every CLI invocation is a cold process: it analyzes one (binary,
+   config, goal) cell and dies, taking its image memo and solver memo
+   with it.  This module keeps one process resident:
    a Unix-domain socket accepts a stream of framed requests
    ([Gp_util.Frame]: length-prefixed, FNV-checksummed), each carrying a
    binary image, a goal, and planner knobs; each request is dispatched
    onto a persistent [Sched.Service] work-stealing pool as [Api.steps]'
    chain of stage tasks ([Sched.drive], the survey's chain driver), so
    one request's plan stage overlaps another's extract.
-   The [Incr] image memo and solver memos are loaded once at startup
-   and stay hot, so a repeated image costs one digest; durability is the
-   store's write-ahead journal (DESIGN.md §13) with periodic batched
-   checkpoints instead of a per-request save.
+   The [Incr] image memo and the solver memo stay hot, so a repeated
+   image costs one digest.  Nothing is persisted: a restarted daemon
+   starts cold.
 
    Determinism: a served request draws gadget ids from a local source
    ([Gadget.local_ids]) and runs the chain [Api.run] finishes inline,
@@ -25,9 +23,9 @@
    hangup) is quarantined per connection under the [Fail.Frame_fault]
    labels and the connection dropped — resident caches are never
    touched by a request that did not parse.  [Faultsim.Crashed] is
-   never caught: it stops the pool, every worker is joined, then it
-   unwinds through the store session, which abandons the journal, and
-   re-raises, exactly like a crashed sweep. *)
+   never caught: it stops the pool, every worker is joined, the socket
+   is closed and unlinked, and the exception re-raises, exactly like a
+   crashed sweep. *)
 
 open Gp_core
 module B = Gp_util.Store.Bin
@@ -203,10 +201,8 @@ let report_decode s pos =
 type daemon_stats = {
   ds_served : int;                      (* analyses completed *)
   ds_faults : (string * int) list;      (* frame-fault ledger *)
-  ds_checkpoints : int;                 (* WAL checkpoints written *)
   ds_incr_size : int;                   (* images in the resident memo *)
   ds_memo_entries : int;                (* resident solver-memo entries *)
-  ds_mode : string;                     (* "journaling" | "read-only: _" | "memory" *)
 }
 
 type msg =
@@ -254,10 +250,8 @@ let reply_encode = function
     B.u8 b 2;
     B.int_ b ds.ds_served;
     pairs_encode b ds.ds_faults;
-    B.int_ b ds.ds_checkpoints;
     B.int_ b ds.ds_incr_size;
     B.int_ b ds.ds_memo_entries;
-    B.str b ds.ds_mode;
     Buffer.contents b
   | Shutdown_ack ->
     let b = Buffer.create 4 in
@@ -277,13 +271,9 @@ let reply_decode s =
   | 2 ->
     let ds_served = B.gint s pos in
     let ds_faults = pairs_decode s pos in
-    let ds_checkpoints = B.gint s pos in
     let ds_incr_size = B.gint s pos in
     let ds_memo_entries = B.gint s pos in
-    let ds_mode = B.gstr s pos in
-    Stats_reply
-      { ds_served; ds_faults; ds_checkpoints; ds_incr_size; ds_memo_entries;
-        ds_mode }
+    Stats_reply { ds_served; ds_faults; ds_incr_size; ds_memo_entries }
   | 3 -> Shutdown_ack
   | 9 ->
     let label = B.gstr s pos in
@@ -476,25 +466,14 @@ end
 
 type config = {
   d_socket : string;
-  d_cache_dir : string option;
   d_jobs : int;                (* Service pool workers *)
-  d_checkpoint_every : int;    (* checkpoint after this many analyses *)
-  d_checkpoint_s : float;      (* ... or this many seconds dirty *)
 }
 
-let default_config ~socket =
-  { d_socket = socket;
-    d_cache_dir = None;
-    d_jobs = 4;
-    d_checkpoint_every = 8;
-    d_checkpoint_s = 5. }
+let default_config ~socket = { d_socket = socket; d_jobs = 4 }
 
 type summary = {
   sm_served : int;
   sm_faults : (string * int) list;
-  sm_checkpoints : int;
-  sm_mode : string;
-  sm_store : Fail.t list;
 }
 
 (* Per-connection state.  The main domain owns reads and parsing;
@@ -513,18 +492,12 @@ type conn = {
 }
 
 type daemon = {
-  dm_cfg : config;
   dm_sv : Sched.Service.t;
-  dm_mode : string;
-  dm_journaling : bool;         (* the store session opened a journal *)
   mutable dm_conns : conn list;
   mutable dm_running : bool;
   dm_served : int Atomic.t;
   dm_faults : Fail.tally;
   dm_faults_m : Mutex.t;
-  mutable dm_checkpoints : int;
-  mutable dm_ckpt_mark : int;   (* dm_served at the last checkpoint *)
-  mutable dm_ckpt_time : float;
 }
 
 let quarantine d f =
@@ -578,10 +551,8 @@ let dispatch d c payload =
            ds_faults =
              Mutex.protect d.dm_faults_m (fun () ->
                  Fail.tally_list d.dm_faults);
-           ds_checkpoints = d.dm_checkpoints;
            ds_incr_size = Incr.size ();
-           ds_memo_entries = Gp_smt.Solver.memo_count ();
-           ds_mode = d.dm_mode })
+           ds_memo_entries = Gp_smt.Solver.memo_count () })
   | Shutdown ->
     send_reply d c Shutdown_ack;
     d.dm_running <- false
@@ -652,26 +623,7 @@ let read_conn d c =
       (Fail.Frame_fault (`Disconnect, fn ^ ": " ^ Unix.error_message e));
     if Atomic.get c.cn_inflight = 0 then conn_close d c else c.cn_eof <- true
 
-let maybe_checkpoint d =
-  if d.dm_journaling then begin
-    let served = Atomic.get d.dm_served in
-    let dirty = served > d.dm_ckpt_mark in
-    let due_count = served - d.dm_ckpt_mark >= d.dm_cfg.d_checkpoint_every in
-    let due_time =
-      dirty && Unix.gettimeofday () -. d.dm_ckpt_time >= d.dm_cfg.d_checkpoint_s
-    in
-    if due_count || due_time then begin
-      (* [Faultsim.Crashed] from the armed wal-append point escapes
-         here, through the store session's abandon — the daemon's crash
-         story is the sweep's crash story *)
-      Incr.journal_checkpoint ();
-      d.dm_checkpoints <- d.dm_checkpoints + 1;
-      d.dm_ckpt_mark <- served;
-      d.dm_ckpt_time <- Unix.gettimeofday ()
-    end
-  end
-
-let run_daemon (cfg : config) ~mode ~journaling : summary =
+let serve (cfg : config) : summary =
   let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.unlink cfg.d_socket with Unix.Unix_error _ -> ());
   Unix.bind lsock (Unix.ADDR_UNIX cfg.d_socket);
@@ -680,18 +632,12 @@ let run_daemon (cfg : config) ~mode ~journaling : summary =
      that must be EPIPE (quarantined), not process death *)
   sigpipe_acquire ();
   let d =
-    { dm_cfg = cfg;
-      dm_sv = Sched.Service.start ~jobs:cfg.d_jobs;
-      dm_mode = mode;
-      dm_journaling = journaling;
+    { dm_sv = Sched.Service.start ~jobs:cfg.d_jobs;
       dm_conns = [];
       dm_running = true;
       dm_served = Atomic.make 0;
       dm_faults = Fail.tally_create ();
-      dm_faults_m = Mutex.create ();
-      dm_checkpoints = 0;
-      dm_ckpt_mark = 0;
-      dm_ckpt_time = Unix.gettimeofday () }
+      dm_faults_m = Mutex.create () }
   in
   let teardown () =
     (try Unix.close lsock with Unix.Unix_error _ -> ());
@@ -738,45 +684,22 @@ let run_daemon (cfg : config) ~mode ~journaling : summary =
       List.iter
         (fun c ->
           if c.cn_eof && Atomic.get c.cn_inflight = 0 then conn_close d c)
-        d.dm_conns;
-      maybe_checkpoint d
+        d.dm_conns
     done;
     (* graceful shutdown: stopping the pool drains in-flight analyses
-       (their replies still go out) and re-raises a fatal one; the
-       store session compacts the journal after this returns *)
+       (their replies still go out) and re-raises a fatal one *)
     Sched.Service.stop d.dm_sv
   with
   | () ->
     teardown ();
     { sm_served = Atomic.get d.dm_served;
       sm_faults =
-        Mutex.protect d.dm_faults_m (fun () -> Fail.tally_list d.dm_faults);
-      sm_checkpoints = d.dm_checkpoints;
-      sm_mode = mode;
-      sm_store = [] }
+        Mutex.protect d.dm_faults_m (fun () -> Fail.tally_list d.dm_faults) }
   | exception e ->
     (* simulated process death or a fatal bug: join the pool first —
-       no worker may still be running a request step when the store
-       session abandons the journal, WITHOUT flushing, exactly like a
-       crashed sweep — and let [e] keep unwinding (the pool's own
-       re-raise of a worker's fatal exception is dropped here). *)
+       no worker may still be running a request step once the daemon
+       is gone — and let [e] keep unwinding (the pool's own re-raise of
+       a worker's fatal exception is dropped here). *)
     (try Sched.Service.stop d.dm_sv with _ -> ());
     teardown ();
     raise e
-
-let serve (cfg : config) : summary =
-  (* load once, stay resident: the store session holds the dir's
-     advisory lock for the daemon's whole life, so concurrent CLI runs
-     demote to read-only cleanly; it compacts after a graceful shutdown
-     and abandons the journal, unflushed, when the loop below raises *)
-  let sm, store =
-    Incr.with_store ~dir:cfg.d_cache_dir (fun opened ->
-        let mode =
-          match opened.Incr.st_mode with
-          | `Off -> "memory"
-          | `Journaling -> "journaling"
-          | `Read_only why -> "read-only: " ^ why
-        in
-        run_daemon cfg ~mode ~journaling:(opened.Incr.st_mode = `Journaling))
-  in
-  { sm with sm_store = store.Incr.st_fails }

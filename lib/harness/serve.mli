@@ -4,8 +4,8 @@
     across requests: a Unix-domain socket accepts framed
     ([Gp_util.Frame]) analysis requests and dispatches each as a chain
     of stage tasks on a persistent {!Sched.Service} pool, so concurrent
-    requests pipeline across stages.  Durability is the WAL with
-    periodic batched checkpoints; a daemon-served report is
+    requests pipeline across stages.  Nothing is persisted: the memos
+    live as long as the process.  A daemon-served report is
     bit-identical to the cold CLI run of the same request. *)
 
 open Gp_core
@@ -31,8 +31,7 @@ val default_request : Gp_util.Image.t -> request
 
 (** The jobs- and temperature-invariant projection of an {!Api.outcome}:
     everything the CLI report prints, minus the cache and summary
-    counters (temperature) and the store lines (the CLI's store
-    session, not the outcome, carries those).  [report_encode] of this is
+    counters (temperature).  [report_encode] of this is
     the differential unit — daemon vs CLI comparisons are on the
     encoded bytes. *)
 type report = {
@@ -79,51 +78,34 @@ val request_steps : request -> report Sched.step
 
 type config = {
   d_socket : string;           (** Unix-domain socket path *)
-  d_cache_dir : string option; (** incremental store (journal mode) *)
   d_jobs : int;                (** service pool workers *)
-  d_checkpoint_every : int;    (** checkpoint after this many analyses *)
-  d_checkpoint_s : float;      (** ... or this many seconds dirty *)
 }
 
 val default_config : socket:string -> config
-(** No cache dir, 4 workers, checkpoint every 8 analyses / 5 s. *)
+(** 4 workers. *)
 
 type summary = {
   sm_served : int;                 (** analyses completed *)
   sm_faults : (string * int) list; (** frame-fault quarantine ledger *)
-  sm_checkpoints : int;
-  sm_mode : string;                (** "journaling" | "read-only: _" | "memory" *)
-  sm_store : Fail.t list;
-      (** every store failure of the daemon's store session
-          ({!Incr.report}[.st_fails]): a rejected store, torn journal
-          or held lock at startup, a failed checkpoint, a failed
-          compaction at shutdown *)
 }
 
 val serve : config -> summary
-(** Run the daemon until a [Shutdown] request inside one store
-    session on [d_cache_dir] ({!Incr.with_store}: the dir's advisory
-    lock is held for the daemon's life, so concurrent CLI writers
-    demote to read-only), accept framed requests, checkpoint on the
-    dirty-count/timer policy, and on shutdown drain in-flight analyses
-    and compact the journal.
+(** Run the daemon until a [Shutdown] request: accept framed requests,
+    and on shutdown drain in-flight analyses.
 
     Wire damage is quarantined per the {!Fail.Frame_fault} labels and
     the offending connection dropped; resident caches never see a
     request that did not parse.  [Faultsim.Crashed] (or any handler
-    bug) is NOT caught: the pool's workers are joined, then the store
-    session abandons the journal — on-disk state frozen as at the
-    crash — and the exception is re-raised. *)
+    bug) is NOT caught: the pool's workers are joined, the socket is
+    closed and unlinked, and the exception is re-raised. *)
 
 (** {1 Client} *)
 
 type daemon_stats = {
   ds_served : int;
   ds_faults : (string * int) list;
-  ds_checkpoints : int;
   ds_incr_size : int;     (** images in the resident memo *)
   ds_memo_entries : int;  (** resident solver-memo entries *)
-  ds_mode : string;
 }
 
 module Client : sig

@@ -1,4 +1,5 @@
-(* The survey grid and the one journaled sweep over it (DESIGN.md §13–§14).
+(* The survey grid and the one checkpointed sweep over it (DESIGN.md
+   §13–§14).
 
    A survey cell is one (program, obfuscation config) pair.  The paper
    experiments walk the grid; the `survey` CLI, the sweep and resume
@@ -110,9 +111,7 @@ let resume_payload_decode s =
    the per-attempt watchdog as its root budget.  Gadget ids come from a
    per-cell local source — exactly the sequence [Gadget.reset_ids ()] +
    the global source yields — so concurrent cells cannot interleave
-   draws.  Cells never open the store: the sweep's store session merged
-   it at the open, and each fresh image's harvest streams to the WAL
-   through [Incr.add]. *)
+   draws. *)
 let sweep_cell_steps ?entries ?configs ?(quick = true) ~goal () :
     (string * (attempt:int -> Gp_core.Budget.t -> resume_payload Sched.step))
     list =
@@ -149,20 +148,19 @@ let sweep_cells_sequential cells =
       (key, fun ~attempt b -> Ok (Gp_core.Api.finish (sc ~attempt b))))
     cells
 
-(* ---------- the journaled sweep ---------- *)
+(* ---------- the checkpointed sweep ---------- *)
 
 let sweep ~dir ~resume run =
-  Gp_core.Incr.with_store ~dir:(Some dir) (fun _ ->
-      let m = Runner.Manifest.open_ ~dir in
-      match run ~manifest:m ~resume with
-      | r ->
-        Runner.Manifest.close m;
-        r
-      | exception e ->
-        (* simulated process death (or any real abort): drop fds WITHOUT
-           flushing, as the store session does for its journal *)
-        Runner.Manifest.abandon m;
-        raise e)
+  let m = Runner.Manifest.open_ ~dir in
+  match run ~manifest:m ~resume with
+  | r ->
+    Runner.Manifest.close m;
+    r
+  | exception e ->
+    (* simulated process death (or any real abort): drop fds WITHOUT
+       flushing, as a killed process would *)
+    Runner.Manifest.abandon m;
+    raise e
 
 (* ---------- daemon requests ---------- *)
 

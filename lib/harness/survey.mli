@@ -1,4 +1,4 @@
-(** The survey grid and the one journaled sweep over it (DESIGN.md
+(** The survey grid and the one checkpointed sweep over it (DESIGN.md
     §13–§14): the (program x obfuscation config) cells the paper
     experiments walk, the staged cell bodies the `survey` CLI and the
     sweep suites run, and the checkpointed bracket around a sweep. *)
@@ -88,20 +88,17 @@ val sweep_cells_sequential :
     the {!Runner.run_corpus}-shaped sequential reference the sweep suite
     compares the scheduler against. *)
 
-(** {1 The journaled sweep} *)
+(** {1 The checkpointed sweep} *)
 
 val sweep :
   dir:string -> resume:bool ->
-  (manifest:Runner.Manifest.t -> resume:bool -> 'r) ->
-  'r * Gp_core.Incr.report
-(** [sweep ~dir ~resume run]: inside a store session on [dir]
-    ({!Gp_core.Incr.with_store}), open the cell manifest there too,
-    [run] the cells against it (replaying completed cells when
-    [resume]), then close the manifest and compact the store; the
-    session's report comes back with [run]'s result.  If [run] raises —
-    a [Faultsim.Crashed] included — store journal and manifest are both
-    abandoned without flushing, exactly like a killed process, and the
-    exception propagates. *)
+  (manifest:Runner.Manifest.t -> resume:bool -> 'r) -> 'r
+(** [sweep ~dir ~resume run]: open the cell manifest in [dir], [run]
+    the cells against it (replaying completed cells when [resume]),
+    then close the manifest.  If [run] raises — a [Faultsim.Crashed]
+    included — the manifest is abandoned without flushing, exactly like
+    a killed process, and the exception propagates.  The manifest is
+    the only state a sweep keeps on disk. *)
 
 (** {1 Daemon requests} *)
 

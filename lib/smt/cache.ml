@@ -101,30 +101,6 @@ let find_or_add (c : ('k, 'v) t) (key : 'k) (f : unit -> 'v) : 'v =
         if not (Hashtbl.mem s.s_tbl key) then Hashtbl.add s.s_tbl key v);
     v
 
-(* Persistence hooks (DESIGN.md §11).  [export] snapshots the table as
-   an association list; [import] merges entries, keeping whatever is
-   already present (first-write-wins, same as [find_or_add]).  Importing
-   can never change a verdict: stored values are pure functions of their
-   keys, so a pre-seeded entry answers exactly what a fresh
-   compute would.  Neither touches the hit/miss counters.  Export order
-   was never specified (callers sort serialized entries), so walking
-   shard by shard changes nothing observable. *)
-
-let export c =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.protect s.s_lock (fun () ->
-          Hashtbl.fold (fun k v l -> (k, v) :: l) s.s_tbl acc))
-    [] c.shards
-
-let import c entries =
-  List.iter
-    (fun (k, v) ->
-      let s = shard_of c k in
-      Mutex.protect s.s_lock (fun () ->
-          if not (Hashtbl.mem s.s_tbl k) then Hashtbl.add s.s_tbl k v))
-    entries
-
 (* ----- canonical queries ----- *)
 
 (* Canonical form of a query: simplify every atom, then sort (and

@@ -38,15 +38,6 @@ val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** Look up the key; on a miss compute (outside the lock) and publish
     first-write-wins. *)
 
-val export : ('k, 'v) t -> ('k * 'v) list
-(** Snapshot the table (unspecified order — sort serialized entries for
-    deterministic store bytes). *)
-
-val import : ('k, 'v) t -> ('k * 'v) list -> unit
-(** Merge entries, keeping existing bindings (first-write-wins).  Values
-    are pure functions of their keys, so importing a store can never
-    change a verdict, only skip recomputing it.  Counters untouched. *)
-
 val canon : Formula.t list -> Formula.t list
 (** Canonical form of a query: simplify every atom, then sort and dedup
     (a conjunction is a set).  Idempotent; permutations of the same

@@ -98,52 +98,6 @@ let eval ?(readable = fun _ -> true) ?(writable = fun _ -> true) model f =
   | Readable t -> readable (v t)
   | Writable t -> writable (v t)
 
-(* ----- stable binary (de)serialization (DESIGN.md §11) ----- *)
-
-module Bin = Gp_util.Store.Bin
-
-let put w b f =
-  let atom2 tag x y = Bin.u8 b tag; Term.Ser.put w b x; Term.Ser.put w b y in
-  match f with
-  | True -> Bin.u8 b 0
-  | False -> Bin.u8 b 1
-  | Eq (x, y) -> atom2 2 x y
-  | Ne (x, y) -> atom2 3 x y
-  | Slt (x, y) -> atom2 4 x y
-  | Sle (x, y) -> atom2 5 x y
-  | Ult (x, y) -> atom2 6 x y
-  | Ule (x, y) -> atom2 7 x y
-  | Readable t -> Bin.u8 b 8; Term.Ser.put w b t
-  | Writable t -> Bin.u8 b 9; Term.Ser.put w b t
-
-let get r s pos =
-  let t2 mk =
-    let x = Term.Ser.get r s pos in
-    let y = Term.Ser.get r s pos in
-    mk x y
-  in
-  match Bin.gu8 s pos with
-  | 0 -> True
-  | 1 -> False
-  | 2 -> t2 (fun x y -> Eq (x, y))
-  | 3 -> t2 (fun x y -> Ne (x, y))
-  | 4 -> t2 (fun x y -> Slt (x, y))
-  | 5 -> t2 (fun x y -> Sle (x, y))
-  | 6 -> t2 (fun x y -> Ult (x, y))
-  | 7 -> t2 (fun x y -> Ule (x, y))
-  | 8 -> Readable (Term.Ser.get r s pos)
-  | 9 -> Writable (Term.Ser.get r s pos)
-  | _ -> raise Bin.Truncated
-
-let put_list w b fs =
-  Bin.int_ b (List.length fs);
-  List.iter (put w b) fs
-
-let get_list r s pos =
-  let n = Bin.gint s pos in
-  if n < 0 then raise Bin.Truncated;
-  List.init n (fun _ -> get r s pos)
-
 (* Constant-fold and canonicalize an atom. *)
 let simplify f =
   let f = map_terms Term.simplify f in

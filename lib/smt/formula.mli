@@ -44,13 +44,3 @@ val eval :
 val simplify : t -> t
 (** Canonicalize both sides and constant-fold ([Eq] of equal canonical
     terms becomes [True], comparisons of constants are decided, ...). *)
-
-(** {1 Stable binary serialization}
-
-    One tag byte per atom, terms via {!Term.Ser} (so the bytes are a
-    function of structure alone — see DESIGN.md §11). *)
-
-val put : Term.Ser.writer -> Buffer.t -> t -> unit
-val get : Term.Ser.reader -> string -> int ref -> t
-val put_list : Term.Ser.writer -> Buffer.t -> t list -> unit
-val get_list : Term.Ser.reader -> string -> int ref -> t list

@@ -202,7 +202,8 @@ let screen_decided = Atomic.make 0
    (only possible under an eliminator bug) the code falls back to the
    full fresh search, so behaviour is bit-identical by construction.
    The table is the process-wide sharded [Cache], so every domain —
-   and, through the store, every later run — reuses an outcome. *)
+   and every later request of a long-lived process — reuses an
+   outcome. *)
 type search_outcome = No_assignment | Found of int64 Smap.t
 
 let pool_memo : ((int64 * int) * Formula.t list * string list, search_outcome) Cache.t =
@@ -611,69 +612,4 @@ let check ?(pool = default_pool) ?pool_key formulas =
     r
   end
 
-(* ----- memo persistence (DESIGN.md §11) -----
-
-   [pool_memo]'s keys are pure structural data, so it can be dumped
-   into the on-disk store and pre-seeded on the next run: every stored
-   outcome is a pure function of its key, and a hit still replays it
-   through the query's own sigma and double-check, so importing can
-   only skip searches, never change a verdict.  Each key is
-   self-contained (its own Term.Ser pool); the section is sorted by
-   serialized key so the file bytes are deterministic. *)
-
-module Bin = Gp_util.Store.Bin
-
-let put_key b ((base, salt), residual, free) =
-  Bin.i64 b base;
-  Bin.int_ b salt;
-  Formula.put_list (Term.Ser.writer ()) b residual;
-  Bin.list b (Bin.str b) free
-
-let get_key s pos =
-  let base = Bin.gi64 s pos in
-  let salt = Bin.gint s pos in
-  let residual = Formula.get_list (Term.Ser.reader ()) s pos in
-  let free = Bin.glist s pos (fun () -> Bin.gstr s pos) in
-  ((base, salt), residual, free)
-
-let put_outcome b = function
-  | No_assignment -> Bin.u8 b 0
-  | Found assignment ->
-    Bin.u8 b 1;
-    Bin.list b (fun (v, x) -> Bin.str b v; Bin.i64 b x) (Smap.bindings assignment)
-
-let get_outcome s pos =
-  match Bin.gu8 s pos with
-  | 0 -> No_assignment
-  | 1 ->
-    Found
-      (Smap.of_list
-         (Bin.glist s pos (fun () ->
-              let v = Bin.gstr s pos in
-              (v, Bin.gi64 s pos))))
-  | _ -> raise Bin.Truncated
-
-let pool_section = "solver.pool"
-
 let memo_count () = Cache.length pool_memo
-
-let export_memos () =
-  let ser (k, v) =
-    let kb = Buffer.create 64 and vb = Buffer.create 16 in
-    put_key kb k;
-    put_outcome vb v;
-    (Buffer.contents kb, Buffer.contents vb)
-  in
-  [ { Gp_util.Store.name = pool_section;
-      entries = Cache.export pool_memo |> List.map ser |> List.sort compare } ]
-
-let import_memos (sections : Gp_util.Store.section list) =
-  let deser (ks, vs) = (get_key ks (ref 0), get_outcome vs (ref 0)) in
-  List.fold_left
-    (fun n { Gp_util.Store.name; entries } ->
-      if name <> pool_section then n
-      else begin
-        Cache.import pool_memo (List.map deser entries);
-        n + List.length entries
-      end)
-    0 sections

@@ -144,28 +144,5 @@ val check :
     Pools carry closures the solver cannot key on itself, which is why
     the key comes from outside. *)
 
-(** {1 Memo persistence}
-
-    {!pool_memo}'s keys are pure structural data, so it can round-trip
-    through the on-disk store ({!Gp_util.Store}, DESIGN.md §11) as the
-    ["solver.pool"] section.  A stored outcome is a pure function of its
-    key and a hit is re-checked against the query, so importing can
-    only skip searches, never change a verdict. *)
-
 val memo_count : unit -> int
-(** Entries in {!pool_memo}.  O(1); the memo is add-only within a run,
-    so an unchanged count means no delta to export — checkpointing uses
-    this to skip the serializing scan. *)
-
-val export_memos : unit -> Gp_util.Store.section list
-(** Serialize {!pool_memo} as the one ["solver.pool"] section: per
-    entry the pool key, the open residual ([Formula.put_list]) and the
-    free names, then the outcome; entries sorted by serialized key
-    (deterministic file bytes). *)
-
-val import_memos : Gp_util.Store.section list -> int
-(** Pre-seed {!pool_memo} from a ["solver.pool"] section (other section
-    names are ignored, existing entries win); returns the number of
-    entries consumed.  Raises [Gp_util.Store.Bin.Truncated] on malformed
-    entry bytes — unreachable for files that passed the store's
-    checksums, and callers demote it to a cold run regardless. *)
+(** Entries in {!pool_memo}. *)

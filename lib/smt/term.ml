@@ -257,7 +257,7 @@ let sar a b = mk_sar a b
    [fix] records an OBSERVED fixpoint of the simplifier: it is set only
    when [simplify] ran the inner simplifier on a term structurally equal
    to [rep] and got that same term back (DESIGN.md §10).  Entries made
-   by [intern] or by [Ser.get] start unflagged.
+   by [intern] start unflagged.
 
    Thread safety: one mutex guards the table and the flags.  No user
    code runs under the lock (pure table operations only), so holding it
@@ -332,116 +332,6 @@ let simplify t =
           let e = intern_entry s in
           if compare s t = 0 then e.fix <- true;
           e.rep))
-
-(* ----- stable binary (de)serialization -----
-
-   Persistent-store encoding (DESIGN.md §11).  Marshal is unusable here:
-   its byte output depends on the sharing structure of the value, and
-   hash-consing makes sharing an artifact of evaluation history.  This
-   encoding is a function of the STRUCTURE alone: a deterministic
-   postorder walk that assigns dense indices to distinct subterms, so
-   interned and non-interned copies of the same term serialize to
-   identical bytes and shared subterms are written once per writer.
-
-   Stream grammar (one writer/reader pair per store entry):
-     0xD0 def    -- define node [wnext]: tag u8, payload (child refs are
-                    indices of earlier defs, encoded as int_)
-     0xE0 int_   -- reference an already-defined node
-   [put] emits any missing defs followed by one 0xE0 ref; [get] consumes
-   defs until it hits the ref.  Every node is re-interned on read, so
-   deserialized terms join the live hash-cons table. *)
-
-module Ser = struct
-  module Bin = Gp_util.Store.Bin
-
-  type writer = { wtbl : (t, int) Hashtbl.t; mutable wnext : int }
-
-  let writer () = { wtbl = Hashtbl.create 64; wnext = 0 }
-
-  let tag_of = function
-    | Var _ -> 0 | Const _ -> 1 | Add _ -> 2 | Sub _ -> 3 | Mul _ -> 4
-    | Neg _ -> 5 | Not _ -> 6 | And _ -> 7 | Or _ -> 8 | Xor _ -> 9
-    | Shl _ -> 10 | Shr _ -> 11 | Sar _ -> 12
-
-  let rec def w b t =
-    match Hashtbl.find_opt w.wtbl t with
-    | Some idx -> idx
-    | None ->
-      let emit2 a b' =
-        let ia = def w b a and ib = def w b b' in
-        Bin.u8 b 0xd0; Bin.u8 b (tag_of t); Bin.int_ b ia; Bin.int_ b ib
-      in
-      (match t with
-      | Var v -> Bin.u8 b 0xd0; Bin.u8 b 0; Bin.str b v
-      | Const c -> Bin.u8 b 0xd0; Bin.u8 b 1; Bin.i64 b c
-      | Neg a | Not a ->
-        let ia = def w b a in
-        Bin.u8 b 0xd0; Bin.u8 b (tag_of t); Bin.int_ b ia
-      | Add (a, b') | Sub (a, b') | Mul (a, b') | And (a, b') | Or (a, b')
-      | Xor (a, b') | Shl (a, b') | Shr (a, b') | Sar (a, b') ->
-        emit2 a b');
-      let idx = w.wnext in
-      w.wnext <- idx + 1;
-      Hashtbl.add w.wtbl t idx;
-      idx
-
-  let put w b t =
-    let idx = def w b t in
-    Bin.u8 b 0xe0;
-    Bin.int_ b idx
-
-  type reader = { mutable nodes : t array; mutable rnext : int }
-
-  let reader () = { nodes = Array.make 64 (Const 0L); rnext = 0 }
-
-  let node r i =
-    if i < 0 || i >= r.rnext then raise Bin.Truncated;
-    r.nodes.(i)
-
-  let push r t =
-    if r.rnext = Array.length r.nodes then begin
-      let bigger = Array.make (2 * r.rnext) (Const 0L) in
-      Array.blit r.nodes 0 bigger 0 r.rnext;
-      r.nodes <- bigger
-    end;
-    r.nodes.(r.rnext) <- t;
-    r.rnext <- r.rnext + 1
-
-  let get r s pos =
-    let rec loop () =
-      match Bin.gu8 s pos with
-      | 0xe0 -> node r (Bin.gint s pos)
-      | 0xd0 ->
-        let tag = Bin.gu8 s pos in
-        let un mk = mk (node r (Bin.gint s pos)) in
-        let bin mk =
-          let a = node r (Bin.gint s pos) in
-          let b = node r (Bin.gint s pos) in
-          mk a b
-        in
-        let t =
-          match tag with
-          | 0 -> Var (Bin.gstr s pos)
-          | 1 -> Const (Bin.gi64 s pos)
-          | 2 -> bin (fun a b -> Add (a, b))
-          | 3 -> bin (fun a b -> Sub (a, b))
-          | 4 -> bin (fun a b -> Mul (a, b))
-          | 5 -> un (fun a -> Neg a)
-          | 6 -> un (fun a -> Not a)
-          | 7 -> bin (fun a b -> And (a, b))
-          | 8 -> bin (fun a b -> Or (a, b))
-          | 9 -> bin (fun a b -> Xor (a, b))
-          | 10 -> bin (fun a b -> Shl (a, b))
-          | 11 -> bin (fun a b -> Shr (a, b))
-          | 12 -> bin (fun a b -> Sar (a, b))
-          | _ -> raise Bin.Truncated
-        in
-        push r (intern t);
-        loop ()
-      | _ -> raise Bin.Truncated
-    in
-    loop ()
-end
 
 (* Structural equality after canonicalization.  Polymorphic [=] does
    not short-circuit on [==], so test the (usually shared) canonical

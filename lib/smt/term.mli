@@ -120,33 +120,6 @@ val equal : t -> t -> bool
 val subst : (string -> t option) -> t -> t
 (** Replace variables via the function; unmapped variables stay. *)
 
-(** {1 Stable binary serialization}
-
-    Persistent-store encoding (DESIGN.md §11): a deterministic postorder
-    DAG walk, so the bytes are a function of term {e structure} alone —
-    interned and non-interned copies of a term serialize identically,
-    and subterms shared within one writer are written once.  Terms are
-    re-{!intern}ed on read.  One writer/reader pair spans one store
-    entry; readers raise [Gp_util.Store.Bin.Truncated] on malformed
-    input (the store's checksums make that unreachable for intact
-    files). *)
-module Ser : sig
-  type writer
-
-  val writer : unit -> writer
-
-  val put : writer -> Buffer.t -> t -> unit
-  (** Append any not-yet-written node definitions, then a reference. *)
-
-  type reader
-
-  val reader : unit -> reader
-
-  val get : reader -> string -> int ref -> t
-  (** Consume node definitions up to the next reference; the reader
-      must see entries in the order the paired writer emitted them. *)
-end
-
 val eval : (string -> int64) -> t -> int64
 (** Concrete evaluation under a valuation.  Shift counts are taken
     mod 64, as on hardware. *)

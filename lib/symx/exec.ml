@@ -341,131 +341,3 @@ let summarize_r ?(config = default_config) ?decode (image : Gp_util.Image.t)
   (!results, refused)
 
 let summarize ?config image addr = fst (summarize_r ?config image addr)
-
-(* ----- instruction serialization (DESIGN.md §11) -----
-
-   Stable instruction bytes for the persisted extraction memo (the
-   gadget codec writes each record's instructions with them).
-   Hand-rolled on Store.Bin rather than Marshal or an Encode/Decode
-   byte round-trip, which need not be the identity on the AST — e.g.
-   [RetImm 0] vs [Ret]. *)
-
-module Bin = Gp_util.Store.Bin
-
-let put_reg b r = Bin.u8 b (Reg.number r)
-
-let get_reg s pos =
-  match Reg.of_number (Bin.gu8 s pos) with
-  | r -> r
-  | exception Invalid_argument _ -> raise Bin.Truncated
-
-let put_mem b (m : Insn.mem) =
-  put_reg b m.Insn.base;
-  Bin.int_ b m.Insn.disp
-
-let get_mem s pos =
-  let base = get_reg s pos in
-  let disp = Bin.gint s pos in
-  { Insn.base; disp }
-
-let put_operand b = function
-  | Insn.Reg r -> Bin.u8 b 0; put_reg b r
-  | Insn.Imm i -> Bin.u8 b 1; Bin.i64 b i
-  | Insn.Mem m -> Bin.u8 b 2; put_mem b m
-
-let get_operand s pos =
-  match Bin.gu8 s pos with
-  | 0 -> Insn.Reg (get_reg s pos)
-  | 1 -> Insn.Imm (Bin.gi64 s pos)
-  | 2 -> Insn.Mem (get_mem s pos)
-  | _ -> raise Bin.Truncated
-
-let put_insn b (insn : Insn.t) =
-  let t n = Bin.u8 b n in
-  let opop n d s = t n; put_operand b d; put_operand b s in
-  let r1 n r = t n; put_reg b r in
-  let rr n a b' = t n; put_reg b a; put_reg b b' in
-  let rn n r k = t n; put_reg b r; Bin.int_ b k in
-  match insn with
-  | Insn.Mov (d, s) -> opop 0 d s
-  | Insn.Movabs (r, i) -> t 1; put_reg b r; Bin.i64 b i
-  | Insn.Lea (r, m) -> t 2; put_reg b r; put_mem b m
-  | Insn.Push r -> r1 3 r
-  | Insn.PushImm i -> t 4; Bin.int_ b i
-  | Insn.Pop r -> r1 5 r
-  | Insn.Add (d, s) -> opop 6 d s
-  | Insn.Sub (d, s) -> opop 7 d s
-  | Insn.And_ (d, s) -> opop 8 d s
-  | Insn.Or_ (d, s) -> opop 9 d s
-  | Insn.Xor (d, s) -> opop 10 d s
-  | Insn.Cmp (d, s) -> opop 11 d s
-  | Insn.Test (a, b') -> rr 12 a b'
-  | Insn.Imul (a, b') -> rr 13 a b'
-  | Insn.Shl (r, n) -> rn 14 r n
-  | Insn.Shr (r, n) -> rn 15 r n
-  | Insn.Sar (r, n) -> rn 16 r n
-  | Insn.Inc r -> r1 17 r
-  | Insn.Dec r -> r1 18 r
-  | Insn.Neg r -> r1 19 r
-  | Insn.Not_ r -> r1 20 r
-  | Insn.Xchg (a, b') -> rr 21 a b'
-  | Insn.Jmp rel -> t 22; Bin.int_ b rel
-  | Insn.JmpReg r -> r1 23 r
-  | Insn.JmpMem m -> t 24; put_mem b m
-  | Insn.Jcc (c, rel) -> t 25; Bin.u8 b (Insn.cond_number c); Bin.int_ b rel
-  | Insn.Call rel -> t 26; Bin.int_ b rel
-  | Insn.CallReg r -> r1 27 r
-  | Insn.CallMem m -> t 28; put_mem b m
-  | Insn.Ret -> t 29
-  | Insn.RetImm n -> t 30; Bin.int_ b n
-  | Insn.Leave -> t 31
-  | Insn.Syscall -> t 32
-  | Insn.Nop -> t 33
-  | Insn.Int3 -> t 34
-  | Insn.Hlt -> t 35
-
-let get_insn s pos =
-  let rr mk = let a = get_reg s pos in let b = get_reg s pos in mk a b in
-  let opop mk = let d = get_operand s pos in let s' = get_operand s pos in mk d s' in
-  let rn mk = let r = get_reg s pos in let n = Bin.gint s pos in mk r n in
-  match Bin.gu8 s pos with
-  | 0 -> opop (fun d s -> Insn.Mov (d, s))
-  | 1 -> let r = get_reg s pos in Insn.Movabs (r, Bin.gi64 s pos)
-  | 2 -> let r = get_reg s pos in Insn.Lea (r, get_mem s pos)
-  | 3 -> Insn.Push (get_reg s pos)
-  | 4 -> Insn.PushImm (Bin.gint s pos)
-  | 5 -> Insn.Pop (get_reg s pos)
-  | 6 -> opop (fun d s -> Insn.Add (d, s))
-  | 7 -> opop (fun d s -> Insn.Sub (d, s))
-  | 8 -> opop (fun d s -> Insn.And_ (d, s))
-  | 9 -> opop (fun d s -> Insn.Or_ (d, s))
-  | 10 -> opop (fun d s -> Insn.Xor (d, s))
-  | 11 -> opop (fun d s -> Insn.Cmp (d, s))
-  | 12 -> rr (fun a b -> Insn.Test (a, b))
-  | 13 -> rr (fun a b -> Insn.Imul (a, b))
-  | 14 -> rn (fun r n -> Insn.Shl (r, n))
-  | 15 -> rn (fun r n -> Insn.Shr (r, n))
-  | 16 -> rn (fun r n -> Insn.Sar (r, n))
-  | 17 -> Insn.Inc (get_reg s pos)
-  | 18 -> Insn.Dec (get_reg s pos)
-  | 19 -> Insn.Neg (get_reg s pos)
-  | 20 -> Insn.Not_ (get_reg s pos)
-  | 21 -> rr (fun a b -> Insn.Xchg (a, b))
-  | 22 -> Insn.Jmp (Bin.gint s pos)
-  | 23 -> Insn.JmpReg (get_reg s pos)
-  | 24 -> Insn.JmpMem (get_mem s pos)
-  | 25 ->
-    let c = Bin.gu8 s pos in
-    if c > 15 then raise Bin.Truncated;
-    Insn.Jcc (Insn.cond_of_number c, Bin.gint s pos)
-  | 26 -> Insn.Call (Bin.gint s pos)
-  | 27 -> Insn.CallReg (get_reg s pos)
-  | 28 -> Insn.CallMem (get_mem s pos)
-  | 29 -> Insn.Ret
-  | 30 -> Insn.RetImm (Bin.gint s pos)
-  | 31 -> Insn.Leave
-  | 32 -> Insn.Syscall
-  | 33 -> Insn.Nop
-  | 34 -> Insn.Int3
-  | 35 -> Insn.Hlt
-  | _ -> raise Bin.Truncated

@@ -58,14 +58,3 @@ val summarize_r :
     image's code bytes directly); the harvest passes a
     [Gp_x86.Decode.memo] so overlapping starts share suffix decodings.
     The override must answer exactly as the default would. *)
-
-(** {1 Instruction serialization}
-
-    Stable instruction bytes for the persisted extraction memo
-    (DESIGN.md §11): hand-rolled over [Gp_util.Store.Bin], so the bytes
-    are a deterministic function of structure.  {!get_insn} raises
-    [Gp_util.Store.Bin.Truncated] on malformed bytes. *)
-
-val put_insn : Buffer.t -> Gp_x86.Insn.t -> unit
-
-val get_insn : string -> int ref -> Gp_x86.Insn.t

@@ -1,19 +1,7 @@
-(* Versioned, checksummed binary store for content-addressed caches.
-
-   Layout (all integers little-endian):
-
-     magic            "GPST"
-     format_version   i64    -- layout of this file (owned here)
-     schema_version   i64    -- meaning of the payload (owned by caller)
-     nsections        i64
-     section*         name:str  nentries:i64  (key:str value:str fnv:i64)*
-     file_checksum    i64    -- FNV-1a over every byte before it
-
-   Per-entry checksums cover key ^ value; the trailing file checksum
-   covers headers and section names too, so a flipped byte anywhere in
-   the file is detected.  [load] never raises: a missing file, a bad
-   magic/truncation/checksum, or a version mismatch each map to their
-   own constructor so callers can demote to a cold run and report why. *)
+(* Binary building blocks for the tree's durable and wire formats: the
+   little-endian codec primitives, FNV-1a checksums, directory
+   creation, named crash points, advisory locks and the write-ahead log
+   the runner's cell manifest is kept in (DESIGN.md §13). *)
 
 module Bin = struct
   exception Truncated
@@ -56,8 +44,6 @@ module Bin = struct
     let v = String.sub s !pos n in
     pos := !pos + n; v
 
-  let gbool s pos = gu8 s pos <> 0
-
   let list b put xs =
     int_ b (List.length xs);
     List.iter put xs
@@ -92,100 +78,17 @@ let fnv64_i64 ?(h = 0xcbf29ce484222325L) v =
   done;
   !h
 
-let magic = "GPST"
-let format_version = 1
-
-type section = { name : string; entries : (string * string) list }
-
 type load_error =
   | Missing
-  | Stale of string   (* readable file, wrong format/schema version *)
-  | Corrupt of string (* bad magic, truncation, checksum mismatch *)
+  | Unreadable of string (* the path exists but could not be read *)
+  | Stale of string      (* readable file, wrong format/schema version *)
+  | Corrupt of string    (* bad magic, bad header *)
 
 let error_reason = function
   | Missing -> "missing"
+  | Unreadable why -> "unreadable: " ^ why
   | Stale why -> "stale: " ^ why
   | Corrupt why -> "corrupt: " ^ why
-
-let encode ~schema sections =
-  let b = Buffer.create (1 lsl 16) in
-  Buffer.add_string b magic;
-  Bin.int_ b format_version;
-  Bin.int_ b schema;
-  Bin.int_ b (List.length sections);
-  List.iter
-    (fun { name; entries } ->
-      Bin.str b name;
-      Bin.int_ b (List.length entries);
-      List.iter
-        (fun (k, v) ->
-          Bin.str b k;
-          Bin.str b v;
-          Bin.i64 b (fnv64 ~h:(fnv64 k) v))
-        entries)
-    sections;
-  Bin.i64 b (fnv64 (Buffer.contents b));
-  Buffer.contents b
-
-let decode ~schema s =
-  let pos = ref 0 in
-  try
-    if String.length s < 4 || String.sub s 0 4 <> magic then
-      Error (Corrupt "bad magic")
-    else begin
-      (* Verify the trailing whole-file checksum before trusting any
-         length field: corruption of a length would otherwise misparse. *)
-      let n = String.length s in
-      if n < 12 then raise Bin.Truncated;
-      let body = String.sub s 0 (n - 8) in
-      let tail = ref (n - 8) in
-      if Bin.gi64 s tail <> fnv64 body then Error (Corrupt "file checksum")
-      else begin
-        pos := 4;
-        let fv = Bin.gint s pos in
-        let sv = Bin.gint s pos in
-        if fv <> format_version then
-          Error (Stale (Printf.sprintf "format version %d, want %d" fv format_version))
-        else if sv <> schema then
-          Error (Stale (Printf.sprintf "schema version %d, want %d" sv schema))
-        else begin
-          let nsec = Bin.gint s pos in
-          if nsec < 0 then raise Bin.Truncated;
-          let sections =
-            List.init nsec (fun _ ->
-                let name = Bin.gstr s pos in
-                let nent = Bin.gint s pos in
-                if nent < 0 then raise Bin.Truncated;
-                let entries =
-                  List.init nent (fun _ ->
-                      let k = Bin.gstr s pos in
-                      let v = Bin.gstr s pos in
-                      let sum = Bin.gi64 s pos in
-                      if sum <> fnv64 ~h:(fnv64 k) v then
-                        failwith "entry checksum";
-                      (k, v))
-                in
-                { name; entries })
-          in
-          if !pos <> n - 8 then Error (Corrupt "trailing bytes")
-          else Ok sections
-        end
-      end
-    end
-  with
-  | Bin.Truncated -> Error (Corrupt "truncated")
-  | Failure why -> Error (Corrupt why)
-
-let load ~schema path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error _ -> Error Missing
-  | exception End_of_file -> Error (Corrupt "short read")
-  | s -> decode ~schema s
 
 let rec mkdir_p d =
   if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
@@ -197,7 +100,7 @@ let rec mkdir_p d =
 
 (* Named durability points.  The hook is a no-op in production;
    Faultsim installs a raising hook to simulate process death exactly
-   at a WAL append, just before a checkpoint rename, or mid-stage.
+   at a WAL append or mid-stage.
    Living here (not in the harness) keeps the layering: gp_util cannot
    see gp_harness, so the harness reaches down through this ref. *)
 let crash_hook : (string -> unit) ref = ref (fun _ -> ())
@@ -208,54 +111,12 @@ let errstr = function
   | Sys_error why | Failure why -> why
   | e -> Printexc.to_string e
 
-(* Best-effort directory fsync so the rename itself is durable; some
-   filesystems don't support fsync on a directory fd — ignore. *)
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | fd ->
-    (try Unix.fsync fd with Unix.Unix_error _ -> ());
-    Unix.close fd
-
-let save ~schema path sections =
-  try
-    let bytes = encode ~schema sections in
-    let dir = Filename.dirname path in
-    mkdir_p dir;
-    if not (Sys.is_directory dir) then failwith (dir ^ ": not a directory");
-    (* Atomic publish: write a sibling temp file, then rename over the
-       target, so a crash mid-save leaves the old store intact and a
-       concurrent reader never sees a half-written file.  The fsync
-       before the rename closes the durability hole where the rename
-       lands on disk with the data still in the page cache: after power
-       loss the target would then name a short or empty file. *)
-    let tmp = Filename.temp_file ~temp_dir:dir "store" ".tmp" in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc bytes;
-        flush oc;
-        Unix.fsync (Unix.descr_of_out_channel oc));
-    crash_point "save-rename";
-    (* a failed rename takes its temp file with it (a crash above does
-       not: it models the process dying) *)
-    (try Sys.rename tmp path
-     with e ->
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e);
-    fsync_dir dir;
-    Ok ()
-  with
-  | Sys_error why | Failure why -> Error why
-  | Unix.Unix_error _ as e -> Error (errstr e)
-
 (* ----- advisory locking ----- *)
 
-(* Single-writer discipline for a cache directory.  [lockf] gives the
+(* Single-writer discipline for a directory.  [lockf] gives the
    cross-process guarantee; because fcntl locks never conflict within
    one process, an in-process registry of held paths supplies the
-   same-process half (a second journal writer in one process must also
+   same-process half (a second manifest writer in one process must also
    demote to read-only, and tests exercise exactly that). *)
 
 type lock = { l_fd : Unix.file_descr; l_path : string }
@@ -292,7 +153,7 @@ let unlock l =
 (* ----- write-ahead log ----- *)
 
 module Wal = struct
-  (* Append-only sibling of a store file:
+  (* Append-only journal file:
 
        magic            "GPWL"
        format_version   i64
@@ -309,6 +170,7 @@ module Wal = struct
      complete while a run is alive. *)
 
   let magic = "GPWL"
+  let format_version = 1
   let suffix = ".wal"
   let path_of base = base ^ suffix
 
@@ -400,31 +262,35 @@ module Wal = struct
       end
     end
 
+  (* [Missing] only when nothing is at [path]: anything there that
+     cannot be read (a directory, a permission or I/O error) is
+     [Unreadable], so [open_append] refuses it instead of truncating it
+     as a fresh file. *)
   let read ~schema path =
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception Sys_error _ -> Error Missing
-    | exception End_of_file -> Error (Corrupt "short read")
-    | s -> decode ~schema s
+    if not (Sys.file_exists path) then Error Missing
+    else
+      match
+        let ic = open_in_bin path in
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      with
+      | exception Sys_error why -> Error (Unreadable why)
+      | exception End_of_file -> Error (Unreadable "short read")
+      | s -> decode ~schema s
 
   type t = {
     w_fd : Unix.file_descr;
     w_oc : out_channel;
     w_mutex : Mutex.t;
-    mutable w_appended : int;
-    mutable w_dirty : bool;  (* bytes appended since the last fsync *)
     mutable w_closed : bool;
   }
 
   (* Open for appending: replay the valid prefix, physically truncate
      any torn tail (so the file on disk is clean again), and position
      the writer at the end.  A missing or empty file gets a fresh
-     header.  Wrong-schema / foreign files are an error — the caller
-     decides whether to discard and start over. *)
+     header.  Wrong-schema, foreign and unreadable files are an error,
+     left as they are — the caller decides whether to discard them. *)
   let open_append ~schema path =
     match read ~schema path with
     | Error Missing | Ok { valid_bytes = 0; _ } -> (
@@ -440,7 +306,7 @@ module Wal = struct
         Unix.fsync fd;
         Ok
           ( { w_fd = fd; w_oc = oc; w_mutex = Mutex.create ();
-              w_appended = 0; w_dirty = false; w_closed = false },
+              w_closed = false },
             { entries = []; torn_bytes = 0; valid_bytes = header_len } ))
     | Error e -> Error (error_reason e)
     | Ok replay -> (
@@ -453,43 +319,21 @@ module Wal = struct
         set_binary_mode_out oc true;
         Ok
           ( { w_fd = fd; w_oc = oc; w_mutex = Mutex.create ();
-              w_appended = 0; w_dirty = false; w_closed = false },
+              w_closed = false },
             replay ))
 
   let append t ~section ~key ~value =
     Mutex.protect t.w_mutex (fun () ->
         if t.w_closed then failwith "wal: append after close";
         crash_point "wal-append";
-        output_string t.w_oc (encode_record ~section ~key ~value);
-        t.w_appended <- t.w_appended + 1;
-        t.w_dirty <- true)
+        output_string t.w_oc (encode_record ~section ~key ~value))
 
-  let appended t = Mutex.protect t.w_mutex (fun () -> t.w_appended)
-
-  (* Durability point: everything appended so far survives power loss.
-     Skipped when nothing was appended since the last sync, so per-cell
-     checkpoints on a fully warm sweep cost no I/O. *)
+  (* Durability point: everything appended so far survives power loss. *)
   let sync t =
-    Mutex.protect t.w_mutex (fun () ->
-        if (not t.w_closed) && t.w_dirty then begin
-          flush t.w_oc;
-          Unix.fsync t.w_fd;
-          t.w_dirty <- false
-        end)
-
-  (* After a successful compaction into the base store the journal is
-     spent: chop it back to a bare header.  A crash between the base
-     rename and this truncate only leaves already-compacted records in
-     the WAL — replaying them is idempotent (first-write-wins). *)
-  let reset t =
     Mutex.protect t.w_mutex (fun () ->
         if not t.w_closed then begin
           flush t.w_oc;
-          Unix.ftruncate t.w_fd header_len;
-          ignore (Unix.lseek t.w_fd header_len Unix.SEEK_SET);
-          Unix.fsync t.w_fd;
-          t.w_appended <- 0;
-          t.w_dirty <- false
+          Unix.fsync t.w_fd
         end)
 
   let close t =
@@ -513,10 +357,4 @@ module Wal = struct
           t.w_closed <- true;
           try Unix.close t.w_fd with _ -> ()
         end)
-
-  (* Hand everything appended so far to the OS, without an fsync: it
-     then survives the process dying, though not the machine.  (Last in
-     the module, so the functions above keep [Stdlib.flush].) *)
-  let flush t =
-    Mutex.protect t.w_mutex (fun () -> if not t.w_closed then flush t.w_oc)
 end

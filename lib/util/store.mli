@@ -1,17 +1,12 @@
-(** Versioned, checksummed binary store for content-addressed caches
-    (DESIGN.md §11).
+(** Binary building blocks for the tree's durable and wire formats
+    (DESIGN.md §13): codec primitives, FNV-1a checksums, named crash
+    points, advisory locks, and the write-ahead log the runner's cell
+    manifest ([Runner.Manifest]) is kept in. *)
 
-    A store file is a list of named sections, each a list of
-    [(key, value)] string pairs.  The file carries a magic tag, a
-    format version (owned by this module), a schema version (owned by
-    the caller — bump it whenever the payload encoding changes), a
-    64-bit FNV-1a checksum per entry and one over the whole file.
-    {!load} never raises: every way a file can be unusable maps to a
-    {!load_error} so callers can fall back to a cold run. *)
-
-(** Little-endian binary primitives shared by every serializer in the
-    tree (terms, formulas, summaries).  Readers take the source string
-    and a mutable cursor; out-of-bounds reads raise {!Bin.Truncated}. *)
+(** Little-endian binary primitives shared by every codec in the tree
+    (the manifest, the daemon's wire payloads).  Readers take the
+    source string and a mutable cursor; out-of-bounds reads raise
+    {!Bin.Truncated}. *)
 module Bin : sig
   exception Truncated
 
@@ -25,7 +20,6 @@ module Bin : sig
   val gi64 : string -> int ref -> int64
   val gint : string -> int ref -> int
   val gstr : string -> int ref -> string
-  val gbool : string -> int ref -> bool
 
   val list : Buffer.t -> ('a -> unit) -> 'a list -> unit
   (** A count, then each element. *)
@@ -44,42 +38,29 @@ val fnv64_i64 : ?h:int64 -> int64 -> int64
     chain without building an intermediate string — for structural
     hashers that mix constants and tags directly. *)
 
-val format_version : int
-
-type section = { name : string; entries : (string * string) list }
-
 type load_error =
-  | Missing            (** no file at that path *)
-  | Stale of string    (** readable, but format or schema version mismatch *)
-  | Corrupt of string  (** bad magic, truncation, or checksum mismatch *)
+  | Missing              (** nothing at that path *)
+  | Unreadable of string (** something is there but could not be read *)
+  | Stale of string      (** readable, but format or schema version mismatch *)
+  | Corrupt of string    (** bad magic or header *)
 
 val error_reason : load_error -> string
-
-val encode : schema:int -> section list -> string
-val decode : schema:int -> string -> (section list, load_error) result
-
-val load : schema:int -> string -> (section list, load_error) result
-val save : schema:int -> string -> section list -> (unit, string) result
-(** [save] writes to a temp file in the target directory, fsyncs it,
-    and renames it into place (atomic on POSIX); the directory is
-    created if needed.  Errors (permissions, disk full) are returned,
-    never raised. *)
 
 val mkdir_p : string -> unit
 
 (** {1 Crash points}
 
     Named durability points fired just before the dangerous operation
-    ("wal-append", "save-rename", and harness-level points such as
-    "mid-stage").  The default hook is a no-op; [Faultsim.with_crash_at]
-    installs one that raises to simulate process death. *)
+    ("wal-append", and the harness-level "mid-stage").  The default
+    hook is a no-op; [Faultsim.with_crash_at] installs one that raises
+    to simulate process death. *)
 
 val crash_hook : (string -> unit) ref
 val crash_point : string -> unit
 
 (** {1 Advisory locking}
 
-    Single-writer discipline for a cache directory: [lockf] for the
+    Single-writer discipline for a directory: [lockf] for the
     cross-process guarantee plus an in-process registry (fcntl locks
     never conflict within one process).  A second writer gets [Error]
     and must demote to read-only. *)
@@ -95,9 +76,9 @@ val unlock : lock -> unit
 
 (** {1 Write-ahead log}
 
-    Append-only, per-record checksummed journal kept as a sibling of a
-    store file ([base ^ ".wal"]).  Recovery walks the file from the
-    front and stops at the first short or checksum-failing record:
+    Append-only, per-record checksummed journal ([base ^ ".wal"]).
+    Recovery walks the file from the front and stops at the first
+    short or checksum-failing record:
     truncating the file at {e any} byte boundary yields the valid
     record prefix (never an exception, never a wrong entry), and
     {!Wal.open_append} physically truncates the torn tail before
@@ -115,32 +96,26 @@ module Wal : sig
   }
 
   val decode : schema:int -> string -> (replay, load_error) result
+
   val read : schema:int -> string -> (replay, load_error) result
+  (** [Error Missing] only when nothing is at the path; anything there
+      that cannot be read (a directory, an I/O error) is
+      [Error (Unreadable why)]. *)
 
   type t
 
   val open_append : schema:int -> string -> (t * replay, string) result
   (** Replay the valid prefix, truncate any torn tail on disk, and
       open a writer positioned at the end.  Missing/empty files get a
-      fresh header.  Foreign or stale files are an [Error] — the
-      caller decides whether to discard and start over. *)
+      fresh header.  Foreign, stale and unreadable files are an [Error]
+      and stay untouched — the caller decides whether to discard them. *)
 
   val append : t -> section:string -> key:string -> value:string -> unit
   (** Buffered append of one checksummed record (thread-safe).  Raises
       [Failure] on I/O errors or append-after-close. *)
 
-  val appended : t -> int
-
-  val flush : t -> unit
-  (** Hand every buffered record to the OS without an fsync: it then
-      survives the process dying ({!abandon}), though not power
-      loss. *)
-
   val sync : t -> unit
   (** Flush + fsync: everything appended so far survives power loss. *)
-
-  val reset : t -> unit
-  (** Chop back to a bare header after a successful compaction. *)
 
   val close : t -> unit
 

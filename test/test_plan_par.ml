@@ -15,8 +15,7 @@
      warm table answer exactly as a cold one (from 4 domains too), the
      per-base layout pools match the per-query construction, and the
      pool-keyed solver memo is semantically transparent — a hit replays
-     through the query's own substitution, from any domain and after a
-     store round trip.
+     through the query's own substitution, from any domain.
 
    Honors the JOBS environment variable (default 4) so
    `make check-plan-par` can sweep job counts without editing code. *)
@@ -285,20 +284,14 @@ let prop_fresh_copy_same_node t =
   let s = T.simplify t in
   is_leaf s || (T.simplify s == s && T.simplify (copy s) == s)
 
-(* Entries made by [intern] or by a [Ser] round trip are not observed
-   fixpoints: a non-canonical term reaching the table that way must
-   still be simplified, not handed back as it is. *)
+(* Entries made by [intern] are not observed fixpoints: a
+   non-canonical term reaching the table that way must still be
+   simplified, not handed back as it is. *)
 let prop_unflagged_entries t =
   match cold [ t ] with
   | [ expect ] ->
     T.reset_memo ();
-    let interned = T.intern t in
-    let via_intern = T.simplify interned in
-    T.reset_memo ();
-    let w = T.Ser.writer () and b = Buffer.create 64 in
-    T.Ser.put w b t;
-    let back = T.Ser.get (T.Ser.reader ()) (Buffer.contents b) (ref 0) in
-    via_intern = expect && T.simplify back = expect
+    T.simplify (T.intern t) = expect
   | _ -> false
 
 (* Four domains simplifying the same terms on one table get physically
@@ -452,30 +445,6 @@ let test_memo_across_domains () =
   Domain.join (Domain.spawn (fun () -> ignore (S.check ~pool ~pool_key memo_first)));
   Domain.join (Domain.spawn (fun () -> check_memo_hits "another domain"))
 
-(* Export, drop, import (through the store's encoding): the queries
-   answer as before, Found and No_assignment alike, with no search. *)
-let test_memo_store_round_trip () =
-  let module S = Gp_smt.Solver in
-  Gp_smt.Cache.reset S.pool_memo;
-  let pool, pool_key = memo_pool () in
-  let queries = (memo_first :: memo_hits) @ [ memo_exhausted ] in
-  let before = List.map (S.check ~pool ~pool_key) queries in
-  Alcotest.(check bool) "an exhausted search is memoized too" true
-    (List.nth before 3 = S.Unknown);
-  let schema = Gp_core.Incr.schema_version in
-  let sections =
-    match Gp_util.Store.decode ~schema (Gp_util.Store.encode ~schema (S.export_memos ())) with
-    | Ok sections -> sections
-    | Error e -> Alcotest.fail (Gp_util.Store.error_reason e)
-  in
-  Gp_smt.Cache.reset S.pool_memo;
-  Alcotest.(check int) "entries imported" 2 (S.import_memos sections);
-  let after = List.map (S.check ~pool ~pool_key) queries in
-  Alcotest.(check bool) "same answers" true (List.for_all2 same_result before after);
-  Alcotest.(check int) "no misses" 0 (Gp_smt.Cache.misses S.pool_memo);
-  Alcotest.(check int) "every query hits" 4 (Gp_smt.Cache.hits S.pool_memo);
-  check_memo_hits "imported"
-
 (* Distinct rotations get distinct keys (within one payload base), and
    equal salts mod the pin count collapse to one key — the key really
    is the pool's identity. *)
@@ -512,7 +481,7 @@ let suite =
       QCheck2.Gen.(list_size (int_range 1 20) Gen.term) prop_warm_equals_cold;
     Gen.qtest "simplify: fresh copy of canonical is the same node" ~count:300
       Gen.term prop_fresh_copy_same_node;
-    Gen.qtest "simplify: intern/Ser entries do not short-circuit" ~count:300
+    Gen.qtest "simplify: interned entries do not short-circuit" ~count:300
       Gen.term prop_unflagged_entries;
     Alcotest.test_case "simplify: unflagged entry, pinned" `Quick
       test_unflagged_pinned;
@@ -525,6 +494,4 @@ let suite =
     Alcotest.test_case "solver memo: hit replays through sigma" `Quick
       test_memo_hit_through_sigma;
     Alcotest.test_case "solver memo: filled and hit on other domains" `Quick
-      test_memo_across_domains;
-    Alcotest.test_case "solver memo: store round trip" `Quick
-      test_memo_store_round_trip ]
+      test_memo_across_domains ]

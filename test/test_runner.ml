@@ -76,8 +76,8 @@ let test_classify () =
     (t (Gp_core.Fail.Decode_fault (0x400000L, "bad")));
   Alcotest.(check bool) "emu fault permanent" false
     (t (Gp_core.Fail.Emu_fault "unmapped"));
-  Alcotest.(check bool) "store permanent" false
-    (t (Gp_core.Fail.Store_rejected "corrupt"));
+  Alcotest.(check bool) "wire frame fault permanent" false
+    (t (Gp_core.Fail.Frame_fault (`Checksum, "bad sum")));
   Alcotest.(check bool) "solver unknown permanent" false
     (t (Gp_core.Fail.Solver_unknown "q"))
 

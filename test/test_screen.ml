@@ -14,8 +14,8 @@
      test compares two identical paths.  With test_smt's
      [prop_absdom_formula_agrees] (Tier A displaces only Unknown) and
      test_plan_par's [prop_pool_key_verdict] (a memo hit answers what an
-     uncached solve answers) and the memo's cross-domain and store
-     round-trip tests there, this is the neutrality argument for both
+     uncached solve answers) and the memo's cross-domain tests there,
+     this is the neutrality argument for both
      tiers;
    - counter determinism: [screen_decided] counts per query answered,
      BEFORE the memo lookup, so it must be invariant across job counts

@@ -19,16 +19,15 @@
    - the acceptance differential: a resident daemon serving a shuffled
      replay (each survey cell twice) answers bit-identically to the
      inline CLI path, at pool jobs 1 and JOBS, from one client and from
-     two concurrent ones, and batched journal checkpoints fire and
-     survive the store session's compaction at shutdown;
+     two concurrent ones;
    - failure stories: a client writing to a daemon that has gone away
      gets an error, not SIGPIPE; every keyed wire-fault mode (torn length, torn
      body, bad checksum, client hangup) is quarantined under the right
      [Fail.Frame_fault] label WITHOUT poisoning resident caches (the
-     next clean request is still bit-identical); a CLI run pointed at
-     the daemon's locked cache dir demotes to read-only cleanly; a
-     crash at the wal-append point abandons the journal exactly like a
-     crashed sweep, and the dir is reopenable. *)
+     next clean request is still bit-identical); a fatal exception in
+     a request (a crash injected at the mid-stage point) propagates out
+     of the daemon only after every worker is joined and the socket is
+     unlinked. *)
 
 module Survey = Gp_harness.Survey
 module S = Gp_harness.Sched
@@ -40,17 +39,6 @@ let jobs_under_test =
   match Sys.getenv_opt "JOBS" with
   | Some s -> (try max 1 (int_of_string s) with _ -> 4)
   | None -> 4
-
-let tmp_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let d =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "gp-serve-test-%d-%d" (Unix.getpid ()) !n)
-    in
-    Survey.rm_rf d;
-    d
 
 let fib = Gp_corpus.Programs.find "fibonacci"
 
@@ -396,18 +384,29 @@ let qcheck_cache_model =
        Gp_smt.Cache.length c = 0 && Gp_smt.Cache.hits c = 0
        && Gp_smt.Cache.misses c = 0))
 
+(* A compute that publishes while another compute of the same key is
+   running (the race [find_or_add] allows, since it computes outside the
+   lock) wins: the slower one returns its own value but must not
+   override the binding.  Over enough keys to reach every shard. *)
 let test_cache_first_write_wins () =
   let c = Gp_smt.Cache.create () in
-  let v1 = Gp_smt.Cache.find_or_add c "k" (fun () -> 1) in
-  Alcotest.(check int) "computed" 1 v1;
-  (* import of a conflicting binding must not override *)
-  Gp_smt.Cache.import c [ ("k", 99); ("fresh", 7) ];
-  Alcotest.(check int) "existing binding kept" 1
-    (Gp_smt.Cache.find_or_add c "k" (fun () -> Alcotest.fail "recompute"));
-  Alcotest.(check int) "imported fresh binding" 7
-    (Gp_smt.Cache.find_or_add c "fresh" (fun () -> Alcotest.fail "recompute"));
-  Alcotest.(check int) "export sees both shards' entries" 2
-    (List.length (Gp_smt.Cache.export c))
+  let keys = List.init 64 (Printf.sprintf "k%d") in
+  List.iteri
+    (fun i k ->
+      let slower =
+        Gp_smt.Cache.find_or_add c k (fun () ->
+            ignore (Gp_smt.Cache.find_or_add c k (fun () -> i));
+            i + 1000)
+      in
+      Alcotest.(check int) (k ^ ": the slower compute returns its own value")
+        (i + 1000) slower)
+    keys;
+  List.iteri
+    (fun i k ->
+      Alcotest.(check int) (k ^ ": the first write is kept") i
+        (Gp_smt.Cache.find_or_add c k (fun () -> Alcotest.fail "recompute")))
+    keys;
+  Alcotest.(check int) "every shard's entries counted" 64 (Gp_smt.Cache.length c)
 
 (* The shard and the bucket inside the shard must come from different
    hash bits: with both taken from the low bits, each shard's keys share
@@ -531,7 +530,7 @@ let test_service_fatal () =
 
 let test_service_fatal_waits () =
   (* a fatal task must not let [stop] return while a sibling is still
-     mid-task: the daemon abandons its journal right after *)
+     mid-task: the daemon tears down right after *)
   let sv = S.Service.start ~jobs:2 in
   let started = Atomic.make false and done_ = Atomic.make false in
   S.Service.submit sv (fun () ->
@@ -560,14 +559,10 @@ let fresh_sock =
    own crash (e.g. an injected [Faultsim.Crashed]) re-raises from
    [Domain.join], taking precedence over [f]'s result — exactly the
    observation order a supervisor would have. *)
-let with_daemon ?cache_dir ~jobs f =
+let with_daemon ~jobs f =
   Survey.reset_world ();
   let sock = fresh_sock () in
-  let cfg =
-    { (Sv.default_config ~socket:sock) with
-      Sv.d_cache_dir = cache_dir;
-      d_jobs = jobs }
-  in
+  let cfg = { (Sv.default_config ~socket:sock) with Sv.d_jobs = jobs } in
   let dmn = Domain.spawn (fun () -> Sv.serve cfg) in
   let rec conn tries =
     match Sv.Client.connect sock with
@@ -596,8 +591,8 @@ let with_daemon ?cache_dir ~jobs f =
   match fin with Ok v -> (v, sm) | Error e -> raise e
 
 (* Submit [replay] in order from one client; the encoded replies. *)
-let daemon_replay ?cache_dir ~jobs replay =
-  with_daemon ?cache_dir ~jobs (fun ~sock:_ cl ->
+let daemon_replay ~jobs replay =
+  with_daemon ~jobs (fun ~sock:_ cl ->
       List.map
         (fun (_, rq) ->
           match Sv.Client.submit cl rq with
@@ -677,29 +672,6 @@ let test_daemon_differential () =
           (Printf.sprintf "request %d: reply equals the cold run" i)
           reference (Sv.report_encode r))
     replies refs
-
-let test_daemon_checkpoints () =
-  let dir = tmp_dir () in
-  let rq = one_request () in
-  let replay = List.init 9 (fun i -> (Printf.sprintf "r%d" i, rq)) in
-  let results, sm = daemon_replay ~cache_dir:dir ~jobs:1 replay in
-  Alcotest.(check int) "all served" 9 (List.length results);
-  Alcotest.(check string) "journaling mode" "journaling" sm.Sv.sm_mode;
-  Alcotest.(check (list string)) "no store failure" []
-    (List.map Gp_core.Fail.to_string sm.Sv.sm_store);
-  Alcotest.(check bool)
-    (Printf.sprintf "batched checkpoints fired (%d)" sm.Sv.sm_checkpoints)
-    true
-    (sm.Sv.sm_checkpoints >= 1);
-  (* shutdown compacted WAL -> base store; it must load warm *)
-  Survey.reset_world ();
-  (match Gp_core.Incr.load ~dir with
-  | Gp_core.Incr.Loaded li ->
-    Alcotest.(check bool) "compacted store is non-empty" true
-      (li.Gp_core.Incr.li_entries > 0)
-  | _ -> Alcotest.fail "compacted store did not load");
-  Survey.reset_world ();
-  Survey.rm_rf dir
 
 (* ----- wire-fault injection (satellite: Faultsim frame faults) ----- *)
 
@@ -802,65 +774,6 @@ let test_wire_faults_via_faultsim () =
   in
   ()
 
-(* ----- graceful coexistence: CLI vs the daemon's lock ----- *)
-
-let test_cli_demotes_when_daemon_holds_lock () =
-  let dir = tmp_dir () in
-  let rq = one_request () in
-  (* what `plan --cache-dir` runs: the request inside a store session *)
-  let plan_in_session () =
-    Survey.reset_world ();
-    Gp_core.Incr.with_store ~dir:(Some dir) (fun _ ->
-        Gp_core.Api.run
-          ~planner_config:(Sv.planner_config_of rq)
-          ~ids:(Gp_core.Gadget.local_ids ())
-          rq.Sv.rq_image
-          (Sv.goal_of_name rq.Sv.rq_goal))
-  in
-  let labels (r : Gp_core.Incr.report) =
-    List.map Gp_core.Fail.label r.Gp_core.Incr.st_fails
-  in
-  (* seed a store on disk *)
-  let reference, seeded = plan_in_session () in
-  Alcotest.(check (list string)) "seeding met no store failure" []
-    (labels seeded);
-  let read_file p = In_channel.with_open_bin p In_channel.input_all in
-  let store_path = Gp_core.Incr.path ~dir in
-  let before = read_file store_path in
-  (* stand in for the daemon process: hold the dir's advisory lock the
-     way the daemon's store session does (same [.store.lock] name) *)
-  let lock =
-    match Gp_util.Store.try_lock ~name:".store.lock" dir with
-    | Ok l -> l
-    | Error who -> Alcotest.failf "seed lock refused: %s" who
-  in
-  (* the CLI's session demotes to read-only: the store still loads, the
-     run completes with the same report, the held lock is reported as
-     store-locked, and the store bytes stay untouched *)
-  let o, demoted = plan_in_session () in
-  Alcotest.(check bool) "read-only session" true
-    (match demoted.Gp_core.Incr.st_mode with `Read_only _ -> true | _ -> false);
-  Alcotest.(check bool) "read-only session still loads the store" true
-    (Gp_core.Incr.loaded demoted > 0);
-  Alcotest.(check (list string)) "read-only session reports store-locked"
-    [ "store-locked" ] (labels demoted);
-  Alcotest.(check string) "read-only run reports as the writer did"
-    (Sv.report_encode (Sv.report_of_outcome reference))
-    (Sv.report_encode (Sv.report_of_outcome o));
-  Alcotest.(check int) "exit code class is a store problem" 78
-    (Gp_core.Fail.exit_code_of_label "store-locked");
-  Alcotest.(check string) "store bytes untouched by the demoted run" before
-    (read_file store_path);
-  Gp_util.Store.unlock lock;
-  (* lock released: a session writes again *)
-  let _, again = plan_in_session () in
-  Alcotest.(check bool) "journaling after release" true
-    (again.Gp_core.Incr.st_mode = `Journaling);
-  Alcotest.(check (list string)) "no store failure after release" []
-    (labels again);
-  Survey.reset_world ();
-  Survey.rm_rf dir
-
 (* ----- a vanished daemon ----- *)
 
 (* The peer accepts and hangs up at once.  The client's write then
@@ -897,36 +810,45 @@ let test_client_survives_dead_peer () =
 
 (* ----- the daemon crash story ----- *)
 
-let test_daemon_crash_abandons_journal () =
-  let dir = tmp_dir () in
-  let rq = one_request () in
+(* A fatal exception in a request (here a crash injected at the
+   mid-stage point, while two clients keep both workers busy) must leave
+   the daemon only after its teardown: the exception propagates, the
+   socket is unlinked, and no worker is left running — the resident
+   tables stop changing once the daemon is gone. *)
+let test_daemon_fatal_teardown () =
+  let requests = Survey.serve_requests ~entries:[ fib ] ~quick:true () in
+  let sock_used = ref "" in
   (match
-     (* a request appends one image record per fresh harvest, so the
-        first append is the one that must kill it *)
-     Fault.with_crash_at ~hits:1 ~point:"wal-append" (fun () ->
-         with_daemon ~cache_dir:dir ~jobs:1 (fun ~sock:_ cl ->
-             match Sv.Client.submit cl rq with
-             | Ok _ -> Alcotest.fail "request outlived an armed wal crash"
-             | Error _ -> ()))
+     Fault.with_crash_at ~hits:1 ~point:"mid-stage" (fun () ->
+         with_daemon ~jobs:2 (fun ~sock cl ->
+             sock_used := sock;
+             let cl2 =
+               match Sv.Client.connect sock with
+               | Ok c -> c
+               | Error why -> Alcotest.failf "second client: %s" why
+             in
+             (* stop at the first failure: the daemon is gone *)
+             let rec submit_all c = function
+               | [] -> ()
+               | (_, rq) :: rest -> (
+                 match Sv.Client.submit c rq with
+                 | Ok _ -> submit_all c rest
+                 | Error _ -> ())
+             in
+             let other = Domain.spawn (fun () -> submit_all cl2 requests) in
+             submit_all cl requests;
+             Domain.join other;
+             Sv.Client.close cl2))
    with
-  | Error "wal-append" -> ()
+  | Error "mid-stage" -> ()
   | Error p -> Alcotest.failf "crashed at unexpected point %s" p
-  | Ok _ -> Alcotest.fail "crash fuse never blew");
-  (* abandon released the lock without flushing: the dir reopens in
-     journaling mode and replays whatever prefix reached the disk *)
-  Survey.reset_world ();
-  let (), store =
-    Gp_core.Incr.with_store ~dir:(Some dir) (fun opened ->
-        match opened.Gp_core.Incr.st_mode with
-        | `Journaling -> ()
-        | `Read_only why ->
-          Alcotest.failf "crashed daemon still holds the lock: %s" why
-        | `Off -> Alcotest.fail "no journal")
-  in
-  Alcotest.(check (list string)) "reopen and compaction after the crash" []
-    (List.map Gp_core.Fail.to_string store.Gp_core.Incr.st_fails);
-  Survey.reset_world ();
-  Survey.rm_rf dir
+  | Ok _ -> Alcotest.fail "the fatal exception did not propagate");
+  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists !sock_used);
+  let tables () = (Gp_core.Incr.size (), Gp_smt.Solver.memo_count ()) in
+  let after = tables () in
+  Unix.sleepf 0.2;
+  Alcotest.(check (pair int int)) "no worker left running" after (tables ());
+  Survey.reset_world ()
 
 let suite =
   [ Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
@@ -964,15 +886,11 @@ let suite =
       test_service_fatal_waits;
     Alcotest.test_case "daemon differential vs CLI path" `Quick
       test_daemon_differential;
-    Alcotest.test_case "daemon batched checkpoints" `Quick
-      test_daemon_checkpoints;
     Alcotest.test_case "wire-fault modes quarantined, caches unpoisoned"
       `Quick test_wire_fault_modes;
     Alcotest.test_case "keyed wire faults via Faultsim" `Quick
       test_wire_faults_via_faultsim;
-    Alcotest.test_case "CLI demotes when daemon holds the lock" `Quick
-      test_cli_demotes_when_daemon_holds_lock;
     Alcotest.test_case "client survives a vanished daemon" `Quick
       test_client_survives_dead_peer;
-    Alcotest.test_case "daemon crash abandons the journal" `Quick
-      test_daemon_crash_abandons_journal ]
+    Alcotest.test_case "daemon tears down on a fatal exception" `Quick
+      test_daemon_fatal_teardown ]

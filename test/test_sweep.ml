@@ -20,8 +20,8 @@
      cell whose Full rung finds no chain climbs the degradation ladder
      and pays out exactly what [Api.run] returns;
    - crash/resume composed with the scheduler: kill a checkpointed
-     scheduled sweep at the wal-append, mid-stage and save-rename crash
-     points, resume, and require byte-equality with the uninterrupted
+     scheduled sweep at the wal-append and mid-stage crash points,
+     resume, and require byte-equality with the uninterrupted
      sequential reference (which an uninterrupted scheduled sweep must
      already match).
 
@@ -480,15 +480,13 @@ let check_sched_crash_resume jobs () =
      must already agree *)
   let seqdir = tmp_dir () in
   Survey.reset_world ();
-  let (so, _), _ = Survey.sweep ~dir:seqdir ~resume:false sequential_run in
+  let so, _ = Survey.sweep ~dir:seqdir ~resume:false sequential_run in
   let reference = sweep_payloads so in
   Survey.rm_rf seqdir;
   Alcotest.(check int) "reference covers the grid" 2 (List.length reference);
   let refdir = tmp_dir () in
   Survey.reset_world ();
-  let (ro, _), _ =
-    Survey.sweep ~dir:refdir ~resume:false (scheduled_run ~jobs)
-  in
+  let ro, _ = Survey.sweep ~dir:refdir ~resume:false (scheduled_run ~jobs) in
   Survey.rm_rf refdir;
   Alcotest.(check bool) "scheduled == sequential, uninterrupted" true
     (sweep_payloads ro = reference);
@@ -508,9 +506,7 @@ let check_sched_crash_resume jobs () =
       in
       Alcotest.(check bool) (point ^ ": fuse fired") true crashed;
       Survey.reset_world ();
-      let (ro2, report), _ =
-        Survey.sweep ~dir ~resume:true (scheduled_run ~jobs)
-      in
+      let ro2, report = Survey.sweep ~dir ~resume:true (scheduled_run ~jobs) in
       Alcotest.(check bool)
         (Printf.sprintf "%s (jobs %d): resume == uninterrupted" point jobs)
         true
@@ -520,7 +516,8 @@ let check_sched_crash_resume jobs () =
         2
         (report.R.r_resumed + report.R.r_computed);
       Survey.rm_rf dir)
-    [ ("wal-append", 5); ("mid-stage", 2); ("save-rename", 1) ]
+    (* the second manifest append: one cell is durable, the other lost *)
+    [ ("wal-append", 2); ("mid-stage", 2) ]
 
 let suite =
   [ Alcotest.test_case "deque owner-LIFO thief-FIFO" `Quick

@@ -265,6 +265,28 @@ let test_wal_foreign_rejected () =
   Sys.remove path;
   Sys.remove path2
 
+(* Something at the journal's path that cannot be read is not a
+   missing journal: [read] reports why, and [open_append] refuses it
+   instead of truncating it as a fresh file. *)
+let test_wal_unreadable_not_missing () =
+  let dir = tmp_dir () in
+  let path = Filename.concat dir "blocked.wal" in
+  Gp_util.Store.mkdir_p path;
+  let inside = Filename.concat path "x" in
+  Out_channel.with_open_bin inside (fun oc -> Out_channel.output_string oc "kept");
+  (match Gp_util.Store.Wal.read ~schema:store_schema path with
+   | Error (Gp_util.Store.Unreadable _) -> ()
+   | Error Gp_util.Store.Missing -> Alcotest.fail "a directory read as Missing"
+   | Error e -> Alcotest.fail ("wrong class: " ^ Gp_util.Store.error_reason e)
+   | Ok _ -> Alcotest.fail "a directory replayed as a journal");
+  (match Gp_util.Store.Wal.open_append ~schema:store_schema path with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "open_append must refuse an unreadable path");
+  Alcotest.(check bool) "still a directory" true (Sys.is_directory path);
+  Alcotest.(check string) "its contents untouched" "kept" (read_file inside);
+  Sys.remove inside;
+  Sys.rmdir path
+
 let test_store_lock_exclusion () =
   let dir = tmp_dir () in
   match Gp_util.Store.try_lock dir with
@@ -339,6 +361,8 @@ let suite =
       test_wal_open_after_torn;
     Alcotest.test_case "wal foreign/stale rejected" `Quick
       test_wal_foreign_rejected;
+    Alcotest.test_case "wal unreadable path is not missing" `Quick
+      test_wal_unreadable_not_missing;
     Alcotest.test_case "store lock exclusion" `Quick test_store_lock_exclusion;
     Alcotest.test_case "par run exception safety" `Quick
       test_par_run_exception_safety ]
