@@ -2,10 +2,10 @@
 
    - cold vs warm: after [Survey.reset_world], a cold pass fills the
      in-process image memo, and a warm pass over the filled table is
-     bit-identical — analyses across survey cells and a full plan
-     request — with no summary misses, at jobs 1 and JOBS (the memo
-     must be semantically invisible at any temperature and any domain
-     count);
+     bit-identical with no summary misses — analyses across survey
+     cells at jobs 1 and JOBS, and a full plan request at JOBS (the
+     memo must be semantically invisible at any temperature and any
+     domain count);
    - counters: hit and miss counts aggregate deterministically across
      job counts;
    - replay: a memo hit reproduces a fresh harvest exactly — under an
@@ -79,8 +79,12 @@ let check_cold_warm jobs () =
         cold.Gp_core.Api.analysis_summary_misses
         warm.Gp_core.Api.analysis_summary_hits)
     diff_cells;
-  (* a full plan request: the warm one answers from the image memo and
-     the solver memo the cold one filled *)
+  reset ()
+
+(* a full plan request: the warm one answers from the image memo and
+   the solver memo the cold one filled *)
+let check_cold_warm_run () =
+  let jobs = jobs_under_test in
   let image = compile "bubble_sort" "llvm-obf" in
   let run () =
     Gp_core.Gadget.reset_ids ();
@@ -227,6 +231,8 @@ let suite =
          jobs_under_test)
       `Slow
       (check_cold_warm jobs_under_test);
+    Alcotest.test_case "cold vs warm full plan request" `Slow
+      check_cold_warm_run;
     Alcotest.test_case "counters aggregate deterministically" `Slow
       check_counters;
     Alcotest.test_case "replay under injected decode faults jobs=1" `Slow
