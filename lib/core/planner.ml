@@ -103,8 +103,8 @@ let entry_sig e =
     s
 
 (* Per-search counters, surfaced through [result] (and from there
-   Api.stage_stats).  Plain mutable fields: each search — portfolio
-   worker or single-queue — owns its own record; merging happens after
+   Api.stage_stats).  Plain mutable fields: each portfolio worker owns
+   its own record; merging happens after
    the domains join. *)
 type stats_acc = {
   mutable s_expanded : int;
@@ -349,10 +349,13 @@ let root_plan (goal : Goal.concrete) (g : Gadget.t) : Plan.t option =
         open_conds = open_demands step @ mem_conds;
         next_sid = 1 }
 
-(* The best-first loop, shared by the single-queue [search] and each
-   portfolio worker of [search_par].  The candidate table is the one
-   piece of state shared across workers: it holds pure values, each
-   computed once (see [cand_table]).  Everything else a search mutates —
+(* The best-first loop each portfolio worker of [search_par] runs.  The
+   candidate table is the one piece of state shared across workers: it
+   holds pure values, each computed once (see [cand_table]).
+   [accept] gates completed plans: a complete plan that fails it (e.g.
+   its payload cannot be assembled, or it duplicates a chain already
+   emitted) is discarded WITHOUT consuming the plan quota, and the
+   search keeps going.  Everything else a search mutates —
    queue, candidate memo, usage/visited tables, stats — it owns, and it
    never crosses a domain boundary; the pool is immutable. *)
 let run_search (config : config) ~accept ~budget ~(stats : stats_acc)
@@ -417,28 +420,6 @@ let run_search (config : config) ~accept ~budget ~(stats : stats_acc)
      budget_hit := true);
   (List.rev !complete, !exhausted, !budget_hit)
 
-(* [accept] gates completed plans: a complete plan that fails it (e.g.
-   its payload cannot be assembled, or it duplicates a chain already
-   emitted) is discarded WITHOUT consuming the plan quota, and the search
-   keeps going. *)
-let search ?(config = default_config) ?(accept = fun (_ : Plan.t) -> true)
-    ?budget (pool : Pool.t) (goal : Goal.concrete) : result =
-  let budget = search_budget config budget in
-  let stats = fresh_stats () in
-  let roots =
-    List.filteri (fun i _ -> i < config.goal_cap) pool.Pool.syscall_gadgets
-    |> List.filter_map (root_plan goal)
-  in
-  let table : cand_table = Once.create () in
-  let plans, exhausted, budget_hit =
-    run_search config ~accept ~budget ~stats table pool roots
-  in
-  { plans; expanded = stats.s_expanded; peak_queue = stats.s_peak_queue;
-    inst_memo_hits = stats.s_inst_hits; cand_memo_hits = stats.s_cand_hits;
-    rankings = stats.s_ranked; conditions = Once.length table;
-    discarded = stats.s_discarded; exhausted;
-    budget_hit }
-
 (* Goal-portfolio search: one INDEPENDENT best-first search per root
    syscall gadget, fanned over domains.  Each worker owns its queue,
    candidate memo, usage and visited tables, and a [Budget.slice] of the
@@ -455,11 +436,9 @@ let search ?(config = default_config) ?(accept = fun (_ : Plan.t) -> true)
    once, the solver queries it issues — and every tally they feed
    (unknowns, screening, pool-memo lookups) — are the same at any job count.
 
-   The portfolio explores a DIFFERENT frontier than the single shared
-   queue (each root is guaranteed its fuel share instead of competing in
-   one cost order), so [search] is kept for callers that want the seed's
-   exact trajectory; the pipeline (Api) always uses the portfolio, at
-   every job count, which is what makes jobs:N ≡ jobs:1 trivial.
+   This is the planner's one search: the pipeline (Api) and the SGC
+   baseline both use it, at every job count, which is what makes
+   jobs:N ≡ jobs:1 trivial.
 
    Per-worker usage tables preserve the diversity heuristic where it
    matters: usage pressure exists to stop chain k+1 from being a

@@ -64,27 +64,6 @@ type result = {
   budget_hit : bool;       (** stopped on deadline/fuel, not space *)
 }
 
-val search :
-  ?config:config ->
-  ?accept:(Plan.t -> bool) ->
-  ?budget:Budget.t ->
-  Pool.t ->
-  Goal.concrete ->
-  result
-(** Run the search.  [accept] gates completed plans: a complete plan that
-    fails it (payload unbuildable, duplicate chain, failed validation) is
-    discarded WITHOUT consuming the plan quota and the search continues —
-    the paper's "does not stop when finding one gadget chain".
-
-    The config's [time_budget]/[node_budget] become an internal
-    {!Budget.t}; passing [budget] additionally clamps the deadline to the
-    parent's, so a pipeline-level budget bounds the search no matter what
-    the config says.
-
-    The single-queue search serves only the SGC baseline
-    ([Gp_baselines.Sgc]) and the planner tests; the shipped pipeline
-    ({!Api}) plans with {!search_par}. *)
-
 val search_par :
   ?config:config ->
   ?accept_for:(int -> Plan.t -> bool) ->
@@ -111,4 +90,15 @@ val search_par :
     state.  The quota [max_plans] applies PER ROOT here; callers dedupe
     cross-root chains and re-apply the global quota after the merge
     (see {!Api}).  Stats merge associatively ([peak_queue] by max, the
-    rest by sum), so they too are job-count-independent. *)
+    rest by sum), so they too are job-count-independent.
+
+    A complete plan that fails its gate (payload unbuildable, duplicate
+    chain, failed validation) is discarded WITHOUT consuming the quota
+    and the search continues — the paper's "does not stop when finding
+    one gadget chain".  The config's [time_budget]/[node_budget] become
+    an internal {!Budget.t}; passing [budget] additionally clamps the
+    deadline to the parent's.
+
+    This is the planner's one search: the shipped pipeline ({!Api})
+    and the SGC baseline ([Gp_baselines.Sgc], at [jobs:1] with one gate
+    shared by every root) both plan with it. *)

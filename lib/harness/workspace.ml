@@ -2,7 +2,10 @@
 
    One [build] per (program, obfuscation config) gives every tool the
    same image and — for the semantic tools — the same harvested gadget
-   pool, so comparisons measure strategy, not extraction variance. *)
+   pool, so comparisons measure strategy, not extraction variance.
+   Gadget ids come from a per-build local source, so a build's pool —
+   and every table read from it — does not depend on what else ran in
+   the process before it. *)
 
 type built = {
   entry : Gp_corpus.Programs.entry;
@@ -22,7 +25,9 @@ let build ?(config_name = "original") ?(cfg = Gp_obf.Obf.none) ?budget ?jobs
     Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg)
       entry.Gp_corpus.Programs.source
   in
-  let analysis = Gp_core.Api.analyze ?budget ?jobs image in
+  let analysis =
+    Gp_core.Api.analyze ?budget ?jobs ~ids:(Gp_core.Gadget.local_ids ()) image
+  in
   { entry; config_name; image; analysis }
 
 (* The per-goal planner settings used across the comparison experiments:

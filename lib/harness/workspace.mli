@@ -17,7 +17,9 @@ val build :
   ?config_name:string -> ?cfg:Gp_obf.Obf.config -> ?budget:Gp_core.Budget.t ->
   ?jobs:int -> Gp_corpus.Programs.entry -> built
 (** [budget] bounds the analyze stages (extract/subsume); [jobs] fans
-    them out over that many domains (deterministic, see Api). *)
+    them out over that many domains (deterministic, see Api).  Gadget
+    ids come from a fresh {!Gp_core.Gadget.local_ids} source, so two
+    builds of one cell give pools with equal ids. *)
 
 val gp_planner_config : Gp_core.Planner.config
 (** The per-goal budget used across the comparison experiments. *)

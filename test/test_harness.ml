@@ -26,6 +26,23 @@ let test_workspace_build () =
   Alcotest.(check bool) "pool nonempty" true
     (Gp_core.Pool.size b.Gp_harness.Workspace.analysis.Gp_core.Api.pool > 0)
 
+(* A build draws gadget ids from its own source: a second build of the
+   same cell, after the first drew its ids, yields the same ids, so a
+   table does not depend on what ran before it in the process. *)
+let test_workspace_build_ids () =
+  let ids () =
+    let b =
+      Gp_harness.Workspace.build ~config_name:"llvm-obf" ~cfg:Gp_obf.Obf.ollvm
+        (Gp_corpus.Programs.find "fibonacci")
+    in
+    List.map
+      (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.id)
+      b.Gp_harness.Workspace.analysis.Gp_core.Api.gadgets
+  in
+  let first = ids () in
+  Alcotest.(check bool) "pool nonempty" true (first <> []);
+  Alcotest.(check (list int)) "same ids" first (ids ())
+
 let test_gadget_text_stable () =
   let b = Gp_harness.Workspace.build (Gp_corpus.Programs.find "fibonacci") in
   match b.Gp_harness.Workspace.analysis.Gp_core.Api.gadgets with
@@ -96,6 +113,7 @@ let test_netperf_probe () =
 let suite =
   [ Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "workspace build" `Quick test_workspace_build;
+    Alcotest.test_case "workspace build ids" `Quick test_workspace_build_ids;
     Alcotest.test_case "gadget text stable" `Quick test_gadget_text_stable;
     Alcotest.test_case "chain_is_new" `Slow test_chain_is_new_logic;
     Alcotest.test_case "cfi study shapes" `Slow test_cfi_original_clean;

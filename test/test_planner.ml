@@ -104,7 +104,9 @@ let test_search_finds_validated_plans () =
     { Gp_core.Planner.max_plans = 3; node_budget = 2000; time_budget = 30.;
       branch_cap = 8; goal_cap = 4; max_steps = 10 }
   in
-  let r = Gp_core.Planner.search ~config ~accept pool goal in
+  let r =
+    Gp_core.Planner.search_par ~config ~accept_for:(fun _ -> accept) pool goal
+  in
   Alcotest.(check bool) "found plans" true (List.length r.Gp_core.Planner.plans >= 1);
   (* every accepted chain sets the goal registers via validated execution *)
   Alcotest.(check bool) "validated" true (!accepted <> [])
@@ -114,7 +116,7 @@ let test_search_impossible_goal () =
   let image = image_of [ Insn.Pop Reg.RDI; Insn.Ret ] in
   let pool = Gp_core.Pool.build [ gadget_at image 0x400000L ] in
   let goal = Gp_core.Goal.concretize image (Gp_core.Goal.Mmap (0L, 0x1000L, 7L)) in
-  let r = Gp_core.Planner.search pool goal in
+  let r = Gp_core.Planner.search_par pool goal in
   Alcotest.(check int) "no plans" 0 (List.length r.Gp_core.Planner.plans);
   Alcotest.(check bool) "search exhausted" true r.Gp_core.Planner.exhausted
 
@@ -148,8 +150,8 @@ let test_same_value_clobber_is_no_threat () =
   Alcotest.(check bool) "different value threat" true
     (Gp_core.Plan.clobbers s (Gp_core.Plan.Creg (Reg.RDI, 9L)))
 
-(* Two syscall roots over one pool: the single-queue search and the
-   portfolio both ask each root's register conditions. *)
+(* Two syscall roots over one pool: the portfolio asks each root's
+   register conditions. *)
 let two_root_image () =
   image_of
     [ Insn.Pop Reg.RAX; Insn.Ret;      (* 0 *)

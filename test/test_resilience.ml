@@ -212,7 +212,7 @@ let test_planner_budget_hit () =
   let pool = Gp_core.Pool.build (Gp_core.Extract.harvest image) in
   let concrete = Gp_core.Goal.concretize image (Gp_core.Goal.Execve "/bin/sh") in
   let r =
-    Gp_core.Planner.search
+    Gp_core.Planner.search_par
       ~config:{ planner_config with Gp_core.Planner.node_budget = 1 }
       pool concrete
   in
