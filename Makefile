@@ -44,8 +44,11 @@
 # trial table and the memo are shared by every domain — and
 # `make check-bench` smoke-tests the paper-table harness end to end in
 # `--quick` mode (one program, one config, every table, figure and
-# ablation).  Crash injection and recovery are covered by check-resume
-# and check-sweep, not by the bench.
+# ablation), then runs `--quick --only fig5` alone and diffs its table
+# against the Fig. 5 section of the full run: a table must not depend
+# on which experiments ran before it in the process.  Crash injection
+# and recovery are covered by check-resume and check-sweep, not by the
+# bench.
 #
 # `make check-resume` sweeps the crash-safety surface (DESIGN.md §13):
 # the WAL truncation/bit-flip/unreadable-path properties and lock tests
@@ -108,10 +111,22 @@ check-serve:
 	dune build test/test_main.exe
 	$(call at_jobs_1_and_4,env SUITES=$(SUITES) ./_build/default/test/test_main.exe)
 
+# $(call fig5_table,FILE): the Fig. 5 table printed in FILE.
+fig5_table = awk '/^== Fig. 5/ { on = 1 } on && /^$$/ { exit } on' $(1)
+
 check-bench:
 	dune build bench/main.exe
-	timeout $(CHECK_TIMEOUT) ./_build/default/bench/main.exe --quick
+	mkdir -p _check
+	timeout $(CHECK_TIMEOUT) ./_build/default/bench/main.exe --quick \
+	  > _check/bench-quick.txt
+	cat _check/bench-quick.txt
+	timeout $(CHECK_TIMEOUT) ./_build/default/bench/main.exe --quick \
+	  --only fig5 > _check/bench-fig5.txt
+	$(call fig5_table,_check/bench-quick.txt) > _check/fig5-in-run.txt
+	$(call fig5_table,_check/bench-fig5.txt) > _check/fig5-alone.txt
+	test -s _check/fig5-alone.txt
+	diff _check/fig5-in-run.txt _check/fig5-alone.txt
 
 clean:
 	dune clean
-	rm -rf .gp-cache
+	rm -rf .gp-cache _check

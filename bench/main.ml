@@ -18,55 +18,33 @@
 let header title =
   Printf.printf "\n%s\n%s\n%!" title (String.make (String.length title) '=')
 
-let run_experiment ~quick id =
-  match id with
-  | "fig1" ->
-    let txt, _ = Gp_harness.Experiments.fig1 ~quick () in
-    print_string txt
-  | "tab1" ->
-    let txt, _ = Gp_harness.Experiments.tab1 ~quick () in
-    print_string txt
-  | "fig2" ->
-    let txt, _ = Gp_harness.Experiments.fig2 ~quick () in
-    print_string txt
-  | "tab4" ->
-    let txt, _ = Gp_harness.Experiments.tab4 ~quick () in
-    print_string txt
-  | "tab5" ->
-    let txt, _ = Gp_harness.Experiments.tab5 ~quick () in
-    print_string txt
-  | "fig5" ->
-    let txt, _ = Gp_harness.Experiments.fig5 ~quick () in
-    print_string txt
-  | "tab6" ->
-    let txt, _ = Gp_harness.Experiments.tab6 () in
-    print_string txt
-  | "fig6" ->
-    let txt, _ = Gp_harness.Experiments.fig6 () in
-    print_string txt
-  | "fig8" ->
-    let txt, _ = Gp_harness.Experiments.fig8 () in
-    print_string txt
-  | "tab7" ->
-    let txt, _ = Gp_harness.Experiments.tab7 () in
-    print_string txt
-  | "cfi_study" ->
-    let txt, _ = Gp_harness.Cfi_study.study () in
-    print_string txt
-  | "ablation_seeds" -> print_string (Gp_harness.Experiments.ablation_seeds ())
-  | "ablation_unaligned" -> print_string (Gp_harness.Experiments.ablation_unaligned ())
-  | "ablation_subsumption" ->
-    print_string (Gp_harness.Experiments.ablation_subsumption ())
-  | "ablation_condjump" -> print_string (Gp_harness.Experiments.ablation_condjump ())
-  | other ->
-    Printf.eprintf "unknown experiment id: %s\n" other;
-    exit 2
-
-let all_ids =
-  [ "fig1"; "tab1"; "fig2"; "tab4"; "tab5"; "fig5"; "tab6"; "fig6"; "fig8";
-    "tab7"; "cfi_study";
-    "ablation_unaligned"; "ablation_subsumption"; "ablation_condjump";
-    "ablation_seeds" ]
+(* Every experiment by id, in the order a full run prints them.  [grid]
+   is the mode's grid; the ablations keep to [small], the quick
+   programs, even in full mode.  Fig. 2 and Tables IV-V render one tool
+   comparison, computed at most once per process. *)
+let experiments ~(grid : Gp_harness.Survey.grid) ~small =
+  let module E = Gp_harness.Experiments in
+  let cells = lazy (E.comparison grid) in
+  [ ("fig1", fun () -> fst (E.fig1 grid));
+    ("tab1", fun () -> fst (E.tab1 grid));
+    ("fig2", fun () -> fst (E.fig2 (Lazy.force cells)));
+    ("tab4", fun () -> fst (E.tab4 (Lazy.force cells)));
+    ("tab5", fun () -> fst (E.tab5 (Lazy.force cells)));
+    ("fig5", fun () -> fst (E.fig5 grid));
+    ( "tab6",
+      fun () ->
+        fst
+          (E.tab6
+             (E.comparison
+                { grid with Gp_harness.Survey.entries = Gp_corpus.Spec.all })) );
+    ("fig6", fun () -> fst (E.fig6 ()));
+    ("fig8", fun () -> fst (E.fig8 ()));
+    ("tab7", fun () -> fst (E.tab7 ()));
+    ("cfi_study", fun () -> fst (Gp_harness.Cfi_study.study ()));
+    ("ablation_unaligned", fun () -> E.ablation_unaligned small);
+    ("ablation_subsumption", fun () -> E.ablation_subsumption small);
+    ("ablation_condjump", fun () -> E.ablation_condjump small);
+    ("ablation_seeds", fun () -> E.ablation_seeds small) ]
 
 (* ----- Bechamel micro-benchmarks: the stage behind each table ----- *)
 
@@ -142,20 +120,32 @@ let run_bechamel () =
 let () =
   let argv = Array.to_list Sys.argv in
   let full = List.mem "--full" argv in
-  let quick = not full in
   let smoke = List.mem "--quick" argv in
-  if smoke then Gp_harness.Experiments.set_smoke true;
-  let mode_name = if smoke then "smoke" else if quick then "quick" else "full" in
-  let bechamel = List.mem "--bechamel" argv in
+  let module S = Gp_harness.Survey in
+  let grid, mode_name =
+    if smoke then (S.smoke_grid, "smoke")
+    else if full then (S.full_grid, "full")
+    else (S.quick_grid, "quick")
+  in
+  let small = if full then S.quick_grid else grid in
+  let table = experiments ~grid ~small in
   let only =
     let rec find = function
-      | "--only" :: id :: _ -> Some id
+      | "--only" :: rest -> Some (match rest with id :: _ -> id | [] -> "")
       | _ :: rest -> find rest
       | [] -> None
     in
     find argv
   in
-  if bechamel then begin
+  (match only with
+   | Some id when not (List.mem_assoc id table) ->
+     Printf.eprintf "%s experiment id%s; valid ids: %s\n"
+       (if id = "" then "missing" else "unknown")
+       (if id = "" then "" else ": " ^ id)
+       (String.concat " " (List.map fst table));
+     exit 2
+   | _ -> ());
+  if List.mem "--bechamel" argv then begin
     header "Bechamel micro-benchmarks (pipeline stages behind the tables)";
     run_bechamel ()
   end
@@ -163,14 +153,14 @@ let () =
     match only with
     | Some id ->
       header (Printf.sprintf "Experiment %s (%s mode)" id mode_name);
-      run_experiment ~quick id
+      print_string ((List.assoc id table) ())
     | None ->
       header
         (Printf.sprintf "Gadget-Planner evaluation — all experiments (%s mode)"
            mode_name);
       List.iter
-        (fun id ->
+        (fun (id, run) ->
           Printf.printf "\n[%s]\n%!" id;
-          run_experiment ~quick id)
-        all_ids
+          print_string (run ()))
+        table
   end

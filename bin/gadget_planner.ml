@@ -295,7 +295,8 @@ let survey_cmd =
        shared work-stealing pool ACROSS cells; results are bit-identical
        to the sequential loop at any job count *)
     let cells =
-      Sv.sweep_cell_steps ~quick:(not full) ~goal:(Gp_harness.Serve.goal_of_name goal) ()
+      Sv.sweep_cell_steps ~goal:(Gp_harness.Serve.goal_of_name goal)
+        (if full then Sv.full_grid else Sv.quick_grid)
     in
     let run ?manifest ~resume () =
       S.run_cells ~policy ?manifest ~resume ~encode:Sv.resume_payload_encode

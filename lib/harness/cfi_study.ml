@@ -61,9 +61,7 @@ let run_one ?(budget = Gp_core.Budget.unlimited ())
                      | Gp_emu.Machine.Timeout -> false
                      | _ -> true) }
 
-let study ?(entries = List.map Gp_corpus.Programs.find
-                        [ "bubble_sort"; "crc_check"; "fibonacci"; "stack_machine" ])
-    ?budget () =
+let study ?(entries = Survey.quick_grid.Survey.entries) ?budget () =
   let rows =
     List.concat_map
       (fun entry -> List.map (run_one ?budget entry) Workspace.obf_configs)

@@ -1,32 +1,14 @@
 (* The paper's evaluation, experiment by experiment (DESIGN.md §4).
 
    Every function regenerates one table or figure and returns the
-   rendered text (plus structured data where tests consume it).  [quick]
-   mode runs a representative subset of the corpus so the whole suite
-   finishes in a few minutes; full mode runs everything.  The grid the
-   experiments walk is {!Survey}'s. *)
+   rendered text (plus structured data where tests consume it).  The
+   grid-wide experiments take the grid they cover ({!Survey.grid}) as an
+   argument.  Fig. 2 and Tables IV-VI render one computed value, the
+   tool comparison: each tool runs once per (program, config, goal). *)
 
-let set_smoke = Survey.set_smoke
+(* Re-exported for bench/e2e, which resets the world through this
+   module. *)
 let reset_world = Survey.reset_world
-
-(* The survey grid grouped the way the tables print it. *)
-
-let survey_by_program ?configs ?entries ?(quick = true) f =
-  let configs =
-    match configs with Some c -> c | None -> Survey.survey_configs ()
-  in
-  List.map
-    (fun e -> (e, List.map (fun (cname, cfg) -> f e cname cfg) configs))
-    (Survey.survey_entries ?entries ~quick ())
-
-let survey_by_config ?configs ?entries ?(quick = true) f =
-  let configs =
-    match configs with Some c -> c | None -> Survey.survey_configs ()
-  in
-  let entries = Survey.survey_entries ?entries ~quick () in
-  List.map
-    (fun (cname, cfg) -> (cname, List.map (fun e -> f e cname cfg) entries))
-    configs
 
 (* ---------- Fig. 1: gadget counts, original vs obfuscated ---------- *)
 
@@ -35,21 +17,26 @@ type fig1_row = {
   f1_counts : (string * int) list;   (* config -> raw gadget count *)
 }
 
-let fig1 ?(quick = true) () =
+let fig1 (grid : Survey.grid) =
   let rows =
     List.map
-      (fun (entry, counts) ->
-        { f1_program = entry.Gp_corpus.Programs.name; f1_counts = counts })
-      (survey_by_program ~quick (fun entry cname cfg ->
-           let image =
-             Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg)
-               entry.Gp_corpus.Programs.source
-           in
-           (cname, List.length (Gp_core.Extract.raw_scan image))))
+      (fun entry ->
+        { f1_program = entry.Gp_corpus.Programs.name;
+          f1_counts =
+            List.map
+              (fun (cname, cfg) ->
+                let image =
+                  Gp_codegen.Pipeline.compile
+                    ~transform:(Gp_obf.Obf.transform cfg)
+                    entry.Gp_corpus.Programs.source
+                in
+                (cname, List.length (Gp_core.Extract.raw_scan image)))
+              grid.Survey.configs })
+      grid.Survey.entries
   in
   let t =
     Table.create ~title:"Fig. 1: number of gadgets, original vs obfuscated"
-      ~header:("program" :: List.map fst (Survey.survey_configs ()))
+      ~header:("program" :: List.map fst grid.Survey.configs)
   in
   List.iter
     (fun r ->
@@ -60,7 +47,7 @@ let fig1 ?(quick = true) () =
 
 (* ---------- Table I: gadget types and increase rate ---------- *)
 
-let tab1 ?(quick = true) () =
+let tab1 (grid : Survey.grid) =
   let kinds =
     [ (Gp_core.Gadget.Return, "Return");
       (Gp_core.Gadget.UDJ, "UDJ");
@@ -68,11 +55,9 @@ let tab1 ?(quick = true) () =
       (Gp_core.Gadget.CDJ, "CDJ");
       (Gp_core.Gadget.CIJ, "CIJ") ]
   in
-  let totals config_filter =
+  let totals cfg =
     List.fold_left
       (fun acc entry ->
-        let cname, cfg = config_filter in
-        ignore cname;
         let image =
           Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg)
             entry.Gp_corpus.Programs.source
@@ -80,11 +65,11 @@ let tab1 ?(quick = true) () =
         let counts = Gp_core.Extract.raw_counts image in
         List.map2 (fun (k, _) a -> a + List.assoc k counts) kinds acc)
       (List.map (fun _ -> 0) kinds)
-      (Survey.benchmark_entries ~quick)
+      grid.Survey.entries
   in
-  let original = totals ("original", Gp_obf.Obf.none) in
-  let ollvm = totals ("llvm-obf", Gp_obf.Obf.ollvm) in
-  let tigress = totals ("tigress", Gp_obf.Obf.tigress) in
+  let original = totals Gp_obf.Obf.none in
+  let ollvm = totals Gp_obf.Obf.ollvm in
+  let tigress = totals Gp_obf.Obf.tigress in
   (* "Obfuscated" column: mean of the two obfuscators, as the paper
      aggregates across tools *)
   let obfuscated = List.map2 (fun a b -> (a + b) / 2) ollvm tigress in
@@ -107,59 +92,111 @@ let tab1 ?(quick = true) () =
     data;
   (Table.render t, data)
 
-(* ---------- shared tool runners ---------- *)
+(* ---------- the tool comparison (Fig. 2, Tables IV-VI) ---------- *)
 
-type tool_result = {
-  tr_tool : string;
-  tr_pool : int;
-  tr_chains : Gp_core.Payload.chain list;
+let tools = [ "ropgadget"; "angrop"; "sgc"; "gadget-planner" ]
+
+(* One tool on one goal in one cell. *)
+type run = {
+  r_goal : string;                        (* [Goal.name] *)
+  r_tool : string;
+  r_pool : int;
+  r_chains : Gp_core.Payload.chain list;
+  r_new : int;
+      (* chains using a gadget the entry's original build lacks; 0 on
+         the original itself *)
 }
 
-let run_tools (b : Workspace.built) goal : tool_result list =
+type cell = {
+  c_program : string;
+  c_config : string;
+  c_raw : int;           (* raw gadget census of the cell's image *)
+  c_runs : run list;     (* goal-major, [tools] order within a goal *)
+}
+
+(* An entry's original build and the instruction texts of its pool: the
+   baseline every "new by obfuscation" count is read against. *)
+let baseline entry =
+  let b = Workspace.build entry in
+  (b, Workspace.pool_texts b.Workspace.analysis)
+
+let run_tools (b : Workspace.built) texts goal : run list =
   let pool_list = b.Workspace.analysis.Gp_core.Api.gadgets in
   let rg = Gp_baselines.Ropgadget.run b.Workspace.image goal in
   let ag = Gp_baselines.Angrop.run ~pool:pool_list b.Workspace.image goal in
   let sg = Gp_baselines.Sgc.run ~pool:pool_list b.Workspace.image goal in
   let gp = Workspace.run_gp b goal in
-  [ { tr_tool = "ropgadget";
-      tr_pool = rg.Gp_baselines.Report.pool_total;
-      tr_chains = rg.Gp_baselines.Report.chains };
-    { tr_tool = "angrop";
-      tr_pool = ag.Gp_baselines.Report.pool_total;
-      tr_chains = ag.Gp_baselines.Report.chains };
-    { tr_tool = "sgc";
-      tr_pool = sg.Gp_baselines.Report.pool_total;
-      tr_chains = sg.Gp_baselines.Report.chains };
-    { tr_tool = "gadget-planner";
-      tr_pool = Gp_core.Pool.size b.Workspace.analysis.Gp_core.Api.pool;
-      tr_chains = gp.Gp_core.Api.chains } ]
+  let run tool pool chains =
+    { r_goal = Gp_core.Goal.name goal; r_tool = tool; r_pool = pool;
+      r_chains = chains;
+      r_new =
+        (if b.Workspace.config_name = "original" then 0
+         else List.length (List.filter (Workspace.chain_is_new texts) chains)) }
+  in
+  let report (r : Gp_baselines.Report.t) =
+    run r.Gp_baselines.Report.tool r.Gp_baselines.Report.pool_total
+      r.Gp_baselines.Report.chains
+  in
+  [ report rg; report ag; report sg;
+    run "gadget-planner"
+      (Gp_core.Pool.size b.Workspace.analysis.Gp_core.Api.pool)
+      gp.Gp_core.Api.chains ]
+
+(* Entry by entry: the original is built once and supplies the baseline
+   texts (and the "original" cell, when the grid has one); every other
+   config gets one build; every built cell runs the four tools on the
+   three goals once. *)
+let comparison (grid : Survey.grid) : cell list =
+  List.concat_map
+    (fun entry ->
+      let original, texts = baseline entry in
+      List.map
+        (fun (cname, cfg) ->
+          let b =
+            if cname = "original" then original
+            else Workspace.build ~config_name:cname ~cfg entry
+          in
+          { c_program = entry.Gp_corpus.Programs.name;
+            c_config = cname;
+            c_raw = List.length (Gp_core.Extract.raw_scan b.Workspace.image);
+            c_runs = List.concat_map (run_tools b texts) Workspace.goals })
+        grid.Survey.configs)
+    grid.Survey.entries
+
+(* Configs in grid order, and the cells of one. *)
+let configs_of cells =
+  List.fold_left
+    (fun acc c -> if List.mem c.c_config acc then acc else acc @ [ c.c_config ])
+    [] cells
+
+let in_config cname cells = List.filter (fun c -> c.c_config = cname) cells
+
+let tool_runs cells tool =
+  List.concat_map
+    (fun c -> List.filter (fun r -> r.r_tool = tool) c.c_runs)
+    cells
+
+let chain_total runs =
+  List.fold_left (fun acc r -> acc + List.length r.r_chains) 0 runs
+
+(* Chains [tool] built over [cells], all goals summed. *)
+let per_tool cells tool = chain_total (tool_runs cells tool)
 
 (* ---------- Fig. 2: chains built by existing tools ---------- *)
 
-let fig2 ?(quick = true) () =
-  let tools = [ "ropgadget"; "angrop"; "sgc" ] in
+let fig2 cells =
+  let baselines = [ "ropgadget"; "angrop"; "sgc" ] in
   let t =
     Table.create
       ~title:"Fig. 2: payloads built by EXISTING tools (all goals, summed)"
-      ~header:("config" :: tools)
+      ~header:("config" :: baselines)
   in
   let data =
     List.map
-      (fun (cname, cells) ->
-        let count tool =
-          List.fold_left
-            (fun acc trs ->
-              List.fold_left
-                (fun acc tr ->
-                  if tr.tr_tool = tool then acc + List.length tr.tr_chains
-                  else acc)
-                acc trs)
-            0 cells
-        in
-        (cname, List.map (fun tool -> (tool, count tool)) tools))
-      (survey_by_config ~quick (fun entry cname cfg ->
-           let b = Workspace.build ~config_name:cname ~cfg entry in
-           List.concat_map (fun goal -> run_tools b goal) Workspace.goals))
+      (fun cname ->
+        let cs = in_config cname cells in
+        (cname, List.map (fun tool -> (tool, per_tool cs tool)) baselines))
+      (configs_of cells)
   in
   List.iter
     (fun (cname, counts) ->
@@ -178,65 +215,30 @@ type tab4_cell = {
 
 type tab4_row = { t4_config : string; t4_tools : (string * tab4_cell) list }
 
-let tab4 ?(quick = true) () =
-  let entries = Survey.benchmark_entries ~quick in
-  (* per-program original pool texts, to classify "new" chains *)
-  let baseline_texts =
-    List.map
-      (fun entry ->
-        let b = Workspace.build entry in
-        (entry.Gp_corpus.Programs.name, Workspace.pool_texts b.Workspace.analysis))
-      entries
-  in
+let tab4 cells =
+  let sum f runs = List.fold_left (fun acc r -> acc + f r) 0 runs in
   let rows =
     List.map
-      (fun (cname, cells) ->
-        let acc = Hashtbl.create 8 in
-        List.iter
-          (List.iter (fun (goal, tr, nnew) ->
-               let prev =
-                 match Hashtbl.find_opt acc tr.tr_tool with
-                 | Some v -> v
-                 | None ->
-                   { t4_pool = 0; t4_used = 0;
-                     t4_goals = List.map (fun g -> (Gp_core.Goal.name g, 0)) Workspace.goals;
-                     t4_new = 0 }
-               in
-               let goals =
-                 List.map
-                   (fun (gn, c) ->
-                     if gn = Gp_core.Goal.name goal then
-                       (gn, c + List.length tr.tr_chains)
-                     else (gn, c))
-                   prev.t4_goals
-               in
-               Hashtbl.replace acc tr.tr_tool
-                 { t4_pool = prev.t4_pool + tr.tr_pool;
-                   t4_used = prev.t4_used + Workspace.used_gadgets tr.tr_chains;
-                   t4_goals = goals;
-                   t4_new = prev.t4_new + nnew }))
-          cells;
+      (fun cname ->
+        let cs = in_config cname cells in
         { t4_config = cname;
           t4_tools =
             List.map
-              (fun tool -> (tool, Hashtbl.find acc tool))
-              [ "ropgadget"; "angrop"; "sgc"; "gadget-planner" ] })
-      (survey_by_config ~entries ~quick (fun entry cname cfg ->
-           let b = Workspace.build ~config_name:cname ~cfg entry in
-           let texts = List.assoc entry.Gp_corpus.Programs.name baseline_texts in
-           List.concat_map
-             (fun goal ->
-               List.map
-                 (fun tr ->
-                   let nnew =
-                     if cname = "original" then 0
-                     else
-                       List.length
-                         (List.filter (Workspace.chain_is_new texts) tr.tr_chains)
-                   in
-                   (goal, tr, nnew))
-                 (run_tools b goal))
-             Workspace.goals))
+              (fun tool ->
+                let runs = tool_runs cs tool in
+                ( tool,
+                  { t4_pool = sum (fun r -> r.r_pool) runs;
+                    t4_used =
+                      sum (fun r -> Workspace.used_gadgets r.r_chains) runs;
+                    t4_goals =
+                      List.map
+                        (fun g ->
+                          let gn = Gp_core.Goal.name g in
+                          (gn, chain_total (List.filter (fun r -> r.r_goal = gn) runs)))
+                        Workspace.goals;
+                    t4_new = sum (fun r -> r.r_new) runs } ))
+              tools })
+      (configs_of cells)
   in
   let t =
     Table.create
@@ -269,24 +271,8 @@ let tab4 ?(quick = true) () =
 
 (* ---------- Table V: chain properties ---------- *)
 
-let tab5 ?(quick = true) () =
-  (* collect chains per tool across the obfuscated configs *)
-  let acc : (string, Gp_core.Payload.chain list ref) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun tool -> Hashtbl.replace acc tool (ref []))
-    [ "ropgadget"; "angrop"; "sgc"; "gadget-planner" ];
-  List.iter
-    (List.iter (fun tr ->
-         let r = Hashtbl.find acc tr.tr_tool in
-         r := tr.tr_chains @ !r))
-    (Survey.survey_cells ~config_major:true
-       ~configs:
-         (List.filter (fun (c, _) -> c <> "original")
-            (Survey.survey_configs ()))
-       ~quick
-       (fun entry cname cfg ->
-         let b = Workspace.build ~config_name:cname ~cfg entry in
-         List.concat_map (fun goal -> run_tools b goal) Workspace.goals));
+let tab5 cells =
+  let obfuscated = List.filter (fun c -> c.c_config <> "original") cells in
   let t =
     Table.create ~title:"Table V: gadget chain properties (obfuscated programs)"
       ~header:[ "tool"; "gadget len"; "chain len"; "Ret"; "IJ"; "DJ"; "CJ" ]
@@ -294,7 +280,9 @@ let tab5 ?(quick = true) () =
   let data =
     List.map
       (fun tool ->
-        let chains = !(Hashtbl.find acc tool) in
+        let chains =
+          List.concat_map (fun r -> r.r_chains) (tool_runs obfuscated tool)
+        in
         let report =
           { Gp_baselines.Report.tool; pool_total = 0; chains;
             gadget_time = 0.; chain_time = 0. }
@@ -304,7 +292,7 @@ let tab5 ?(quick = true) () =
           Gp_baselines.Report.avg_gadget_len report,
           Gp_baselines.Report.avg_chain_len report,
           (ret, ij, dj, cj) ))
-      [ "ropgadget"; "angrop"; "sgc"; "gadget-planner" ]
+      tools
   in
   List.iter
     (fun (tool, glen, clen, (ret, ij, dj, cj)) ->
@@ -316,7 +304,7 @@ let tab5 ?(quick = true) () =
 
 (* ---------- Fig. 5: payloads per individual obfuscation ---------- *)
 
-let fig5 ?(quick = true) () =
+let fig5 (grid : Survey.grid) =
   (* the risk a method ADDS: payloads that use at least one gadget the
      original binary did not have (same notion as Table IV's "(new)") *)
   let t =
@@ -325,13 +313,8 @@ let fig5 ?(quick = true) () =
         "Fig. 5: obfuscation-introduced Gadget-Planner payloads per method"
       ~header:[ "obfuscation"; "new payloads (all goals)" ]
   in
-  let entries = Survey.benchmark_entries ~quick in
-  let baseline_texts =
-    List.map
-      (fun entry ->
-        let b = Workspace.build entry in
-        (entry.Gp_corpus.Programs.name, Workspace.pool_texts b.Workspace.analysis))
-      entries
+  let baselines =
+    List.map (fun entry -> (entry, snd (baseline entry))) grid.Survey.entries
   in
   let data =
     List.map
@@ -339,11 +322,10 @@ let fig5 ?(quick = true) () =
         let cfg = Gp_obf.Obf.single pass in
         let total =
           List.fold_left
-            (fun acc entry ->
+            (fun acc (entry, texts) ->
               let b =
                 Workspace.build ~config_name:(Gp_obf.Obf.pass_name pass) ~cfg entry
               in
-              let texts = List.assoc entry.Gp_corpus.Programs.name baseline_texts in
               List.fold_left
                 (fun acc goal ->
                   acc
@@ -351,7 +333,7 @@ let fig5 ?(quick = true) () =
                       (List.filter (Workspace.chain_is_new texts)
                          (Workspace.run_gp b goal).Gp_core.Api.chains))
                 acc Workspace.goals)
-            0 entries
+            0 baselines
         in
         (Gp_obf.Obf.pass_name pass, total))
       Gp_obf.Obf.all_passes
@@ -364,7 +346,8 @@ let fig5 ?(quick = true) () =
 
 (* ---------- Table VI: SPEC-like programs ---------- *)
 
-let tab6 () =
+(* The comparison over a grid of [Gp_corpus.Spec] programs. *)
+let tab6 cells =
   let t =
     Table.create
       ~title:"Table VI: SPEC-like programs — gadgets and chains per tool"
@@ -372,29 +355,12 @@ let tab6 () =
         [ "benchmark"; "config"; "gadgets"; "RG"; "angrop"; "SGC"; "GP" ]
   in
   let data =
-    Survey.survey_cells ~entries:Gp_corpus.Spec.all
-      (fun entry cname cfg ->
-        let b = Workspace.build ~config_name:cname ~cfg entry in
-            let raw = List.length (Gp_core.Extract.raw_scan b.Workspace.image) in
-            (* chains summed over the three goals *)
-            let per_tool = Hashtbl.create 4 in
-            List.iter
-              (fun goal ->
-                List.iter
-                  (fun tr ->
-                    Hashtbl.replace per_tool tr.tr_tool
-                      ((match Hashtbl.find_opt per_tool tr.tr_tool with
-                        | Some c -> c
-                        | None -> 0)
-                      + List.length tr.tr_chains))
-                  (run_tools b goal))
-              Workspace.goals;
-            let count tool =
-              match Hashtbl.find_opt per_tool tool with Some c -> c | None -> 0
-            in
-            ( entry.Gp_corpus.Programs.name, cname, raw,
-              count "ropgadget", count "angrop", count "sgc",
-              count "gadget-planner" ))
+    List.map
+      (fun c ->
+        let count = per_tool [ c ] in
+        ( c.c_program, c.c_config, c.c_raw, count "ropgadget", count "angrop",
+          count "sgc", count "gadget-planner" ))
+      cells
   in
   List.iter
     (fun (name, cname, raw, rg, ag, sg, gp) ->
@@ -537,7 +503,7 @@ let git_rev () =
 
 (* ---------- ablations (DESIGN.md §5) ---------- *)
 
-let ablation_unaligned () =
+let ablation_unaligned (grid : Survey.grid) =
   let t =
     Table.create ~title:"Ablation: unaligned decoding"
       ~header:[ "program"; "aligned-only"; "unaligned"; "gain" ]
@@ -562,13 +528,13 @@ let ablation_unaligned () =
         [ entry.Gp_corpus.Programs.name; string_of_int aligned;
           string_of_int unaligned;
           Printf.sprintf "%.1fx" (float_of_int unaligned /. float_of_int (max 1 aligned)) ])
-    (Survey.benchmark_entries ~quick:true);
+    grid.Survey.entries;
   Table.render t
 
 (* Stage 2's pool reduction.  Every row must satisfy
    deduped - capped = pool (stage 2 drops nothing else); a row that
    does not raises, failing `make check-bench`. *)
-let ablation_subsumption () =
+let ablation_subsumption (grid : Survey.grid) =
   let t =
     Table.create ~title:"Ablation: stage 2 pool reduction (dedup + bucket cap)"
       ~header:
@@ -600,11 +566,11 @@ let ablation_subsumption () =
           Printf.sprintf "%.2fx"
             (float_of_int stats.Gp_core.Subsume.input
             /. float_of_int (max 1 size)) ])
-    (Survey.benchmark_entries ~quick:true);
+    grid.Survey.entries;
   Table.render t
 
 (* gadget-count stability across obfuscation seeds *)
-let ablation_seeds () =
+let ablation_seeds (grid : Survey.grid) =
   let t =
     Table.create ~title:"Ablation: obfuscation seed variance (llvm-obf preset)"
       ~header:[ "program"; "min"; "mean"; "max" ]
@@ -628,10 +594,10 @@ let ablation_seeds () =
       Table.add_row t
         [ entry.Gp_corpus.Programs.name; string_of_int mn; string_of_int mean;
           string_of_int mx ])
-    (Survey.benchmark_entries ~quick:true);
+    grid.Survey.entries;
   Table.render t
 
-let ablation_condjump () =
+let ablation_condjump (grid : Survey.grid) =
   let t =
     Table.create
       ~title:"Ablation: conditional/merged gadgets excluded from the pool"
@@ -665,5 +631,5 @@ let ablation_condjump () =
           string_of_int (List.length full.Gp_core.Api.chains);
           string_of_int (List.length restricted_gadgets);
           string_of_int (List.length restr.Gp_core.Api.chains) ])
-    (Survey.benchmark_entries ~quick:true);
+    grid.Survey.entries;
   Table.render t

@@ -8,42 +8,33 @@
    is the jobs-, temperature- and interrupt-invariant part of the cell's
    outcome. *)
 
-let quick_benchmark_names =
-  [ "bubble_sort"; "crc_check"; "fibonacci"; "stack_machine" ]
-
-(* Smoke mode (`bench --quick`): collapse the survey to a single
-   program under a single obfuscation config so `make check` can assert
-   the whole harness still runs end-to-end without the survey cost. *)
-let smoke_mode = ref false
-let set_smoke b = smoke_mode := b
-
 (* ---------- the grid ---------- *)
 
-let benchmark_entries ~quick =
-  if !smoke_mode then [ Gp_corpus.Programs.find "fibonacci" ]
-  else if quick then List.map Gp_corpus.Programs.find quick_benchmark_names
-  else Gp_corpus.Programs.all
+type grid = {
+  entries : Gp_corpus.Programs.entry list;
+  configs : (string * Gp_obf.Obf.config) list;
+}
 
-let survey_configs () =
-  if !smoke_mode then [ ("llvm-obf", Gp_obf.Obf.ollvm) ]
-  else Workspace.obf_configs
+(* One program under one obfuscation config (`bench --quick`), so
+   `make check` can assert the whole harness still runs end to end
+   without the survey cost. *)
+let smoke_grid =
+  { entries = [ Gp_corpus.Programs.find "fibonacci" ];
+    configs = [ ("llvm-obf", Gp_obf.Obf.ollvm) ] }
 
-let survey_entries ?entries ~quick () =
-  match entries with Some e -> e | None -> benchmark_entries ~quick
+let quick_grid =
+  { entries =
+      List.map Gp_corpus.Programs.find
+        [ "bubble_sort"; "crc_check"; "fibonacci"; "stack_machine" ];
+    configs = Workspace.obf_configs }
 
-let survey_cells ?(config_major = false) ?configs ?entries ?(quick = true) f =
-  let configs =
-    match configs with Some c -> c | None -> survey_configs ()
-  in
-  let entries = survey_entries ?entries ~quick () in
-  if config_major then
-    List.concat_map
-      (fun (cname, cfg) -> List.map (fun e -> f e cname cfg) entries)
-      configs
-  else
-    List.concat_map
-      (fun e -> List.map (fun (cname, cfg) -> f e cname cfg) configs)
-      entries
+let full_grid =
+  { entries = Gp_corpus.Programs.all; configs = Workspace.obf_configs }
+
+let survey_cells grid f =
+  List.concat_map
+    (fun e -> List.map (fun (cname, cfg) -> f e cname cfg) grid.configs)
+    grid.entries
 
 (* ---------- process state ---------- *)
 
@@ -112,14 +103,14 @@ let resume_payload_decode s =
    per-cell local source — exactly the sequence [Gadget.reset_ids ()] +
    the global source yields — so concurrent cells cannot interleave
    draws. *)
-let sweep_cell_steps ?entries ?configs ?(quick = true) ~goal () :
+let sweep_cell_steps ~goal grid :
     (string * (attempt:int -> Gp_core.Budget.t -> resume_payload Sched.step))
     list =
   let planner_config =
     { Gp_core.Planner.default_config with
       Gp_core.Planner.node_budget = 1200; max_plans = 6 }
   in
-  survey_cells ?entries ?configs ~quick (fun entry cname cfg ->
+  survey_cells grid (fun entry cname cfg ->
       let prog = entry.Gp_corpus.Programs.name in
       let payload (o : Gp_core.Api.outcome) =
         { rp_program = prog;
@@ -164,8 +155,8 @@ let sweep ~dir ~resume run =
 
 (* ---------- daemon requests ---------- *)
 
-let serve_requests ?configs ?entries ~quick () =
-  survey_cells ?configs ?entries ~quick (fun e cname cfg ->
+let serve_requests grid =
+  survey_cells grid (fun e cname cfg ->
       let image =
         Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg)
           e.Gp_corpus.Programs.source

@@ -5,31 +5,28 @@
 
 (** {1 The grid} *)
 
-val set_smoke : bool -> unit
-(** Smoke mode ([bench --quick]): the grid collapses to one program
-    under one obfuscation config. *)
+(** The programs and obfuscation configs a run covers: every cell is
+    one (entry, config) pair.  The paper experiments take their grid as
+    an argument; nothing else selects it. *)
+type grid = {
+  entries : Gp_corpus.Programs.entry list;
+  configs : (string * Gp_obf.Obf.config) list;
+}
 
-val benchmark_entries : quick:bool -> Gp_corpus.Programs.entry list
-(** The smoke program, the quick set, or the whole corpus. *)
+val smoke_grid : grid
+(** fibonacci under llvm-obf ([bench --quick]). *)
 
-val survey_configs : unit -> (string * Gp_obf.Obf.config) list
-(** [Workspace.obf_configs], or the single smoke config. *)
+val quick_grid : grid
+(** The four quick programs under {!Workspace.obf_configs}. *)
 
-val survey_entries :
-  ?entries:Gp_corpus.Programs.entry list -> quick:bool -> unit ->
-  Gp_corpus.Programs.entry list
-(** [entries] when given, else {!benchmark_entries}. *)
+val full_grid : grid
+(** The whole corpus under {!Workspace.obf_configs}. *)
 
 val survey_cells :
-  ?config_major:bool ->
-  ?configs:(string * Gp_obf.Obf.config) list ->
-  ?entries:Gp_corpus.Programs.entry list ->
-  ?quick:bool ->
-  (Gp_corpus.Programs.entry -> string -> Gp_obf.Obf.config -> 'a) ->
+  grid -> (Gp_corpus.Programs.entry -> string -> Gp_obf.Obf.config -> 'a) ->
   'a list
-(** [f] over every (entry, config) cell: entry-major, or config-major
-    (originals first) with [config_major].  [configs] and [entries]
-    override the grid's axes. *)
+(** [f] over every cell of the grid, entry-major.  The one walker over a
+    grid. *)
 
 (** {1 Process state} *)
 
@@ -66,11 +63,8 @@ val resume_payload_encode : resume_payload -> string
 val resume_payload_decode : string -> resume_payload
 
 val sweep_cell_steps :
-  ?entries:Gp_corpus.Programs.entry list ->
-  ?configs:(string * Gp_obf.Obf.config) list ->
-  ?quick:bool ->
   goal:Gp_core.Goal.t ->
-  unit ->
+  grid ->
   (string * (attempt:int -> Gp_core.Budget.t -> resume_payload Sched.step))
   list
 (** The grid's cells, keyed ["program/config"], for {!Sched.run_cells}:
@@ -102,11 +96,6 @@ val sweep :
 
 (** {1 Daemon requests} *)
 
-val serve_requests :
-  ?configs:(string * Gp_obf.Obf.config) list ->
-  ?entries:Gp_corpus.Programs.entry list ->
-  quick:bool ->
-  unit ->
-  (string * Serve.request) list
+val serve_requests : grid -> (string * Serve.request) list
 (** One daemon request per grid cell, keyed ["program/config"], with
     the sweep's planner limits. *)

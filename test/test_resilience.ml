@@ -381,13 +381,12 @@ let tmp_dir =
    scheduler crashing itself is covered in test_sweep.)  JOBS sweeps
    the job count (make check-resume runs 1 and 4). *)
 let crash_cells () =
-  Gp_harness.Survey.sweep_cell_steps
-    ~entries:[ Gp_corpus.Programs.find "fibonacci" ]
-    ~configs:
-      (List.filter
-         (fun (n, _) -> n = "original" || n = "tigress")
-         Gp_harness.Workspace.obf_configs)
-    ~quick:true ~goal:(Gp_core.Goal.Execve "/bin/sh") ()
+  Gp_harness.Survey.sweep_cell_steps ~goal:(Gp_core.Goal.Execve "/bin/sh")
+    { Gp_harness.Survey.entries = [ Gp_corpus.Programs.find "fibonacci" ];
+      configs =
+        List.filter
+          (fun (n, _) -> n = "original" || n = "tigress")
+          Gp_harness.Workspace.obf_configs }
 
 let sweep_payloads outcomes =
   List.map

@@ -44,8 +44,8 @@ let fib = Gp_corpus.Programs.find "fibonacci"
 
 let one_request () =
   match
-    Survey.serve_requests ~entries:[ fib ]
-      ~configs:[ ("original", Gp_obf.Obf.none) ] ~quick:true ()
+    Survey.serve_requests
+      { Survey.entries = [ fib ]; configs = [ ("original", Gp_obf.Obf.none) ] }
   with
   | [ (_, rq) ] -> rq
   | _ -> assert false
@@ -611,7 +611,9 @@ let rec stats_until cl pred tries =
 (* ----- the acceptance differential ----- *)
 
 let test_daemon_differential () =
-  let requests = Survey.serve_requests ~entries:[ fib ] ~quick:true () in
+  let requests =
+    Survey.serve_requests { Survey.quick_grid with entries = [ fib ] }
+  in
   let replay = requests @ requests in
   let refs =
     List.map
@@ -816,7 +818,9 @@ let test_client_survives_dead_peer () =
    socket is unlinked, and no worker is left running — the resident
    tables stop changing once the daemon is gone. *)
 let test_daemon_fatal_teardown () =
-  let requests = Survey.serve_requests ~entries:[ fib ] ~quick:true () in
+  let requests =
+    Survey.serve_requests { Survey.quick_grid with entries = [ fib ] }
+  in
   let sock_used = ref "" in
   (match
      Fault.with_crash_at ~hits:1 ~point:"mid-stage" (fun () ->

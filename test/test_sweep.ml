@@ -363,7 +363,7 @@ let scheduled ~jobs cells =
    for byte over the full quick survey corpus (4 programs x 3 configs,
    tigress included). *)
 let test_differential_sweep () =
-  let cells = Survey.sweep_cell_steps ~quick:true ~goal () in
+  let cells = Survey.sweep_cell_steps ~goal Survey.quick_grid in
   let reference = sequential_reference cells in
   Alcotest.(check int) "full quick grid" 12 (List.length reference);
   Alcotest.(check bool) "no failed cells in reference" true
@@ -387,9 +387,9 @@ let test_differential_sweep () =
    interleaving-invariant too. *)
 let test_differential_under_injection () =
   let cells =
-    Survey.sweep_cell_steps
-      ~entries:[ Gp_corpus.Programs.find "fibonacci" ]
-      ~quick:true ~goal ()
+    Survey.sweep_cell_steps ~goal
+      { Survey.quick_grid with
+        entries = [ Gp_corpus.Programs.find "fibonacci" ] }
   in
   let cfg = Gp_harness.Faultsim.uniform ~seed:11 0.1 in
   Gp_harness.Faultsim.with_faults cfg (fun () ->
@@ -412,9 +412,8 @@ let test_cells_climb_the_ladder () =
   let entry = Gp_corpus.Programs.find "fibonacci" in
   let goal = Gp_core.Goal.Mprotect (0x1001L, 0x1000L, 7L) in
   let cells =
-    Survey.sweep_cell_steps ~entries:[ entry ]
-      ~configs:[ ("original", Gp_obf.Obf.none) ]
-      ~goal ()
+    Survey.sweep_cell_steps ~goal
+      { Survey.entries = [ entry ]; configs = [ ("original", Gp_obf.Obf.none) ] }
   in
   Survey.reset_world ();
   let o =
@@ -458,13 +457,12 @@ let test_cells_climb_the_ladder () =
    byte for byte. *)
 
 let crash_cells () =
-  Survey.sweep_cell_steps
-    ~entries:[ Gp_corpus.Programs.find "fibonacci" ]
-    ~configs:
-      (List.filter
-         (fun (n, _) -> n = "original" || n = "tigress")
-         Gp_harness.Workspace.obf_configs)
-    ~quick:true ~goal ()
+  Survey.sweep_cell_steps ~goal
+    { Survey.entries = [ Gp_corpus.Programs.find "fibonacci" ];
+      configs =
+        List.filter
+          (fun (n, _) -> n = "original" || n = "tigress")
+          Gp_harness.Workspace.obf_configs }
 
 let sequential_run ~manifest ~resume =
   R.run_corpus ~manifest ~resume ~encode:Survey.resume_payload_encode
