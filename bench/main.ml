@@ -139,9 +139,9 @@ let () =
   in
   (match only with
    | Some id when not (List.mem_assoc id table) ->
-     Printf.eprintf "%s experiment id%s; valid ids: %s\n"
-       (if id = "" then "missing" else "unknown")
-       (if id = "" then "" else ": " ^ id)
+     Printf.eprintf "%s; valid ids: %s\n"
+       (if id = "" then "--only needs an experiment id"
+        else "unknown experiment id: " ^ id)
        (String.concat " " (List.map fst table));
      exit 2
    | _ -> ());
