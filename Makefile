@@ -57,18 +57,21 @@
 # the sequential runner's sweep at each durability point, resume on the
 # scheduler, require bit-identical results) at JOBS=1 and JOBS=4.
 #
-# `make check-sweep` sweeps the pipelined corpus scheduler (test_sweep:
-# deque and step-chain property tests, 4-domain shared-state stress,
-# the pooled-sweep-vs-sequential-loop byte differential incl. fault
-# injection, and the crash/resume differential — kill a checkpointed
-# sweep at each durability point, resume, require bit-identical
-# results — DESIGN.md §13–§14) at JOBS=1 and JOBS=4.
+# `make check-sweep` sweeps the survey pool, one task per cell
+# (test_sweep: FIFO pool property tests — tasks from several domains
+# run once, stop drains the queue, a fatal task joins every worker —
+# 4-domain shared-state stress, the pooled-sweep-vs-sequential-loop
+# byte differential incl. fault injection and an escaped budget, and
+# the crash/resume differential — kill a checkpointed sweep at each
+# durability point, resume, require bit-identical results — DESIGN.md
+# §13–§14) at JOBS=1 and JOBS=4.
 #
-# `make check-serve` sweeps the analysis daemon (test_serve: frame-codec
-# totality properties and an exhaustive bit-flip/truncation sweep,
-# shared-table model equivalence, and the daemon-vs-CLI round-trip byte
-# differential incl. the wire-fault sweep, and the teardown on a fatal
-# exception — DESIGN.md §15) at JOBS=1 and JOBS=4.
+# `make check-serve` sweeps the analysis daemon, which runs each
+# request as one `Serve.handle` task on the pool (test_serve:
+# frame-codec totality properties and an exhaustive bit-flip/truncation
+# sweep, shared-table model equivalence, and the daemon-vs-CLI
+# round-trip byte differential incl. the wire-fault sweep, and the
+# teardown on a fatal exception — DESIGN.md §15) at JOBS=1 and JOBS=4.
 
 CHECK_TIMEOUT ?= 600
 

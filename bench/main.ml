@@ -145,6 +145,12 @@ let () =
        (String.concat " " (List.map fst table));
      exit 2
    | _ -> ());
+  (* every experiment starts from an empty world: the process-global
+     memos would otherwise grow across the whole run *)
+  let run_experiment id =
+    S.reset_world ();
+    (List.assoc id table) ()
+  in
   if List.mem "--bechamel" argv then begin
     header "Bechamel micro-benchmarks (pipeline stages behind the tables)";
     run_bechamel ()
@@ -153,14 +159,14 @@ let () =
     match only with
     | Some id ->
       header (Printf.sprintf "Experiment %s (%s mode)" id mode_name);
-      print_string ((List.assoc id table) ())
+      print_string (run_experiment id)
     | None ->
       header
         (Printf.sprintf "Gadget-Planner evaluation — all experiments (%s mode)"
            mode_name);
       List.iter
-        (fun (id, run) ->
+        (fun (id, _) ->
           Printf.printf "\n[%s]\n%!" id;
-          print_string (run ()))
+          print_string (run_experiment id))
         table
   end

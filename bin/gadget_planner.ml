@@ -291,11 +291,11 @@ let survey_cmd =
     let policy =
       { R.default_policy with R.max_attempts; attempt_seconds = budget }
     in
-    (* pipelined cells on one pool (DESIGN.md §14): [jobs] sizes the
-       shared work-stealing pool ACROSS cells; results are bit-identical
-       to the sequential loop at any job count *)
+    (* one pool task per cell (DESIGN.md §14): [jobs] sizes the pool
+       ACROSS cells; results are bit-identical to the sequential loop at
+       any job count *)
     let cells =
-      Sv.sweep_cell_steps ~goal:(Gp_harness.Serve.goal_of_name goal)
+      Sv.sweep_cells ~goal:(Gp_harness.Serve.goal_of_name goal)
         (if full then Sv.full_grid else Sv.quick_grid)
     in
     let run ?manifest ~resume () =
@@ -403,8 +403,8 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the resident analysis daemon: the image memo and the \
              solver memo stay memory-hot across requests (nothing is \
-             persisted), and concurrent requests pipeline across \
-             pipeline stages on one domain pool.  Stops on a client \
+             persisted), and concurrent requests run on different \
+             workers of one domain pool.  Stops on a client \
              $(b,shutdown) request.")
     Term.(const run $ socket_arg $ jobs_arg $ json_errors_arg)
 

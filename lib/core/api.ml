@@ -119,13 +119,11 @@ let stage (label : string) (budget : Budget.t) (f : unit -> 'a) :
   | Ok v -> Ok v
   | Error reason -> Error (Fail.of_budget label reason)
 
-(* ----- per-stage continuations (DESIGN.md §14) -----
+(* ----- the stages, one at a time -----
 
-   The four stages are also exposed one at a time, each returning the
-   explicit intermediate state the next one consumes, so a corpus
-   scheduler (Sched) can interleave stages of DIFFERENT cells on one
-   domain pool.  [analyze], [run_with_analysis] and [steps] are
-   compositions of these, so every path runs the same code. *)
+   Each stage returns the explicit intermediate state the next one
+   consumes; [analyze], [run_with_analysis] and [run] are compositions
+   of these, so every path runs the same code. *)
 
 type extracted = {
   ex_image : Gp_util.Image.t;
@@ -134,14 +132,14 @@ type extracted = {
   ex_extract_time : float;
 }
 
-let stage_extract ?(extract_config = Extract.default_config) ?budget
-    ?(jobs = 1) ?ids (image : Gp_util.Image.t) : extracted =
+let stage_extract ?budget ?(jobs = 1) ?ids (image : Gp_util.Image.t) :
+    extracted =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
   let (harvested, hstats), extract_time =
     match
       stage "extract" root (fun () ->
           timed (fun () ->
-              Extract.harvest_r ~config:extract_config
+              Extract.harvest_r
                 ~budget:(Budget.sub root ~label:"extract" ~fraction:0.6 ())
                 ~jobs ?ids image))
     with
@@ -199,9 +197,8 @@ let stage_subsume ?budget (ex : extracted) : analysis * Gadget.t list =
       analysis_decode_saved = hstats.Extract.h_decode_saved },
     harvested )
 
-let analyze ?(extract_config = Extract.default_config) ?budget ?(jobs = 1) ?ids
-    (image : Gp_util.Image.t) : analysis =
-  fst (stage_subsume ?budget (stage_extract ~extract_config ?budget ~jobs ?ids image))
+let analyze ?budget ?(jobs = 1) ?ids (image : Gp_util.Image.t) : analysis =
+  fst (stage_subsume ?budget (stage_extract ?budget ~jobs ?ids image))
 
 (* ----- degradation ladder ----- *)
 
@@ -239,9 +236,8 @@ type planned = {
   pl_screen : int;
 }
 
-let stage_plan ?(planner_config = Planner.default_config)
-    ?(validate = true) ?budget ?(jobs = 1) (a : analysis) (goal : Goal.t) :
-    planned =
+let stage_plan ?(planner_config = Planner.default_config) ?budget
+    ?(jobs = 1) (a : analysis) (goal : Goal.t) : planned =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let concrete = Goal.concretize a.image goal in
   let u0 = Atomic.get Gp_smt.Solver.unknowns in
@@ -262,9 +258,9 @@ let stage_plan ?(planner_config = Planner.default_config)
   let vtimeouts = Array.make nroots 0 in
   let vtime = Array.make nroots 0. in
   (* a completed plan only counts if its payload assembles, is a chain
-     this root has not already emitted, and (when requested) survives
-     end-to-end execution in the emulator.  Validation happens HERE,
-     inside the worker — stage 4 rides the same domains as stage 3. *)
+     this root has not already emitted, and survives end-to-end
+     execution in the emulator.  Validation happens HERE, inside the
+     worker — stage 4 rides the same domains as stage 3. *)
   let accept_for i =
     let seen = Hashtbl.create 16 in
     fun p ->
@@ -275,28 +271,22 @@ let stage_plan ?(planner_config = Planner.default_config)
         if Hashtbl.mem seen k then false
         else begin
           Hashtbl.add seen k ();
-          if not validate then begin
+          let fuel = Budget.emu_fuel ~cap:1_000_000 budget in
+          let t0 = Unix.gettimeofday () in
+          let o = Payload.validate_run ~fuel a.image c in
+          vtime.(i) <- vtime.(i) +. (Unix.gettimeofday () -. t0);
+          match o with
+          | o when Goal.satisfied concrete o ->
             chains_by_root.(i) <- c :: chains_by_root.(i);
             true
-          end
-          else begin
-            let fuel = Budget.emu_fuel ~cap:1_000_000 budget in
-            let t0 = Unix.gettimeofday () in
-            let o = Payload.validate_run ~fuel a.image c in
-            vtime.(i) <- vtime.(i) +. (Unix.gettimeofday () -. t0);
-            match o with
-            | o when Goal.satisfied concrete o ->
-              chains_by_root.(i) <- c :: chains_by_root.(i);
-              true
-            | Gp_emu.Machine.Fault _ ->
-              vfaults.(i) <- vfaults.(i) + 1;
-              false
-            | Gp_emu.Machine.Timeout ->
-              (* budget starvation, not a broken chain; count it apart *)
-              vtimeouts.(i) <- vtimeouts.(i) + 1;
-              false
-            | _ -> false
-          end
+          | Gp_emu.Machine.Fault _ ->
+            vfaults.(i) <- vfaults.(i) + 1;
+            false
+          | Gp_emu.Machine.Timeout ->
+            (* budget starvation, not a broken chain; count it apart *)
+            vtimeouts.(i) <- vtimeouts.(i) + 1;
+            false
+          | _ -> false
         end
   in
   (* stage 3+4: portfolio search with validation inside each worker *)
@@ -411,9 +401,9 @@ let invariant_counters (o : outcome) =
     ("validate_timeouts", st.validate_timeouts) ]
   @ List.map (fun (l, n) -> ("q:" ^ l, n)) st.quarantined
 
-let run_with_analysis ?planner_config ?validate ?budget ?jobs (a : analysis)
+let run_with_analysis ?planner_config ?budget ?jobs (a : analysis)
     (goal : Goal.t) : outcome =
-  stage_finalize (stage_plan ?planner_config ?validate ?budget ?jobs a goal)
+  stage_finalize (stage_plan ?planner_config ?budget ?jobs a goal)
 
 (* Loosen the planner config one rung at a time.  Degradation is
    cumulative: the last rung is also the widest. *)
@@ -437,59 +427,35 @@ let dedup_analysis (a : analysis) (harvested : Gadget.t list) : analysis =
     deduped = List.length m;
     subsume_capped = 0 }
 
-(* ----- one request as a step chain (DESIGN.md §14) ----- *)
+(* ----- one plan request -----
 
-type 'a step = Finished of 'a | Next of (unit -> 'a step)
-
-let rec map_step f = function
-  | Finished v -> Finished (f v)
-  | Next k -> Next (fun () -> map_step f (k ()))
-
-let rec finish = function Finished v -> v | Next k -> finish (k ())
-
-(* The one assembly of a plan request: stage 1, then stage 2 (and the
-   "mid-stage" crash point), then one degradation-ladder rung per step.
-   [run] drives it inline; the daemon and the survey's cells drive it on
-   the scheduler's pool, so all three degrade identically.  Stages 1-2
-   run ONCE and every rung shares their result: the degraded rungs
-   re-pool from the same gadget records (ids stay stable), and the
-   dedup-only pool is built only if a degraded rung runs.  Each rung
-   gets a 0.6 slice of whatever root time remains, so early rungs cannot
-   starve later ones outright.  The ladder stops at the first rung with
-   a chain, when the root budget is dry, or after the last rung. *)
-let steps ?(extract_config = Extract.default_config)
-    ?(planner_config = Planner.default_config) ?(validate = true) ?budget
-    ?(jobs = 1) ?ids (image : Gp_util.Image.t) (goal : Goal.t) : outcome step =
-  let root = match budget with Some b -> b | None -> Budget.unlimited () in
-  Next
-    (fun () ->
-      let ex = stage_extract ~extract_config ~budget:root ~jobs ?ids image in
-      Next
-        (fun () ->
-          let a_full, harvested = stage_subsume ~budget:root ex in
-          Gp_util.Store.crash_point "mid-stage";
-          let degraded = lazy (dedup_analysis a_full harvested) in
-          let rec climb tried rung rest =
-            Next
-              (fun () ->
-                let a = if rung = Full then a_full else Lazy.force degraded in
-                let o =
-                  run_with_analysis
-                    ~planner_config:(rung_planner_config planner_config rung)
-                    ~validate
-                    ~budget:(Budget.sub root ~label:(rung_name rung)
-                               ~fraction:0.6 ())
-                    ~jobs a goal
-                in
-                let tried = tried @ [ rung ] in
-                match rest with
-                | next :: rest
-                  when o.chains = [] && not (Budget.exhausted root) ->
-                  climb tried next rest
-                | _ -> Finished { o with rungs = tried })
-          in
-          climb [] Full [ Dedup_only; Wider_branch; Relaxed_steps ]))
-
-let run ?extract_config ?planner_config ?validate ?budget ?jobs ?ids
+   Stage 1, stage 2 (and the "mid-stage" crash point), then the
+   degradation ladder.  Stages 1-2 run ONCE and every rung shares their
+   result: the degraded rungs re-pool from the same gadget records (ids
+   stay stable), and the dedup-only pool is built only if a degraded
+   rung runs.  Each rung gets a 0.6 slice of whatever root time remains,
+   so early rungs cannot starve later ones outright.  The ladder stops
+   at the first rung with a chain, when the root budget is dry, or after
+   the last rung. *)
+let run ?(planner_config = Planner.default_config) ?budget ?(jobs = 1) ?ids
     (image : Gp_util.Image.t) (goal : Goal.t) : outcome =
-  finish (steps ?extract_config ?planner_config ?validate ?budget ?jobs ?ids image goal)
+  let root = match budget with Some b -> b | None -> Budget.unlimited () in
+  let ex = stage_extract ~budget:root ~jobs ?ids image in
+  let a_full, harvested = stage_subsume ~budget:root ex in
+  Gp_util.Store.crash_point "mid-stage";
+  let degraded = lazy (dedup_analysis a_full harvested) in
+  let rec climb tried rung rest =
+    let a = if rung = Full then a_full else Lazy.force degraded in
+    let o =
+      run_with_analysis
+        ~planner_config:(rung_planner_config planner_config rung)
+        ~budget:(Budget.sub root ~label:(rung_name rung) ~fraction:0.6 ())
+        ~jobs a goal
+    in
+    let tried = rung :: tried in
+    match rest with
+    | next :: rest when o.chains = [] && not (Budget.exhausted root) ->
+      climb tried next rest
+    | _ -> { o with rungs = List.rev tried }
+  in
+  climb [] Full [ Dedup_only; Wider_branch; Relaxed_steps ]

@@ -118,23 +118,17 @@ type analysis = {
 
 val timed : (unit -> 'a) -> 'a * float
 
-(** {1 Per-stage continuations (DESIGN.md §14)}
+(** {1 The stages, one at a time}
 
-    The pipeline split into resumable steps, each returning the
-    explicit intermediate state the next consumes, so a corpus
-    scheduler ({!Gp_harness.Sched}) can interleave stages of different
-    cells on one domain pool.  {!analyze}, {!run_with_analysis} and
-    {!steps} are compositions of these — the sequential and staged
-    paths share code and therefore results.
+    Each stage returns the explicit intermediate state the next
+    consumes.  {!analyze}, {!run_with_analysis} and {!run} are
+    compositions of these, so every path runs the same code.
 
-    The only caveat under interleaving: {!stage_plan}'s solver counters
-    ([solver_unknowns], cache/screen traffic) are deltas of
-    process-wide counters, so a concurrent cell's stage 3 can land in
-    another cell's stage-3 deltas.  Stages 1-2 make no solver query and
-    take no such snapshot.  Every such counter is temperature-class and
-    excluded from the differential payload; all result-bearing state
-    (pool, chains, quarantine tallies, per-cell counters) is
-    interleaving-invariant. *)
+    {!stage_plan}'s solver counters ([solver_unknowns], cache/screen
+    traffic) are deltas of process-wide counters, so a concurrent
+    request's stage 3 can land in another request's deltas.  Stages 1-2
+    make no solver query and take no such snapshot.  Every such counter
+    is temperature-class and excluded from the differential payload. *)
 
 type extracted
 (** Stage-1 output: the raw harvest and its meters, consumed by
@@ -145,13 +139,13 @@ type planned
     merge in {!stage_finalize}. *)
 
 val stage_extract :
-  ?extract_config:Extract.config -> ?budget:Budget.t -> ?jobs:int ->
-  ?ids:Gadget.id_source -> Gp_util.Image.t -> extracted
+  ?budget:Budget.t -> ?jobs:int -> ?ids:Gadget.id_source -> Gp_util.Image.t ->
+  extracted
 (** Stage 1 alone.  [budget] is the ROOT pipeline budget: the harvest
     draws its usual 0.6-fraction slice from it, so passing the same
     root to {!stage_subsume} reproduces {!analyze} exactly.  [ids] is
     where gadget ids are drawn (default: the process-global sequence);
-    concurrently scheduled cells each pass [Gadget.local_ids ()]. *)
+    concurrently running cells each pass [Gadget.local_ids ()]. *)
 
 val stage_subsume : ?budget:Budget.t -> extracted -> analysis * Gadget.t list
 (** Stage 2 alone: minimize the harvested pool ({!Subsume.minimize}) and
@@ -161,8 +155,8 @@ val stage_subsume : ?budget:Budget.t -> extracted -> analysis * Gadget.t list
     for the degradation ladder's dedup-only re-pool. *)
 
 val analyze :
-  ?extract_config:Extract.config -> ?budget:Budget.t -> ?jobs:int ->
-  ?ids:Gadget.id_source -> Gp_util.Image.t -> analysis
+  ?budget:Budget.t -> ?jobs:int -> ?ids:Gadget.id_source -> Gp_util.Image.t ->
+  analysis
 (** Stages 1–2.  [budget] bounds both stages (extract gets a 0.6
     slice); exhaustion degrades — a partial harvest, or the harvest
     passed through as the pool — and is recorded, never raised.
@@ -188,14 +182,14 @@ val rung_name : rung -> string
 
 val rung_planner_config : Planner.config -> rung -> Planner.config
 (** Loosen the planner config for a ladder rung (cumulative: the last
-    rung is also the widest).  {!steps} applies it; exposed for
+    rung is also the widest).  {!run} applies it; exposed for
     callers that time the ladder stage by stage (bench/e2e). *)
 
 val dedup_analysis : analysis -> Gadget.t list -> analysis
 (** The [Dedup_only] rung's analysis: re-pool the raw harvest (the
     second component {!stage_subsume} returns) with {!Subsume.dedup}
     alone — the Full pool plus the gadgets the bucket cap dropped.
-    {!steps} builds it lazily; exposed for the same reason as
+    {!run} builds it lazily; exposed for the same reason as
     {!rung_planner_config}. *)
 
 type outcome = {
@@ -212,8 +206,8 @@ val invariant_counters : outcome -> (string * int) list
     differential tests share. *)
 
 val stage_plan :
-  ?planner_config:Planner.config -> ?validate:bool -> ?budget:Budget.t ->
-  ?jobs:int -> analysis -> Goal.t -> planned
+  ?planner_config:Planner.config -> ?budget:Budget.t -> ?jobs:int ->
+  analysis -> Goal.t -> planned
 (** Stage 3 alone (with candidate validation riding inside the search
     workers, as always — the accept gate consumes the verdicts). *)
 
@@ -224,7 +218,6 @@ val stage_finalize : planned -> outcome
 
 val run_with_analysis :
   ?planner_config:Planner.config ->
-  ?validate:bool ->
   ?budget:Budget.t ->
   ?jobs:int ->
   analysis ->
@@ -236,60 +229,31 @@ val run_with_analysis :
     per root syscall gadget, payloads validated inside each worker,
     per-root chain lists merged in root order, deduplicated by gadget
     set, and cut to the global plan quota — so the outcome is identical
-    at any [jobs].  Unless [validate:false], every chain is confirmed
-    by concrete execution before being counted; validation fuel is
+    at any [jobs].  Every chain is confirmed by concrete execution
+    before being counted; validation fuel is
     derived from the remaining budget.  No exception escapes: budget
     death yields an outcome with the hit recorded. *)
 
-(** {1 One request as a step chain} *)
-
-type 'a step = Finished of 'a | Next of (unit -> 'a step)
-(** Work cut into resumable steps: [Next k] runs one step with [k ()].
-    The corpus scheduler ({!Gp_harness.Sched.drive}) runs each step as
-    its own pool task; {!finish} runs them inline. *)
-
-val map_step : ('a -> 'b) -> 'a step -> 'b step
-(** Apply [f] to the chain's final value; the steps are unchanged. *)
-
-val finish : 'a step -> 'a
-(** Run a chain to its end on the calling domain. *)
-
-val steps :
-  ?extract_config:Extract.config ->
-  ?planner_config:Planner.config ->
-  ?validate:bool ->
-  ?budget:Budget.t ->
-  ?jobs:int ->
-  ?ids:Gadget.id_source ->
-  Gp_util.Image.t ->
-  Goal.t ->
-  outcome step
-(** The one assembly of a plan request, which {!run}, the analysis
-    daemon and the survey's cells all drive: stage 1; then stage 2, after
-    which the ["mid-stage"] crash point fires ({!Gp_util.Store.crash_point};
-    the only other point is ["wal-append"], at each record the runner's
-    manifest appends); then one degradation-ladder rung per step.  Each rung plans over its
-    pool ([Full]: the stage-2 pool; later rungs: {!dedup_analysis}, built
-    once) with {!rung_planner_config} and a 0.6 slice of the root
-    budget's remaining time.  The ladder stops at the first rung with a
-    chain, when the root budget is dry, or after [Relaxed_steps].
-    Arguments as for {!run}. *)
-
 val run :
-  ?extract_config:Extract.config ->
   ?planner_config:Planner.config ->
-  ?validate:bool ->
   ?budget:Budget.t ->
   ?jobs:int ->
   ?ids:Gadget.id_source ->
   Gp_util.Image.t ->
   Goal.t ->
   outcome
-(** The whole pipeline in one call, with the degradation ladder: the
-    harvest runs once, then Full → Dedup_only → Wider_branch →
-    Relaxed_steps until a chain is found, the root budget dies, or the
-    ladder ends: [finish (steps ...)].  [jobs] > 1 parallelizes all four
-    stages over that many domains; the outcome (pool, plans, chains,
-    tallies) is identical to the default [jobs = 1], and the same
-    whether the image memo and solver memo are warm or cold
-    (DESIGN.md §11). *)
+(** The one assembly of a plan request, which the CLI, the analysis
+    daemon and the survey's cells all run: stage 1; then stage 2, after
+    which the ["mid-stage"] crash point fires
+    ({!Gp_util.Store.crash_point}; the only other point is
+    ["wal-append"], at each record the runner's manifest appends); then
+    the degradation ladder Full → Dedup_only → Wider_branch →
+    Relaxed_steps.  Each rung plans over its pool ([Full]: the stage-2
+    pool; later rungs: {!dedup_analysis}, built once) with
+    {!rung_planner_config} and a 0.6 slice of the root budget's
+    remaining time.  The ladder stops at the first rung with a chain,
+    when the root budget is dry, or after [Relaxed_steps].  [jobs] > 1
+    parallelizes all four stages over that many domains; the outcome
+    (pool, plans, chains, tallies) is identical to the default
+    [jobs = 1], and the same whether the image memo and solver memo are
+    warm or cold (DESIGN.md §11). *)

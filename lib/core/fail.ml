@@ -14,10 +14,6 @@ type t =
       (* undecodable byte window at this address *)
   | Symx_unsupported of int64 * string
       (* the symbolic executor refused a run starting here *)
-  | Solver_unknown of string
-      (* an SMT query came back Unknown where a verdict was needed *)
-  | Solver_timeout of string
-      (* an SMT query exceeded its trial budget *)
   | Emu_fault of string
       (* concrete execution crashed (unmapped access, bad fetch, ...) *)
   | Budget_exhausted of string * [ `Time | `Fuel ]
@@ -32,8 +28,6 @@ type t =
 let label = function
   | Decode_fault _ -> "decode"
   | Symx_unsupported _ -> "symx"
-  | Solver_unknown _ -> "solver-unknown"
-  | Solver_timeout _ -> "solver-timeout"
   | Emu_fault _ -> "emu"
   | Budget_exhausted _ -> "budget"
   | Frame_fault (`Torn, _) -> "frame-torn"
@@ -44,8 +38,6 @@ let to_string = function
   | Decode_fault (addr, d) -> Printf.sprintf "decode fault at 0x%Lx: %s" addr d
   | Symx_unsupported (addr, d) ->
     Printf.sprintf "symbolic execution unsupported at 0x%Lx: %s" addr d
-  | Solver_unknown d -> "solver unknown: " ^ d
-  | Solver_timeout d -> "solver timeout: " ^ d
   | Emu_fault d -> "emulator fault: " ^ d
   | Budget_exhausted (l, `Time) -> Printf.sprintf "budget %s: deadline exhausted" l
   | Budget_exhausted (l, `Fuel) -> Printf.sprintf "budget %s: fuel exhausted" l
@@ -54,7 +46,7 @@ let to_string = function
   | Frame_fault (`Disconnect, d) -> "client disconnected: " ^ d
 
 (* The one mapping from a dry [Budget] to the taxonomy: stage guards,
-   the supervised runner and the step driver all go through it. *)
+   the supervised runner and the daemon all go through it. *)
 let of_budget label = function
   | Budget.Deadline -> Budget_exhausted (label, `Time)
   | Budget.Fuel -> Budget_exhausted (label, `Fuel)
@@ -67,9 +59,8 @@ let of_budget label = function
    input (undecodable bytes, refused run, damaged frame) and retrying
    just burns budget. *)
 let retryable = function
-  | Solver_timeout _ | Budget_exhausted _ -> true
-  | Decode_fault _ | Symx_unsupported _ | Solver_unknown _ | Emu_fault _
-  | Frame_fault _ -> false
+  | Budget_exhausted _ -> true
+  | Decode_fault _ | Symx_unsupported _ | Emu_fault _ | Frame_fault _ -> false
 
 (* Process exit codes, BSD-sysexits-adjacent so supervisors can
    classify without parsing prose: 75 (tempfail) = transient timeout,
@@ -82,15 +73,14 @@ let exit_proto = 76
 
 let exit_code f =
   match f with
-  | Solver_timeout _ | Budget_exhausted _ -> exit_timeout
-  | Decode_fault _ | Symx_unsupported _ | Solver_unknown _ | Emu_fault _ ->
-    exit_fault
+  | Budget_exhausted _ -> exit_timeout
+  | Decode_fault _ | Symx_unsupported _ | Emu_fault _ -> exit_fault
   | Frame_fault _ -> exit_proto
 
 (* Same classification keyed by ledger label, for call sites that only
    kept the tally bucket (quarantine ledgers in stage stats). *)
 let exit_code_of_label = function
-  | "solver-timeout" | "budget" -> exit_timeout
+  | "budget" -> exit_timeout
   | "frame-torn" | "frame-checksum" | "frame-disconnect" -> exit_proto
   | _ -> exit_fault
 
@@ -101,8 +91,6 @@ let json_record ~label ~detail =
   Printf.sprintf "{\"class\": %S, \"detail\": %S, \"exit_code\": %d}" label
     detail
     (exit_code_of_label label)
-
-let to_json f = json_record ~label:(label f) ~detail:(to_string f)
 
 (* ----- tallies ----- *)
 

@@ -2,7 +2,7 @@
 
     The survey in the paper runs hundreds of (program x obfuscation x
     goal) pipeline executions; a single undecodable byte window or
-    divergent solver query must be quarantined and counted, never
+    refused symbolic run must be quarantined and counted, never
     allowed to abort the whole sweep.  Stage boundaries in {!Api} are
     typed over this taxonomy and quarantine ledgers built from it land
     in {!Api.stage_stats}. *)
@@ -12,10 +12,6 @@ type t =
       (** undecodable byte window at this address *)
   | Symx_unsupported of int64 * string
       (** the symbolic executor refused a run starting here *)
-  | Solver_unknown of string
-      (** an SMT query came back Unknown where a verdict was needed *)
-  | Solver_timeout of string
-      (** an SMT query exceeded its trial budget *)
   | Emu_fault of string
       (** concrete execution crashed (unmapped access, bad fetch, ...) *)
   | Budget_exhausted of string * [ `Time | `Fuel ]
@@ -27,7 +23,7 @@ type t =
           untouched *)
 
 val label : t -> string
-(** Short bucket name ("decode", "symx", "solver-unknown", ...); used as
+(** Short bucket name ("decode", "symx", "budget", ...); used as
     the tally key. *)
 
 val to_string : t -> string
@@ -43,7 +39,7 @@ val of_budget : string -> Budget.reason -> t
     classifies failures the same way. *)
 
 val retryable : t -> bool
-(** [true] for transient failures (timeouts, exhausted budgets) worth
+(** [true] for transient failures (exhausted budgets) worth
     retrying with backoff; [false] for permanent properties of the
     input. *)
 
@@ -54,11 +50,9 @@ val exit_code : t -> int
 val exit_code_of_label : string -> int
 (** Same mapping keyed by {!label} bucket (for quarantine ledgers). *)
 
-val to_json : t -> string
+val json_record : label:string -> detail:string -> string
 (** One-line JSON failure record ({["{\"class\": ..., \"detail\": ...,
     \"exit_code\": ...}"]}) for [--json-errors] stderr streams. *)
-
-val json_record : label:string -> detail:string -> string
 
 (** {1 Tallies}
 

@@ -155,18 +155,3 @@ let post_of g r = List.assoc r g.post
 let to_string g =
   Printf.sprintf "0x%Lx [%s] %s" g.addr (kind_name g.kind)
     (String.concat "; " (List.map Insn.to_string g.insns))
-
-let describe g =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (to_string g);
-  Buffer.add_string buf "\n  pre:  ";
-  Buffer.add_string buf
-    (String.concat " && " (List.map Formula.to_string g.pre));
-  Buffer.add_string buf "\n  post: ";
-  List.iter
-    (fun (r, t) ->
-      if List.mem r g.clobbered then
-        Buffer.add_string buf
-          (Printf.sprintf "%s=%s " (Reg.name r) (Term.to_string t)))
-    g.post;
-  Buffer.contents buf

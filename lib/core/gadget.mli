@@ -85,6 +85,3 @@ val post_of : t -> Gp_x86.Reg.t -> Term.t
 
 val to_string : t -> string
 (** One-line rendering: address, kind, instructions. *)
-
-val describe : t -> string
-(** Multi-line rendering including pre/post conditions. *)

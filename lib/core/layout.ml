@@ -60,8 +60,6 @@ let set_payload_base b = Atomic.set state (state_of b)
 
 let reset () = set_payload_base default_base
 
-let payload_end () = Int64.add (payload_base ()) (Int64.of_int payload_size)
-
 let in_payload a = in_payload_of (payload_base ()) a
 
 let pin_candidates () = (Atomic.get state).pools.(0).Gp_smt.Solver.pins

@@ -25,8 +25,6 @@ val reset : unit -> unit
 val payload_size : int
 (** Bytes the payload may occupy. *)
 
-val payload_end : unit -> int64
-
 val in_payload : int64 -> bool
 val in_scratch : int64 -> bool
 

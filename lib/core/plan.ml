@@ -61,10 +61,6 @@ let find_mem_read (g : Gadget.t) v =
 
 let is_mem_var (g : Gadget.t) v = find_mem_read g v <> None
 
-(* only RELIABLE reads can be treated as attacker-chosen payload cells *)
-let is_reliable_mem_var (g : Gadget.t) v =
-  match find_mem_read g v with Some (_, _, r) -> r | None -> false
-
 (* Solve [require] together with the gadget's own pre-conditions.
    Returns (bindings, abs_bindings, mem_cells, demands, model) or None.
 

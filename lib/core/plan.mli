@@ -54,7 +54,6 @@ val reg_of_entry_var : string -> Gp_x86.Reg.t option
 val is_slot_var : string -> bool
 val find_mem_read : Gadget.t -> string -> (string * Gp_smt.Term.t * bool) option
 val is_mem_var : Gadget.t -> string -> bool
-val is_reliable_mem_var : Gadget.t -> string -> bool
 
 (** {1 Instantiation} *)
 

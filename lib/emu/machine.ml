@@ -46,10 +46,6 @@ let stack_top = Int64.add stack_base (Int64.of_int stack_size)
 let scratch_base = 0x700000L
 let scratch_size = 1 lsl 16
 
-(* Addresses safe for attacker-controlled pointer arguments: the scratch
-   region.  Keep in sync with Smt.Solver.default_pool. *)
-let scratch_pool = [ 0x700000L; 0x700100L; 0x700200L ]
-
 let reg t r = t.regs.(Reg.number r)
 let set_reg t r v = t.regs.(Reg.number r) <- v
 

@@ -49,10 +49,6 @@ val stack_top : int64
 val scratch_base : int64
 val scratch_size : int
 
-val scratch_pool : int64 list
-(** Addresses safe for attacker-controlled pointer arguments (kept in
-    sync with the solver's default pool). *)
-
 (** {1 State access} *)
 
 val reg : t -> Gp_x86.Reg.t -> int64

@@ -19,11 +19,10 @@
        payloads carry only cache-temperature-independent data, so a
        replayed cell equals a recomputed one byte for byte.
 
-   The retry ladder COMPOSES with the degradation ladder of
-   [Api.steps], the chain every survey cell runs: a retried attempt
-   restarts that chain from stage 1 with a fresh watchdog, so "retry"
-   means "try the whole degradation cascade again", not "jump to the
-   loosest rung".
+   The retry ladder COMPOSES with the degradation ladder of [Api.run],
+   the request every survey cell runs: a retried attempt restarts it
+   from stage 1 with a fresh watchdog, so "retry" means "try the whole
+   degradation cascade again", not "jump to the loosest rung".
 
    [Faultsim.Crashed] is deliberately NOT caught anywhere here: it
    simulates process death and must unwind the whole sweep. *)
@@ -74,8 +73,7 @@ let classify f = if Fail.retryable f then `Transient else `Permanent
 
 (* ----- single supervised cell ----- *)
 
-(* A fresh per-attempt watchdog; the pooled sweep ([Sched.run_cells])
-   creates its attempts' budgets here too. *)
+(* A fresh per-attempt watchdog. *)
 let watchdog policy ~key =
   match policy.attempt_seconds with
   | Some s -> Budget.create ~label:("cell:" ^ key) ~seconds:s ()
@@ -262,44 +260,37 @@ type report = {
   r_failed : (string * Fail.t) list;
 }
 
+(* One cell of a sweep: replayed from the manifest when resuming (see
+   [replay]), else run under the policy ([run_cell]) and, on success,
+   recorded through [encode]. *)
+let corpus_cell ?(policy = default_policy) ?manifest ~resume ~encode ~decode
+    (key, f) =
+  match replay ?manifest ~resume ~decode key with
+  | Some v -> { c_key = key; c_result = Ok v; c_retries = 0; c_resumed = true }
+  | None ->
+    let result, retries = run_cell ~policy ~key f in
+    (match (result, manifest) with
+    | Ok v, Some m -> Manifest.record m ~key ~payload:(encode v)
+    | _ -> ());
+    { c_key = key; c_result = result; c_retries = retries; c_resumed = false }
+
+let report_of outcomes =
+  let count p = List.length (List.filter p outcomes) in
+  { r_total = List.length outcomes;
+    r_computed = count (fun o -> (not o.c_resumed) && Result.is_ok o.c_result);
+    r_resumed = count (fun o -> o.c_resumed);
+    r_retries = List.fold_left (fun acc o -> acc + o.c_retries) 0 outcomes;
+    r_failed =
+      List.filter_map
+        (fun o ->
+          match o.c_result with Error f -> Some (o.c_key, f) | Ok _ -> None)
+        outcomes }
+
 (* Run every cell in order (parallelism lives INSIDE a cell, via
    Api's [jobs]; cells are sequential so the manifest is an ordered
-   checkpoint log).  With [resume] and a manifest, completed cells are
-   replayed through [decode] instead of recomputed (a record that does
-   not decode is recomputed, see [replay]); computed cells are
-   recorded through [encode]. *)
-let run_corpus ?(policy = default_policy) ?manifest ?(resume = false)
-    ~(encode : 'a -> string) ~(decode : string -> 'a)
-    (cells : (string * (attempt:int -> Budget.t -> ('a, Fail.t) result)) list) :
-    'a cell_outcome list * report =
-  let computed = ref 0 and resumed = ref 0 and retries = ref 0 in
-  let failed = ref [] in
+   checkpoint log). *)
+let run_corpus ?policy ?manifest ?(resume = false) ~encode ~decode cells =
   let outcomes =
-    List.map
-      (fun (key, f) ->
-        match replay ?manifest ~resume ~decode key with
-        | Some v ->
-          incr resumed;
-          { c_key = key; c_result = Ok v; c_retries = 0; c_resumed = true }
-        | None -> (
-          let result, r = run_cell ~policy ~key f in
-          retries := !retries + r;
-          match result with
-          | Ok v ->
-            incr computed;
-            (match manifest with
-            | Some m -> Manifest.record m ~key ~payload:(encode v)
-            | None -> ());
-            { c_key = key; c_result = Ok v; c_retries = r; c_resumed = false }
-          | Error fail ->
-            failed := (key, fail) :: !failed;
-            { c_key = key; c_result = Error fail; c_retries = r;
-              c_resumed = false }))
-      cells
+    List.map (corpus_cell ?policy ?manifest ~resume ~encode ~decode) cells
   in
-  ( outcomes,
-    { r_total = List.length cells;
-      r_computed = !computed;
-      r_resumed = !resumed;
-      r_retries = !retries;
-      r_failed = List.rev !failed } )
+  (outcomes, report_of outcomes)

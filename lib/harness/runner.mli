@@ -81,28 +81,28 @@ type report = {
   r_failed : (string * Fail.t) list;
 }
 
-val replay :
-  ?manifest:Manifest.t -> resume:bool -> decode:(string -> 'a) -> string ->
-  'a option
-(** The decoded payload a resumed sweep replays for a cell key, shared
-    by {!run_corpus} and {!Sched.run_cells}.  [None] — the cell is
-    recomputed — unless [resume] and the manifest holds a record for the
-    key whose body decodes; [decode] raises [Gp_util.Store.Bin.Truncated]
-    on a body it cannot read. *)
+val corpus_cell :
+  ?policy:retry_policy -> ?manifest:Manifest.t -> resume:bool ->
+  encode:('a -> string) -> decode:(string -> 'a) ->
+  string * (attempt:int -> Budget.t -> ('a, Fail.t) result) ->
+  'a cell_outcome
+(** One cell of a sweep, shared by {!run_corpus} and
+    {!Sched.run_cells}.  With [resume] and a manifest holding a record
+    for the key whose body decodes, the cell replays that payload
+    ([decode] raises [Gp_util.Store.Bin.Truncated] on a body it cannot
+    read, and such a record is recomputed).  Otherwise it runs under
+    {!run_cell}, and a success is recorded through [encode]. *)
+
+val report_of : 'a cell_outcome list -> report
+(** The sweep's tallies; [r_failed] in outcome order. *)
 
 val run_corpus :
   ?policy:retry_policy -> ?manifest:Manifest.t -> ?resume:bool ->
   encode:('a -> string) -> decode:(string -> 'a) ->
   (string * (attempt:int -> Budget.t -> ('a, Fail.t) result)) list ->
   'a cell_outcome list * report
-(** Run cells in order (parallelism lives inside a cell via Api's
-    [jobs]).  With [resume] and a manifest, completed cells replay
-    their recorded payload through [decode] ({!replay}: a record that
-    does not decode is recomputed); computed cells are
-    recorded through [encode].
-
-    The shipped sweep runs on {!Sched.run_cells}.  This loop stays as
-    the sequential reference the sweep suite's byte differential
-    compares the scheduler against (over
-    {!Survey.sweep_cells_sequential}), and for the runner suite's
-    supervision tests. *)
+(** {!corpus_cell} over the cells, in order, on the calling domain
+    (parallelism lives inside a cell via Api's [jobs]).  The shipped
+    sweep runs the same cells on {!Sched.run_cells}; this loop is the
+    sequential reference the sweep suite's byte differential compares
+    it against, and what the runner suite's supervision tests drive. *)

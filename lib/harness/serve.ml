@@ -5,19 +5,18 @@
    with it.  This module keeps one process resident:
    a Unix-domain socket accepts a stream of framed requests
    ([Gp_util.Frame]: length-prefixed, FNV-checksummed), each carrying a
-   binary image, a goal, and planner knobs; each request is dispatched
-   onto a persistent [Sched.Service] work-stealing pool as [Api.steps]'
-   chain of stage tasks ([Sched.drive], the survey's chain driver), so
-   one request's plan stage overlaps another's extract.
+   binary image, a goal, and planner knobs; each request is one task
+   on a persistent [Sched.Service] pool, which runs [handle] — the CLI's
+   own path — so concurrent requests run on different workers.
    The [Incr] image memo and the solver memo stay hot, so a repeated
    image costs one digest.  Nothing is persisted: a restarted daemon
    starts cold.
 
    Determinism: a served request draws gadget ids from a local source
-   ([Gadget.local_ids]) and runs the chain [Api.run] finishes inline,
-   degradation ladder included, so the response is bit-identical to a
-   cold CLI run of the same request (the serve suite diffs the encoded
-   reports at jobs 1 and 4).
+   ([Gadget.local_ids]) and runs [Api.run], degradation ladder
+   included, so the response is bit-identical to a cold CLI run of the
+   same request (the serve suite diffs the encoded reports at jobs 1
+   and 4).
 
    Failure model: wire damage (torn frame, checksum mismatch, client
    hangup) is quarantined per connection under the [Fail.Frame_fault]
@@ -287,24 +286,12 @@ let budget_of rq =
     Some (Budget.create ~label:"serve" ~seconds:rq.rq_budget_s ())
   else None
 
-(* Inline (CLI-path) execution: exactly what `gadget_planner plan`
-   does, with a request-local gadget id source — the differential
-   reference for the daemon's scheduled path. *)
+(* Exactly what `gadget_planner plan` does, with a request-local gadget
+   id source: the CLI path, and the one task the daemon runs per
+   request. *)
 let handle (rq : request) : report =
   report_of_outcome
     (Api.run ?budget:(budget_of rq)
-       ~planner_config:(planner_config_of rq)
-       ~jobs:rq.rq_jobs
-       ~ids:(Gadget.local_ids ())
-       rq.rq_image (goal_of_name rq.rq_goal))
-
-(* The same request as [Api.steps]'s chain, so the Service pool can
-   interleave one request's plan rung with another's extract.
-   Bit-identity with {!handle} is asserted by the serve suite at jobs 1
-   and 4. *)
-let request_steps (rq : request) : report Sched.step =
-  Api.map_step report_of_outcome
-    (Api.steps ?budget:(budget_of rq)
        ~planner_config:(planner_config_of rq)
        ~jobs:rq.rq_jobs
        ~ids:(Gadget.local_ids ())
@@ -564,14 +551,16 @@ let dispatch d c payload =
       send_reply d c (Err_reply (Fail.label f, Fail.to_string f))
     | _ ->
       Atomic.incr c.cn_inflight;
-      (* each stage is its own pool task, so the pool interleaves
-         stages of concurrent requests (owner-LIFO keeps a request
-         flowing; thieves take other requests' opening stages) *)
-      Sched.drive d.dm_sv (request_steps rq) ~finish:(fun r ->
+      (* one pool task per request; a budget escaping [handle] (a
+         deadline firing past a stage boundary) is the request's typed
+         failure, never the pool's *)
+      Sched.Service.submit d.dm_sv (fun () ->
           send_reply d c
-            (match r with
-            | Ok report -> Report report
-            | Error f -> Err_reply (Fail.label f, Fail.to_string f));
+            (match handle rq with
+            | report -> Report report
+            | exception Budget.Exhausted (label, reason) ->
+              let f = Fail.of_budget label reason in
+              Err_reply (Fail.label f, Fail.to_string f));
           Atomic.decr c.cn_inflight;
           Atomic.incr d.dm_served))
 
@@ -697,7 +686,7 @@ let serve (cfg : config) : summary =
         Mutex.protect d.dm_faults_m (fun () -> Fail.tally_list d.dm_faults) }
   | exception e ->
     (* simulated process death or a fatal bug: join the pool first —
-       no worker may still be running a request step once the daemon
+       no worker may still be running a request once the daemon
        is gone — and let [e] keep unwinding (the pool's own re-raise of
        a worker's fatal exception is dropped here). *)
     (try Sched.Service.stop d.dm_sv with _ -> ());

@@ -2,9 +2,9 @@
 
     One process keeps the image memo and solver memos memory-hot
     across requests: a Unix-domain socket accepts framed
-    ([Gp_util.Frame]) analysis requests and dispatches each as a chain
-    of stage tasks on a persistent {!Sched.Service} pool, so concurrent
-    requests pipeline across stages.  Nothing is persisted: the memos
+    ([Gp_util.Frame]) analysis requests and runs each as one {!handle}
+    task on a persistent {!Sched.Service} pool, so concurrent requests
+    run on different workers.  Nothing is persisted: the memos
     live as long as the process.  A daemon-served report is
     bit-identical to the cold CLI run of the same request. *)
 
@@ -60,19 +60,13 @@ val request_decode : string -> int ref -> request
 val report_encode : report -> string
 val report_decode : string -> int ref -> report
 
-(** {1 Reference execution}
-
-    The two must stay bit-identical; the serve suite diffs their
-    encoded reports at service jobs 1 and 4. *)
+(** {1 Execution} *)
 
 val handle : request -> report
-(** Inline CLI-path execution: exactly what [gadget_planner plan] runs
-    ({!Api.run} with a request-local gadget id source). *)
-
-val request_steps : request -> report Sched.step
-(** The same computation as {!Api.steps}' chain — extract, subsume,
-    then one ladder rung per step, the chain {!Api.run} finishes inline
-    — which is how the daemon runs it on the service pool. *)
+(** Exactly what [gadget_planner plan] runs ({!Api.run} with a
+    request-local gadget id source), and the one task the daemon runs
+    per request; the serve suite diffs daemon replies against it at
+    service jobs 1 and 4. *)
 
 (** {1 Daemon} *)
 

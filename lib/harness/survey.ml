@@ -3,10 +3,9 @@
 
    A survey cell is one (program, obfuscation config) pair.  The paper
    experiments walk the grid; the `survey` CLI, the sweep and resume
-   suites, and the daemon suite run it as staged cells — a compile step,
-   then [Api.steps]' chain, degradation ladder included — whose payload
-   is the jobs-, temperature- and interrupt-invariant part of the cell's
-   outcome. *)
+   suites, and the daemon suite run it as cells — a compile, then
+   [Api.run], degradation ladder included — whose payload is the jobs-,
+   temperature- and interrupt-invariant part of the cell's outcome. *)
 
 (* ---------- the grid ---------- *)
 
@@ -94,50 +93,40 @@ let resume_payload_decode s =
   in
   { rp_program; rp_config; rp_pool; rp_chains; rp_rungs; rp_counters }
 
-(* ---------- staged cells ---------- *)
+(* ---------- sweep cells ---------- *)
 
-(* Each cell compiles, then runs [Api.steps] — the same chain the CLI
-   and the daemon drive, degradation ladder included, with the
-   "mid-stage" crash point between stage 2 and the first rung — under
-   the per-attempt watchdog as its root budget.  Gadget ids come from a
+(* Each cell compiles, then runs [Api.run] — the request the CLI and
+   the daemon run, degradation ladder included, with the "mid-stage"
+   crash point between stage 2 and the first rung — under the
+   per-attempt watchdog as its root budget.  Gadget ids come from a
    per-cell local source — exactly the sequence [Gadget.reset_ids ()] +
    the global source yields — so concurrent cells cannot interleave
    draws. *)
-let sweep_cell_steps ~goal grid :
-    (string * (attempt:int -> Gp_core.Budget.t -> resume_payload Sched.step))
-    list =
+let sweep_cells ~goal grid =
   let planner_config =
     { Gp_core.Planner.default_config with
       Gp_core.Planner.node_budget = 1200; max_plans = 6 }
   in
   survey_cells grid (fun entry cname cfg ->
       let prog = entry.Gp_corpus.Programs.name in
-      let payload (o : Gp_core.Api.outcome) =
-        { rp_program = prog;
-          rp_config = cname;
-          rp_pool = o.Gp_core.Api.stats.Gp_core.Api.pool_size;
-          rp_chains = List.map Gp_core.Payload.chain_set_key o.Gp_core.Api.chains;
-          rp_rungs = List.map Gp_core.Api.rung_name o.Gp_core.Api.rungs;
-          rp_counters = Gp_core.Api.invariant_counters o }
-      in
       ( prog ^ "/" ^ cname,
         fun ~attempt:_ budget ->
-          Sched.Next
-            (fun () ->
-              let image =
-                Gp_codegen.Pipeline.compile
-                  ~transform:(Gp_obf.Obf.transform cfg)
-                  entry.Gp_corpus.Programs.source
-              in
-              Gp_core.Api.map_step payload
-                (Gp_core.Api.steps ~planner_config ~budget ~jobs:1
-                   ~ids:(Gp_core.Gadget.local_ids ()) image goal)) ))
-
-let sweep_cells_sequential cells =
-  List.map
-    (fun (key, sc) ->
-      (key, fun ~attempt b -> Ok (Gp_core.Api.finish (sc ~attempt b))))
-    cells
+          let image =
+            Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg)
+              entry.Gp_corpus.Programs.source
+          in
+          let o =
+            Gp_core.Api.run ~planner_config ~budget ~jobs:1
+              ~ids:(Gp_core.Gadget.local_ids ()) image goal
+          in
+          Ok
+            { rp_program = prog;
+              rp_config = cname;
+              rp_pool = o.Gp_core.Api.stats.Gp_core.Api.pool_size;
+              rp_chains =
+                List.map Gp_core.Payload.chain_set_key o.Gp_core.Api.chains;
+              rp_rungs = List.map Gp_core.Api.rung_name o.Gp_core.Api.rungs;
+              rp_counters = Gp_core.Api.invariant_counters o } ))
 
 (* ---------- the checkpointed sweep ---------- *)
 

@@ -1,7 +1,7 @@
 (** The survey grid and the one checkpointed sweep over it (DESIGN.md
     §13–§14): the (program x obfuscation config) cells the paper
-    experiments walk, the staged cell bodies the `survey` CLI and the
-    sweep suites run, and the checkpointed bracket around a sweep. *)
+    experiments walk, the cell bodies the `survey` CLI and the sweep
+    suites run, and the checkpointed bracket around a sweep. *)
 
 (** {1 The grid} *)
 
@@ -35,15 +35,15 @@ val reset_world : unit -> unit
     interned terms, the solver memo and screens, the in-memory image
     memo — so the next run starts as a fresh process would.  The
     per-domain ([Domain.DLS]) abstract-value memo is cleared on the
-    calling domain only; that is enough, because
-    [Par.run] and {!Sched.run_cells} spawn fresh domains, whose tables
-    start empty.  The only long-lived worker tables are those of the
-    daemon's {!Sched.Service} workers, which this never targets. *)
+    calling domain only; that is enough, because [Par.run] and
+    {!Sched.run_cells} spawn fresh domains, whose tables start empty.
+    The only long-lived worker tables are those of the daemon's
+    {!Sched.Service} workers, which this never targets. *)
 
 val rm_rf : string -> unit
 (** Remove a file or directory tree; absent paths are fine. *)
 
-(** {1 Staged survey cells} *)
+(** {1 Sweep cells} *)
 
 (** One survey cell's result, reduced to exactly the data that must be
     invariant across job counts, cache temperature, and
@@ -62,25 +62,18 @@ type resume_payload = {
 val resume_payload_encode : resume_payload -> string
 val resume_payload_decode : string -> resume_payload
 
-val sweep_cell_steps :
+val sweep_cells :
   goal:Gp_core.Goal.t ->
   grid ->
-  (string * (attempt:int -> Gp_core.Budget.t -> resume_payload Sched.step))
+  (string
+  * (attempt:int -> Gp_core.Budget.t ->
+     (resume_payload, Gp_core.Fail.t) result))
   list
-(** The grid's cells, keyed ["program/config"], for {!Sched.run_cells}:
-    a compile step, then {!Gp_core.Api.steps}' chain (extract, subsume,
-    one degradation-ladder rung per step) under the attempt's watchdog
-    budget, mapped to the cell's payload.  Cells are single-threaded
-    inside; the "mid-stage" crash point fires in [Api.steps], between
-    subsume and the first rung. *)
-
-val sweep_cells_sequential :
-  (string * (attempt:int -> Gp_core.Budget.t -> 'a Sched.step)) list ->
-  (string * (attempt:int -> Gp_core.Budget.t -> ('a, Gp_core.Fail.t) result))
-  list
-(** Each staged cell driven to completion inline ({!Gp_core.Api.finish}):
-    the {!Runner.run_corpus}-shaped sequential reference the sweep suite
-    compares the scheduler against. *)
+(** The grid's cells, keyed ["program/config"], for {!Runner.run_corpus}
+    and {!Sched.run_cells} alike: compile, then {!Gp_core.Api.run}
+    under the attempt's watchdog budget, reduced to the cell's payload.
+    Cells are single-threaded inside; the "mid-stage" crash point fires
+    in [Api.run], between subsume and the first rung. *)
 
 (** {1 The checkpointed sweep} *)
 

@@ -40,9 +40,6 @@ let render t =
   List.iter render_row rows;
   Buffer.contents buf
 
-let print t = print_string (render t)
-
 (* helpers *)
-let fmt_int = string_of_int
 let fmt_f1 v = Printf.sprintf "%.1f" v
 let fmt_pct v = Printf.sprintf "%.0f%%" v

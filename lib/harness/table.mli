@@ -5,8 +5,6 @@ type t
 val create : title:string -> header:string list -> t
 val add_row : t -> string list -> unit
 val render : t -> string
-val print : t -> unit
 
-val fmt_int : int -> string
 val fmt_f1 : float -> string
 val fmt_pct : float -> string

@@ -42,10 +42,9 @@ let all_passes =
 type config = {
   passes : pass list;
   seed : int;
-  intensity : float;   (* 0..1: probability knob for probabilistic passes *)
 }
 
-let config ?(seed = 1) ?(intensity = 0.5) passes = { passes; seed; intensity }
+let config ?(seed = 1) passes = { passes; seed }
 
 (* Presets matching the paper's §III setup ("turn on all possible
    obfuscation options provided by these tools"). *)
@@ -59,14 +58,10 @@ let tigress =
 (* One pass alone, for the per-method study (Fig. 5). *)
 let single pass = config [ pass ]
 
-let config_name cfg =
-  match cfg.passes with
-  | [] -> "original"
-  | ps when ps = ollvm.passes -> "llvm-obf"
-  | ps when ps = tigress.passes -> "tigress"
-  | ps -> String.concat "+" (List.map pass_name ps)
+(* The probability knob of the probabilistic passes. *)
+let intensity = 0.5
 
-let apply_pass rng intensity prog = function
+let apply_pass rng prog = function
   | Substitution -> Substitution.run ~prob:intensity rng prog
   | Bogus_cf -> Bogus_cf.run ~prob:(intensity *. 0.8) rng prog
   | Flatten -> Flatten.run rng prog
@@ -86,7 +81,7 @@ let apply (cfg : config) (prog : Gp_ir.Ir.program) : Gp_ir.Ir.program =
   Self_mod.reset_counter ();
   let rng = Gp_util.Rng.create cfg.seed in
   let prog = Gp_ir.Ir.clone_program prog in
-  List.fold_left (apply_pass rng cfg.intensity) prog cfg.passes
+  List.fold_left (apply_pass rng) prog cfg.passes
 
 (* The transform shape expected by Codegen.Pipeline.compile. *)
 let transform cfg prog = apply cfg prog

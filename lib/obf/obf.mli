@@ -20,10 +20,9 @@ val all_passes : pass list
 type config = {
   passes : pass list;    (** applied in order *)
   seed : int;
-  intensity : float;     (** 0..1 probability knob *)
 }
 
-val config : ?seed:int -> ?intensity:float -> pass list -> config
+val config : ?seed:int -> pass list -> config
 
 val none : config
 (** No obfuscation. *)
@@ -37,8 +36,6 @@ val tigress : config
 
 val single : pass -> config
 (** One pass alone (the per-method study behind Fig. 5). *)
-
-val config_name : config -> string
 
 val apply : config -> Gp_ir.Ir.program -> Gp_ir.Ir.program
 (** Clone the program and run the passes.  Semantics-preserving: the

@@ -5,22 +5,6 @@ let of_bytes b =
   Bytes.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) b;
   Buffer.contents buf
 
-let dump ?(base = 0L) b =
-  let buf = Buffer.create 256 in
-  let n = Bytes.length b in
-  let i = ref 0 in
-  while !i < n do
-    let line_len = min 16 (n - !i) in
-    Buffer.add_string buf
-      (Printf.sprintf "%08Lx  " (Int64.add base (Int64.of_int !i)));
-    for j = 0 to line_len - 1 do
-      Buffer.add_string buf (Printf.sprintf "%02x " (Bytes.get_uint8 b (!i + j)))
-    done;
-    Buffer.add_char buf '\n';
-    i := !i + 16
-  done;
-  Buffer.contents buf
-
 let int64_le v =
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 v;

@@ -3,8 +3,5 @@
 val of_bytes : Bytes.t -> string
 (** Lower-case hex string of the bytes, two digits per byte. *)
 
-val dump : ?base:int64 -> Bytes.t -> string
-(** xxd-style dump, 16 bytes per line, addresses starting at [base]. *)
-
 val int64_le : int64 -> Bytes.t
 (** The 8 little-endian bytes of the value. *)

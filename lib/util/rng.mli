@@ -10,9 +10,6 @@ type t
 val create : int -> t
 (** [create seed] makes a generator; equal seeds give equal streams. *)
 
-val copy : t -> t
-(** Independent copy continuing from the current state. *)
-
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 

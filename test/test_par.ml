@@ -121,7 +121,7 @@ let test_bucket_cap_tallied () =
     Gp_core.Gadget.reset_ids ();
     let a = Gp_core.Api.analyze ~jobs image in
     let st =
-      (Gp_core.Api.run_with_analysis ~planner_config:tiny ~validate:false
+      (Gp_core.Api.run_with_analysis ~planner_config:tiny
          ~jobs a (Gp_core.Goal.Execve "/bin/sh"))
         .Gp_core.Api.stats
     in

@@ -96,12 +96,12 @@ let test_fail_tally () =
   let t = Gp_core.Fail.tally_create () in
   Gp_core.Fail.tally_add t (Gp_core.Fail.Decode_fault (1L, "x"));
   Gp_core.Fail.tally_add t (Gp_core.Fail.Decode_fault (2L, "y"));
-  Gp_core.Fail.tally_add t (Gp_core.Fail.Solver_unknown "z");
+  Gp_core.Fail.tally_add t (Gp_core.Fail.Budget_exhausted ("z", `Time));
   Alcotest.(check int) "decode" 2 (Gp_core.Fail.tally_count t "decode");
   Alcotest.(check int) "total" 3 (Gp_core.Fail.tally_total t);
   Alcotest.(check (list (pair string int)))
     "merge"
-    [ ("decode", 3); ("solver-unknown", 1) ]
+    [ ("budget", 1); ("decode", 3) ]
     (Gp_core.Fail.merge_counts (Gp_core.Fail.tally_list t) [ ("decode", 1) ])
 
 (* ----- fault distinction in the emulator ----- *)
@@ -381,7 +381,7 @@ let tmp_dir =
    scheduler crashing itself is covered in test_sweep.)  JOBS sweeps
    the job count (make check-resume runs 1 and 4). *)
 let crash_cells () =
-  Gp_harness.Survey.sweep_cell_steps ~goal:(Gp_core.Goal.Execve "/bin/sh")
+  Gp_harness.Survey.sweep_cells ~goal:(Gp_core.Goal.Execve "/bin/sh")
     { Gp_harness.Survey.entries = [ Gp_corpus.Programs.find "fibonacci" ];
       configs =
         List.filter
@@ -404,7 +404,7 @@ let sequential_run ~manifest ~resume =
   Gp_harness.Runner.run_corpus ~manifest ~resume
     ~encode:Gp_harness.Survey.resume_payload_encode
     ~decode:Gp_harness.Survey.resume_payload_decode
-    (Gp_harness.Survey.sweep_cells_sequential (crash_cells ()))
+    (crash_cells ())
 
 let scheduled_run ~jobs ~manifest ~resume =
   Gp_harness.Sched.run_cells ~manifest ~resume

@@ -68,18 +68,18 @@ let test_backoff_keyed_by_cell () =
 
 let test_classify () =
   let t f = Runner.classify f = `Transient in
-  Alcotest.(check bool) "solver timeout transient" true
-    (t (Gp_core.Fail.Solver_timeout "q"));
-  Alcotest.(check bool) "budget transient" true
+  Alcotest.(check bool) "deadline transient" true
     (t (Gp_core.Fail.Budget_exhausted ("cell", `Time)));
+  Alcotest.(check bool) "fuel transient" true
+    (t (Gp_core.Fail.Budget_exhausted ("cell", `Fuel)));
   Alcotest.(check bool) "decode permanent" false
     (t (Gp_core.Fail.Decode_fault (0x400000L, "bad")));
   Alcotest.(check bool) "emu fault permanent" false
     (t (Gp_core.Fail.Emu_fault "unmapped"));
   Alcotest.(check bool) "wire frame fault permanent" false
     (t (Gp_core.Fail.Frame_fault (`Checksum, "bad sum")));
-  Alcotest.(check bool) "solver unknown permanent" false
-    (t (Gp_core.Fail.Solver_unknown "q"))
+  Alcotest.(check bool) "symx refusal permanent" false
+    (t (Gp_core.Fail.Symx_unsupported (0x400000L, "q")))
 
 (* ----- run_cell supervision ----- *)
 
@@ -94,7 +94,7 @@ let test_run_cell_retries_transient () =
         Runner.run_cell ~policy ~key:"cell" (fun ~attempt _b ->
             incr calls;
             Alcotest.(check int) "attempt number" !calls attempt;
-            if attempt < 3 then Error (Gp_core.Fail.Solver_timeout "slow")
+            if attempt < 3 then Error (Gp_core.Fail.Budget_exhausted ("slow", `Time))
             else Ok "done"))
   in
   Alcotest.(check bool) "succeeded" true (result = Ok "done");
@@ -149,7 +149,7 @@ let test_run_cell_fresh_watchdog_per_attempt () =
         Runner.run_cell ~policy:p ~key:"cell" (fun ~attempt:_ b ->
             Alcotest.(check bool) "watchdog fresh" false
               (Gp_core.Budget.exhausted b);
-            Error (Gp_core.Fail.Solver_timeout "again")))
+            Error (Gp_core.Fail.Budget_exhausted ("again", `Time))))
   in
   ()
 
@@ -437,11 +437,7 @@ let test_undecodable_record_recomputed () =
         (corpus_cells log));
   check (Printf.sprintf "run_cells (jobs %d)" jobs) (fun m log ->
       Sched.run_cells ~manifest:m ~resume:true ~encode ~decode ~jobs
-        (List.map
-           (fun (key, f) ->
-             (key, fun ~attempt b ->
-                 Sched.Next (fun () -> Sched.Finished (Result.get_ok (f ~attempt b)))))
-           (corpus_cells log)))
+        (corpus_cells log))
 
 let suite =
   [ Alcotest.test_case "backoff deterministic" `Quick test_backoff_deterministic;

@@ -13,7 +13,7 @@
      and the [Incr] image table to a first-write-wins map; both are
      conserved under a 4-domain stress;
    - the [Sched.Service] persistent pool: everything submitted runs,
-     chained resubmission works (the daemon's stage chains), worker
+     tasks that resubmit from inside a worker complete, worker
      exceptions are fatal and re-raised at [stop] — only after every
      in-flight task has finished;
    - the acceptance differential: a resident daemon serving a shuffled
@@ -509,7 +509,7 @@ let test_service_runs_all () =
   Alcotest.(check int) "nothing pending" 0 (S.Service.pending sv)
 
 let test_service_chained () =
-  (* the daemon's request shape: each task resubmits its continuation *)
+  (* each task resubmits its continuation from inside a worker *)
   let sv = S.Service.start ~jobs:2 in
   let hops = Atomic.make 0 in
   let rec chain k =

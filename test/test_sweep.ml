@@ -1,14 +1,10 @@
-(* Pipelined corpus scheduler tests (DESIGN.md §14).  Four angles:
+(* Survey sweep on the domain pool (DESIGN.md §14).  Four angles:
 
-   - scheduler core properties: random step chains driven on the pool
-     run every link exactly once, in chain order, and finish exactly
-     once at 1-8 workers; random forests of chains that fan out from
-     inside a step (disconnected components, dynamic growth) always
-     complete and never run a node before its parent; a budget
-     exhaustion escaping a step finishes
-     the chain as a typed failure; the work-stealing deque obeys
-     owner-LIFO / thief-FIFO semantics and loses nothing under
-     concurrent pop/steal;
+   - the FIFO pool: tasks submitted from several domains run exactly
+     once at 1-8 workers; random forests of tasks that submit their
+     children from inside a worker always complete and never run a
+     node before its parent; [stop] drains the queue; a fatal task is
+     re-raised only after every started task has finished;
    - shared-state stress: the [Incr] summary table and the solver-memo
      [Cache] hammered from 4 domains over overlapping content keys —
      first-write-wins, no lost updates, counters that add up;
@@ -17,13 +13,14 @@
      cell loop over the full quick survey corpus, including under 10%
      keyed fault injection (Faultsim's schedules are keyed, not
      streamed, so the injected fault set is interleaving-proof); a
-     cell whose Full rung finds no chain climbs the degradation ladder
-     and pays out exactly what [Api.run] returns;
-   - crash/resume composed with the scheduler: kill a checkpointed
-     scheduled sweep at the wal-append and mid-stage crash points,
-     resume, and require byte-equality with the uninterrupted
-     sequential reference (which an uninterrupted scheduled sweep must
-     already match).
+     [Budget.Exhausted] escaping a pooled cell is retried as transient,
+     as the sequential loop does; a cell whose Full rung finds no chain
+     climbs the degradation ladder and pays out exactly what [Api.run]
+     returns;
+   - crash/resume composed with the pool: kill a checkpointed pooled
+     sweep at the wal-append and mid-stage crash points, resume, and
+     require byte-equality with the uninterrupted sequential reference
+     (which an uninterrupted pooled sweep must already match).
 
    JOBS sweeps the worker count (make check-sweep runs 1 and 4). *)
 
@@ -47,120 +44,37 @@ let tmp_dir =
     Survey.rm_rf d;
     d
 
-(* ----- deque semantics ----- *)
+(* ----- the FIFO pool ----- *)
 
-let test_deque_owner_lifo_thief_fifo () =
-  let d = S.Deque.create () in
-  List.iter (S.Deque.push d) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "length" 5 (S.Deque.length d);
-  Alcotest.(check (option int)) "owner pops newest" (Some 5) (S.Deque.pop d);
-  Alcotest.(check (option int)) "thief steals oldest" (Some 1)
-    (S.Deque.steal d);
-  Alcotest.(check (option int)) "owner again" (Some 4) (S.Deque.pop d);
-  Alcotest.(check (option int)) "thief again" (Some 2) (S.Deque.steal d);
-  Alcotest.(check (option int)) "last item either end" (Some 3)
-    (S.Deque.pop d);
-  Alcotest.(check (option int)) "empty pop" None (S.Deque.pop d);
-  Alcotest.(check (option int)) "empty steal" None (S.Deque.steal d)
+(* Tasks submitted from several domains at once — [submitters] outside
+   domains, each queueing its own share — at [jobs] workers: every task
+   runs exactly once, and nothing is left pending after [stop]. *)
+let tasks_gen =
+  QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 1 3) (int_range 0 40)))
 
-(* Owner pushes and pops while a thief steals: every pushed item comes
-   out exactly once, whichever end it left by. *)
-let test_deque_concurrent_conservation () =
-  let d = S.Deque.create () in
-  let n = 2000 in
-  let stolen = ref [] in
-  let thief =
-    Domain.spawn (fun () ->
-        let rec loop misses =
-          if misses < 10_000 then
-            match S.Deque.steal d with
-            | Some x ->
-              stolen := x :: !stolen;
-              loop 0
-            | None ->
-              Domain.cpu_relax ();
-              loop (misses + 1)
-        in
-        loop 0)
-  in
-  let popped = ref [] in
-  for i = 1 to n do
-    S.Deque.push d i;
-    if i mod 3 = 0 then
-      match S.Deque.pop d with
-      | Some x -> popped := x :: !popped
-      | None -> ()
-  done;
-  let rec drain () =
-    match S.Deque.pop d with
-    | Some x ->
-      popped := x :: !popped;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Domain.join thief;
-  (* the thief may still have missed a late push; drain once more *)
-  drain ();
-  let all = List.sort compare (!popped @ !stolen) in
-  Alcotest.(check int) "nothing lost, nothing duplicated" n
-    (List.length all);
-  Alcotest.(check bool) "exactly the pushed set" true
-    (all = List.init n (fun i -> i + 1))
+let qcheck_tasks_run_once =
+  QCheck2.Test.make ~count:100
+    ~name:"pooled tasks run once at 1-8 workers" tasks_gen
+    (fun (jobs, shares) ->
+      let runs = List.map (fun n -> Array.init n (fun _ -> Atomic.make 0)) shares in
+      let sv = S.Service.start ~jobs in
+      List.iter Domain.join
+        (List.map
+           (fun share ->
+             Domain.spawn (fun () ->
+                 Array.iter
+                   (fun r -> S.Service.submit sv (fun () -> Atomic.incr r))
+                   share))
+           runs);
+      S.Service.stop sv;
+      S.Service.pending sv = 0
+      && List.for_all (Array.for_all (fun r -> Atomic.get r = 1)) runs)
 
-(* ----- step chains on the pool ----- *)
-
-(* Random chain shape: how many chains, and each one's length (0 = a
-   chain that is already [Finished]), driven at a random worker count.
-   Every link records itself; the chain's result is its own index. *)
-let chains_gen =
-  QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 0 12) (int_range 0 10)))
-
-let run_chains ~jobs lengths =
-  let lengths = Array.of_list lengths in
-  let n = Array.length lengths in
-  let m = Mutex.create () in
-  let links = Array.make n [] in
-  let finished = Array.make n [] in
-  let sv = S.Service.start ~jobs in
-  Array.iteri
-    (fun c len ->
-      let rec link i =
-        if i = len then S.Finished c
-        else
-          S.Next
-            (fun () ->
-              Mutex.protect m (fun () -> links.(c) <- i :: links.(c));
-              link (i + 1))
-      in
-      S.drive sv (link 0) ~finish:(fun r ->
-          Mutex.protect m (fun () -> finished.(c) <- r :: finished.(c))))
-    lengths;
-  S.Service.stop sv;
-  (lengths, Array.map List.rev links, finished)
-
-let qcheck_chains_complete =
-  QCheck2.Test.make ~count:120 ~name:"random step chains complete at 1-8 workers"
-    chains_gen (fun (jobs, lengths) ->
-      let lengths, links, finished = run_chains ~jobs lengths in
-      let ok = ref true in
-      Array.iteri
-        (fun c len ->
-          (* every link exactly once, in chain order; one finish *)
-          ok :=
-            !ok
-            && links.(c) = List.init len Fun.id
-            && finished.(c) = [ Ok c ])
-        lengths;
-      !ok)
-
-(* Random forests grown on the pool: the graph shape the pool still
-   runs without edges.  Node i has at most one parent, chosen among
-   earlier nodes (no parent = a root, so disconnected components arise
-   naturally).  Running a node continues its chain into its first child
-   and drives every further child as a new chain from inside the step,
-   the way the daemon resubmits continuations.  Each chain ends at a
-   leaf and finishes with that leaf's index. *)
+(* Random forests grown on the pool.  Node i has at most one parent,
+   chosen among earlier nodes (no parent = a root, so disconnected
+   components arise naturally).  A node's task submits each child as a
+   new task from inside the worker, so the queue grows while the
+   workers drain it. *)
 let forest_gen =
   QCheck2.Gen.(
     pair (int_range 1 8) (list_size (int_range 0 30) (option (int_bound 1000))))
@@ -180,40 +94,27 @@ let run_forest ~jobs shape =
   done;
   let m = Mutex.create () in
   let order = ref [] in
-  let finished = ref [] in
   let sv = S.Service.start ~jobs in
-  let finish r = Mutex.protect m (fun () -> finished := r :: !finished) in
-  let rec node i =
-    S.Next
-      (fun () ->
-        Mutex.protect m (fun () -> order := i :: !order);
-        match children.(i) with
-        | [] -> S.Finished i
-        | first :: rest ->
-            List.iter (fun c -> S.drive sv (node c) ~finish) rest;
-            node first)
+  let rec node i () =
+    Mutex.protect m (fun () -> order := i :: !order);
+    List.iter (fun c -> S.Service.submit sv (node c)) children.(i)
   in
-  Array.iteri (fun i p -> if p = None then S.drive sv (node i) ~finish) parents;
+  Array.iteri (fun i p -> if p = None then S.Service.submit sv (node i)) parents;
   S.Service.stop sv;
-  (parents, children, List.rev !order, !finished)
+  (parents, List.rev !order)
 
 let qcheck_forest_completes =
   QCheck2.Test.make ~count:120 ~name:"random DAGs complete at 1-8 workers"
     forest_gen (fun (jobs, shape) ->
-      let parents, children, order, finished = run_forest ~jobs shape in
-      let n = Array.length parents in
-      let leaves =
-        List.filter (fun i -> children.(i) = []) (List.init n Fun.id)
-      in
-      (* every node exactly once; one finish per chain, i.e. per leaf *)
-      List.sort compare order = List.init n Fun.id
-      && List.sort compare finished = List.map (fun l -> Ok l) leaves)
+      let parents, order = run_forest ~jobs shape in
+      (* every node exactly once *)
+      List.sort compare order = List.init (Array.length parents) Fun.id)
 
 let qcheck_forest_respects_parents =
   QCheck2.Test.make ~count:120
     ~name:"no node runs before its predecessors" forest_gen
     (fun (jobs, shape) ->
-      let parents, _, order, _ = run_forest ~jobs shape in
+      let parents, order = run_forest ~jobs shape in
       let pos = Hashtbl.create 16 in
       List.iteri (fun at i -> Hashtbl.replace pos i at) order;
       let ok = ref true in
@@ -225,48 +126,48 @@ let qcheck_forest_respects_parents =
         parents;
       !ok)
 
-let test_drive_budget_exhausted () =
-  let sv = S.Service.start ~jobs:jobs_under_test in
-  let got = ref [] in
-  S.drive sv
-    (S.Next
-       (fun () ->
-         S.Next
-           (fun () ->
-             raise (Gp_core.Budget.Exhausted ("cell:x", Gp_core.Budget.Fuel)))))
-    ~finish:(fun r -> got := r :: !got);
-  S.Service.stop sv;
-  match !got with
-  | [ Error (Gp_core.Fail.Budget_exhausted ("cell:x", `Fuel)) ] -> ()
-  | [ Error f ] -> Alcotest.failf "wrong failure: %s" (Gp_core.Fail.to_string f)
-  | _ -> Alcotest.fail "the chain must finish exactly once, with an error"
-
-let qcheck_deque_steal_order =
-  (* thief-FIFO: stealing k times from a freshly pushed deque yields
-     the oldest k items in push order; the owner's pops then resume
-     LIFO on what's left *)
-  QCheck2.Test.make ~count:200 ~name:"deque owner-LIFO / thief-FIFO"
-    QCheck2.Gen.(pair (int_range 0 20) (int_range 0 20))
-    (fun (npush, nsteal) ->
-      let d = S.Deque.create () in
-      for i = 1 to npush do
-        S.Deque.push d i
+(* [stop] drains the queue: with the only worker held inside the first
+   task, everything queued behind it is still waiting when [stop] is
+   called, and still runs. *)
+let test_stop_drains_queue () =
+  let sv = S.Service.start ~jobs:1 in
+  let release = Atomic.make false in
+  let ran = Atomic.make 0 in
+  S.Service.submit sv (fun () ->
+      while not (Atomic.get release) do
+        Domain.cpu_relax ()
       done;
-      let stolen = List.init (min nsteal npush) (fun _ -> S.Deque.steal d) in
-      let expected_stolen =
-        List.init (min nsteal npush) (fun i -> Some (i + 1))
-      in
-      let rec pops acc =
-        match S.Deque.pop d with
-        | Some x -> pops (x :: acc)
-        | None -> List.rev acc
-      in
-      let popped = pops [] in
-      let expected_popped =
-        (* remaining items, newest first *)
-        List.init (npush - min nsteal npush) (fun i -> npush - i)
-      in
-      stolen = expected_stolen && popped = expected_popped)
+      Atomic.incr ran);
+  for _ = 1 to 100 do
+    S.Service.submit sv (fun () -> Atomic.incr ran)
+  done;
+  Atomic.set release true;
+  S.Service.stop sv;
+  Alcotest.(check int) "queued tasks ran" 101 (Atomic.get ran);
+  Alcotest.(check int) "nothing pending" 0 (S.Service.pending sv)
+
+(* A fatal task at 1-8 workers: [stop] re-raises it, and only after
+   every task that had started has finished — no worker is still
+   running when the caller's teardown begins. *)
+let test_fatal_joins_workers () =
+  for jobs = 1 to 8 do
+    let sv = S.Service.start ~jobs in
+    let started = Atomic.make 0 and finished = Atomic.make 0 in
+    for _ = 1 to jobs do
+      S.Service.submit sv (fun () ->
+          Atomic.incr started;
+          Unix.sleepf 0.01;
+          Atomic.incr finished)
+    done;
+    S.Service.submit sv (fun () -> failwith "task bug");
+    Alcotest.check_raises
+      (Printf.sprintf "jobs %d: fatal re-raised at stop" jobs)
+      (Failure "task bug")
+      (fun () -> S.Service.stop sv);
+    Alcotest.(check int)
+      (Printf.sprintf "jobs %d: every started task finished" jobs)
+      (Atomic.get started) (Atomic.get finished)
+  done
 
 (* ----- shared-state stress from 4 domains ----- *)
 
@@ -347,7 +248,7 @@ let sequential_reference cells =
   Survey.reset_world ();
   let outcomes, _ =
     R.run_corpus ~encode:Survey.resume_payload_encode
-      ~decode:Survey.resume_payload_decode (Survey.sweep_cells_sequential cells)
+      ~decode:Survey.resume_payload_decode cells
   in
   sweep_payloads outcomes
 
@@ -363,7 +264,7 @@ let scheduled ~jobs cells =
    for byte over the full quick survey corpus (4 programs x 3 configs,
    tigress included). *)
 let test_differential_sweep () =
-  let cells = Survey.sweep_cell_steps ~goal Survey.quick_grid in
+  let cells = Survey.sweep_cells ~goal Survey.quick_grid in
   let reference = sequential_reference cells in
   Alcotest.(check int) "full quick grid" 12 (List.length reference);
   Alcotest.(check bool) "no failed cells in reference" true
@@ -387,7 +288,7 @@ let test_differential_sweep () =
    interleaving-invariant too. *)
 let test_differential_under_injection () =
   let cells =
-    Survey.sweep_cell_steps ~goal
+    Survey.sweep_cells ~goal
       { Survey.quick_grid with
         entries = [ Gp_corpus.Programs.find "fibonacci" ] }
   in
@@ -402,6 +303,38 @@ let test_differential_under_injection () =
       Alcotest.(check int) "every cell terminated" 3
         (report.R.r_computed + List.length report.R.r_failed))
 
+(* A [Budget.Exhausted] escaping a survey cell (a watchdog firing past
+   a stage boundary) is a transient failure: [run_cells] retries the
+   cell on the pool exactly as [run_corpus] does inline, with the same
+   retry count and the same payloads. *)
+let test_escaped_budget_is_transient () =
+  let cells =
+    List.map
+      (fun (key, f) ->
+        ( key,
+          fun ~attempt b ->
+            if attempt = 1 then
+              raise (Gp_core.Budget.Exhausted ("cell:" ^ key, Gp_core.Budget.Fuel))
+            else f ~attempt b ))
+      (Survey.sweep_cells ~goal
+         { Survey.entries = [ Gp_corpus.Programs.find "fibonacci" ];
+           configs = [ ("original", Gp_obf.Obf.none) ] })
+  in
+  let saved = !R.sleep_hook in
+  R.sleep_hook := ignore;
+  Fun.protect ~finally:(fun () -> R.sleep_hook := saved) (fun () ->
+      Survey.reset_world ();
+      let seq, seq_report =
+        R.run_corpus ~encode:Survey.resume_payload_encode
+          ~decode:Survey.resume_payload_decode cells
+      in
+      let pooled, report = scheduled ~jobs:jobs_under_test cells in
+      Alcotest.(check int) "run_corpus retried once" 1 seq_report.R.r_retries;
+      Alcotest.(check int) "run_cells retried once" 1 report.R.r_retries;
+      Alcotest.(check int) "computed after the retry" 1 report.R.r_computed;
+      Alcotest.(check bool) "same payloads as run_corpus" true
+        (pooled = sweep_payloads seq))
+
 (* A survey cell whose Full rung finds no chain climbs the degradation
    ladder exactly as the CLI does.  The emulator refuses an mprotect of
    an unaligned address, so no rung can validate a chain: the payload
@@ -412,7 +345,7 @@ let test_cells_climb_the_ladder () =
   let entry = Gp_corpus.Programs.find "fibonacci" in
   let goal = Gp_core.Goal.Mprotect (0x1001L, 0x1000L, 7L) in
   let cells =
-    Survey.sweep_cell_steps ~goal
+    Survey.sweep_cells ~goal
       { Survey.entries = [ entry ]; configs = [ ("original", Gp_obf.Obf.none) ] }
   in
   Survey.reset_world ();
@@ -457,7 +390,7 @@ let test_cells_climb_the_ladder () =
    byte for byte. *)
 
 let crash_cells () =
-  Survey.sweep_cell_steps ~goal
+  Survey.sweep_cells ~goal
     { Survey.entries = [ Gp_corpus.Programs.find "fibonacci" ];
       configs =
         List.filter
@@ -467,7 +400,7 @@ let crash_cells () =
 let sequential_run ~manifest ~resume =
   R.run_corpus ~manifest ~resume ~encode:Survey.resume_payload_encode
     ~decode:Survey.resume_payload_decode
-    (Survey.sweep_cells_sequential (crash_cells ()))
+    (crash_cells ())
 
 let scheduled_run ~jobs ~manifest ~resume =
   S.run_cells ~manifest ~resume ~encode:Survey.resume_payload_encode
@@ -518,16 +451,12 @@ let check_sched_crash_resume jobs () =
     [ ("wal-append", 2); ("mid-stage", 2) ]
 
 let suite =
-  [ Alcotest.test_case "deque owner-LIFO thief-FIFO" `Quick
-      test_deque_owner_lifo_thief_fifo;
-    Alcotest.test_case "deque concurrent conservation" `Quick
-      test_deque_concurrent_conservation;
-    QCheck_alcotest.to_alcotest qcheck_chains_complete;
+  [ QCheck_alcotest.to_alcotest qcheck_tasks_run_once;
     QCheck_alcotest.to_alcotest qcheck_forest_completes;
     QCheck_alcotest.to_alcotest qcheck_forest_respects_parents;
-    Alcotest.test_case "drive: budget exhaustion is a failure" `Quick
-      test_drive_budget_exhausted;
-    QCheck_alcotest.to_alcotest qcheck_deque_steal_order;
+    Alcotest.test_case "stop drains the queue" `Quick test_stop_drains_queue;
+    Alcotest.test_case "a fatal task joins every worker (1-8)" `Quick
+      test_fatal_joins_workers;
     Alcotest.test_case "Incr table stress (4 domains)" `Quick
       test_incr_table_stress;
     Alcotest.test_case "solver-memo cache stress (4 domains)" `Quick
@@ -537,6 +466,8 @@ let suite =
       `Slow test_differential_sweep;
     Alcotest.test_case "differential under 10% injection" `Slow
       test_differential_under_injection;
+    Alcotest.test_case "escaped budget is transient in run_cells" `Slow
+      test_escaped_budget_is_transient;
     Alcotest.test_case "survey cells climb the ladder" `Slow
       test_cells_climb_the_ladder;
     Alcotest.test_case
