@@ -8,12 +8,18 @@
 # sequential pipeline, so the two sweeps together pin down the
 # determinism contract (DESIGN.md "Parallel execution & determinism").
 #
-# `make check-plan-par` sweeps the stage 3-4 suites (test_plan_par:
-# portfolio planning, the request-scoped candidate table shared by the
-# portfolio's roots, parallel validation, hash-consing; test_planner:
-# the search itself and the compute-once table under several domains)
-# at JOBS=1 and JOBS=4 via the SUITES filter in test_main — the cheap
-# spot-check for planner changes; `make check` runs both sweeps.
+# `make check-plan-par` sweeps the stage 3-4 suites and the suites of
+# the intern table they share (test_plan_par: portfolio planning, the
+# request-scoped candidate table shared by the portfolio's roots,
+# parallel validation, hash-consing — equal canonical terms built on
+# four domains are one node; test_planner: the search itself and the
+# compute-once table under several domains; test_smt: simplification,
+# the solver, and structural order against a plain mirror of the term
+# variant; test_gadget: stage-2 dedup against a structural reference
+# over the survey cells at JOBS) at JOBS=1 and JOBS=4 via the SUITES
+# filter in test_main: the intern table is shared by every domain, so
+# both job counts run.  The cheap spot-check for planner and term
+# changes; `make check` runs both sweeps.
 #
 # `make check-emu` sweeps the emulator and everything that runs it
 # (test_emu: paged copy-on-write memory against a flat reference model,
@@ -44,9 +50,10 @@
 # trial table and the memo are shared by every domain — and
 # `make check-bench` smoke-tests the paper-table harness end to end in
 # `--quick` mode (one program, one config, every table, figure and
-# ablation), then runs `--quick --only fig5` alone and diffs its table
-# against the Fig. 5 section of the full run: a table must not depend
-# on which experiments ran before it in the process.  Crash injection
+# ablation), then runs `--quick --only fig5` and `--quick --only tab7`
+# alone and diffs the Fig. 5 table and Table VII's alloc column against
+# the same sections of the full run: a table must not depend on which
+# experiments ran before it in the process.  Crash injection
 # and recovery are covered by check-resume and check-sweep, not by the
 # bench.
 #
@@ -101,7 +108,7 @@ check-par:
 
 # The suite sweeps: each target's test_main suites (SUITES, as test_main
 # reads it) at both job counts.
-check-plan-par: SUITES = plan_par,planner
+check-plan-par: SUITES = plan_par,planner,smt,gadget
 check-emu: SUITES = emu,symx,payload
 check-incr: SUITES = incr
 check-screen: SUITES = screen,smt,plan_par
@@ -117,6 +124,11 @@ check-serve:
 # $(call fig5_table,FILE): the Fig. 5 table printed in FILE.
 fig5_table = awk '/^== Fig. 5/ { on = 1 } on && /^$$/ { exit } on' $(1)
 
+# $(call tab7_alloc,FILE): Table VII's rows in FILE without the time
+# column, which follows the host.
+tab7_alloc = awk '/^== Table VII/ { on = 1; next } on && /^$$/ { exit } \
+  on && $$1 != "tool" && $$1 !~ /^-/ { $$(NF - 1) = ""; print }' $(1)
+
 check-bench:
 	dune build bench/main.exe
 	mkdir -p _check
@@ -129,6 +141,12 @@ check-bench:
 	$(call fig5_table,_check/bench-fig5.txt) > _check/fig5-alone.txt
 	test -s _check/fig5-alone.txt
 	diff _check/fig5-in-run.txt _check/fig5-alone.txt
+	timeout $(CHECK_TIMEOUT) ./_build/default/bench/main.exe --quick \
+	  --only tab7 > _check/bench-tab7.txt
+	$(call tab7_alloc,_check/bench-quick.txt) > _check/tab7-in-run.txt
+	$(call tab7_alloc,_check/bench-tab7.txt) > _check/tab7-alone.txt
+	test -s _check/tab7-alone.txt
+	diff _check/tab7-in-run.txt _check/tab7-alone.txt
 
 clean:
 	dune clean

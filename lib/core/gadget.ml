@@ -104,7 +104,9 @@ let of_summary ?id (s : Gp_symx.Exec.summary) : t =
   in
   let clobbered =
     List.filter_map
-      (fun (r, t) -> if t = Gp_symx.State.reg_var r then None else Some r)
+      (fun (r, t) ->
+        if Term.same t (Gp_symx.State.reg (Gp_symx.State.initial ()) r) then None
+        else Some r)
       post
   in
   let controlled =

@@ -8,7 +8,9 @@
 
    - Dedup: unaligned sliding produces thousands of byte-identical
      summaries at different addresses; one gadget per semantic class is
-     kept, the first in harvest order.
+     kept, the first in harvest order.  Classes are told apart by the
+     hash-consed terms' O(1) identity (DESIGN.md §10), not by walking
+     the terms.
    - Cap: gadgets are bucketed by a cheap signature (jump kind, stack
      delta, clobber set, precondition count, syscall or not), and a
      bucket keeps only its [max_bucket] shortest gadgets. *)
@@ -29,88 +31,52 @@ let signature (g : Gadget.t) =
     g.Gadget.syscall_state <> None )
 
 (* Canonical semantic identity: the full post state, the jump term,
-   stack/pointer writes, and pre-conditions.  Terms are canonicalized by
-   construction, so structural equality over these components IS
-   semantic-class equality.  Dedup used to build a giant printable key
-   per gadget; on large obfuscated cells the string build dominated the
-   pass, so identity is now a structural FNV-64 hash with a structural
-   compare on collision.  [Jfall] targets are deliberately ignored, as
-   the printable key did (every syscall summary fell into one "sys"
-   class regardless of fall-through address). *)
+   stack/pointer writes, and pre-conditions.  Every term in a summary
+   is canonical by construction, so structural equality over these
+   components IS semantic-class equality — and canonical terms are
+   hash-consed, so each term's identity is O(1): [Term.hash] keys the
+   bucket and [Term.same] compares ([==] in the common case), with no
+   walk of any term.  [Jfall] targets are deliberately ignored (every
+   syscall summary falls into one class regardless of fall-through
+   address), as are [kind] and [syscall_state]. *)
 
-let h_word = Gp_util.Store.fnv64_i64
-let h_str = Gp_util.Store.fnv64
+let mix h x = (h lxor x) * 0x100000001b3
 
-let rec term_hash h (t : Term.t) =
-  match t with
-  | Term.Var v -> h_str ~h:(h_word ~h 1L) v
-  | Term.Const c -> h_word ~h:(h_word ~h 2L) c
-  | Term.Add (a, b) -> term_hash2 (h_word ~h 3L) a b
-  | Term.Sub (a, b) -> term_hash2 (h_word ~h 4L) a b
-  | Term.Mul (a, b) -> term_hash2 (h_word ~h 5L) a b
-  | Term.Neg a -> term_hash (h_word ~h 6L) a
-  | Term.Not a -> term_hash (h_word ~h 7L) a
-  | Term.And (a, b) -> term_hash2 (h_word ~h 8L) a b
-  | Term.Or (a, b) -> term_hash2 (h_word ~h 9L) a b
-  | Term.Xor (a, b) -> term_hash2 (h_word ~h 10L) a b
-  | Term.Shl (a, b) -> term_hash2 (h_word ~h 11L) a b
-  | Term.Shr (a, b) -> term_hash2 (h_word ~h 12L) a b
-  | Term.Sar (a, b) -> term_hash2 (h_word ~h 13L) a b
+let hash_list f h xs = List.fold_left (fun h x -> mix h (f x)) h xs
 
-and term_hash2 h a b = term_hash (term_hash h a) b
-
-let formula_hash h (f : Formula.t) =
-  match f with
-  | Formula.True -> h_word ~h 1L
-  | Formula.False -> h_word ~h 2L
-  | Formula.Eq (a, b) -> term_hash2 (h_word ~h 3L) a b
-  | Formula.Ne (a, b) -> term_hash2 (h_word ~h 4L) a b
-  | Formula.Slt (a, b) -> term_hash2 (h_word ~h 5L) a b
-  | Formula.Sle (a, b) -> term_hash2 (h_word ~h 6L) a b
-  | Formula.Ult (a, b) -> term_hash2 (h_word ~h 7L) a b
-  | Formula.Ule (a, b) -> term_hash2 (h_word ~h 8L) a b
-  | Formula.Readable a -> term_hash (h_word ~h 9L) a
-  | Formula.Writable a -> term_hash (h_word ~h 10L) a
-
-(* Each list is length-prefixed into the chain so component boundaries
-   can't alias across fields. *)
-let hash_list fold h xs =
-  List.fold_left fold (h_word ~h (Int64.of_int (List.length xs))) xs
-
-let semantic_hash (g : Gadget.t) : int64 =
-  let h =
-    hash_list
-      (fun h (r, t) ->
-        term_hash (h_word ~h (Int64.of_int (Gp_x86.Reg.number r))) t)
-      0xcbf29ce484222325L g.Gadget.post
-  in
+let semantic_hash (g : Gadget.t) : int =
+  let h = hash_list (fun (_, t) -> Term.hash t) 0 g.Gadget.post in
   let h =
     match g.Gadget.jmp with
-    | Gp_symx.Exec.Jret t -> term_hash (h_word ~h 0x10L) t
-    | Gp_symx.Exec.Jind t -> term_hash (h_word ~h 0x11L) t
-    | Gp_symx.Exec.Jfall _ -> h_word ~h 0x12L
+    | Gp_symx.Exec.Jret t -> mix (mix h 1) (Term.hash t)
+    | Gp_symx.Exec.Jind t -> mix (mix h 2) (Term.hash t)
+    | Gp_symx.Exec.Jfall _ -> mix h 3
   in
+  let h = hash_list (fun (o, t) -> mix o (Term.hash t)) h g.Gadget.stack_writes in
   let h =
-    hash_list
-      (fun h (o, t) -> term_hash (h_word ~h (Int64.of_int o)) t)
-      h g.Gadget.stack_writes
+    hash_list (fun (a, v) -> mix (Term.hash a) (Term.hash v)) h g.Gadget.ptr_writes
   in
-  let h =
-    hash_list (fun h (a, v) -> term_hash (term_hash h a) v) h
-      g.Gadget.ptr_writes
-  in
-  hash_list formula_hash h g.Gadget.pre
+  hash_list Formula.hash h g.Gadget.pre
+
+let rec list_same eq xs ys =
+  match xs, ys with
+  | [], [] -> true
+  | x :: xs, y :: ys -> eq x y && list_same eq xs ys
+  | _ -> false
 
 let semantic_equal (g1 : Gadget.t) (g2 : Gadget.t) =
   (match g1.Gadget.jmp, g2.Gadget.jmp with
    | Gp_symx.Exec.Jret a, Gp_symx.Exec.Jret b
-   | Gp_symx.Exec.Jind a, Gp_symx.Exec.Jind b -> a = b
+   | Gp_symx.Exec.Jind a, Gp_symx.Exec.Jind b -> Term.same a b
    | Gp_symx.Exec.Jfall _, Gp_symx.Exec.Jfall _ -> true
    | _ -> false)
-  && g1.Gadget.post = g2.Gadget.post
-  && g1.Gadget.stack_writes = g2.Gadget.stack_writes
-  && g1.Gadget.ptr_writes = g2.Gadget.ptr_writes
-  && g1.Gadget.pre = g2.Gadget.pre
+  && list_same (fun (r1, t1) (r2, t2) -> r1 = r2 && Term.same t1 t2)
+       g1.Gadget.post g2.Gadget.post
+  && list_same (fun (o1, t1) (o2, t2) -> o1 = o2 && Term.same t1 t2)
+       g1.Gadget.stack_writes g2.Gadget.stack_writes
+  && list_same (fun (a1, v1) (a2, v2) -> Term.same a1 a2 && Term.same v1 v2)
+       g1.Gadget.ptr_writes g2.Gadget.ptr_writes
+  && list_same Formula.same g1.Gadget.pre g2.Gadget.pre
 
 type stats = {
   input : int;
@@ -119,7 +85,7 @@ type stats = {
 }
 
 let dedup (gadgets : Gadget.t list) : Gadget.t list =
-  let seen : (int64, Gadget.t list) Hashtbl.t = Hashtbl.create 1024 in
+  let seen : (int, Gadget.t list) Hashtbl.t = Hashtbl.create 1024 in
   List.filter
     (fun g ->
       let h = semantic_hash g in

@@ -5,15 +5,18 @@
     followed by a per-bucket size cap; no pairwise formula-(1) pass is
     run (DESIGN.md §5). *)
 
-val semantic_hash : Gadget.t -> int64
-(** Structural FNV-64 over the full semantics (post state, jump, writes,
-    pre).  Equal semantics hash equally, because terms are canonicalized
-    by construction; confirm collisions with {!semantic_equal}. *)
+val semantic_hash : Gadget.t -> int
+(** Hash of the full semantics (post state, jump, writes, pre) from the
+    terms' O(1) {!Gp_smt.Term.hash}es, so no term is walked.  Equal
+    semantics hash equally, because terms are canonical by construction;
+    confirm collisions with {!semantic_equal}. *)
 
 val semantic_equal : Gadget.t -> Gadget.t -> bool
 (** Structural equality over the same components {!semantic_hash}
-    covers ([Jfall] targets ignored, as always — every syscall summary
-    is one class regardless of fall-through address). *)
+    covers, by {!Gp_smt.Term.same} on each term ([==] on the interned
+    canonical terms of one run).  [Jfall] targets are ignored, as always
+    — every syscall summary is one class regardless of fall-through
+    address — and so are [kind] and [syscall_state]. *)
 
 val dedup : Gadget.t list -> Gadget.t list
 (** Exact-duplicate removal: the first gadget of each {!semantic_equal}

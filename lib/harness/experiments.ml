@@ -447,11 +447,18 @@ let tab7 () =
     Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform Gp_obf.Obf.ollvm)
       Gp_corpus.Netperf.entry.Gp_corpus.Programs.source
   in
+  (* A minor collection before each [Gc.allocated_bytes] reading,
+     outside the timed window: without it the alloc column depended on
+     what the process had run before (angrop read 0 or 2 MB and sgc 1-4
+     MB over five experiment histories; with it, one reading in all). *)
   let timed f =
+    Gc.minor ();
     let a0 = Gc.allocated_bytes () in
     let t0 = Unix.gettimeofday () in
     let r = f () in
-    (r, Unix.gettimeofday () -. t0, (Gc.allocated_bytes () -. a0) /. 1048576.)
+    let dt = Unix.gettimeofday () -. t0 in
+    Gc.minor ();
+    (r, dt, (Gc.allocated_bytes () -. a0) /. 1048576.)
   in
   let t =
     Table.create

@@ -30,10 +30,11 @@
    that buys nothing: the screen's job is to kill the OBVIOUS
    refutations cheaply, not to replace the solver.
 
-   Evaluation is memoized per term in a domain-local table keyed on
-   structure (simplified terms are interned, so key comparisons mostly
-   short-circuit on [==]): abstract values are pure functions of term
-   structure (variables are top), so a hit can never change an answer. *)
+   Evaluation is memoized per term in a domain-local table keyed on the
+   term's identity ([Term.hash] and [Term.same], both O(1) on the
+   interned canonical terms the solver sees): abstract values are pure
+   functions of term structure (variables are top), so a hit can never
+   change an answer. *)
 
 type t = {
   kmask : int64;  (* bit set => that bit is known in every concretization *)
@@ -256,24 +257,30 @@ let sar a b =
    (one lookup per node of every screened query), where a shared table
    would serialize the worker domains on a mutex.  A stale or missing
    entry can only cost a recomputation, never change an answer. *)
-let memo_key : (Term.t, t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
+module Memo = Hashtbl.Make (struct
+  type t = Term.t
+
+  let equal = Term.same
+  let hash = Term.hash
+end)
+
+let memo_key : t Memo.t Domain.DLS.key = Domain.DLS.new_key (fun () -> Memo.create 4096)
 
 let rec eval_term (t : Term.t) : t =
   match t with
   | Term.Var _ -> top
   | Term.Const c -> of_const c
-  | Term.Add (x, y) -> add (of_term x) (of_term y)
-  | Term.Sub (x, y) -> sub (of_term x) (of_term y)
-  | Term.Mul (x, y) -> mul (of_term x) (of_term y)
-  | Term.Neg x -> neg (of_term x)
-  | Term.Not x -> lognot (of_term x)
-  | Term.And (x, y) -> logand (of_term x) (of_term y)
-  | Term.Or (x, y) -> logor (of_term x) (of_term y)
-  | Term.Xor (x, y) -> logxor (of_term x) (of_term y)
-  | Term.Shl (x, y) -> shl (of_term x) (of_term y)
-  | Term.Shr (x, y) -> shr (of_term x) (of_term y)
-  | Term.Sar (x, y) -> sar (of_term x) (of_term y)
+  | Term.Add (x, y, _) -> add (of_term x) (of_term y)
+  | Term.Sub (x, y, _) -> sub (of_term x) (of_term y)
+  | Term.Mul (x, y, _) -> mul (of_term x) (of_term y)
+  | Term.Neg (x, _) -> neg (of_term x)
+  | Term.Not (x, _) -> lognot (of_term x)
+  | Term.And (x, y, _) -> logand (of_term x) (of_term y)
+  | Term.Or (x, y, _) -> logor (of_term x) (of_term y)
+  | Term.Xor (x, y, _) -> logxor (of_term x) (of_term y)
+  | Term.Shl (x, y, _) -> shl (of_term x) (of_term y)
+  | Term.Shr (x, y, _) -> shr (of_term x) (of_term y)
+  | Term.Sar (x, y, _) -> sar (of_term x) (of_term y)
 
 and of_term (t : Term.t) : t =
   match t with
@@ -281,17 +288,17 @@ and of_term (t : Term.t) : t =
   | Term.Const c -> of_const c
   | _ -> (
     let tbl = Domain.DLS.get memo_key in
-    match Hashtbl.find_opt tbl t with
+    match Memo.find_opt tbl t with
     | Some v -> v
     | None ->
       let v = eval_term t in
-      Hashtbl.add tbl t v;
+      Memo.add tbl t v;
       v)
 
 (* Clears the CALLING domain's table.  Entries are never wrong, so a
    worker domain keeping its table across a reset is harmless; this
    exists for the benchmarks' memory hygiene, not for correctness. *)
-let reset () = Hashtbl.reset (Domain.DLS.get memo_key)
+let reset () = Memo.reset (Domain.DLS.get memo_key)
 
 (* ----- comparisons over abstract values ----- *)
 

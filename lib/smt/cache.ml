@@ -8,10 +8,15 @@
    search's outcome on that residual and turns the repetition into
    hits.
 
-   Keys are compared and hashed STRUCTURALLY (polymorphic equality on
-   pure-data keys: pool keys, formula lists, variable names).  An earlier string-keyed
-   version spent more time printing keys than the average solve costs —
-   the hit path must stay far cheaper than a solve or the cache cannot
+   Keys are pure data (pool keys, formula lists, variable names),
+   hashed by [Hashtbl.hash] and compared by [compare].  Both stay cheap
+   on the canonical formulas the memo is keyed on: their interior term
+   nodes carry a structural hash as their key ([Term]), which
+   [Hashtbl.hash]'s bounded walk reads near the top of the key, and
+   canonical terms are hash-consed, so [compare] stops at the first
+   shared node instead of walking the term.  An earlier string-keyed
+   version spent more time printing keys than the average solve costs
+   — the hit path must stay far cheaper than a solve or the cache cannot
    pay for itself.
 
    Correctness contract: a stored value is a pure function of the key.

@@ -4,9 +4,10 @@
     Plan instantiation re-asks the solver structurally identical
     questions thousands of times; the solver's memo of model-search
     outcomes ({!Solver.pool_memo}) turns that repetition into hits.
-    Keys are compared and hashed structurally, so they must be pure
-    data (pool keys, formula lists, names — no functions, no cyclic
-    values).
+    Keys are hashed with [Hashtbl.hash] and compared with [compare],
+    so they must be pure data (pool keys, formula lists, names — no
+    functions, no cyclic values); on canonical formulas both are cheap,
+    as terms carry structural keys and are hash-consed ({!Term}).
 
     Correctness contract: a stored value is a pure function of the key
     — a cache hit can never change a verdict (the property suite checks

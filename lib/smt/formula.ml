@@ -77,6 +77,33 @@ let vars = function
     Term.Vset.union (Term.vars a) (Term.vars b)
   | Readable t | Writable t -> Term.vars t
 
+(* Identity of atoms over canonical terms in O(1), from the terms'
+   [Term.hash]/[Term.same]: polymorphic [=] and a consistent hash. *)
+let same f g =
+  match f, g with
+  | True, True | False, False -> true
+  | Eq (a, b), Eq (c, d)
+  | Ne (a, b), Ne (c, d)
+  | Slt (a, b), Slt (c, d)
+  | Sle (a, b), Sle (c, d)
+  | Ult (a, b), Ult (c, d)
+  | Ule (a, b), Ule (c, d) ->
+    Term.same a c && Term.same b d
+  | Readable a, Readable c | Writable a, Writable c -> Term.same a c
+  | _ -> false
+
+let hash = function
+  | True -> 1
+  | False -> 2
+  | Eq (a, b) -> Hashtbl.hash (3, Term.hash a, Term.hash b)
+  | Ne (a, b) -> Hashtbl.hash (4, Term.hash a, Term.hash b)
+  | Slt (a, b) -> Hashtbl.hash (5, Term.hash a, Term.hash b)
+  | Sle (a, b) -> Hashtbl.hash (6, Term.hash a, Term.hash b)
+  | Ult (a, b) -> Hashtbl.hash (7, Term.hash a, Term.hash b)
+  | Ule (a, b) -> Hashtbl.hash (8, Term.hash a, Term.hash b)
+  | Readable a -> Hashtbl.hash (9, Term.hash a)
+  | Writable a -> Hashtbl.hash (10, Term.hash a)
+
 (* Unsigned comparisons.  [eval], [simplify] and the solver's compiled
    residual atoms all decide [Ult]/[Ule] through these two. *)
 let ult a b = Int64.unsigned_compare a b < 0
@@ -102,9 +129,9 @@ let eval ?(readable = fun _ -> true) ?(writable = fun _ -> true) model f =
 let simplify f =
   let f = map_terms Term.simplify f in
   match f with
-  | Eq (a, b) when a = b -> True
+  | Eq (a, b) when Term.same a b -> True
   | Eq (Term.Const x, Term.Const y) -> if x = y then True else False
-  | Ne (a, b) when a = b -> False
+  | Ne (a, b) when Term.same a b -> False
   | Ne (Term.Const x, Term.Const y) -> if x <> y then True else False
   | Slt (Term.Const x, Term.Const y) -> if Int64.compare x y < 0 then True else False
   | Sle (Term.Const x, Term.Const y) -> if Int64.compare x y <= 0 then True else False

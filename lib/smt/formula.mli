@@ -27,6 +27,12 @@ val map_terms : (Term.t -> Term.t) -> t -> t
 
 val vars : t -> Term.Vset.t
 
+val same : t -> t -> bool
+(** Polymorphic [=] on atoms, O(1) on canonical ones ({!Term.same}). *)
+
+val hash : t -> int
+(** Structural hash from the terms' {!Term.hash}es, O(1). *)
+
 val ult : int64 -> int64 -> bool
 val ule : int64 -> int64 -> bool
 (** Unsigned 64-bit [<] and [<=]: the one definition of [Ult]/[Ule] that

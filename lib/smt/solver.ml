@@ -257,9 +257,9 @@ let reduce ~pool (formulas : Formula.t list) : reduced =
         (fun (eqs, ptrs, rest) f ->
           match f with
           | Formula.Eq (a, b) -> (
-            match Term.linearize (Term.Sub (a, b)) with
-            | Some l -> (l :: eqs, ptrs, rest)
-            | None -> (eqs, ptrs, f :: rest))
+            match Term.linearize a, Term.linearize b with
+            | Some la, Some lb -> (lin_add la (lin_neg lb) :: eqs, ptrs, rest)
+            | _ -> (eqs, ptrs, f :: rest))
           | Formula.Readable _ | Formula.Writable _ -> (eqs, f :: ptrs, rest)
           | _ -> (eqs, ptrs, f :: rest))
         ([], [], []) formulas
@@ -305,7 +305,7 @@ let reduce ~pool (formulas : Formula.t list) : reduced =
       let residual =
         List.map apply_sigma
           (rest
-          @ List.map (fun l -> Formula.Eq (Term.of_linear l, Term.Const 0L))
+          @ List.map (fun l -> Formula.Eq (Term.of_linear l, Term.const 0L))
               hard_eqs
           @ unpinned_ptrs)
       in
@@ -400,37 +400,37 @@ let rec compile_term index t : int64 array -> int -> int64 =
       | Some i -> fun row off -> row.(off + i)
       | None -> fun _ _ -> 0L)
     | Const c -> fun _ _ -> c
-    | Add (a, b) ->
+    | Add (a, b, _) ->
       let a = compile_term index a and b = compile_term index b in
       fun row off -> Int64.add (a row off) (b row off)
-    | Sub (a, b) ->
+    | Sub (a, b, _) ->
       let a = compile_term index a and b = compile_term index b in
       fun row off -> Int64.sub (a row off) (b row off)
-    | Mul (a, b) ->
+    | Mul (a, b, _) ->
       let a = compile_term index a and b = compile_term index b in
       fun row off -> Int64.mul (a row off) (b row off)
-    | Neg a ->
+    | Neg (a, _) ->
       let a = compile_term index a in
       fun row off -> Int64.neg (a row off)
-    | Not a ->
+    | Not (a, _) ->
       let a = compile_term index a in
       fun row off -> Int64.lognot (a row off)
-    | And (a, b) ->
+    | And (a, b, _) ->
       let a = compile_term index a and b = compile_term index b in
       fun row off -> Int64.logand (a row off) (b row off)
-    | Or (a, b) ->
+    | Or (a, b, _) ->
       let a = compile_term index a and b = compile_term index b in
       fun row off -> Int64.logor (a row off) (b row off)
-    | Xor (a, b) ->
+    | Xor (a, b, _) ->
       let a = compile_term index a and b = compile_term index b in
       fun row off -> Int64.logxor (a row off) (b row off)
-    | Shl (a, b) ->
+    | Shl (a, b, _) ->
       let a = compile_term index a and b = count b in
       fun row off -> Int64.shift_left (a row off) (b row off)
-    | Shr (a, b) ->
+    | Shr (a, b, _) ->
       let a = compile_term index a and b = count b in
       fun row off -> Int64.shift_right_logical (a row off) (b row off)
-    | Sar (a, b) ->
+    | Sar (a, b, _) ->
       let a = compile_term index a and b = count b in
       fun row off -> Int64.shift_right (a row off) (b row off))
 

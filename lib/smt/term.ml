@@ -1,6 +1,6 @@
 (* 64-bit bit-vector terms.
 
-   Stands in for Z3's bit-vector theory (DESIGN.md §2).  Two design
+   Stands in for Z3's bit-vector theory (DESIGN.md §2).  Three design
    points:
 
    - Variables are identified by NAME.  The symbolic executor uses a
@@ -15,44 +15,55 @@
      so canonical forms make semantic equality decidable by structural
      comparison there.  Beyond that fragment the simplifier applies local
      identities only, and terms it leaves distinct compare as different
-     (sound, incomplete: subsumption then keeps both gadgets). *)
+     (sound, incomplete: subsumption then keeps both gadgets).
+
+   - Canonical interior nodes are hash-consed (DESIGN.md §10): the
+     canonicalizing constructors build them through one intern table,
+     so structurally equal canonical terms are one physical node.  Every
+     interior node carries its KEY as its last field: a structural hash
+     of (tag, children's hashes), shifted left once, whose low bit is
+     set on canonical (interned) nodes only.  The key is a pure
+     function of structure and canonicity, so polymorphic [compare],
+     [=] and [Hashtbl.hash] stay structural and independent of the
+     order in which domains interned; structure decides [compare]
+     before the key is reached. *)
 
 type t =
   | Var of string
   | Const of int64
-  | Add of t * t
-  | Sub of t * t
-  | Mul of t * t
-  | Neg of t
-  | Not of t
-  | And of t * t
-  | Or of t * t
-  | Xor of t * t
-  | Shl of t * t
-  | Shr of t * t
-  | Sar of t * t
+  | Add of t * t * int
+  | Sub of t * t * int
+  | Mul of t * t * int
+  | Neg of t * int
+  | Not of t * int
+  | And of t * t * int
+  | Or of t * t * int
+  | Xor of t * t * int
+  | Shl of t * t * int
+  | Shr of t * t * int
+  | Sar of t * t * int
 
 let rec to_string = function
   | Var v -> v
   | Const c -> if c >= 0L && c < 4096L then Int64.to_string c else Printf.sprintf "0x%Lx" c
-  | Add (a, b) -> Printf.sprintf "(%s + %s)" (to_string a) (to_string b)
-  | Sub (a, b) -> Printf.sprintf "(%s - %s)" (to_string a) (to_string b)
-  | Mul (a, b) -> Printf.sprintf "(%s * %s)" (to_string a) (to_string b)
-  | Neg a -> Printf.sprintf "(- %s)" (to_string a)
-  | Not a -> Printf.sprintf "(~ %s)" (to_string a)
-  | And (a, b) -> Printf.sprintf "(%s & %s)" (to_string a) (to_string b)
-  | Or (a, b) -> Printf.sprintf "(%s | %s)" (to_string a) (to_string b)
-  | Xor (a, b) -> Printf.sprintf "(%s ^ %s)" (to_string a) (to_string b)
-  | Shl (a, b) -> Printf.sprintf "(%s << %s)" (to_string a) (to_string b)
-  | Shr (a, b) -> Printf.sprintf "(%s >> %s)" (to_string a) (to_string b)
-  | Sar (a, b) -> Printf.sprintf "(%s >>s %s)" (to_string a) (to_string b)
+  | Add (a, b, _) -> Printf.sprintf "(%s + %s)" (to_string a) (to_string b)
+  | Sub (a, b, _) -> Printf.sprintf "(%s - %s)" (to_string a) (to_string b)
+  | Mul (a, b, _) -> Printf.sprintf "(%s * %s)" (to_string a) (to_string b)
+  | Neg (a, _) -> Printf.sprintf "(- %s)" (to_string a)
+  | Not (a, _) -> Printf.sprintf "(~ %s)" (to_string a)
+  | And (a, b, _) -> Printf.sprintf "(%s & %s)" (to_string a) (to_string b)
+  | Or (a, b, _) -> Printf.sprintf "(%s | %s)" (to_string a) (to_string b)
+  | Xor (a, b, _) -> Printf.sprintf "(%s ^ %s)" (to_string a) (to_string b)
+  | Shl (a, b, _) -> Printf.sprintf "(%s << %s)" (to_string a) (to_string b)
+  | Shr (a, b, _) -> Printf.sprintf "(%s >> %s)" (to_string a) (to_string b)
+  | Sar (a, b, _) -> Printf.sprintf "(%s >>s %s)" (to_string a) (to_string b)
 
 let rec vars_fold f acc = function
   | Var v -> f acc v
   | Const _ -> acc
-  | Neg a | Not a -> vars_fold f acc a
-  | Add (a, b) | Sub (a, b) | Mul (a, b) | And (a, b) | Or (a, b) | Xor (a, b)
-  | Shl (a, b) | Shr (a, b) | Sar (a, b) ->
+  | Neg (a, _) | Not (a, _) -> vars_fold f acc a
+  | Add (a, b, _) | Sub (a, b, _) | Mul (a, b, _) | And (a, b, _) | Or (a, b, _)
+  | Xor (a, b, _) | Shl (a, b, _) | Shr (a, b, _) | Sar (a, b, _) ->
     vars_fold f (vars_fold f acc a) b
 
 module Vset = Set.Make (String)
@@ -61,10 +72,197 @@ let vars t = vars_fold (fun s v -> Vset.add v s) Vset.empty t
 
 let rec size = function
   | Var _ | Const _ -> 1
-  | Neg a | Not a -> 1 + size a
-  | Add (a, b) | Sub (a, b) | Mul (a, b) | And (a, b) | Or (a, b) | Xor (a, b)
-  | Shl (a, b) | Shr (a, b) | Sar (a, b) ->
+  | Neg (a, _) | Not (a, _) -> 1 + size a
+  | Add (a, b, _) | Sub (a, b, _) | Mul (a, b, _) | And (a, b, _) | Or (a, b, _)
+  | Xor (a, b, _) | Shl (a, b, _) | Shr (a, b, _) | Sar (a, b, _) ->
     1 + size a + size b
+
+(* ----- keys and identity ----- *)
+
+let key = function
+  | Var _ | Const _ -> 0
+  | Neg (_, k) | Not (_, k) -> k
+  | Add (_, _, k) | Sub (_, _, k) | Mul (_, _, k) | And (_, _, k) | Or (_, _, k)
+  | Xor (_, _, k) | Shl (_, _, k) | Shr (_, _, k) | Sar (_, _, k) -> k
+
+let scramble h = (h lxor (h lsr 29)) land 0x1fff_ffff_ffff_ffff
+
+(* The structural hash: a leaf's payload hash, an interior node's key
+   without its canonical bit.  O(1): variable names are a few bytes. *)
+let hash = function
+  | Var v ->
+    let h = ref (String.length v) in
+    for i = 0 to String.length v - 1 do
+      h := (!h * 31) + Char.code (String.unsafe_get v i)
+    done;
+    scramble (!h * 0x100000001b3)
+  | Const c ->
+    let h = Int64.mul c 0x100000001b3L in
+    scramble (Int64.to_int h lxor Int64.to_int (Int64.shift_right_logical h 40))
+  | t -> key t lsr 1
+
+let canonical = function Var _ | Const _ -> true | t -> key t land 1 = 1
+
+(* 61-bit mix of a node tag and its children's hashes; the key shifts it
+   left once for the canonical bit, so keys stay non-negative. *)
+let mix tag a b =
+  let h = (tag * 0x2545F4914F6CDD1D) lxor a in
+  let h = h * 0x100000001b3 in
+  scramble ((h lxor b) * 0x100000001b3)
+
+let key2 bit tag a b = (mix tag (hash a) (hash b) lsl 1) lor bit
+let key1 bit tag a = (mix tag (hash a) 0 lsl 1) lor bit
+
+(* The key [n] gets as a canonical ([bit] 1) or raw ([bit] 0) node. *)
+let key_of bit n =
+  match n with
+  | Var _ | Const _ -> 0
+  | Add (a, b, _) -> key2 bit 1 a b
+  | Sub (a, b, _) -> key2 bit 2 a b
+  | Mul (a, b, _) -> key2 bit 3 a b
+  | Neg (a, _) -> key1 bit 4 a
+  | Not (a, _) -> key1 bit 5 a
+  | And (a, b, _) -> key2 bit 6 a b
+  | Or (a, b, _) -> key2 bit 7 a b
+  | Xor (a, b, _) -> key2 bit 8 a b
+  | Shl (a, b, _) -> key2 bit 9 a b
+  | Shr (a, b, _) -> key2 bit 10 a b
+  | Sar (a, b, _) -> key2 bit 11 a b
+
+let with_key n k =
+  match n with
+  | Var _ | Const _ -> n
+  | Add (a, b, _) -> Add (a, b, k)
+  | Sub (a, b, _) -> Sub (a, b, k)
+  | Mul (a, b, _) -> Mul (a, b, k)
+  | Neg (a, _) -> Neg (a, k)
+  | Not (a, _) -> Not (a, k)
+  | And (a, b, _) -> And (a, b, k)
+  | Or (a, b, _) -> Or (a, b, k)
+  | Xor (a, b, _) -> Xor (a, b, k)
+  | Shl (a, b, _) -> Shl (a, b, k)
+  | Shr (a, b, _) -> Shr (a, b, k)
+  | Sar (a, b, _) -> Sar (a, b, k)
+
+let keyed bit n = with_key n (key_of bit n)
+
+(* Structural equality, canonical bit included (the same relation as
+   polymorphic [=]).  On two canonical terms of one table it is O(1):
+   [==] answers yes, differing keys answer no; only a hash collision or
+   a term from before [reset_memo] walks the children. *)
+let rec same a b =
+  a == b
+  ||
+  match a, b with
+  | Var x, Var y -> String.equal x y
+  | Const x, Const y -> Int64.equal x y
+  | Add (a1, b1, k1), Add (a2, b2, k2)
+  | Sub (a1, b1, k1), Sub (a2, b2, k2)
+  | Mul (a1, b1, k1), Mul (a2, b2, k2)
+  | And (a1, b1, k1), And (a2, b2, k2)
+  | Or (a1, b1, k1), Or (a2, b2, k2)
+  | Xor (a1, b1, k1), Xor (a2, b2, k2)
+  | Shl (a1, b1, k1), Shl (a2, b2, k2)
+  | Shr (a1, b1, k1), Shr (a2, b2, k2)
+  | Sar (a1, b1, k1), Sar (a2, b2, k2) ->
+    k1 = k2 && same a1 a2 && same b1 b2
+  | Neg (a1, k1), Neg (a2, k2) | Not (a1, k1), Not (a2, k2) ->
+    k1 = k2 && same a1 a2
+  | _ -> false
+
+(* [n]'s constructor and children are [m]'s; keys are not looked at. *)
+let shallow m n =
+  match m, n with
+  | Add (a1, b1, _), Add (a2, b2, _)
+  | Sub (a1, b1, _), Sub (a2, b2, _)
+  | Mul (a1, b1, _), Mul (a2, b2, _)
+  | And (a1, b1, _), And (a2, b2, _)
+  | Or (a1, b1, _), Or (a2, b2, _)
+  | Xor (a1, b1, _), Xor (a2, b2, _)
+  | Shl (a1, b1, _), Shl (a2, b2, _)
+  | Shr (a1, b1, _), Shr (a2, b2, _)
+  | Sar (a1, b1, _), Sar (a2, b2, _) ->
+    same a1 a2 && same b1 b2
+  | Neg (a1, _), Neg (a2, _) | Not (a1, _), Not (a2, _) -> same a1 a2
+  | _ -> false
+
+module Raw = struct
+  let add a b = keyed 0 (Add (a, b, 0))
+  let sub a b = keyed 0 (Sub (a, b, 0))
+  let mul a b = keyed 0 (Mul (a, b, 0))
+  let neg a = keyed 0 (Neg (a, 0))
+  let lognot a = keyed 0 (Not (a, 0))
+  let logand a b = keyed 0 (And (a, b, 0))
+  let logor a b = keyed 0 (Or (a, b, 0))
+  let logxor a b = keyed 0 (Xor (a, b, 0))
+  let shl a b = keyed 0 (Shl (a, b, 0))
+  let shr a b = keyed 0 (Shr (a, b, 0))
+  let sar a b = keyed 0 (Sar (a, b, 0))
+end
+
+(* ----- the intern table -----
+
+   Buckets of canonical nodes, indexed by structural hash.  Only the
+   canonicalizing constructors below insert, and only nodes whose
+   children are canonical, so every entry is a fixpoint of [simplify]
+   and "is canonical" is the key's low bit, not a lookup.  A lookup
+   hashes the candidate from its children's keys and compares children
+   with [same]: O(1), never a walk of the term.
+
+   The table is strong and shared by every domain behind one mutex (no
+   user code runs under it).  It only grows until [reset_memo]. *)
+
+let table = ref (Array.make 4096 [])
+let count = ref 0
+let lock = Mutex.create ()
+
+let absent = Var ""
+
+let rec find k n = function
+  | [] -> absent
+  | m :: rest -> if key m = k && shallow m n then m else find k n rest
+
+let grow () =
+  let old = !table in
+  let tbl = Array.make (2 * Array.length old) [] in
+  let mask = Array.length tbl - 1 in
+  Array.iter
+    (List.iter (fun m ->
+         let i = hash m land mask in
+         tbl.(i) <- m :: tbl.(i)))
+    old;
+  table := tbl
+
+(* The canonical node for [n], an interior node with canonical
+   children whose own key is ignored: the table's node when there is
+   one, else [n] keyed as canonical and inserted.  Caller holds [lock]. *)
+let intern_locked n =
+  let k = key_of 1 n in
+  let tbl = !table in
+  let i = (k lsr 1) land (Array.length tbl - 1) in
+  let m = find k n tbl.(i) in
+  if m != absent then m
+  else begin
+    let c = with_key n k in
+    tbl.(i) <- c :: tbl.(i);
+    incr count;
+    if !count > 2 * Array.length tbl then grow ();
+    c
+  end
+
+let intern n =
+  Mutex.lock lock;
+  let m = intern_locked n in
+  Mutex.unlock lock;
+  m
+
+(* Always (0, 0): there is no simplify/linearize memo.  Kept for bench/e2e. *)
+let memo_stats () = (0, 0)
+
+let reset_memo () =
+  Mutex.protect lock (fun () ->
+      table := Array.make 4096 [];
+      count := 0)
 
 (* ----- linear normal form: constant + sorted (var, coeff) list ----- *)
 
@@ -104,275 +302,198 @@ let lin_neg l = lin_scale (-1L) l
 let rec linearize = function
   | Var v -> Some { lin_const = 0L; lin_terms = [ (v, 1L) ] }
   | Const c -> Some (lin_const c)
-  | Add (a, b) ->
+  | Add (a, b, _) ->
     Option.bind (linearize a) (fun la ->
         Option.map (fun lb -> lin_add la lb) (linearize b))
-  | Sub (a, b) ->
+  | Sub (a, b, _) ->
     Option.bind (linearize a) (fun la ->
         Option.map (fun lb -> lin_add la (lin_neg lb)) (linearize b))
-  | Neg a -> Option.map lin_neg (linearize a)
-  | Mul (Const k, b) | Mul (b, Const k) -> Option.map (lin_scale k) (linearize b)
-  | Shl (a, Const k) when k >= 0L && k < 64L ->
+  | Neg (a, _) -> Option.map lin_neg (linearize a)
+  | Mul (Const k, b, _) | Mul (b, Const k, _) -> Option.map (lin_scale k) (linearize b)
+  | Shl (a, Const k, _) when k >= 0L && k < 64L ->
     Option.map (lin_scale (Int64.shift_left 1L (Int64.to_int k))) (linearize a)
-  | Not a ->
+  | Not (a, _) ->
     (* ~x = -x - 1 *)
     Option.map (fun la -> lin_add (lin_neg la) (lin_const (-1L))) (linearize a)
   | _ -> None
 
-(* Canonical term for a linear form: ((c1*v1 + c2*v2) + ... ) + const. *)
+(* Canonical term for a linear form: ((c1*v1 + c2*v2) + ... ) + const,
+   built from interned nodes under one acquisition of the table lock. *)
 let of_linear l =
   let term_of (v, c) =
     if c = 1L then Var v
-    else if c = -1L then Neg (Var v)
-    else Mul (Const c, Var v)
+    else if c = -1L then intern_locked (Neg (Var v, 0))
+    else intern_locked (Mul (Const c, Var v, 0))
   in
   match l.lin_terms with
   | [] -> Const l.lin_const
+  | [ (v, 1L) ] when l.lin_const = 0L -> Var v (* no node to intern: skip the lock *)
   | t0 :: rest ->
-    let sum = List.fold_left (fun acc t -> Add (acc, term_of t)) (term_of t0) rest in
-    if l.lin_const = 0L then sum else Add (sum, Const l.lin_const)
+    Mutex.lock lock;
+    let sum =
+      List.fold_left (fun acc t -> intern_locked (Add (acc, term_of t, 0))) (term_of t0) rest
+    in
+    let t = if l.lin_const = 0L then sum else intern_locked (Add (sum, Const l.lin_const, 0)) in
+    Mutex.unlock lock;
+    t
 
 (* ----- simplification ----- *)
 
+(* The [mk_*] constructors take canonical operands and return a
+   canonical term: a leaf, an operand, [of_linear]'s form, or an
+   interned node.  [relin] and the unlinearizable cases hand [intern] a
+   candidate whose key is a placeholder; it never escapes. *)
 let rec simplify t =
-  match linearize t with
-  | Some l -> of_linear l
-  | None -> (
-    match t with
-    | Var _ | Const _ -> t
-    | Add (a, b) -> mk_add (simplify a) (simplify b)
-    | Sub (a, b) -> mk_sub (simplify a) (simplify b)
-    | Mul (a, b) -> mk_mul (simplify a) (simplify b)
-    | Neg a -> mk_neg (simplify a)
-    | Not a -> mk_not (simplify a)
-    | And (a, b) -> mk_and (simplify a) (simplify b)
-    | Or (a, b) -> mk_or (simplify a) (simplify b)
-    | Xor (a, b) -> mk_xor (simplify a) (simplify b)
-    | Shl (a, b) -> mk_shl (simplify a) (simplify b)
-    | Shr (a, b) -> mk_shr (simplify a) (simplify b)
-    | Sar (a, b) -> mk_sar (simplify a) (simplify b))
+  if canonical t then t
+  else
+    match linearize t with
+    | Some l -> of_linear l
+    | None -> (
+      match t with
+      | Var _ | Const _ -> t
+      | Add (a, b, _) -> mk_add (simplify a) (simplify b)
+      | Sub (a, b, _) -> mk_sub (simplify a) (simplify b)
+      | Mul (a, b, _) -> mk_mul (simplify a) (simplify b)
+      | Neg (a, _) -> mk_neg (simplify a)
+      | Not (a, _) -> mk_not (simplify a)
+      | And (a, b, _) -> mk_and (simplify a) (simplify b)
+      | Or (a, b, _) -> mk_or (simplify a) (simplify b)
+      | Xor (a, b, _) -> mk_xor (simplify a) (simplify b)
+      | Shl (a, b, _) -> mk_shl (simplify a) (simplify b)
+      | Shr (a, b, _) -> mk_shr (simplify a) (simplify b)
+      | Sar (a, b, _) -> mk_sar (simplify a) (simplify b))
 
-and relin t = match linearize t with Some l -> of_linear l | None -> t
+and relin t = match linearize t with Some l -> of_linear l | None -> intern t
 
 and mk_add a b =
   match a, b with
   | Const x, Const y -> Const (Int64.add x y)
   | Const 0L, t | t, Const 0L -> t
-  | _ -> relin (Add (a, b))
+  | _ -> relin (Add (a, b, 0))
 
 and mk_sub a b =
   match a, b with
   | Const x, Const y -> Const (Int64.sub x y)
   | t, Const 0L -> t
-  | x, y when x = y -> Const 0L
-  | _ -> relin (Sub (a, b))
+  | x, y when same x y -> Const 0L
+  | _ -> relin (Sub (a, b, 0))
 
 and mk_mul a b =
   match a, b with
   | Const x, Const y -> Const (Int64.mul x y)
   | Const 0L, _ | _, Const 0L -> Const 0L
   | Const 1L, t | t, Const 1L -> t
-  | _ -> relin (Mul (a, b))
+  | _ -> relin (Mul (a, b, 0))
 
 and mk_neg a =
   match a with
   | Const x -> Const (Int64.neg x)
-  | Neg t -> t
-  | _ -> relin (Neg a)
+  | Neg (t, _) -> t
+  | _ -> relin (Neg (a, 0))
 
 and mk_not a =
   match a with
   | Const x -> Const (Int64.lognot x)
-  | Not t -> t
-  | _ -> relin (Not a)
+  | Not (t, _) -> t
+  | _ -> relin (Not (a, 0))
 
 and mk_and a b =
   match a, b with
   | Const x, Const y -> Const (Int64.logand x y)
   | Const 0L, _ | _, Const 0L -> Const 0L
   | Const -1L, t | t, Const -1L -> t
-  | x, y when x = y -> x
-  | _ -> And (a, b)
+  | x, y when same x y -> x
+  | _ -> intern (And (a, b, 0))
 
 and mk_or a b =
   match a, b with
   | Const x, Const y -> Const (Int64.logor x y)
   | Const 0L, t | t, Const 0L -> t
   | Const -1L, _ | _, Const -1L -> Const (-1L)
-  | x, y when x = y -> x
-  | _ -> Or (a, b)
+  | x, y when same x y -> x
+  | _ -> intern (Or (a, b, 0))
 
 and mk_xor a b =
   match a, b with
   | Const x, Const y -> Const (Int64.logxor x y)
   | Const 0L, t | t, Const 0L -> t
-  | x, y when x = y -> Const 0L
-  | _ -> Xor (a, b)
+  | x, y when same x y -> Const 0L
+  | _ -> intern (Xor (a, b, 0))
 
 and mk_shl a b =
   match a, b with
   | Const x, Const y when y >= 0L && y < 64L -> Const (Int64.shift_left x (Int64.to_int y))
   | t, Const 0L -> t
-  | _ -> relin (Shl (a, b))
+  | _ -> relin (Shl (a, b, 0))
 
 and mk_shr a b =
   match a, b with
   | Const x, Const y when y >= 0L && y < 64L ->
     Const (Int64.shift_right_logical x (Int64.to_int y))
   | t, Const 0L -> t
-  | _ -> Shr (a, b)
+  | _ -> intern (Shr (a, b, 0))
 
 and mk_sar a b =
   match a, b with
   | Const x, Const y when y >= 0L && y < 64L -> Const (Int64.shift_right x (Int64.to_int y))
   | t, Const 0L -> t
-  | _ -> Sar (a, b)
+  | _ -> intern (Sar (a, b, 0))
 
-(* Smart constructors: simplify on the way in so terms stay small. *)
+(* Smart constructors: canonicalize the operands (O(1) when they already
+   are) and build the canonical result. *)
 let var v = Var v
 let const c = Const c
-let add a b = mk_add a b
-let sub a b = mk_sub a b
-let mul a b = mk_mul a b
-let neg a = mk_neg a
-let lognot a = mk_not a
-let logand a b = mk_and a b
-let logor a b = mk_or a b
-let logxor a b = mk_xor a b
-let shl a b = mk_shl a b
-let shr a b = mk_shr a b
-let sar a b = mk_sar a b
+let add a b = mk_add (simplify a) (simplify b)
+let sub a b = mk_sub (simplify a) (simplify b)
+let mul a b = mk_mul (simplify a) (simplify b)
+let neg a = mk_neg (simplify a)
+let lognot a = mk_not (simplify a)
+let logand a b = mk_and (simplify a) (simplify b)
+let logor a b = mk_or (simplify a) (simplify b)
+let logxor a b = mk_xor (simplify a) (simplify b)
+let shl a b = mk_shl (simplify a) (simplify b)
+let shr a b = mk_shr (simplify a) (simplify b)
+let sar a b = mk_sar (simplify a) (simplify b)
 
-(* ----- hash-consing ----- *)
-
-(* Interning table: structural term -> its entry, holding the canonical
-   (physically unique) representative.  Children are interned before the
-   parent is looked up, so the table's structural hashing and equality
-   tests touch nodes that are already shared — polymorphic [compare]
-   short-circuits on physical equality, making lookups cheap even for
-   deep terms.  The table only ever grows; identical terms from
-   different domains resolve to the same node, which is what gives [==]
-   its meaning here.
-
-   [fix] records an OBSERVED fixpoint of the simplifier: it is set only
-   when [simplify] ran the inner simplifier on a term structurally equal
-   to [rep] and got that same term back (DESIGN.md §10).  Entries made
-   by [intern] start unflagged.
-
-   Thread safety: one mutex guards the table and the flags.  No user
-   code runs under the lock (pure table operations only), so holding it
-   across the recursion cannot deadlock and keeps per-node overhead to
-   a single acquisition per [intern] call. *)
-
-type entry = { rep : t; mutable fix : bool }
-
-let intern_tbl : (t, entry) Hashtbl.t = Hashtbl.create 4096
-let intern_lock = Mutex.create ()
-
-(* Caller holds [intern_lock]. *)
-let rec intern_entry t =
-  let rep e = (intern_entry e).rep in
-  let node =
-    match t with
-    | Var _ | Const _ -> t
-    | Add (a, b) -> Add (rep a, rep b)
-    | Sub (a, b) -> Sub (rep a, rep b)
-    | Mul (a, b) -> Mul (rep a, rep b)
-    | Neg a -> Neg (rep a)
-    | Not a -> Not (rep a)
-    | And (a, b) -> And (rep a, rep b)
-    | Or (a, b) -> Or (rep a, rep b)
-    | Xor (a, b) -> Xor (rep a, rep b)
-    | Shl (a, b) -> Shl (rep a, rep b)
-    | Shr (a, b) -> Shr (rep a, rep b)
-    | Sar (a, b) -> Sar (rep a, rep b)
-  in
-  match Hashtbl.find_opt intern_tbl node with
-  | Some e -> e
-  | None ->
-    let e = { rep = node; fix = false } in
-    Hashtbl.add intern_tbl node e;
-    e
-
-let intern (t : t) : t = Mutex.protect intern_lock (fun () -> (intern_entry t).rep)
-
-(* Always (0, 0): there is no simplify/linearize memo.  Kept for bench/e2e. *)
-let memo_stats () = (0, 0)
-
-let reset_memo () = Mutex.protect intern_lock (fun () -> Hashtbl.reset intern_tbl)
-
-(* The exported simplifier interns its result, so the canonical forms
-   that callers keep (summaries, cache keys, plan conditions) share
-   their nodes; leaves are returned as they are.
-
-   Most inputs are already canonical (cache keys, effects and conditions
-   re-simplified by their consumers), so a non-leaf input is first
-   looked up as it is — one bounded hash, and [compare] short-circuits
-   on shared children — without interning it.  A flagged entry answers
-   with its representative: the flag was set when the inner simplifier
-   returned a term structurally equal to that entry, and the inner
-   simplifier is a function of structure, so [intern (simplify t)] is
-   that same representative.  Otherwise the full path runs and flags the
-   result's entry when it turned out to be a fixpoint. *)
-let simplify t =
-  match t with
-  | Var _ | Const _ -> t
-  | _ -> (
-    let known =
-      Mutex.protect intern_lock (fun () ->
-          match Hashtbl.find_opt intern_tbl t with
-          | Some { rep; fix = true } -> Some rep
-          | _ -> None)
-    in
-    match known with
-    | Some rep -> rep
-    | None ->
-      let s = simplify t in
-      Mutex.protect intern_lock (fun () ->
-          let e = intern_entry s in
-          if compare s t = 0 then e.fix <- true;
-          e.rep))
-
-(* Structural equality after canonicalization.  Polymorphic [=] does
-   not short-circuit on [==], so test the (usually shared) canonical
-   nodes physically first. *)
-let equal a b =
-  let a = simplify a and b = simplify b in
-  a == b || a = b
+let equal a b = same (simplify a) (simplify b)
 
 (* Replace variables via [f]; unmapped variables stay. *)
-let rec subst f t =
-  match t with
-  | Var v -> ( match f v with Some t' -> t' | None -> t)
-  | Const _ -> t
-  | Add (a, b) -> mk_add (subst f a) (subst f b)
-  | Sub (a, b) -> mk_sub (subst f a) (subst f b)
-  | Mul (a, b) -> mk_mul (subst f a) (subst f b)
-  | Neg a -> mk_neg (subst f a)
-  | Not a -> mk_not (subst f a)
-  | And (a, b) -> mk_and (subst f a) (subst f b)
-  | Or (a, b) -> mk_or (subst f a) (subst f b)
-  | Xor (a, b) -> mk_xor (subst f a) (subst f b)
-  | Shl (a, b) -> mk_shl (subst f a) (subst f b)
-  | Shr (a, b) -> mk_shr (subst f a) (subst f b)
-  | Sar (a, b) -> mk_sar (subst f a) (subst f b)
+let subst f t =
+  let f v = Option.map simplify (f v) in
+  let rec go t =
+    match t with
+    | Var v -> ( match f v with Some t' -> t' | None -> t)
+    | Const _ -> t
+    | Add (a, b, _) -> mk_add (go a) (go b)
+    | Sub (a, b, _) -> mk_sub (go a) (go b)
+    | Mul (a, b, _) -> mk_mul (go a) (go b)
+    | Neg (a, _) -> mk_neg (go a)
+    | Not (a, _) -> mk_not (go a)
+    | And (a, b, _) -> mk_and (go a) (go b)
+    | Or (a, b, _) -> mk_or (go a) (go b)
+    | Xor (a, b, _) -> mk_xor (go a) (go b)
+    | Shl (a, b, _) -> mk_shl (go a) (go b)
+    | Shr (a, b, _) -> mk_shr (go a) (go b)
+    | Sar (a, b, _) -> mk_sar (go a) (go b)
+  in
+  go t
 
 (* Concrete evaluation under a model (variable valuation). *)
 let rec eval model t =
   match t with
   | Var v -> model v
   | Const c -> c
-  | Add (a, b) -> Int64.add (eval model a) (eval model b)
-  | Sub (a, b) -> Int64.sub (eval model a) (eval model b)
-  | Mul (a, b) -> Int64.mul (eval model a) (eval model b)
-  | Neg a -> Int64.neg (eval model a)
-  | Not a -> Int64.lognot (eval model a)
-  | And (a, b) -> Int64.logand (eval model a) (eval model b)
-  | Or (a, b) -> Int64.logor (eval model a) (eval model b)
-  | Xor (a, b) -> Int64.logxor (eval model a) (eval model b)
-  | Shl (a, b) ->
+  | Add (a, b, _) -> Int64.add (eval model a) (eval model b)
+  | Sub (a, b, _) -> Int64.sub (eval model a) (eval model b)
+  | Mul (a, b, _) -> Int64.mul (eval model a) (eval model b)
+  | Neg (a, _) -> Int64.neg (eval model a)
+  | Not (a, _) -> Int64.lognot (eval model a)
+  | And (a, b, _) -> Int64.logand (eval model a) (eval model b)
+  | Or (a, b, _) -> Int64.logor (eval model a) (eval model b)
+  | Xor (a, b, _) -> Int64.logxor (eval model a) (eval model b)
+  | Shl (a, b, _) ->
     Int64.shift_left (eval model a) (Int64.to_int (Int64.logand (eval model b) 63L))
-  | Shr (a, b) ->
+  | Shr (a, b, _) ->
     Int64.shift_right_logical (eval model a) (Int64.to_int (Int64.logand (eval model b) 63L))
-  | Sar (a, b) ->
+  | Sar (a, b, _) ->
     Int64.shift_right (eval model a) (Int64.to_int (Int64.logand (eval model b) 63L))

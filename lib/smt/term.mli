@@ -12,20 +12,32 @@
     overwhelmingly linear, so semantic equality is decidable by
     structural comparison there. *)
 
-type t =
+type t = private
   | Var of string
   | Const of int64
-  | Add of t * t
-  | Sub of t * t
-  | Mul of t * t
-  | Neg of t
-  | Not of t
-  | And of t * t
-  | Or of t * t
-  | Xor of t * t
-  | Shl of t * t
-  | Shr of t * t      (** logical right shift *)
-  | Sar of t * t      (** arithmetic right shift *)
+  | Add of t * t * int
+  | Sub of t * t * int
+  | Mul of t * t * int
+  | Neg of t * int
+  | Not of t * int
+  | And of t * t * int
+  | Or of t * t * int
+  | Xor of t * t * int
+  | Shl of t * t * int
+  | Shr of t * t * int      (** logical right shift *)
+  | Sar of t * t * int      (** arithmetic right shift *)
+(** An interior node's last field is its KEY: a structural hash of its
+    tag and its children's {!hash}es, shifted left once, with the low
+    bit set exactly on canonical nodes.  Leaves carry no key and are
+    always canonical.  The key is a function of structure and
+    canonicity, so polymorphic [compare], [=] and [Hashtbl.hash] are
+    structural: structure decides [compare] before any key is reached,
+    and the order does not depend on which domain interned first.  A
+    raw node ({!Raw}) and a canonical node are never [=], even with one
+    structure: {!simplify} the raw one first.
+
+    Nodes are built only here: by the canonicalizing constructors
+    below, or as they are by {!Raw}. *)
 
 val to_string : t -> string
 
@@ -55,49 +67,75 @@ val linearize : t -> linear option
     linear ([-x - 1]); [Shl x (Const k)] is [2^k · x]. *)
 
 val of_linear : linear -> t
-(** Canonical term for a linear form. *)
+(** Canonical term for a linear form, built from interned nodes. *)
 
 (** {1 Construction and simplification} *)
 
 val simplify : t -> t
 (** Bottom-up canonicalization: exact on the linear fragment, local
     identities elsewhere ([x^x = 0], [x&x = x], constant folding...).
-    Sound: the result evaluates identically under every model.  A
-    non-leaf result is {!intern}ed: [simplify t == intern (simplify t)].
-
-    An input the simplifier has already been seen to leave unchanged
-    (its intern entry carries a fixpoint flag) is answered by one table
-    lookup, without interning the input; the answer is the same node
-    the full path would return.  Leaves are returned as they are. *)
+    Sound: the result evaluates identically under every model.  The
+    result is canonical and its interior nodes are interned.  O(1) on
+    canonical input, which it returns as it is; a raw input (one with a
+    {!Raw} node in it) is never returned unchanged. *)
 
 (** {1 Hash-consing}
 
-    One interning table gives structurally equal terms one physically
-    unique representative.  {!simplify} interns its result, so the
-    canonical forms callers keep (summaries, solver-cache keys, plan
-    conditions) share their nodes, and [compare] on them (hash-table
-    lookups included) short-circuits on [==].  Each entry also records
-    whether {!simplify} has observed it to be a fixpoint.  Thread-safe;
-    shared across domains; it only grows until {!reset_memo}. *)
+    One intern table gives structurally equal canonical terms one
+    physical node: the canonicalizing constructors ({!simplify},
+    {!of_linear}, {!subst} and the smart constructors) look every
+    interior node they build up by a shallow hash of (tag, children's
+    hashes) and the children's identity, and insert it when it is new.
+    Only canonical nodes are interned, never raw ones.  The table is
+    strong, thread-safe and shared by every domain; it only grows until
+    {!reset_memo}.
 
-val intern : t -> t
-(** Canonical representative: [intern a == intern b] iff [a = b]
-    (structural equality).  Idempotent; [intern t = t] always holds
-    structurally.  Entries it creates are not marked as simplifier
-    fixpoints: interning a non-canonical term never makes {!simplify}
-    return it unchanged. *)
+    Contract: no term outlives {!reset_memo} (the harness's
+    [Survey.reset_world] calls it between independent runs; nothing
+    else does).  A term that does stays valid and canonical, and
+    [=], [compare], {!hash} and {!same} treat it as before, but it is no
+    longer [==] to the equal term built after the reset, so the
+    identity fast paths fall back to walking it. *)
+
+val hash : t -> int
+(** Structural hash in O(1): a leaf's payload hash, an interior node's
+    key without its canonical bit.  Structurally equal terms hash alike,
+    raw or canonical. *)
+
+val same : t -> t -> bool
+(** Polymorphic [=] on terms, in O(1) on canonical terms built since the
+    last {!reset_memo}: [==] or differing keys decide, and only a hash
+    collision walks the children. *)
+
+module Raw : sig
+  val add : t -> t -> t
+  val sub : t -> t -> t
+  val mul : t -> t -> t
+  val neg : t -> t
+  val lognot : t -> t
+  val logand : t -> t -> t
+  val logor : t -> t -> t
+  val logxor : t -> t -> t
+  val shl : t -> t -> t
+  val shr : t -> t -> t
+  val sar : t -> t -> t
+end
+(** Nodes exactly as given, neither canonicalized nor interned: inputs
+    for {!simplify} to canonicalize (the property suites build their
+    random terms this way). *)
 
 val memo_stats : unit -> int * int
 (** Always [(0, 0)]: there is no simplify/linearize memo.  A stub kept
     for bench/e2e's trace; delete it in the benchmark PR. *)
 
 val reset_memo : unit -> unit
-(** Drop the intern table, fixpoint flags included. *)
+(** Empty the intern table (see the contract above). *)
 
 val var : string -> t
 val const : int64 -> t
 
-(** Smart constructors (simplify on the way in): *)
+(** Smart constructors: canonicalize the operands (O(1) when they
+    already are) and build the canonical result. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -112,13 +150,14 @@ val shr : t -> t -> t
 val sar : t -> t -> t
 
 val equal : t -> t -> bool
-(** Structural equality after canonicalization: complete on the linear
+(** {!same} after {!simplify}, so O(1) on canonical terms: complete on the linear
     fragment; sound but incomplete elsewhere — terms equal only by an
     identity the simplifier does not canonicalize (an MBA rewrite, say)
     compare unequal.  Nothing is sampled. *)
 
 val subst : (string -> t option) -> t -> t
-(** Replace variables via the function; unmapped variables stay. *)
+(** Replace variables via the function; unmapped variables stay.  The
+    result is canonical. *)
 
 val eval : (string -> int64) -> t -> int64
 (** Concrete evaluation under a valuation.  Shift counts are taken

@@ -64,20 +64,6 @@ let fnv64 ?(h = 0xcbf29ce484222325L) s =
     s;
   !h
 
-(* Fold one 64-bit word into an FNV-1a chain, little-endian byte order,
-   without materializing an 8-byte string.  Used by structural hashers
-   (e.g. the dedup pass) that fold constants and tags directly. *)
-let fnv64_i64 ?(h = 0xcbf29ce484222325L) v =
-  let h = ref h in
-  for i = 0 to 7 do
-    let byte =
-      Int64.to_int (Int64.logand (Int64.shift_right_logical v (i * 8)) 0xffL)
-    in
-    h := Int64.logxor !h (Int64.of_int byte);
-    h := Int64.mul !h 0x100000001b3L
-  done;
-  !h
-
 type load_error =
   | Missing
   | Unreadable of string (* the path exists but could not be read *)

@@ -33,11 +33,6 @@ end
 val fnv64 : ?h:int64 -> string -> int64
 (** 64-bit FNV-1a; [h] seeds chaining ([fnv64 ~h:(fnv64 k) v]). *)
 
-val fnv64_i64 : ?h:int64 -> int64 -> int64
-(** Fold one 64-bit word (little-endian byte order) into an FNV-1a
-    chain without building an intermediate string — for structural
-    hashers that mix constants and tags directly. *)
-
 type load_error =
   | Missing              (** nothing at that path *)
   | Unreadable of string (** something is there but could not be read *)

@@ -85,8 +85,8 @@ let insn : Insn.t QCheck2.Gen.t =
 (* Bit-vector terms over a small variable alphabet. *)
 let term : Gp_smt.Term.t QCheck2.Gen.t =
   let open QCheck2.Gen in
-  let var = map (fun i -> Gp_smt.Term.Var (Printf.sprintf "v%d" i)) (int_range 0 3) in
-  let const = map (fun i -> Gp_smt.Term.Const i) imm64 in
+  let var = map (fun i -> Gp_smt.Term.var (Printf.sprintf "v%d" i)) (int_range 0 3) in
+  let const = map (fun i -> Gp_smt.Term.const i) imm64 in
   fix
     (fun self depth ->
       if depth = 0 then oneof [ var; const ]
@@ -94,19 +94,36 @@ let term : Gp_smt.Term.t QCheck2.Gen.t =
         let sub = self (depth - 1) in
         oneof
           [ var; const;
-            map2 (fun a b -> Gp_smt.Term.Add (a, b)) sub sub;
-            map2 (fun a b -> Gp_smt.Term.Sub (a, b)) sub sub;
-            map2 (fun a b -> Gp_smt.Term.Mul (a, b)) sub sub;
-            map (fun a -> Gp_smt.Term.Neg a) sub;
-            map (fun a -> Gp_smt.Term.Not a) sub;
-            map2 (fun a b -> Gp_smt.Term.And (a, b)) sub sub;
-            map2 (fun a b -> Gp_smt.Term.Or (a, b)) sub sub;
-            map2 (fun a b -> Gp_smt.Term.Xor (a, b)) sub sub;
-            map2 (fun a k -> Gp_smt.Term.Shl (a, Gp_smt.Term.Const (Int64.of_int k)))
+            map2 Gp_smt.Term.Raw.add sub sub;
+            map2 Gp_smt.Term.Raw.sub sub sub;
+            map2 Gp_smt.Term.Raw.mul sub sub;
+            map Gp_smt.Term.Raw.neg sub;
+            map Gp_smt.Term.Raw.lognot sub;
+            map2 Gp_smt.Term.Raw.logand sub sub;
+            map2 Gp_smt.Term.Raw.logor sub sub;
+            map2 Gp_smt.Term.Raw.logxor sub sub;
+            map2 (fun a k -> Gp_smt.Term.Raw.shl a (Gp_smt.Term.const (Int64.of_int k)))
               sub (int_range 0 63);
-            map2 (fun a k -> Gp_smt.Term.Shr (a, Gp_smt.Term.Const (Int64.of_int k)))
+            map2 (fun a k -> Gp_smt.Term.Raw.shr a (Gp_smt.Term.const (Int64.of_int k)))
               sub (int_range 0 63) ])
     3
+
+(* The same term rebuilt bottom-up through the smart constructors. *)
+let rec rebuild (t : Gp_smt.Term.t) =
+  let module T = Gp_smt.Term in
+  match t with
+  | T.Var _ | T.Const _ -> t
+  | T.Add (a, b, _) -> T.add (rebuild a) (rebuild b)
+  | T.Sub (a, b, _) -> T.sub (rebuild a) (rebuild b)
+  | T.Mul (a, b, _) -> T.mul (rebuild a) (rebuild b)
+  | T.Neg (a, _) -> T.neg (rebuild a)
+  | T.Not (a, _) -> T.lognot (rebuild a)
+  | T.And (a, b, _) -> T.logand (rebuild a) (rebuild b)
+  | T.Or (a, b, _) -> T.logor (rebuild a) (rebuild b)
+  | T.Xor (a, b, _) -> T.logxor (rebuild a) (rebuild b)
+  | T.Shl (a, b, _) -> T.shl (rebuild a) (rebuild b)
+  | T.Shr (a, b, _) -> T.shr (rebuild a) (rebuild b)
+  | T.Sar (a, b, _) -> T.sar (rebuild a) (rebuild b)
 
 (* Solver atoms over the same variable alphabet as [term]. *)
 let formula : Gp_smt.Formula.t QCheck2.Gen.t =
@@ -142,3 +159,86 @@ let model : (string -> int64) QCheck2.Gen.t =
 let qtest name ?(count = 200) gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name ~count gen prop)
+
+(* A plain mirror of the term and atom variants as they were before
+   interior term nodes carried a key: the reference for structural order
+   and identity in the hash-consing properties.  Constructor order is
+   the library's, so polymorphic [compare] on mirrors is the structural
+   order the solver's atom sort relies on. *)
+module Mirror = struct
+  type term =
+    | Var of string
+    | Const of int64
+    | Add of term * term
+    | Sub of term * term
+    | Mul of term * term
+    | Neg of term
+    | Not of term
+    | And of term * term
+    | Or of term * term
+    | Xor of term * term
+    | Shl of term * term
+    | Shr of term * term
+    | Sar of term * term
+
+  type atom =
+    | True
+    | False
+    | Eq of term * term
+    | Ne of term * term
+    | Slt of term * term
+    | Sle of term * term
+    | Ult of term * term
+    | Ule of term * term
+    | Readable of term
+    | Writable of term
+
+  module T = Gp_smt.Term
+  module F = Gp_smt.Formula
+
+  let rec term (t : T.t) =
+    match t with
+    | T.Var v -> Var v
+    | T.Const c -> Const c
+    | T.Add (a, b, _) -> Add (term a, term b)
+    | T.Sub (a, b, _) -> Sub (term a, term b)
+    | T.Mul (a, b, _) -> Mul (term a, term b)
+    | T.Neg (a, _) -> Neg (term a)
+    | T.Not (a, _) -> Not (term a)
+    | T.And (a, b, _) -> And (term a, term b)
+    | T.Or (a, b, _) -> Or (term a, term b)
+    | T.Xor (a, b, _) -> Xor (term a, term b)
+    | T.Shl (a, b, _) -> Shl (term a, term b)
+    | T.Shr (a, b, _) -> Shr (term a, term b)
+    | T.Sar (a, b, _) -> Sar (term a, term b)
+
+  let atom (f : F.t) =
+    match f with
+    | F.True -> True
+    | F.False -> False
+    | F.Eq (a, b) -> Eq (term a, term b)
+    | F.Ne (a, b) -> Ne (term a, term b)
+    | F.Slt (a, b) -> Slt (term a, term b)
+    | F.Sle (a, b) -> Sle (term a, term b)
+    | F.Ult (a, b) -> Ult (term a, term b)
+    | F.Ule (a, b) -> Ule (term a, term b)
+    | F.Readable a -> Readable (term a)
+    | F.Writable a -> Writable (term a)
+
+  (* The mirrored structure rebuilt as raw nodes, sharing nothing. *)
+  let rec raw (m : term) : T.t =
+    match m with
+    | Var v -> T.var (String.init (String.length v) (String.get v))
+    | Const c -> T.const c
+    | Add (a, b) -> T.Raw.add (raw a) (raw b)
+    | Sub (a, b) -> T.Raw.sub (raw a) (raw b)
+    | Mul (a, b) -> T.Raw.mul (raw a) (raw b)
+    | Neg a -> T.Raw.neg (raw a)
+    | Not a -> T.Raw.lognot (raw a)
+    | And (a, b) -> T.Raw.logand (raw a) (raw b)
+    | Or (a, b) -> T.Raw.logor (raw a) (raw b)
+    | Xor (a, b) -> T.Raw.logxor (raw a) (raw b)
+    | Shl (a, b) -> T.Raw.shl (raw a) (raw b)
+    | Shr (a, b) -> T.Raw.shr (raw a) (raw b)
+    | Sar (a, b) -> T.Raw.sar (raw a) (raw b)
+end

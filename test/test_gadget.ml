@@ -1,5 +1,7 @@
 (* Tests for gadget extraction, classification, subsumption, and the
-   register-indexed pool. *)
+   register-indexed pool; stage-2 dedup against a structural reference
+   over the survey cells, at jobs 1 and JOBS (default 4), so
+   `make check-plan-par` sweeps it at both job counts. *)
 
 open Gp_x86
 
@@ -133,6 +135,139 @@ let prop_minimize_covers seed =
       List.exists (fun s -> Gp_core.Subsume.semantic_equal s g) minimal)
     gadgets
 
+(* ----- stage-2 dedup against a structural reference -----
+
+   The dedup as it was before terms carried keys: an FNV-1a hash walked
+   over every term and a structural [=] on collision, here over the
+   mirrored terms ([Gen.Mirror]), so it shares no hash, key or identity
+   with the library.  Same components, and the same ones ignored: the
+   [Jfall] target, [kind] and [syscall_state]. *)
+module Ref_dedup = struct
+  module M = Gen.Mirror
+
+  let h_word ~h v =
+    let h = ref h in
+    for i = 0 to 7 do
+      let byte = Int64.to_int (Int64.logand (Int64.shift_right_logical v (i * 8)) 0xffL) in
+      h := Int64.mul (Int64.logxor !h (Int64.of_int byte)) 0x100000001b3L
+    done;
+    !h
+
+  let h_str ~h s = Gp_util.Store.fnv64 ~h s
+
+  let rec term_hash h (t : M.term) =
+    match t with
+    | M.Var v -> h_str ~h:(h_word ~h 1L) v
+    | M.Const c -> h_word ~h:(h_word ~h 2L) c
+    | M.Add (a, b) -> term_hash2 (h_word ~h 3L) a b
+    | M.Sub (a, b) -> term_hash2 (h_word ~h 4L) a b
+    | M.Mul (a, b) -> term_hash2 (h_word ~h 5L) a b
+    | M.Neg a -> term_hash (h_word ~h 6L) a
+    | M.Not a -> term_hash (h_word ~h 7L) a
+    | M.And (a, b) -> term_hash2 (h_word ~h 8L) a b
+    | M.Or (a, b) -> term_hash2 (h_word ~h 9L) a b
+    | M.Xor (a, b) -> term_hash2 (h_word ~h 10L) a b
+    | M.Shl (a, b) -> term_hash2 (h_word ~h 11L) a b
+    | M.Shr (a, b) -> term_hash2 (h_word ~h 12L) a b
+    | M.Sar (a, b) -> term_hash2 (h_word ~h 13L) a b
+
+  and term_hash2 h a b = term_hash (term_hash h a) b
+
+  let formula_hash h (f : M.atom) =
+    match f with
+    | M.True -> h_word ~h 1L
+    | M.False -> h_word ~h 2L
+    | M.Eq (a, b) -> term_hash2 (h_word ~h 3L) a b
+    | M.Ne (a, b) -> term_hash2 (h_word ~h 4L) a b
+    | M.Slt (a, b) -> term_hash2 (h_word ~h 5L) a b
+    | M.Sle (a, b) -> term_hash2 (h_word ~h 6L) a b
+    | M.Ult (a, b) -> term_hash2 (h_word ~h 7L) a b
+    | M.Ule (a, b) -> term_hash2 (h_word ~h 8L) a b
+    | M.Readable a -> term_hash (h_word ~h 9L) a
+    | M.Writable a -> term_hash (h_word ~h 10L) a
+
+  let hash_list fold h xs = List.fold_left fold (h_word ~h (Int64.of_int (List.length xs))) xs
+
+  type key = {
+    jmp : [ `Ret of M.term | `Ind of M.term | `Fall ];
+    post : (int * M.term) list;
+    stack_writes : (int * M.term) list;
+    ptr_writes : (M.term * M.term) list;
+    pre : M.atom list;
+  }
+
+  let key (g : Gp_core.Gadget.t) =
+    { jmp =
+        (match g.Gp_core.Gadget.jmp with
+         | Gp_symx.Exec.Jret t -> `Ret (M.term t)
+         | Gp_symx.Exec.Jind t -> `Ind (M.term t)
+         | Gp_symx.Exec.Jfall _ -> `Fall);
+      post = List.map (fun (r, t) -> (Reg.number r, M.term t)) g.Gp_core.Gadget.post;
+      stack_writes = List.map (fun (o, t) -> (o, M.term t)) g.Gp_core.Gadget.stack_writes;
+      ptr_writes = List.map (fun (a, v) -> (M.term a, M.term v)) g.Gp_core.Gadget.ptr_writes;
+      pre = List.map M.atom g.Gp_core.Gadget.pre }
+
+  let hash k =
+    let h =
+      hash_list (fun h (r, t) -> term_hash (h_word ~h (Int64.of_int r)) t)
+        0xcbf29ce484222325L k.post
+    in
+    let h =
+      match k.jmp with
+      | `Ret t -> term_hash (h_word ~h 0x10L) t
+      | `Ind t -> term_hash (h_word ~h 0x11L) t
+      | `Fall -> h_word ~h 0x12L
+    in
+    let h = hash_list (fun h (o, t) -> term_hash (h_word ~h (Int64.of_int o)) t) h k.stack_writes in
+    let h = hash_list (fun h (a, v) -> term_hash (term_hash h a) v) h k.ptr_writes in
+    hash_list formula_hash h k.pre
+
+  let dedup gadgets =
+    let seen : (int64, key list) Hashtbl.t = Hashtbl.create 1024 in
+    List.filter
+      (fun g ->
+        let k = key g in
+        let h = hash k in
+        let bucket = Option.value (Hashtbl.find_opt seen h) ~default:[] in
+        if List.mem k bucket then false
+        else begin
+          Hashtbl.replace seen h (k :: bucket);
+          true
+        end)
+      gadgets
+end
+
+let dedup_jobs =
+  match Sys.getenv_opt "JOBS" with
+  | Some s -> (try max 1 (int_of_string s) with _ -> 4)
+  | None -> 4
+
+(* Over every survey cell, with the harvest extracted (and its terms
+   interned) at jobs 1 and at JOBS on an emptied intern table: the
+   identity-keyed dedup keeps exactly the reference's survivors, in the
+   same order. *)
+let test_dedup_vs_reference () =
+  let survivors gs = List.map (fun g -> (g.Gp_core.Gadget.id, g.Gp_core.Gadget.addr)) gs in
+  Gp_harness.Survey.survey_cells Gp_harness.Survey.full_grid (fun entry cname cfg ->
+      let image =
+        Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg)
+          entry.Gp_corpus.Programs.source
+      in
+      List.iter
+        (fun jobs ->
+          Gp_harness.Survey.reset_world ();
+          let _, harvest =
+            Gp_core.Api.stage_subsume
+              (Gp_core.Api.stage_extract ~jobs ~ids:(Gp_core.Gadget.local_ids ()) image)
+          in
+          let got = Gp_core.Subsume.dedup harvest in
+          let want = Ref_dedup.dedup harvest in
+          if survivors got <> survivors want then
+            Alcotest.failf "%s/%s jobs %d: %d survivors, reference %d"
+              entry.Gp_corpus.Programs.name cname jobs (List.length got) (List.length want))
+        [ 1; dedup_jobs ])
+  |> ignore
+
 let suite =
   [ Alcotest.test_case "record fields (Table II)" `Quick test_record_fields;
     Alcotest.test_case "classification" `Quick test_classification;
@@ -143,4 +278,6 @@ let suite =
     Alcotest.test_case "different effects kept" `Quick test_subsume_different_effects_kept;
     Alcotest.test_case "pool indexing" `Quick test_pool_indexing;
     Gen.qtest "minimize covers inputs" ~count:50 QCheck2.Gen.(int_range 0 100000)
-      prop_minimize_covers ]
+      prop_minimize_covers;
+    Alcotest.test_case "dedup = structural reference over the survey cells" `Slow
+      test_dedup_vs_reference ]

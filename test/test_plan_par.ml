@@ -9,10 +9,11 @@
    - fault injection under parallel validation: the chain-keyed
      emulator fuse (plus the keyed decode/solver schedules) must hit
      the same items at jobs 1/2/4, so outcomes are invariant;
-   - hash-consing properties: [Term.intern] gives physical equality
-     exactly on structural equality, simplify is idempotent under
-     interning and returns the interned node, its fixpoint flags make a
-     warm table answer exactly as a cold one (from 4 domains too), the
+   - hash-consing properties: canonical terms are physically equal
+     exactly when structurally equal (built on 4 domains too), simplify
+     is idempotent, returns the interned node and never a raw input
+     unchanged, a warm table answers exactly as a cold one (from 4
+     domains too), the reset contract holds, the
      per-base layout pools match the per-query construction, and the
      pool-keyed solver memo is semantically transparent — a hit replays
      through the query's own substitution, from any domain.
@@ -223,51 +224,64 @@ let test_keyed_fuse_pure () =
 
 (* ----- hash-consing properties ----- *)
 
-(* Physical equality of interned terms is exactly structural equality. *)
-let prop_intern_physeq (a, b) =
-  Gp_smt.Term.intern a == Gp_smt.Term.intern b = (a = b)
-
-(* Interning never changes the term's structure. *)
-let prop_intern_identity t = Gp_smt.Term.intern t = t
-
-(* Simplify is idempotent, and stays so through the interning table. *)
-let prop_simplify_idempotent_interned t =
-  let s = Gp_smt.Term.simplify t in
-  Gp_smt.Term.simplify (Gp_smt.Term.intern s) = s
-  && Gp_smt.Term.simplify s = s
-
-(* Simplify hands back the interned node itself, not a structural copy:
-   that sharing is what keeps resident summaries and cache keys small.
-   Leaves are returned as they are. *)
-let prop_simplify_result_interned t =
-  match Gp_smt.Term.simplify t with
-  | Gp_smt.Term.Var _ | Gp_smt.Term.Const _ -> true
-  | _ -> Gp_smt.Term.simplify t == Gp_smt.Term.intern (Gp_smt.Term.simplify t)
-
-(* ----- simplify's fixpoint flags -----
-
-   [simplify] answers an input whose intern entry carries a fixpoint flag
-   with one table lookup.  The flag must record an observed fixpoint and
-   nothing else, so a warm table answers exactly what a cold one does. *)
-
 module T = Gp_smt.Term
+module M = Gen.Mirror
 
 let is_leaf = function T.Var _ | T.Const _ -> true | _ -> false
+
+(* A structural copy sharing no node with its source, built raw. *)
+let copy (t : T.t) : T.t = M.raw (M.term t)
+
+(* Physical equality of canonical interior nodes is exactly structural
+   equality. *)
+let prop_intern_physeq (a, b) =
+  let a = T.simplify a and b = T.simplify b in
+  is_leaf a || is_leaf b || (a == b) = (M.term a = M.term b)
+
+(* The key is structural: a raw copy of a canonical term hashes as the
+   term does, is [same] only once simplified, and simplifies back to
+   the same structure. *)
+let prop_intern_identity t =
+  let s = T.simplify t in
+  let c = copy s in
+  T.hash c = T.hash s
+  && (is_leaf s || not (T.same c s))
+  && T.same (T.simplify c) s
+  && M.term (T.simplify c) = M.term s
+
+(* Simplify is idempotent: a canonical input comes back as it is. *)
+let prop_simplify_idempotent_interned t =
+  let s = T.simplify t in
+  T.simplify s == s && T.simplify (copy s) = s
+
+(* Every interior node of a simplify result is the interned node: a raw
+   copy of any of its subterms resolves to that very subterm. *)
+let prop_simplify_result_interned t =
+  let rec interned u =
+    is_leaf u
+    || T.simplify (copy u) == u
+       &&
+       match u with
+       | T.Var _ | T.Const _ -> true
+       | T.Neg (a, _) | T.Not (a, _) -> interned a
+       | T.Add (a, b, _) | T.Sub (a, b, _) | T.Mul (a, b, _) | T.And (a, b, _)
+       | T.Or (a, b, _) | T.Xor (a, b, _) | T.Shl (a, b, _) | T.Shr (a, b, _)
+       | T.Sar (a, b, _) ->
+         interned a && interned b
+  in
+  interned (T.simplify t)
 
 (* Each term simplified on a freshly emptied table. *)
 let cold ts =
   List.map
     (fun t ->
       T.reset_memo ();
-      T.simplify t)
+      M.term (T.simplify t))
     ts
 
-(* A structural copy sharing no node with its source. *)
-let copy (t : T.t) : T.t = Marshal.from_string (Marshal.to_string t [ Marshal.No_sharing ]) 0
-
 (* Cold vs warm: warming the table by simplifying the list and its
-   results, twice, flags every canonical form in it; the answers must
-   still be the cold ones, and non-leaf answers the interned nodes. *)
+   results, twice, must not change an answer, and non-leaf answers are
+   the interned nodes. *)
 let prop_warm_equals_cold ts =
   let expect = cold ts in
   T.reset_memo ();
@@ -276,7 +290,7 @@ let prop_warm_equals_cold ts =
   done;
   let warm = List.map T.simplify ts in
   List.for_all2
-    (fun w e -> w = e && (is_leaf w || (w == T.intern w && T.simplify w == w)))
+    (fun w e -> M.term w = e && (is_leaf w || T.simplify (copy w) == w))
     warm expect
 
 (* A fresh copy of a canonical term resolves to the very same node. *)
@@ -284,18 +298,19 @@ let prop_fresh_copy_same_node t =
   let s = T.simplify t in
   is_leaf s || (T.simplify s == s && T.simplify (copy s) == s)
 
-(* Entries made by [intern] are not observed fixpoints: a
-   non-canonical term reaching the table that way must still be
-   simplified, not handed back as it is. *)
-let prop_unflagged_entries t =
-  match cold [ t ] with
-  | [ expect ] ->
-    T.reset_memo ();
-    T.simplify (T.intern t) = expect
-  | _ -> false
+(* No raw input comes back unchanged, even when its canonical form is
+   already in the table: the raw copy of a canonical term still
+   resolves to the interned node, and a raw term's answer is canonical. *)
+let prop_raw_never_returned t =
+  let s = T.simplify t in
+  let c = copy s in
+  (is_leaf t || T.simplify t != t)
+  && (is_leaf c || T.simplify c != c)
+  && T.simplify s == s
 
 (* Four domains simplifying the same terms on one table get physically
-   identical answers, equal to the cold ones. *)
+   identical answers (leaves, which are not interned, equal ones), equal
+   to the cold ones. *)
 let prop_four_domains ts =
   let expect = cold ts in
   T.reset_memo ();
@@ -307,18 +322,63 @@ let prop_four_domains ts =
                List.map T.simplify ts)))
   in
   let first = List.hd answers in
-  first = expect && List.for_all (List.for_all2 ( == ) first) answers
+  let identical a b = if is_leaf a then T.same a b else a == b in
+  List.map M.term first = expect && List.for_all (List.for_all2 identical first) answers
 
-(* A non-canonical term that the fixpoint path must not short-circuit:
-   interning it makes an unflagged entry for the un-simplified form. *)
-let test_unflagged_pinned () =
-  let t = T.Add (T.Var "v0", T.Var "v0") in
-  let expect = T.Mul (T.Const 2L, T.Var "v0") in
-  Alcotest.(check bool) "cold" true (List.hd (cold [ t ]) = expect);
-  ignore (T.intern t);
-  Alcotest.(check bool) "after intern" true (T.simplify t = expect);
-  Alcotest.(check bool) "after intern, interned input" true
-    (T.simplify (T.intern t) = expect)
+(* Structurally equal canonical terms built on four domains are one
+   node: each domain builds its own raw copies of the terms, in its own
+   order, and canonicalizes them through the smart constructors. *)
+let prop_four_domains_build ts =
+  T.reset_memo ();
+  let built =
+    List.map Domain.join
+      (List.init 4 (fun d ->
+           Domain.spawn (fun () ->
+               let mine = List.map copy ts in
+               let order = if d mod 2 = 0 then mine else List.rev mine in
+               let out = List.map (fun t -> (t, Gen.rebuild t)) order in
+               List.map (fun t -> List.assq t out) mine)))
+  in
+  let all = List.concat built in
+  List.for_all
+    (fun a ->
+      List.for_all
+        (fun b -> is_leaf a || is_leaf b || (a == b) = (M.term a = M.term b))
+        all)
+    all
+
+(* The reset contract (term.mli): a canonical term that outlives
+   [reset_memo] stays canonical and keeps its structural [=], [compare],
+   [hash] and [same], but is no longer the node an equal term built
+   afterwards resolves to; that term is the new table's node. *)
+let test_reset_contract () =
+  let v n = T.var n in
+  let build () = T.add (T.logand (v "x") (v "y")) (T.mul (T.const 3L) (v "z")) in
+  let before = build () in
+  Alcotest.(check bool) "one table: one node" true (build () == before);
+  Gp_harness.Survey.reset_world ();
+  let after = build () in
+  Alcotest.(check bool) "not the same node" false (after == before);
+  Alcotest.(check bool) "structurally equal" true (after = before);
+  Alcotest.(check int) "compare" 0 (compare after before);
+  Alcotest.(check int) "hash" (T.hash before) (T.hash after);
+  Alcotest.(check bool) "same" true (T.same after before && T.equal after before);
+  Alcotest.(check bool) "old node still canonical" true (T.simplify before == before);
+  Alcotest.(check bool) "new table's node" true (T.simplify (copy before) == after)
+
+(* A raw input whose canonical form is in the table is still simplified,
+   not handed back as it is. *)
+let test_raw_pinned () =
+  let x = T.var "v0" in
+  let t = T.Raw.add x x in
+  let expect = T.mul (T.const 2L) x in
+  Alcotest.(check bool) "canonical form" true (M.term (T.simplify t) = M.term expect);
+  Alcotest.(check bool) "interned" true (T.simplify t == expect);
+  let raw_canon = T.Raw.mul (T.const 2L) x in
+  Alcotest.(check bool) "raw copy of a canonical form" true
+    (M.term raw_canon = M.term expect && not (T.same raw_canon expect));
+  Alcotest.(check bool) "resolves to the interned node" true
+    (T.simplify raw_canon == expect)
 
 (* Layout builds its rotated pools once per payload base: for every salt,
    before and after re-pointing the base, [pool ~salt] carries exactly
@@ -369,7 +429,7 @@ let prop_pool_key_verdict fs =
    caller's order, the keyed memo in canonical order, so the two Sat
    models swapped the pool addresses. *)
 let test_pool_key_verdict_pinned () =
-  let v n = Gp_smt.Term.Var n in
+  let v n = Gp_smt.Term.var n in
   let fs = Gp_smt.Formula.[ Readable (v "v1"); Readable (v "v0") ] in
   Alcotest.(check bool) "plain = keyed miss = keyed hit" true
     (prop_pool_key_verdict fs);
@@ -390,17 +450,17 @@ let memo_pool () = (Gp_core.Layout.pool ~salt:3, Gp_core.Layout.pool_key ~salt:3
    itself shows that the replay went through sigma. *)
 let memo_first, memo_hits =
   let open Gp_smt.Formula in
-  let x = Gp_smt.Term.Var "x" and y = Gp_smt.Term.Var "y" in
-  let zero = Gp_smt.Term.Const 0L in
+  let x = Gp_smt.Term.var "x" and y = Gp_smt.Term.var "y" in
+  let zero = Gp_smt.Term.const 0L in
   let first = [ Ne (y, zero) ] in
   ( first,
-    [ first @ [ Eq (x, Gp_smt.Term.Add (y, Gp_smt.Term.Const 5L)) ];
+    [ first @ [ Eq (x, Gp_smt.Term.Raw.add y (Gp_smt.Term.const 5L)) ];
       first @ [ Eq (x, zero) ] ] )
 
 (* No trial can pass: a square is never 3 mod 8. *)
 let memo_exhausted =
-  let x = Gp_smt.Term.Var "x" in
-  Gp_smt.Formula.[ Eq (Gp_smt.Term.Mul (x, x), Gp_smt.Term.Const 3L) ]
+  let x = Gp_smt.Term.var "x" in
+  Gp_smt.Formula.[ Eq (Gp_smt.Term.Raw.mul x x, Gp_smt.Term.const 3L) ]
 
 let same_result a b =
   let module S = Gp_smt.Solver in
@@ -482,11 +542,14 @@ let suite =
     Gen.qtest "simplify: fresh copy of canonical is the same node" ~count:300
       Gen.term prop_fresh_copy_same_node;
     Gen.qtest "simplify: interned entries do not short-circuit" ~count:300
-      Gen.term prop_unflagged_entries;
-    Alcotest.test_case "simplify: unflagged entry, pinned" `Quick
-      test_unflagged_pinned;
+      Gen.term prop_raw_never_returned;
+    Alcotest.test_case "simplify: raw input, pinned" `Quick test_raw_pinned;
     Gen.qtest "simplify: four domains, identical nodes" ~count:20
       QCheck2.Gen.(list_size (int_range 1 40) Gen.term) prop_four_domains;
+    Gen.qtest "hash-consing: equal terms built on four domains are one node"
+      ~count:20
+      QCheck2.Gen.(list_size (int_range 1 30) Gen.term) prop_four_domains_build;
+    Alcotest.test_case "hash-consing: reset contract" `Quick test_reset_contract;
     Alcotest.test_case "layout pools built once per base" `Quick
       test_layout_pools_per_base;
     Gen.qtest "pool-keyed verdict stable" ~count:100 Gen.formulas

@@ -224,7 +224,7 @@ let test_planner_budget_hit () =
 
 let test_faultsim_solver_unknowns () =
   let sat_formula =
-    Gp_smt.Formula.Eq (Gp_smt.Term.Const 1L, Gp_smt.Term.Const 1L)
+    Gp_smt.Formula.Eq (Gp_smt.Term.const 1L, Gp_smt.Term.const 1L)
   in
   let cfg = { Gp_harness.Faultsim.disabled with solver_rate = 1.; seed = 3 } in
   let u0 = Atomic.get Gp_smt.Solver.unknowns in

@@ -51,22 +51,7 @@ let prop_simplify_sound (t, m) =
 
 let prop_smart_constructors_sound (t, m) =
   (* rebuilding through smart constructors preserves value *)
-  let rec rebuild t =
-    match t with
-    | Term.Var _ | Term.Const _ -> t
-    | Term.Add (a, b) -> Term.add (rebuild a) (rebuild b)
-    | Term.Sub (a, b) -> Term.sub (rebuild a) (rebuild b)
-    | Term.Mul (a, b) -> Term.mul (rebuild a) (rebuild b)
-    | Term.Neg a -> Term.neg (rebuild a)
-    | Term.Not a -> Term.lognot (rebuild a)
-    | Term.And (a, b) -> Term.logand (rebuild a) (rebuild b)
-    | Term.Or (a, b) -> Term.logor (rebuild a) (rebuild b)
-    | Term.Xor (a, b) -> Term.logxor (rebuild a) (rebuild b)
-    | Term.Shl (a, b) -> Term.shl (rebuild a) (rebuild b)
-    | Term.Shr (a, b) -> Term.shr (rebuild a) (rebuild b)
-    | Term.Sar (a, b) -> Term.sar (rebuild a) (rebuild b)
-  in
-  Term.eval m t = Term.eval m (rebuild t)
+  Term.eval m t = Term.eval m (Gen.rebuild t)
 
 let prop_linearize_sound (t, m) =
   match Term.linearize t with
@@ -377,7 +362,7 @@ let old_search ~pool formulas r_atoms =
   end
 
 let is_linear_eq = function
-  | Formula.Eq (a, b) -> Term.linearize (Term.Sub (a, b)) <> None
+  | Formula.Eq (a, b) -> Term.linearize (Term.Raw.sub a b) <> None
   | _ -> false
 
 (* [Solver.check ~pool formulas] before the compiled search, for the
@@ -447,29 +432,29 @@ let query_gen : Formula.t list QCheck2.Gen.t =
         Gen.imm64 ]
   in
   let term nvars =
-    let var = map (fun i -> Term.Var (Printf.sprintf "v%02d" i)) (int_range 0 (nvars - 1)) in
-    let const = map (fun k -> Term.Const k) const in
+    let var = map (fun i -> Term.var (Printf.sprintf "v%02d" i)) (int_range 0 (nvars - 1)) in
+    let const = map Term.const const in
     fix
       (fun self depth ->
         if depth = 0 then oneof [ var; const ]
         else
           let sub = self (depth - 1) in
           let count =
-            oneof [ map (fun k -> Term.Const (Int64.of_int k)) (int_range 0 130); sub ]
+            oneof [ map (fun k -> Term.const (Int64.of_int k)) (int_range 0 130); sub ]
           in
           oneof
             [ var; const;
-              map2 (fun a b -> Term.Add (a, b)) sub sub;
-              map2 (fun a b -> Term.Sub (a, b)) sub sub;
-              map2 (fun a b -> Term.Mul (a, b)) sub sub;
-              map (fun a -> Term.Neg a) sub;
-              map (fun a -> Term.Not a) sub;
-              map2 (fun a b -> Term.And (a, b)) sub sub;
-              map2 (fun a b -> Term.Or (a, b)) sub sub;
-              map2 (fun a b -> Term.Xor (a, b)) sub sub;
-              map2 (fun a k -> Term.Shl (a, k)) sub count;
-              map2 (fun a k -> Term.Shr (a, k)) sub count;
-              map2 (fun a k -> Term.Sar (a, k)) sub count ])
+              map2 Term.Raw.add sub sub;
+              map2 Term.Raw.sub sub sub;
+              map2 Term.Raw.mul sub sub;
+              map Term.Raw.neg sub;
+              map Term.Raw.lognot sub;
+              map2 Term.Raw.logand sub sub;
+              map2 Term.Raw.logor sub sub;
+              map2 Term.Raw.logxor sub sub;
+              map2 Term.Raw.shl sub count;
+              map2 Term.Raw.shr sub count;
+              map2 Term.Raw.sar sub count ])
       3
   in
   let atom nvars =
@@ -489,11 +474,12 @@ let query_gen : Formula.t list QCheck2.Gen.t =
     let* bound = const in
     let sum =
       List.fold_left
-        (fun acc (i, k) -> Term.Add (acc, Term.Mul (Term.Const k, Term.Var (Printf.sprintf "v%02d" i))))
-        (Term.Const 0L)
+        (fun acc (i, k) ->
+          Term.Raw.add acc (Term.Raw.mul (Term.const k) (Term.var (Printf.sprintf "v%02d" i))))
+        (Term.const 0L)
         (List.mapi (fun i k -> (i, k)) coeffs)
     in
-    oneofl [ Formula.Ult (sum, Term.Const bound); Formula.Ne (sum, Term.Const bound) ]
+    oneofl [ Formula.Ult (sum, Term.const bound); Formula.Ne (sum, Term.const bound) ]
   in
   let* nvars = oneofl [ 2; 4; shared_arities + 3 ] in
   let* atoms = list_size (int_range 1 4) (atom nvars) in
@@ -560,10 +546,77 @@ let test_search_domains () =
         sequential)
     workers
 
+(* ----- structural order against the pre-key variant -----
+
+   [Cache.canon] sorts atoms with polymorphic [compare], and the
+   reduction pins pointer atoms in that order, so the order of terms and
+   atoms must be the structural order of the variant before interior
+   nodes carried keys ([Gen.Mirror]).  Terms over a small alphabet, so
+   pairs share subterms and ties below the root are common; raw terms
+   are compared with raw ones and canonical with canonical ones, the
+   only mix the solver sees. *)
+
+let small_term =
+  let open QCheck2.Gen in
+  let leaf =
+    oneof
+      [ map (fun i -> Term.var (Printf.sprintf "v%d" i)) (int_range 0 2);
+        map Term.const (oneofl [ 0L; 1L; 2L; -1L; 8L ]) ]
+  in
+  fix
+    (fun self depth ->
+      if depth = 0 then leaf
+      else
+        let sub = self (depth - 1) in
+        oneof
+          [ leaf;
+            map2 Term.Raw.add sub sub;
+            map2 Term.Raw.sub sub sub;
+            map2 Term.Raw.mul sub sub;
+            map Term.Raw.neg sub;
+            map Term.Raw.lognot sub;
+            map2 Term.Raw.logand sub sub;
+            map2 Term.Raw.logor sub sub;
+            map2 Term.Raw.logxor sub sub;
+            map2 Term.Raw.shl sub sub;
+            map2 Term.Raw.shr sub sub;
+            map2 Term.Raw.sar sub sub ])
+    3
+
+let prop_compare_mirror ts =
+  let module M = Gen.Mirror in
+  let sign x = compare x 0 in
+  let agree xs mirror =
+    List.for_all
+      (fun a ->
+        List.for_all
+          (fun b -> sign (compare a b) = sign (compare (mirror a) (mirror b)))
+          xs)
+      xs
+  in
+  let atoms ts =
+    List.concat_map
+      (fun a ->
+        Formula.[ Readable a; Writable a ]
+        @ List.concat_map (fun b -> Formula.[ Eq (a, b); Ne (a, b); Ult (a, b); Sle (a, b) ]) ts)
+      ts
+  in
+  let canon_ts = List.map Term.simplify ts in
+  let canon_atoms = List.map Formula.simplify (atoms ts) in
+  agree ts M.term
+  && agree canon_ts M.term
+  && agree (atoms ts) M.atom
+  && agree canon_atoms M.atom
+  && List.map M.atom (Cache.canon (atoms ts))
+     = List.sort_uniq compare (List.map M.atom canon_atoms)
+
 let suite =
   suite
   @ [ Alcotest.test_case "trial table rows are the old draws" `Quick test_trial_rows;
       QCheck_alcotest.to_alcotest
         (QCheck2.Test.make ~name:"compiled search = old trial loop" ~count:400
            ~print:print_query query_gen prop_compiled_search);
-      Alcotest.test_case "search on 4 domains = 1 domain" `Quick test_search_domains ]
+      Alcotest.test_case "search on 4 domains = 1 domain" `Quick test_search_domains;
+      QCheck_alcotest.to_alcotest
+        (QCheck2.Test.make ~name:"compare agrees with the pre-key mirror" ~count:200
+           QCheck2.Gen.(list_size (int_range 2 6) small_term) prop_compare_mirror) ]
