@@ -3,23 +3,26 @@
 # errors) plus the test suite under a wall-clock cap, so a hung planner
 # test fails fast instead of wedging CI.
 #
-# `make check-par` re-runs the suite at JOBS=1 and JOBS=4: the
-# differential tests in test_par compare each job count against the
-# sequential pipeline, so the two sweeps together pin down the
-# determinism contract (DESIGN.md "Parallel execution & determinism").
+# `make check-par` re-runs the suite at JOBS=1 and JOBS=4.  A request
+# runs on one domain; JOBS sizes how many requests (survey cells,
+# daemon requests, harvests) the concurrency differentials run at once
+# on a Sched.Service pool, and test_par compares them against the same
+# requests run one at a time, so the two sweeps together pin down the
+# determinism contract (DESIGN.md "Concurrency & determinism").
 #
 # `make check-plan-par` sweeps the stage 3-4 suites and the suites of
 # the intern table they share (test_plan_par: portfolio planning, the
 # request-scoped candidate table shared by the portfolio's roots,
-# parallel validation, hash-consing — equal canonical terms built on
-# four domains are one node; test_planner: the search itself and the
-# compute-once table under several domains; test_smt: simplification,
-# the solver, and structural order against a plain mirror of the term
-# variant; test_gadget: stage-2 dedup against a structural reference
-# over the survey cells at JOBS) at JOBS=1 and JOBS=4 via the SUITES
-# filter in test_main: the intern table is shared by every domain, so
-# both job counts run.  The cheap spot-check for planner and term
-# changes; `make check` runs both sweeps.
+# validation under concurrent requests, hash-consing — equal canonical
+# terms built on four domains are one node; test_planner: the search
+# itself, with JOBS searches over one pool at once; test_smt:
+# simplification, the solver, and structural order against a plain
+# mirror of the term variant; test_gadget: stage-2 dedup against a
+# structural reference over the survey cells, extracted alone and as
+# JOBS concurrent requests) at JOBS=1 and JOBS=4 via the SUITES filter
+# in test_main: the intern table is shared by every domain, so both
+# sizes run.  The cheap spot-check for planner and term changes; `make
+# check` runs both sweeps.
 #
 # `make check-emu` sweeps the emulator and everything that runs it
 # (test_emu: paged copy-on-write memory against a flat reference model,
@@ -31,16 +34,17 @@
 #
 # `make check-incr` sweeps the image-memo suite (test_incr: cold vs
 # warm over the in-process image memo, counter determinism, and memo
-# replay under injected faults, global ids and short fuel — DESIGN.md
-# §11) the same way.
+# replay under injected faults, global ids and short fuel, with the
+# requests run as JOBS concurrent copies — DESIGN.md §11) the same way.
 #
 # `make check-screen` sweeps the suites that together show solver
 # screening and the compiled model search change no answer (DESIGN.md
 # §2, §12; both tiers screen plan instantiation's `check` only):
 # test_screen (the 21-cell survey cold, after `Survey.reset_world`, vs
-# warm at jobs 1 and 4, with Tier A required to decide queries and the
-# warm runs required to hit the one solver memo, `Solver.pool_memo`;
-# counter determinism and attribution; fault sweeps), test_smt (Tier
+# warm, one cell at a time and as concurrent requests on JOBS domains,
+# with Tier A required to decide queries and the warm runs required to
+# hit the one solver memo, `Solver.pool_memo`; counter determinism and
+# attribution; fault sweeps), test_smt (Tier
 # A's abstract verdicts agree with concrete evaluation; the trial table
 # is the old search's draws, the compiled search answers as the old
 # trial loop, and four domains sharing the table answer as one) and

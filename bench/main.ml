@@ -74,7 +74,7 @@ let bechamel_tests () =
       (Staged.stage (fun () -> ignore (Gp_core.Subsume.minimize harvested)));
     Test.make ~name:"tab4/plan"
       (Staged.stage (fun () ->
-           ignore (Gp_core.Planner.search_par ~config:tiny_planner pool goal)));
+           ignore (Gp_core.Planner.search ~config:tiny_planner pool goal)));
     (* Fig. 5 rests on the obfuscation passes + compile *)
     Test.make ~name:"fig5/obfuscate+compile"
       (Staged.stage (fun () ->

@@ -95,11 +95,13 @@ let budget_arg =
 
 let budget_of = Option.map (fun s -> Gp_core.Budget.create ~label:"cli" ~seconds:s ())
 
+(* survey cells and daemon requests run concurrently, each on one
+   domain; a single request is sequential *)
 let jobs_arg =
   Arg.(value & opt int 1
        & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Domains for all four pipeline stages — extraction, \
-                 subsumption, planning, validation (results are \
+           ~doc:"Domains running cells (survey) or requests (serve) \
+                 concurrently, one domain each (results are \
                  deterministic and identical to -j 1).")
 
 let json_errors_arg =
@@ -141,7 +143,7 @@ let compile_cmd =
 (* ----- scan ----- *)
 
 let scan_cmd =
-  let run prog obf jobs =
+  let run prog obf =
     let image = compile_image prog obf in
     let counts = Gp_core.Extract.raw_counts image in
     let total = List.fold_left (fun a (_, c) -> a + c) 0 counts in
@@ -149,7 +151,7 @@ let scan_cmd =
     List.iter
       (fun (k, c) -> Printf.printf "  %-6s %6d\n" (Gp_core.Gadget.kind_name k) c)
       counts;
-    let a = Gp_core.Api.analyze ~jobs image in
+    let a = Gp_core.Api.analyze image in
     Printf.printf
       "planner pool: %d summaries -> %d deduped -> pool %d (%d cut by the \
        bucket cap)\n"
@@ -157,7 +159,7 @@ let scan_cmd =
       (Gp_core.Pool.size a.Gp_core.Api.pool) a.Gp_core.Api.subsume_capped
   in
   Cmd.v (Cmd.info "scan" ~doc:"Count gadgets (the Fig. 1 / Table I census).")
-    Term.(const run $ prog_arg $ obf_arg $ jobs_arg)
+    Term.(const run $ prog_arg $ obf_arg)
 
 (* ----- plan ----- *)
 
@@ -171,10 +173,10 @@ let plan_cmd =
              ~doc:"Print per-stage statistics (planner counters, memo \
                    hits, stage seconds).")
   in
-  let run prog obf goal maxn budget jobs stats json_errors =
+  let run prog obf goal maxn budget stats json_errors =
     let image = compile_image prog obf in
     let o =
-      Gp_core.Api.run ?budget:(budget_of budget) ~jobs
+      Gp_core.Api.run ?budget:(budget_of budget)
         ~planner_config:{ Gp_core.Planner.default_config with max_plans = maxn }
         image (Gp_harness.Serve.goal_of_name goal)
     in
@@ -241,7 +243,7 @@ let plan_cmd =
   in
   Cmd.v (Cmd.info "plan" ~doc:"Build validated code-reuse payloads.")
     Term.(const run $ prog_arg $ obf_arg $ goal_arg $ max_arg
-          $ budget_arg $ jobs_arg $ stats_arg $ json_errors_arg)
+          $ budget_arg $ stats_arg $ json_errors_arg)
 
 (* ----- survey ----- *)
 
@@ -349,11 +351,11 @@ let survey_cmd =
 (* ----- netperf ----- *)
 
 let netperf_cmd =
-  let run (config_name, cfg) budget jobs json_errors =
+  let run (config_name, cfg) budget json_errors =
     let budget = budget_of budget in
     match
       Gp_harness.Netperf_attack.run ?budget
-        (Gp_harness.Workspace.build ~config_name ~cfg ?budget ~jobs
+        (Gp_harness.Workspace.build ~config_name ~cfg ?budget
            Gp_corpus.Netperf.entry)
     with
     | None ->
@@ -371,7 +373,7 @@ let netperf_cmd =
       | [] -> ()
   in
   Cmd.v (Cmd.info "netperf" ~doc:"Run the netperf end-to-end case study.")
-    Term.(const run $ obf_arg $ budget_arg $ jobs_arg $ json_errors_arg)
+    Term.(const run $ obf_arg $ budget_arg $ json_errors_arg)
 
 (* ----- serve / submit (DESIGN.md §15) ----- *)
 
@@ -417,7 +419,7 @@ let submit_cmd =
          & info [ "shutdown" ]
              ~doc:"After the analysis, ask the daemon to shut down.")
   in
-  let run prog obf goal maxn budget jobs socket shutdown json_errors =
+  let run prog obf goal maxn budget socket shutdown json_errors =
     let module Sv = Gp_harness.Serve in
     let fail label detail =
       emit_failure ~json:json_errors label detail;
@@ -428,8 +430,7 @@ let submit_cmd =
       { (Sv.default_request image) with
         Sv.rq_goal = goal;
         rq_budget_s = Option.value budget ~default:0.;
-        rq_max_plans = maxn;
-        rq_jobs = jobs }
+        rq_max_plans = maxn }
     in
     match Sv.Client.connect socket with
     | Error why -> fail "frame-disconnect" ("cannot reach daemon: " ^ why)
@@ -481,7 +482,7 @@ let submit_cmd =
        ~doc:"Compile a program and submit it to a running daemon; the \
              report is identical to running $(b,plan) locally.")
     Term.(const run $ prog_arg $ obf_arg $ goal_arg $ max_arg $ budget_arg
-          $ jobs_arg $ socket_arg $ shutdown_arg $ json_errors_arg)
+          $ socket_arg $ shutdown_arg $ json_errors_arg)
 
 (* ----- disasm ----- *)
 

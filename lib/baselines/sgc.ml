@@ -86,12 +86,12 @@ let run ?(pool : Gp_core.Gadget.t list option) ?budget
         else false
       end
   in
-  (* the pipeline's portfolio search on one domain, every root behind
-     the one gate: chains arrive in root order, and the first
-     [max_plans] of them are SGC's *)
+  (* the pipeline's portfolio search, every root behind the one gate:
+     chains arrive in root order, and the first [max_plans] of them are
+     SGC's *)
   let _ =
-    Gp_core.Planner.search_par ~config:planner_config
-      ~accept_for:(fun _ -> accept) ?budget ~jobs:1
+    Gp_core.Planner.search ~config:planner_config
+      ~accept_for:(fun _ -> accept) ?budget
       (Gp_core.Pool.build restricted) concrete
   in
   { Report.tool = name;

@@ -54,7 +54,7 @@ type stage_stats = {
          unbuildable payload, failed validation) *)
   screen_decided : int;
       (* Tier A: check queries decided abstractly.  Counted per query
-         answered and job-count-invariant (same discipline as
+         answered, before the memo (same discipline as
          solver_unknowns) *)
   summary_hits : int;
   summary_misses : int;
@@ -132,7 +132,7 @@ type extracted = {
   ex_extract_time : float;
 }
 
-let stage_extract ?budget ?(jobs = 1) ?ids (image : Gp_util.Image.t) :
+let stage_extract ?budget ?ids (image : Gp_util.Image.t) :
     extracted =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
   let (harvested, hstats), extract_time =
@@ -141,7 +141,7 @@ let stage_extract ?budget ?(jobs = 1) ?ids (image : Gp_util.Image.t) :
           timed (fun () ->
               Extract.harvest_r
                 ~budget:(Budget.sub root ~label:"extract" ~fraction:0.6 ())
-                ~jobs ?ids image))
+                ?ids image))
     with
     | Ok v -> v
     | Error f ->
@@ -197,8 +197,8 @@ let stage_subsume ?budget (ex : extracted) : analysis * Gadget.t list =
       analysis_decode_saved = hstats.Extract.h_decode_saved },
     harvested )
 
-let analyze ?budget ?(jobs = 1) ?ids (image : Gp_util.Image.t) : analysis =
-  fst (stage_subsume ?budget (stage_extract ?budget ~jobs ?ids image))
+let analyze ?budget ?ids (image : Gp_util.Image.t) : analysis =
+  fst (stage_subsume ?budget (stage_extract ?budget ?ids image))
 
 (* ----- degradation ladder ----- *)
 
@@ -218,14 +218,15 @@ type outcome = {
 }
 
 (* Stage-3 output: everything stage 4 needs to merge, dedup, re-quota,
-   and assemble the outcome — per-root chain lists still separate so
-   the deterministic root-order merge happens in [stage_finalize]. *)
+   and assemble the outcome. *)
 type planned = {
   pl_analysis : analysis;
   pl_goal : Goal.concrete;
   pl_config : Planner.config;
   pl_result : Planner.result;
-  pl_chains_by_root : Payload.chain list array;  (* newest-first per root *)
+  pl_chains : Payload.chain list;
+      (* newest first; the roots search in order, so reversed it is
+         root 0's chains, then root 1's, ... *)
   pl_vfaults : int;
   pl_vtimeouts : int;
   pl_vtime : float;
@@ -237,31 +238,24 @@ type planned = {
 }
 
 let stage_plan ?(planner_config = Planner.default_config) ?budget
-    ?(jobs = 1) (a : analysis) (goal : Goal.t) : planned =
+    (a : analysis) (goal : Goal.t) : planned =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let concrete = Goal.concretize a.image goal in
   let u0 = Atomic.get Gp_smt.Solver.unknowns in
   let ch0, cm0 = cache_counters () in
   let sc0 = screen_counter () in
-  (* Stages 3+4 run as a goal portfolio (Planner.search_par) at EVERY
-     job count, so the result is job-count-independent by construction.
-     Each portfolio root owns a result slot: accepted chains, fault and
-     timeout tallies, validation seconds.  Workers only ever touch their
-     own index, and the merge below is a pure fold in root order. *)
-  let nroots =
-    max 1
-      (min planner_config.Planner.goal_cap
-         (List.length a.pool.Pool.syscall_gadgets))
-  in
-  let chains_by_root = Array.make nroots [] in
-  let vfaults = Array.make nroots 0 in
-  let vtimeouts = Array.make nroots 0 in
-  let vtime = Array.make nroots 0. in
+  (* Stages 3+4 run as a goal portfolio (Planner.search): accepted
+     chains, fault and timeout tallies and validation seconds accumulate
+     here across the roots. *)
+  let chains = ref [] in
+  let vfaults = ref 0 in
+  let vtimeouts = ref 0 in
+  let vtime = ref 0. in
   (* a completed plan only counts if its payload assembles, is a chain
      this root has not already emitted, and survives end-to-end
      execution in the emulator.  Validation happens HERE, inside the
-     worker — stage 4 rides the same domains as stage 3. *)
-  let accept_for i =
+     root's search — the accept gate needs the verdict. *)
+  let accept_for _root =
     let seen = Hashtbl.create 16 in
     fun p ->
       match Payload.build_opt p concrete with
@@ -274,28 +268,28 @@ let stage_plan ?(planner_config = Planner.default_config) ?budget
           let fuel = Budget.emu_fuel ~cap:1_000_000 budget in
           let t0 = Unix.gettimeofday () in
           let o = Payload.validate_run ~fuel a.image c in
-          vtime.(i) <- vtime.(i) +. (Unix.gettimeofday () -. t0);
+          vtime := !vtime +. (Unix.gettimeofday () -. t0);
           match o with
           | o when Goal.satisfied concrete o ->
-            chains_by_root.(i) <- c :: chains_by_root.(i);
+            chains := c :: !chains;
             true
           | Gp_emu.Machine.Fault _ ->
-            vfaults.(i) <- vfaults.(i) + 1;
+            incr vfaults;
             false
           | Gp_emu.Machine.Timeout ->
             (* budget starvation, not a broken chain; count it apart *)
-            vtimeouts.(i) <- vtimeouts.(i) + 1;
+            incr vtimeouts;
             false
           | _ -> false
         end
   in
-  (* stage 3+4: portfolio search with validation inside each worker *)
+  (* stage 3+4: portfolio search with validation inside each root *)
   let result, plan_time =
     match
       stage "plan" budget (fun () ->
           timed (fun () ->
-              Planner.search_par ~config:planner_config ~accept_for ~budget
-                ~jobs a.pool concrete))
+              Planner.search ~config:planner_config ~accept_for ~budget
+                a.pool concrete))
     with
     | Ok v -> v
     | Error _ ->
@@ -305,15 +299,14 @@ let stage_plan ?(planner_config = Planner.default_config) ?budget
           exhausted = false; budget_hit = true },
         0. )
   in
-  let sum_i arr = Array.fold_left ( + ) 0 arr in
   { pl_analysis = a;
     pl_goal = concrete;
     pl_config = planner_config;
     pl_result = result;
-    pl_chains_by_root = chains_by_root;
-    pl_vfaults = sum_i vfaults;
-    pl_vtimeouts = sum_i vtimeouts;
-    pl_vtime = Array.fold_left ( +. ) 0. vtime;
+    pl_chains = !chains;
+    pl_vfaults = !vfaults;
+    pl_vtimeouts = !vtimeouts;
+    pl_vtime = !vtime;
     pl_plan_time = plan_time;
     pl_unknowns = Atomic.get Gp_smt.Solver.unknowns - u0;
     pl_cache_hits = fst (cache_counters ()) - ch0;
@@ -322,19 +315,17 @@ let stage_plan ?(planner_config = Planner.default_config) ?budget
 
 (* Stage 4 proper: the deterministic post-processing that turns raw
    per-root search output into the final outcome.  Candidate VALIDATION
-   already ran inside the stage-3 workers (the accept gate needs the
+   already ran inside the stage-3 searches (the accept gate needs the
    verdicts; moving it would change results) — what remains here is the
    cross-root merge, global dedup, plan re-quota, and stats assembly.
    Pure: no solver, no emulator, no global counters. *)
 let stage_finalize (p : planned) : outcome =
   let a = p.pl_analysis in
   let result = p.pl_result in
-  (* Deterministic merge: concatenate per-root chains in root order,
-     dedupe across roots by chain_set_key (each root already deduped
-     locally), then re-apply the global plan quota. *)
-  let built =
-    List.concat_map List.rev (Array.to_list p.pl_chains_by_root)
-  in
+  (* Deterministic merge: the chains in root order, deduped across
+     roots by chain_set_key (each root already deduped locally), then
+     the global plan quota re-applied. *)
+  let built = List.rev p.pl_chains in
   let validated =
     let seen = Hashtbl.create 16 in
     List.filter
@@ -382,7 +373,7 @@ let stage_finalize (p : planned) : outcome =
         plan_time = p.pl_plan_time;
         validate_time = p.pl_vtime } }
 
-(* The jobs- and temperature-invariant tallies of an outcome, by name:
+(* The temperature-invariant tallies of an outcome, by name:
    what the sweep's resume payloads and the daemon's replies carry, and
    what differential tests compare.  Cache and image memo hit
    counters are temperature and stay out. *)
@@ -401,9 +392,9 @@ let invariant_counters (o : outcome) =
     ("validate_timeouts", st.validate_timeouts) ]
   @ List.map (fun (l, n) -> ("q:" ^ l, n)) st.quarantined
 
-let run_with_analysis ?planner_config ?budget ?jobs (a : analysis)
+let run_with_analysis ?planner_config ?budget (a : analysis)
     (goal : Goal.t) : outcome =
-  stage_finalize (stage_plan ?planner_config ?budget ?jobs a goal)
+  stage_finalize (stage_plan ?planner_config ?budget a goal)
 
 (* Loosen the planner config one rung at a time.  Degradation is
    cumulative: the last rung is also the widest. *)
@@ -437,10 +428,10 @@ let dedup_analysis (a : analysis) (harvested : Gadget.t list) : analysis =
    so early rungs cannot starve later ones outright.  The ladder stops
    at the first rung with a chain, when the root budget is dry, or after
    the last rung. *)
-let run ?(planner_config = Planner.default_config) ?budget ?(jobs = 1) ?ids
+let run ?(planner_config = Planner.default_config) ?budget ?ids
     (image : Gp_util.Image.t) (goal : Goal.t) : outcome =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
-  let ex = stage_extract ~budget:root ~jobs ?ids image in
+  let ex = stage_extract ~budget:root ?ids image in
   let a_full, harvested = stage_subsume ~budget:root ex in
   Gp_util.Store.crash_point "mid-stage";
   let degraded = lazy (dedup_analysis a_full harvested) in
@@ -450,7 +441,7 @@ let run ?(planner_config = Planner.default_config) ?budget ?(jobs = 1) ?ids
       run_with_analysis
         ~planner_config:(rung_planner_config planner_config rung)
         ~budget:(Budget.sub root ~label:(rung_name rung) ~fraction:0.6 ())
-        ~jobs a goal
+        a goal
     in
     let tried = rung :: tried in
     match rest with

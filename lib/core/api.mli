@@ -51,7 +51,7 @@ type stage_stats = {
       (** solver memo traffic ({!Gp_smt.Solver.pool_memo}) during
           stages 3-4.  Hit rate is a property of cache temperature,
           never of verdicts — reported, but excluded from differential
-          jobs-equivalence comparisons. *)
+          comparisons. *)
   plan_expanded : int;
       (** planner nodes expanded (summed over portfolio roots) *)
   plan_peak_queue : int;
@@ -66,8 +66,10 @@ type stage_stats = {
           unbuildable payload, failed validation) *)
   screen_decided : int;
       (** Tier A screening (DESIGN.md §12): [check] queries decided
-          abstractly.  Counted per query answered (before the memo) and
-          job-count-invariant, same discipline as [solver_unknowns]. *)
+          abstractly.  Counted per query answered (before the memo),
+          so temperature-invariant, same discipline as
+          [solver_unknowns]; like it, a delta of a process-wide counter
+          that requests running beside this one also bump. *)
   summary_hits : int;
   summary_misses : int;
       (** image memo traffic during the harvest (DESIGN.md §11):
@@ -139,7 +141,7 @@ type planned
     merge in {!stage_finalize}. *)
 
 val stage_extract :
-  ?budget:Budget.t -> ?jobs:int -> ?ids:Gadget.id_source -> Gp_util.Image.t ->
+  ?budget:Budget.t -> ?ids:Gadget.id_source -> Gp_util.Image.t ->
   extracted
 (** Stage 1 alone.  [budget] is the ROOT pipeline budget: the harvest
     draws its usual 0.6-fraction slice from it, so passing the same
@@ -155,14 +157,12 @@ val stage_subsume : ?budget:Budget.t -> extracted -> analysis * Gadget.t list
     for the degradation ladder's dedup-only re-pool. *)
 
 val analyze :
-  ?budget:Budget.t -> ?jobs:int -> ?ids:Gadget.id_source -> Gp_util.Image.t ->
+  ?budget:Budget.t -> ?ids:Gadget.id_source -> Gp_util.Image.t ->
   analysis
 (** Stages 1–2.  [budget] bounds both stages (extract gets a 0.6
     slice); exhaustion degrades — a partial harvest, or the harvest
     passed through as the pool — and is recorded, never raised.
-    [jobs] > 1 runs the harvest on that many domains; results are
-    deterministic and identical to [jobs = 1] (DESIGN.md "Parallel
-    execution & determinism").  When the image memo (DESIGN.md §11)
+    Runs on the calling domain.  When the image memo (DESIGN.md §11)
     already holds this image, stage 1 replays the stored harvest; the
     analysis is bit-identical either way. *)
 
@@ -200,16 +200,16 @@ type outcome = {
 }
 
 val invariant_counters : outcome -> (string * int) list
-(** The jobs- and temperature-invariant tallies of an outcome, by name
+(** The temperature-invariant tallies of an outcome, by name
     (planner and validation counters and the quarantine ledger).  The
     one list the sweep's resume payloads, the daemon's replies and the
     differential tests share. *)
 
 val stage_plan :
-  ?planner_config:Planner.config -> ?budget:Budget.t -> ?jobs:int ->
+  ?planner_config:Planner.config -> ?budget:Budget.t ->
   analysis -> Goal.t -> planned
-(** Stage 3 alone (with candidate validation riding inside the search
-    workers, as always — the accept gate consumes the verdicts). *)
+(** Stage 3 alone (with candidate validation riding inside each root's
+    search, as always — the accept gate consumes the verdicts). *)
 
 val stage_finalize : planned -> outcome
 (** Stage 4 proper: cross-root merge in root order, global dedup by
@@ -219,17 +219,15 @@ val stage_finalize : planned -> outcome
 val run_with_analysis :
   ?planner_config:Planner.config ->
   ?budget:Budget.t ->
-  ?jobs:int ->
   analysis ->
   Goal.t ->
   outcome
 (** Stages 3–4 over a prepared analysis (a single ladder rung; [rungs]
     is always [[Full]] here).  Runs the goal-portfolio search
-    ({!Planner.search_par}) at every job count: one independent search
-    per root syscall gadget, payloads validated inside each worker,
-    per-root chain lists merged in root order, deduplicated by gadget
-    set, and cut to the global plan quota — so the outcome is identical
-    at any [jobs].  Every chain is confirmed by concrete execution
+    ({!Planner.search}): one independent search per root syscall
+    gadget, payloads validated inside each root's search, per-root chain
+    lists merged in root order, deduplicated by gadget set, and cut to
+    the global plan quota.  Every chain is confirmed by concrete execution
     before being counted; validation fuel is
     derived from the remaining budget.  No exception escapes: budget
     death yields an outcome with the hit recorded. *)
@@ -237,7 +235,6 @@ val run_with_analysis :
 val run :
   ?planner_config:Planner.config ->
   ?budget:Budget.t ->
-  ?jobs:int ->
   ?ids:Gadget.id_source ->
   Gp_util.Image.t ->
   Goal.t ->
@@ -252,8 +249,8 @@ val run :
     pool; later rungs: {!dedup_analysis}, built once) with
     {!rung_planner_config} and a 0.6 slice of the root budget's
     remaining time.  The ladder stops at the first rung with a chain,
-    when the root budget is dry, or after [Relaxed_steps].  [jobs] > 1
-    parallelizes all four stages over that many domains; the outcome
-    (pool, plans, chains, tallies) is identical to the default
-    [jobs = 1], and the same whether the image memo and solver memo are
-    warm or cold (DESIGN.md §11). *)
+    when the root budget is dry, or after [Relaxed_steps].  A request is
+    a sequential computation on the calling domain; concurrency lives
+    across requests ([Gp_harness.Sched]).  The outcome (pool, plans,
+    chains, tallies) is the same whether the image memo and solver memo
+    are warm or cold (DESIGN.md §11). *)

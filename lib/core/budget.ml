@@ -94,12 +94,8 @@ let sub (parent : t) ?label ?fraction ?seconds ?fuel () =
     fuel = (match fuel with Some f -> f | None -> max_int);
     polls = 0; hit = None }
 
-(* A per-worker slice for parallel chunks (DESIGN.md "Parallel
-   execution & determinism"): shares [parent]'s deadline but owns its
-   fuel meter and poll state, so domains never mutate a shared budget.
-   The caller allots each chunk its fuel share up front and merges
-   consumption back into the parent with [spend] after the join —
-   budgets are checkpointed per chunk rather than polled globally. *)
+(* A share of [parent]: its deadline, but a private fuel meter and poll
+   state (the planner's per-root fuel shares). *)
 let slice (parent : t) ?label ?fuel () =
   { label = (match label with Some l -> l | None -> parent.label);
     deadline = parent.deadline;

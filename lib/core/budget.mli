@@ -35,11 +35,9 @@ val sub :
     clamped to the parent's.  Fuel is fresh per child, not inherited. *)
 
 val slice : t -> ?label:string -> ?fuel:int -> unit -> t
-(** Per-worker slice for parallel chunks: shares the parent's deadline
-    but owns a private fuel meter and poll state, so domains never
-    mutate shared budget state.  The caller allots each chunk its fuel
-    share up front and merges consumption back into the parent with
-    {!spend} after the join. *)
+(** A share of [parent]: the parent's deadline, but a private fuel
+    meter and poll state.  The planner gives each portfolio root one,
+    with that root's fuel share. *)
 
 val check : t -> unit
 (** Raise {!Exhausted} if fuel has run out or the deadline has passed.

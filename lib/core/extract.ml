@@ -19,14 +19,12 @@ type config = {
   max_insns : int;
   max_forks : int;
   max_merges : int;
-  max_gadget_bytes : int;     (* ignore starts whose first insn run is huge *)
 }
 
 let default_config =
   (* max_insns must span the distance from a comparison to the following
      epilogue in unoptimized code, or conditional gadgets never complete *)
-  { unaligned = true; max_insns = 30; max_forks = 2; max_merges = 2;
-    max_gadget_bytes = 96 }
+  { unaligned = true; max_insns = 30; max_forks = 2; max_merges = 2 }
 
 (* ----- syntactic census ----- *)
 
@@ -180,17 +178,16 @@ let image_key config (image : Gp_util.Image.t) =
   Bin.int_ b config.max_insns;
   Bin.int_ b config.max_forks;
   Bin.int_ b config.max_merges;
-  Bin.int_ b config.max_gadget_bytes;
   Bin.i64 b image.Gp_util.Image.code_base;
   Buffer.add_string b (Digest.bytes image.Gp_util.Image.code);
   Digest.string (Buffer.contents b)
 
 (* Symbolically summarize one start that passed the prefilter and
-   convert its summaries.  Gadget records carry a placeholder id; the
-   merge renumbers.  One entry per CONVERTED summary: [Some g] when
-   usable, [None] when converted but unusable.  The distinction matters
-   because every conversion consumes a gadget id, so renumbering must
-   see both. *)
+   convert its summaries.  Gadget records carry a placeholder id;
+   [number] assigns the real ones.  One entry per CONVERTED summary:
+   [Some g] when usable, [None] when converted but unusable.  The
+   distinction matters because every conversion consumes a gadget id,
+   so numbering must see both. *)
 let examine_start ~sym_config ~decode image pos addr : Incr.record =
   let summaries, refused =
     Gp_symx.Exec.summarize_r ~config:sym_config ~decode image addr
@@ -262,17 +259,12 @@ let replay ~budget ~ids image (v : Incr.value) =
    stored only when it examined every start and no start was
    chaos-quarantined, so a stored record is always the whole image.
 
-   The start offsets are chunked over [jobs] domains ([Par.run] runs the
-   chunks inline at one job).  Each chunk owns a budget slice and a
-   fault tally; the merge walks chunks in index order, so gadget order —
-   and, after renumbering, the gadget id sequence — is the same at every
-   job count (DESIGN.md "Parallel execution & determinism").  Fuel is
-   checkpointed per chunk: a global allowance of F start offsets covers
-   positions [0, F) exactly as a sequential meter would, so each chunk's
-   share is its overlap with that prefix. *)
-let harvest_r ?(config = default_config) ?(budget = Budget.unlimited ())
-    ?(jobs = 1) ?(ids = Gadget.global_ids) (image : Gp_util.Image.t) :
-    Gadget.t list * harvest_stats =
+   A fresh harvest is one loop over the start offsets in order, metered
+   by [budget] itself: one [check] and one [spend] per start, so a fuel
+   allowance of F covers positions [0, F) exactly. *)
+let harvest_r ?(budget = Budget.unlimited ()) ?(ids = Gadget.global_ids)
+    (image : Gp_util.Image.t) : Gadget.t list * harvest_stats =
+  let config = default_config in
   let key = image_key config image in
   match Incr.find key with
   | Some v
@@ -281,75 +273,45 @@ let harvest_r ?(config = default_config) ?(budget = Budget.unlimited ())
     replay ~budget ~ids image v
   | _ ->
     let sym_config = sym_config_of config in
-    (* decode-once memo: built eagerly on the main domain, immutable
-       thereafter, so every worker reads it lock-free *)
     let memo = Decode.memo image.Gp_util.Image.code in
     let decode = Decode.decode_memo memo in
-    let positions = Array.of_list (start_positions ~decode ~config image) in
-    let n = Array.length positions in
-    let fuel0 = Budget.remaining_fuel budget in
-    let chunk = Gp_util.Par.chunk_size ~min_chunk:64 ~jobs n in
-    let tasks =
-      Array.map
-        (fun (lo, hi) ->
-          fun () ->
-            let tally = Fail.tally_create () in
-            let allot =
-              if fuel0 = max_int then hi - lo else max 0 (min hi fuel0 - lo)
-            in
-            let b = Budget.slice budget ~fuel:allot () in
-            let out = ref [] in
-            let examined = ref 0 in
-            let injected = ref false in
-            let hit =
-              try
-                for k = lo to hi - 1 do
-                  Budget.check b;
-                  Budget.spend b;
-                  incr examined;
-                  let pos = positions.(k) in
-                  (* cheap prefilter: must syntactically reach a terminator *)
-                  if Option.is_some (scan_run ~decode ~config image pos) then begin
-                    let addr = addr_of image pos in
-                    if !chaos_decode addr then begin
-                      Fail.tally_add tally (Fail.Decode_fault (addr, "injected"));
-                      injected := true
-                    end
-                    else begin
-                      let r = examine_start ~sym_config ~decode image pos addr in
-                      List.iter (Fail.tally_add tally) r.Incr.r_fails;
-                      out := r :: !out
-                    end
-                  end
-                done;
-                allot < hi - lo
-              with Budget.Exhausted _ -> true
-            in
-            (List.rev !out, tally, !examined, hit, !injected))
-        (Gp_util.Par.ranges ~chunk n)
+    let tally = Fail.tally_create () in
+    let records = ref [] in
+    let examined = ref 0 in
+    let injected = ref false in
+    let hit =
+      try
+        List.iter
+          (fun pos ->
+            Budget.check budget;
+            Budget.spend budget;
+            incr examined;
+            (* cheap prefilter: must syntactically reach a terminator *)
+            if Option.is_some (scan_run ~decode ~config image pos) then begin
+              let addr = addr_of image pos in
+              if !chaos_decode addr then begin
+                Fail.tally_add tally (Fail.Decode_fault (addr, "injected"));
+                injected := true
+              end
+              else begin
+                let r = examine_start ~sym_config ~decode image pos addr in
+                List.iter (Fail.tally_add tally) r.Incr.r_fails;
+                records := r :: !records
+              end
+            end)
+          (start_positions ~decode ~config image);
+        false
+      with Budget.Exhausted _ -> true
     in
-    let results = Array.to_list (Gp_util.Par.run ~jobs tasks) in
-    (* Associative merges, in chunk index order, on the calling domain:
-       the gadget order, the id sequence and every counter are the same
-       however domains interleave. *)
-    let quarantined =
-      List.fold_left
-        (fun acc (_, t, _, _, _) -> Fail.merge_counts acc (Fail.tally_list t))
-        [] results
-    in
-    let examined = List.fold_left (fun acc (_, _, e, _, _) -> acc + e) 0 results in
-    let hit = List.exists (fun (_, _, _, h, _) -> h) results in
-    let injected = List.exists (fun (_, _, _, _, i) -> i) results in
-    let records = List.concat_map (fun (rs, _, _, _, _) -> rs) results in
-    Budget.spend budget ~amount:examined;
-    if not (hit || injected) then
-      Incr.add key { Incr.v_starts = examined; v_records = records };
+    let records = List.rev !records in
+    if not (hit || !injected) then
+      Incr.add key { Incr.v_starts = !examined; v_records = records };
     ( number ids records,
-      { h_starts = examined;
-        h_quarantined = quarantined;
+      { h_starts = !examined;
+        h_quarantined = Fail.tally_list tally;
         h_budget_hit = hit;
         h_summary_hits = 0;
         h_summary_misses = List.length records;
         h_decode_saved = max 0 (Decode.memo_lookups memo - Decode.memo_size memo) } )
 
-let harvest ?config ?jobs image = fst (harvest_r ?config ?jobs image)
+let harvest image = fst (harvest_r image)

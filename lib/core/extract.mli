@@ -11,7 +11,6 @@ type config = {
   max_insns : int;
   max_forks : int;
   max_merges : int;
-  max_gadget_bytes : int;
 }
 
 val default_config : config
@@ -51,9 +50,10 @@ val usable : Gadget.t -> bool
     stack effect (bounded positive delta for ret gadgets, bounded pivots,
     anything for terminal syscall gadgets). *)
 
-val harvest : ?config:config -> ?jobs:int -> Gp_util.Image.t -> Gadget.t list
-(** Full extraction: every byte offset, symbolically summarized, filtered
-    to usable records.  Feed the result to {!Subsume.minimize}. *)
+val harvest : Gp_util.Image.t -> Gadget.t list
+(** Full extraction under {!default_config}: every byte offset,
+    symbolically summarized, filtered to usable records.  Feed the
+    result to {!Subsume.minimize}. *)
 
 val chaos_decode : (int64 -> bool) ref
 (** Fault-injection hook: starts for which the predicate answers true
@@ -77,8 +77,7 @@ type harvest_stats = {
 }
 
 val harvest_r :
-  ?config:config -> ?budget:Budget.t -> ?jobs:int ->
-  ?ids:Gadget.id_source -> Gp_util.Image.t ->
+  ?budget:Budget.t -> ?ids:Gadget.id_source -> Gp_util.Image.t ->
   Gadget.t list * harvest_stats
 (** Budgeted, fault-isolating {!harvest}: a poisoned start (injected
     decode fault, [Symx] refusal, exception out of summary conversion)
@@ -86,11 +85,9 @@ val harvest_r :
     With an unlimited budget and no injection the gadget list — and the
     global gadget-id sequence — is identical to {!harvest}'s.
 
-    The start offsets are chunked and [jobs] > 1 fans the chunks out
-    over that many domains; results merge back in chunk order and
-    gadget ids are renumbered on the main domain, so the pool, id
-    sequence, quarantine tallies, and budget accounting are the same at
-    every job count (DESIGN.md "Parallel execution & determinism").
+    The start offsets are examined in order on the calling domain,
+    metered by [budget] itself (one [check] and one [spend] per start),
+    so a fuel allowance of F examines exactly the first F starts.
 
     The image memo ({!Incr}, DESIGN.md §11) is consulted once, on a
     digest of the config, the code base and the code bytes.  A hit is

@@ -111,12 +111,3 @@ let tally_total (t : tally) = Hashtbl.fold (fun _ n acc -> acc + n) t 0
 
 let tally_list (t : tally) =
   List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) t [])
-
-(* Merge association-list ledgers (as stored in stats records). *)
-let merge_counts (a : (string * int) list) (b : (string * int) list) =
-  let t : tally = Hashtbl.create 8 in
-  List.iter
-    (fun (k, n) ->
-      Hashtbl.replace t k (n + (match Hashtbl.find_opt t k with Some m -> m | None -> 0)))
-    (a @ b);
-  tally_list t

@@ -70,5 +70,3 @@ val tally_total : tally -> int
 val tally_list : tally -> (string * int) list
 (** Sorted [(label, count)] snapshot. *)
 
-val merge_counts : (string * int) list -> (string * int) list -> (string * int) list
-(** Merge two snapshots, summing counts per label. *)

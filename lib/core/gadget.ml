@@ -56,11 +56,10 @@ let next_id = ref 0
    address salt, see Plan). *)
 let reset_ids () = next_id := 0
 
-(* Draw the next id from the global sequence.  Worker domains build
+(* Draw the next id from the global sequence.  The harvest builds
    gadgets with [of_summary ~id:(-1)] (never touching the shared
-   counter); the main domain then renumbers the merged, deterministic
-   ally ordered list with [fresh_id], reproducing exactly the sequence
-   a sequential harvest would have assigned. *)
+   counter) and numbers them afterwards from an [id_source], this one
+   by default. *)
 let fresh_id () =
   let id = !next_id in
   incr next_id;
@@ -95,8 +94,8 @@ let classify (s : Gp_symx.Exec.summary) =
 
 (* Build the gadget record for one summary.  Without [id], an id is
    drawn from the global sequence (the sequential harvest path); with
-   it, the shared counter is left untouched (parallel workers pass a
-   placeholder and the merge renumbers). *)
+   it, the shared counter is left untouched (the harvest passes a
+   placeholder and numbers the records afterwards). *)
 let of_summary ?id (s : Gp_symx.Exec.summary) : t =
   let st = s.Gp_symx.Exec.s_state in
   let post =

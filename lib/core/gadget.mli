@@ -57,9 +57,7 @@ val reset_ids : unit -> unit
     layout pool's address salt, see [Plan]). *)
 
 val fresh_id : unit -> int
-(** Draw the next id from the global sequence.  The parallel harvest
-    merge uses this to renumber worker-built gadgets on the main domain,
-    reproducing exactly the sequence a sequential harvest assigns. *)
+(** Draw the next id from the global sequence ({!global_ids}). *)
 
 type id_source = unit -> int
 (** Where a harvest draws gadget ids from (ids seed the layout pool's
@@ -77,8 +75,8 @@ val local_ids : unit -> id_source
 val of_summary : ?id:int -> Gp_symx.Exec.summary -> t
 (** Build the record from a symbolic summary.  Without [id], a fresh id
     is drawn from the global sequence (the sequential path); with it,
-    the shared counter is left untouched (parallel workers pass a
-    placeholder and the merge renumbers). *)
+    the shared counter is left untouched (the harvest passes a
+    placeholder and numbers the records afterwards). *)
 
 val post_of : t -> Gp_x86.Reg.t -> Term.t
 (** Final value term of a register. *)

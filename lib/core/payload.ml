@@ -189,8 +189,8 @@ let validate_run ?(fuel = 1_000_000) (image : Gp_util.Image.t) (c : chain) :
     Gp_emu.Machine.set_rsp m (Int64.add pbase 8L);
     (* fault-injection fuse keyed on the chain (its gadget sequence),
        not on how many validations ran before this one — so an injection
-       schedule hits the same chains whatever order or domain count the
-       portfolio validates them in *)
+       schedule hits the same chains whatever order they are validated
+       in, here or in requests running beside this one *)
     let fuse_key =
       Hashtbl.hash
         (List.map (fun s -> s.Plan.gadget.Gadget.addr) c.c_steps)

@@ -49,7 +49,7 @@ val validate_run : ?fuel:int -> Gp_util.Image.t -> chain -> Gp_emu.Machine.outco
     the payload itself is folded into [Fault]; no exception escapes.
     The emulator's injection fuse is keyed on the chain's gadget
     sequence, so fault schedules are independent of validation order
-    and domain count. *)
+    and of requests validating concurrently. *)
 
 val validate : ?fuel:int -> Gp_util.Image.t -> chain -> bool
 (** [Goal.satisfied] of {!validate_run}: the run ends in the EXACT goal

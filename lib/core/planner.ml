@@ -102,10 +102,9 @@ let entry_sig e =
     e.e_sig <- Some s;
     s
 
-(* Per-search counters, surfaced through [result] (and from there
-   Api.stage_stats).  Plain mutable fields: each portfolio worker owns
-   its own record; merging happens after
-   the domains join. *)
+(* Search counters, surfaced through [result] (and from there
+   Api.stage_stats): one record per [search] call, shared by its roots
+   in turn — sums, except [s_peak_queue], the max over roots. *)
 type stats_acc = {
   mutable s_expanded : int;
   mutable s_peak_queue : int;
@@ -145,60 +144,6 @@ let reuse_successors (p : Plan.t) consumer cond : Plan.t list =
           Option.bind (Plan.add_ordering p s.Plan.sid consumer) (fun p ->
               Plan.protect_link p s.Plan.sid cond consumer))
     p.Plan.steps
-
-(* Compute-once table (see planner.mli).  A key's cell is [Pending]
-   while its first caller computes it outside the lock, so distinct keys
-   compute in parallel; later callers wait on [ready].  [Done] and
-   [Failed] cells are final, so a failure is re-raised to every caller
-   and no waiter hangs. *)
-module Once = struct
-  type 'v cell = Pending | Done of 'v | Failed of exn * Printexc.raw_backtrace
-
-  type ('k, 'v) t = {
-    lock : Mutex.t;
-    ready : Condition.t;
-    cells : ('k, 'v cell) Hashtbl.t;
-  }
-
-  let create () =
-    { lock = Mutex.create (); ready = Condition.create ();
-      cells = Hashtbl.create 64 }
-
-  let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.cells)
-
-  let value = function
-    | Done v -> v
-    | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-    | Pending -> assert false
-
-  let get t k f =
-    let found =
-      Mutex.protect t.lock (fun () ->
-          let rec await () =
-            match Hashtbl.find_opt t.cells k with
-            | Some Pending ->
-              Condition.wait t.ready t.lock;
-              await ()
-            | Some c -> Some c
-            | None ->
-              Hashtbl.replace t.cells k Pending;
-              None
-          in
-          await ())
-    in
-    match found with
-    | Some c -> (value c, false)
-    | None ->
-      let c =
-        match f k with
-        | v -> Done v
-        | exception e -> Failed (e, Printexc.get_raw_backtrace ())
-      in
-      Mutex.protect t.lock (fun () ->
-          Hashtbl.replace t.cells k c;
-          Condition.broadcast t.ready);
-      (value c, true)
-end
 
 (* Candidate gadgets for a condition: instantiate first (this is
    Algorithm 1's PickIfSatisfy), then keep the [cap] cheapest successful
@@ -258,14 +203,14 @@ let ranked_candidates (pool : Pool.t) cond ~cap : Plan.step list =
 
 (* Ranked candidates, shared by every search of one plan request: the
    cap and the payload base are fixed for the request, so the condition
-   alone is the key.  Created per [search]/[search_par] call, never
-   process-global — concurrent daemon requests must not share it. *)
-type cand_table = (Plan.cond, Plan.step list) Once.t
+   alone is the key.  Created per [search] call, never process-global —
+   concurrent daemon requests must not share it. *)
+type cand_table = (Plan.cond, Plan.step list) Hashtbl.t
 
 (* A search's own view of the table: the conditions it has asked for so
-   far (a repeat is a [s_cand_hits] hit, answered without the table's
-   lock); a first ask goes to the shared table, where it either ranks
-   the condition or takes another search's ranking ([s_inst_hits]). *)
+   far (a repeat is a [s_cand_hits] hit); a first ask goes to the
+   request's table, where it either ranks the condition or takes an
+   earlier root's ranking ([s_inst_hits]). *)
 type cand_memo = (Plan.cond, Plan.step list) Hashtbl.t
 
 let candidates ~(stats : stats_acc) (table : cand_table) (cmemo : cand_memo)
@@ -275,11 +220,17 @@ let candidates ~(stats : stats_acc) (table : cand_table) (cmemo : cand_memo)
     stats.s_cand_hits <- stats.s_cand_hits + 1;
     l
   | None ->
-    let l, computed =
-      Once.get table cond (fun cond -> ranked_candidates pool cond ~cap)
+    let l =
+      match Hashtbl.find_opt table cond with
+      | Some l ->
+        stats.s_inst_hits <- stats.s_inst_hits + 1;
+        l
+      | None ->
+        let l = ranked_candidates pool cond ~cap in
+        Hashtbl.add table cond l;
+        stats.s_ranked <- stats.s_ranked + 1;
+        l
     in
-    if computed then stats.s_ranked <- stats.s_ranked + 1
-    else stats.s_inst_hits <- stats.s_inst_hits + 1;
     Hashtbl.add cmemo cond l;
     l
 
@@ -349,24 +300,24 @@ let root_plan (goal : Goal.concrete) (g : Gadget.t) : Plan.t option =
         open_conds = open_demands step @ mem_conds;
         next_sid = 1 }
 
-(* The best-first loop each portfolio worker of [search_par] runs.  The
-   candidate table is the one piece of state shared across workers: it
-   holds pure values, each computed once (see [cand_table]).
+(* The best-first loop [search] runs for each portfolio root.  The
+   candidate table is the one piece of state the roots share: it holds
+   pure values, each computed once (see [cand_table]).
    [accept] gates completed plans: a complete plan that fails it (e.g.
    its payload cannot be assembled, or it duplicates a chain already
    emitted) is discarded WITHOUT consuming the plan quota, and the
-   search keeps going.  Everything else a search mutates —
-   queue, candidate memo, usage/visited tables, stats — it owns, and it
-   never crosses a domain boundary; the pool is immutable. *)
+   search keeps going.  Everything else a root's search mutates —
+   queue, candidate memo, usage/visited tables — it owns; the pool is
+   immutable. *)
 let run_search (config : config) ~accept ~budget ~(stats : stats_acc)
-    (table : cand_table) (pool : Pool.t) (roots : Plan.t list) :
+    (table : cand_table) (pool : Pool.t) (root : Plan.t) :
     Plan.t list * bool * bool =
   let cmemo : cand_memo = Hashtbl.create 64 in
   let q = Pq.create () in
   let usage : (int64, int) Hashtbl.t = Hashtbl.create 64 in
   let push p = Pq.push q (cost ~usage p) (entry_of p) in
   let push_entry e = Pq.push q (cost ~usage e.e_plan) e in
-  List.iter push roots;
+  push root;
   let visited = Hashtbl.create 1024 in
   let complete = ref [] in
   let exhausted = ref true in
@@ -421,77 +372,58 @@ let run_search (config : config) ~accept ~budget ~(stats : stats_acc)
   (List.rev !complete, !exhausted, !budget_hit)
 
 (* Goal-portfolio search: one INDEPENDENT best-first search per root
-   syscall gadget, fanned over domains.  Each worker owns its queue,
-   candidate memo, usage and visited tables, and a [Budget.slice] of the
-   parent — a deterministic fuel prefix (node_budget / #roots, remainder
-   to the earliest roots) plus the shared wall-clock deadline.  Results
-   merge in root order, so the outcome is a pure function of the pool,
-   the goal, and the config — never of the job count or the
-   interleaving.
+   syscall gadget, run in root order on the calling domain.  Each root
+   owns its queue, candidate memo, usage and visited tables, and a
+   [Budget.slice] of the parent — a deterministic fuel share
+   (node_budget / #roots, remainder to the earliest roots) plus the
+   shared wall-clock deadline.  Results concatenate in root order, so
+   the outcome is a pure function of the pool, the goal, and the config.
 
-   The workers share one candidate table, created here for this call
+   The roots share one candidate table, created here for this call
    only.  A ranking is a pure function of (pool, condition, branch_cap,
-   payload base), all fixed for the call, so which worker computes it
-   changes no plan; and since the table computes each condition exactly
-   once, the solver queries it issues — and every tally they feed
-   (unknowns, screening, pool-memo lookups) — are the same at any job count.
+   payload base), all fixed for the call, so which root computes it
+   changes no plan; each condition is ranked once per call.
 
    This is the planner's one search: the pipeline (Api) and the SGC
-   baseline both use it, at every job count, which is what makes
-   jobs:N ≡ jobs:1 trivial.
+   baseline both use it.
 
-   Per-worker usage tables preserve the diversity heuristic where it
+   Per-root usage tables preserve the diversity heuristic where it
    matters: usage pressure exists to stop chain k+1 from being a
    permutation of chain k, and chains from the SAME root are exactly the
    ones built from the same gadget neighbourhood.  Cross-root repetition
    is handled by the caller's chain_set_key dedup at merge.
 
-   [accept_for i] builds the accept gate for root index [i]; per-root
-   gates let the caller (Api) validate payloads inside each worker —
-   moving emulator validation off the single search thread — while
-   keeping each gate's state domain-private. *)
-let search_par ?(config = default_config)
-    ?(accept_for = fun (_ : int) (_ : Plan.t) -> true) ?budget ?(jobs = 1)
+   [accept_for i] builds the accept gate for root index [i]: per-root
+   gates let the caller (Api) validate payloads inside each root's
+   search, with per-root dedup state. *)
+let search ?(config = default_config)
+    ?(accept_for = fun (_ : int) (_ : Plan.t) -> true) ?budget
     (pool : Pool.t) (goal : Goal.concrete) : result =
   let parent = search_budget config budget in
   let roots =
     List.filteri (fun i _ -> i < config.goal_cap) pool.Pool.syscall_gadgets
     |> List.filter_map (root_plan goal)
-    |> Array.of_list
   in
-  let n = Array.length roots in
-  if n = 0 then
-    { plans = []; expanded = 0; peak_queue = 0; inst_memo_hits = 0;
-      cand_memo_hits = 0; rankings = 0; conditions = 0; discarded = 0;
-      exhausted = true; budget_hit = false }
-  else begin
-    let share = config.node_budget / n and rem = config.node_budget mod n in
-    let table : cand_table = Once.create () in
-    let tasks =
-      Array.init n (fun i () ->
-          let fuel = share + (if i < rem then 1 else 0) in
-          let b = Budget.slice parent ~label:"plan-root" ~fuel () in
-          let stats = fresh_stats () in
-          let plans, exhausted, budget_hit =
-            run_search config ~accept:(accept_for i) ~budget:b ~stats table
-              pool [ roots.(i) ]
-          in
-          (plans, exhausted, budget_hit, stats))
-    in
-    let results = Gp_util.Par.run ~jobs tasks in
-    let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
-    { plans =
-        List.concat_map (fun (ps, _, _, _) -> ps) (Array.to_list results);
-      expanded = sum (fun (_, _, _, s) -> s.s_expanded);
-      peak_queue =
-        Array.fold_left
-          (fun acc (_, _, _, s) -> max acc s.s_peak_queue)
-          0 results;
-      inst_memo_hits = sum (fun (_, _, _, s) -> s.s_inst_hits);
-      cand_memo_hits = sum (fun (_, _, _, s) -> s.s_cand_hits);
-      rankings = sum (fun (_, _, _, s) -> s.s_ranked);
-      conditions = Once.length table;
-      discarded = sum (fun (_, _, _, s) -> s.s_discarded);
-      exhausted = Array.for_all (fun (_, e, _, _) -> e) results;
-      budget_hit = Array.exists (fun (_, _, b, _) -> b) results }
-  end
+  let n = max 1 (List.length roots) in
+  let share = config.node_budget / n and rem = config.node_budget mod n in
+  let table : cand_table = Hashtbl.create 64 in
+  let stats = fresh_stats () in
+  let results =
+    List.mapi
+      (fun i root ->
+        let fuel = share + (if i < rem then 1 else 0) in
+        let b = Budget.slice parent ~label:"plan-root" ~fuel () in
+        run_search config ~accept:(accept_for i) ~budget:b ~stats table pool
+          root)
+      roots
+  in
+  { plans = List.concat_map (fun (ps, _, _) -> ps) results;
+    expanded = stats.s_expanded;
+    peak_queue = stats.s_peak_queue;
+    inst_memo_hits = stats.s_inst_hits;
+    cand_memo_hits = stats.s_cand_hits;
+    rankings = stats.s_ranked;
+    conditions = Hashtbl.length table;
+    discarded = stats.s_discarded;
+    exhausted = List.for_all (fun (_, e, _) -> e) results;
+    budget_hit = List.exists (fun (_, _, b) -> b) results }

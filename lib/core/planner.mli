@@ -24,35 +24,16 @@ type config = {
 
 val default_config : config
 
-(** Compute-once table, the planner's candidate table: each key's value
-    is computed by exactly one caller, whatever the number of domains
-    asking.  Callers that find a key being computed wait for its value
-    instead of computing it again; an exception raised by the
-    computation is stored and re-raised to every caller of that key.
-    Distinct keys compute in parallel.  The computation must not ask the
-    same table for another key. *)
-module Once : sig
-  type ('k, 'v) t
-
-  val create : unit -> ('k, 'v) t
-
-  val get : ('k, 'v) t -> 'k -> ('k -> 'v) -> 'v * bool
-  (** [get t k f] is the value of [f k], computed at most once per
-      table, and whether this call computed it. *)
-
-  val length : ('k, 'v) t -> int
-  (** Keys asked for so far. *)
-end
-
 type result = {
   plans : Plan.t list;     (** accepted complete plans *)
   expanded : int;          (** nodes expanded (visited-distinct pops) *)
   peak_queue : int;        (** high-water mark of the priority queue *)
   inst_memo_hits : int;
-      (** rankings a search took from the request's shared candidate
-          table instead of computing them: (sum over searches of the
-          distinct conditions each asked for) − [conditions].  The name
-          is kept from the per-search instantiation memo it replaced. *)
+      (** rankings a root's search took from the call's shared
+          candidate table instead of computing them: (sum over roots of
+          the distinct conditions each asked for) − [conditions].  The
+          name is kept from the per-search instantiation memo it
+          replaced. *)
   cand_memo_hits : int;
       (** repeat asks for a condition within one search *)
   rankings : int;          (** candidate rankings computed *)
@@ -64,33 +45,31 @@ type result = {
   budget_hit : bool;       (** stopped on deadline/fuel, not space *)
 }
 
-val search_par :
+val search :
   ?config:config ->
   ?accept_for:(int -> Plan.t -> bool) ->
   ?budget:Budget.t ->
-  ?jobs:int ->
   Pool.t ->
   Goal.concrete ->
   result
 (** Goal-portfolio search: one independent best-first search per root
-    syscall gadget, fanned over [jobs] domains.  Each worker owns its
-    queue, candidate memo, usage and visited tables, and a
-    {!Budget.slice} fuel prefix ([node_budget / #roots], remainder to the
-    earliest roots) sharing the parent deadline; results merge in root
-    order — a pure function of (pool, goal, config), independent of the
-    job count.
+    syscall gadget, run in root order on the calling domain.  Each root
+    owns its queue, candidate memo, usage and visited tables, and a
+    {!Budget.slice} fuel share ([node_budget / #roots], remainder to the
+    earliest roots) sharing the parent deadline; plans concatenate in
+    root order — a pure function of (pool, goal, config).
 
-    The workers share one {!Once} candidate table created for this call
-    only: each condition's ranked candidates (a pure function of the
-    pool, the condition, [branch_cap] and the payload base) are computed
-    once per call, by whichever worker asks first.
+    The roots share one candidate table created for this call only:
+    each condition's ranked candidates (a pure function of the pool, the
+    condition, [branch_cap] and the payload base) are computed once per
+    call, by whichever root asks first.
 
     [accept_for i] builds the accept gate for root [i], letting the
-    caller validate payloads inside each worker with domain-private
+    caller validate payloads inside each root's search with per-root
     state.  The quota [max_plans] applies PER ROOT here; callers dedupe
     cross-root chains and re-apply the global quota after the merge
-    (see {!Api}).  Stats merge associatively ([peak_queue] by max, the
-    rest by sum), so they too are job-count-independent.
+    (see {!Api}).  [peak_queue] is the max over roots, the other
+    counters sum.
 
     A complete plan that fails its gate (payload unbuildable, duplicate
     chain, failed validation) is discarded WITHOUT consuming the quota
@@ -100,5 +79,5 @@ val search_par :
     deadline to the parent's.
 
     This is the planner's one search: the shipped pipeline ({!Api})
-    and the SGC baseline ([Gp_baselines.Sgc], at [jobs:1] with one gate
-    shared by every root) both plan with it. *)
+    and the SGC baseline ([Gp_baselines.Sgc], with one gate shared by
+    every root) both plan with it. *)

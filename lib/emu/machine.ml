@@ -350,9 +350,9 @@ let chaos_fuse : (unit -> int option) ref = ref (fun () -> None)
 
 (* Keyed variant for callers that can name the run (payload validation
    keys on the chain): the decision becomes a pure function of the key,
-   so an injection schedule is order-independent — identical under any
-   domain count — where the streamed [chaos_fuse] depends on how many
-   runs happened before this one. *)
+   so an injection schedule is order-independent — identical however
+   many requests validate at once on other domains — where the streamed
+   [chaos_fuse] depends on how many runs happened before this one. *)
 let chaos_fuse_keyed : (int -> int option) ref = ref (fun _ -> None)
 
 let run ?(fuel = 5_000_000) ?fuse_key t =

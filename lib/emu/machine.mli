@@ -85,7 +85,8 @@ val chaos_fuse_keyed : (int -> int option) ref
 (** Keyed fault-injection hook, consulted instead of {!chaos_fuse} when
     {!run} is given a [fuse_key]: the decision is a pure function of the
     key (payload validation keys on the chain), so a schedule fires
-    identically under any domain count or validation order. *)
+    identically however many concurrent requests validate beside this
+    one, in any order. *)
 
 val run : ?fuel:int -> ?fuse_key:int -> t -> outcome
 (** Step until halt, fault, or [fuel] instructions (default 5M).  Fuel

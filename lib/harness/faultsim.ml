@@ -19,19 +19,21 @@
      [clock_skip_s] seconds (NTP-step / scheduler-stall simulation —
      exercises deadline handling without sleeping).
 
-   Parallelism: the decode and solver hooks fire from worker domains,
-   and their call ORDER depends on scheduling.  Their schedules are
-   therefore keyed, not streamed — the decision for a start address or
-   a solver query is a pure function of (seed, key), so the injected
-   fault SET is identical under any job count and any interleaving
-   (test_par asserts nothing is dropped or double-counted at jobs=4).
-   Payload validation now also runs on worker domains (the goal
-   portfolio), so the emulator fuse gets a keyed schedule too — keyed
-   on the CHAIN being validated ([Machine.chaos_fuse_keyed], fed by
+   Concurrency: a request runs on one domain, but survey cells and
+   daemon requests run several at once on a [Sched.Service] pool, so the
+   decode and solver hooks fire from several domains and their call
+   ORDER depends on scheduling.  Their schedules are therefore keyed,
+   not streamed — the decision for a start address or a solver query is
+   a pure function of (seed, key), so the injected fault SET is
+   identical whatever runs beside a request (test_par asserts nothing
+   is dropped or double-counted with JOBS requests at once).  Payload
+   validation runs on the request's own domain, one of those concurrent
+   workers, so the emulator fuse gets a keyed schedule too — keyed on
+   the CHAIN being validated ([Machine.chaos_fuse_keyed], fed by
    [Payload.validate_run]) — while the streamed [Machine.chaos_fuse]
    stays installed for the sequential direct-run sites (netperf, CFI,
-   compile checks).  Only the clock remains stream-only; it is read
-   from the orchestrating domain. *)
+   compile checks).  Only the clock remains stream-only: the suites
+   that skew it run one request at a time. *)
 
 type config = {
   seed : int;

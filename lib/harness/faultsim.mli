@@ -37,11 +37,11 @@ val with_faults : config -> (unit -> 'a) -> 'a
     class draws from its own stream, so raising one rate does not shift
     another class's schedule.
 
-    Hooks that fire from worker domains (decode, solver, and — since
-    validation joined the goal portfolio — the emulator fuse via
-    [Machine.chaos_fuse_keyed]) use KEYED schedules: the decision is a
+    Hooks that fire inside requests, which run concurrently on pool
+    workers (decode, solver, and the validation emulator fuse via
+    [Machine.chaos_fuse_keyed]), use KEYED schedules: the decision is a
     pure function of (seed, item), so the injected fault set is
-    identical under any job count.  The streamed [Machine.chaos_fuse]
+    identical whatever runs beside a request.  The streamed [Machine.chaos_fuse]
     stays installed for sequential direct-run sites. *)
 
 (** {1 Crash-point injection (DESIGN.md §13)} *)

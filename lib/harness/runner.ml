@@ -69,8 +69,6 @@ let backoff_delay policy ~key ~attempt =
     capped *. (1. -. policy.jitter +. (2. *. policy.jitter *. u))
   end
 
-let classify f = if Fail.retryable f then `Transient else `Permanent
-
 (* ----- single supervised cell ----- *)
 
 (* A fresh per-attempt watchdog. *)
@@ -286,9 +284,9 @@ let report_of outcomes =
           match o.c_result with Error f -> Some (o.c_key, f) | Ok _ -> None)
         outcomes }
 
-(* Run every cell in order (parallelism lives INSIDE a cell, via
-   Api's [jobs]; cells are sequential so the manifest is an ordered
-   checkpoint log). *)
+(* Run every cell in order on the calling domain, one cell at a time —
+   the sequential reference for Sched.run_cells, which runs the same
+   cells concurrently. *)
 let run_corpus ?policy ?manifest ?(resume = false) ~encode ~decode cells =
   let outcomes =
     List.map (corpus_cell ?policy ?manifest ~resume ~encode ~decode) cells

@@ -28,9 +28,6 @@ val backoff_delay : retry_policy -> key:string -> attempt:int -> float
 (** Pure function of (policy, cell key, 1-based attempt): the same
     failure sleeps the same schedule in every run. *)
 
-val classify : Fail.t -> [ `Transient | `Permanent ]
-(** [`Transient] iff {!Fail.retryable}. *)
-
 val watchdog : retry_policy -> key:string -> Budget.t
 (** A fresh per-attempt watchdog budget labelled ["cell:" ^ key]:
     [attempt_seconds] from now, or unlimited. *)
@@ -102,7 +99,8 @@ val run_corpus :
   (string * (attempt:int -> Budget.t -> ('a, Fail.t) result)) list ->
   'a cell_outcome list * report
 (** {!corpus_cell} over the cells, in order, on the calling domain
-    (parallelism lives inside a cell via Api's [jobs]).  The shipped
+    (a cell is itself sequential: concurrency lives across cells, on
+    {!Sched.run_cells}).  The shipped
     sweep runs the same cells on {!Sched.run_cells}; this loop is the
     sequential reference the sweep suite's byte differential compares
     it against, and what the runner suite's supervision tests drive. *)

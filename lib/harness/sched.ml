@@ -93,7 +93,8 @@ module Service = struct
         sv_domains = [] }
     in
     (* The caller is NOT a worker: the daemon's main domain stays in
-       its accept/select loop.  Same hardening as Par.run — keep every
+       its accept/select loop.  A failed spawn must not orphan the
+       domains already running: keep every
        successful spawn and degrade to fewer workers — but a pool with
        NO worker would queue work forever, so a failure of the very
        first spawn is raised. *)

@@ -42,7 +42,6 @@ type request = {
   rq_branch_cap : int;
   rq_goal_cap : int;
   rq_max_steps : int;
-  rq_jobs : int;               (* within-stage domains (default 1) *)
 }
 
 let default_request image =
@@ -55,8 +54,7 @@ let default_request image =
     rq_time_budget = c.Planner.time_budget;
     rq_branch_cap = c.Planner.branch_cap;
     rq_goal_cap = c.Planner.goal_cap;
-    rq_max_steps = c.Planner.max_steps;
-    rq_jobs = 1 }
+    rq_max_steps = c.Planner.max_steps }
 
 type report = {
   sr_pool : int;
@@ -134,7 +132,6 @@ let request_encode rq =
   B.int_ b rq.rq_branch_cap;
   B.int_ b rq.rq_goal_cap;
   B.int_ b rq.rq_max_steps;
-  B.int_ b rq.rq_jobs;
   Buffer.contents b
 
 let request_decode s pos =
@@ -147,9 +144,8 @@ let request_decode s pos =
   let rq_branch_cap = B.gint s pos in
   let rq_goal_cap = B.gint s pos in
   let rq_max_steps = B.gint s pos in
-  let rq_jobs = B.gint s pos in
   { rq_image; rq_goal; rq_budget_s; rq_max_plans; rq_node_budget;
-    rq_time_budget; rq_branch_cap; rq_goal_cap; rq_max_steps; rq_jobs }
+    rq_time_budget; rq_branch_cap; rq_goal_cap; rq_max_steps }
 
 let pairs_encode b l =
   B.list b
@@ -192,10 +188,11 @@ let report_decode s pos =
 
 (* ----- wire messages ----- *)
 
-(* One frame payload = one message: a tag byte then the body.  Version
-   skew is handled at the frame layer (Frame.format_version); unknown
-   tags and undecodable bodies are `Checksum-class frame faults — the
-   bytes arrived intact but do not mean anything. *)
+(* One frame payload = one message: a tag byte then the body, which
+   must fill the payload exactly.  Version skew is handled at the frame
+   layer (Frame.format_version); unknown tags, undecodable bodies and
+   trailing bytes are `Checksum-class frame faults — the bytes arrived
+   intact but do not mean anything. *)
 
 type daemon_stats = {
   ds_served : int;                      (* analyses completed *)
@@ -230,13 +227,20 @@ let msg_encode = function
     B.u8 b 3;
     Buffer.contents b
 
+(* [v], decoded from [s] up to [pos], provided the decode consumed all
+   of [s]: a payload with bytes left over is not a message. *)
+let whole s pos v =
+  if !pos <> String.length s then raise Frame.Truncated;
+  v
+
 let msg_decode s =
   let pos = ref 0 in
-  match B.gu8 s pos with
-  | 1 -> Analyze (request_decode s pos)
-  | 2 -> Stats
-  | 3 -> Shutdown
-  | _ -> raise Frame.Truncated
+  whole s pos
+    (match B.gu8 s pos with
+     | 1 -> Analyze (request_decode s pos)
+     | 2 -> Stats
+     | 3 -> Shutdown
+     | _ -> raise Frame.Truncated)
 
 let reply_encode = function
   | Report r ->
@@ -265,19 +269,20 @@ let reply_encode = function
 
 let reply_decode s =
   let pos = ref 0 in
-  match B.gu8 s pos with
-  | 1 -> Report (report_decode s pos)
-  | 2 ->
-    let ds_served = B.gint s pos in
-    let ds_faults = pairs_decode s pos in
-    let ds_incr_size = B.gint s pos in
-    let ds_memo_entries = B.gint s pos in
-    Stats_reply { ds_served; ds_faults; ds_incr_size; ds_memo_entries }
-  | 3 -> Shutdown_ack
-  | 9 ->
-    let label = B.gstr s pos in
-    Err_reply (label, B.gstr s pos)
-  | _ -> raise Frame.Truncated
+  whole s pos
+    (match B.gu8 s pos with
+     | 1 -> Report (report_decode s pos)
+     | 2 ->
+       let ds_served = B.gint s pos in
+       let ds_faults = pairs_decode s pos in
+       let ds_incr_size = B.gint s pos in
+       let ds_memo_entries = B.gint s pos in
+       Stats_reply { ds_served; ds_faults; ds_incr_size; ds_memo_entries }
+     | 3 -> Shutdown_ack
+     | 9 ->
+       let label = B.gstr s pos in
+       Err_reply (label, B.gstr s pos)
+     | _ -> raise Frame.Truncated)
 
 (* ----- request execution ----- *)
 
@@ -293,7 +298,6 @@ let handle (rq : request) : report =
   report_of_outcome
     (Api.run ?budget:(budget_of rq)
        ~planner_config:(planner_config_of rq)
-       ~jobs:rq.rq_jobs
        ~ids:(Gadget.local_ids ())
        rq.rq_image (goal_of_name rq.rq_goal))
 

@@ -22,14 +22,12 @@ type request = {
   rq_branch_cap : int;
   rq_goal_cap : int;
   rq_max_steps : int;
-  rq_jobs : int;               (** within-stage domains (default 1) *)
 }
 
 val default_request : Gp_util.Image.t -> request
-(** Goal "execve", unlimited budget, [Planner.default_config] knobs,
-    one within-stage domain. *)
+(** Goal "execve", unlimited budget, [Planner.default_config] knobs. *)
 
-(** The jobs- and temperature-invariant projection of an {!Api.outcome}:
+(** The temperature-invariant projection of an {!Api.outcome}:
     everything the CLI report prints, minus the cache and summary
     counters (temperature).  [report_encode] of this is
     the differential unit — daemon vs CLI comparisons are on the
@@ -59,6 +57,29 @@ val request_encode : request -> string
 val request_decode : string -> int ref -> request
 val report_encode : report -> string
 val report_decode : string -> int ref -> report
+
+type daemon_stats = {
+  ds_served : int;
+  ds_faults : (string * int) list;
+  ds_incr_size : int;     (** images in the resident memo *)
+  ds_memo_entries : int;  (** resident solver-memo entries *)
+}
+
+(** One frame payload: a tag byte, then the body. *)
+type msg = Analyze of request | Stats | Shutdown
+
+type reply =
+  | Report of report
+  | Stats_reply of daemon_stats
+  | Shutdown_ack
+  | Err_reply of string * string  (** Fail label, detail *)
+
+val msg_encode : msg -> string
+val msg_decode : string -> msg
+val reply_encode : reply -> string
+val reply_decode : string -> reply
+(** The body must fill the payload exactly: a payload with bytes left
+    over raises {!Gp_util.Frame.Truncated}, as a short one does. *)
 
 (** {1 Execution} *)
 
@@ -94,13 +115,6 @@ val serve : config -> summary
     closed and unlinked, and the exception is re-raised. *)
 
 (** {1 Client} *)
-
-type daemon_stats = {
-  ds_served : int;
-  ds_faults : (string * int) list;
-  ds_incr_size : int;     (** images in the resident memo *)
-  ds_memo_entries : int;  (** resident solver-memo entries *)
-}
 
 module Client : sig
   type t

@@ -4,7 +4,7 @@
    A survey cell is one (program, obfuscation config) pair.  The paper
    experiments walk the grid; the `survey` CLI, the sweep and resume
    suites, and the daemon suite run it as cells — a compile, then
-   [Api.run], degradation ladder included — whose payload is the jobs-,
+   [Api.run], degradation ladder included — whose payload is the concurrency-,
    temperature- and interrupt-invariant part of the cell's outcome. *)
 
 (* ---------- the grid ---------- *)
@@ -116,7 +116,7 @@ let sweep_cells ~goal grid =
               entry.Gp_corpus.Programs.source
           in
           let o =
-            Gp_core.Api.run ~planner_config ~budget ~jobs:1
+            Gp_core.Api.run ~planner_config ~budget
               ~ids:(Gp_core.Gadget.local_ids ()) image goal
           in
           Ok

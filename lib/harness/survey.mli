@@ -35,8 +35,8 @@ val reset_world : unit -> unit
     interned terms, the solver memo and screens, the in-memory image
     memo — so the next run starts as a fresh process would.  The
     per-domain ([Domain.DLS]) abstract-value memo is cleared on the
-    calling domain only; that is enough, because [Par.run] and
-    {!Sched.run_cells} spawn fresh domains, whose tables start empty.
+    calling domain only; that is enough, because {!Sched.run_cells}
+    spawns fresh domains, whose tables start empty.
     The only long-lived worker tables are those of the daemon's
     {!Sched.Service} workers, which this never targets. *)
 

@@ -19,14 +19,14 @@ let obf_configs =
     ("llvm-obf", Gp_obf.Obf.ollvm);
     ("tigress", Gp_obf.Obf.tigress) ]
 
-let build ?(config_name = "original") ?(cfg = Gp_obf.Obf.none) ?budget ?jobs
+let build ?(config_name = "original") ?(cfg = Gp_obf.Obf.none) ?budget
     (entry : Gp_corpus.Programs.entry) : built =
   let image =
     Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg)
       entry.Gp_corpus.Programs.source
   in
   let analysis =
-    Gp_core.Api.analyze ?budget ?jobs ~ids:(Gp_core.Gadget.local_ids ()) image
+    Gp_core.Api.analyze ?budget ~ids:(Gp_core.Gadget.local_ids ()) image
   in
   { entry; config_name; image; analysis }
 

@@ -1,4 +1,4 @@
-(* Solver memoization (DESIGN.md "Parallel execution & determinism").
+(* Solver memoization (DESIGN.md "Concurrency & determinism").
 
    Plan instantiation re-asks the solver structurally identical
    questions thousands of times: the same gadget is tried against the

@@ -1,4 +1,4 @@
-(** Solver verdict memoization (DESIGN.md "Parallel execution &
+(** Solver verdict memoization (DESIGN.md "Concurrency &
     determinism").
 
     Plan instantiation re-asks the solver structurally identical

@@ -27,8 +27,10 @@ exception Truncated = Store.Bin.Truncated
 
 let magic = "GPFR"
 (* v2: the daemon's stats reply lost its three fingerprint counters
-   (DESIGN.md §17), so a v1 stats body no longer decodes as v2. *)
-let format_version = 2
+   (DESIGN.md §17), so a v1 stats body no longer decodes as v2.
+   v3: the analysis request lost its trailing domain count (a request
+   runs on one domain), so a v2 request body no longer decodes as v3. *)
+let format_version = 3
 let header_bytes = 4 + 8 + 8 (* magic, version, length *)
 let trailer_bytes = 8 (* payload checksum *)
 

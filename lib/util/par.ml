@@ -1,125 +1,3 @@
-(* Chunked fan-out over OCaml 5 domains (DESIGN.md "Parallel execution
-   & determinism").
-
-   The pipeline's first two stages are embarrassingly parallel: every
-   harvest start offset and every subsumption bucket is independent.
-   This module gives them a minimal work pool with the one property the
-   determinism layer needs: RESULTS COME BACK IN TASK ORDER, whatever
-   interleaving the scheduler produced.  Workers pull task indices from
-   a shared atomic counter and write into index-addressed slots, so no
-   two domains ever touch the same slot and no ordering information is
-   lost.
-
-   Tasks must not share mutable state with each other; anything they
-   accumulate (fault tallies, budget fuel) is returned per task and
-   merged associatively by the caller after the join. *)
-
-(* How many domains the hardware can actually run.  [jobs] above this
-   only adds scheduling overhead, never throughput. *)
+(* How many domains the hardware can actually run.  Worker counts above
+   this only add scheduling overhead, never throughput. *)
 let available () = Domain.recommended_domain_count ()
-
-(* Run every thunk in [tasks] on up to [jobs] domains (the calling
-   domain is one of them).  Returns results in task order.  If any task
-   raised, the exception of the LOWEST-indexed failed task is re-raised
-   after all domains have joined — a fault in task 7 never hides one in
-   task 3, and no domain is left running.
-
-   The SPAWNED domain count is clamped to the hardware ([available]):
-   oversubscribing domains past the core count buys no throughput and
-   multiplies minor-GC synchronization stalls.  Task and chunk structure
-   depend only on the REQUESTED [jobs], so results are identical across
-   hosts with different core counts. *)
-let run ~jobs (tasks : (unit -> 'a) array) : 'a array =
-  let n = Array.length tasks in
-  let jobs = min jobs (available ()) in
-  if n = 0 then [||]
-  else if jobs <= 1 || n = 1 then Array.map (fun f -> f ()) tasks
-  else begin
-    let results : ('a, exn) result option array = Array.make n None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <- Some (try Ok (tasks.(i) ()) with e -> Error e);
-          loop ()
-        end
-      in
-      loop ()
-    in
-    (* A failed [Domain.spawn] (domain limit, out of memory) must not
-       orphan the domains already running: keep every successful spawn
-       and drain the queue with the workers we have — the atomic cursor
-       makes any worker count complete all n tasks. *)
-    let spawned = ref [] in
-    (try
-       for _ = 2 to min jobs n do
-         spawned := Domain.spawn worker :: !spawned
-       done
-     with _ -> ());
-    (* The calling domain participates, but it must reach the joins
-       even if its worker dies (only asynchronous exceptions — e.g.
-       Out_of_memory — can escape the per-task handler): an early
-       propagation here would leave sibling domains unjoined. *)
-    let caller_exn = (try worker (); None with e -> Some e) in
-    (* Domain.join re-raises an exception that escaped that worker;
-       join EVERY domain before propagating so none is orphaned. *)
-    let join_exns =
-      List.filter_map
-        (fun d -> try Domain.join d; None with e -> Some e)
-        !spawned
-    in
-    let escaped =
-      match caller_exn with
-      | Some _ as e -> e
-      | None -> (match join_exns with e :: _ -> Some e | [] -> None)
-    in
-    (* All domains are joined; now surface failures.  The exception of
-       the LOWEST-indexed failed task wins — a fault in task 7 never
-       hides one in task 3 — then anything that escaped a worker. *)
-    Array.iter (function Some (Error e) -> raise e | _ -> ()) results;
-    (match escaped with Some e -> raise e | None -> ());
-    Array.map
-      (function
-        | Some (Ok v) -> v
-        | _ ->
-          (* unreachable: every index the cursor handed out was either
-             written or its worker's death was re-raised above *)
-          assert false)
-      results
-  end
-
-(* Contiguous index ranges [lo, hi) covering [0, n), each at most
-   [chunk] wide.  Chunking is a function of (n, chunk) alone — never of
-   timing — so a fixed job count always sees the same chunk boundaries. *)
-let ranges ~chunk n =
-  let chunk = max 1 chunk in
-  let nchunks = (n + chunk - 1) / chunk in
-  Array.init nchunks (fun i -> (i * chunk, min n ((i + 1) * chunk)))
-
-(* Pick a chunk size that keeps every domain busy without making the
-   per-chunk merge dominate: ~4 chunks per job, floor of [min_chunk]. *)
-let chunk_size ?(min_chunk = 16) ~jobs n =
-  max min_chunk (n / (max 1 jobs * 4))
-
-(* Order-preserving parallel map.  [f] must be safe to call from any
-   domain. *)
-let map ~jobs ?chunk (f : 'a -> 'b) (xs : 'a list) : 'b list =
-  if jobs <= 1 then List.map f xs
-  else begin
-    let arr = Array.of_list xs in
-    let n = Array.length arr in
-    if n <= 1 then List.map f xs
-    else begin
-      let chunk =
-        match chunk with Some c -> max 1 c | None -> chunk_size ~jobs n
-      in
-      let tasks =
-        Array.map
-          (fun (lo, hi) ->
-            fun () -> Array.init (hi - lo) (fun k -> f arr.(lo + k)))
-          (ranges ~chunk n)
-      in
-      run ~jobs tasks |> Array.to_list |> List.concat_map Array.to_list
-    end
-  end

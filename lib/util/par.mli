@@ -1,41 +1,4 @@
-(** Chunked fan-out over OCaml 5 domains (DESIGN.md "Parallel execution
-    & determinism").
-
-    A minimal work pool with the one property the determinism layer
-    needs: results come back in task order, whatever interleaving the
-    scheduler produced.  Tasks must not share mutable state with each
-    other; anything they accumulate (fault tallies, budget fuel) is
-    returned per task and merged associatively by the caller after the
-    join. *)
-
 val available : unit -> int
 (** How many domains the hardware can actually run
-    ([Domain.recommended_domain_count]).  Job counts above this only add
-    scheduling overhead, never throughput. *)
-
-val run : jobs:int -> (unit -> 'a) array -> 'a array
-(** Run every thunk on up to [jobs] domains (the calling domain is one
-    of them), returning results in task order.  If any task raised, the
-    exception of the LOWEST-indexed failed task is re-raised after all
-    domains have joined — a later fault never hides an earlier one, and
-    no domain is left running.  [jobs <= 1] degrades to a plain
-    sequential map.
-
-    The spawned domain count is additionally clamped to {!available}:
-    oversubscription buys no throughput, only minor-GC stalls.  Task
-    structure depends only on the requested [jobs], so results are
-    identical across hosts with different core counts. *)
-
-val ranges : chunk:int -> int -> (int * int) array
-(** Contiguous index ranges [[lo, hi)] covering [[0, n)], each at most
-    [chunk] wide.  A pure function of [(n, chunk)] — never of timing —
-    so a fixed job count always sees the same chunk boundaries. *)
-
-val chunk_size : ?min_chunk:int -> jobs:int -> int -> int
-(** A chunk size that keeps every domain busy without letting the
-    per-chunk merge dominate: roughly four chunks per job, with a floor
-    of [min_chunk] (default 16) items. *)
-
-val map : jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map over chunks of the list.  [f] must be
-    safe to call from any domain. *)
+    ([Domain.recommended_domain_count]).  Worker counts above this only
+    add scheduling overhead, never throughput. *)

@@ -222,27 +222,26 @@ let decode ?limit bytes pos =
    instruction — so the same position is decoded many times over as
    scans, prefilters, content-key walks and symbolic execution slide
    across the image.  The memo decodes every position of an image ONCE,
-   eagerly, on the constructing domain; the resulting array is immutable
-   and therefore safe to read from any number of worker domains without
-   locks.  [lookups] (atomic: workers bump it concurrently) minus the
-   array length is the number of decodes the memo saved. *)
+   eagerly, and belongs to the one harvest or census that built it.
+   [lookups] minus the array length is the number of decodes the memo
+   saved. *)
 
 type memo = {
   insns : (Insn.t * int) option array;
-  lookups : int Atomic.t;
+  mutable lookups : int;
 }
 
 let memo ?limit bytes =
   let limit = match limit with Some l -> l | None -> Bytes.length bytes in
   { insns = Array.init limit (fun pos -> decode ~limit bytes pos);
-    lookups = Atomic.make 0 }
+    lookups = 0 }
 
 let decode_memo m pos =
-  Atomic.incr m.lookups;
+  m.lookups <- m.lookups + 1;
   if pos < 0 || pos >= Array.length m.insns then None else m.insns.(pos)
 
 let memo_size m = Array.length m.insns
-let memo_lookups m = Atomic.get m.lookups
+let memo_lookups m = m.lookups
 
 (* Decode a straight-line run starting at [pos]: consecutive instructions
    up to and including the first terminator.  Returns [(insn, offset)]

@@ -18,9 +18,9 @@ val decode : ?limit:int -> Bytes.t -> int -> (Insn.t * int) option
     Unaligned harvesting revisits every byte position many times (runs
     starting at [p] and [p+1] share their whole suffix — classic
     Galileo-style sharing).  A {!memo} decodes every position of a
-    buffer once, eagerly, on the constructing domain; the array is
-    immutable afterwards, so worker domains may consult it without
-    locks.  The atomic lookup counter makes the saving observable:
+    buffer once, eagerly, for the one harvest or census that builds it
+    (its lookup counter is not synchronized).  The lookup counter makes
+    the saving observable:
     [memo_lookups m - memo_size m] decodes were not re-executed. *)
 
 type memo

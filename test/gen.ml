@@ -1,4 +1,4 @@
-(* QCheck generators shared across suites. *)
+(* QCheck generators and helpers shared across suites. *)
 
 open Gp_x86
 
@@ -165,6 +165,41 @@ let qtest name ?(count = 200) gen prop =
    and identity in the hash-consing properties.  Constructor order is
    the library's, so polymorphic [compare] on mirrors is the structural
    order the solver's atom sort relies on. *)
+(* ----- concurrent requests ----- *)
+
+(* JOBS (default 4): how many domains the concurrency differentials
+   run their requests on; `make check` sweeps it at 1 and 4. *)
+let jobs_under_test =
+  match Sys.getenv_opt "JOBS" with
+  | Some s -> (try max 1 (int_of_string s) with _ -> 4)
+  | None -> 4
+
+(* Run [thunks] as concurrent requests: one task each on a fresh
+   [Sched.Service] of [jobs] workers, as survey cells and daemon
+   requests run.  Results come back in input order; a task's exception
+   re-raises here, after every worker has joined. *)
+let concurrently ~jobs thunks =
+  let module Sv = Gp_harness.Sched.Service in
+  let tasks = Array.of_list thunks in
+  let out = Array.make (Array.length tasks) None in
+  let sv = Sv.start ~jobs in
+  Array.iteri
+    (fun i f ->
+      Sv.submit sv (fun () ->
+          out.(i) <- Some (match f () with v -> Ok v | exception e -> Error e)))
+    tasks;
+  Sv.stop sv;
+  Array.to_list out
+  |> List.map (function
+       | Some (Ok v) -> v
+       | Some (Error e) -> raise e
+       | None -> assert false)
+
+(* [n] (default JOBS) copies of [f] as concurrent requests on [jobs]
+   (default JOBS) workers. *)
+let copies ?(jobs = jobs_under_test) ?(n = jobs_under_test) f =
+  concurrently ~jobs (List.init n (fun _ -> f))
+
 module Mirror = struct
   type term =
     | Var of string

@@ -288,9 +288,9 @@ let jobs_under_test =
   | Some s -> (try max 1 (int_of_string s) with _ -> 4)
   | None -> 4
 
-(* The same, with machines on JOBS domains at once reading the one
-   image's shared bytes: every run exits 3 and sees its own writes, and
-   the image is unchanged after the join. *)
+(* The same, with four machines on each of JOBS domains at once reading
+   the one image's shared bytes: every run exits 3 and sees its own
+   writes, and the image is unchanged after the join. *)
 let test_machines_across_domains () =
   let image, data_addr, patch_addr = isolation_image () in
   let code0 = Bytes.copy image.Gp_util.Image.code in
@@ -301,8 +301,10 @@ let test_machines_across_domains () =
       Gp_emu.Memory.read64 m.Gp_emu.Machine.mem patch_addr,
       Gp_emu.Memory.read64 m.Gp_emu.Machine.mem data_addr )
   in
-  Gp_util.Par.run ~jobs:jobs_under_test (Array.make 16 run)
-  |> Array.iter (fun (outcome, code_word, data_word) ->
+  List.init jobs_under_test (fun _ ->
+      Domain.spawn (fun () -> List.init 4 (fun _ -> run ())))
+  |> List.concat_map Domain.join
+  |> List.iter (fun (outcome, code_word, data_word) ->
          Alcotest.(check bool) "exit 3" true (outcome = Gp_emu.Machine.Exited 3L);
          Alcotest.(check int64) "own code write" 0x9090909090909090L code_word;
          Alcotest.(check int64) "own data write" 0x9090909090909090L data_word);

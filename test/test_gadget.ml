@@ -1,7 +1,8 @@
 (* Tests for gadget extraction, classification, subsumption, and the
    register-indexed pool; stage-2 dedup against a structural reference
-   over the survey cells, at jobs 1 and JOBS (default 4), so
-   `make check-plan-par` sweeps it at both job counts. *)
+   over the survey cells, extracted one at a time and as concurrent
+   requests on JOBS domains (default 4), so `make check-plan-par`
+   sweeps it at JOBS 1 and 4. *)
 
 open Gp_x86
 
@@ -237,36 +238,41 @@ module Ref_dedup = struct
       gadgets
 end
 
-let dedup_jobs =
-  match Sys.getenv_opt "JOBS" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> 4)
-  | None -> 4
-
 (* Over every survey cell, with the harvest extracted (and its terms
-   interned) at jobs 1 and at JOBS on an emptied intern table: the
-   identity-keyed dedup keeps exactly the reference's survivors, in the
-   same order. *)
+   interned) one cell at a time on an emptied intern table, and again
+   with every cell's extraction a concurrent request on JOBS domains on
+   an emptied table: the identity-keyed dedup keeps exactly the
+   reference's survivors, in the same order. *)
 let test_dedup_vs_reference () =
   let survivors gs = List.map (fun g -> (g.Gp_core.Gadget.id, g.Gp_core.Gadget.addr)) gs in
-  Gp_harness.Survey.survey_cells Gp_harness.Survey.full_grid (fun entry cname cfg ->
-      let image =
-        Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg)
-          entry.Gp_corpus.Programs.source
-      in
-      List.iter
-        (fun jobs ->
-          Gp_harness.Survey.reset_world ();
-          let _, harvest =
-            Gp_core.Api.stage_subsume
-              (Gp_core.Api.stage_extract ~jobs ~ids:(Gp_core.Gadget.local_ids ()) image)
-          in
-          let got = Gp_core.Subsume.dedup harvest in
-          let want = Ref_dedup.dedup harvest in
-          if survivors got <> survivors want then
-            Alcotest.failf "%s/%s jobs %d: %d survivors, reference %d"
-              entry.Gp_corpus.Programs.name cname jobs (List.length got) (List.length want))
-        [ 1; dedup_jobs ])
-  |> ignore
+  let cells =
+    Gp_harness.Survey.survey_cells Gp_harness.Survey.full_grid (fun entry cname cfg ->
+        ( entry.Gp_corpus.Programs.name ^ "/" ^ cname,
+          Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg)
+            entry.Gp_corpus.Programs.source ))
+  in
+  let check how (cell, harvest) =
+    let got = Gp_core.Subsume.dedup harvest in
+    let want = Ref_dedup.dedup harvest in
+    if survivors got <> survivors want then
+      Alcotest.failf "%s %s: %d survivors, reference %d" cell how
+        (List.length got) (List.length want)
+  in
+  let harvest image =
+    snd
+      (Gp_core.Api.stage_subsume
+         (Gp_core.Api.stage_extract ~ids:(Gp_core.Gadget.local_ids ()) image))
+  in
+  List.iter
+    (fun (cell, image) ->
+      Gp_harness.Survey.reset_world ();
+      check "alone" (cell, harvest image))
+    cells;
+  Gp_harness.Survey.reset_world ();
+  List.iter (check "concurrent")
+    (List.combine (List.map fst cells)
+       (Gen.concurrently ~jobs:Gen.jobs_under_test
+          (List.map (fun (_, image) () -> harvest image) cells)))
 
 let suite =
   [ Alcotest.test_case "record fields (Table II)" `Quick test_record_fields;

@@ -3,24 +3,22 @@
    - cold vs warm: after [Survey.reset_world], a cold pass fills the
      in-process image memo, and a warm pass over the filled table is
      bit-identical with no summary misses — analyses across survey
-     cells at jobs 1 and JOBS, and a full plan request at JOBS (the
-     memo must be semantically invisible at any temperature and any
-     domain count);
-   - counters: hit and miss counts aggregate deterministically across
-     job counts;
+     cells run as concurrent requests on 1 and JOBS domains, and a full
+     plan request repeated on JOBS domains at once (the memo must be
+     semantically invisible at any temperature, whatever runs beside a
+     request);
+   - counters: hit and miss counts agree between a request run alone
+     and copies of it racing on a cold table;
    - replay: a memo hit reproduces a fresh harvest exactly — under an
      injected decode-fault schedule, in the global id sequence after
      other harvests, and never from a truncated harvest or under a
-     budget too small for a fresh one.
+     budget too small for a fresh one — with the harvests run as
+     concurrent copies on 1 and JOBS domains.
 
-   The cold/warm and replay cases honor the JOBS environment variable
-   like test_par, so `make check-incr` sweeps job counts without
-   editing code. *)
+   JOBS (default 4) sizes the pool, so `make check-incr` sweeps it
+   without editing code. *)
 
-let jobs_under_test =
-  match Sys.getenv_opt "JOBS" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> 4)
-  | None -> 4
+let jobs_under_test = Gen.jobs_under_test
 
 let reset = Gp_harness.Survey.reset_world
 
@@ -41,10 +39,7 @@ let fingerprint (a : Gp_core.Api.analysis) =
     a.Gp_core.Api.quarantined,
     a.Gp_core.Api.analysis_budget_hits )
 
-(* A cold analysis: the world reset first, as a fresh process starts. *)
-let analyze ~jobs image =
-  reset ();
-  Gp_core.Api.analyze ~jobs image
+let analyze image = Gp_core.Api.analyze ~ids:(Gp_core.Gadget.local_ids ()) image
 
 let outcome_fp (o : Gp_core.Api.outcome) =
   let s = o.Gp_core.Api.stats in
@@ -59,15 +54,21 @@ let diff_cells =
     ("fibonacci", "tigress"); ("crc_check", "original");
     ("crc_check", "llvm-obf"); ("crc_check", "tigress") ]
 
+(* Every cell's cold analysis runs at once on [jobs] domains, then
+   every warm one. *)
 let check_cold_warm jobs () =
-  List.iter
-    (fun (prog, cname) ->
-      let image = compile prog cname in
+  let images = List.map (fun (prog, cname) -> compile prog cname) diff_cells in
+  let pass () =
+    Gen.concurrently ~jobs (List.map (fun image () -> analyze image) images)
+  in
+  reset ();
+  let cold = pass () in
+  Alcotest.(check int) "the cold pass fills the memo, one entry per image"
+    (List.length diff_cells) (Gp_core.Incr.size ());
+  let warm = pass () in
+  List.iter2
+    (fun (prog, cname) (cold, warm) ->
       let cell = prog ^ "/" ^ cname in
-      let cold = analyze ~jobs image in
-      Alcotest.(check int) (cell ^ ": the cold pass fills the memo") 1
-        (Gp_core.Incr.size ());
-      let warm = Gp_core.Api.analyze ~jobs image in
       Alcotest.(check bool)
         (cell ^ ": warm pass identical") true
         (fingerprint warm = fingerprint cold);
@@ -78,66 +79,90 @@ let check_cold_warm jobs () =
         (cell ^ ": warm pass replays every start the cold pass executed")
         cold.Gp_core.Api.analysis_summary_misses
         warm.Gp_core.Api.analysis_summary_hits)
-    diff_cells;
+    diff_cells (List.combine cold warm);
   reset ()
 
-(* a full plan request: the warm one answers from the image memo and
-   the solver memo the cold one filled *)
+(* a full plan request: JOBS warm copies at once answer from the image
+   memo and the solver memo the cold one filled *)
 let check_cold_warm_run () =
-  let jobs = jobs_under_test in
   let image = compile "bubble_sort" "llvm-obf" in
   let run () =
-    Gp_core.Gadget.reset_ids ();
-    Gp_core.Api.run ~jobs image (Gp_core.Goal.Execve "/bin/sh")
+    Gp_core.Api.run ~ids:(Gp_core.Gadget.local_ids ()) image
+      (Gp_core.Goal.Execve "/bin/sh")
   in
   reset ();
   let cold = run () in
-  let warm = run () in
-  let warm_stats = warm.Gp_core.Api.stats in
-  Alcotest.(check bool) "full run: warm request identical" true
-    (outcome_fp warm = outcome_fp cold);
-  Alcotest.(check int) "full run: warm request has no summary misses" 0
-    warm_stats.Gp_core.Api.summary_misses;
-  Alcotest.(check bool) "full run: warm request hits the solver memo" true
-    (warm_stats.Gp_core.Api.cache_hits > 0);
-  Alcotest.(check int) "full run: warm request searches nothing afresh" 0
-    warm_stats.Gp_core.Api.cache_misses;
+  List.iter
+    (fun warm ->
+      let warm_stats = warm.Gp_core.Api.stats in
+      Alcotest.(check bool) "full run: warm request identical" true
+        (outcome_fp warm = outcome_fp cold);
+      Alcotest.(check int) "full run: warm request has no summary misses" 0
+        warm_stats.Gp_core.Api.summary_misses;
+      Alcotest.(check bool) "full run: warm request hits the solver memo" true
+        (warm_stats.Gp_core.Api.cache_hits > 0);
+      Alcotest.(check int) "full run: warm request searches nothing afresh" 0
+        warm_stats.Gp_core.Api.cache_misses)
+    (Gen.copies run);
   reset ()
 
-(* ----- counters: deterministic aggregation across job counts ----- *)
+(* ----- counters: deterministic across concurrent requests ----- *)
 
 let check_counters () =
   let image = compile "bubble_sort" "tigress" in
-  let cold1 = analyze ~jobs:1 image in
-  let cold4 = analyze ~jobs:4 image in
-  (* the examined-start set is scheduling-independent, so hits+misses
-     must agree across job counts even though the cold split is a race *)
-  Alcotest.(check int) "cold hits+misses agree across jobs"
-    (cold1.Gp_core.Api.analysis_summary_hits
-     + cold1.Gp_core.Api.analysis_summary_misses)
-    (cold4.Gp_core.Api.analysis_summary_hits
-     + cold4.Gp_core.Api.analysis_summary_misses);
+  let sum (a : Gp_core.Api.analysis) =
+    a.Gp_core.Api.analysis_summary_hits + a.Gp_core.Api.analysis_summary_misses
+  in
+  reset ();
+  let cold1 = analyze image in
   Alcotest.(check bool) "decode memo saves work" true
     (cold1.Gp_core.Api.analysis_decode_saved > 0);
+  (* the examined-start set is scheduling-independent, so hits+misses
+     agree even though which racing copy misses is a race *)
+  reset ();
+  List.iter
+    (fun a ->
+      Alcotest.(check int) "cold hits+misses agree across racing copies"
+        (sum cold1) (sum a))
+    (Gen.copies (fun () -> analyze image));
   (* with the image in the table, every counter is deterministic *)
-  let warm1 = Gp_core.Api.analyze ~jobs:1 image in
-  let warm4 = Gp_core.Api.analyze ~jobs:4 image in
-  Alcotest.(check int) "warm hits agree across jobs"
-    warm1.Gp_core.Api.analysis_summary_hits
-    warm4.Gp_core.Api.analysis_summary_hits;
-  Alcotest.(check int) "warm misses agree across jobs"
-    warm1.Gp_core.Api.analysis_summary_misses
-    warm4.Gp_core.Api.analysis_summary_misses;
-  Alcotest.(check int) "warm decode savings agree across jobs"
-    warm1.Gp_core.Api.analysis_decode_saved
-    warm4.Gp_core.Api.analysis_decode_saved;
+  let warm1 = analyze image in
+  List.iter
+    (fun warm ->
+      Alcotest.(check int) "warm hits agree across concurrent requests"
+        warm1.Gp_core.Api.analysis_summary_hits
+        warm.Gp_core.Api.analysis_summary_hits;
+      Alcotest.(check int) "warm misses agree across concurrent requests"
+        warm1.Gp_core.Api.analysis_summary_misses
+        warm.Gp_core.Api.analysis_summary_misses;
+      Alcotest.(check int) "warm decode savings agree across concurrent requests"
+        warm1.Gp_core.Api.analysis_decode_saved
+        warm.Gp_core.Api.analysis_decode_saved)
+    (Gen.copies (fun () -> analyze image));
   reset ()
 
 (* ----- replay: a memo hit is a fresh harvest ----- *)
 
-let harvest ?budget ~jobs image =
-  Gp_core.Extract.harvest_r ?budget ~jobs ~ids:(Gp_core.Gadget.local_ids ())
-    image
+(* [jobs] copies of one harvest, each under its own [fuel] budget, as
+   concurrent requests: they must agree, and the first is returned with
+   the fuel its budget has left. *)
+let harvest ?fuel ~jobs image =
+  let one () =
+    let budget = Option.map (fun k -> Gp_core.Budget.create ~fuel:k ()) fuel in
+    let r =
+      Gp_core.Extract.harvest_r ?budget ~ids:(Gp_core.Gadget.local_ids ()) image
+    in
+    (r, Option.map Gp_core.Budget.remaining_fuel budget)
+  in
+  match Gen.copies ~jobs ~n:jobs one with
+  | first :: rest ->
+    List.iter
+      (fun r ->
+        Alcotest.(check bool) "concurrent copies agree" true
+          (fst r = fst first && snd r = snd first))
+      rest;
+    first
+  | [] -> assert false
 
 let same_harvest what (g0, (s0 : Gp_core.Extract.harvest_stats))
     (g1, (s1 : Gp_core.Extract.harvest_stats)) =
@@ -161,7 +186,7 @@ let check_replay_chaos jobs () =
   let image = compile "fibonacci" "llvm-obf" in
   let faults = { Gp_harness.Faultsim.disabled with decode_rate = 0.1; seed = 7 } in
   let under_faults () =
-    Gp_harness.Faultsim.with_faults faults (fun () -> harvest ~jobs image)
+    fst (Gp_harness.Faultsim.with_faults faults (fun () -> harvest ~jobs image))
   in
   reset ();
   let cold = under_faults () in
@@ -177,16 +202,21 @@ let check_replay_chaos jobs () =
   reset ()
 
 (* (b) A hit draws one id per stored entry, unusable ones included, from
-   wherever the global sequence stands. *)
+   wherever the global sequence stands.  The global sequence is one
+   counter, so these harvests run alone; the memo they replay was
+   filled by [jobs] racing copies of each cold harvest. *)
 let check_replay_global_ids jobs () =
   let other = compile "crc_check" "original" in
   let image = compile "fibonacci" "tigress" in
   let run () =
-    ignore (Gp_core.Extract.harvest_r ~jobs other);
-    Gp_core.Extract.harvest_r ~jobs image
+    ignore (Gp_core.Extract.harvest_r other);
+    Gp_core.Extract.harvest_r image
   in
   reset ();
   let cold = run () in
+  reset ();
+  ignore (harvest ~jobs other);
+  ignore (harvest ~jobs image);
   Gp_core.Gadget.reset_ids ();
   let warm = run () in
   check_hit "warm" warm;
@@ -199,28 +229,26 @@ let check_replay_global_ids jobs () =
    not examine every start runs fresh even when the image is stored. *)
 let check_replay_fuel jobs () =
   let image = compile "fibonacci" "original" in
-  let fuel k = Gp_core.Budget.create ~fuel:k () in
   reset ();
-  let truncated = harvest ~budget:(fuel 100) ~jobs image in
+  let truncated, _ = harvest ~fuel:100 ~jobs image in
   Alcotest.(check bool) "fuel cut the harvest short" true
     (snd truncated).Gp_core.Extract.h_budget_hit;
   Alcotest.(check int) "a truncated harvest is not stored" 0
     (Gp_core.Incr.size ());
-  let full = harvest ~jobs image in
+  let full, _ = harvest ~jobs image in
   let n = (snd full).Gp_core.Extract.h_starts in
   Alcotest.(check int) "a full harvest is stored" 1 (Gp_core.Incr.size ());
-  let short = harvest ~budget:(fuel (n - 1)) ~jobs image in
+  let short, _ = harvest ~fuel:(n - 1) ~jobs image in
   Alcotest.(check int) "fuel < n: no hit" 0
     (snd short).Gp_core.Extract.h_summary_hits;
   reset ();
-  same_harvest "fuel < n vs cold" (harvest ~budget:(fuel (n - 1)) ~jobs image) short;
+  same_harvest "fuel < n vs cold" (fst (harvest ~fuel:(n - 1) ~jobs image)) short;
   ignore (harvest ~jobs image);
-  let b = fuel n in
-  let exact = harvest ~budget:b ~jobs image in
+  let exact, left = harvest ~fuel:n ~jobs image in
   check_hit "fuel = n" exact;
   same_harvest "fuel = n vs full" full exact;
-  Alcotest.(check int) "a hit spends the fuel a fresh harvest would" 0
-    (Gp_core.Budget.remaining_fuel b);
+  Alcotest.(check (option int)) "a hit spends the fuel a fresh harvest would"
+    (Some 0) left;
   reset ()
 
 let suite =

@@ -1,27 +1,28 @@
-(* Parallel-execution determinism tests (DESIGN.md "Parallel execution
-   & determinism").  Three angles:
+(* Determinism tests for concurrent requests (DESIGN.md "Concurrency
+   & determinism").  A request is a sequential computation; several
+   requests run at once on a [Sched.Service] pool, sharing the
+   process-global tables (interned terms, the solver memo, the image
+   memo, the trial table).  Three angles:
 
-   - differential: the full pipeline at [jobs > 1] is bit-identical to
-     the sequential run across the survey programs and obfuscation
-     configs — pool, plan counts, validated-chain sets, quarantine
-     ledgers, budget accounting;
-   - fault injection under parallelism: keyed chaos schedules hit the
-     same items whatever the domain count, so no quarantined fault is
-     dropped or double-counted when the harvest fans out;
+   - differential: the full pipeline run as concurrent requests on JOBS
+     domains is bit-identical to the same requests run one after
+     another across the survey programs and obfuscation configs — pool,
+     plan counts, validated-chain sets, quarantine ledgers, budget
+     accounting;
+   - fault injection under concurrency: keyed chaos schedules hit the
+     same items whatever runs beside them, so no quarantined fault is
+     dropped or double-counted;
    - properties of the solver's canonical form: canonicalization is
      idempotent and order-insensitive, and so are verdicts.
 
-   The differential suite honors a JOBS environment variable (default
-   4) so `make check-par` can sweep job counts without editing code. *)
+   JOBS (default 4) sizes the pool, so `make check-par` sweeps it
+   without editing code. *)
 
 open Gp_x86
 
-let jobs_under_test =
-  match Sys.getenv_opt "JOBS" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> 4)
-  | None -> 4
+let jobs_under_test = Gen.jobs_under_test
 
-(* ----- differential: Api.run ~jobs:N ≡ ~jobs:1 ----- *)
+(* ----- differential: concurrent requests = sequential requests ----- *)
 
 (* Seven survey programs x three obfuscation configs = 21 cells, a
    spread of pool sizes from a few dozen gadgets to a few hundred. *)
@@ -33,9 +34,11 @@ let planner_config =
   { Gp_core.Planner.max_plans = 4; node_budget = 1200; time_budget = 10.;
     branch_cap = 10; goal_cap = 6; max_steps = 14 }
 
-(* Everything in the outcome that must not depend on the job count.
-   Cache hit/miss counters are deliberately absent: hit rate is a
-   property of cache temperature, not of verdicts. *)
+(* Everything in the outcome that must not depend on what runs beside
+   the request.  Cache hit/miss counters are deliberately absent: hit
+   rate is a property of cache temperature, not of verdicts; so is
+   [solver_unknowns], a delta of a process-wide counter that concurrent
+   requests bump together. *)
 type fingerprint = {
   f_extracted : int;
   f_deduped : int;
@@ -44,7 +47,6 @@ type fingerprint = {
   f_plans_found : int;
   f_chains : string list;            (* sorted chain keys *)
   f_quarantined : (string * int) list;
-  f_unknowns : int;
   f_budget_hits : string list;
   f_rungs : string list;
 }
@@ -60,115 +62,106 @@ let fingerprint (o : Gp_core.Api.outcome) =
       List.sort compare
         (List.map Gp_core.Payload.chain_key o.Gp_core.Api.chains);
     f_quarantined = s.Gp_core.Api.quarantined;
-    f_unknowns = s.Gp_core.Api.solver_unknowns;
     f_budget_hits = s.Gp_core.Api.budget_hits;
     f_rungs = List.map Gp_core.Api.rung_name o.Gp_core.Api.rungs }
 
-let run_once ~jobs image =
-  Gp_core.Gadget.reset_ids ();
-  Gp_core.Api.run ~planner_config ~jobs image (Gp_core.Goal.Execve "/bin/sh")
+let run_once image =
+  fingerprint
+    (Gp_core.Api.run ~planner_config ~ids:(Gp_core.Gadget.local_ids ()) image
+       (Gp_core.Goal.Execve "/bin/sh"))
+
+let compile pname cfg =
+  Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg)
+    (Gp_corpus.Programs.find pname).Gp_corpus.Programs.source
+
+(* JOBS copies of [f] run as concurrent requests: every copy must equal
+   [want]. *)
+let check_concurrent what want f =
+  List.iteri
+    (fun i got ->
+      Alcotest.(check bool) (Printf.sprintf "%s, copy %d" what i) true (got = want))
+    (Gen.copies f)
 
 let test_differential () =
-  List.iter
-    (fun pname ->
-      let entry = Gp_corpus.Programs.find pname in
-      List.iter
-        (fun (cname, cfg) ->
-          let image =
-            Gp_codegen.Pipeline.compile
-              ~transform:(Gp_obf.Obf.transform cfg)
-              entry.Gp_corpus.Programs.source
-          in
-          let seq = fingerprint (run_once ~jobs:1 image) in
-          let par = fingerprint (run_once ~jobs:jobs_under_test image) in
-          let cell = Printf.sprintf "%s/%s" pname cname in
-          Alcotest.(check bool)
-            (cell ^ " identical") true (seq = par))
-        Gp_harness.Workspace.obf_configs)
-    diff_programs
-
-(* The parallel pool must also carry the same ids in the same order,
-   not merely the same addresses — planner determinism rests on it. *)
-let test_pool_ids_identical () =
-  let image =
-    Gp_codegen.Pipeline.compile
-      ~transform:(Gp_obf.Obf.transform Gp_obf.Obf.ollvm)
-      (Gp_corpus.Programs.find "fibonacci").Gp_corpus.Programs.source
+  let cells =
+    List.concat_map
+      (fun pname ->
+        List.map
+          (fun (cname, cfg) -> (pname ^ "/" ^ cname, compile pname cfg))
+          Gp_harness.Workspace.obf_configs)
+      diff_programs
   in
-  let snapshot jobs =
-    Gp_core.Gadget.reset_ids ();
-    let a = Gp_core.Api.analyze ~jobs image in
+  let seq = List.map (fun (_, image) -> run_once image) cells in
+  let par =
+    Gen.concurrently ~jobs:jobs_under_test
+      (List.map (fun (_, image) () -> run_once image) cells)
+  in
+  List.iter2
+    (fun ((cell, _), s) p ->
+      Alcotest.(check bool) (cell ^ " identical") true (s = p))
+    (List.combine cells seq) par
+
+(* Concurrent requests must also carry the same ids in the same order,
+   not merely the same addresses — planner determinism rests on it.
+   The sequential reference draws from the reset global sequence. *)
+let test_pool_ids_identical () =
+  let image = compile "fibonacci" Gp_obf.Obf.ollvm in
+  let ids (a : Gp_core.Api.analysis) =
     List.map
       (fun (g : Gp_core.Gadget.t) -> (g.Gp_core.Gadget.id, g.Gp_core.Gadget.addr))
       a.Gp_core.Api.gadgets
   in
-  let seq = snapshot 1 in
-  Alcotest.(check bool) "jobs=2 ids" true (snapshot 2 = seq);
-  Alcotest.(check bool) "jobs=4 ids" true (snapshot 4 = seq)
+  Gp_core.Gadget.reset_ids ();
+  let seq = ids (Gp_core.Api.analyze image) in
+  check_concurrent "ids" seq (fun () ->
+      ids (Gp_core.Api.analyze ~ids:(Gp_core.Gadget.local_ids ()) image))
 
 (* The stage-2 bucket cap is the only thing dropping deduped gadgets:
    its tally must be live on a cell that hits it, account exactly for
    the gap between the deduped count and the pool in the run's stats,
-   and, like the pool it shapes, be the same at every job count. *)
+   and, like the pool it shapes, be the same in concurrent requests. *)
 let test_bucket_cap_tallied () =
-  let image =
-    Gp_codegen.Pipeline.compile
-      ~transform:(Gp_obf.Obf.transform Gp_obf.Obf.ollvm)
-      (Gp_corpus.Programs.find "bubble_sort").Gp_corpus.Programs.source
-  in
+  let image = compile "bubble_sort" Gp_obf.Obf.ollvm in
   let tiny = { planner_config with Gp_core.Planner.node_budget = 20 } in
-  let snapshot jobs =
-    Gp_core.Gadget.reset_ids ();
-    let a = Gp_core.Api.analyze ~jobs image in
+  let snapshot () =
+    let a = Gp_core.Api.analyze ~ids:(Gp_core.Gadget.local_ids ()) image in
     let st =
-      (Gp_core.Api.run_with_analysis ~planner_config:tiny
-         ~jobs a (Gp_core.Goal.Execve "/bin/sh"))
+      (Gp_core.Api.run_with_analysis ~planner_config:tiny a
+         (Gp_core.Goal.Execve "/bin/sh"))
         .Gp_core.Api.stats
     in
-    Alcotest.(check int)
-      (Printf.sprintf "jobs=%d deduped - capped = pool" jobs)
-      st.Gp_core.Api.pool_size
+    Alcotest.(check int) "deduped - capped = pool" st.Gp_core.Api.pool_size
       (st.Gp_core.Api.deduped - st.Gp_core.Api.subsume_capped);
     ( a.Gp_core.Api.subsume_capped,
       List.map (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.id)
         a.Gp_core.Api.gadgets )
   in
-  let capped1, pool1 = snapshot 1 in
-  let capped4, pool4 = snapshot 4 in
-  Alcotest.(check bool) "cap hit" true (capped1 > 0);
-  Alcotest.(check int) "jobs=4 capped" capped1 capped4;
-  Alcotest.(check (list int)) "jobs=4 pool" pool1 pool4
+  let seq = snapshot () in
+  Alcotest.(check bool) "cap hit" true (fst seq > 0);
+  check_concurrent "capped and pool" seq snapshot
 
-(* ----- fault injection under parallelism ----- *)
+(* ----- fault injection under concurrency ----- *)
 
 (* A 10% uniform fault sweep: the keyed schedules must hit exactly the
-   same starts/queries at every job count, so the quarantine ledger and
-   the surviving pool are invariant — nothing dropped, nothing counted
-   twice when chunks fan out. *)
+   same starts whether a harvest runs alone or beside others, so the
+   quarantine ledger and the surviving pool are invariant — nothing
+   dropped, nothing counted twice. *)
 let test_faults_invariant_under_jobs () =
-  let image =
-    Gp_codegen.Pipeline.compile
-      ~transform:(Gp_obf.Obf.transform Gp_obf.Obf.tigress)
-      (Gp_corpus.Programs.find "fibonacci").Gp_corpus.Programs.source
-  in
+  let image = compile "fibonacci" Gp_obf.Obf.tigress in
   let cfg = Gp_harness.Faultsim.uniform ~seed:11 0.1 in
   Gp_harness.Faultsim.with_faults cfg (fun () ->
-      let sweep jobs =
-        Gp_core.Gadget.reset_ids ();
-        let gs, st = Gp_core.Extract.harvest_r ~jobs image in
+      let sweep () =
+        let gs, st =
+          Gp_core.Extract.harvest_r ~ids:(Gp_core.Gadget.local_ids ()) image
+        in
         ( List.map (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.addr) gs,
           st.Gp_core.Extract.h_quarantined )
       in
-      let addrs1, tally1 = sweep 1 in
-      let addrs2, tally2 = sweep 2 in
-      let addrs4, tally4 = sweep 4 in
-      Alcotest.(check (list (pair string int))) "tally jobs=2" tally1 tally2;
-      Alcotest.(check (list (pair string int))) "tally jobs=4" tally1 tally4;
-      Alcotest.(check bool) "pool jobs=2" true (addrs1 = addrs2);
-      Alcotest.(check bool) "pool jobs=4" true (addrs1 = addrs4);
+      let seq = sweep () in
+      check_concurrent "pool and tally" seq sweep;
       (* the sweep must actually be injecting: at 10% over thousands of
          start offsets, zero decode quarantines means a dead hook *)
-      match List.assoc_opt "decode" tally1 with
+      match List.assoc_opt "decode" (snd seq) with
       | Some n when n > 0 -> ()
       | _ -> Alcotest.fail "no decode faults quarantined at 10%")
 

@@ -1,14 +1,16 @@
-(* Stage 3–4 parallelism & hash-consing tests (DESIGN.md "Stage 3–4
-   parallelism & hash-consing").  Three angles:
+(* Stage 3–4 concurrency & hash-consing tests (DESIGN.md "Concurrency
+   & determinism", "Stage 3–4 portfolio & hash-consing").  Three
+   angles:
 
-   - differential: the full pipeline — now including the goal-portfolio
-     planner and in-worker validation — at [jobs > 1] is bit-identical
-     to the sequential run across survey cells: chains, planner
-     counters, validation tallies, rungs; the request-scoped candidate
-     table ranks each condition once, at any job count;
-   - fault injection under parallel validation: the chain-keyed
+   - differential: the full pipeline — goal-portfolio planner and
+     validation included — run as concurrent requests on JOBS domains
+     is bit-identical to the same requests run one after another across
+     survey cells: chains, planner counters, validation tallies, rungs;
+     the request-scoped candidate table ranks each condition once;
+   - fault injection under concurrent validation: the chain-keyed
      emulator fuse (plus the keyed decode/solver schedules) must hit
-     the same items at jobs 1/2/4, so outcomes are invariant;
+     the same items whatever runs beside a request, so outcomes are
+     invariant;
    - hash-consing properties: canonical terms are physically equal
      exactly when structurally equal (built on 4 domains too), simplify
      is idempotent, returns the interned node and never a raw input
@@ -18,13 +20,10 @@
      pool-keyed solver memo is semantically transparent — a hit replays
      through the query's own substitution, from any domain.
 
-   Honors the JOBS environment variable (default 4) so
-   `make check-plan-par` can sweep job counts without editing code. *)
+   JOBS (default 4) sizes the pool, so `make check-plan-par` sweeps it
+   without editing code. *)
 
-let jobs_under_test =
-  match Sys.getenv_opt "JOBS" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> 4)
-  | None -> 4
+let jobs_under_test = Gen.jobs_under_test
 
 (* ----- differential: full pipeline, planner counters included ----- *)
 
@@ -35,10 +34,11 @@ let planner_config =
   { Gp_core.Planner.max_plans = 4; node_budget = 1200; time_budget = 10.;
     branch_cap = 10; goal_cap = 6; max_steps = 14 }
 
-(* Everything in the outcome that must not depend on the job count —
-   including the new stage 3-4 observability counters.  Cache hit/miss
-   counters and wall-clock times are deliberately absent: they are
-   properties of cache temperature and the host, not of verdicts. *)
+(* Everything in the outcome that must not depend on what runs beside
+   the request — including the stage 3-4 observability counters.
+   Cache hit/miss counters, [solver_unknowns] and wall-clock times are
+   deliberately absent: they are deltas of process-wide counters
+   (shared by concurrent requests) or properties of the host. *)
 type fingerprint = {
   f_extracted : int;
   f_deduped : int;
@@ -55,7 +55,6 @@ type fingerprint = {
   f_vfaults : int;
   f_vtimeouts : int;
   f_quarantined : (string * int) list;
-  f_unknowns : int;
   f_budget_hits : string list;
   f_rungs : string list;
 }
@@ -79,41 +78,40 @@ let fingerprint (o : Gp_core.Api.outcome) =
     f_vfaults = s.Gp_core.Api.validate_faults;
     f_vtimeouts = s.Gp_core.Api.validate_timeouts;
     f_quarantined = s.Gp_core.Api.quarantined;
-    f_unknowns = s.Gp_core.Api.solver_unknowns;
     f_budget_hits = s.Gp_core.Api.budget_hits;
     f_rungs = List.map Gp_core.Api.rung_name o.Gp_core.Api.rungs }
 
-let run_once ~jobs image =
-  Gp_core.Gadget.reset_ids ();
-  Gp_core.Api.run ~planner_config ~jobs image (Gp_core.Goal.Execve "/bin/sh")
+let run_once image =
+  Gp_core.Api.run ~planner_config ~ids:(Gp_core.Gadget.local_ids ()) image
+    (Gp_core.Goal.Execve "/bin/sh")
+
+let compile pname cfg =
+  Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg)
+    (Gp_corpus.Programs.find pname).Gp_corpus.Programs.source
 
 let test_differential () =
-  List.iter
-    (fun pname ->
-      let entry = Gp_corpus.Programs.find pname in
-      List.iter
-        (fun (cname, cfg) ->
-          let image =
-            Gp_codegen.Pipeline.compile
-              ~transform:(Gp_obf.Obf.transform cfg)
-              entry.Gp_corpus.Programs.source
-          in
-          let seq = fingerprint (run_once ~jobs:1 image) in
-          let par = fingerprint (run_once ~jobs:jobs_under_test image) in
-          let cell = Printf.sprintf "%s/%s" pname cname in
-          Alcotest.(check bool) (cell ^ " identical") true (seq = par))
-        Gp_harness.Workspace.obf_configs)
-    diff_programs
+  let cells =
+    List.concat_map
+      (fun pname ->
+        List.map
+          (fun (cname, cfg) -> (pname ^ "/" ^ cname, compile pname cfg))
+          Gp_harness.Workspace.obf_configs)
+      diff_programs
+  in
+  let seq = List.map (fun (_, image) -> fingerprint (run_once image)) cells in
+  let par =
+    Gen.concurrently ~jobs:jobs_under_test
+      (List.map (fun (_, image) () -> fingerprint (run_once image)) cells)
+  in
+  List.iter2
+    (fun ((cell, _), s) p ->
+      Alcotest.(check bool) (cell ^ " identical") true (s = p))
+    (List.combine cells seq) par
 
 (* The portfolio must actually produce chains on an easy cell — a
    determinism test that compares two empty runs proves nothing. *)
 let test_portfolio_finds_chains () =
-  let image =
-    Gp_codegen.Pipeline.compile
-      ~transform:(Gp_obf.Obf.transform Gp_obf.Obf.ollvm)
-      (Gp_corpus.Programs.find "fibonacci").Gp_corpus.Programs.source
-  in
-  let o = run_once ~jobs:jobs_under_test image in
+  let o = run_once (compile "fibonacci" Gp_obf.Obf.ollvm) in
   Alcotest.(check bool) "chains found" true (o.Gp_core.Api.chains <> []);
   Alcotest.(check bool)
     "quota respected" true
@@ -127,73 +125,61 @@ let test_portfolio_finds_chains () =
     (o.Gp_core.Api.stats.Gp_core.Api.plan_peak_queue > 0)
 
 (* The portfolio's roots share one candidate table per request.  On a
-   cell with several roots, each condition is ranked exactly once (no
-   domain ranks a condition another is computing), the roots do take
-   each other's rankings, and every count is the same at jobs 1, 2 and
-   4 — so the differential above compares live [plan_inst_hits], not
-   zeros. *)
+   cell with several roots, each condition is ranked exactly once, the
+   roots do take each other's rankings, and every count is the same in
+   concurrent searches over one shared pool — so the differential above
+   compares live [plan_inst_hits], not zeros. *)
 let test_shared_candidate_table () =
-  let image =
-    Gp_codegen.Pipeline.compile
-      ~transform:(Gp_obf.Obf.transform Gp_obf.Obf.ollvm)
-      (Gp_corpus.Programs.find "fibonacci").Gp_corpus.Programs.source
-  in
-  Gp_core.Gadget.reset_ids ();
-  let a = Gp_core.Api.analyze image in
+  let image = compile "fibonacci" Gp_obf.Obf.ollvm in
+  let a = Gp_core.Api.analyze ~ids:(Gp_core.Gadget.local_ids ()) image in
   let goal = Gp_core.Goal.concretize image (Gp_core.Goal.Execve "/bin/sh") in
   Alcotest.(check bool) "several roots" true
     (List.length a.Gp_core.Api.pool.Gp_core.Pool.syscall_gadgets > 1);
-  let search jobs =
-    let r =
-      Gp_core.Planner.search_par ~config:planner_config ~jobs
-        a.Gp_core.Api.pool goal
-    in
-    Alcotest.(check int)
-      (Printf.sprintf "jobs=%d: one ranking per condition" jobs)
+  let search () =
+    let r = Gp_core.Planner.search ~config:planner_config a.Gp_core.Api.pool goal in
+    Alcotest.(check int) "one ranking per condition"
       r.Gp_core.Planner.conditions r.Gp_core.Planner.rankings;
     ( [ r.Gp_core.Planner.rankings; r.Gp_core.Planner.inst_memo_hits;
         r.Gp_core.Planner.cand_memo_hits; r.Gp_core.Planner.expanded ],
       List.map Gp_core.Plan.signature r.Gp_core.Planner.plans )
   in
-  let s1 = search 1 in
+  let s1 = search () in
   Alcotest.(check bool) "roots share rankings" true (List.nth (fst s1) 1 > 0);
-  List.iter
-    (fun jobs ->
-      let sn = search jobs in
+  List.iteri
+    (fun i sn ->
       Alcotest.(check (list int))
-        (Printf.sprintf "jobs=%d counters" jobs) (fst s1) (fst sn);
-      Alcotest.(check bool) (Printf.sprintf "jobs=%d plans" jobs) true
+        (Printf.sprintf "concurrent search %d counters" i) (fst s1) (fst sn);
+      Alcotest.(check bool) (Printf.sprintf "concurrent search %d plans" i) true
         (snd s1 = snd sn))
-    [ 2; 4 ];
-  let inst_hits jobs =
-    (run_once ~jobs image).Gp_core.Api.stats.Gp_core.Api.plan_inst_hits
+    (Gen.copies search);
+  let inst_hits () =
+    (run_once image).Gp_core.Api.stats.Gp_core.Api.plan_inst_hits
   in
-  let h1 = inst_hits 1 in
+  let h1 = inst_hits () in
   Alcotest.(check bool) "plan_inst_hits live" true (h1 > 0);
-  List.iter
-    (fun jobs ->
+  List.iteri
+    (fun i h ->
       Alcotest.(check int)
-        (Printf.sprintf "jobs=%d plan_inst_hits" jobs) h1 (inst_hits jobs))
-    [ 2; 4 ]
+        (Printf.sprintf "concurrent request %d plan_inst_hits" i) h1 h)
+    (Gen.copies inst_hits)
 
-(* ----- fault injection under parallel validation ----- *)
+(* ----- fault injection under concurrent validation ----- *)
 
 (* A 10% uniform sweep — decode, solver, AND the chain-keyed emulator
-   fuse — at jobs 1/2/4: every schedule is keyed on the item, so the
-   whole outcome (chains, tallies, rungs) is invariant. *)
+   fuse — over one request alone and JOBS copies of it at once: every
+   schedule is keyed on the item, so the whole outcome (chains,
+   tallies, rungs) is invariant. *)
 let test_faults_invariant_under_jobs () =
-  let image =
-    Gp_codegen.Pipeline.compile
-      ~transform:(Gp_obf.Obf.transform Gp_obf.Obf.tigress)
-      (Gp_corpus.Programs.find "fibonacci").Gp_corpus.Programs.source
-  in
+  let image = compile "fibonacci" Gp_obf.Obf.tigress in
   let cfg = Gp_harness.Faultsim.uniform ~seed:11 0.1 in
   Gp_harness.Faultsim.with_faults cfg (fun () ->
-      let f1 = fingerprint (run_once ~jobs:1 image) in
-      let f2 = fingerprint (run_once ~jobs:2 image) in
-      let f4 = fingerprint (run_once ~jobs:4 image) in
-      Alcotest.(check bool) "jobs=2 identical" true (f1 = f2);
-      Alcotest.(check bool) "jobs=4 identical" true (f1 = f4);
+      let run () = fingerprint (run_once image) in
+      let f1 = run () in
+      List.iteri
+        (fun i f ->
+          Alcotest.(check bool) (Printf.sprintf "concurrent copy %d identical" i)
+            true (f1 = f))
+        (Gen.copies run);
       (* the sweep must actually be injecting *)
       match List.assoc_opt "decode" f1.f_quarantined with
       | Some n when n > 0 -> ()

@@ -105,7 +105,7 @@ let test_search_finds_validated_plans () =
       branch_cap = 8; goal_cap = 4; max_steps = 10 }
   in
   let r =
-    Gp_core.Planner.search_par ~config ~accept_for:(fun _ -> accept) pool goal
+    Gp_core.Planner.search ~config ~accept_for:(fun _ -> accept) pool goal
   in
   Alcotest.(check bool) "found plans" true (List.length r.Gp_core.Planner.plans >= 1);
   (* every accepted chain sets the goal registers via validated execution *)
@@ -116,7 +116,7 @@ let test_search_impossible_goal () =
   let image = image_of [ Insn.Pop Reg.RDI; Insn.Ret ] in
   let pool = Gp_core.Pool.build [ gadget_at image 0x400000L ] in
   let goal = Gp_core.Goal.concretize image (Gp_core.Goal.Mmap (0L, 0x1000L, 7L)) in
-  let r = Gp_core.Planner.search_par pool goal in
+  let r = Gp_core.Planner.search pool goal in
   Alcotest.(check int) "no plans" 0 (List.length r.Gp_core.Planner.plans);
   Alcotest.(check bool) "search exhausted" true r.Gp_core.Planner.exhausted
 
@@ -162,15 +162,11 @@ let two_root_image () =
       Insn.Pop Reg.RDX; Insn.Syscall;  (* 11: pop rdx; syscall *)
       Insn.Hlt ]
 
-let jobs_under_test =
-  match Sys.getenv_opt "JOBS" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> 4)
-  | None -> 4
-
 (* The portfolio's roots share one candidate table per call: each
    condition is ranked once, the second root takes the first root's
    rankings, and the templates it takes still get fresh step ids.  The
-   whole result is the same at jobs 1 and JOBS. *)
+   whole result is the same when JOBS searches over the one pool run
+   at once. *)
 let test_shared_candidate_table () =
   let image = two_root_image () in
   let base = image.Gp_util.Image.code_base in
@@ -190,8 +186,9 @@ let test_shared_candidate_table () =
     { Gp_core.Planner.max_plans = 3; node_budget = 2000; time_budget = 30.;
       branch_cap = 8; goal_cap = 4; max_steps = 10 }
   in
-  let run jobs = Gp_core.Planner.search_par ~config ~jobs pool goal in
-  let r1 = run 1 and rn = run jobs_under_test in
+  let run () = Gp_core.Planner.search ~config pool goal in
+  let r1 = run () in
+  let rs = Gen.copies run in
   List.iter
     (fun (r : Gp_core.Planner.result) ->
       Alcotest.(check int) "one ranking per condition" r.conditions r.rankings;
@@ -203,68 +200,18 @@ let test_shared_candidate_table () =
           Alcotest.(check int) "fresh step ids"
             (List.length sids) (List.length (List.sort_uniq compare sids)))
         r.plans)
-    [ r1; rn ];
+    (r1 :: rs);
   let counters (r : Gp_core.Planner.result) =
     [ r.rankings; r.inst_memo_hits; r.cand_memo_hits; r.expanded ]
   in
-  Alcotest.(check (list int)) "counters jobs-invariant" (counters r1)
-    (counters rn);
-  Alcotest.(check (list string)) "plans jobs-invariant"
-    (List.map Gp_core.Plan.signature r1.plans)
-    (List.map Gp_core.Plan.signature rn.plans)
-
-(* [Once.get] from four domains at once: the first caller computes, the
-   others find the cell pending and wait — [f] must not run again.  [f]
-   holds the cell until every domain has asked. *)
-let once_race f =
-  let t = Gp_core.Planner.Once.create () in
-  let runs = Atomic.make 0 and arrived = Atomic.make 0 in
-  let compute k =
-    Atomic.incr runs;
-    while Atomic.get arrived < 4 do Domain.cpu_relax () done;
-    Unix.sleepf 0.02;
-    f k
-  in
-  let doms =
-    List.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            Atomic.incr arrived;
-            match Gp_core.Planner.Once.get t 7 compute with
-            | v -> Ok v
-            | exception e -> Error e))
-  in
-  let results = List.map Domain.join doms in
-  (t, Atomic.get runs, results)
-
-let test_once_computes_once () =
-  let t, runs, results = once_race (fun k -> ref k) in
-  Alcotest.(check int) "f ran once" 1 runs;
-  match results with
-  | Ok (v0, _) :: _ ->
-    List.iter
-      (function
-        | Ok (v, _) -> Alcotest.(check bool) "same value" true (v == v0)
-        | Error e -> Alcotest.failf "raised %s" (Printexc.to_string e))
-      results;
-    Alcotest.(check int) "one caller computed" 1
-      (List.length (List.filter (function Ok (_, c) -> c | _ -> false) results));
-    Alcotest.(check int) "one key" 1 (Gp_core.Planner.Once.length t);
-    let v, computed = Gp_core.Planner.Once.get t 7 (fun _ -> ref 0) in
-    Alcotest.(check bool) "later get is a hit" true (v == v0 && not computed)
-  | _ -> Alcotest.fail "first caller raised"
-
-let test_once_failure_reaches_every_caller () =
-  let t, runs, results = once_race (fun _ -> failwith "boom") in
-  Alcotest.(check int) "f ran once" 1 runs;
   List.iter
-    (function
-      | Error (Failure m) -> Alcotest.(check string) "stored exception" "boom" m
-      | Error e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
-      | Ok _ -> Alcotest.fail "a caller got a value")
-    results;
-  match Gp_core.Planner.Once.get t 7 (fun _ -> ref 0) with
-  | exception Failure m -> Alcotest.(check string) "re-raised later" "boom" m
-  | _ -> Alcotest.fail "a failed key must stay failed"
+    (fun (rn : Gp_core.Planner.result) ->
+      Alcotest.(check (list int)) "counters concurrency-invariant"
+        (counters r1) (counters rn);
+      Alcotest.(check (list string)) "plans concurrency-invariant"
+        (List.map Gp_core.Plan.signature r1.plans)
+        (List.map Gp_core.Plan.signature rn.plans))
+    rs
 
 let suite =
   [ Alcotest.test_case "instantiate pop" `Quick test_instantiate_pop;
@@ -278,8 +225,4 @@ let suite =
       test_threat_resolution_orders_conflicting_setters;
     Alcotest.test_case "same-value clobber" `Quick test_same_value_clobber_is_no_threat;
     Alcotest.test_case "shared candidate table" `Quick
-      test_shared_candidate_table;
-    Alcotest.test_case "compute-once: four domains, one computation" `Quick
-      test_once_computes_once;
-    Alcotest.test_case "compute-once: failure reaches every caller" `Quick
-      test_once_failure_reaches_every_caller ]
+      test_shared_candidate_table ]

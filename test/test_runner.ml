@@ -67,7 +67,7 @@ let test_backoff_keyed_by_cell () =
 (* ----- classification ----- *)
 
 let test_classify () =
-  let t f = Runner.classify f = `Transient in
+  let t = Gp_core.Fail.retryable in
   Alcotest.(check bool) "deadline transient" true
     (t (Gp_core.Fail.Budget_exhausted ("cell", `Time)));
   Alcotest.(check bool) "fuel transient" true

@@ -3,30 +3,33 @@
 
    - cold vs warm: each cell of the 21-cell survey (seven programs x
      three obfuscation configs) runs cold, after [Survey.reset_world],
-     at jobs 1 and at jobs 4; once all 21 have run, each runs again at
-     jobs 1 and 4 with every table warm (the solver memo [pool_memo],
-     the abstract-value memo, interned terms, the image memo).
-     Pools, plan counts, validated-chain sets, quarantine ledgers and
-     budget accounting must be identical.  [solver_unknowns] and the
-     cache counters are deliberately absent from the fingerprint: they
-     are cache temperature.  The warm runs must actually hit the memo,
-     and Tier A must decide something somewhere in the survey, or the
-     test compares two identical paths.  With test_smt's
+     one request at a time; then the whole survey runs cold again, the
+     cells as concurrent requests on JOBS domains; once both have run,
+     each cell runs again alone and the survey again concurrently, with
+     every table warm (the solver memo [pool_memo], the abstract-value
+     memo, interned terms, the image memo).  Pools, plan counts,
+     validated-chain sets, quarantine ledgers and budget accounting
+     must be identical.  [solver_unknowns] and the cache counters are
+     deliberately absent from the fingerprint: they are cache
+     temperature.  The warm runs must actually hit the memo, and Tier A
+     must decide something somewhere in the survey, or the test
+     compares two identical paths.  With test_smt's
      [prop_absdom_formula_agrees] (Tier A displaces only Unknown) and
      test_plan_par's [prop_pool_key_verdict] (a memo hit answers what an
      uncached solve answers) and the memo's cross-domain tests there,
      this is the neutrality argument for both
      tiers;
    - counter determinism: [screen_decided] counts per query answered,
-     BEFORE the memo lookup, so it must be invariant across job counts
-     (the same discipline as [solver_unknowns]) — and the cache
-     hit+miss SUM, one increment per memoizable query, must be
-     invariant too even though the hit/miss split is temperature;
+     BEFORE the memo lookup, so JOBS concurrent copies of a request bump
+     it JOBS times as much as one request alone (the same discipline as
+     [solver_unknowns]) — and so do the cache hit+miss SUM, one
+     increment per memoizable query, even though the hit/miss split is
+     temperature;
    - attribution: another request's stage 3 running between this
      request's stages 1 and 2 adds nothing to this request's solver
      counters;
    - fault injection: a 10% keyed chaos sweep over stages 1-2 stays
-     deterministic across jobs 1/2/4. *)
+     deterministic when JOBS copies run at once. *)
 
 (* The same 21-cell survey test_par sweeps. *)
 let diff_programs =
@@ -34,14 +37,14 @@ let diff_programs =
     "crc_check"; "bitcount"; "prime_sieve" ]
 
 (* Lighter than test_par's config: this suite runs each cell FOUR times
-   (cold/warm x jobs 1/4). *)
+   (cold/warm x alone/concurrent). *)
 let planner_config =
   { Gp_core.Planner.max_plans = 2; node_budget = 600; time_budget = 10.;
     branch_cap = 10; goal_cap = 6; max_steps = 14 }
 
 (* Everything in the outcome that must not depend on cache temperature
-   (or on the job count).  See the header for what is deliberately
-   excluded. *)
+   (or on what runs beside the request).  See the header for what is
+   deliberately excluded. *)
 type fingerprint = {
   f_extracted : int;
   f_deduped : int;
@@ -78,9 +81,11 @@ let compile_cell cfg pname =
     ~transform:(Gp_obf.Obf.transform cfg)
     (Gp_corpus.Programs.find pname).Gp_corpus.Programs.source
 
-let run_once ~jobs image =
-  Gp_core.Gadget.reset_ids ();
-  Gp_core.Api.run ~planner_config ~jobs image (Gp_core.Goal.Execve "/bin/sh")
+let run_once image =
+  Gp_core.Api.run ~planner_config ~ids:(Gp_core.Gadget.local_ids ()) image
+    (Gp_core.Goal.Execve "/bin/sh")
+
+let jobs_under_test = Gen.jobs_under_test
 
 let test_cold_vs_warm () =
   let cells =
@@ -91,60 +96,77 @@ let test_cold_vs_warm () =
           Gp_harness.Workspace.obf_configs)
       diff_programs
   in
+  let concurrent () =
+    Gen.concurrently ~jobs:jobs_under_test
+      (List.map (fun (_, image) () -> run_once image) cells)
+  in
   let decided = ref 0 in
-  let cold =
+  let cold1 =
     List.map
-      (fun (cell, image) ->
-        let cold_run jobs =
-          Gp_harness.Survey.reset_world ();
-          let o = run_once ~jobs image in
-          if jobs = 1 then
-            decided := !decided + o.Gp_core.Api.stats.Gp_core.Api.screen_decided;
-          fingerprint o
-        in
-        let c1 = cold_run 1 in
-        let c4 = cold_run 4 in
-        Alcotest.(check bool) (cell ^ " jobs invariant") true (c1 = c4);
-        (c1, c4))
+      (fun (_, image) ->
+        Gp_harness.Survey.reset_world ();
+        let o = run_once image in
+        decided := !decided + o.Gp_core.Api.stats.Gp_core.Api.screen_decided;
+        fingerprint o)
       cells
   in
+  Gp_harness.Survey.reset_world ();
+  let coldn = List.map fingerprint (concurrent ()) in
+  List.iter2
+    (fun (cell, _) (c1, cn) ->
+      Alcotest.(check bool) (cell ^ " concurrency invariant") true (c1 = cn))
+    cells (List.combine cold1 coldn);
   let hits = ref 0 in
-  let warm_run jobs image =
-    let o = run_once ~jobs image in
+  let warm o =
     hits := !hits + o.Gp_core.Api.stats.Gp_core.Api.cache_hits;
     fingerprint o
   in
-  List.iter2
-    (fun (cell, image) (c1, c4) ->
-      Alcotest.(check bool) (cell ^ " jobs=1 warm = cold") true
-        (warm_run 1 image = c1);
-      Alcotest.(check bool) (cell ^ " jobs=4 warm = cold") true
-        (warm_run 4 image = c4))
-    cells cold;
+  let warm1 = List.map (fun (_, image) -> warm (run_once image)) cells in
+  let warmn = List.map warm (concurrent ()) in
+  List.iteri
+    (fun i (cell, _) ->
+      let c1 = List.nth cold1 i in
+      Alcotest.(check bool) (cell ^ " alone warm = cold") true
+        (List.nth warm1 i = c1);
+      Alcotest.(check bool) (cell ^ " concurrent warm = cold") true
+        (List.nth warmn i = c1))
+    cells;
   Alcotest.(check bool) "Tier A decides queries over the survey" true
     (!decided > 0);
   Alcotest.(check bool) "warm runs hit the solver memo" true (!hits > 0)
 
-(* ----- counter determinism under Par ----- *)
+(* ----- counter determinism under concurrency ----- *)
+
+(* The process-wide counters a request's stats are deltas of. *)
+let global_counters () =
+  let _, decided, _, _ = Gp_smt.Solver.screen_stats () in
+  ( decided,
+    Gp_smt.Cache.hits Gp_smt.Solver.pool_memo
+    + Gp_smt.Cache.misses Gp_smt.Solver.pool_memo,
+    Atomic.get Gp_smt.Solver.unknowns )
 
 let test_counters_deterministic () =
   let image = compile_cell Gp_obf.Obf.tigress "fibonacci" in
-  let goal = Gp_core.Goal.Execve "/bin/sh" in
-  let snapshot jobs =
-    Gp_core.Gadget.reset_ids ();
+  let cold () =
     Gp_smt.Solver.reset_screen ();
-    Gp_smt.Cache.reset Gp_smt.Solver.pool_memo;
-    let o = Gp_core.Api.run ~planner_config ~jobs image goal in
-    let st = o.Gp_core.Api.stats in
+    Gp_smt.Cache.reset Gp_smt.Solver.pool_memo
+  in
+  cold ();
+  let st = (run_once image).Gp_core.Api.stats in
+  (* the SPLIT is temperature, the SUM is one bump per memoizable query
+     answered — deterministic whatever runs beside the request *)
+  let d1, q1, u1 =
     ( st.Gp_core.Api.screen_decided,
-      (* the SPLIT is temperature, the SUM is one bump per memoizable
-         query answered — deterministic at any job count *)
       st.Gp_core.Api.cache_hits + st.Gp_core.Api.cache_misses,
       st.Gp_core.Api.solver_unknowns )
   in
-  let s1 = snapshot 1 in
-  Alcotest.(check bool) "jobs=2 counters" true (snapshot 2 = s1);
-  Alcotest.(check bool) "jobs=4 counters" true (snapshot 4 = s1)
+  cold ();
+  let d0, q0, u0 = global_counters () in
+  ignore (Gen.copies (fun () -> run_once image));
+  let dn, qn, un = global_counters () in
+  let n = jobs_under_test in
+  Alcotest.(check (list int)) "JOBS concurrent requests count JOBS times one"
+    [ n * d1; n * q1; n * u1 ] [ dn - d0; qn - q0; un - u0 ]
 
 (* ----- attribution of stage counters ----- *)
 
@@ -189,17 +211,21 @@ let test_faults_deterministic_with_screening () =
   let image = compile_cell Gp_obf.Obf.tigress "fibonacci" in
   let cfg = Gp_harness.Faultsim.uniform ~seed:17 0.1 in
   Gp_harness.Faultsim.with_faults cfg (fun () ->
-      let sweep jobs =
-        Gp_core.Gadget.reset_ids ();
-        Gp_smt.Solver.reset_screen ();
-        let gs, st = Gp_core.Extract.harvest_r ~jobs image in
+      let sweep () =
+        let gs, st =
+          Gp_core.Extract.harvest_r ~ids:(Gp_core.Gadget.local_ids ()) image
+        in
         let minimal, _ = Gp_core.Subsume.minimize gs in
         ( List.map (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.addr) minimal,
           st.Gp_core.Extract.h_quarantined )
       in
-      let s1 = sweep 1 in
-      Alcotest.(check bool) "jobs=2 sweep" true (sweep 2 = s1);
-      Alcotest.(check bool) "jobs=4 sweep" true (sweep 4 = s1);
+      Gp_smt.Solver.reset_screen ();
+      let s1 = sweep () in
+      List.iteri
+        (fun i s ->
+          Alcotest.(check bool) (Printf.sprintf "concurrent sweep %d" i) true
+            (s = s1))
+        (Gen.copies sweep);
       let _, tally = s1 in
       (* the sweep must actually be injecting *)
       match List.assoc_opt "decode" tally with

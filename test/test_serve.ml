@@ -5,8 +5,9 @@
      map to Incomplete/Malformed, never an exception (qcheck, plus an
      exhaustive sweep of every single-bit flip and every truncation of
      a few fixed frames) — and the same sweep over fixed request,
-     report and resume payloads, which must decode or raise
-     [Truncated], as must negative list counts;
+     report, resume, message and reply payloads, which must decode or
+     raise [Truncated], as must negative list counts and messages or
+     replies with trailing bytes;
    - shared state: the sharded solver [Cache] is observationally
      identical to a single-lock model — first-write-wins, size/reset,
      hit/miss counters exact under a sequential op stream (qcheck) —
@@ -84,17 +85,17 @@ let test_frame_incremental () =
   done
 
 (* A peer one format version behind: a well-formed frame (good magic,
-   length and checksum) stamped [format_version - 1] around a stats
-   reply in that version's layout, which carried three more counters
-   before the mode string.  The frame layer must refuse it as
-   [Bad_version] instead of handing the old layout to the decoder. *)
+   length and checksum) stamped [format_version - 1] around an analysis
+   request in that version's layout, which ended with a within-request
+   domain count.  The frame layer must refuse it as [Bad_version]
+   instead of handing the old layout to the decoder. *)
 let test_frame_version_skew () =
   let module B = Gp_util.Store.Bin in
   let old = F.format_version - 1 in
   let body = Buffer.create 64 in
-  B.u8 body 2;
-  List.iter (B.int_ body) [ 3; 0; 1; 10; 20; 4; 5; 6 ];
-  B.str body "memory";
+  B.u8 body 1;
+  Buffer.add_string body (Sv.request_encode (one_request ()));
+  B.int_ body 1;
   let payload = Buffer.contents body in
   let frame = Buffer.create 128 in
   Buffer.add_string frame "GPFR";
@@ -204,8 +205,7 @@ let test_frame_exhaustive () =
 
 let test_request_codec_roundtrip () =
   let rq =
-    { (one_request ()) with Sv.rq_goal = "mprotect"; rq_budget_s = 2.5;
-      rq_jobs = 3 }
+    { (one_request ()) with Sv.rq_goal = "mprotect"; rq_budget_s = 2.5 }
   in
   let rq' = Sv.request_decode (Sv.request_encode rq) (ref 0) in
   Alcotest.(check bool) "request round-trips" true (rq = rq')
@@ -223,9 +223,10 @@ let test_report_codec_roundtrip () =
   Alcotest.(check bool) "report round-trips" true (r = r')
 
 (* Codec totality: every truncation and every single-bit flip of a
-   fixed request, report and resume payload either decodes or raises
-   [Truncated] — nothing else may escape a decoder, since the client
-   and the resume path catch only that. *)
+   fixed request, report, resume payload, wire message and reply either
+   decodes or raises [Truncated] — nothing else may escape a decoder,
+   since the client and the resume path catch only that — and a wire
+   message or reply with trailing bytes raises [Truncated]. *)
 let check_total name decode s =
   let n = String.length s in
   let check what bytes =
@@ -283,7 +284,33 @@ let test_codecs_total () =
     (fun s -> Sv.report_decode s (ref 0))
     (Sv.report_encode small_report);
   check_total "resume payload" Survey.resume_payload_decode
-    (Survey.resume_payload_encode small_resume_payload)
+    (Survey.resume_payload_encode small_resume_payload);
+  let msgs = [ Sv.Analyze (small_request ()); Sv.Stats; Sv.Shutdown ] in
+  let replies =
+    [ Sv.Report small_report;
+      Sv.Stats_reply
+        { Sv.ds_served = 3; ds_faults = [ ("frame-torn", 1) ];
+          ds_incr_size = 2; ds_memo_entries = 40 };
+      Sv.Shutdown_ack;
+      Sv.Err_reply ("frame-checksum", "undecodable request body") ]
+  in
+  List.iter (check_total "message" Sv.msg_decode) (List.map Sv.msg_encode msgs);
+  List.iter (check_total "reply" Sv.reply_decode) (List.map Sv.reply_encode replies);
+  (* a whole message followed by anything is not a message *)
+  let trailing name decode s =
+    List.iter
+      (fun extra ->
+        match decode (s ^ extra) with
+        | _ -> Alcotest.failf "%s with %d trailing byte(s) decoded" name
+                 (String.length extra)
+        | exception F.Truncated -> ()
+        | exception e ->
+          Alcotest.failf "%s with trailing bytes: raised %s" name
+            (Printexc.to_string e))
+      [ "\000"; "\001\002"; String.make 9 'x' ]
+  in
+  List.iter (trailing "message" Sv.msg_decode) (List.map Sv.msg_encode msgs);
+  List.iter (trailing "reply" Sv.reply_decode) (List.map Sv.reply_encode replies)
 
 (* A negative list count is malformed input like any other: every list
    the request, report and resume decoders read must reject it with

@@ -304,32 +304,6 @@ let test_store_lock_exclusion () =
      | Ok l3 -> Gp_util.Store.unlock l3
      | Error e -> Alcotest.fail ("relock after unlock: " ^ e))
 
-(* Par.run exception hardening: a task raising must re-raise the
-   LOWEST-indexed failure after every domain joined, leave no sibling
-   result slot unset for tasks that ran, and leave no domain behind —
-   checked by immediately reusing the pool, many times over. *)
-let test_par_run_exception_safety () =
-  let n = 16 in
-  for _ = 1 to 50 do
-    let executed = Array.make n false in
-    let tasks =
-      Array.init n (fun i () ->
-          executed.(i) <- true;
-          if i = 5 || i = 11 then failwith (Printf.sprintf "task-%d" i);
-          i)
-    in
-    (match Gp_util.Par.run ~jobs:4 tasks with
-     | _ -> Alcotest.fail "a failed task must re-raise"
-     | exception Failure msg ->
-       Alcotest.(check string) "lowest-indexed failure wins" "task-5" msg);
-    Alcotest.(check bool) "tasks before the failure all ran" true
-      (executed.(0) && executed.(1) && executed.(2) && executed.(3)
-       && executed.(4))
-  done;
-  let ok = Gp_util.Par.run ~jobs:4 (Array.init n (fun i () -> i * i)) in
-  Alcotest.(check bool) "pool unharmed: subsequent run correct" true
-    (ok = Array.init n (fun i -> i * i))
-
 let suite =
   [ Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng seeds differ" `Quick test_rng_seeds_differ;
@@ -363,6 +337,4 @@ let suite =
       test_wal_foreign_rejected;
     Alcotest.test_case "wal unreadable path is not missing" `Quick
       test_wal_unreadable_not_missing;
-    Alcotest.test_case "store lock exclusion" `Quick test_store_lock_exclusion;
-    Alcotest.test_case "par run exception safety" `Quick
-      test_par_run_exception_safety ]
+    Alcotest.test_case "store lock exclusion" `Quick test_store_lock_exclusion ]
