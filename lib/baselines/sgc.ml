@@ -87,17 +87,13 @@ let run ?(pool : Gp_core.Gadget.t list option) ?budget
       end
   in
   (* the pipeline's portfolio search, every root behind the one gate:
-     chains arrive in root order, and the first [max_plans] of them are
-     SGC's *)
+     chains arrive in root order, and the search stops at [max_plans] *)
   let _ =
-    Gp_core.Planner.search ~config:planner_config
-      ~accept_for:(fun _ -> accept) ?budget
+    Gp_core.Planner.search ~config:planner_config ~accept ?budget
       (Gp_core.Pool.build restricted) concrete
   in
   { Report.tool = name;
     pool_total = List.length restricted;
-    chains =
-      List.filteri (fun i _ -> i < planner_config.Gp_core.Planner.max_plans)
-        (List.rev !chains);
+    chains = List.rev !chains;
     gadget_time = t1 -. t0;
     chain_time = Unix.gettimeofday () -. t1 }

@@ -22,7 +22,7 @@ type stage_stats = {
       (* gadgets the stage-2 bucket cap dropped *)
   pool_size : int;
   plans_found : int;
-  chains_built : int;
+  chains_built : int;          (* = chains_validated; see api.mli *)
   chains_validated : int;
   quarantined : (string * int) list;
       (* Fail.label -> count of items quarantined in stages 1-2 *)
@@ -217,12 +217,10 @@ type outcome = {
   rungs : rung list;             (* ladder rungs attempted, in order *)
 }
 
-(* Stage-3 output: everything stage 4 needs to merge, dedup, re-quota,
-   and assemble the outcome. *)
+(* Stage-3 output: everything stage 4 needs to assemble the outcome. *)
 type planned = {
   pl_analysis : analysis;
   pl_goal : Goal.concrete;
-  pl_config : Planner.config;
   pl_result : Planner.result;
   pl_chains : Payload.chain list;
       (* newest first; the roots search in order, so reversed it is
@@ -251,45 +249,45 @@ let stage_plan ?(planner_config = Planner.default_config) ?budget
   let vfaults = ref 0 in
   let vtimeouts = ref 0 in
   let vtime = ref 0. in
-  (* a completed plan only counts if its payload assembles, is a chain
-     this root has not already emitted, and survives end-to-end
-     execution in the emulator.  Validation happens HERE, inside the
-     root's search — the accept gate needs the verdict. *)
-  let accept_for _root =
-    let seen = Hashtbl.create 16 in
-    fun p ->
-      match Payload.build_opt p concrete with
-      | None -> false
-      | Some c ->
-        let k = Payload.chain_set_key c in
-        if Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          let fuel = Budget.emu_fuel ~cap:1_000_000 budget in
-          let t0 = Unix.gettimeofday () in
-          let o = Payload.validate_run ~fuel a.image c in
-          vtime := !vtime +. (Unix.gettimeofday () -. t0);
-          match o with
-          | o when Goal.satisfied concrete o ->
-            chains := c :: !chains;
-            true
-          | Gp_emu.Machine.Fault _ ->
-            incr vfaults;
-            false
-          | Gp_emu.Machine.Timeout ->
-            (* budget starvation, not a broken chain; count it apart *)
-            incr vtimeouts;
-            false
-          | _ -> false
-        end
+  (* The request's one accept gate, shared by every root: a completed
+     plan only counts if its payload assembles, is a chain no root has
+     already emitted, and survives end-to-end execution in the emulator.
+     Validation happens HERE, inside the search — the gate needs the
+     verdict. *)
+  let seen = Hashtbl.create 16 in
+  let accept p =
+    match Payload.build_opt p concrete with
+    | None -> false
+    | Some c ->
+      let k = Payload.chain_set_key c in
+      if Hashtbl.mem seen k then false
+      else begin
+        Hashtbl.add seen k ();
+        let fuel = Budget.emu_fuel ~cap:1_000_000 budget in
+        let t0 = Unix.gettimeofday () in
+        let o = Payload.validate_run ~fuel a.image c in
+        vtime := !vtime +. (Unix.gettimeofday () -. t0);
+        match o with
+        | o when Goal.satisfied concrete o ->
+          chains := c :: !chains;
+          true
+        | Gp_emu.Machine.Fault _ ->
+          incr vfaults;
+          false
+        | Gp_emu.Machine.Timeout ->
+          (* budget starvation, not a broken chain; count it apart *)
+          incr vtimeouts;
+          false
+        | _ -> false
+      end
   in
-  (* stage 3+4: portfolio search with validation inside each root *)
+  (* stage 3+4: portfolio search with validation inside the gate *)
   let result, plan_time =
     match
       stage "plan" budget (fun () ->
           timed (fun () ->
-              Planner.search ~config:planner_config ~accept_for ~budget
-                a.pool concrete))
+              Planner.search ~config:planner_config ~accept ~budget a.pool
+                concrete))
     with
     | Ok v -> v
     | Error _ ->
@@ -301,7 +299,6 @@ let stage_plan ?(planner_config = Planner.default_config) ?budget
   in
   { pl_analysis = a;
     pl_goal = concrete;
-    pl_config = planner_config;
     pl_result = result;
     pl_chains = !chains;
     pl_vfaults = !vfaults;
@@ -313,34 +310,18 @@ let stage_plan ?(planner_config = Planner.default_config) ?budget
     pl_cache_misses = snd (cache_counters ()) - cm0;
     pl_screen = screen_counter () - sc0 }
 
-(* Stage 4 proper: the deterministic post-processing that turns raw
-   per-root search output into the final outcome.  Candidate VALIDATION
-   already ran inside the stage-3 searches (the accept gate needs the
-   verdicts; moving it would change results) — what remains here is the
-   cross-root merge, global dedup, plan re-quota, and stats assembly.
-   Pure: no solver, no emulator, no global counters. *)
+(* Stage 4 proper: the deterministic post-processing that turns the
+   search output into the final outcome.  Candidate VALIDATION, the
+   dedup and the plan quota already ran inside the stage-3 search (the
+   accept gate needs the verdicts); what remains is the chains in root
+   order and stats assembly.  Pure: no solver, no emulator, no global
+   counters. *)
 let stage_finalize (p : planned) : outcome =
   let a = p.pl_analysis in
   let result = p.pl_result in
-  (* Deterministic merge: the chains in root order, deduped across
-     roots by chain_set_key (each root already deduped locally), then
-     the global plan quota re-applied. *)
-  let built = List.rev p.pl_chains in
-  let validated =
-    let seen = Hashtbl.create 16 in
-    List.filter
-      (fun c ->
-        let k = Payload.chain_set_key c in
-        if Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      built
-    |> List.filteri (fun i _ -> i < p.pl_config.Planner.max_plans)
-  in
+  let chains = List.rev p.pl_chains in
   { goal = p.pl_goal;
-    chains = validated;
+    chains;
     rungs = [ Full ];
     stats =
       { extracted = a.raw_extracted;
@@ -348,8 +329,8 @@ let stage_finalize (p : planned) : outcome =
         subsume_capped = a.subsume_capped;
         pool_size = Pool.size a.pool;
         plans_found = List.length result.Planner.plans;
-        chains_built = List.length built;
-        chains_validated = List.length validated;
+        chains_built = List.length chains;
+        chains_validated = List.length chains;
         quarantined = a.quarantined;
         solver_unknowns = p.pl_unknowns;
         validate_faults = p.pl_vfaults;

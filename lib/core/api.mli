@@ -32,6 +32,10 @@ type stage_stats = {
   pool_size : int;
   plans_found : int;        (** accepted complete plans *)
   chains_built : int;
+      (** always equal to [chains_validated]: the request's one accept
+          gate already dedups and the planner applies the quota.  Kept
+          only because bench/e2e reads it; drop it with the next change
+          to the benchmark. *)
   chains_validated : int;
   quarantined : (string * int) list;
       (** {!Fail.label} -> count of items quarantined in stages 1-2 *)
@@ -137,8 +141,8 @@ type extracted
     {!stage_subsume}. *)
 
 type planned
-(** Stage-3 output: per-root search results awaiting the deterministic
-    merge in {!stage_finalize}. *)
+(** Stage-3 output: the search result and its validated chains,
+    awaiting stats assembly in {!stage_finalize}. *)
 
 val stage_extract :
   ?budget:Budget.t -> ?ids:Gadget.id_source -> Gp_util.Image.t ->
@@ -208,13 +212,15 @@ val invariant_counters : outcome -> (string * int) list
 val stage_plan :
   ?planner_config:Planner.config -> ?budget:Budget.t ->
   analysis -> Goal.t -> planned
-(** Stage 3 alone (with candidate validation riding inside each root's
-    search, as always — the accept gate consumes the verdicts). *)
+(** Stage 3 alone, with candidate validation riding inside the search:
+    one accept gate for every root builds each payload, refuses a
+    gadget set any root already emitted, and validates the rest in the
+    emulator.  The search stops when [max_plans] chains pass. *)
 
 val stage_finalize : planned -> outcome
-(** Stage 4 proper: cross-root merge in root order, global dedup by
-    gadget set, plan re-quota, stats assembly.  Pure — no solver, no
-    emulator, no global counters — so it can run on any domain. *)
+(** Stage 4 proper: the validated chains in root order, plus stats
+    assembly.  Pure — no solver, no emulator, no global counters — so
+    it can run on any domain. *)
 
 val run_with_analysis :
   ?planner_config:Planner.config ->
@@ -224,13 +230,13 @@ val run_with_analysis :
   outcome
 (** Stages 3–4 over a prepared analysis (a single ladder rung; [rungs]
     is always [[Full]] here).  Runs the goal-portfolio search
-    ({!Planner.search}): one independent search per root syscall
-    gadget, payloads validated inside each root's search, per-root chain
-    lists merged in root order, deduplicated by gadget set, and cut to
-    the global plan quota.  Every chain is confirmed by concrete execution
-    before being counted; validation fuel is
-    derived from the remaining budget.  No exception escapes: budget
-    death yields an outcome with the hit recorded. *)
+    ({!Planner.search}): one search per root syscall gadget, in root
+    order, behind one accept gate that dedups by gadget set and
+    validates payloads, until [max_plans] chains pass or the roots run
+    out.  Every chain is confirmed by concrete execution before being
+    counted; validation fuel is derived from the remaining budget.  No
+    exception escapes: budget death yields an outcome with the hit
+    recorded. *)
 
 val run :
   ?planner_config:Planner.config ->

@@ -15,10 +15,11 @@
    The search does NOT stop at the first complete plan: it keeps going,
    emitting distinct complete plans until the node budget or the plan
    quota is exhausted (paper: "Gadget-Planner does not stop when finding
-   one gadget chain"). *)
+   one gadget chain").  The quota is the whole call's: once [max_plans]
+   plans are accepted, over all portfolio roots, the search stops. *)
 
 type config = {
-  max_plans : int;            (* distinct complete plans to emit *)
+  max_plans : int;            (* accepted plans to emit, over all roots *)
   node_budget : int;          (* expansions before giving up *)
   time_budget : float;        (* seconds before giving up *)
   branch_cap : int;           (* candidate gadgets tried per open cond *)
@@ -112,11 +113,12 @@ type stats_acc = {
   mutable s_cand_hits : int;   (* repeat asks within this search *)
   mutable s_ranked : int;      (* rankings this search computed *)
   mutable s_discarded : int;
+  mutable s_accepted : int;    (* plans accepted, against [max_plans] *)
 }
 
 let fresh_stats () =
   { s_expanded = 0; s_peak_queue = 0; s_inst_hits = 0; s_cand_hits = 0;
-    s_ranked = 0; s_discarded = 0 }
+    s_ranked = 0; s_discarded = 0; s_accepted = 0 }
 
 (* Add a step's demands as open conditions. *)
 let open_demands (s : Plan.step) =
@@ -349,7 +351,8 @@ let run_search (config : config) ~accept ~budget ~(stats : stats_acc)
                    Hashtbl.replace usage a
                      (1 + (match Hashtbl.find_opt usage a with Some n -> n | None -> 0)))
                  p.Plan.steps;
-               if List.length !complete >= config.max_plans then begin
+               stats.s_accepted <- stats.s_accepted + 1;
+               if stats.s_accepted >= config.max_plans then begin
                  exhausted := false;
                  raise Exit
                end
@@ -391,14 +394,15 @@ let run_search (config : config) ~accept ~budget ~(stats : stats_acc)
    matters: usage pressure exists to stop chain k+1 from being a
    permutation of chain k, and chains from the SAME root are exactly the
    ones built from the same gadget neighbourhood.  Cross-root repetition
-   is handled by the caller's chain_set_key dedup at merge.
+   is the caller's [accept]: one gate sees every root's plans, so it can
+   refuse a chain an earlier root already emitted.
 
-   [accept_for i] builds the accept gate for root index [i]: per-root
-   gates let the caller (Api) validate payloads inside each root's
-   search, with per-root dedup state. *)
-let search ?(config = default_config)
-    ?(accept_for = fun (_ : int) (_ : Plan.t) -> true) ?budget
-    (pool : Pool.t) (goal : Goal.concrete) : result =
+   [max_plans] is the quota of the whole call: once that many plans are
+   accepted, the current root stops and no later root runs (a skipped
+   root is not exhausted).  The roots run in order, so the plans a full
+   call returns are the first [max_plans] its gate accepted. *)
+let search ?(config = default_config) ?(accept = fun (_ : Plan.t) -> true)
+    ?budget (pool : Pool.t) (goal : Goal.concrete) : result =
   let parent = search_budget config budget in
   let roots =
     List.filteri (fun i _ -> i < config.goal_cap) pool.Pool.syscall_gadgets
@@ -411,10 +415,11 @@ let search ?(config = default_config)
   let results =
     List.mapi
       (fun i root ->
-        let fuel = share + (if i < rem then 1 else 0) in
-        let b = Budget.slice parent ~label:"plan-root" ~fuel () in
-        run_search config ~accept:(accept_for i) ~budget:b ~stats table pool
-          root)
+        if stats.s_accepted >= config.max_plans then ([], false, false)
+        else
+          let fuel = share + (if i < rem then 1 else 0) in
+          let b = Budget.slice parent ~label:"plan-root" ~fuel () in
+          run_search config ~accept ~budget:b ~stats table pool root)
       roots
   in
   { plans = List.concat_map (fun (ps, _, _) -> ps) results;

@@ -14,7 +14,9 @@
     producing DIFFERENT chains rather than permutations of the first. *)
 
 type config = {
-  max_plans : int;            (** accepted complete plans to emit *)
+  max_plans : int;
+      (** accepted complete plans to emit: the quota of one {!search}
+          call, over all its roots *)
   node_budget : int;          (** expansions before giving up *)
   time_budget : float;        (** seconds before giving up *)
   branch_cap : int;           (** candidate steps tried per open cond *)
@@ -47,7 +49,7 @@ type result = {
 
 val search :
   ?config:config ->
-  ?accept_for:(int -> Plan.t -> bool) ->
+  ?accept:(Plan.t -> bool) ->
   ?budget:Budget.t ->
   Pool.t ->
   Goal.concrete ->
@@ -64,12 +66,14 @@ val search :
     condition, [branch_cap] and the payload base) are computed once per
     call, by whichever root asks first.
 
-    [accept_for i] builds the accept gate for root [i], letting the
-    caller validate payloads inside each root's search with per-root
-    state.  The quota [max_plans] applies PER ROOT here; callers dedupe
-    cross-root chains and re-apply the global quota after the merge
-    (see {!Api}).  [peak_queue] is the max over roots, the other
-    counters sum.
+    [accept] is the one accept gate of the call, shared by every root,
+    letting the caller validate payloads inside the search and refuse a
+    chain any earlier root already emitted.  The quota [max_plans]
+    counts the plans [accept] passed over all roots: once it is full,
+    [accept] is not called again, the current root stops, and no later
+    root runs (a skipped root leaves [exhausted] false).  [plans] is
+    thus at most [max_plans] long.  [peak_queue] is the max over roots,
+    the other counters sum.
 
     A complete plan that fails its gate (payload unbuildable, duplicate
     chain, failed validation) is discarded WITHOUT consuming the quota
@@ -79,5 +83,4 @@ val search :
     deadline to the parent's.
 
     This is the planner's one search: the shipped pipeline ({!Api})
-    and the SGC baseline ([Gp_baselines.Sgc], with one gate shared by
-    every root) both plan with it. *)
+    and the SGC baseline ([Gp_baselines.Sgc]) both plan with it. *)

@@ -466,7 +466,7 @@ let tab7 () =
       ~header:[ "tool"; "stage"; "time (s)"; "alloc (MB)" ]
   in
   (* Gadget-Planner stages: the shipped pipeline's Api stages, with
-     stage 4's cross-root finalize counted under planning *)
+     stage 4's finalize counted under planning *)
   let ex, ext_t, ext_m = timed (fun () -> Gp_core.Api.stage_extract image) in
   let (a, _), sub_t, sub_m = timed (fun () -> Gp_core.Api.stage_subsume ex) in
   let _, plan_t, plan_m =

@@ -91,6 +91,9 @@ let resume_payload_decode s =
         let k = B.gstr s pos in
         (k, B.gint s pos))
   in
+  (* a record with bytes left over (a writer with a longer layout) is
+     not a record: the runner recomputes the cell *)
+  if !pos <> String.length s then raise B.Truncated;
   { rp_program; rp_config; rp_pool; rp_chains; rp_rungs; rp_counters }
 
 (* ---------- sweep cells ---------- *)

@@ -34,6 +34,11 @@ let planner_config =
   { Gp_core.Planner.max_plans = 4; node_budget = 1200; time_budget = 10.;
     branch_cap = 10; goal_cap = 6; max_steps = 14 }
 
+(* A quota no request fills: the search runs every root to its fuel
+   share, so the counters the later roots feed stay live.  Under
+   [planner_config] root 0 fills the quota and later roots never run. *)
+let unfilled_config = { planner_config with Gp_core.Planner.max_plans = 10_000 }
+
 (* Everything in the outcome that must not depend on what runs beside
    the request — including the stage 3-4 observability counters.
    Cache hit/miss counters, [solver_unknowns] and wall-clock times are
@@ -81,7 +86,7 @@ let fingerprint (o : Gp_core.Api.outcome) =
     f_budget_hits = s.Gp_core.Api.budget_hits;
     f_rungs = List.map Gp_core.Api.rung_name o.Gp_core.Api.rungs }
 
-let run_once image =
+let run_once ?(planner_config = planner_config) image =
   Gp_core.Api.run ~planner_config ~ids:(Gp_core.Gadget.local_ids ()) image
     (Gp_core.Goal.Execve "/bin/sh")
 
@@ -98,10 +103,11 @@ let test_differential () =
           Gp_harness.Workspace.obf_configs)
       diff_programs
   in
-  let seq = List.map (fun (_, image) -> fingerprint (run_once image)) cells in
+  let run image = fingerprint (run_once ~planner_config:unfilled_config image) in
+  let seq = List.map (fun (_, image) -> run image) cells in
   let par =
     Gen.concurrently ~jobs:jobs_under_test
-      (List.map (fun (_, image) () -> fingerprint (run_once image)) cells)
+      (List.map (fun (_, image) () -> run image) cells)
   in
   List.iter2
     (fun ((cell, _), s) p ->
@@ -124,6 +130,27 @@ let test_portfolio_finds_chains () =
     "peak queue observed" true
     (o.Gp_core.Api.stats.Gp_core.Api.plan_peak_queue > 0)
 
+(* One accept gate for the whole request: a chain one root emitted is
+   refused to every later root, so every chain the gate passes is
+   distinct and kept.  The experiments' config (a quota no cell fills,
+   bound by fuel) runs every root, so a per-root gate would show here
+   as more chains built than validated. *)
+let test_one_gate_across_roots () =
+  let b =
+    Gp_harness.Workspace.build ~config_name:"llvm-obf" ~cfg:Gp_obf.Obf.ollvm
+      (Gp_corpus.Programs.find "fibonacci")
+  in
+  let o = Gp_harness.Workspace.run_gp b (Gp_core.Goal.Execve "/bin/sh") in
+  let s = o.Gp_core.Api.stats in
+  Alcotest.(check bool) "chains found" true (o.Gp_core.Api.chains <> []);
+  Alcotest.(check int) "built = validated" s.Gp_core.Api.chains_validated
+    s.Gp_core.Api.chains_built;
+  Alcotest.(check int) "every accepted plan kept" s.Gp_core.Api.plans_found
+    s.Gp_core.Api.chains_validated;
+  let keys = List.map Gp_core.Payload.chain_set_key o.Gp_core.Api.chains in
+  Alcotest.(check int) "distinct gadget sets" (List.length keys)
+    (List.length (List.sort_uniq compare keys))
+
 (* The portfolio's roots share one candidate table per request.  On a
    cell with several roots, each condition is ranked exactly once, the
    roots do take each other's rankings, and every count is the same in
@@ -136,7 +163,9 @@ let test_shared_candidate_table () =
   Alcotest.(check bool) "several roots" true
     (List.length a.Gp_core.Api.pool.Gp_core.Pool.syscall_gadgets > 1);
   let search () =
-    let r = Gp_core.Planner.search ~config:planner_config a.Gp_core.Api.pool goal in
+    let r =
+      Gp_core.Planner.search ~config:unfilled_config a.Gp_core.Api.pool goal
+    in
     Alcotest.(check int) "one ranking per condition"
       r.Gp_core.Planner.conditions r.Gp_core.Planner.rankings;
     ( [ r.Gp_core.Planner.rankings; r.Gp_core.Planner.inst_memo_hits;
@@ -153,7 +182,8 @@ let test_shared_candidate_table () =
         (snd s1 = snd sn))
     (Gen.copies search);
   let inst_hits () =
-    (run_once image).Gp_core.Api.stats.Gp_core.Api.plan_inst_hits
+    (run_once ~planner_config:unfilled_config image).Gp_core.Api.stats
+      .Gp_core.Api.plan_inst_hits
   in
   let h1 = inst_hits () in
   Alcotest.(check bool) "plan_inst_hits live" true (h1 > 0);
@@ -543,4 +573,6 @@ let suite =
     Alcotest.test_case "solver memo: hit replays through sigma" `Quick
       test_memo_hit_through_sigma;
     Alcotest.test_case "solver memo: filled and hit on other domains" `Quick
-      test_memo_across_domains ]
+      test_memo_across_domains;
+    Alcotest.test_case "one accept gate across roots" `Quick
+      test_one_gate_across_roots ]

@@ -105,7 +105,7 @@ let test_search_finds_validated_plans () =
       branch_cap = 8; goal_cap = 4; max_steps = 10 }
   in
   let r =
-    Gp_core.Planner.search ~config ~accept_for:(fun _ -> accept) pool goal
+    Gp_core.Planner.search ~config ~accept pool goal
   in
   Alcotest.(check bool) "found plans" true (List.length r.Gp_core.Planner.plans >= 1);
   (* every accepted chain sets the goal registers via validated execution *)
@@ -213,6 +213,78 @@ let test_shared_candidate_table () =
         (List.map Gp_core.Plan.signature rn.plans))
     rs
 
+(* Two roots over a pool with several providers per register, so one
+   root alone can complete several different plans. *)
+let many_plan_pool () =
+  let image =
+    image_of
+      [ Insn.Pop Reg.RAX; Insn.Ret;                  (* 0 *)
+        Insn.Pop Reg.RDI; Insn.Ret;                  (* 2 *)
+        Insn.Pop Reg.RSI; Insn.Ret;                  (* 4 *)
+        Insn.Pop Reg.RDX; Insn.Ret;                  (* 6 *)
+        Insn.Syscall; Insn.Hlt;                      (* 8 *)
+        Insn.Pop Reg.RDX; Insn.Syscall; Insn.Hlt;    (* 11 *)
+        Insn.Pop Reg.RDI; Insn.Pop Reg.RSI; Insn.Ret; (* 15 *)
+        Insn.Pop Reg.RAX; Insn.Pop Reg.RDX; Insn.Ret; (* 18 *)
+        Insn.Pop Reg.RSI; Insn.Pop Reg.RDX; Insn.Ret  (* 21 *) ]
+  in
+  let base = image.Gp_util.Image.code_base in
+  ( image,
+    Gp_core.Pool.build
+      (List.map
+         (fun k -> gadget_at image (Int64.add base (Int64.of_int k)))
+         [ 0; 2; 4; 6; 8; 11; 15; 18; 21 ]) )
+
+(* [max_plans] is the quota of the whole call: once the gate has passed
+   that many plans, it is never asked again and no later root expands a
+   node — the call expands exactly what root 0 alone, on its own fuel
+   share, expands.  The gate passes every other plan, so discards are
+   in play and do not count against the quota. *)
+let test_quota_spans_roots () =
+  let image, pool = many_plan_pool () in
+  Alcotest.(check int) "two roots" 2
+    (List.length pool.Gp_core.Pool.syscall_gadgets);
+  let goal =
+    Gp_core.Goal.concretize image
+      (Gp_core.Goal.Mprotect (Gp_emu.Machine.stack_base, 0x1000L, 7L))
+  in
+  let config =
+    { Gp_core.Planner.max_plans = 2; node_budget = 2000; time_budget = 30.;
+      branch_cap = 8; goal_cap = 4; max_steps = 10 }
+  in
+  (* returns the gate, the calls made, and the calls made when full *)
+  let counting_gate () =
+    let calls = ref 0 and passed = ref 0 and calls_when_full = ref (-1) in
+    let accept (_ : Gp_core.Plan.t) =
+      incr calls;
+      let ok = !calls mod 2 = 1 in
+      if ok then begin
+        incr passed;
+        if !passed = config.max_plans then calls_when_full := !calls
+      end;
+      ok
+    in
+    (accept, calls, calls_when_full)
+  in
+  let accept, calls, calls_when_full = counting_gate () in
+  let r = Gp_core.Planner.search ~config ~accept pool goal in
+  Alcotest.(check int) "quota filled" config.max_plans
+    (List.length r.Gp_core.Planner.plans);
+  Alcotest.(check int) "gate not asked once full" !calls_when_full !calls;
+  Alcotest.(check bool) "not exhausted" false r.Gp_core.Planner.exhausted;
+  (* root 0 alone, with the fuel share it has among the two roots *)
+  let accept0, _, _ = counting_gate () in
+  let r0 =
+    Gp_core.Planner.search
+      ~config:{ config with goal_cap = 1; node_budget = config.node_budget / 2 }
+      ~accept:accept0 pool goal
+  in
+  Alcotest.(check int) "no later root expands" r0.Gp_core.Planner.expanded
+    r.Gp_core.Planner.expanded;
+  Alcotest.(check (list string)) "root 0's plans"
+    (List.map Gp_core.Plan.signature r0.Gp_core.Planner.plans)
+    (List.map Gp_core.Plan.signature r.Gp_core.Planner.plans)
+
 let suite =
   [ Alcotest.test_case "instantiate pop" `Quick test_instantiate_pop;
     Alcotest.test_case "wrong register fails" `Quick test_instantiate_wrong_reg_fails;
@@ -225,4 +297,5 @@ let suite =
       test_threat_resolution_orders_conflicting_setters;
     Alcotest.test_case "same-value clobber" `Quick test_same_value_clobber_is_no_threat;
     Alcotest.test_case "shared candidate table" `Quick
-      test_shared_candidate_table ]
+      test_shared_candidate_table;
+    Alcotest.test_case "quota spans roots" `Quick test_quota_spans_roots ]

@@ -310,7 +310,9 @@ let test_codecs_total () =
       [ "\000"; "\001\002"; String.make 9 'x' ]
   in
   List.iter (trailing "message" Sv.msg_decode) (List.map Sv.msg_encode msgs);
-  List.iter (trailing "reply" Sv.reply_decode) (List.map Sv.reply_encode replies)
+  List.iter (trailing "reply" Sv.reply_decode) (List.map Sv.reply_encode replies);
+  trailing "resume payload" Survey.resume_payload_decode
+    (Survey.resume_payload_encode small_resume_payload)
 
 (* A negative list count is malformed input like any other: every list
    the request, report and resume decoders read must reject it with
