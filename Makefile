@@ -8,7 +8,9 @@
 # daemon requests, harvests) the concurrency differentials run at once
 # on a Sched.Service pool, and test_par compares them against the same
 # requests run one at a time, so the two sweeps together pin down the
-# determinism contract (DESIGN.md "Concurrency & determinism").
+# determinism contract (DESIGN.md "Concurrency & determinism").  Each
+# pool worker runs on its own 8 MB minor heap, so a pool at JOBS=4
+# reserves 4 x 8 MB of minor heap.
 #
 # `make check-plan-par` sweeps the stage 3-4 suites and the suites of
 # the intern table they share (test_plan_par: portfolio planning, the
@@ -82,7 +84,8 @@
 # frame-codec totality properties and an exhaustive bit-flip/truncation
 # sweep, shared-table model equivalence, and the daemon-vs-CLI
 # round-trip byte differential incl. the wire-fault sweep, and the
-# teardown on a fatal exception — DESIGN.md §15) at JOBS=1 and JOBS=4.
+# teardown on a fatal exception — DESIGN.md §15) at JOBS=1 and JOBS=4;
+# at JOBS=4 the daemon's pool reserves 4 x 8 MB of worker minor heap.
 
 CHECK_TIMEOUT ?= 600
 

@@ -206,39 +206,33 @@ let ranked_candidates (pool : Pool.t) cond ~cap : Plan.step list =
 (* Ranked candidates, shared by every search of one plan request: the
    cap and the payload base are fixed for the request, so the condition
    alone is the key.  Created per [search] call, never process-global —
-   concurrent daemon requests must not share it. *)
-type cand_table = (Plan.cond, Plan.step list) Hashtbl.t
+   concurrent daemon requests must not share it.  The roots run in
+   order on one domain, so an entry records the last root that asked
+   for it: an ask from that root is a repeat ([s_cand_hits]); an ask
+   from a later root is its first, answered by an earlier root's
+   ranking ([s_inst_hits]). *)
+type cand_entry = { c_steps : Plan.step list; mutable c_root : int }
+type cand_table = (Plan.cond, cand_entry) Hashtbl.t
 
-(* A search's own view of the table: the conditions it has asked for so
-   far (a repeat is a [s_cand_hits] hit); a first ask goes to the
-   request's table, where it either ranks the condition or takes an
-   earlier root's ranking ([s_inst_hits]). *)
-type cand_memo = (Plan.cond, Plan.step list) Hashtbl.t
-
-let candidates ~(stats : stats_acc) (table : cand_table) (cmemo : cand_memo)
+let candidates ~(stats : stats_acc) (table : cand_table) ~root
     (pool : Pool.t) cond ~cap : Plan.step list =
-  match Hashtbl.find_opt cmemo cond with
-  | Some l ->
+  match Hashtbl.find_opt table cond with
+  | Some e when e.c_root = root ->
     stats.s_cand_hits <- stats.s_cand_hits + 1;
-    l
+    e.c_steps
+  | Some e ->
+    stats.s_inst_hits <- stats.s_inst_hits + 1;
+    e.c_root <- root;
+    e.c_steps
   | None ->
-    let l =
-      match Hashtbl.find_opt table cond with
-      | Some l ->
-        stats.s_inst_hits <- stats.s_inst_hits + 1;
-        l
-      | None ->
-        let l = ranked_candidates pool cond ~cap in
-        Hashtbl.add table cond l;
-        stats.s_ranked <- stats.s_ranked + 1;
-        l
-    in
-    Hashtbl.add cmemo cond l;
+    let l = ranked_candidates pool cond ~cap in
+    Hashtbl.add table cond { c_steps = l; c_root = root };
+    stats.s_ranked <- stats.s_ranked + 1;
     l
 
 (* Close (consumer, cond) with a freshly instantiated gadget. *)
-let new_step_successors (cfg : config) ~stats (table : cand_table)
-    (cmemo : cand_memo) (pool : Pool.t) (p : Plan.t) consumer cond :
+let new_step_successors (cfg : config) ~stats (table : cand_table) ~root
+    (pool : Pool.t) (p : Plan.t) consumer cond :
     Plan.t list =
   if List.length p.Plan.steps >= cfg.max_steps then []
   else
@@ -257,7 +251,7 @@ let new_step_successors (cfg : config) ~stats (table : cand_table)
         Option.bind (Plan.add_ordering p' step.Plan.sid consumer) (fun p' ->
             Option.bind (Plan.protect_link p' step.Plan.sid cond consumer)
               (fun p' -> Plan.protect_from p' step)))
-      (candidates ~stats table cmemo pool cond ~cap:cfg.branch_cap)
+      (candidates ~stats table ~root pool cond ~cap:cfg.branch_cap)
 
 type result = {
   plans : Plan.t list;
@@ -309,12 +303,11 @@ let root_plan (goal : Goal.concrete) (g : Gadget.t) : Plan.t option =
    its payload cannot be assembled, or it duplicates a chain already
    emitted) is discarded WITHOUT consuming the plan quota, and the
    search keeps going.  Everything else a root's search mutates —
-   queue, candidate memo, usage/visited tables — it owns; the pool is
-   immutable. *)
+   queue, usage/visited tables — it owns; the pool is immutable.
+   [root_id] is the root's index, the key of its table asks. *)
 let run_search (config : config) ~accept ~budget ~(stats : stats_acc)
-    (table : cand_table) (pool : Pool.t) (root : Plan.t) :
+    (table : cand_table) ~root_id (pool : Pool.t) (root : Plan.t) :
     Plan.t list * bool * bool =
-  let cmemo : cand_memo = Hashtbl.create 64 in
   let q = Pq.create () in
   let usage : (int64, int) Hashtbl.t = Hashtbl.create 64 in
   let push p = Pq.push q (cost ~usage p) (entry_of p) in
@@ -361,8 +354,8 @@ let run_search (config : config) ~accept ~budget ~(stats : stats_acc)
            | (consumer, cond) :: _ ->
              let succs =
                reuse_successors p consumer cond
-               @ new_step_successors config ~stats table cmemo pool p consumer
-                   cond
+               @ new_step_successors config ~stats table ~root:root_id pool p
+                   consumer cond
              in
              List.iter push succs
          end
@@ -376,7 +369,7 @@ let run_search (config : config) ~accept ~budget ~(stats : stats_acc)
 
 (* Goal-portfolio search: one INDEPENDENT best-first search per root
    syscall gadget, run in root order on the calling domain.  Each root
-   owns its queue, candidate memo, usage and visited tables, and a
+   owns its queue, usage and visited tables, and a
    [Budget.slice] of the parent — a deterministic fuel share
    (node_budget / #roots, remainder to the earliest roots) plus the
    shared wall-clock deadline.  Results concatenate in root order, so
@@ -419,7 +412,8 @@ let search ?(config = default_config) ?(accept = fun (_ : Plan.t) -> true)
         else
           let fuel = share + (if i < rem then 1 else 0) in
           let b = Budget.slice parent ~label:"plan-root" ~fuel () in
-          run_search config ~accept ~budget:b ~stats table pool root)
+          run_search config ~accept ~budget:b ~stats table ~root_id:i pool
+            root)
       roots
   in
   { plans = List.concat_map (fun (ps, _, _) -> ps) results;

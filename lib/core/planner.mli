@@ -37,7 +37,7 @@ type result = {
           name is kept from the per-search instantiation memo it
           replaced. *)
   cand_memo_hits : int;
-      (** repeat asks for a condition within one search *)
+      (** repeat asks for a condition within one root's search *)
   rankings : int;          (** candidate rankings computed *)
   conditions : int;
       (** distinct conditions in the candidate table; equal to
@@ -56,7 +56,7 @@ val search :
   result
 (** Goal-portfolio search: one independent best-first search per root
     syscall gadget, run in root order on the calling domain.  Each root
-    owns its queue, candidate memo, usage and visited tables, and a
+    owns its queue, usage and visited tables, and a
     {!Budget.slice} fuel share ([node_budget / #roots], remainder to the
     earliest roots) sharing the parent deadline; plans concatenate in
     root order — a pure function of (pool, goal, config).

@@ -20,7 +20,20 @@
 
    [Faultsim.Crashed] is never caught: simulated process death stops
    the pool (workers stop claiming, every domain is joined) and then
-   unwinds out of [run_cells], exactly like the sequential sweep. *)
+   unwinds out of [run_cells], exactly like the sequential sweep.
+
+   Each worker domain runs on its own 8 MB minor heap
+   ([worker_minor_heap_words]).  In OCaml 5 every minor collection
+   stops every domain, so a busy worker on the default 256K-word
+   (2 MB) heap would interrupt the other workers about ten times per
+   request.  [Gc.set] from a domain resizes only that domain's minor
+   heap (OCaml 5.1: the worker reads the new size, the main domain and
+   later spawns keep 262,144 words), so the setting is worker-only by
+   construction: the caller's domain and the process-wide default are
+   never changed.  A process-wide heap was measured and rejected: with
+   OCAMLRUNPARAM=s=1M, one-domain scan-cold read 13.4-13.5 -> 13.1-13.2
+   ms cpu per item and plan-cold 19.3-19.4 -> 19.5-19.9 ms, while peak
+   RSS rose 11-12% on both; s=8M cost plan-cold +33% cpu. *)
 
 open Gp_core
 
@@ -74,6 +87,13 @@ module Service = struct
         in
         wait ())
 
+  (* 1M words = 8 MB on 64-bit.  Sweep on the 2-core reference host,
+     serve-2c (2 workers), cpu_ms_per_item over 2 runs each, against
+     27.0-31.1 ms at the default heap: 512K words 23.9/24.8 ms at 175
+     MB peak RSS, 1M 21.7/21.8 ms at 180-182 MB, 2M 22.9/23.0 ms at
+     197-198 MB — a bigger heap costs RSS and buys nothing. *)
+  let worker_minor_heap_words = 1 lsl 20
+
   let rec worker sv =
     match next sv with
     | None -> ()
@@ -100,7 +120,12 @@ module Service = struct
        first spawn is raised. *)
     (match
        for _ = 1 to max 1 n do
-         sv.sv_domains <- Domain.spawn (fun () -> worker sv) :: sv.sv_domains
+         sv.sv_domains <-
+           Domain.spawn (fun () ->
+               Gc.set
+                 { (Gc.get ()) with minor_heap_size = worker_minor_heap_words };
+               worker sv)
+           :: sv.sv_domains
        done
      with
     | () -> ()

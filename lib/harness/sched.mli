@@ -26,8 +26,13 @@ open Gp_core
 module Service : sig
   type t
 
+  val worker_minor_heap_words : int
+  (** The minor heap of every worker domain, in words (1M words, 8 MB
+      on 64-bit); the caller's domain keeps its own. *)
+
   val start : jobs:int -> t
-  (** Spawn [jobs] (at least 1) worker domains; the count is
+  (** Spawn [jobs] (at least 1) worker domains, each of which first
+      sets its own minor heap to {!worker_minor_heap_words}; the count is
       deliberately not clamped to the core count — oversubscribed
       workers are timesliced and must produce identical results.  If
       some spawns fail the pool runs with fewer workers; if none

@@ -489,6 +489,7 @@ type daemon = {
   dm_served : int Atomic.t;
   dm_faults : Fail.tally;
   dm_faults_m : Mutex.t;
+  dm_chunk : Bytes.t;  (* read buffer; only the main domain reads *)
 }
 
 let quarantine d f =
@@ -592,7 +593,7 @@ let rec parse_conn d c =
       conn_close d c
 
 let read_conn d c =
-  let chunk = Bytes.create 65536 in
+  let chunk = d.dm_chunk in
   match Unix.read c.cn_fd chunk 0 (Bytes.length chunk) with
   | 0 ->
     c.cn_eof <- true;
@@ -630,7 +631,8 @@ let serve (cfg : config) : summary =
       dm_running = true;
       dm_served = Atomic.make 0;
       dm_faults = Fail.tally_create ();
-      dm_faults_m = Mutex.create () }
+      dm_faults_m = Mutex.create ();
+      dm_chunk = Bytes.create 65536 }
   in
   let teardown () =
     (try Unix.close lsock with Unix.Unix_error _ -> ());

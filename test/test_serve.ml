@@ -575,6 +575,33 @@ let test_service_fatal_waits () =
   Alcotest.(check bool) "in-flight task finished before the re-raise" true
     (Atomic.get done_)
 
+let test_service_minor_heap () =
+  (* every worker runs on its own larger minor heap; the submitting
+     domain's heap is never touched.  Each task waits until both have
+     started, so the two readings come from the two workers. *)
+  let minor () = (Gc.get ()).Gc.minor_heap_size in
+  let before = minor () in
+  let sv = S.Service.start ~jobs:2 in
+  let started = Atomic.make 0 in
+  let seen = Array.make 2 0 in
+  for i = 0 to 1 do
+    S.Service.submit sv (fun () ->
+        Atomic.incr started;
+        let t0 = Unix.gettimeofday () in
+        while Atomic.get started < 2 && Unix.gettimeofday () -. t0 < 10. do
+          Domain.cpu_relax ()
+        done;
+        seen.(i) <- minor ())
+  done;
+  S.Service.stop sv;
+  Array.iteri
+    (fun i w ->
+      Alcotest.(check int)
+        (Printf.sprintf "worker %d minor heap (words)" i)
+        S.Service.worker_minor_heap_words w)
+    seen;
+  Alcotest.(check int) "caller's minor heap unchanged" before (minor ())
+
 (* ----- daemon plumbing shared by the integration tests ----- *)
 
 let fresh_sock =
@@ -917,6 +944,8 @@ let suite =
       test_service_fatal;
     Alcotest.test_case "service fatal waits for in-flight tasks" `Quick
       test_service_fatal_waits;
+    Alcotest.test_case "service workers get their own minor heap" `Quick
+      test_service_minor_heap;
     Alcotest.test_case "daemon differential vs CLI path" `Quick
       test_daemon_differential;
     Alcotest.test_case "wire-fault modes quarantined, caches unpoisoned"
