@@ -39,16 +39,14 @@
 # replay under injected faults, global ids and short fuel, with the
 # requests run as JOBS concurrent copies — DESIGN.md §11) the same way.
 #
-# `make check-screen` sweeps the suites that together show solver
-# screening and the compiled model search change no answer (DESIGN.md
-# §2, §12; both tiers screen plan instantiation's `check` only):
+# `make check-screen` sweeps the suites that together show the solver
+# memo and the compiled model search change no answer (DESIGN.md §2,
+# §12; the memo serves plan instantiation's `check` only):
 # test_screen (the 21-cell survey cold, after `Survey.reset_world`, vs
 # warm, one cell at a time and as concurrent requests on JOBS domains,
-# with Tier A required to decide queries and the warm runs required to
-# hit the one solver memo, `Solver.pool_memo`; counter determinism and
-# attribution; fault sweeps), test_smt (Tier
-# A's abstract verdicts agree with concrete evaluation; the trial table
-# is the old search's draws, the compiled search answers as the old
+# with the warm runs required to hit the one solver memo,
+# `Solver.pool_memo`; counter determinism and attribution; fault
+# sweeps), test_smt (the trial table is the old search's draws, the compiled search answers as the old
 # trial loop, and four domains sharing the table answer as one) and
 # test_plan_par (a memo hit answers what an uncached `check` does, also
 # when replayed through another query's substitution, on another

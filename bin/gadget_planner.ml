@@ -74,6 +74,24 @@ let obf_conv =
   in
   Arg.conv ~docv:"PRESET" (parse, fun ppf (name, _) -> Format.pp_print_string ppf name)
 
+(* [conv]'s values that satisfy [ok]; any other is a usage error *)
+let restrict conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+(* --max, --jobs, --max-attempts *)
+let positive_int_conv = restrict Arg.int ~expected:"a positive integer" (fun n -> n > 0)
+
+(* --budget *)
+let seconds_conv =
+  restrict Arg.float ~expected:"a positive finite number of seconds" (fun x ->
+      x > 0. && Float.is_finite x)
+
 let prog_arg =
   Arg.(required & pos 0 (some source_conv) None & info [] ~docv:"PROGRAM")
 
@@ -89,7 +107,7 @@ let goal_arg =
        & info [ "goal" ] ~docv:"GOAL" ~doc:"execve, mprotect, or mmap.")
 
 let budget_arg =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some seconds_conv) None
        & info [ "budget" ] ~docv:"SECONDS"
            ~doc:"Wall-clock budget for the whole pipeline run.")
 
@@ -98,11 +116,14 @@ let budget_of = Option.map (fun s -> Gp_core.Budget.create ~label:"cli" ~seconds
 (* survey cells and daemon requests run concurrently, each on one
    domain; a single request is sequential *)
 let jobs_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt positive_int_conv 1
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Domains running cells (survey) or requests (serve) \
                  concurrently, one domain each (results are \
                  deterministic and identical to -j 1).")
+
+let max_arg =
+  Arg.(value & opt positive_int_conv 8 & info [ "max" ] ~docv:"N" ~doc:"Payloads to emit.")
 
 let json_errors_arg =
   Arg.(value & flag
@@ -164,9 +185,6 @@ let scan_cmd =
 (* ----- plan ----- *)
 
 let plan_cmd =
-  let max_arg =
-    Arg.(value & opt int 8 & info [ "max" ] ~docv:"N" ~doc:"Payloads to emit.")
-  in
   let stats_arg =
     Arg.(value & flag
          & info [ "stats" ]
@@ -210,7 +228,6 @@ let plan_cmd =
         "solver memo: %d hits / %d misses; %d unknowns\n"
         st.Gp_core.Api.cache_hits st.Gp_core.Api.cache_misses
         st.Gp_core.Api.solver_unknowns;
-      Printf.printf "screening: %d decided\n" st.Gp_core.Api.screen_decided;
       Printf.printf
         "image memo: %d starts replayed / %d executed; %d decodes saved\n"
         st.Gp_core.Api.summary_hits st.Gp_core.Api.summary_misses
@@ -277,7 +294,7 @@ let survey_cmd =
                    subset.")
   in
   let attempts_arg =
-    Arg.(value & opt int 3
+    Arg.(value & opt positive_int_conv 3
          & info [ "max-attempts" ] ~docv:"N"
              ~doc:"Attempts per cell before a transient failure \
                    (timeout, exhausted budget) is recorded as final.")
@@ -411,9 +428,6 @@ let serve_cmd =
     Term.(const run $ socket_arg $ jobs_arg $ json_errors_arg)
 
 let submit_cmd =
-  let max_arg =
-    Arg.(value & opt int 8 & info [ "max" ] ~docv:"N" ~doc:"Payloads to emit.")
-  in
   let shutdown_arg =
     Arg.(value & flag
          & info [ "shutdown" ]

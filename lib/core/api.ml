@@ -52,10 +52,6 @@ type stage_stats = {
   plan_discarded : int;
       (* complete plans rejected by the accept gate (duplicate chain,
          unbuildable payload, failed validation) *)
-  screen_decided : int;
-      (* Tier A: check queries decided abstractly.  Counted per query
-         answered, before the memo (same discipline as
-         solver_unknowns) *)
   summary_hits : int;
   summary_misses : int;
       (* image memo traffic during the harvest (DESIGN.md §11): starts
@@ -72,11 +68,6 @@ type stage_stats = {
          (validation runs inside the search's accept gate), broken out
          so stage 4 is observable on its own *)
 }
-
-(* Tier A's live counter, [screen_decided]. *)
-let screen_counter () =
-  let _, decided, _, _ = Gp_smt.Solver.screen_stats () in
-  decided
 
 (* Solver-memo counters, snapshotted around stages 3-4. *)
 let cache_counters () =
@@ -232,7 +223,6 @@ type planned = {
   pl_unknowns : int;                (* deltas over stages 3+4 *)
   pl_cache_hits : int;
   pl_cache_misses : int;
-  pl_screen : int;
 }
 
 let stage_plan ?(planner_config = Planner.default_config) ?budget
@@ -241,7 +231,6 @@ let stage_plan ?(planner_config = Planner.default_config) ?budget
   let concrete = Goal.concretize a.image goal in
   let u0 = Atomic.get Gp_smt.Solver.unknowns in
   let ch0, cm0 = cache_counters () in
-  let sc0 = screen_counter () in
   (* Stages 3+4 run as a goal portfolio (Planner.search): accepted
      chains, fault and timeout tallies and validation seconds accumulate
      here across the roots. *)
@@ -307,8 +296,7 @@ let stage_plan ?(planner_config = Planner.default_config) ?budget
     pl_plan_time = plan_time;
     pl_unknowns = Atomic.get Gp_smt.Solver.unknowns - u0;
     pl_cache_hits = fst (cache_counters ()) - ch0;
-    pl_cache_misses = snd (cache_counters ()) - cm0;
-    pl_screen = screen_counter () - sc0 }
+    pl_cache_misses = snd (cache_counters ()) - cm0 }
 
 (* Stage 4 proper: the deterministic post-processing that turns the
    search output into the final outcome.  Candidate VALIDATION, the
@@ -345,7 +333,6 @@ let stage_finalize (p : planned) : outcome =
         plan_inst_hits = result.Planner.inst_memo_hits;
         plan_cand_hits = result.Planner.cand_memo_hits;
         plan_discarded = result.Planner.discarded;
-        screen_decided = p.pl_screen;
         summary_hits = a.analysis_summary_hits;
         summary_misses = a.analysis_summary_misses;
         decode_saved = a.analysis_decode_saved;

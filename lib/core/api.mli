@@ -68,12 +68,6 @@ type stage_stats = {
   plan_discarded : int;
       (** complete plans rejected by the accept gate (duplicate chain,
           unbuildable payload, failed validation) *)
-  screen_decided : int;
-      (** Tier A screening (DESIGN.md §12): [check] queries decided
-          abstractly.  Counted per query answered (before the memo),
-          so temperature-invariant, same discipline as
-          [solver_unknowns]; like it, a delta of a process-wide counter
-          that requests running beside this one also bump. *)
   summary_hits : int;
   summary_misses : int;
       (** image memo traffic during the harvest (DESIGN.md §11):
@@ -130,7 +124,7 @@ val timed : (unit -> 'a) -> 'a * float
     consumes.  {!analyze}, {!run_with_analysis} and {!run} are
     compositions of these, so every path runs the same code.
 
-    {!stage_plan}'s solver counters ([solver_unknowns], cache/screen
+    {!stage_plan}'s solver counters ([solver_unknowns], solver-memo
     traffic) are deltas of process-wide counters, so a concurrent
     request's stage 3 can land in another request's deltas.  Stages 1-2
     make no solver query and take no such snapshot.  Every such counter

@@ -41,7 +41,6 @@ let reset_world () =
   Gp_core.Gadget.reset_ids ();
   Gp_smt.Term.reset_memo ();
   Gp_smt.Cache.reset Gp_smt.Solver.pool_memo;
-  Gp_smt.Solver.reset_screen ();
   Gp_core.Incr.reset ()
 
 let rec rm_rf path =

@@ -31,14 +31,11 @@ val survey_cells :
 (** {1 Process state} *)
 
 val reset_world : unit -> unit
-(** Empty every process-global cache the pipeline keeps — gadget ids,
-    interned terms, the solver memo and screens, the in-memory image
-    memo — so the next run starts as a fresh process would.  The
-    per-domain ([Domain.DLS]) abstract-value memo is cleared on the
-    calling domain only; that is enough, because {!Sched.run_cells}
-    spawns fresh domains, whose tables start empty.
-    The only long-lived worker tables are those of the daemon's
-    {!Sched.Service} workers, which this never targets. *)
+(** Reset the state the pipeline keeps between runs — the gadget id
+    counter, interned terms, the solver memo, the in-memory image memo —
+    so the next run starts as a fresh process would.  All of it is
+    process-wide, so this reaches every domain, the daemon's
+    {!Sched.Service} workers included. *)
 
 val rm_rf : string -> unit
 (** Remove a file or directory tree; absent paths are fine. *)

@@ -162,32 +162,12 @@ let chaos_unknown : (Formula.t list -> bool) ref = ref (fun _ -> false)
    Atomic: bumped from worker domains. *)
 let unknowns = Atomic.make 0
 
-(* ----- screening front-end (DESIGN.md §12) -----
+(* ----- the solver memo (DESIGN.md §12) -----
 
-   Two cheap tiers sit in front of the solver proper.  The contract for
-   both: a tier may only short-circuit a query when the verdict it
-   returns is the one the fall-through path would produce AT THE CALL
-   SITE THAT CONSUMES IT — so results do not depend on which tables are
-   warm, at any job count.
-
-   - Tier A (abstract screening, [Absdom]): an atom that is abstractly
-     definitely-false decides a [check] conjunction as Unsat, where the
-     full solver may only manage Unknown.  Every [check] consumer (plan
-     instantiation) treats Unsat and Unknown identically.
-
-   - Tier C (the solver memo, see [pool_memo]): pool-keyed queries that
-     leave the same open residual share the model search's outcome.
-
-   [screen_decided] is bumped per query answered, before the memo
-   lookup (the same discipline as [unknowns]), so the tally depends
-   only on the query sequence and is identical under any job count. *)
-
-let screen_decided = Atomic.make 0
-
-(* Tier C, the one solver memo.  After the reduction, [search] hunts
-   for a model of the OPEN residual (the atoms left once sigma
-   substituted every bound variable away) by a deterministic trial
-   sequence: the all-zeros assignment, then the rows of the fixed
+   The one tier in front of the model search.  After the reduction,
+   [search] hunts for a model of the OPEN residual (the atoms left once
+   sigma substituted every bound variable away) by a deterministic
+   trial sequence: the all-zeros assignment, then the rows of the fixed
    trial table.  That outcome — which assignment (if any) is the first
    to pass — is therefore a pure function of (pool, open residual,
    free-variable list), NOT of the full conjunction: instantiation
@@ -215,16 +195,11 @@ let pool_memo : ((int64 * int) * Formula.t list * string list, search_outcome) C
 let memo : (Formula.t list, result) Cache.t = Cache.create ~size:16 ()
 let equal_memo : (Term.t * Term.t, bool) Cache.t = Cache.create ~size:16 ()
 
-(* The first and third slots (the deleted prove_equal and concrete
-   refutation tiers) always read 0, and the fourth is [pool_memo]'s
-   hits.  The 4-tuple is kept for bench/e2e; delete in the benchmark
-   PR. *)
-let screen_stats () =
-  (0, Atomic.get screen_decided, 0, Cache.hits pool_memo)
-
-let reset_screen () =
-  Absdom.reset ();
-  Atomic.set screen_decided 0
+(* The first three slots (the deleted prove_equal, abstract and
+   concrete refutation tiers) always read 0, and the fourth is
+   [pool_memo]'s hits.  The 4-tuple is kept for bench/e2e; delete in
+   the benchmark PR. *)
+let screen_stats () = (0, 0, 0, Cache.hits pool_memo)
 
 (* ----- the reduction -----
 
@@ -588,23 +563,19 @@ let check_real ~pool ?pool_key formulas =
   | Decided r -> r
   | Residual r -> search ~pool ?pool_key r
 
-(* chaos hook → Tier A unsat screen → [check_real], which consults
-   [pool_memo] after the reduction when keyed.  Every path solves the
-   CANONICAL conjunction: the reduction pins pointer atoms to pool
-   addresses in list order, so the model it returns (and, when pins
-   clash, Sat vs Unknown) depends on conjunct order — solving the
-   caller's order here would let [check ~pool fs] and a keyed memo hit
-   disagree on the same [fs].  [pool_key] is the caller's promise that
+(* chaos hook → [check_real], which consults [pool_memo] after the
+   reduction when keyed.  Every path solves the CANONICAL conjunction:
+   the reduction pins pointer atoms to pool addresses in list order,
+   so the model it returns (and, when pins clash, Sat vs Unknown)
+   depends on conjunct order — solving the caller's order here would
+   let [check ~pool fs] and a keyed memo hit disagree on the same
+   [fs].  [pool_key] is the caller's promise that
    [pool] is a pure function of it: [Layout.pool ~salt] is one of
    (payload_base, rotation), so the planner passes that pair. *)
 let check ?(pool = default_pool) ?pool_key formulas =
   if !chaos_unknown formulas then begin
     Atomic.incr unknowns;
     Unknown
-  end
-  else if List.exists (fun f -> Absdom.formula f = Absdom.No) formulas then begin
-    Atomic.incr screen_decided;
-    Unsat
   end
   else begin
     let r = check_real ~pool ?pool_key (Cache.canon formulas) in

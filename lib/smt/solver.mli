@@ -76,18 +76,13 @@ val trial_table : int -> int64 array
     read-only across domains (built at module initialization for up to
     16 free variables; a search over more builds its own). *)
 
-(** {1 Screening front-end (DESIGN.md §12)}
+(** {1 The solver memo (DESIGN.md §12)}
 
-    Two cheap tiers in front of {!check}'s solver proper: abstract
-    screening over {!Absdom} (Tier A), and the solver memo of
-    residual-search outcomes for pool-keyed queries ({!pool_memo}, Tier
-    C).  Each tier only short-circuits a query when the verdict it
-    returns is the one the fall-through path would produce at the
-    consuming call site, so results are bit-identical whichever tables
-    are warm, at any job count.  [screen_decided] is bumped per query
-    answered, before the memo lookup — the same discipline as
-    {!unknowns} — so it depends only on the query sequence; the memo's
-    hit count depends on cache temperature. *)
+    The one tier in front of {!check}'s model search: the outcomes of
+    residual searches for pool-keyed queries ({!pool_memo}).  A hit
+    answers what the fall-through search would, so results are
+    bit-identical whichever tables are warm, at any job count.  The
+    memo's hit count depends on cache temperature. *)
 
 type search_outcome =
   | No_assignment  (** no trial passed: the query answers [Unknown] *)
@@ -108,15 +103,10 @@ val pool_memo :
     hit answers exactly what a fresh search does. *)
 
 val screen_stats : unit -> int * int * int * int
-(** [(0, screen_decided, 0, memo hits)]: Tier A decided {!check}
-    queries, and {!pool_memo}'s hits.  The first and third slots (the
-    deleted [prove_equal] and concrete-refutation tiers) always read 0;
-    the shape is kept for bench/e2e — delete in the benchmark PR. *)
-
-val reset_screen : unit -> unit
-(** Clear the calling domain's abstract-value memo and the screening
-    counter (benchmarks' cold-path resets; {!pool_memo} is reset with
-    [Cache.reset]). *)
+(** [(0, 0, 0, memo hits)]: {!pool_memo}'s hits.  The first three
+    slots (the deleted [prove_equal], abstract and concrete-refutation
+    tiers) always read 0; the shape is kept for bench/e2e — delete in
+    the benchmark PR. *)
 
 val memo : (Formula.t list, result) Cache.t
 (** Never written: {!check} memoizes only keyed searches, in

@@ -1,30 +1,26 @@
-(* Cold-vs-warm and determinism tests for the solver screening
-   front-end (DESIGN.md §12).  Four angles:
+(* Cold-vs-warm and determinism tests for the solver memo in front of
+   the model search (DESIGN.md §12).  Four angles:
 
    - cold vs warm: each cell of the 21-cell survey (seven programs x
      three obfuscation configs) runs cold, after [Survey.reset_world],
      one request at a time; then the whole survey runs cold again, the
      cells as concurrent requests on JOBS domains; once both have run,
      each cell runs again alone and the survey again concurrently, with
-     every table warm (the solver memo [pool_memo], the abstract-value
-     memo, interned terms, the image memo).  Pools, plan counts,
-     validated-chain sets, quarantine ledgers and budget accounting
-     must be identical.  [solver_unknowns] and the cache counters are
-     deliberately absent from the fingerprint: they are cache
-     temperature.  The warm runs must actually hit the memo, and Tier A
-     must decide something somewhere in the survey, or the test
-     compares two identical paths.  With test_smt's
-     [prop_absdom_formula_agrees] (Tier A displaces only Unknown) and
-     test_plan_par's [prop_pool_key_verdict] (a memo hit answers what an
-     uncached solve answers) and the memo's cross-domain tests there,
-     this is the neutrality argument for both
-     tiers;
-   - counter determinism: [screen_decided] counts per query answered,
-     BEFORE the memo lookup, so JOBS concurrent copies of a request bump
-     it JOBS times as much as one request alone (the same discipline as
-     [solver_unknowns]) — and so do the cache hit+miss SUM, one
-     increment per memoizable query, even though the hit/miss split is
-     temperature;
+     every table warm (the solver memo [pool_memo], interned terms, the
+     image memo).  Pools, plan counts, validated-chain sets, quarantine
+     ledgers and budget accounting must be identical.
+     [solver_unknowns] and the cache counters are deliberately absent
+     from the fingerprint: they are cache temperature.  The warm runs
+     must actually hit the memo, or the test compares two identical
+     paths.  With test_plan_par's [prop_pool_key_verdict] (a memo hit
+     answers what an uncached solve answers) and the memo's
+     cross-domain tests there, this is the neutrality argument for the
+     memo;
+   - counter determinism: [solver_unknowns] counts per query answered,
+     whether the memo answered it or not, so JOBS concurrent copies of
+     a request bump it JOBS times as much as one request alone — and so
+     do the cache hit+miss SUM, one increment per memoizable query,
+     even though the hit/miss split is temperature;
    - attribution: another request's stage 3 running between this
      request's stages 1 and 2 adds nothing to this request's solver
      counters;
@@ -100,14 +96,11 @@ let test_cold_vs_warm () =
     Gen.concurrently ~jobs:jobs_under_test
       (List.map (fun (_, image) () -> run_once image) cells)
   in
-  let decided = ref 0 in
   let cold1 =
     List.map
       (fun (_, image) ->
         Gp_harness.Survey.reset_world ();
-        let o = run_once image in
-        decided := !decided + o.Gp_core.Api.stats.Gp_core.Api.screen_decided;
-        fingerprint o)
+        fingerprint (run_once image))
       cells
   in
   Gp_harness.Survey.reset_world ();
@@ -131,42 +124,34 @@ let test_cold_vs_warm () =
       Alcotest.(check bool) (cell ^ " concurrent warm = cold") true
         (List.nth warmn i = c1))
     cells;
-  Alcotest.(check bool) "Tier A decides queries over the survey" true
-    (!decided > 0);
   Alcotest.(check bool) "warm runs hit the solver memo" true (!hits > 0)
 
 (* ----- counter determinism under concurrency ----- *)
 
 (* The process-wide counters a request's stats are deltas of. *)
 let global_counters () =
-  let _, decided, _, _ = Gp_smt.Solver.screen_stats () in
-  ( decided,
-    Gp_smt.Cache.hits Gp_smt.Solver.pool_memo
+  ( Gp_smt.Cache.hits Gp_smt.Solver.pool_memo
     + Gp_smt.Cache.misses Gp_smt.Solver.pool_memo,
     Atomic.get Gp_smt.Solver.unknowns )
 
 let test_counters_deterministic () =
   let image = compile_cell Gp_obf.Obf.tigress "fibonacci" in
-  let cold () =
-    Gp_smt.Solver.reset_screen ();
-    Gp_smt.Cache.reset Gp_smt.Solver.pool_memo
-  in
+  let cold () = Gp_smt.Cache.reset Gp_smt.Solver.pool_memo in
   cold ();
   let st = (run_once image).Gp_core.Api.stats in
   (* the SPLIT is temperature, the SUM is one bump per memoizable query
      answered — deterministic whatever runs beside the request *)
-  let d1, q1, u1 =
-    ( st.Gp_core.Api.screen_decided,
-      st.Gp_core.Api.cache_hits + st.Gp_core.Api.cache_misses,
+  let q1, u1 =
+    ( st.Gp_core.Api.cache_hits + st.Gp_core.Api.cache_misses,
       st.Gp_core.Api.solver_unknowns )
   in
   cold ();
-  let d0, q0, u0 = global_counters () in
+  let q0, u0 = global_counters () in
   ignore (Gen.copies (fun () -> run_once image));
-  let dn, qn, un = global_counters () in
+  let qn, un = global_counters () in
   let n = jobs_under_test in
   Alcotest.(check (list int)) "JOBS concurrent requests count JOBS times one"
-    [ n * d1; n * q1; n * u1 ] [ dn - d0; qn - q0; un - u0 ]
+    [ n * q1; n * u1 ] [ qn - q0; un - u0 ]
 
 (* ----- attribution of stage counters ----- *)
 
@@ -188,7 +173,7 @@ let test_stage_counters_attributed () =
   let counters (o : Gp_core.Api.outcome) =
     let st = o.Gp_core.Api.stats in
     ( st.Gp_core.Api.cache_hits + st.Gp_core.Api.cache_misses,
-      st.Gp_core.Api.screen_decided )
+      st.Gp_core.Api.solver_unknowns )
   in
   Gp_harness.Survey.reset_world ();
   let sequential =
@@ -198,9 +183,9 @@ let test_stage_counters_attributed () =
     (fst sequential > 0 && snd sequential > 0);
   let analysis_b = fst (Gp_core.Api.stage_subsume (extract image_b)) in
   let ex_a = extract image_a in
-  let queries_b, decided_b = counters (plan analysis_b) in
+  let queries_b, unknowns_b = counters (plan analysis_b) in
   Alcotest.(check bool) "B queries the solver" true
-    (queries_b > 0 && decided_b > 0);
+    (queries_b > 0 && unknowns_b > 0);
   let interleaved = counters (plan (fst (Gp_core.Api.stage_subsume ex_a))) in
   Alcotest.(check (pair int int)) "A's counters exclude B's" sequential
     interleaved
@@ -219,7 +204,6 @@ let test_faults_deterministic_with_screening () =
         ( List.map (fun (g : Gp_core.Gadget.t) -> g.Gp_core.Gadget.addr) minimal,
           st.Gp_core.Extract.h_quarantined )
       in
-      Gp_smt.Solver.reset_screen ();
       let s1 = sweep () in
       List.iteri
         (fun i s ->

@@ -235,50 +235,6 @@ let test_inv64 () =
   Alcotest.(check bool) "even rejected" true
     (try ignore (Solver.inv64 4L); false with Invalid_argument _ -> true)
 
-(* ----- abstract domain (Tier A screening, DESIGN.md §12) ----- *)
-
-(* The soundness invariant everything else rests on: the abstract value
-   of a term over-approximates its concrete value under EVERY model. *)
-let prop_absdom_sound (t, m) = Absdom.mem (Term.eval m t) (Absdom.of_term t)
-
-(* Disjoint abstract values really separate the terms: no model makes
-   them equal — which is what licenses Tier A's [Eq] refutation. *)
-let prop_absdom_disjoint_refutes (a, b, m) =
-  (not (Absdom.disjoint (Absdom.of_term a) (Absdom.of_term b)))
-  || Term.eval m a <> Term.eval m b
-
-(* A definite formula verdict agrees with concrete evaluation under
-   every model (Readable/Writable atoms are always Maybe, so the
-   default eval predicates are never consulted on a definite answer). *)
-let prop_absdom_formula_agrees (f, m) =
-  match Absdom.formula f with
-  | Absdom.Maybe -> true
-  | Absdom.Yes -> Formula.eval m f
-  | Absdom.No -> not (Formula.eval m f)
-
-let test_absdom_units () =
-  let open Absdom in
-  Alcotest.(check bool) "const is const" true (is_const (of_const 42L));
-  Alcotest.(check bool) "const value" true (const_of (of_const 42L) = Some 42L);
-  Alcotest.(check bool) "top unconstrained" true
-    (mem 0L top && mem Int64.min_int top && mem (-1L) top);
-  (* x*8 has its low three bits known zero, so it can never equal 1 *)
-  let x8 = Term.mul (c 8L) (v "x") in
-  Alcotest.(check bool) "8x /= 1" true
-    (disjoint (of_term x8) (of_const 1L));
-  Alcotest.(check bool) "8x may be 16" false
-    (disjoint (of_term x8) (of_const 16L));
-  (* constant folding through the domain *)
-  Alcotest.(check bool) "const fold" true
-    (const_of (of_term (Term.add (c 5L) (c 7L))) = Some 12L);
-  (* formula screening on constants *)
-  Alcotest.(check bool) "1=2 is No" true
-    (formula (Formula.Eq (c 1L, c 2L)) = No);
-  Alcotest.(check bool) "8x=1 is No" true
-    (formula (Formula.Eq (x8, c 1L)) = No);
-  Alcotest.(check bool) "pointer atoms Maybe" true
-    (formula (Formula.Readable (v "p")) = Maybe)
-
 (* ----- term equality (DESIGN.md §2) ----- *)
 
 (* [Term.equal] is canonical equality, so it is sound: any valuation
@@ -292,14 +248,6 @@ let suite =
       Alcotest.test_case "indivisible pin honest" `Quick test_solver_even_pin_indivisible;
       Alcotest.test_case "mixed system" `Quick test_solver_mixed_system;
       Alcotest.test_case "inv64" `Quick test_inv64;
-      Alcotest.test_case "absdom units" `Quick test_absdom_units;
-      Gen.qtest "absdom over-approximates eval" ~count:1000
-        QCheck2.Gen.(pair Gen.term Gen.model) prop_absdom_sound;
-      Gen.qtest "absdom disjoint refutes equality" ~count:500
-        QCheck2.Gen.(triple Gen.term Gen.term Gen.model)
-        prop_absdom_disjoint_refutes;
-      Gen.qtest "absdom formula verdicts sound" ~count:1000
-        QCheck2.Gen.(pair Gen.formula Gen.model) prop_absdom_formula_agrees;
       Gen.qtest "differing model => not prove_equal" ~count:500
         QCheck2.Gen.(triple Gen.term Gen.term Gen.model)
         prop_model_refutes_equality ]
@@ -371,26 +319,23 @@ let is_linear_eq = function
    each atom re-simplified, the non-pointer atoms first, the pointer
    atoms after them in reverse (the pinning fold prepends). *)
 let reference_check ~pool formulas =
-  if List.exists (fun f -> Absdom.formula f = Absdom.No) formulas then Solver.Unsat
+  let canonical = Cache.canon formulas in
+  assert (pool.Solver.pins = [] && not (List.exists is_linear_eq canonical));
+  if List.mem Formula.False canonical then Solver.Unsat
   else begin
-    let canonical = Cache.canon formulas in
-    assert (pool.Solver.pins = [] && not (List.exists is_linear_eq canonical));
-    if List.mem Formula.False canonical then Solver.Unsat
-    else begin
-      let formulas = List.filter (fun f -> f <> Formula.True) canonical in
-      let pointers, rest =
-        List.partition
-          (function Formula.Readable _ | Formula.Writable _ -> true | _ -> false)
-          formulas
-      in
-      let residual =
-        List.map
-          (fun f -> Formula.simplify (Formula.map_terms (Term.subst (fun _ -> None)) f))
-          (rest @ List.rev pointers)
-      in
-      if List.mem Formula.False residual then Solver.Unsat
-      else old_search ~pool formulas (List.filter (fun f -> f <> Formula.True) residual)
-    end
+    let formulas = List.filter (fun f -> f <> Formula.True) canonical in
+    let pointers, rest =
+      List.partition
+        (function Formula.Readable _ | Formula.Writable _ -> true | _ -> false)
+        formulas
+    in
+    let residual =
+      List.map
+        (fun f -> Formula.simplify (Formula.map_terms (Term.subst (fun _ -> None)) f))
+        (rest @ List.rev pointers)
+    in
+    if List.mem Formula.False residual then Solver.Unsat
+    else old_search ~pool formulas (List.filter (fun f -> f <> Formula.True) residual)
   end
 
 let same_result a b =
