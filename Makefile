@@ -29,10 +29,13 @@
 # `make check-emu` sweeps the emulator and everything that runs it
 # (test_emu: paged copy-on-write memory against a flat reference model,
 # machine isolation on one shared image, self-modifying fetch across a
-# page boundary; test_symx's summaries-vs-emulator property;
-# test_payload's validation — DESIGN.md §18) at JOBS=1 and JOBS=4, the
-# latter with machines on several domains reading one image's shared
-# pages.
+# page boundary; test_symx's summaries-vs-emulator property, over stack
+# and pointer memory; test_payload's validation — DESIGN.md §18) and
+# the term fast paths the executor runs on (test_smt: `linearize`,
+# `add`/`sub` of a constant and `const_distance` on canonical terms
+# against the general path they replace — DESIGN.md §10) at JOBS=1 and
+# JOBS=4, the latter with machines on several domains reading one
+# image's shared pages.
 #
 # `make check-incr` sweeps the image-memo suite (test_incr: cold vs
 # warm over the in-process image memo, counter determinism, and memo
@@ -114,7 +117,7 @@ check-par:
 # The suite sweeps: each target's test_main suites (SUITES, as test_main
 # reads it) at both job counts.
 check-plan-par: SUITES = plan_par,planner,smt,gadget
-check-emu: SUITES = emu,symx,payload
+check-emu: SUITES = emu,symx,payload,smt
 check-incr: SUITES = incr
 check-screen: SUITES = screen,smt,plan_par
 check-resume: SUITES = util,runner,resilience

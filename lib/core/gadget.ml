@@ -120,11 +120,12 @@ let of_summary ?id (s : Gp_symx.Exec.summary) : t =
       post
   in
   let stack_delta =
-    match Term.linearize (Gp_symx.State.reg st Reg.RSP) with
-    | Some { Term.lin_const = c; lin_terms = [ (v, 1L) ] } when v = "rsp_0" ->
-      Sdelta (Int64.to_int c)
-    | Some { Term.lin_const = c; lin_terms = [ (v, 1L) ] } when v = "rbp_0" ->
-      Spivot (Int64.to_int c)
+    (* a canonical [v + c] is [Var v] or [Add (Var v, Const c)] *)
+    match Gp_symx.State.reg st Reg.RSP with
+    | Term.Var "rsp_0" -> Sdelta 0
+    | Term.Add (Term.Var "rsp_0", Term.Const c, _) -> Sdelta (Int64.to_int c)
+    | Term.Var "rbp_0" -> Spivot 0
+    | Term.Add (Term.Var "rbp_0", Term.Const c, _) -> Spivot (Int64.to_int c)
     | _ -> Sunknown
   in
   let id = match id with Some i -> i | None -> fresh_id () in
@@ -139,9 +140,9 @@ let of_summary ?id (s : Gp_symx.Exec.summary) : t =
     pre = List.rev st.Gp_symx.State.path;
     post;
     stack_delta;
-    stack_writes = st.Gp_symx.State.stack_writes;
+    stack_writes = List.rev st.Gp_symx.State.stack_writes;
     consumed = Gp_symx.State.consumed_slots st;
-    ptr_writes = st.Gp_symx.State.ptr_writes;
+    ptr_writes = List.rev st.Gp_symx.State.ptr_writes;
     mem_reads = st.Gp_symx.State.mem_reads;
     syscall_state =
       (* the state at the FIRST syscall executed (the list is built in

@@ -298,24 +298,70 @@ let lin_scale k l =
 
 let lin_neg l = lin_scale (-1L) l
 
-(* Try to view a term as a linear combination. *)
-let rec linearize = function
-  | Var v -> Some { lin_const = 0L; lin_terms = [ (v, 1L) ] }
-  | Const c -> Some (lin_const c)
-  | Add (a, b, _) ->
-    Option.bind (linearize a) (fun la ->
-        Option.map (fun lb -> lin_add la lb) (linearize b))
-  | Sub (a, b, _) ->
-    Option.bind (linearize a) (fun la ->
-        Option.map (fun lb -> lin_add la (lin_neg lb)) (linearize b))
-  | Neg (a, _) -> Option.map lin_neg (linearize a)
-  | Mul (Const k, b, _) | Mul (b, Const k, _) -> Option.map (lin_scale k) (linearize b)
-  | Shl (a, Const k, _) when k >= 0L && k < 64L ->
-    Option.map (lin_scale (Int64.shift_left 1L (Int64.to_int k))) (linearize a)
-  | Not (a, _) ->
-    (* ~x = -x - 1 *)
-    Option.map (fun la -> lin_add (lin_neg la) (lin_const (-1L))) (linearize a)
-  | _ -> None
+(* ----- the canonical shape -----
+
+   A canonical term that linearizes is exactly [of_linear] of its
+   linear form: the spine ((t0 + t1) + ...) + c, where each ti is v, -v
+   or k*v over distinct variables in name order and c is left out when
+   it is 0.  [simplify] returns a linearizable term only through
+   [of_linear] (or a canonical operand, which holds by induction),
+   every other node it interns fails to linearize, and [of_linear] is
+   only given well-formed forms.  So a canonical term is linearized by
+   reading its spine, and a canonical term that is not a spine does not
+   linearize at all. *)
+
+exception Nonlinear
+
+(* The (variable, coefficient) of one spine term. *)
+let spine_term = function
+  | Var v -> (v, 1L)
+  | Neg (Var v, _) -> (v, -1L)
+  | Mul (Const k, Var v, _) -> (v, k)
+  | _ -> raise_notrace Nonlinear
+
+(* The terms of a variable part, in spine order, onto [acc]. *)
+let rec spine acc = function
+  | Add (s, t, _) -> spine (spine_term t :: acc) s
+  | t -> spine_term t :: acc
+
+let is_term = function
+  | Var _ | Neg (Var _, _) | Mul (Const _, Var _, _) -> true
+  | _ -> false
+
+(* [t] is a variable part [of_linear] builds; no allocation. *)
+let rec is_spine = function
+  | Add (s, t, _) -> is_term t && is_spine s
+  | t -> is_term t
+
+(* Try to view a term as a linear combination: a canonical term by its
+   spine, a raw one by walking it. *)
+let rec linearize t =
+  if canonical t then
+    let read c s =
+      match spine [] s with
+      | terms -> Some { lin_const = c; lin_terms = terms }
+      | exception Nonlinear -> None
+    in
+    match t with
+    | Const c -> Some (lin_const c)
+    | Add (s, Const c, _) -> read c s
+    | _ -> read 0L t
+  else
+    match t with
+    | Add (a, b, _) ->
+      Option.bind (linearize a) (fun la ->
+          Option.map (fun lb -> lin_add la lb) (linearize b))
+    | Sub (a, b, _) ->
+      Option.bind (linearize a) (fun la ->
+          Option.map (fun lb -> lin_add la (lin_neg lb)) (linearize b))
+    | Neg (a, _) -> Option.map lin_neg (linearize a)
+    | Mul (Const k, b, _) | Mul (b, Const k, _) -> Option.map (lin_scale k) (linearize b)
+    | Shl (a, Const k, _) when k >= 0L && k < 64L ->
+      Option.map (lin_scale (Int64.shift_left 1L (Int64.to_int k))) (linearize a)
+    | Not (a, _) ->
+      (* ~x = -x - 1 *)
+      Option.map (fun la -> lin_add (lin_neg la) (lin_const (-1L))) (linearize a)
+    | _ -> None
 
 (* Canonical term for a linear form: ((c1*v1 + c2*v2) + ... ) + const,
    built from interned nodes under one acquisition of the table lock. *)
@@ -365,10 +411,25 @@ let rec simplify t =
 
 and relin t = match linearize t with Some l -> of_linear l | None -> intern t
 
+(* [t + k] for a canonical non-constant [t] and k <> 0, where [n] is
+   the node as built.  When [t]'s variable part is linear, [of_linear]
+   of the sum keeps that part as it is, so only the top node is
+   interned; otherwise [t] does not linearize and [n] goes to [relin]
+   as it is. *)
+and shift t k n =
+  match t with
+  | Add (s, Const c, _) ->
+    if not (is_spine s) then relin n
+    else
+      let c = Int64.add c k in
+      if c = 0L then s else intern (Add (s, Const c, 0))
+  | _ -> if is_spine t then intern (Add (t, Const k, 0)) else relin n
+
 and mk_add a b =
   match a, b with
   | Const x, Const y -> Const (Int64.add x y)
   | Const 0L, t | t, Const 0L -> t
+  | t, Const k | Const k, t -> shift t k (Add (a, b, 0))
   | _ -> relin (Add (a, b, 0))
 
 and mk_sub a b =
@@ -376,6 +437,7 @@ and mk_sub a b =
   | Const x, Const y -> Const (Int64.sub x y)
   | t, Const 0L -> t
   | x, y when same x y -> Const 0L
+  | t, Const k -> shift t (Int64.neg k) (Sub (a, b, 0))
   | _ -> relin (Sub (a, b, 0))
 
 and mk_mul a b =
@@ -456,6 +518,21 @@ let shr a b = mk_shr (simplify a) (simplify b)
 let sar a b = mk_sar (simplify a) (simplify b)
 
 let equal a b = same (simplify a) (simplify b)
+
+(* [linearize (sub a b)] when it is a constant, read off the operands:
+   equal terms are 0 apart, and two linear terms are a constant apart
+   exactly when they share their variable part, which is one node. *)
+let const_distance a b =
+  let shared sa sb d = if same sa sb && is_spine sa then Some d else None in
+  let a = simplify a and b = simplify b in
+  if same a b then Some 0L
+  else
+    match a, b with
+    | Const x, Const y -> Some (Int64.sub x y)
+    | Add (sa, Const ca, _), Add (sb, Const cb, _) -> shared sa sb (Int64.sub ca cb)
+    | Add (sa, Const ca, _), sb -> shared sa sb ca
+    | sa, Add (sb, Const cb, _) -> shared sa sb (Int64.neg cb)
+    | _ -> None
 
 (* Replace variables via [f]; unmapped variables stay. *)
 let subst f t =

@@ -64,10 +64,23 @@ val lin_neg : linear -> linear
 
 val linearize : t -> linear option
 (** View the term as a linear combination, when it is one.  [Not x] is
-    linear ([-x - 1]); [Shl x (Const k)] is [2^k · x]. *)
+    linear ([-x - 1]); [Shl x (Const k)] is [2^k · x].  A canonical
+    term is read off its spine (see {!of_linear}) without walking it
+    node by node; a raw one is walked. *)
 
 val of_linear : linear -> t
-(** Canonical term for a linear form, built from interned nodes. *)
+(** Canonical term for a well-formed linear form (as {!linear} states),
+    built from interned nodes: the spine
+    [((t0 + t1) + ...) + c] of its terms in order, each [ti] being [v],
+    [-v] or [k*v], with [+ c] left out when [c = 0] ([Const c] alone
+    when there are no terms, [Var v] alone for [1·v + 0]).
+
+    {b The canonical-shape invariant.}  A canonical term that
+    linearizes is exactly [of_linear] of its linear form, and every
+    other canonical term fails to linearize.  So on canonical terms
+    {!linearize} reads the spine, {!add} and {!sub} of a constant
+    re-intern only the top node ([s + (c+k)], or [s] when [c+k = 0]),
+    and {!const_distance} compares variable parts by identity. *)
 
 (** {1 Construction and simplification} *)
 
@@ -148,6 +161,21 @@ val logxor : t -> t -> t
 val shl : t -> t -> t
 val shr : t -> t -> t
 val sar : t -> t -> t
+
+val canonical : t -> bool
+(** The term is canonical: a leaf, or an interior node built by the
+    canonicalizing constructors (its key's low bit). *)
+
+val const_distance : t -> t -> int64 option
+(** [Some d] exactly when [linearize (sub a b)] is the constant [d],
+    without building the difference (raw operands are simplified
+    first): equal terms are 0 apart, two constants their difference,
+    and two linear terms are a constant apart exactly when they share
+    one variable part ([Add (s, Const c)] or [s] with the same [s]):
+    {!same} on canonical terms, then a walk of the shared spine's few
+    nodes that allocates nothing.  A non-linear shared part
+    ([Add (n, Const 5)] against [Add (n, Const 13)]) gives [None], as
+    [linearize] does. *)
 
 val equal : t -> t -> bool
 (** {!same} after {!simplify}, so O(1) on canonical terms: complete on the linear

@@ -120,7 +120,6 @@ let alu mk flag st d s =
 
 let step st (insn : Insn.t) : step_result =
   let open Term in
-  let st = { st with State.insns = insn :: st.State.insns } in
   match insn with
   | Insn.Nop -> Continue st
   | Insn.Mov (d, s) ->
@@ -257,38 +256,33 @@ let summarize_r ?(config = default_config) ?decode (image : Gp_util.Image.t)
   in
   let results = ref [] in
   let base = image.Gp_util.Image.code_base in
-  let rec go st cur ninsns nforks nmerges has_cond has_merge =
+  let summary st insns j is_syscall has_cond has_merge =
+    { s_addr = addr;
+      s_insns = List.rev insns;
+      s_state = st;
+      s_jump = j;
+      s_has_cond = has_cond;
+      s_has_merge = has_merge;
+      s_syscall = is_syscall }
+  in
+  (* [insns]: the path's executed instructions, newest first *)
+  let rec go st insns cur ninsns nforks nmerges has_cond has_merge =
     if ninsns <= config.max_insns && Gp_util.Image.in_code image cur then begin
       let pos = Int64.to_int (Int64.sub cur base) in
       match decode pos with
       | None -> ()
       | Some (insn, len) -> (
         let next = Int64.add cur (Int64.of_int len) in
+        let insns = insn :: insns in
         match step st insn with
         | Abort -> ()
-        | Continue st -> go st next (ninsns + 1) nforks nmerges has_cond has_merge
+        | Continue st -> go st insns next (ninsns + 1) nforks nmerges has_cond has_merge
         | End (st, j, is_syscall) ->
           let j = if is_syscall then Jfall next else j in
-          results :=
-            { s_addr = addr;
-              s_insns = List.rev st.State.insns;
-              s_state = st;
-              s_jump = j;
-              s_has_cond = has_cond;
-              s_has_merge = has_merge;
-              s_syscall = is_syscall }
-            :: !results
+          results := summary st insns j is_syscall has_cond has_merge :: !results
         | SysStep st ->
           (* the run ending here is a syscall gadget... *)
-          results :=
-            { s_addr = addr;
-              s_insns = List.rev st.State.insns;
-              s_state = st;
-              s_jump = Jfall next;
-              s_has_cond = has_cond;
-              s_has_merge = has_merge;
-              s_syscall = true }
-            :: !results;
+          results := summary st insns (Jfall next) true has_cond has_merge :: !results;
           (* ...and execution also continues past it (the syscall's return
              value is an uncontrollable fresh unknown) *)
           let ret = Term.var (Printf.sprintf "sysret%d" st.State.fresh) in
@@ -297,44 +291,35 @@ let summarize_r ?(config = default_config) ?decode (image : Gp_util.Image.t)
               { st with State.fresh = st.State.fresh + 1 }
               Reg.RAX ret
           in
-          go st' next (ninsns + 1) nforks nmerges has_cond has_merge
+          go st' insns next (ninsns + 1) nforks nmerges has_cond has_merge
         | Direct (st, rel) ->
           if nmerges < config.max_merges then
-            go st
+            go st insns
               (Int64.add next (Int64.of_int rel))
               (ninsns + 1) nforks (nmerges + 1) has_cond true
         | Cond (c, rel) ->
           if nforks < config.max_forks then begin
-            (match cond_formulas st.State.flags c with
+            let conds = cond_formulas st.State.flags c in
+            (match conds with
              | Some fs ->
-               let st_t =
-                 List.fold_left State.assume
-                   { st with State.insns = Insn.Jcc (c, rel) :: st.State.insns }
-                   fs
-               in
+               let st_t = List.fold_left State.assume st fs in
                if not (List.mem Formula.False st_t.State.path) then
-                 go st_t
+                 go st_t insns
                    (Int64.add next (Int64.of_int rel))
                    (ninsns + 1) (nforks + 1) (nmerges + 1) true true
              | None -> ());
-            match
-              Option.bind (cond_formulas st.State.flags c) negate_conds
-            with
+            match Option.bind conds negate_conds with
             | Some fs ->
-              let st_f =
-                List.fold_left State.assume
-                  { st with State.insns = Insn.Jcc (c, rel) :: st.State.insns }
-                  fs
-              in
+              let st_f = List.fold_left State.assume st fs in
               if not (List.mem Formula.False st_f.State.path) then
-                go st_f next (ninsns + 1) (nforks + 1) nmerges true has_merge
+                go st_f insns next (ninsns + 1) (nforks + 1) nmerges true has_merge
             | None -> ()
           end)
     end
   in
   let refused =
     try
-      go (State.initial ()) addr 0 0 0 false false;
+      go (State.initial ()) [] addr 0 0 0 false false;
       None
     with State.Unsupported why -> Some why
   in

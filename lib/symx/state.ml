@@ -26,14 +26,13 @@ type flag_src =
 type t = {
   regs : Term.t array;                   (* 16, indexed by Reg.number *)
   stack : Term.t Imap.t;                 (* offset from rsp0 -> value *)
-  stack_writes : (int * Term.t) list;    (* in write order, latest last *)
+  stack_writes : (int * Term.t) list;    (* newest first *)
   path : Formula.t list;                 (* accumulated pre-conditions *)
   flags : flag_src;
   fresh : int;                           (* counter for mem reads *)
-  insns : Insn.t list;                   (* executed instructions, reversed *)
   syscalls : (Reg.t * Term.t) list list; (* register state at each syscall *)
   consumed : int list;                   (* stack offsets read before write *)
-  ptr_writes : (Term.t * Term.t) list;   (* non-stack writes: (addr, value) *)
+  ptr_writes : (Term.t * Term.t) list;   (* non-stack writes (addr, value), newest first *)
   mem_reads : (string * Term.t * bool) list;
     (* mem var name, address term, RELIABLE flag: an unreliable read may
        alias an earlier write of this gadget, so its value cannot be
@@ -43,13 +42,32 @@ type t = {
 
 let reg_var r = Term.var (Reg.name r ^ "_0")
 
+let slot_name off =
+  if off >= 0 then Printf.sprintf "stk_%d" off else Printf.sprintf "stk_m%d" (-off)
+
+let mem_name n = Printf.sprintf "mem%d" n
+
+(* The variables of the slots at offsets [slot_lo, slot_hi] and of the
+   first [mem_count] memory reads, built once: an access looks its
+   variable up instead of formatting the name.  Offsets and counts
+   beyond the tables format it on each access. *)
+let slot_lo = -1024
+let slot_hi = 1024
+let mem_count = 64
+
+let slot_vars = Array.init (slot_hi - slot_lo + 1) (fun i -> Term.var (slot_name (i + slot_lo)))
+let mem_names = Array.init mem_count mem_name
+let mem_vars = Array.map Term.var mem_names
+
 let slot_var off =
-  if off >= 0 then Term.var (Printf.sprintf "stk_%d" off)
-  else Term.var (Printf.sprintf "stk_m%d" (-off))
+  if off >= slot_lo && off <= slot_hi then slot_vars.(off - slot_lo)
+  else Term.var (slot_name off)
 
 (* Offset encoded in a slot variable name, if it is one. *)
 let slot_of_var name =
-  if String.length name > 4 && String.sub name 0 4 = "stk_" then begin
+  if String.length name > 4
+     && name.[0] = 's' && name.[1] = 't' && name.[2] = 'k' && name.[3] = '_'
+  then begin
     let rest = String.sub name 4 (String.length name - 4) in
     if String.length rest > 1 && rest.[0] = 'm' then
       int_of_string_opt (String.sub rest 1 (String.length rest - 1))
@@ -68,7 +86,6 @@ let initial_state =
     path = [];
     flags = Funknown;
     fresh = 0;
-    insns = [];
     syscalls = [];
     consumed = [];
     ptr_writes = [];
@@ -86,21 +103,16 @@ let set_reg t r v =
 
 let assume t f = { t with path = Formula.simplify f :: t.path }
 
-(* The current rsp as a concrete offset from rsp0, when it is one. *)
-let rsp_offset t =
-  match Term.linearize (reg t Reg.RSP) with
-  | Some { Term.lin_const = c; lin_terms = [ (v, 1L) ] } when v = "rsp_0" ->
-    Some (Int64.to_int c)
-  | _ -> None
-
-(* Classify an address term: a stack slot offset, or an arbitrary pointer. *)
+(* Classify an address term: a stack slot offset, or an arbitrary
+   pointer.  By the canonical shape (Term.of_linear), [rsp_0 + c] is
+   [Var "rsp_0"] or [Add (Var "rsp_0", Const c)]. *)
 type addr_class = Stack of int | Pointer of Term.t
 
 let classify_addr addr =
-  match Term.linearize addr with
-  | Some { Term.lin_const = c; lin_terms = [ (v, 1L) ] } when v = "rsp_0" ->
-    Stack (Int64.to_int c)
-  | _ -> Pointer addr
+  match Term.simplify addr with
+  | Term.Var "rsp_0" -> Stack 0
+  | Term.Add (Term.Var "rsp_0", Term.Const c, _) -> Stack (Int64.to_int c)
+  | a -> Pointer a
 
 exception Unsupported of string
 
@@ -124,31 +136,30 @@ let read_mem t addr =
     let rec forward = function
       | [] -> `Fresh
       | (a', v') :: older -> (
-        match Term.linearize (Term.sub a a') with
-        | Some { Term.lin_const = 0L; lin_terms = [] } -> `Hit v'
-        | Some { Term.lin_const = c; lin_terms = [] }
-          when Int64.abs c >= 8L -> forward older
+        match Term.const_distance a a' with
+        | Some 0L -> `Hit v'
+        | Some c when Int64.abs c >= 8L -> forward older
         | _ -> `Hazard)
     in
-    match forward (List.rev t.ptr_writes) with
-    | `Hit v -> (t, v)
-    | `Hazard ->
-      let name = Printf.sprintf "mem%d" t.fresh in
-      let v = Term.var name in
+    (* a fresh variable, with [assume t (Readable a)] folded into the
+       same record copy *)
+    let fresh reliable =
+      let n = t.fresh in
+      let name = if n < mem_count then mem_names.(n) else mem_name n in
+      let v = if n < mem_count then mem_vars.(n) else Term.var name in
       let t =
         { t with
-          fresh = t.fresh + 1;
-          mem_reads = (name, a, false) :: t.mem_reads;
-          alias_hazard = true }
+          fresh = n + 1;
+          mem_reads = (name, a, reliable) :: t.mem_reads;
+          alias_hazard = t.alias_hazard || not reliable;
+          path = Formula.simplify (Formula.Readable a) :: t.path }
       in
-      (assume t (Formula.Readable a), v)
-    | `Fresh ->
-      let name = Printf.sprintf "mem%d" t.fresh in
-      let v = Term.var name in
-      let t =
-        { t with fresh = t.fresh + 1; mem_reads = (name, a, true) :: t.mem_reads }
-      in
-      (assume t (Formula.Readable a), v))
+      (t, v)
+    in
+    match forward t.ptr_writes with
+    | `Hit v -> (t, v)
+    | `Hazard -> fresh false
+    | `Fresh -> fresh true)
 
 let write_mem t addr value =
   let value = Term.simplify value in
@@ -156,12 +167,14 @@ let write_mem t addr value =
   | Stack off ->
     { t with
       stack = Imap.add off value t.stack;
-      stack_writes = t.stack_writes @ [ (off, value) ] }
+      stack_writes = (off, value) :: t.stack_writes }
   | Pointer a ->
-    (* non-stack write: requires a writable pointer; tracked so the
-       planner can use this gadget for write-what-where *)
-    let t = { t with ptr_writes = t.ptr_writes @ [ (a, value) ] } in
-    assume t (Formula.Writable a)
+    (* non-stack write: requires a writable pointer (the [assume] is
+       folded into the one record copy); tracked so the planner can use
+       this gadget for write-what-where *)
+    { t with
+      ptr_writes = (a, value) :: t.ptr_writes;
+      path = Formula.simplify (Formula.Writable a) :: t.path }
 
 (* The set of stack offsets whose initial content was READ (i.e. the
    payload cells this gadget consumes). *)

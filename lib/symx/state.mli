@@ -22,30 +22,44 @@ type flag_src =
 type t = {
   regs : Term.t array;                   (** 16, indexed by [Reg.number] *)
   stack : Term.t Imap.t;                 (** offset from rsp0 -> value *)
-  stack_writes : (int * Term.t) list;    (** in write order *)
+  stack_writes : (int * Term.t) list;    (** newest first *)
   path : Formula.t list;                 (** accumulated pre-conditions *)
   flags : flag_src;
   fresh : int;                           (** counter for memory reads *)
-  insns : Gp_x86.Insn.t list;            (** executed, reversed *)
   syscalls : (Gp_x86.Reg.t * Term.t) list list;
       (** register state at each syscall, newest first *)
   consumed : int list;                   (** stack offsets read before write *)
-  ptr_writes : (Term.t * Term.t) list;   (** non-stack writes: (addr, value) *)
+  ptr_writes : (Term.t * Term.t) list;
+      (** non-stack writes (addr, value), newest first *)
   mem_reads : (string * Term.t * bool) list;
       (** mem var, address term, RELIABLE flag — an unreliable read may
           alias an earlier write of this gadget, so its value cannot be
           treated as attacker-controlled *)
   alias_hazard : bool;                   (** some read was unreliable *)
 }
+(** Both write lists are consed as the writes happen, newest first;
+    [Gadget.of_summary] reverses them once into write order.
+    The state holds no instruction list: [Exec.summarize_r] keeps the
+    executed instructions in its own loop. *)
 
 val reg_var : Gp_x86.Reg.t -> Term.t
 (** The entry-value variable of a register, e.g. [Var "rdi_0"]. *)
 
 val slot_var : int -> Term.t
-(** The payload-slot variable for a stack offset. *)
+(** The payload-slot variable for a stack offset, ["stk_<o>"] or
+    ["stk_m<o>"]: for offsets in [[slot_lo, slot_hi]] one shared
+    variable from a table built once, beyond that a formatted one. *)
+
+val slot_lo : int
+val slot_hi : int
+
+val mem_count : int
+(** The first [mem_count] memory-read variables (["mem0"], ...) come
+    from a table too; later reads format their name. *)
 
 val slot_of_var : string -> int option
-(** Offset encoded in a slot variable name, if it is one. *)
+(** Offset encoded in a slot variable name, if it is one.  A name not
+    starting with ["stk_"] is refused without allocating. *)
 
 val initial : unit -> t
 (** Fully symbolic state: every register at its entry variable. *)
@@ -56,22 +70,22 @@ val set_reg : t -> Gp_x86.Reg.t -> Term.t -> t
 val assume : t -> Formula.t -> t
 (** Add a pre-condition to the path. *)
 
-val rsp_offset : t -> int option
-(** Current rsp as a concrete offset from rsp0, when it is one. *)
-
 type addr_class = Stack of int | Pointer of Term.t
 
 val classify_addr : Term.t -> addr_class
 (** Stack slot (rsp0-relative with concrete offset) or arbitrary
-    pointer. *)
+    pointer, the address simplified.  It matches the canonical shapes
+    [Var "rsp_0"] and [Add (Var "rsp_0", Const c)] directly
+    ({!Term.of_linear}). *)
 
 exception Unsupported of string
 
 val read_mem : t -> Term.t -> t * Term.t
 (** Read 8 bytes at a symbolic address.  Stack reads return (and
     memoize) the slot variable; pointer reads apply store-forwarding over
-    earlier pointer writes (constant distance >= 8 proves disjointness;
-    undecidable aliasing marks the read unreliable) and add a [Readable]
+    earlier pointer writes, newest first ({!Term.const_distance}: 0 is
+    the written value, a constant distance >= 8 proves disjointness,
+    anything else marks the read unreliable) and add a [Readable]
     pre-condition. *)
 
 val write_mem : t -> Term.t -> Term.t -> t

@@ -277,3 +277,59 @@ module Mirror = struct
     | Shr (a, b) -> T.Raw.shr (raw a) (raw b)
     | Sar (a, b) -> T.Raw.sar (raw a) (raw b)
 end
+
+(* The term operations the executor's fast paths replace, as they were
+   before canonical terms were read by their shape: [linearize] walking
+   every node, and [add]/[sub] re-linearizing the whole sum.  The
+   reference for the exactness properties in test_smt. *)
+module Reference = struct
+  module T = Gp_smt.Term
+
+  let rec linearize (t : T.t) : T.linear option =
+    match t with
+    | T.Var v -> Some { T.lin_const = 0L; lin_terms = [ (v, 1L) ] }
+    | T.Const c -> Some (T.lin_const c)
+    | T.Add (a, b, _) ->
+      Option.bind (linearize a) (fun la ->
+          Option.map (fun lb -> T.lin_add la lb) (linearize b))
+    | T.Sub (a, b, _) ->
+      Option.bind (linearize a) (fun la ->
+          Option.map (fun lb -> T.lin_add la (T.lin_neg lb)) (linearize b))
+    | T.Neg (a, _) -> Option.map T.lin_neg (linearize a)
+    | T.Mul (T.Const k, b, _) | T.Mul (b, T.Const k, _) ->
+      Option.map (T.lin_scale k) (linearize b)
+    | T.Shl (a, T.Const k, _) when k >= 0L && k < 64L ->
+      Option.map (T.lin_scale (Int64.shift_left 1L (Int64.to_int k))) (linearize a)
+    | T.Not (a, _) ->
+      Option.map (fun la -> T.lin_add (T.lin_neg la) (T.lin_const (-1L))) (linearize a)
+    | _ -> None
+
+  (* What the old smart constructor built from canonical operands:
+     [Some t] for a leaf, an operand or [of_linear]'s form, [None] when
+     the node did not linearize and was interned as it is. *)
+  type built = T.t option
+
+  let relin n : built = Option.map T.of_linear (linearize n)
+
+  let add a b : built =
+    let a = T.simplify a and b = T.simplify b in
+    match a, b with
+    | T.Const x, T.Const y -> Some (T.const (Int64.add x y))
+    | T.Const 0L, t | t, T.Const 0L -> Some t
+    | _ -> relin (T.Raw.add a b)
+
+  let sub a b : built =
+    let a = T.simplify a and b = T.simplify b in
+    match a, b with
+    | T.Const x, T.Const y -> Some (T.const (Int64.sub x y))
+    | t, T.Const 0L -> Some t
+    | x, y when T.same x y -> Some (T.const 0L)
+    | _ -> relin (T.Raw.sub a b)
+
+  (* [linearize (sub a b)] when it is a constant.  An interned [Sub]
+     did not linearize, so neither does the term built. *)
+  let const_distance a b =
+    match Option.bind (sub a b) linearize with
+    | Some { T.lin_terms = []; lin_const } -> Some lin_const
+    | _ -> None
+end

@@ -565,3 +565,96 @@ let suite =
       QCheck_alcotest.to_alcotest
         (QCheck2.Test.make ~name:"compare agrees with the pre-key mirror" ~count:200
            QCheck2.Gen.(list_size (int_range 2 6) small_term) prop_compare_mirror) ]
+
+(* ----- canonical shapes: the fast paths against the reference -----
+
+   On canonical terms [linearize] reads the spine, [add]/[sub] of a
+   constant re-intern only the top node, and [const_distance] compares
+   variable parts.  Each must answer exactly as [Gen.Reference], the
+   general path they replace, over Gen's raw terms: the same linear
+   form and the same node. *)
+
+(* Interior nodes are interned, so the same node is [==]; leaves are
+   rebuilt freely, so [=] for them. *)
+let same_node a b = match a with Term.Var _ | Term.Const _ -> a = b | _ -> a == b
+
+let offset = QCheck2.Gen.(oneof [ Gen.imm64; map Int64.of_int (int_range (-24) 24) ])
+
+(* Gen's terms, plus raw sums over up to six variables, whose spines
+   are long, and sums added to a non-linear part. *)
+let shape_term =
+  let open QCheck2.Gen in
+  let coeff = oneof [ return 1L; return (-1L); offset ] in
+  let summand =
+    map2
+      (fun i k ->
+        let x = v (Printf.sprintf "x%d" i) in
+        match k with 1L -> x | -1L -> Term.Raw.neg x | k -> Term.Raw.mul (c k) x)
+      (int_range 0 5) coeff
+  in
+  let sum =
+    map2 (fun ts k -> List.fold_left Term.Raw.add (c k) ts) (list_size (int_range 1 6) summand)
+      offset
+  in
+  oneof
+    [ Gen.term;
+      sum;
+      map3 (fun a b s -> Term.Raw.add (Term.Raw.logxor a b) s) Gen.term Gen.term sum ]
+
+let prop_linearize_reference t =
+  let s = Term.simplify t in
+  Term.linearize s = Gen.Reference.linearize s && Term.linearize t = Gen.Reference.linearize t
+
+(* [r], built by the library, against the reference's [built]: its node
+   when the result linearizes, else the node [mirror] as it is. *)
+let built_as built r mirror =
+  match built with
+  | Some e -> same_node r e
+  | None -> Term.canonical r && Gen.Mirror.term r = mirror
+
+let prop_add_const_reference (t, k1, k2) =
+  let a = Term.add t (c k1) in
+  List.for_all
+    (fun (base, k) ->
+      let module M = Gen.Mirror in
+      let m = M.term (Term.simplify base) in
+      built_as (Gen.Reference.add base (c k)) (Term.add base (c k)) (M.Add (m, M.Const k))
+      && built_as (Gen.Reference.add (c k) base) (Term.add (c k) base) (M.Add (M.Const k, m))
+      && built_as (Gen.Reference.sub base (c k)) (Term.sub base (c k)) (M.Sub (m, M.Const k)))
+    [ (t, k1); (Term.simplify t, k2); (a, k2); (a, Int64.neg k1) ]
+
+let prop_const_distance_reference (t, u, k1, k2) =
+  let at x k = Term.add x (c k) in
+  List.for_all
+    (fun (a, b) -> Term.const_distance a b = Gen.Reference.const_distance a b)
+    [ (at t k1, at t k2); (t, at t k1); (at t k1, t); (t, Term.Raw.add t (c k2));
+      (t, u); (at t k1, at u k2); (t, t); (c k1, c k2); (c k1, at t k2) ]
+
+(* Every canonical subterm that linearizes is [of_linear] of its form. *)
+let prop_canonical_shape t =
+  let rec holds s =
+    (match Gen.Reference.linearize s with
+     | Some l -> same_node s (Term.of_linear l)
+     | None -> true)
+    &&
+    match s with
+    | Term.Var _ | Term.Const _ -> true
+    | Term.Neg (a, _) | Term.Not (a, _) -> holds a
+    | Term.Add (a, b, _) | Term.Sub (a, b, _) | Term.Mul (a, b, _) | Term.And (a, b, _)
+    | Term.Or (a, b, _) | Term.Xor (a, b, _) | Term.Shl (a, b, _) | Term.Shr (a, b, _)
+    | Term.Sar (a, b, _) ->
+      holds a && holds b
+  in
+  holds (Term.simplify t)
+
+let suite =
+  suite
+  @ [ Gen.qtest "linearize = reference, canonical and raw" ~count:500 shape_term
+        prop_linearize_reference;
+      Gen.qtest "add/sub of a constant = reference node" ~count:500
+        QCheck2.Gen.(triple shape_term offset offset)
+        prop_add_const_reference;
+      Gen.qtest "const_distance = reference" ~count:500
+        QCheck2.Gen.(quad shape_term shape_term offset offset)
+        prop_const_distance_reference;
+      Gen.qtest "canonical-shape invariant" ~count:500 shape_term prop_canonical_shape ]

@@ -220,6 +220,86 @@ let test_pointer_write_recorded () =
     Alcotest.(check bool) "value" true (Term.equal value (Term.var "rsi_0"))
   | _ -> Alcotest.fail "one pointer write"
 
+let test_nonlinear_offsets_stay_hazard () =
+  (* N = rbx_0 & rcx_0 is not linear: N + 5 and N + 13 are one
+     non-linear part apart by 8, but no constant distance is read off a
+     non-linear part, so the read stays a hazard *)
+  let n = Term.logand (Term.var "rbx_0") (Term.var "rcx_0") in
+  let a5 = Term.add n (Term.const 5L) and a13 = Term.add n (Term.const 13L) in
+  Alcotest.(check (option int64)) "no distance" None (Term.const_distance a5 a13);
+  let insns =
+    [ Insn.And_ (Insn.Reg Reg.RBX, Insn.Reg Reg.RCX);
+      Insn.Mov (Insn.Mem (Insn.mem ~disp:5 Reg.RBX), Insn.Reg Reg.RAX);
+      Insn.Mov (Insn.Reg Reg.RDX, Insn.Mem (Insn.mem ~disp:13 Reg.RBX));
+      Insn.Ret ]
+  in
+  let s = the_summary insns in
+  Alcotest.(check bool) "hazard" true s.Gp_symx.Exec.s_state.Gp_symx.State.alias_hazard
+
+let test_overlapping_cells_stay_hazard () =
+  (* [rbx + 4] is a constant 4 from the cell written at [rbx]: the two
+     8-byte cells overlap without being one, so the read is a hazard *)
+  let s =
+    the_summary
+      [ Insn.Mov (Insn.Mem (Insn.mem Reg.RBX), Insn.Reg Reg.RCX);
+        Insn.Mov (Insn.Reg Reg.RAX, Insn.Mem (Insn.mem ~disp:4 Reg.RBX));
+        Insn.Ret ]
+  in
+  Alcotest.(check bool) "hazard" true s.Gp_symx.Exec.s_state.Gp_symx.State.alias_hazard
+
+(* The slot and memory-read variables come from tables: at each bound
+   and one step beyond it they are the formatted names, and
+   [slot_of_var] reads every slot name back. *)
+let test_name_tables () =
+  let module S = Gp_symx.State in
+  List.iter
+    (fun off ->
+      let name =
+        if off >= 0 then Printf.sprintf "stk_%d" off else Printf.sprintf "stk_m%d" (-off)
+      in
+      Alcotest.(check bool) ("slot_var " ^ name) true (S.slot_var off = Term.var name);
+      Alcotest.(check (option int)) ("slot_of_var " ^ name) (Some off) (S.slot_of_var name))
+    [ S.slot_lo - 1; S.slot_lo; S.slot_lo + 1; -1; 0; 1; 8; S.slot_hi - 1; S.slot_hi;
+      S.slot_hi + 1 ];
+  List.iter
+    (fun name -> Alcotest.(check (option int)) name None (S.slot_of_var name))
+    [ "rsp_0"; "mem3"; "stk_"; "stk"; "retaddr"; "sysret0" ];
+  List.iter
+    (fun n ->
+      let name = Printf.sprintf "mem%d" n in
+      let st = { (S.initial ()) with S.fresh = n } in
+      let st, v = S.read_mem st (Term.var "rdi_0") in
+      Alcotest.(check bool) ("read var " ^ name) true (v = Term.var name);
+      match st.S.mem_reads with
+      | (read, _, true) :: _ -> Alcotest.(check string) "mem_reads name" name read
+      | _ -> Alcotest.fail "one reliable read")
+    [ 0; S.mem_count - 1; S.mem_count; S.mem_count + 1 ]
+
+(* The state conses writes newest first; the gadget record lists them
+   in write order. *)
+let test_write_order () =
+  let s =
+    the_summary
+      [ Insn.Push Reg.RAX;
+        Insn.Push Reg.RBX;
+        Insn.Mov (Insn.Mem (Insn.mem Reg.RDI), Insn.Reg Reg.RCX);
+        Insn.Mov (Insn.Mem (Insn.mem ~disp:8 Reg.RDI), Insn.Reg Reg.RDX);
+        Insn.Pop Reg.RSI;
+        Insn.Pop Reg.RSI;
+        Insn.Ret ]
+  in
+  let st = s.Gp_symx.Exec.s_state in
+  Alcotest.(check (list int)) "state stack writes, newest first" [ -16; -8 ]
+    (List.map fst st.Gp_symx.State.stack_writes);
+  let ptr_values ws = List.map (fun (_, v) -> Term.to_string v) ws in
+  Alcotest.(check (list string)) "state pointer writes, newest first" [ "rdx_0"; "rcx_0" ]
+    (ptr_values st.Gp_symx.State.ptr_writes);
+  let g = Gp_core.Gadget.of_summary ~id:0 s in
+  Alcotest.(check (list int)) "gadget stack writes, in order" [ -8; -16 ]
+    (List.map fst g.Gp_core.Gadget.stack_writes);
+  Alcotest.(check (list string)) "gadget pointer writes, in order" [ "rcx_0"; "rdx_0" ]
+    (ptr_values g.Gp_core.Gadget.ptr_writes)
+
 let test_budget_limits () =
   (* straight-line run longer than the budget yields nothing *)
   let insns = List.init 30 (fun _ -> Insn.Nop) @ [ Insn.Ret ] in
@@ -247,10 +327,20 @@ let base_suite () =
 (* ----- differential property: symbolic summaries agree with the
    concrete emulator on straight-line gadgets ----- *)
 
-(* A register-safe instruction generator: no control flow, no memory
-   outside the rsp-relative stack window, and rsp never written except by
-   push/pop (so the summary's stack model applies). *)
-let gen_diff_insn : Insn.t QCheck2.Gen.t =
+(* Pointer memory: 8-byte cells at [rbx + 8k] for k in [ptr_lo, ptr_hi].
+   The emulator points rbx into its scratch region, far from the stack
+   window, and fills the cells [rbx0 + 8k] for k in [-16, 16). *)
+let ptr_base = Reg.RBX
+let ptr_lo = -1
+let ptr_hi = 2
+
+(* Register-safe straight-line code: no control flow, memory only in the
+   rsp-relative stack window or through [ptr_base], and rsp never
+   written except by push/pop (so the summary's stack model applies).
+   A body is up to 8 chunks: one instruction, or a pointer store and a
+   load after it, which meet at distance 0 (forwarded) or a multiple
+   of 8 (disjoint). *)
+let gen_diff_body : Insn.t list QCheck2.Gen.t =
   let open QCheck2.Gen in
   let reg_no_rsp =
     map
@@ -260,37 +350,59 @@ let gen_diff_insn : Insn.t QCheck2.Gen.t =
   let any_reg = map Reg.of_number (int_range 0 15) in
   let small_imm = map Int64.of_int (int_range (-1000) 1000) in
   let stack_slot = map (fun k -> Insn.mem ~disp:(8 * k) Reg.RSP) (int_range 0 8) in
-  oneof
-    [ map2 (fun d s -> Insn.Mov (Insn.Reg d, Insn.Reg s)) reg_no_rsp any_reg;
-      map2 (fun d i -> Insn.Mov (Insn.Reg d, Insn.Imm i)) reg_no_rsp small_imm;
-      map2 (fun d m -> Insn.Mov (Insn.Reg d, Insn.Mem m)) reg_no_rsp stack_slot;
-      map2 (fun m s -> Insn.Mov (Insn.Mem m, Insn.Reg s)) stack_slot any_reg;
-      map2 (fun d s -> Insn.Add (Insn.Reg d, Insn.Reg s)) reg_no_rsp any_reg;
-      map2 (fun d s -> Insn.Sub (Insn.Reg d, Insn.Reg s)) reg_no_rsp any_reg;
-      map2 (fun d s -> Insn.Xor (Insn.Reg d, Insn.Reg s)) reg_no_rsp any_reg;
-      map2 (fun d s -> Insn.And_ (Insn.Reg d, Insn.Reg s)) reg_no_rsp any_reg;
-      map2 (fun d s -> Insn.Or_ (Insn.Reg d, Insn.Reg s)) reg_no_rsp any_reg;
-      map2 (fun d s -> Insn.Imul (d, s)) reg_no_rsp any_reg;
-      map2 (fun d m -> Insn.Lea (d, m)) reg_no_rsp
-        (map2 (fun b k -> Insn.mem ~disp:k b) any_reg (int_range (-64) 64));
-      map (fun r -> Insn.Push r) any_reg;
-      map (fun r -> Insn.Pop r) reg_no_rsp;
-      map (fun r -> Insn.Inc r) reg_no_rsp;
-      map (fun r -> Insn.Dec r) reg_no_rsp;
-      map (fun r -> Insn.Neg r) reg_no_rsp;
-      map (fun r -> Insn.Not_ r) reg_no_rsp;
-      map2 (fun a b -> Insn.Xchg (a, b)) reg_no_rsp reg_no_rsp;
-      map2 (fun r k -> Insn.Shl (r, k)) reg_no_rsp (int_range 0 63);
-      map2 (fun r k -> Insn.Shr (r, k)) reg_no_rsp (int_range 0 63);
-      map2 (fun r k -> Insn.Sar (r, k)) reg_no_rsp (int_range 0 63) ]
+  let ptr_cell = map (fun k -> Insn.mem ~disp:(8 * k) ptr_base) (int_range ptr_lo ptr_hi) in
+  let load = map2 (fun d m -> Insn.Mov (Insn.Reg d, Insn.Mem m)) reg_no_rsp ptr_cell in
+  let store = map2 (fun m s -> Insn.Mov (Insn.Mem m, Insn.Reg s)) ptr_cell any_reg in
+  let plain =
+    oneof
+      [ map2 (fun d s -> Insn.Mov (Insn.Reg d, Insn.Reg s)) reg_no_rsp any_reg;
+        map2 (fun d i -> Insn.Mov (Insn.Reg d, Insn.Imm i)) reg_no_rsp small_imm;
+        map2 (fun d m -> Insn.Mov (Insn.Reg d, Insn.Mem m)) reg_no_rsp stack_slot;
+        map2 (fun m s -> Insn.Mov (Insn.Mem m, Insn.Reg s)) stack_slot any_reg;
+        map2 (fun d s -> Insn.Add (Insn.Reg d, Insn.Reg s)) reg_no_rsp any_reg;
+        map2 (fun d s -> Insn.Sub (Insn.Reg d, Insn.Reg s)) reg_no_rsp any_reg;
+        map2 (fun d s -> Insn.Xor (Insn.Reg d, Insn.Reg s)) reg_no_rsp any_reg;
+        map2 (fun d s -> Insn.And_ (Insn.Reg d, Insn.Reg s)) reg_no_rsp any_reg;
+        map2 (fun d s -> Insn.Or_ (Insn.Reg d, Insn.Reg s)) reg_no_rsp any_reg;
+        map2 (fun d s -> Insn.Imul (d, s)) reg_no_rsp any_reg;
+        map2 (fun d m -> Insn.Lea (d, m)) reg_no_rsp
+          (map2 (fun b k -> Insn.mem ~disp:k b) any_reg (int_range (-64) 64));
+        map (fun r -> Insn.Push r) any_reg;
+        map (fun r -> Insn.Pop r) reg_no_rsp;
+        map (fun r -> Insn.Inc r) reg_no_rsp;
+        map (fun r -> Insn.Dec r) reg_no_rsp;
+        map (fun r -> Insn.Neg r) reg_no_rsp;
+        map (fun r -> Insn.Not_ r) reg_no_rsp;
+        map2 (fun a b -> Insn.Xchg (a, b)) reg_no_rsp reg_no_rsp;
+        map2 (fun r k -> Insn.Shl (r, k)) reg_no_rsp (int_range 0 63);
+        map2 (fun r k -> Insn.Shr (r, k)) reg_no_rsp (int_range 0 63);
+        map2 (fun r k -> Insn.Sar (r, k)) reg_no_rsp (int_range 0 63) ]
+  in
+  let pointer =
+    oneof
+      [ load;
+        store;
+        (* step the base by one cell, so accesses meet at new distances *)
+        map (fun k -> Insn.Lea (ptr_base, Insn.mem ~disp:(8 * k) ptr_base))
+          (oneofl [ -1; 1 ]) ]
+  in
+  let chunk =
+    frequency
+      [ (4, map (fun i -> [ i ]) plain);
+        (1, map (fun i -> [ i ]) pointer);
+        (1, map2 (fun s l -> [ s; l ]) store load) ]
+  in
+  map List.concat (list_size (int_range 1 8) chunk)
 
 let prop_symx_matches_emulator (body, seed) =
   let insns = body @ [ Insn.Ret ] in
   match summarize insns with
   | [ s ] -> (
+    let st = s.Gp_symx.Exec.s_state in
     (* concrete machine with random registers and stack content *)
     let image = image_of insns in
     let m = Gp_emu.Machine.create image in
+    let mem = m.Gp_emu.Machine.mem in
     let rng = Gp_util.Rng.create seed in
     List.iter
       (fun r ->
@@ -299,53 +411,101 @@ let prop_symx_matches_emulator (body, seed) =
     let rsp0 = Gp_emu.Machine.rsp m in
     (* pre-fill the stack window the gadget may touch *)
     for k = -32 to 32 do
-      Gp_emu.Memory.write64 m.Gp_emu.Machine.mem
+      Gp_emu.Memory.write64 mem
         (Int64.add rsp0 (Int64.of_int (8 * k)))
         (Gp_util.Rng.next_int64 rng)
     done;
+    (* point the base register into the scratch region and fill its cells *)
+    let ptr0 =
+      Int64.add Gp_emu.Machine.scratch_base
+        (Int64.of_int (0x1000 + (8 * Gp_util.Rng.int rng 0x1000)))
+    in
+    Gp_emu.Machine.set_reg m ptr_base ptr0;
+    let cells = List.init 32 (fun i -> Int64.add ptr0 (Int64.of_int (8 * (i - 16)))) in
+    List.iter (fun a -> Gp_emu.Memory.write64 mem a (Gp_util.Rng.next_int64 rng)) cells;
     (* record the model BEFORE execution *)
     let init_reg = List.map (fun r -> (r, Gp_emu.Machine.reg m r)) Reg.all in
-    (* snapshot the PRE-execution stack: the gadget may overwrite it *)
+    (* snapshot the PRE-execution stack and cells: the gadget may overwrite them *)
     let init_stack =
       List.init 65 (fun i ->
           let k = 8 * (i - 32) in
           ( k,
-            Gp_emu.Memory.read64 m.Gp_emu.Machine.mem
+            Gp_emu.Memory.read64 mem
               (Int64.add rsp0 (Int64.of_int k)) ))
     in
+    let init_cells = List.map (fun a -> (a, Gp_emu.Memory.read64 mem a)) cells in
     let stack_word k = try List.assoc k init_stack with Not_found -> 0L in
-    let model v =
+    let cell a = try List.assoc a init_cells with Not_found -> 0L in
+    let rec model v =
       match Gp_symx.State.slot_of_var v with
       | Some off -> stack_word off
       | None -> (
-        try
-          let rname = String.sub v 0 (String.length v - 2) in
-          List.assoc (Reg.of_name rname) init_reg
-        with _ -> 0L)
+        match List.find_opt (fun (name, _, _) -> name = v) st.Gp_symx.State.mem_reads with
+        | Some (_, addr, _) -> cell (Gp_smt.Term.eval model addr)
+        | None -> (
+          try
+            let rname = String.sub v 0 (String.length v - 2) in
+            List.assoc (Reg.of_name rname) init_reg
+          with _ -> 0L))
     in
-    (* run exactly the gadget's instructions *)
-    (try
-       for _ = 1 to List.length insns do
-         Gp_emu.Machine.step m
-       done
-     with Gp_emu.Machine.Halt _ | Gp_emu.Memory.Fault _ -> ());
-    (* every register (rsp included) must match the symbolic post term *)
-    List.for_all
-      (fun r ->
-        let symbolic = Gp_smt.Term.eval model (final_reg s r) in
-        let concrete = Gp_emu.Machine.reg m r in
-        symbolic = concrete)
-      Reg.all
-    (* and the ret target must be where rip actually went *)
-    && (match s.Gp_symx.Exec.s_jump with
-        | Gp_symx.Exec.Jret t ->
-          Gp_smt.Term.eval model t = m.Gp_emu.Machine.rip
-        | _ -> false))
+    let in_cells t = List.mem_assoc (Gp_smt.Term.eval model t) init_cells in
+    let in_stack off = off mod 8 = 0 && List.mem_assoc off init_stack in
+    (* out of scope: a read that may alias a write, pointer accesses
+       that leave the filled cells (the base register was overwritten),
+       and stack accesses off the filled slots (through a base copied
+       from rsp and moved off the 8-byte grid) *)
+    if st.Gp_symx.State.alias_hazard
+       || not
+            (List.for_all (fun (_, a, _) -> in_cells a) st.Gp_symx.State.mem_reads
+            && List.for_all (fun (a, _) -> in_cells a) st.Gp_symx.State.ptr_writes
+            && List.for_all in_stack (Gp_symx.State.consumed_slots st)
+            && List.for_all (fun (off, _) -> in_stack off) st.Gp_symx.State.stack_writes)
+    then true
+    else begin
+      (* run exactly the gadget's instructions *)
+      (try
+         for _ = 1 to List.length insns do
+           Gp_emu.Machine.step m
+         done
+       with Gp_emu.Machine.Halt _ | Gp_emu.Memory.Fault _ -> ());
+      (* every register (rsp included) must match the symbolic post term *)
+      List.for_all
+        (fun r ->
+          let symbolic = Gp_smt.Term.eval model (final_reg s r) in
+          let concrete = Gp_emu.Machine.reg m r in
+          symbolic = concrete)
+        Reg.all
+      (* each written cell holds the value of its newest pointer write
+         (the state lists them newest first) *)
+      && (let rec newest seen = function
+            | [] -> true
+            | (a, v) :: older ->
+              let a = Gp_smt.Term.eval model a in
+              (List.mem a seen || Gp_smt.Term.eval model v = Gp_emu.Memory.read64 mem a)
+              && newest (a :: seen) older
+          in
+          newest [] st.Gp_symx.State.ptr_writes)
+      (* and the ret target must be where rip actually went *)
+      && (match s.Gp_symx.Exec.s_jump with
+          | Gp_symx.Exec.Jret t ->
+            Gp_smt.Term.eval model t = m.Gp_emu.Machine.rip
+          | _ -> false)
+    end)
   | _ -> true   (* non-single summaries are out of scope here *)
 
 let differential_suite =
-  [ Gen.qtest "symx matches emulator" ~count:500
-      QCheck2.Gen.(pair (list_size (int_range 1 8) gen_diff_insn) (int_range 0 1000000))
+  [ Gen.qtest "symx matches emulator" ~count:1000
+      QCheck2.Gen.(pair gen_diff_body (int_range 0 1000000))
       prop_symx_matches_emulator ]
 
-let suite = base_suite () @ differential_suite
+(* Appended after the differential, so the cases before keep their
+   indices. *)
+let shape_suite =
+  [ Alcotest.test_case "non-linear offsets stay hazard" `Quick
+      test_nonlinear_offsets_stay_hazard;
+    Alcotest.test_case "overlapping cells stay hazard" `Quick
+      test_overlapping_cells_stay_hazard;
+    Alcotest.test_case "slot and mem name tables" `Quick test_name_tables;
+    Alcotest.test_case "write lists order" `Quick test_write_order ]
+
+let suite = base_suite () @ differential_suite @ shape_suite
