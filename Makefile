@@ -30,12 +30,15 @@
 # (test_emu: paged copy-on-write memory against a flat reference model,
 # machine isolation on one shared image, self-modifying fetch across a
 # page boundary; test_symx's summaries-vs-emulator property, over stack
-# and pointer memory; test_payload's validation — DESIGN.md §18) and
-# the term fast paths the executor runs on (test_smt: `linearize`,
-# `add`/`sub` of a constant and `const_distance` on canonical terms
-# against the general path they replace — DESIGN.md §10) at JOBS=1 and
-# JOBS=4, the latter with machines on several domains reading one
-# image's shared pages.
+# and pointer memory, and the syscall continuation's own register file;
+# test_payload's validation — DESIGN.md §18), the term fast paths the
+# executor runs on (test_smt: `linearize`, `add`/`sub` of a constant
+# and `const_distance` on canonical terms against the general path they
+# replace — DESIGN.md §10) and the executor's output (test_gadget: the
+# golden harvest rendering of six survey cells, cold and replayed from
+# the image memo, and stage-2 dedup against a structural reference) at
+# JOBS=1 and JOBS=4, the latter with machines on several domains
+# reading one image's shared pages.
 #
 # `make check-incr` sweeps the image-memo suite (test_incr: cold vs
 # warm over the in-process image memo, counter determinism, and memo
@@ -117,7 +120,7 @@ check-par:
 # The suite sweeps: each target's test_main suites (SUITES, as test_main
 # reads it) at both job counts.
 check-plan-par: SUITES = plan_par,planner,smt,gadget
-check-emu: SUITES = emu,symx,payload,smt
+check-emu: SUITES = emu,symx,payload,smt,gadget
 check-incr: SUITES = incr
 check-screen: SUITES = screen,smt,plan_par
 check-resume: SUITES = util,runner,resilience

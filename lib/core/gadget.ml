@@ -37,7 +37,9 @@ type t = {
   clobbered : Reg.t list;                (* clob-reg *)
   controlled : (Reg.t * int) list;       (* ctrl-reg: reg <- stack slot at offset *)
   pre : Formula.t list;                  (* pre-cond *)
-  post : (Reg.t * Term.t) list;          (* post-cond: final value of every reg *)
+  post : Term.t array;                   (* post-cond: final value of every reg,
+                                            indexed by Reg.number; shared with
+                                            the summary, never written *)
   stack_delta : stack_effect;
   stack_writes : (int * Term.t) list;
   consumed : int list;                   (* payload slots this gadget reads *)
@@ -98,30 +100,30 @@ let classify (s : Gp_symx.Exec.summary) =
    placeholder and numbers the records afterwards). *)
 let of_summary ?id (s : Gp_symx.Exec.summary) : t =
   let st = s.Gp_symx.Exec.s_state in
-  let post =
-    List.map (fun r -> (r, Term.simplify (Gp_symx.State.reg st r))) Reg.all
-  in
+  (* the path's final register file: [State.set_reg] stores simplified
+     terms and the entry variables are canonical, so every entry is
+     already canonical; the summary's path has ended, so nothing writes
+     the array again *)
+  let post = st.Gp_symx.State.regs in
   let clobbered =
-    List.filter_map
-      (fun (r, t) ->
-        if Term.same t (Gp_symx.State.reg (Gp_symx.State.initial ()) r) then None
-        else Some r)
-      post
+    List.filter
+      (fun r -> not (Term.same post.(Reg.number r) (Gp_symx.State.entry_reg r)))
+      Reg.all
   in
   let controlled =
     List.filter_map
-      (fun (r, t) ->
-        match t with
+      (fun r ->
+        match post.(Reg.number r) with
         | Term.Var name -> (
           match Gp_symx.State.slot_of_var name with
           | Some off -> Some (r, off)
           | None -> None)
         | _ -> None)
-      post
+      Reg.all
   in
   let stack_delta =
     (* a canonical [v + c] is [Var v] or [Add (Var v, Const c)] *)
-    match Gp_symx.State.reg st Reg.RSP with
+    match post.(Reg.number Reg.RSP) with
     | Term.Var "rsp_0" -> Sdelta 0
     | Term.Add (Term.Var "rsp_0", Term.Const c, _) -> Sdelta (Int64.to_int c)
     | Term.Var "rbp_0" -> Spivot 0
@@ -152,7 +154,7 @@ let of_summary ?id (s : Gp_symx.Exec.summary) : t =
     has_merge = s.s_has_merge;
     alias_hazard = st.Gp_symx.State.alias_hazard }
 
-let post_of g r = List.assoc r g.post
+let post_of g r = g.post.(Reg.number r)
 
 let to_string g =
   Printf.sprintf "0x%Lx [%s] %s" g.addr (kind_name g.kind)

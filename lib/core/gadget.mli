@@ -36,7 +36,12 @@ type t = {
   controlled : (Gp_x86.Reg.t * int) list;
       (** ctrl-reg: register <- payload slot at offset *)
   pre : Formula.t list;                  (** pre-cond *)
-  post : (Gp_x86.Reg.t * Term.t) list;   (** post-cond: every register *)
+  post : Term.t array;
+      (** post-cond: the final value of every register, indexed by
+          [Reg.number].  It is the summary's final register file
+          ([State.regs]), shared and not copied, and nothing writes it
+          after emission, so a memo replay may share it across requests
+          and domains.  Read it, never write it. *)
   stack_delta : stack_effect;
   stack_writes : (int * Term.t) list;
   consumed : int list;                   (** payload slots this gadget reads *)
@@ -79,7 +84,7 @@ val of_summary : ?id:int -> Gp_symx.Exec.summary -> t
     placeholder and numbers the records afterwards). *)
 
 val post_of : t -> Gp_x86.Reg.t -> Term.t
-(** Final value term of a register. *)
+(** Final value term of a register: an index into [post]. *)
 
 val to_string : t -> string
 (** One-line rendering: address, kind, instructions. *)

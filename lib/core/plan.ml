@@ -155,11 +155,12 @@ let concrete_effects (g : Gadget.t) model =
   in
   let effects =
     List.filter_map
-      (fun (r, t) ->
+      (fun r ->
+        let t = Gadget.post_of g r in
         if r <> Reg.RSP && determined t then
           Some (r, Term.eval (Solver.model_fn model) t)
         else None)
-      g.Gadget.post
+      Reg.all
   in
   let mem_effects =
     List.filter_map

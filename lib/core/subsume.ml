@@ -45,7 +45,7 @@ let mix h x = (h lxor x) * 0x100000001b3
 let hash_list f h xs = List.fold_left (fun h x -> mix h (f x)) h xs
 
 let semantic_hash (g : Gadget.t) : int =
-  let h = hash_list (fun (_, t) -> Term.hash t) 0 g.Gadget.post in
+  let h = Array.fold_left (fun h t -> mix h (Term.hash t)) 0 g.Gadget.post in
   let h =
     match g.Gadget.jmp with
     | Gp_symx.Exec.Jret t -> mix (mix h 1) (Term.hash t)
@@ -70,8 +70,7 @@ let semantic_equal (g1 : Gadget.t) (g2 : Gadget.t) =
    | Gp_symx.Exec.Jind a, Gp_symx.Exec.Jind b -> Term.same a b
    | Gp_symx.Exec.Jfall _, Gp_symx.Exec.Jfall _ -> true
    | _ -> false)
-  && list_same (fun (r1, t1) (r2, t2) -> r1 = r2 && Term.same t1 t2)
-       g1.Gadget.post g2.Gadget.post
+  && Array.for_all2 Term.same g1.Gadget.post g2.Gadget.post
   && list_same (fun (o1, t1) (o2, t2) -> o1 = o2 && Term.same t1 t2)
        g1.Gadget.stack_writes g2.Gadget.stack_writes
   && list_same (fun (a1, v1) (a2, v2) -> Term.same a1 a2 && Term.same v1 v2)

@@ -103,7 +103,9 @@ let read_operand st (op : Insn.operand) : State.t * Term.t =
 
 let write_operand st (op : Insn.operand) v : State.t =
   match op with
-  | Insn.Reg r -> State.set_reg st r v
+  | Insn.Reg r ->
+    State.set_reg st r v;
+    st
   | Insn.Mem m ->
     let addr =
       Term.add (State.reg st m.Insn.base) (Term.const (Int64.of_int m.Insn.disp))
@@ -125,24 +127,28 @@ let step st (insn : Insn.t) : step_result =
   | Insn.Mov (d, s) ->
     let st, v = read_operand st s in
     Continue (write_operand st d v)
-  | Insn.Movabs (r, i) -> Continue (State.set_reg st r (const i))
+  | Insn.Movabs (r, i) ->
+    State.set_reg st r (const i);
+    Continue st
   | Insn.Lea (r, m) ->
     let addr = add (State.reg st m.Insn.base) (const (Int64.of_int m.Insn.disp)) in
-    Continue (State.set_reg st r addr)
+    State.set_reg st r addr;
+    Continue st
   | Insn.Push r ->
     let v = State.reg st r in
     let rsp' = sub (State.reg st Reg.RSP) (const 8L) in
-    let st = State.set_reg st Reg.RSP rsp' in
+    State.set_reg st Reg.RSP rsp';
     Continue (State.write_mem st rsp' v)
   | Insn.PushImm i ->
     let rsp' = sub (State.reg st Reg.RSP) (const 8L) in
-    let st = State.set_reg st Reg.RSP rsp' in
+    State.set_reg st Reg.RSP rsp';
     Continue (State.write_mem st rsp' (const (Int64.of_int i)))
   | Insn.Pop r ->
     let rsp = State.reg st Reg.RSP in
     let st, v = State.read_mem st rsp in
-    let st = State.set_reg st Reg.RSP (add rsp (const 8L)) in
-    Continue (State.set_reg st r v)
+    State.set_reg st Reg.RSP (add rsp (const 8L));
+    State.set_reg st r v;
+    Continue st
   | Insn.Add (d, s) -> Continue (alu add (fun _ _ r -> State.Farith r) st d s)
   | Insn.Sub (d, s) -> Continue (alu sub (fun a b _ -> State.Fsub (a, b)) st d s)
   | Insn.And_ (d, s) -> Continue (alu logand (fun _ _ r -> State.Flogic r) st d s)
@@ -157,30 +163,41 @@ let step st (insn : Insn.t) : step_result =
     Continue { st with State.flags = State.Flogic (logand va vb) }
   | Insn.Imul (d, s) ->
     let r = mul (State.reg st d) (State.reg st s) in
-    Continue { (State.set_reg st d r) with State.flags = State.Farith r }
+    State.set_reg st d r;
+    Continue { st with State.flags = State.Farith r }
   | Insn.Shl (r, n) ->
     let v = shl (State.reg st r) (const (Int64.of_int n)) in
-    Continue { (State.set_reg st r v) with State.flags = State.Flogic v }
+    State.set_reg st r v;
+    Continue { st with State.flags = State.Flogic v }
   | Insn.Shr (r, n) ->
     let v = shr (State.reg st r) (const (Int64.of_int n)) in
-    Continue { (State.set_reg st r v) with State.flags = State.Flogic v }
+    State.set_reg st r v;
+    Continue { st with State.flags = State.Flogic v }
   | Insn.Sar (r, n) ->
     let v = sar (State.reg st r) (const (Int64.of_int n)) in
-    Continue { (State.set_reg st r v) with State.flags = State.Flogic v }
+    State.set_reg st r v;
+    Continue { st with State.flags = State.Flogic v }
   | Insn.Inc r ->
     let v = add (State.reg st r) (const 1L) in
-    Continue { (State.set_reg st r v) with State.flags = State.Farith v }
+    State.set_reg st r v;
+    Continue { st with State.flags = State.Farith v }
   | Insn.Dec r ->
     let v = sub (State.reg st r) (const 1L) in
-    Continue { (State.set_reg st r v) with State.flags = State.Farith v }
+    State.set_reg st r v;
+    Continue { st with State.flags = State.Farith v }
   | Insn.Neg r ->
     let a = State.reg st r in
     let v = neg a in
-    Continue { (State.set_reg st r v) with State.flags = State.Fsub (const 0L, a) }
-  | Insn.Not_ r -> Continue (State.set_reg st r (lognot (State.reg st r)))
+    State.set_reg st r v;
+    Continue { st with State.flags = State.Fsub (const 0L, a) }
+  | Insn.Not_ r ->
+    State.set_reg st r (lognot (State.reg st r));
+    Continue st
   | Insn.Xchg (a, b) ->
     let va = State.reg st a and vb = State.reg st b in
-    Continue (State.set_reg (State.set_reg st a vb) b va)
+    State.set_reg st a vb;
+    State.set_reg st b va;
+    Continue st
   | Insn.Jmp rel -> Direct (st, rel)
   | Insn.JmpReg r -> End (st, Jind (State.reg st r), false)
   | Insn.JmpMem m ->
@@ -193,38 +210,39 @@ let step st (insn : Insn.t) : step_result =
        symbolic-state stack write whose value is unknown statically only
        in position — we leave the slot holding an opaque marker *)
     let rsp' = sub (State.reg st Reg.RSP) (const 8L) in
-    let st = State.set_reg st Reg.RSP rsp' in
+    State.set_reg st Reg.RSP rsp';
     let st = State.write_mem st rsp' (Term.var "retaddr") in
     Direct (st, rel)
   | Insn.CallReg r ->
     let target = State.reg st r in
     let rsp' = sub (State.reg st Reg.RSP) (const 8L) in
-    let st = State.set_reg st Reg.RSP rsp' in
+    State.set_reg st Reg.RSP rsp';
     let st = State.write_mem st rsp' (Term.var "retaddr") in
     End (st, Jind target, false)
   | Insn.CallMem m ->
     let addr = add (State.reg st m.Insn.base) (const (Int64.of_int m.Insn.disp)) in
     let st, target = State.read_mem st addr in
     let rsp' = sub (State.reg st Reg.RSP) (const 8L) in
-    let st = State.set_reg st Reg.RSP rsp' in
+    State.set_reg st Reg.RSP rsp';
     let st = State.write_mem st rsp' (Term.var "retaddr") in
     End (st, Jind target, false)
   | Insn.Ret ->
     let rsp = State.reg st Reg.RSP in
     let st, v = State.read_mem st rsp in
-    let st = State.set_reg st Reg.RSP (add rsp (const 8L)) in
+    State.set_reg st Reg.RSP (add rsp (const 8L));
     End (st, Jret v, false)
   | Insn.RetImm n ->
     let rsp = State.reg st Reg.RSP in
     let st, v = State.read_mem st rsp in
-    let st = State.set_reg st Reg.RSP (add rsp (const (Int64.of_int (8 + n)))) in
+    State.set_reg st Reg.RSP (add rsp (const (Int64.of_int (8 + n))));
     End (st, Jret v, false)
   | Insn.Leave ->
     let rbp = State.reg st Reg.RBP in
-    let st = State.set_reg st Reg.RSP rbp in
+    State.set_reg st Reg.RSP rbp;
     let st, v = State.read_mem st rbp in
-    let st = State.set_reg st Reg.RBP v in
-    Continue (State.set_reg st Reg.RSP (add rbp (const 8L)))
+    State.set_reg st Reg.RBP v;
+    State.set_reg st Reg.RSP (add rbp (const 8L));
+    Continue st
   | Insn.Syscall ->
     let regstate =
       List.map (fun r -> (r, State.reg st r)) [ Reg.RAX; Reg.RDI; Reg.RSI; Reg.RDX ]
@@ -283,14 +301,12 @@ let summarize_r ?(config = default_config) ?decode (image : Gp_util.Image.t)
         | SysStep st ->
           (* the run ending here is a syscall gadget... *)
           results := summary st insns (Jfall next) true has_cond has_merge :: !results;
-          (* ...and execution also continues past it (the syscall's return
-             value is an uncontrollable fresh unknown) *)
+          (* ...and execution also continues past it, on its own register
+             file (the summary keeps this one), with the syscall's return
+             value an uncontrollable fresh unknown *)
           let ret = Term.var (Printf.sprintf "sysret%d" st.State.fresh) in
-          let st' =
-            State.set_reg
-              { st with State.fresh = st.State.fresh + 1 }
-              Reg.RAX ret
-          in
+          let st' = State.fork { st with State.fresh = st.State.fresh + 1 } in
+          State.set_reg st' Reg.RAX ret;
           go st' insns next (ninsns + 1) nforks nmerges has_cond has_merge
         | Direct (st, rel) ->
           if nmerges < config.max_merges then
@@ -303,8 +319,10 @@ let summarize_r ?(config = default_config) ?decode (image : Gp_util.Image.t)
             (match conds with
              | Some fs ->
                let st_t = List.fold_left State.assume st fs in
+               (* the taken branch runs first, on its own register file:
+                  the fall-through below continues from [st]'s *)
                if not (List.mem Formula.False st_t.State.path) then
-                 go st_t insns
+                 go (State.fork st_t) insns
                    (Int64.add next (Int64.of_int rel))
                    (ninsns + 1) (nforks + 1) (nmerges + 1) true true
              | None -> ());

@@ -19,7 +19,9 @@ type jump =
 type summary = {
   s_addr : int64;                      (** where decoding started *)
   s_insns : Gp_x86.Insn.t list;        (** in execution order *)
-  s_state : State.t;                   (** final symbolic state *)
+  s_state : State.t;
+      (** final symbolic state; its register file is this summary's
+          alone and is never written after emission *)
   s_jump : jump;
   s_has_cond : bool;                   (** took a Jcc assumption *)
   s_has_merge : bool;                  (** crossed a direct jmp/call *)

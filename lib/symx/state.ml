@@ -76,9 +76,13 @@ let slot_of_var name =
   end
   else None
 
-(* no field is mutable and [set_reg] copies the register array, so one
-   shared initial state serves every run (building the 16 entry
-   variables is measurable at harvest scale) *)
+(* A path owns its register file: [set_reg] writes the array in place,
+   so two paths never share one.  [initial] hands each run its own copy
+   of the shared entry state, and [fork] is the only other copy, taken
+   where two paths diverge.  Every other field is immutable and shared
+   freely.  A summary keeps its path's array as its final registers, so
+   once emitted no one may write it (building the 16 entry variables is
+   measurable at harvest scale; copying them is not) *)
 let initial_state =
   { regs = Array.init 16 (fun i -> reg_var (Reg.of_number i));
     stack = Imap.empty;
@@ -92,14 +96,15 @@ let initial_state =
     mem_reads = [];
     alias_hazard = false }
 
-let initial () = initial_state
+let fork t = { t with regs = Array.copy t.regs }
+
+let initial () = fork initial_state
+
+let entry_reg r = initial_state.regs.(Reg.number r)
 
 let reg t r = t.regs.(Reg.number r)
 
-let set_reg t r v =
-  let regs = Array.copy t.regs in
-  regs.(Reg.number r) <- Term.simplify v;
-  { t with regs }
+let set_reg t r v = t.regs.(Reg.number r) <- Term.simplify v
 
 let assume t f = { t with path = Formula.simplify f :: t.path }
 

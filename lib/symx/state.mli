@@ -20,7 +20,9 @@ type flag_src =
   | Funknown
 
 type t = {
-  regs : Term.t array;                   (** 16, indexed by [Reg.number] *)
+  regs : Term.t array;
+      (** 16, indexed by [Reg.number]; the path owns it and
+          {!set_reg} writes it in place *)
   stack : Term.t Imap.t;                 (** offset from rsp0 -> value *)
   stack_writes : (int * Term.t) list;    (** newest first *)
   path : Formula.t list;                 (** accumulated pre-conditions *)
@@ -37,7 +39,14 @@ type t = {
           treated as attacker-controlled *)
   alias_hazard : bool;                   (** some read was unreliable *)
 }
-(** Both write lists are consed as the writes happen, newest first;
+(** Ownership: a path owns its register file.  {!set_reg} writes it in
+    place, {!initial} gives each run a fresh copy and {!fork} is the only
+    other copy, taken where two paths diverge.  Every other field is
+    immutable, so a record update shares them.  An emitted summary keeps
+    its path's array as its final registers ([Gadget.post]), so no one
+    writes it after emission.
+
+    Both write lists are consed as the writes happen, newest first;
     [Gadget.of_summary] reverses them once into write order.
     The state holds no instruction list: [Exec.summarize_r] keeps the
     executed instructions in its own loop. *)
@@ -62,10 +71,23 @@ val slot_of_var : string -> int option
     starting with ["stk_"] is refused without allocating. *)
 
 val initial : unit -> t
-(** Fully symbolic state: every register at its entry variable. *)
+(** Fully symbolic state: every register at its entry variable, in a
+    register file of its own. *)
+
+val fork : t -> t
+(** The same state with a copy of the register file, for a second path
+    that continues from here. *)
+
+val entry_reg : Gp_x86.Reg.t -> Term.t
+(** The register's entry variable, {!reg_var}, from the shared entry
+    state: no allocation. *)
 
 val reg : t -> Gp_x86.Reg.t -> Term.t
-val set_reg : t -> Gp_x86.Reg.t -> Term.t -> t
+
+val set_reg : t -> Gp_x86.Reg.t -> Term.t -> unit
+(** Write the simplified value into the state's own register file.  The
+    write is seen by every record that shares the array: {!fork} first
+    when another path must keep the old value. *)
 
 val assume : t -> Formula.t -> t
 (** Add a pre-condition to the path. *)

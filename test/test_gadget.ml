@@ -203,7 +203,7 @@ module Ref_dedup = struct
          | Gp_symx.Exec.Jret t -> `Ret (M.term t)
          | Gp_symx.Exec.Jind t -> `Ind (M.term t)
          | Gp_symx.Exec.Jfall _ -> `Fall);
-      post = List.map (fun (r, t) -> (Reg.number r, M.term t)) g.Gp_core.Gadget.post;
+      post = Array.to_list (Array.mapi (fun r t -> (r, M.term t)) g.Gp_core.Gadget.post);
       stack_writes = List.map (fun (o, t) -> (o, M.term t)) g.Gp_core.Gadget.stack_writes;
       ptr_writes = List.map (fun (a, v) -> (M.term a, M.term v)) g.Gp_core.Gadget.ptr_writes;
       pre = List.map M.atom g.Gp_core.Gadget.pre }
@@ -274,6 +274,83 @@ let test_dedup_vs_reference () =
        (Gen.concurrently ~jobs:Gen.jobs_under_test
           (List.map (fun (_, image) () -> harvest image) cells)))
 
+(* Every harvested gadget rendered as text, field by field, through the
+   term and formula printers and [post_of], so the text does not depend
+   on how the record stores its fields. *)
+let render_gadget b (g : Gp_core.Gadget.t) =
+  let module G = Gp_core.Gadget in
+  let term = Gp_smt.Term.to_string in
+  let regs rs = String.concat " " (List.map Reg.name rs) in
+  Printf.bprintf b "id %d addr 0x%Lx len %d kind %s\n" g.G.id g.G.addr g.G.len
+    (G.kind_name g.G.kind);
+  Printf.bprintf b " jmp %s\n"
+    (match g.G.jmp with
+     | Gp_symx.Exec.Jret t -> "ret " ^ term t
+     | Gp_symx.Exec.Jind t -> "ind " ^ term t
+     | Gp_symx.Exec.Jfall a -> Printf.sprintf "fall 0x%Lx" a);
+  Printf.bprintf b " clobbered %s\n" (regs g.G.clobbered);
+  Printf.bprintf b " controlled %s\n"
+    (String.concat " "
+       (List.map (fun (r, o) -> Printf.sprintf "%s<-%d" (Reg.name r) o) g.G.controlled));
+  List.iter (fun f -> Printf.bprintf b " pre %s\n" (Gp_smt.Formula.to_string f)) g.G.pre;
+  List.iter
+    (fun r -> Printf.bprintf b " post %s = %s\n" (Reg.name r) (term (G.post_of g r)))
+    Reg.all;
+  Printf.bprintf b " stack_delta %s\n"
+    (match g.G.stack_delta with
+     | G.Sdelta d -> Printf.sprintf "delta %d" d
+     | G.Spivot d -> Printf.sprintf "pivot %d" d
+     | G.Sunknown -> "unknown");
+  List.iter (fun (o, t) -> Printf.bprintf b " stack_write %d %s\n" o (term t)) g.G.stack_writes;
+  List.iter (fun (a, v) -> Printf.bprintf b " ptr_write %s %s\n" (term a) (term v)) g.G.ptr_writes;
+  Printf.bprintf b " consumed %s\n" (String.concat " " (List.map string_of_int g.G.consumed));
+  List.iter
+    (fun (n, a, reliable) -> Printf.bprintf b " mem_read %s %s %b\n" n (term a) reliable)
+    g.G.mem_reads;
+  (match g.G.syscall_state with
+   | None -> Printf.bprintf b " syscall none\n"
+   | Some st ->
+     List.iter (fun (r, t) -> Printf.bprintf b " syscall %s = %s\n" (Reg.name r) (term t)) st);
+  Printf.bprintf b " has_cond %b has_merge %b alias_hazard %b\n" g.G.has_cond g.G.has_merge
+    g.G.alias_hazard
+
+(* The MD5 of the rendering over six survey cells, computed before
+   post-conditions shared the executor's register file: a change to the
+   executor or the record must leave every harvested gadget as it was.
+   Each cell is harvested cold (after [reset_world]) and again as an
+   image-memo replay; both render the pinned text. *)
+let golden_harvest_md5 = "3c8bf03b4bf43da6050e2ab7f9eba8b2"
+
+let test_golden_harvest () =
+  let b = Buffer.create (1 lsl 20) in
+  let cells =
+    Gp_harness.Survey.survey_cells
+      { Gp_harness.Survey.full_grid with
+        entries = List.map Gp_corpus.Programs.find [ "fibonacci"; "bubble_sort" ] }
+      (fun entry cname cfg ->
+        ( entry.Gp_corpus.Programs.name ^ "/" ^ cname,
+          Gp_codegen.Pipeline.compile ~transform:(Gp_obf.Obf.transform cfg)
+            entry.Gp_corpus.Programs.source ))
+  in
+  let harvest image =
+    fst (Gp_core.Extract.harvest_r ~ids:(Gp_core.Gadget.local_ids ()) image)
+  in
+  let rendered gs =
+    let b = Buffer.create 4096 in
+    List.iter (render_gadget b) gs;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (cell, image) ->
+      Gp_harness.Survey.reset_world ();
+      let cold = rendered (harvest image) in
+      Alcotest.(check string) (cell ^ ": replay renders as cold") cold
+        (rendered (harvest image));
+      Printf.bprintf b "cell %s\n%s" cell cold)
+    cells;
+  Alcotest.(check string) "harvest rendering md5" golden_harvest_md5
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let suite =
   [ Alcotest.test_case "record fields (Table II)" `Quick test_record_fields;
     Alcotest.test_case "classification" `Quick test_classification;
@@ -286,4 +363,5 @@ let suite =
     Gen.qtest "minimize covers inputs" ~count:50 QCheck2.Gen.(int_range 0 100000)
       prop_minimize_covers;
     Alcotest.test_case "dedup = structural reference over the survey cells" `Slow
-      test_dedup_vs_reference ]
+      test_dedup_vs_reference;
+    Alcotest.test_case "golden harvest rendering" `Slow test_golden_harvest ]

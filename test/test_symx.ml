@@ -508,4 +508,37 @@ let shape_suite =
     Alcotest.test_case "slot and mem name tables" `Quick test_name_tables;
     Alcotest.test_case "write lists order" `Quick test_write_order ]
 
-let suite = base_suite () @ differential_suite @ shape_suite
+(* The summary a syscall ends keeps its own register file: the
+   execution that continues past the syscall writes RAX twice (the
+   syscall's result, then the pop), and neither write may reach the
+   summary already emitted, nor the gadget built from it. *)
+let test_syscall_continuation_owns_registers () =
+  let sums =
+    summarize [ Insn.Movabs (Reg.RAX, 59L); Insn.Syscall; Insn.Pop Reg.RAX; Insn.Ret ]
+  in
+  let find p =
+    match List.filter p sums with
+    | [ s ] -> s
+    | l -> Alcotest.failf "expected one such summary, got %d" (List.length l)
+  in
+  let is_fall s =
+    match s.Gp_symx.Exec.s_jump with Gp_symx.Exec.Jfall _ -> true | _ -> false
+  in
+  let sys = find is_fall and cont = find (fun s -> not (is_fall s)) in
+  let rax_of s =
+    ( final_reg s Reg.RAX,
+      Gp_core.Gadget.post_of (Gp_core.Gadget.of_summary ~id:0 s) Reg.RAX )
+  in
+  let sys_summary, sys_gadget = rax_of sys in
+  Alcotest.(check bool) "syscall summary rax = 59" true (sys_summary = Term.const 59L);
+  Alcotest.(check bool) "syscall gadget rax = 59" true (sys_gadget = Term.const 59L);
+  let cont_summary, cont_gadget = rax_of cont in
+  Alcotest.(check bool) "continuation summary rax = stk_0" true
+    (cont_summary = Gp_symx.State.slot_var 0);
+  Alcotest.(check bool) "continuation gadget rax = stk_0" true
+    (cont_gadget = Gp_symx.State.slot_var 0)
+
+let suite =
+  base_suite () @ differential_suite @ shape_suite
+  @ [ Alcotest.test_case "syscall continuation owns its registers" `Quick
+        test_syscall_continuation_owns_registers ]
